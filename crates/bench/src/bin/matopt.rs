@@ -13,10 +13,11 @@
 //! matopt stats <workload> [options]      run a workload with the metrics
 //!                                        registry enabled and print the
 //!                                        Prometheus exposition (or --json)
-//! matopt tune [options]                  probe every kernel variant on the
-//!                                        standard shape classes, print the
-//!                                        winners, and optionally persist
-//!                                        the catalog as kernels.tune
+//! matopt tune [options]                  probe the packed GEMM kernel's
+//!                                        throughput across flop volumes,
+//!                                        print the measured curve, and
+//!                                        optionally persist it as
+//!                                        kernels.tune
 //! matopt fleet-chaos [options]           soak the supervised worker fleet:
 //!                                        seeded SIGKILL schedules against
 //!                                        real worker processes, every run
@@ -77,9 +78,9 @@
 //!   --cache-dir <path>       reuse plans across invocations: warm the
 //!                            plan cache from <path>/plans.mcache before
 //!                            optimizing and persist it back afterwards
-//!   --tune-dir <path>        load <path>/kernels.tune into the process
-//!                            tuning catalog so --analyze dispatches
-//!                            tuned kernels (write one with matopt tune)
+//!   --tune-dir <path>        plan under the measured throughput curve in
+//!                            <path>/kernels.tune instead of the flat
+//!                            flop rate (write one with matopt tune)
 //!   --metrics-dump <path>    write the metrics-registry snapshot after
 //!                            the run: Prometheus text, or JSON if
 //!                            <path> ends .json
@@ -116,9 +117,9 @@
 //!                            JSON if <path> ends .json
 //!   --serve-threads N        request worker threads (default 1);
 //!                            responses stay in request order
-//!   --tune-dir <path>        apply <path>/kernels.tune on start: swaps
-//!                            in the measured-throughput cost model and
-//!                            tuned kernel dispatch (bumps the plan-cache
+//!   --tune-dir <path>        plan under the measured throughput curve in
+//!                            <path>/kernels.tune: recalibrates the
+//!                            service on start (bumps the plan-cache
 //!                            epoch once)
 //!   --worker-procs N         supervise N matopt-workerd processes for
 //!                            the session: fleet liveness gauges land in
@@ -137,11 +138,8 @@
 //! cache and metrics snapshot are persisted, and the process exits 0.
 //!
 //! tune options:
-//!   --quick                  one rep, small probe shapes (same as
-//!                            MATOPT_BENCH_QUICK=1) — for CI smoke, not
-//!                            for real tuning
-//!   --json                   machine-readable catalog on stdout
-//!   --out <path>             persist the catalog to <path>/kernels.tune,
+//!   --json                   machine-readable curve on stdout
+//!   --out <path>             persist the curve to <path>/kernels.tune,
 //!                            then reload and verify it (the
 //!                            persisted-then-reloaded line goes to stderr)
 //!
@@ -164,7 +162,7 @@ use matopt_core::{
     training_to_dot, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind,
     PhysFormat, PlanContext, RecoveryPolicy,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::{AnalyticalCostModel, CurveCostModel, ThroughputCurve};
 use matopt_engine::{
     explain_analyze, explain_analyze_with_faults, explain_analyze_with_options, explain_plan,
     parse_fault_spec, render_sql, simulate_plan_traced, simulate_plan_with_recovery,
@@ -226,11 +224,34 @@ fn cmd_formats() -> i32 {
 /// The CLI's experiment environment: the paper's 38 implementations
 /// plus the reduction kernels that training-loss workloads
 /// (`ffnn-train:<h>`) need. A strict superset — graphs without
-/// reduction vertices plan exactly as under the paper registry.
-fn cli_env() -> Env {
+/// reduction vertices plan exactly as under the paper registry. The
+/// cost model's curve is empty — term for term the analytical model —
+/// until `--tune-dir` swaps a measured one in.
+fn cli_env() -> Env<CurveCostModel> {
     Env {
         registry: ImplRegistry::extended(),
-        model: AnalyticalCostModel,
+        model: CurveCostModel::default(),
+    }
+}
+
+/// `--tune-dir` for `plan` and `serve` alike: the cost model over the
+/// measured curve in `<dir>/kernels.tune`, announced on stderr. A
+/// missing or damaged file, or one the retired autotuner wrote, is exit
+/// code 1 with the path in the message.
+fn load_curve_model(cmd: &str, dir: &str) -> Result<CurveCostModel, i32> {
+    match ThroughputCurve::load(Path::new(dir)) {
+        Ok(curve) => {
+            eprintln!(
+                "cost model: measured curve ({} points, peak {:.1} GF/s)",
+                curve.points().len(),
+                curve.peak_gflops()
+            );
+            Ok(CurveCostModel::new(curve))
+        }
+        Err(e) => {
+            eprintln!("{cmd}: --tune-dir: {e}");
+            Err(1)
+        }
     }
 }
 
@@ -434,21 +455,11 @@ fn cmd_plan(args: &[String]) -> i32 {
         return 2;
     }
 
-    // `--tune-dir` warms the process tuning catalog so `--analyze`
-    // executions dispatch the tuned kernel per shape class.
+    let mut env = cli_env();
     if let Some(dir) = &tune_dir {
-        match matopt_kernels::tune::load_catalog_into(
-            Path::new(dir),
-            matopt_kernels::tune::global_catalog(),
-        ) {
-            Ok(report) => eprintln!(
-                "kernel tuning: loaded {} classes from {dir} ({} corrupt skipped)",
-                report.loaded, report.corrupt
-            ),
-            Err(e) => {
-                eprintln!("plan: --tune-dir {dir}: {e}");
-                return 1;
-            }
+        match load_curve_model("plan", dir) {
+            Ok(model) => env.model = model,
+            Err(code) => return code,
         }
     }
 
@@ -463,10 +474,9 @@ fn cmd_plan(args: &[String]) -> i32 {
         None => Obs::disabled(),
     };
 
-    let env = cli_env();
     let ctx = env.ctx(cluster);
     let plan = match &cache_dir {
-        Some(dir) => match plan_with_cache(dir, &graph, cluster, &catalog, &ctx, obs.clone()) {
+        Some(dir) => match plan_with_cache(dir, &graph, cluster, &catalog, &env, obs.clone()) {
             Ok(p) => p,
             Err(msg) => {
                 eprintln!("plan: {msg}");
@@ -601,17 +611,19 @@ fn write_metrics_dump(snapshot: &matopt_obs::MetricsSnapshot, path: &str) -> Res
 /// workload's fingerprint matches, falling back to (and recording) a
 /// fresh optimizer run otherwise. A warmed annotation is re-validated
 /// against the graph before use; a failing one is poisoned and
-/// re-planned rather than trusted.
+/// re-planned rather than trusted. Under a measured curve the service
+/// is recalibrated after the warm, as `serve --tune-dir` does: plans
+/// persisted under the flat rate are re-costed, not served.
 fn plan_with_cache(
     dir: &str,
     graph: &ComputeGraph,
     cluster: Cluster,
     catalog: &FormatCatalog,
-    ctx: &matopt_core::PlanContext<'_>,
+    env: &Env<CurveCostModel>,
     obs: Obs,
 ) -> Result<AutoPlan, String> {
     let service = PlanService::with_obs(
-        ImplRegistry::extended(),
+        env.registry.clone(),
         catalog.clone(),
         cluster,
         Box::new(AnalyticalCostModel),
@@ -633,10 +645,13 @@ fn plan_with_cache(
             report.corrupt
         );
     }
+    if !env.model.curve().is_empty() {
+        service.recalibrate(Box::new(env.model.clone()));
+    }
     let mut planned = service
         .plan(graph)
         .map_err(|e| format!("optimization failed: {e}"))?;
-    if matopt_core::validate(graph, &planned.plan.annotation, ctx).is_err() {
+    if matopt_core::validate(graph, &planned.plan.annotation, &env.ctx(cluster)).is_err() {
         service.cache().poison(planned.fingerprint);
         planned = service
             .plan(graph)
@@ -1120,22 +1135,13 @@ fn cmd_serve(args: &[String]) -> i32 {
             }
         }
     }
-    // Apply kernel tuning after the cache warm: applying swaps in the
-    // measured-throughput cost model and bumps the plan-cache epoch, so
-    // plans warmed under the analytical model are re-costed on demand.
+    // Recalibrate after the cache warm: the swap bumps the plan-cache
+    // epoch, so plans warmed under the flat rate are re-costed on
+    // demand.
     if let Some(dir) = &tune_dir {
-        match matopt_kernels::tune::load_catalog(Path::new(dir)) {
-            Ok((catalog, report)) => {
-                service.apply_tuning(Arc::new(catalog));
-                eprintln!(
-                    "serve: applied {} tuned kernel classes from {dir} ({} corrupt skipped)",
-                    report.loaded, report.corrupt
-                );
-            }
-            Err(e) => {
-                eprintln!("serve: --tune-dir {dir}: {e}");
-                return 1;
-            }
+        match load_curve_model("serve", dir) {
+            Ok(model) => service.recalibrate(Box::new(model)),
+            Err(code) => return code,
         }
     }
 
@@ -1450,7 +1456,7 @@ struct Governor {
 fn run_analyze(
     graph: &ComputeGraph,
     annotation: &matopt_core::Annotation,
-    env: &Env,
+    env: &Env<CurveCostModel>,
     ctx: &matopt_core::PlanContext<'_>,
     catalog: &FormatCatalog,
     faults: Option<(&str, u64, RecoveryPolicy)>,
@@ -1671,23 +1677,17 @@ fn build_workload(spec: &str, cluster: &Cluster) -> Result<ComputeGraph, String>
     matopt_serve::protocol::workload_graph(spec, cluster)
 }
 
-/// `matopt tune`: probe every dense blocking candidate and both CSR
-/// traversals on the standard shape classes, report the winners (and
-/// the full measured curve with `--json`), and optionally persist the
-/// catalog as `kernels.tune` — reloading and verifying it so a smoke
-/// run proves the round trip, not just the write.
+/// `matopt tune`: probe the packed GEMM kernel's throughput curve,
+/// print its points, and optionally persist it as `kernels.tune` —
+/// reloading and verifying it so a smoke run proves the round trip,
+/// not just the write.
 fn cmd_tune(args: &[String]) -> i32 {
-    use matopt_kernels::tune::{load_catalog, save_catalog, tune_standard};
-    use matopt_kernels::{TuneOptions, TuningCatalog};
-
     let mut json = false;
-    let mut quick = false;
     let mut out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--json" => json = true,
-            "--quick" => quick = true,
             "--out" => {
                 i += 1;
                 match args.get(i) {
@@ -1706,80 +1706,45 @@ fn cmd_tune(args: &[String]) -> i32 {
         i += 1;
     }
 
-    let opts = if quick {
-        TuneOptions::quick()
-    } else {
-        TuneOptions::from_env()
-    };
-    let catalog = TuningCatalog::new();
     let started = std::time::Instant::now();
-    let tuned = tune_standard(&catalog, opts);
+    let curve = ThroughputCurve::measure();
     let secs = started.elapsed().as_secs_f64();
-    let th = catalog.thresholds();
 
     if json {
-        let classes: Vec<String> = tuned
+        let points: Vec<String> = curve
+            .points()
             .iter()
-            .map(|(class, entry)| {
-                let (m, k, n) = class.representative_dims();
-                let curve: Vec<String> = entry
-                    .curve
-                    .iter()
-                    .map(|(id, g)| format!("[{id},{g:.3}]"))
-                    .collect();
-                format!(
-                    "{{\"class\":\"{}\",\"probe\":[{m},{k},{n}],\"winner\":\"{}\",\
-                     \"gflops\":{:.3},\"probe_flops\":{:.0},\"curve\":[{}]}}",
-                    class.label(),
-                    entry.choice.label(),
-                    entry.gflops,
-                    entry.probe_flops,
-                    curve.join(",")
-                )
-            })
+            .map(|(f, g)| format!("[{f:.0},{g:.3}]"))
             .collect();
         println!(
-            "{{\"classes\":[{}],\"pack_min_flops\":{},\"par_min_flops\":{},\"tune_seconds\":{secs:.3}}}",
-            classes.join(","),
-            th.pack_min_flops,
-            th.par_min_flops
+            "{{\"curve\":[{}],\"peak_gflops\":{:.3},\"probe_seconds\":{secs:.3}}}",
+            points.join(","),
+            curve.peak_gflops()
         );
     } else {
-        println!("tuned {} shape classes in {secs:.2}s:", tuned.len());
-        for (class, entry) in &tuned {
-            let (m, k, n) = class.representative_dims();
-            println!(
-                "  {:<16} probe {m}x{k}x{n}: {:<14} {:7.2} GFLOP/s  ({} candidates measured)",
-                class.label(),
-                entry.choice.label(),
-                entry.gflops,
-                entry.curve.len()
-            );
-        }
         println!(
-            "thresholds: pack_min_flops {}, par_min_flops {}",
-            th.pack_min_flops, th.par_min_flops
+            "measured {} curve points in {secs:.2}s (peak {:.2} GFLOP/s):",
+            curve.points().len(),
+            curve.peak_gflops()
         );
+        for (flops, gflops) in curve.points() {
+            println!("  {flops:>12.3e} flops  {gflops:7.2} GFLOP/s");
+        }
     }
 
     if let Some(dir) = &out {
         let dir = Path::new(dir);
-        match save_catalog(dir, &catalog) {
-            Ok(n) => eprintln!("tune: persisted {n} records to {}", dir.display()),
-            Err(e) => {
-                eprintln!("tune: cannot persist to {}: {e}", dir.display());
-                return 1;
-            }
+        if let Err(e) = curve.save(dir) {
+            eprintln!("tune: cannot persist to {}: {e}", dir.display());
+            return 1;
         }
-        match load_catalog(dir) {
-            Ok((reloaded, report)) => {
-                let verified = reloaded.snapshot() == catalog.snapshot()
-                    && reloaded.thresholds() == catalog.thresholds();
+        match ThroughputCurve::load(dir) {
+            Ok(reloaded) => {
+                let verified = reloaded == curve;
                 eprintln!(
-                    "tune: persisted-then-reloaded {} classes from {} ({} corrupt skipped) -- {}",
-                    report.loaded,
+                    "tune: persisted-then-reloaded {} points from {} -- {}",
+                    reloaded.points().len(),
                     dir.display(),
-                    report.corrupt,
                     if verified { "verified" } else { "MISMATCH" }
                 );
                 if !verified {
@@ -1787,7 +1752,7 @@ fn cmd_tune(args: &[String]) -> i32 {
                 }
             }
             Err(e) => {
-                eprintln!("tune: cannot reload {}: {e}", dir.display());
+                eprintln!("tune: cannot reload {e}");
                 return 1;
             }
         }

@@ -3,7 +3,7 @@
 //! direct comparison).
 
 use matopt_core::{Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, PlanContext};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::{AnalyticalCostModel, CostModel};
 use matopt_engine::{format_hms, simulate_plan, SimOutcome};
 use matopt_obs::Obs;
 use matopt_opt::{frontier_dp_beam, OptContext, OptError};
@@ -14,12 +14,13 @@ use matopt_opt::{frontier_dp_beam, OptContext, OptError};
 /// ~1000 (verified by the `beam_is_stable` test).
 pub const DEFAULT_BEAM: usize = 4000;
 
-/// The experiment environment: implementation registry + cost model.
-pub struct Env {
+/// The experiment environment: implementation registry + cost model
+/// (the analytical one unless a caller plugs in another).
+pub struct Env<M = AnalyticalCostModel> {
     /// The 38-implementation registry.
     pub registry: ImplRegistry,
-    /// The analytic cost model.
-    pub model: AnalyticalCostModel,
+    /// The cost model plans are searched and simulated under.
+    pub model: M,
 }
 
 impl Default for Env {
@@ -63,7 +64,9 @@ impl Env {
             model: AnalyticalCostModel,
         }
     }
+}
 
+impl<M: CostModel> Env<M> {
     /// A plan context for the given cluster.
     pub fn ctx(&self, cluster: Cluster) -> PlanContext<'_> {
         PlanContext::new(&self.registry, cluster)

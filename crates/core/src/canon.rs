@@ -61,6 +61,20 @@ pub fn fnv1a_64(words: &[u64]) -> u64 {
     h
 }
 
+/// 64-bit FNV-1a over raw bytes: the stream checksum of every
+/// persisted or wire format in the workspace (spill files, the plan
+/// cache, training checkpoints, wire frames). Over the little-endian
+/// bytes of a word stream it equals [`fnv1a_64`] of the words.
+#[must_use]
+pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    let mut h = FNV64_OFFSET;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(FNV64_PRIME);
+    }
+    h
+}
+
 /// 128-bit FNV-1a over a word stream (each word fed little-endian).
 pub fn fnv1a_128(words: &[u64]) -> u128 {
     let mut h = FNV128_OFFSET;
@@ -325,6 +339,19 @@ mod tests {
 
     fn m(rows: u64, cols: u64) -> MatrixType {
         MatrixType::dense(rows, cols)
+    }
+
+    #[test]
+    fn fnv1a_bytes_matches_the_published_vectors() {
+        // FNV-1a-64 test vectors from the reference suite: every spill
+        // file, plan-cache record, checkpoint and wire frame checksums
+        // with this fold, so these pin the on-disk and on-wire bytes.
+        assert_eq!(fnv1a_bytes(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_bytes(b"foobar"), 0x8594_4171_f739_67e8);
+        let words = [0x0123_4567_89ab_cdefu64, 42];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(fnv1a_bytes(&bytes), fnv1a_64(&words));
     }
 
     /// `relu(A×B) + relu(A×B)`-shaped diamond, built source-first.

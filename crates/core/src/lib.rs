@@ -44,8 +44,8 @@ mod wire;
 pub use annotate::{plan_features, validate, PlanContext, PlanError, PlanFeatures};
 pub use backoff::{mix_jitter, BackoffPolicy};
 pub use canon::{
-    canonical_form, canonical_form_with, fnv1a_128, fnv1a_64, format_from_words, format_words,
-    op_from_words, op_to_words, CanonicalForm,
+    canonical_form, canonical_form_with, fnv1a_128, fnv1a_64, fnv1a_bytes, format_from_words,
+    format_words, op_from_words, op_to_words, CanonicalForm,
 };
 pub use cluster::{Cluster, RecoveryPolicy};
 pub use dot::{annotated_to_dot, graph_to_dot, training_to_dot, DiffRole};
@@ -60,6 +60,5 @@ pub use resource::{default_scratch_dir, parse_byte_size};
 pub use transforms::{Transform, TransformCatalog, TransformKind, ALL_TRANSFORM_KINDS};
 pub use types::{MatrixType, DENSE_ENTRY_BYTES, SPARSE_ENTRY_BYTES, TRIPLE_ENTRY_BYTES};
 pub use wire::{
-    frame_bytes, wire_fnv1a, write_frame, Frame, FrameReader, WireError, WIRE_MAGIC,
-    WIRE_MAX_BODY_WORDS,
+    frame_bytes, write_frame, Frame, FrameReader, WireError, WIRE_MAGIC, WIRE_MAX_BODY_WORDS,
 };

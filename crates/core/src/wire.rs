@@ -22,6 +22,7 @@
 //! (killed mid-frame), and treats both as worker death — it must never
 //! see a fabricated value.
 
+use crate::fnv1a_bytes;
 use std::io::{self, Read, Write};
 
 /// Magic word opening every frame (`b"MWIR0001"` little-endian).
@@ -65,20 +66,6 @@ impl From<io::Error> for WireError {
     }
 }
 
-/// FNV-1a over bytes — identical constants to the spill layer, so a
-/// frame's checksum can be recomputed by any tool in the workspace.
-#[must_use]
-pub fn wire_fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(words.len() * 8);
     for w in words {
@@ -96,7 +83,7 @@ pub fn frame_bytes(tag: u64, body: &[u64]) -> Vec<u8> {
     out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
     out.extend_from_slice(&tag.to_le_bytes());
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&wire_fnv1a(&body_bytes).to_le_bytes());
+    out.extend_from_slice(&fnv1a_bytes(&body_bytes).to_le_bytes());
     out.extend_from_slice(&body_bytes);
     out
 }
@@ -192,7 +179,7 @@ impl<R: Read> FrameReader<R> {
                 "stream truncated mid-frame: body of {len} words missing"
             )));
         }
-        let got_sum = wire_fnv1a(&body_bytes);
+        let got_sum = fnv1a_bytes(&body_bytes);
         if got_sum != want_sum {
             return Err(WireError::Corrupt(format!(
                 "body checksum mismatch: stored {want_sum:#018x}, computed {got_sum:#018x}"

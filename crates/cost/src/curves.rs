@@ -1,39 +1,78 @@
-//! Measured-throughput cost curves: consuming the kernel tuning
-//! catalog's per-shape-class GFLOP/s measurements instead of the single
-//! scalar `flops_per_sec`.
+//! Measured-throughput cost curve: a rate-vs-flops table probed from
+//! the one packed GEMM kernel, used instead of the single scalar
+//! `flops_per_sec`.
 //!
 //! The analytical model's CPU term divides flops by one rate, which
 //! pretends a 64³ product and a 1024³ product run at the same
 //! GFLOP/s — they do not (packing overheads dominate small products,
-//! cache effects bend the middle). The autotuner already measures the
-//! true rate per shape class ([`matopt_kernels::tune::TuningEntry`]
-//! records winner *and* GFLOP/s); [`ThroughputCurve`] folds those
-//! measurements into a monotone-interpolated rate-vs-flops curve and
-//! [`TunedCostModel`] scales the cluster's flop rate by the curve's
-//! relative throughput at each operator's flop volume.
+//! cache effects bend the middle). [`ThroughputCurve::measure`] times
+//! `DenseMatrix::matmul_packed` on a fixed table of shapes,
+//! [`ThroughputCurve`] interpolates the samples monotonically in
+//! log-flops space, and [`CurveCostModel`] scales the cluster's flop
+//! rate by the curve's relative throughput at each operator's flop
+//! volume. The curve persists as one checksummed record in
+//! `kernels.tune` ([`ThroughputCurve::save`] /
+//! [`ThroughputCurve::load`]); nothing reads it unless a caller hands
+//! a [`CurveCostModel`] to the optimizer.
 //!
 //! Known coarseness: `OpKind::MatMul` covers both dense and sparse
 //! products, and [`crate::CostFeatures`] carries no shape fields — so
-//! the curve is indexed by flop volume alone and built from the dense
-//! entries only. Sparse CSR curves are still recorded in the catalog
-//! (and benched), ready for a shape-aware feature vector.
+//! the curve is indexed by flop volume alone and probed on dense
+//! products only.
 
 use crate::{AnalyticalCostModel, CostModel};
-use matopt_core::{Cluster, CostFeatures, OpKind, TransformKind};
-use matopt_kernels::tune::TuningCatalog;
+use matopt_core::{fnv1a_64, Cluster, CostFeatures, OpKind, TransformKind};
+use std::io;
+use std::path::Path;
+use std::time::Instant;
 
-/// A measured rate-vs-flops curve: `(flop volume, GFLOP/s)` samples
-/// from the tuning catalog, interpolated piecewise-linearly in
-/// log-flops space and clamped at the ends.
+/// File name of the persisted curve (lives next to `plans.mcache`).
+pub const CURVE_FILE: &str = "kernels.tune";
+
+/// `b"MTUN0002"` as a little-endian word: magic header of
+/// [`CURVE_FILE`].
+const MAGIC: u64 = u64::from_le_bytes(*b"MTUN0002");
+
+/// Magic of the retired autotuner catalog that used the same file
+/// name; recognised only to say what to do about it.
+const LEGACY_MAGIC: u64 = u64::from_le_bytes(*b"MTUN0001");
+
+/// Most points a persisted curve may carry; a count past this is
+/// corruption, not a big curve.
+const MAX_POINTS: usize = 64;
+
+/// The `m×k·k×n` products [`ThroughputCurve::measure`] times: squares
+/// across the packed kernel's working range plus skinny, wide and
+/// deep-k shapes, each dimension capped at 768 so the whole probe
+/// stays under a second.
+const PROBE_SHAPES: [(usize, usize, usize); 8] = [
+    (96, 96, 96),
+    (256, 256, 256),
+    (512, 512, 512),
+    (768, 768, 768),
+    (768, 64, 768),
+    (768, 384, 48),
+    (48, 384, 768),
+    (192, 768, 192),
+];
+
+/// A usable `(flops, GFLOP/s)` sample: both finite and positive.
+fn is_sample((flops, gflops): &(f64, f64)) -> bool {
+    flops.is_finite() && gflops.is_finite() && *flops > 0.0 && *gflops > 0.0
+}
+
+/// A measured rate-vs-flops curve: `(flop volume, GFLOP/s)` samples,
+/// interpolated piecewise-linearly in log-flops space and clamped at
+/// the ends.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThroughputCurve {
-    /// Sorted by flops ascending; rates are per-sample means when
-    /// several shape classes share a flop volume.
+    /// Strictly ascending in flops; rates are per-sample means when
+    /// several probe shapes share a flop volume.
     points: Vec<(f64, f64)>,
 }
 
 impl ThroughputCurve {
-    /// An empty curve: [`TunedCostModel`] degenerates to the
+    /// An empty curve: [`CurveCostModel`] degenerates to the
     /// analytical model.
     pub fn empty() -> ThroughputCurve {
         ThroughputCurve::default()
@@ -43,11 +82,7 @@ impl ThroughputCurve {
     /// dropping non-finite or non-positive ones and averaging samples
     /// that share a flop volume.
     pub fn from_samples(samples: &[(f64, f64)]) -> ThroughputCurve {
-        let mut pts: Vec<(f64, f64)> = samples
-            .iter()
-            .copied()
-            .filter(|(f, g)| f.is_finite() && g.is_finite() && *f > 0.0 && *g > 0.0)
-            .collect();
+        let mut pts: Vec<(f64, f64)> = samples.iter().copied().filter(is_sample).collect();
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut merged: Vec<(f64, f64, usize)> = Vec::new();
         for (f, g) in pts {
@@ -67,17 +102,134 @@ impl ThroughputCurve {
         }
     }
 
-    /// Builds the curve from a tuning catalog's dense entries: one
-    /// sample per tuned dense shape class, at the class's probe flop
-    /// volume and the winning variant's measured GFLOP/s.
-    pub fn from_catalog(catalog: &TuningCatalog) -> ThroughputCurve {
-        let samples: Vec<(f64, f64)> = catalog
-            .snapshot()
-            .into_iter()
-            .filter(|(class, _)| class.is_dense())
-            .map(|(_, entry)| (entry.probe_flops, entry.gflops))
+    /// Probes the packed GEMM kernel on a fixed table of eight shapes
+    /// (squares 96³–768³ plus skinny, wide and deep-k products): per
+    /// shape one warm-up multiply, then the best of three timed ones
+    /// (scheduler noise only ever adds time), on matrices seeded by the
+    /// shape.
+    pub fn measure() -> ThroughputCurve {
+        ThroughputCurve::probe(&PROBE_SHAPES)
+    }
+
+    fn probe(shapes: &[(usize, usize, usize)]) -> ThroughputCurve {
+        let samples: Vec<(f64, f64)> = shapes
+            .iter()
+            .map(|&(m, k, n)| {
+                let mut rng = matopt_kernels::seeded_rng((m * 31 + k) as u64 * 31 + n as u64);
+                let a = matopt_kernels::random_dense_normal(m, k, &mut rng);
+                let b = matopt_kernels::random_dense_normal(k, n, &mut rng);
+                std::hint::black_box(a.matmul_packed(&b));
+                let mut best = f64::INFINITY;
+                for _ in 0..3 {
+                    let t = Instant::now();
+                    std::hint::black_box(a.matmul_packed(&b));
+                    best = best.min(t.elapsed().as_secs_f64());
+                }
+                let flops = 2.0 * m as f64 * k as f64 * n as f64;
+                (flops, flops / best.max(1e-9) / 1e9)
+            })
             .collect();
         ThroughputCurve::from_samples(&samples)
+    }
+
+    /// The curve as the one record of [`CURVE_FILE`], all `u64`
+    /// little-endian: `[MTUN0002, n, (flops_bits, gflops_bits)×n,
+    /// fnv1a_64(everything before)]`.
+    fn encode(&self) -> Vec<u8> {
+        let mut words = vec![MAGIC, self.points.len() as u64];
+        for (f, g) in &self.points {
+            words.push(f.to_bits());
+            words.push(g.to_bits());
+        }
+        words.push(fnv1a_64(&words));
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Decodes [`ThroughputCurve::encode`]'s bytes, all or nothing: the
+    /// length must be exactly what the point count implies, the
+    /// checksum must match, and every sample must be finite, positive
+    /// and strictly flops-ascending — so a damaged file is rejected,
+    /// never partially believed.
+    fn decode(bytes: &[u8]) -> Result<ThroughputCurve, String> {
+        if !bytes.len().is_multiple_of(8) {
+            return Err("length is not a whole number of words".to_string());
+        }
+        let words: Vec<u64> = bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
+        match words.first() {
+            Some(&MAGIC) => {}
+            Some(&LEGACY_MAGIC) => {
+                return Err("an MTUN0001 autotuner catalog, which is no longer read; \
+                     re-run `matopt tune --out <dir>` to write a measured curve"
+                    .to_string())
+            }
+            _ => return Err("not a kernels.tune file (bad magic)".to_string()),
+        }
+        let n = match words.get(1).map(|n| usize::try_from(*n)) {
+            Some(Ok(n)) if n <= MAX_POINTS => n,
+            _ => return Err(format!("point count missing or over {MAX_POINTS}")),
+        };
+        if words.len() != 2 * n + 3 {
+            return Err(format!(
+                "truncated or padded: {n} points need {} words",
+                2 * n + 3
+            ));
+        }
+        let (body, checksum) = words.split_at(2 * n + 2);
+        if fnv1a_64(body) != checksum[0] {
+            return Err("checksum mismatch".to_string());
+        }
+        let points: Vec<(f64, f64)> = body[2..]
+            .chunks_exact(2)
+            .map(|w| (f64::from_bits(w[0]), f64::from_bits(w[1])))
+            .collect();
+        if !(points.iter().all(is_sample) && points.windows(2).all(|w| w[0].0 < w[1].0)) {
+            return Err("non-finite, non-positive or unordered sample".to_string());
+        }
+        Ok(ThroughputCurve { points })
+    }
+
+    /// Writes the curve to `<dir>/kernels.tune` atomically (temp file +
+    /// rename, creating `dir` if needed): a crash mid-write leaves the
+    /// previous file intact.
+    ///
+    /// # Errors
+    /// Refuses curves over 64 points; propagates filesystem errors.
+    pub fn save(&self, dir: &Path) -> io::Result<()> {
+        if self.points.len() > MAX_POINTS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("curve has {} points, over {MAX_POINTS}", self.points.len()),
+            ));
+        }
+        std::fs::create_dir_all(dir)?;
+        let tmp = dir.join(format!("{CURVE_FILE}.tmp.{}", std::process::id()));
+        std::fs::write(&tmp, self.encode())?;
+        let renamed = std::fs::rename(&tmp, dir.join(CURVE_FILE));
+        if renamed.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        renamed
+    }
+
+    /// Reads `<dir>/kernels.tune` back. The points equal the saved
+    /// curve's bit for bit.
+    ///
+    /// # Errors
+    /// A missing, unreadable, damaged or `MTUN0001` file is an error
+    /// whose message names the path; nothing is partially decoded.
+    pub fn load(dir: &Path) -> io::Result<ThroughputCurve> {
+        let path = dir.join(CURVE_FILE);
+        let bytes = std::fs::read(&path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        ThroughputCurve::decode(&bytes).map_err(|why| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {why}", path.display()),
+            )
+        })
     }
 
     /// `true` when no measurements back the curve.
@@ -131,34 +283,29 @@ impl ThroughputCurve {
 }
 
 /// The measured-throughput cost model: the analytical model with its
-/// CPU term's flop rate scaled by the tuning curve's relative
-/// throughput at the operator's flop volume.
+/// CPU term's flop rate scaled by the curve's relative throughput at
+/// the operator's flop volume.
 ///
 /// `cpu_flops` is the per-worker critical-path flop count — the same
-/// granularity the tuner probes — so `relative(cpu_flops)` looks up
+/// granularity the probe times — so `relative(cpu_flops)` looks up
 /// where on the throughput cliff this operator's chunks actually sit.
-/// Only `OpKind::MatMul` is scaled (the only operator the tuner
+/// Only `OpKind::MatMul` is scaled (the only operator the probe
 /// measures); every other operator and all transforms fall through to
 /// [`AnalyticalCostModel`] unchanged, and so does everything when the
 /// curve is empty.
 #[derive(Debug, Clone, Default)]
-pub struct TunedCostModel {
+pub struct CurveCostModel {
     curve: ThroughputCurve,
     inner: AnalyticalCostModel,
 }
 
-impl TunedCostModel {
+impl CurveCostModel {
     /// Wraps an explicit curve.
-    pub fn new(curve: ThroughputCurve) -> TunedCostModel {
-        TunedCostModel {
+    pub fn new(curve: ThroughputCurve) -> CurveCostModel {
+        CurveCostModel {
             curve,
             inner: AnalyticalCostModel,
         }
-    }
-
-    /// Builds the model straight from a tuning catalog.
-    pub fn from_catalog(catalog: &TuningCatalog) -> TunedCostModel {
-        TunedCostModel::new(ThroughputCurve::from_catalog(catalog))
     }
 
     /// The curve this model consults.
@@ -167,7 +314,7 @@ impl TunedCostModel {
     }
 }
 
-impl CostModel for TunedCostModel {
+impl CostModel for CurveCostModel {
     fn impl_time(&self, op: OpKind, features: &CostFeatures, cluster: &Cluster) -> f64 {
         if op != OpKind::MatMul || self.curve.is_empty() || features.cpu_flops <= 0.0 {
             return self.inner.impl_time(op, features, cluster);
@@ -191,7 +338,6 @@ impl CostModel for TunedCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matopt_kernels::tune::{KernelChoice, ShapeClass, TuningEntry};
 
     fn feat(flops: f64) -> CostFeatures {
         CostFeatures {
@@ -236,68 +382,181 @@ mod tests {
 
     #[test]
     fn empty_curve_model_matches_analytical() {
-        let tuned = TunedCostModel::default();
+        let curved = CurveCostModel::default();
         let plain = AnalyticalCostModel;
         let cl = Cluster::unit_test(4);
         let f = feat(1e9);
-        assert_eq!(
-            tuned.impl_time(OpKind::MatMul, &f, &cl),
-            plain.impl_time(OpKind::MatMul, &f, &cl)
-        );
+        for op in matopt_core::ALL_OP_KINDS {
+            assert_eq!(
+                curved.impl_time(op, &f, &cl).to_bits(),
+                plain.impl_time(op, &f, &cl).to_bits(),
+                "{op:?}"
+            );
+        }
     }
 
     #[test]
     fn low_throughput_region_costs_more() {
         // Small products run at half the peak rate → twice the time.
-        let tuned = TunedCostModel::new(ThroughputCurve::from_samples(&[(1e6, 5.0), (1e9, 10.0)]));
+        let curved = CurveCostModel::new(ThroughputCurve::from_samples(&[(1e6, 5.0), (1e9, 10.0)]));
         let cl = Cluster::unit_test(1);
-        let small = tuned.impl_time(OpKind::MatMul, &feat(1e5), &cl);
+        let small = curved.impl_time(OpKind::MatMul, &feat(1e5), &cl);
         let plain = AnalyticalCostModel.impl_time(OpKind::MatMul, &feat(1e5), &cl);
         assert!((small / plain - 2.0).abs() < 1e-9, "{small} vs {plain}");
         // At the peak there is no penalty.
-        let big = tuned.impl_time(OpKind::MatMul, &feat(1e12), &cl);
+        let big = curved.impl_time(OpKind::MatMul, &feat(1e12), &cl);
         let plain_big = AnalyticalCostModel.impl_time(OpKind::MatMul, &feat(1e12), &cl);
         assert_eq!(big, plain_big);
     }
 
     #[test]
     fn non_matmul_ops_and_transforms_are_untouched() {
-        let tuned = TunedCostModel::new(ThroughputCurve::from_samples(&[(1e6, 1.0), (1e9, 9.0)]));
+        let curved = CurveCostModel::new(ThroughputCurve::from_samples(&[(1e6, 1.0), (1e9, 9.0)]));
         let cl = Cluster::unit_test(2);
         let f = feat(1e5);
         assert_eq!(
-            tuned.impl_time(OpKind::Add, &f, &cl),
+            curved.impl_time(OpKind::Add, &f, &cl),
             AnalyticalCostModel.impl_time(OpKind::Add, &f, &cl)
         );
         assert_eq!(
-            tuned.transform_time(TransformKind::Identity, &f, &cl),
+            curved.transform_time(TransformKind::Identity, &f, &cl),
             AnalyticalCostModel.transform_time(TransformKind::Identity, &f, &cl)
         );
     }
 
+    fn sample_curve() -> ThroughputCurve {
+        ThroughputCurve::from_samples(&[(1.5e6, 3.25), (2.7e8, 19.0), (9.1e8, 22.5)])
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("matopt-curve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A well-formed file (valid count, valid checksum) over raw words.
+    fn file_of(points: &[(f64, f64)]) -> Vec<u8> {
+        ThroughputCurve {
+            points: points.to_vec(),
+        }
+        .encode()
+    }
+
     #[test]
-    fn curve_from_catalog_uses_dense_entries_only() {
-        let catalog = TuningCatalog::new();
-        catalog.insert(
-            ShapeClass::dense(384, 384, 384),
-            TuningEntry {
-                choice: KernelChoice::Dense(0),
-                gflops: 9.0,
-                probe_flops: 2.0 * 384f64.powi(3),
-                curve: vec![(0, 9.0)],
-            },
+    fn probe_measures_one_positive_rate_per_shape() {
+        let c = ThroughputCurve::probe(&[(8, 8, 8), (24, 16, 32)]);
+        assert_eq!(c.points().len(), 2);
+        assert_eq!(c.points()[0].0, 2.0 * 512.0);
+        assert!(c.points().iter().all(|(_, g)| g.is_finite() && *g > 0.0));
+        // The shipped table fits the file's point bound.
+        assert!(PROBE_SHAPES.len() <= MAX_POINTS);
+        assert!(PROBE_SHAPES.iter().all(|&(m, k, n)| m.max(k).max(n) <= 768));
+    }
+
+    #[test]
+    fn curve_file_round_trips_bit_for_bit() {
+        let dir = temp_dir("roundtrip");
+        let curve = sample_curve();
+        curve.save(&dir).expect("save");
+        let loaded = ThroughputCurve::load(&dir).expect("load");
+        let bits = |c: &ThroughputCurve| -> Vec<(u64, u64)> {
+            c.points()
+                .iter()
+                .map(|(f, g)| (f.to_bits(), g.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&loaded), bits(&curve));
+        // Overwriting is atomic-by-rename and leaves no temp file.
+        ThroughputCurve::empty().save(&dir).expect("save empty");
+        assert!(ThroughputCurve::load(&dir).expect("load").is_empty());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, [std::ffi::OsString::from(CURVE_FILE)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_rejected() {
+        let clean = sample_curve().encode();
+        assert!(ThroughputCurve::decode(&clean).is_ok());
+        for i in 0..clean.len() {
+            for mask in [0x01u8, 0x40, 0xff] {
+                let mut dirty = clean.clone();
+                dirty[i] ^= mask;
+                assert!(
+                    ThroughputCurve::decode(&dirty).is_err(),
+                    "flip {mask:#04x} at byte {i} decoded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_prefix_truncation_is_rejected() {
+        let clean = sample_curve().encode();
+        for end in 0..clean.len() {
+            assert!(
+                ThroughputCurve::decode(&clean[..end]).is_err(),
+                "prefix of {end} bytes decoded"
+            );
+        }
+        // Trailing bytes are corruption too, not padding.
+        let mut padded = clean.clone();
+        padded.extend_from_slice(&[0; 8]);
+        assert!(ThroughputCurve::decode(&padded).is_err());
+    }
+
+    #[test]
+    fn oversized_and_insane_curves_are_rejected() {
+        // Correctly checksummed files whose *content* is out of bounds.
+        let many: Vec<(f64, f64)> = (1..=MAX_POINTS + 1).map(|i| (i as f64, 1.0)).collect();
+        assert!(ThroughputCurve::decode(&file_of(&many[..MAX_POINTS])).is_ok());
+        assert!(ThroughputCurve::decode(&file_of(&many)).is_err());
+        for bad in [
+            [(1e6, f64::NAN), (2e6, 1.0)],
+            [(1e6, 1.0), (f64::INFINITY, 1.0)],
+            [(1e6, 0.0), (2e6, 1.0)],
+            [(-1e6, 1.0), (2e6, 1.0)],
+            [(2e6, 1.0), (1e6, 1.0)],
+            [(1e6, 1.0), (1e6, 2.0)],
+        ] {
+            assert!(
+                ThroughputCurve::decode(&file_of(&bad)).is_err(),
+                "{bad:?} decoded"
+            );
+        }
+        // `save` refuses what `load` would reject.
+        let dir = temp_dir("oversized");
+        let big = ThroughputCurve::from_samples(&many);
+        assert_eq!(
+            big.save(&dir).expect_err("65 points").kind(),
+            io::ErrorKind::InvalidInput
         );
-        catalog.insert(
-            ShapeClass::sparse(4096, 4096, 256, 0.01),
-            TuningEntry {
-                choice: KernelChoice::Csr(matopt_kernels::CsrVariant::ColBlocked),
-                gflops: 2.0,
-                probe_flops: 1e7,
-                curve: vec![(1, 2.0)],
-            },
+    }
+
+    #[test]
+    fn missing_and_legacy_files_are_errors_naming_the_path() {
+        let dir = temp_dir("legacy");
+        let missing = ThroughputCurve::load(&dir).expect_err("no file");
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        assert!(missing.to_string().contains(CURVE_FILE), "{missing}");
+
+        // A parent-commit catalog: MTUN0001 magic, then anything.
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut legacy = b"MTUN0001".to_vec();
+        legacy.extend_from_slice(&[0u8; 64]);
+        std::fs::write(dir.join(CURVE_FILE), legacy).expect("write");
+        let err = ThroughputCurve::load(&dir).expect_err("legacy file");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("matopt tune") && msg.contains("MTUN0001"),
+            "{msg}"
         );
-        let c = ThroughputCurve::from_catalog(&catalog);
-        assert_eq!(c.points().len(), 1);
-        assert_eq!(c.peak_gflops(), 9.0);
+        assert!(msg.contains(&dir.display().to_string()), "{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

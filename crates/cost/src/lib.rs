@@ -21,10 +21,10 @@
 //! it tracks per-plan measured/predicted runtime ratios and reports
 //! when a deployed model's predictions have drifted out of band.
 //!
-//! [`TunedCostModel`] consumes the kernel autotuner's measured
-//! per-shape-class GFLOP/s ([`matopt_kernels::tune::TuningCatalog`])
-//! as a [`ThroughputCurve`], replacing the single-rate CPU term with
-//! the real shape-dependent throughput the machine was measured at.
+//! [`CurveCostModel`] consumes a [`ThroughputCurve`] — GFLOP/s of the
+//! packed GEMM kernel probed across flop volumes — replacing the
+//! single-rate CPU term with the shape-dependent throughput the
+//! machine was measured at.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +37,7 @@ mod model;
 mod regression;
 
 pub use accuracy::{mean_rel_error, sample_residuals, Residual};
-pub use curves::{ThroughputCurve, TunedCostModel};
+pub use curves::{CurveCostModel, ThroughputCurve, CURVE_FILE};
 pub use drift::{DriftConfig, DriftEvent, DriftMonitor};
 pub use faulty::{expected_vertex_time, FaultAwareCostModel};
 pub use model::{plan_cost, AnalyticalCostModel, CostKey, CostModel, CostSample, LearnedCostModel};

@@ -168,12 +168,6 @@ pub struct ExecOptions {
     /// Composes with [`ExecOptions::mem_budget`]: the effective per-run
     /// budget is the smaller of the lease and the explicit budget.
     pub shared_governor: Option<Arc<crate::SharedGovernor>>,
-    /// Explicit kernel-dispatch configuration (GEMM mode + tuning
-    /// catalog) for every matmul this run executes. `None` snapshots
-    /// [`matopt_kernels::KernelConfig::global`] once at run start — so
-    /// even the legacy path cannot race a concurrent
-    /// [`matopt_kernels::set_gemm_mode`] flip mid-run.
-    pub kernel_config: Option<Arc<matopt_kernels::KernelConfig>>,
     /// Remote vertex-execution backend (`None` = run every kernel
     /// in-process). When set, the pipelined scheduler still owns the
     /// DAG — dependency tracking, transforms, buffer retirement — but
@@ -229,7 +223,6 @@ impl Default for ExecOptions {
             hedge: None,
             straggler_delays_ms: None,
             shared_governor: None,
-            kernel_config: None,
             remote: None,
         }
     }
@@ -360,9 +353,6 @@ pub fn execute_plan_serial(
     registry: &ImplRegistry,
 ) -> Result<ExecOutcome, ExecError> {
     let start = Instant::now();
-    // The serial reference has no options; it snapshots the legacy
-    // global once so a mid-run mode flip cannot split the walk.
-    let kcfg = matopt_kernels::KernelConfig::global();
     let mut values: Vec<Option<DistRelation>> = vec![None; graph.len()];
     let mut vertex_seconds = vec![0.0; graph.len()];
     let mut transform_seconds: Vec<Vec<f64>> = vec![Vec::new(); graph.len()];
@@ -409,7 +399,6 @@ pub fn execute_plan_serial(
                     &transformed,
                     node.mtype,
                     choice.output_format,
-                    &kcfg,
                 )
                 .map_err(|e| e.at_vertex(id, &vertex_label(graph, id)))?;
                 vertex_seconds[id.index()] = t0.elapsed().as_secs_f64();

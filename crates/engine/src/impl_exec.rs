@@ -8,7 +8,7 @@
 use crate::parallel::try_par_map;
 use crate::value::{Block, Chunk, DistRelation};
 use matopt_core::{MatrixType, NodeId, Op, OpKind, PhysFormat, Strategy};
-use matopt_kernels::{CooMatrix, DenseMatrix, KernelConfig};
+use matopt_kernels::{CooMatrix, DenseMatrix};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -225,14 +225,7 @@ pub fn execute_impl(
     out_format: PhysFormat,
 ) -> Result<DistRelation, ExecError> {
     let shared: Vec<Arc<DistRelation>> = inputs.iter().map(|r| Arc::new((*r).clone())).collect();
-    execute_impl_shared(
-        strategy,
-        op,
-        &shared,
-        out_type,
-        out_format,
-        &KernelConfig::global(),
-    )
+    execute_impl_shared(strategy, op, &shared, out_type, out_format)
 }
 
 /// [`execute_impl`] over `Arc`-shared inputs — the hot path used by the
@@ -247,9 +240,8 @@ pub(crate) fn execute_impl_shared(
     inputs: &[Arc<DistRelation>],
     out_type: MatrixType,
     out_format: PhysFormat,
-    kcfg: &KernelConfig,
 ) -> Result<DistRelation, ExecError> {
-    let natural = run_strategy(strategy, op, inputs, out_type, kcfg)?;
+    let natural = run_strategy(strategy, op, inputs, out_type)?;
     let mut out = if natural.format == out_format {
         natural
     } else {
@@ -266,14 +258,13 @@ fn run_strategy(
     op: &Op,
     inputs: &[Arc<DistRelation>],
     out_type: MatrixType,
-    kcfg: &KernelConfig,
 ) -> Result<DistRelation, ExecError> {
     use Strategy as S;
     match strategy {
         S::MmSingleLocal => {
             let a = single_dense(&inputs[0])?;
             let b = single_dense(&inputs[1])?;
-            single_result(out_type, a.matmul_with(&b, kcfg))
+            single_result(out_type, a.matmul(&b))
         }
         S::MmCsrSingleSingle => {
             let a = inputs[0]
@@ -284,18 +275,17 @@ fn run_strategy(
                 .as_csr()
                 .clone();
             let b = single_dense(&inputs[1])?;
-            single_result(out_type, a.matmul_dense_with(&b, kcfg))
+            single_result(out_type, a.matmul_dense(&b))
         }
         S::MmBcastSingleColstrip => {
             let a = single_dense(&inputs[0])?;
             let b = Arc::clone(&inputs[1]);
-            let kcfg = kcfg.clone();
             let chunks = par_map(b.chunks.len(), move |i| {
                 let c = &b.chunks[i];
                 Chunk {
                     row: 0,
                     col: c.col,
-                    block: Block::Dense(a.matmul_with(c.block.as_dense(), &kcfg)),
+                    block: Block::Dense(a.matmul(c.block.as_dense())),
                 }
             })?;
             Ok(DistRelation {
@@ -307,13 +297,12 @@ fn run_strategy(
         S::MmRowstripBcastSingle => {
             let b = single_dense(&inputs[1])?;
             let a = Arc::clone(&inputs[0]);
-            let kcfg = kcfg.clone();
             let chunks = par_map(a.chunks.len(), move |i| {
                 let c = &a.chunks[i];
                 Chunk {
                     row: c.row,
                     col: 0,
-                    block: Block::Dense(c.block.as_dense().matmul_with(&b, &kcfg)),
+                    block: Block::Dense(c.block.as_dense().matmul(&b)),
                 }
             })?;
             Ok(DistRelation {
@@ -346,7 +335,6 @@ fn run_strategy(
                 .iter()
                 .flat_map(|ac| b.chunks.iter().map(move |bc| (ac.row, bc.col)))
                 .collect();
-            let kcfg = kcfg.clone();
             let chunks = par_map(pairs.len(), move |p| {
                 let (i, j) = pairs[p];
                 let ac = &a.chunks[a_at[&i]];
@@ -354,9 +342,7 @@ fn run_strategy(
                 Chunk {
                     row: i,
                     col: j,
-                    block: Block::Dense(
-                        ac.block.as_dense().matmul_with(bc.block.as_dense(), &kcfg),
-                    ),
+                    block: Block::Dense(ac.block.as_dense().matmul(bc.block.as_dense())),
                 }
             })?;
             Ok(DistRelation {
@@ -366,7 +352,7 @@ fn run_strategy(
             })
         }
         S::MmTileShuffle | S::MmTileBcast | S::MmCsrTileTile => {
-            tile_matmul(&inputs[0], &inputs[1], out_type, kcfg)
+            tile_matmul(&inputs[0], &inputs[1], out_type)
         }
         S::MmColstripRowstripOuter => {
             // Co-partitioned join on the strip index; every pair is a
@@ -376,7 +362,7 @@ fn run_strategy(
                 let b = inputs[1]
                     .chunk_at(a.col, 0)
                     .ok_or_else(|| internal("strip pair missing"))?;
-                acc = acc.add(&a.block.as_dense().matmul_with(b.block.as_dense(), kcfg));
+                acc = acc.add(&a.block.as_dense().matmul(b.block.as_dense()));
             }
             single_result(out_type, acc)
         }
@@ -903,7 +889,6 @@ fn tile_matmul(
     a: &Arc<DistRelation>,
     b: &Arc<DistRelation>,
     out_type: MatrixType,
-    kcfg: &KernelConfig,
 ) -> Result<DistRelation, ExecError> {
     let side = match (a.format, b.format) {
         (PhysFormat::Tile { side }, PhysFormat::Tile { side: s2 })
@@ -935,7 +920,6 @@ fn tile_matmul(
     let cells: Vec<(u64, u64)> = (0..rows_b)
         .flat_map(|i| (0..cols_b).map(move |j| (i, j)))
         .collect();
-    let kcfg = kcfg.clone();
     let chunks: Vec<Chunk> = par_map(cells.len(), move |cell| {
         let (i, j) = cells[cell];
         let mut acc: Option<DenseMatrix> = None;
@@ -946,9 +930,9 @@ fn tile_matmul(
             let ac = &a.chunks[ax];
             let bc = &b.chunks[bx];
             let partial = match &ac.block {
-                Block::Dense(d) => d.matmul_with(bc.block.as_dense(), &kcfg),
-                Block::Csr(s) => s.matmul_dense_with(bc.block.as_dense(), &kcfg),
-                Block::Coo(c) => c.to_dense().matmul_with(bc.block.as_dense(), &kcfg),
+                Block::Dense(d) => d.matmul(bc.block.as_dense()),
+                Block::Csr(s) => s.matmul_dense(bc.block.as_dense()),
+                Block::Coo(c) => c.to_dense().matmul(bc.block.as_dense()),
             };
             match &mut acc {
                 None => acc = Some(partial),

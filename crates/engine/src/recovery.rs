@@ -259,14 +259,11 @@ pub fn execute_fault_tolerant(
     // execution — identical to `execute_plan`, zero fault bookkeeping.
     if !injector.is_enabled() {
         let options = ExecOptions {
-            retain_values: true,
             mem_budget: config.mem_budget,
             scratch_dir: config.scratch_dir.clone(),
             hedge: config.hedge.clone(),
-            straggler_delays_ms: None,
             shared_governor: config.shared_governor.clone(),
-            kernel_config: None,
-            remote: None,
+            ..ExecOptions::default()
         };
         let mut out = run_pipelined(graph, annotation, inputs, registry, obs, true, &options)?;
         // Take each slot so the `Arc` is unique and `unshare` moves
@@ -310,9 +307,6 @@ pub fn execute_fault_tolerant(
     // `Arc`s so clean-wave pool closures can share the plan state.
     let graph_arc = Arc::new(graph.clone());
     let registry_arc = Arc::new(registry.clone());
-    // One kernel-config snapshot for the whole fault-tolerant run:
-    // retries and recoveries re-execute with the same dispatch.
-    let kcfg = Arc::new(matopt_kernels::KernelConfig::global());
     let mut cur_graph: Arc<ComputeGraph> = Arc::clone(&graph_arc);
     let mut cur_plan: Arc<Annotation> = Arc::new(annotation.clone());
     let mut idmap: Arc<Vec<NodeId>> = Arc::new(graph.iter().map(|(id, _)| id).collect());
@@ -468,9 +462,7 @@ pub fn execute_fault_tolerant(
                             &mut values,
                             &checkpoints,
                             |u, vals| {
-                                run_vertex(
-                                    graph, u, &cur_graph, &idmap, &cur_plan, registry, vals, &kcfg,
-                                )
+                                run_vertex(graph, u, &cur_graph, &idmap, &cur_plan, registry, vals)
                             },
                             &mut per_vertex,
                             obs,
@@ -554,9 +546,8 @@ pub fn execute_fault_tolerant(
                     per_vertex[v.index()].recovery_seconds += dt;
                     continue;
                 }
-                let (out, tsecs, isecs) = run_vertex(
-                    graph, v, &cur_graph, &idmap, &cur_plan, registry, &values, &kcfg,
-                )?;
+                let (out, tsecs, isecs) =
+                    run_vertex(graph, v, &cur_graph, &idmap, &cur_plan, registry, &values)?;
                 if let Some(hint) = corrupt_hints.pop() {
                     // Corruption "in transit": checksum the honest
                     // output, corrupt a chunk, detect the mismatch.
@@ -651,17 +642,16 @@ pub fn execute_fault_tolerant(
             max_concurrency = max_concurrency.max(batch_ids.len());
             let snapshot: Arc<Vec<Option<Arc<DistRelation>>>> = Arc::new(values.clone());
             let batch: Arc<Vec<NodeId>> = Arc::new(batch_ids.clone());
-            let (g, cg, im, pl, rg, kc) = (
+            let (g, cg, im, pl, rg) = (
                 Arc::clone(&graph_arc),
                 Arc::clone(&cur_graph),
                 Arc::clone(&idmap),
                 Arc::clone(&cur_plan),
                 Arc::clone(&registry_arc),
-                Arc::clone(&kcfg),
             );
             let results = Pool::global()
                 .try_map(batch_ids.len(), move |i| {
-                    run_vertex(&g, batch[i], &cg, &im, &pl, &rg, &snapshot, &kc)
+                    run_vertex(&g, batch[i], &cg, &im, &pl, &rg, &snapshot)
                 })
                 .map_err(|detail| ExecError::KernelPanic {
                     vertex: None,
@@ -843,7 +833,6 @@ fn recover_crash(
 /// its implementation, returning the output, per-edge transform
 /// seconds, and implementation seconds. Identity edges share the input
 /// by reference (`Arc` bump) instead of deep-copying it.
-#[allow(clippy::too_many_arguments)]
 fn run_vertex(
     graph: &ComputeGraph,
     v: NodeId,
@@ -852,7 +841,6 @@ fn run_vertex(
     plan: &Annotation,
     registry: &ImplRegistry,
     values: &[Option<Arc<DistRelation>>],
-    kcfg: &matopt_kernels::KernelConfig,
 ) -> Result<(DistRelation, Vec<f64>, f64), ExecError> {
     let node = graph.node(v);
     let NodeKind::Compute { op } = &node.kind else {
@@ -887,14 +875,7 @@ fn run_vertex(
     let strategy = registry.get(choice.impl_id).strategy;
     let out_type = cur_graph.node(cur_id).mtype;
     let t0 = Instant::now();
-    let out = execute_impl_shared(
-        strategy,
-        op,
-        &transformed,
-        out_type,
-        choice.output_format,
-        kcfg,
-    )
-    .map_err(|e| e.at_vertex(v, &vertex_label(graph, v)))?;
+    let out = execute_impl_shared(strategy, op, &transformed, out_type, choice.output_format)
+        .map_err(|e| e.at_vertex(v, &vertex_label(graph, v)))?;
     Ok((out, tsecs, t0.elapsed().as_secs_f64()))
 }

@@ -417,10 +417,6 @@ struct RunState {
     gov: Option<Governor>,
     hedge: Option<HedgeState>,
     delays_ms: Option<Arc<Vec<u64>>>,
-    /// Kernel dispatch for every matmul of the run: the caller's
-    /// explicit config, or a one-shot snapshot of the legacy global —
-    /// resolved once at run start so concurrent runs can't race.
-    kcfg: Arc<matopt_kernels::KernelConfig>,
     /// Remote vertex-execution backend; when set, chosen
     /// implementations run through it instead of in-process.
     remote: Option<Arc<dyn crate::exec::RemoteVertexExec>>,
@@ -553,10 +549,6 @@ pub(crate) fn run_pipelined(
         gov,
         hedge,
         delays_ms: options.straggler_delays_ms.clone(),
-        kcfg: options
-            .kernel_config
-            .clone()
-            .unwrap_or_else(|| Arc::new(matopt_kernels::KernelConfig::global())),
         remote: options.remote.clone(),
     });
 
@@ -1322,7 +1314,6 @@ fn compute_vertex(
             &transformed,
             node.mtype,
             choice.output_format,
-            &state.kcfg,
         )
         .map_err(|e| e.at_vertex(v, &vertex_label(&state.graph, v)))?,
     };

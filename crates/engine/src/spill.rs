@@ -32,7 +32,7 @@
 
 use crate::faults::relation_checksum;
 use crate::value::{Block, Chunk, DistRelation};
-use matopt_core::{MatrixType, PhysFormat};
+use matopt_core::{fnv1a_bytes, MatrixType, PhysFormat};
 use matopt_kernels::{CooMatrix, CsrMatrix, DenseMatrix};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -133,7 +133,7 @@ impl SpillManager {
     /// [`SpillError::Io`] when the file cannot be written.
     pub fn spill(&self, rel: &DistRelation) -> Result<SpillTicket, SpillError> {
         let bytes = encode(rel);
-        let stream_fnv = fnv1a(&bytes);
+        let stream_fnv = fnv1a_bytes(&bytes);
         let value_fnv = relation_checksum(rel);
         let path = self.dir.join(format!(
             "v{}.spill",
@@ -162,7 +162,7 @@ impl SpillManager {
     pub fn reload(&self, ticket: &SpillTicket) -> Result<DistRelation, SpillError> {
         let mut bytes = Vec::new();
         std::fs::File::open(&ticket.path)?.read_to_end(&mut bytes)?;
-        let got = fnv1a(&bytes);
+        let got = fnv1a_bytes(&bytes);
         if got != ticket.stream_fnv {
             return Err(SpillError::Corrupt(format!(
                 "stream checksum mismatch for {} (expected {:#018x}, found {:#018x})",
@@ -195,19 +195,6 @@ impl Drop for SpillManager {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.dir);
     }
-}
-
-/// FNV-1a over a byte slice — same constants as the fault layer's
-/// relation checksum, applied to the raw stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 fn put(out: &mut Vec<u8>, word: u64) {

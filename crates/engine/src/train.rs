@@ -35,7 +35,8 @@ use crate::adaptive::{execute_adaptive_planned, AdaptiveConfig, AdaptiveError, R
 use crate::spill::{decode_relation, encode_relation};
 use crate::value::DistRelation;
 use matopt_core::{
-    Annotation, ComputeGraph, FormatCatalog, MatrixType, NodeId, NodeKind, PhysFormat, PlanContext,
+    fnv1a_bytes, Annotation, ComputeGraph, FormatCatalog, MatrixType, NodeId, NodeKind, PhysFormat,
+    PlanContext,
 };
 use matopt_cost::CostModel;
 use matopt_opt::{frontier_dp_beam, OptContext};
@@ -266,7 +267,7 @@ impl TrainCheckpoint {
             words.push(rel.mtype.sparsity.to_bits());
             words.push(format_tag(rel.format));
             words.push(bytes.len() as u64);
-            words.push(fnv1a(&bytes));
+            words.push(fnv1a_bytes(&bytes));
             payloads.push(bytes);
         }
         let mut out: Vec<u8> = Vec::new();
@@ -332,7 +333,7 @@ impl TrainCheckpoint {
                 .checked_add(len)
                 .filter(|e| *e <= bytes.len())
                 .ok_or_else(|| bad("truncated relation payload"))?;
-            if fnv1a(&bytes[pos..end]) != checksum {
+            if fnv1a_bytes(&bytes[pos..end]) != checksum {
                 return Err(bad("relation payload failed its checksum"));
             }
             let rel = decode_relation(&bytes[pos..end], mtype, format)
@@ -347,19 +348,6 @@ impl TrainCheckpoint {
             sparsities,
         })
     }
-}
-
-/// FNV-1a over a byte slice — the same constants as the spill layer's
-/// stream hash, applied to each relation payload independently.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 fn format_tag(f: PhysFormat) -> u64 {

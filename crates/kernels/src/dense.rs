@@ -38,123 +38,39 @@ impl fmt::Debug for DenseMatrix {
 /// reference multiply.
 const GEMM_BLOCK: usize = 64;
 
-/// Below this many multiply-adds (`m·k·n`), or when any dimension is
-/// thinner than the default register tile, the packing overhead
-/// outweighs the microkernel and [`DenseMatrix::matmul`] uses the
-/// blocked reference kernel instead. This is the *untuned default*;
-/// the live threshold comes from the tuning catalog
-/// ([`crate::tune::Thresholds`]).
-pub(crate) const DEFAULT_PACK_MIN_FLOPS: u64 = (6 * 8 * 6 * 8) as u64 * 16;
+/// Register microkernel tile: `MR × NR` accumulators live in registers
+/// across the k loop. 6×8 doubles is twelve 4-wide vectors — it fills
+/// the sixteen AVX2 vector registers with room left for the A broadcast
+/// and the B row.
+const MR: usize = 6;
+const NR: usize = 8;
+
+/// k-dimension block depth: panels are consumed in `KC`-deep slices so
+/// one A slice (`MR·KC` doubles, 12 KB) plus one B slice (`NR·KC`
+/// doubles, 16 KB) stay L1-resident while the microkernel streams them.
+const KC: usize = 256;
+
+/// Row-block height (a multiple of `MR`): the packed `MC×KC` A block
+/// (~192 KB) a `KC`-slice works over stays L2-resident while every B
+/// panel slice sweeps across it. Without this blocking each row panel
+/// re-streams the whole packed B from memory, which saturates bandwidth
+/// long before the FMA units — at 1024³ that is ~1.4 GB of B traffic
+/// versus ~100 MB blocked.
+const MC: usize = 96;
+
+/// Below this many multiply-adds (`m·k·n`; 36 864, about a 33³
+/// product), or when any dimension is thinner than the register tile,
+/// the packing overhead outweighs the microkernel and
+/// [`DenseMatrix::matmul`] uses the blocked reference kernel instead.
+const PACK_MIN_FLOPS: u64 = (MR * NR * MR * NR) as u64 * 16;
 
 /// With the `parallel` feature, products at least this large
-/// (`2·m·k·n` flops, ≈ a 200³ GEMM) fan out over row panels on the
+/// (`2·m·k·n` flops, ≈ a 200³ GEMM) fan out over `MC`-row blocks on the
 /// shared pool; smaller ones stay on the calling thread, which also
 /// keeps chunk-granular products serial inside already-parallel
-/// executor batches. Untuned default for
-/// [`crate::tune::Thresholds::par_min_flops`].
-pub(crate) const DEFAULT_PAR_MIN_FLOPS: u64 = 16_000_000;
-
-/// A packed-GEMM blocking variant: the register microkernel tile
-/// (`mr × nr`) plus the cache blocking (`kc`-deep k-slices swept over
-/// `mc`-row L2 blocks).
-///
-/// The autotuner ([`crate::tune`]) searches [`GemmBlocking::CANDIDATES`]
-/// per shape class; [`GemmBlocking::DEFAULT`] is the fixed blocking the
-/// kernel shipped with and remains the untuned fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemmBlocking {
-    /// Register-tile rows (4, 6 or 8; other values fall back to 6×8).
-    pub mr: usize,
-    /// Register-tile columns (paired with `mr` as 4×8, 6×8 or 8×6).
-    pub nr: usize,
-    /// k-dimension block depth: panels are consumed in `kc`-deep slices
-    /// so one A slice (`mr·kc` doubles) plus one B slice (`nr·kc`
-    /// doubles) stay L1-resident while the microkernel streams them.
-    pub kc: usize,
-    /// Row-block height (rounded down to a multiple of `mr` at
-    /// dispatch): the packed A block a `kc`-slice works over stays
-    /// L2-resident while every B panel slice sweeps across it. Without
-    /// this blocking each row panel re-streams the whole packed B from
-    /// memory, which saturates bandwidth long before the FMA units — at
-    /// 1024³ that is ~1.4 GB of B traffic versus ~100 MB blocked.
-    pub mc: usize,
-}
-
-impl GemmBlocking {
-    /// The fixed blocking the packed kernel shipped with
-    /// (MR=6/NR=8/KC=256/MC=96): one A slice (12 KB) plus one B slice
-    /// (16 KB) fit L1, and the `MC×KC` A block (~192 KB) fits L2.
-    pub const DEFAULT: GemmBlocking = GemmBlocking {
-        mr: 6,
-        nr: 8,
-        kc: 256,
-        mc: 96,
-    };
-
-    /// The candidate grid the autotuner searches: three microkernel
-    /// register tiles (4×8, 6×8, 8×6) crossed with shallow/default/deep
-    /// cache blockings (KC 128/256/512, MC scaled to keep the A block
-    /// roughly L2-sized). Index 0 is [`GemmBlocking::DEFAULT`]. Catalog
-    /// entries refer to candidates by index, so the order is part of
-    /// the `kernels.tune` on-disk format: append new candidates, never
-    /// reorder.
-    pub const CANDIDATES: [GemmBlocking; 9] = [
-        GemmBlocking::DEFAULT,
-        GemmBlocking {
-            mr: 4,
-            nr: 8,
-            kc: 256,
-            mc: 96,
-        },
-        GemmBlocking {
-            mr: 8,
-            nr: 6,
-            kc: 256,
-            mc: 96,
-        },
-        GemmBlocking {
-            mr: 6,
-            nr: 8,
-            kc: 128,
-            mc: 60,
-        },
-        GemmBlocking {
-            mr: 6,
-            nr: 8,
-            kc: 512,
-            mc: 192,
-        },
-        GemmBlocking {
-            mr: 4,
-            nr: 8,
-            kc: 128,
-            mc: 64,
-        },
-        GemmBlocking {
-            mr: 4,
-            nr: 8,
-            kc: 512,
-            mc: 192,
-        },
-        GemmBlocking {
-            mr: 8,
-            nr: 6,
-            kc: 128,
-            mc: 64,
-        },
-        GemmBlocking {
-            mr: 8,
-            nr: 6,
-            kc: 512,
-            mc: 192,
-        },
-    ];
-
-    /// Human-readable form, e.g. `6x8/kc256/mc96`.
-    pub fn label(&self) -> String {
-        format!("{}x{}/kc{}/mc{}", self.mr, self.nr, self.kc, self.mc)
-    }
-}
+/// executor batches.
+#[cfg(feature = "parallel")]
+const PAR_MIN_FLOPS: u64 = 16_000_000;
 
 /// Fused multiply-add when the build target has hardware FMA (see
 /// `.cargo/config.toml`), plain multiply-add otherwise — without the
@@ -184,13 +100,8 @@ static GEMM_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new
 
 /// Selects the process-wide GEMM implementation. Intended for
 /// benchmarks and A/B tests; production code leaves the default
-/// ([`GemmMode::Packed`]) in place.
-///
-/// **Deprecated as a control surface**: concurrent executions that flip
-/// this global race each other. New code should thread an explicit
-/// [`crate::tune::KernelConfig`] (e.g. via the engine's `ExecOptions`)
-/// instead; the global survives only as the default the CLI path reads
-/// when no config handle is supplied.
+/// ([`GemmMode::Packed`]) in place. The switch is a process global:
+/// concurrent executions that flip it race each other.
 pub fn set_gemm_mode(mode: GemmMode) {
     let v = match mode {
         GemmMode::Packed => 0,
@@ -211,7 +122,7 @@ pub fn gemm_mode() -> GemmMode {
 /// panel `p` covers columns `p*NR..p*NR+NR` and stores element
 /// `(kk, c)` at `p*k*NR + kk*NR + c`. Columns past `n` are zero, so
 /// the microkernel can always read full panels.
-fn pack_b_panels<const NR: usize>(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+fn pack_b_panels(b: &[f64], k: usize, n: usize) -> Vec<f64> {
     let np = n.div_ceil(NR);
     let mut packed = vec![0.0; np * k * NR];
     for p in 0..np {
@@ -230,7 +141,7 @@ fn pack_b_panels<const NR: usize>(b: &[f64], k: usize, n: usize) -> Vec<f64> {
 /// k-major order: panel `ip` covers rows `ip*MR..ip*MR+MR` and stores
 /// element `(kk, r)` at `ip*k*MR + kk*MR + r`. Rows past `m` are
 /// zero-padded so the microkernel can always read full panels.
-fn pack_a_panels<const MR: usize>(a: &[f64], m: usize, k: usize) -> Vec<f64> {
+fn pack_a_panels(a: &[f64], m: usize, k: usize) -> Vec<f64> {
     let mp = m.div_ceil(MR);
     let mut packed = vec![0.0; mp * k * MR];
     for ip in 0..mp {
@@ -253,18 +164,12 @@ fn pack_a_panels<const MR: usize>(a: &[f64], m: usize, k: usize) -> Vec<f64> {
 /// across the `kc` loop. With FMA in the target feature set each
 /// update is a single fused multiply-add.
 ///
-/// `inline(never)` is deliberate: compiled standalone (one
-/// monomorphization per register tile), LLVM's SLP vectorizer turns
-/// the accumulator updates into packed broadcast-FMA instructions;
-/// inlined into the panel loop it degrades to scalar FMAs. The call
-/// overhead is amortized over the `kc` loop.
+/// `inline(never)` is deliberate: compiled standalone, LLVM's SLP
+/// vectorizer turns the accumulator updates into packed broadcast-FMA
+/// instructions; inlined into the panel loop it degrades to scalar
+/// FMAs. The call overhead is amortized over the `kc` loop.
 #[inline(never)]
-fn microkernel<const MR: usize, const NR: usize>(
-    acc: &mut [[f64; NR]; MR],
-    apack: &[f64],
-    bpanel: &[f64],
-    kc: usize,
-) {
+fn microkernel(acc: &mut [[f64; NR]; MR], apack: &[f64], bpanel: &[f64], kc: usize) {
     for (a, b) in apack.chunks_exact(MR).zip(bpanel.chunks_exact(NR)).take(kc) {
         for r in 0..MR {
             let ar = a[r];
@@ -275,32 +180,29 @@ fn microkernel<const MR: usize, const NR: usize>(
     }
 }
 
-/// Computes output rows `i0..i0+mblk` (an `mc` block, `i0` a multiple
-/// of `mc`) into `out_rows` (row-major, width `n`, local row 0 =
-/// global row `i0`). Loop order is `pc → jr → ir`: one `kc`-deep B
+/// Computes output rows `i0..i0+mblk` (an `MC` block, `i0` a multiple
+/// of `MC`) into `out_rows` (row-major, width `n`, local row 0 =
+/// global row `i0`). Loop order is `pc → jr → ir`: one `KC`-deep B
 /// panel slice (L1) is reused across every row panel of the block
 /// while the block's packed A slice stays L2-resident.
 ///
 /// Partial sums for `pc > 0` round-trip through `out_rows`, which is
 /// exact for `f64`; every output element still accumulates its `k`
 /// terms in plain ascending order with the same fused multiply-add,
-/// so the result is bit-identical however the blocks are swept,
-/// whatever the `MR×NR/kc/mc` blocking, and however many threads
-/// sweep them.
-#[allow(clippy::too_many_arguments)]
-fn gemm_mc_block<const MR: usize, const NR: usize>(
+/// so the result is bit-identical however the blocks are swept and
+/// however many threads sweep them.
+fn gemm_mc_block(
     apack: &[f64],
     bpack: &[f64],
     i0: usize,
     mblk: usize,
     k: usize,
     n: usize,
-    kc: usize,
     out_rows: &mut [f64],
 ) {
     let np = n.div_ceil(NR);
-    for (pc, kb) in (0..k).step_by(kc).enumerate() {
-        let kcur = kc.min(k - kb);
+    for (pc, kb) in (0..k).step_by(KC).enumerate() {
+        let kcur = KC.min(k - kb);
         for p in 0..np {
             let j0 = p * NR;
             let w = NR.min(n - j0);
@@ -315,7 +217,7 @@ fn gemm_mc_block<const MR: usize, const NR: usize>(
                         acc[r][..w].copy_from_slice(row);
                     }
                 }
-                microkernel::<MR, NR>(&mut acc, aslice, bslice, kcur);
+                microkernel(&mut acc, aslice, bslice, kcur);
                 for r in 0..h {
                     out_rows[(ir + r) * n + j0..(ir + r) * n + j0 + w]
                         .copy_from_slice(&acc[r][..w]);
@@ -325,23 +227,17 @@ fn gemm_mc_block<const MR: usize, const NR: usize>(
     }
 }
 
-/// Packed-GEMM driver for one register-tile monomorphization: packs
-/// both operands, then sweeps `mc`-row blocks (fanning out over the
-/// shared pool for large products when the `parallel` feature is on).
-fn gemm_packed<const MR: usize, const NR: usize>(
-    lhs: &DenseMatrix,
-    rhs: &DenseMatrix,
-    kc: usize,
-    mc: usize,
-    par_min_flops: u64,
-) -> DenseMatrix {
+/// Packed-GEMM driver: packs both operands, then sweeps `MC`-row
+/// blocks (fanning out over the shared pool for large products when
+/// the `parallel` feature is on).
+fn gemm_packed(lhs: &DenseMatrix, rhs: &DenseMatrix) -> DenseMatrix {
     let (m, k, n) = (lhs.rows, lhs.cols, rhs.cols);
     let mut out = DenseMatrix::zeros(m, n);
     if m == 0 || n == 0 || k == 0 {
         return out;
     }
-    let bpack = pack_b_panels::<NR>(&rhs.data, k, n);
-    let apack = pack_a_panels::<MR>(&lhs.data, m, k);
+    let bpack = pack_b_panels(&rhs.data, k, n);
+    let apack = pack_a_panels(&lhs.data, m, k);
     #[cfg(feature = "parallel")]
     {
         let flops = 2u64
@@ -349,37 +245,34 @@ fn gemm_packed<const MR: usize, const NR: usize>(
             .saturating_mul(k as u64)
             .saturating_mul(n as u64);
         let pool = matopt_pool::Pool::global();
-        if pool.parallelism() > 1 && flops >= par_min_flops {
+        if pool.parallelism() > 1 && flops >= PAR_MIN_FLOPS {
             use std::sync::Arc;
-            let blocks = m.div_ceil(mc);
+            let blocks = m.div_ceil(MC);
             let apack = Arc::new(apack);
             let bpack = Arc::new(bpack);
             let results = pool.map(blocks, move |blk| {
-                let i0 = blk * mc;
-                let mblk = mc.min(m - i0);
+                let i0 = blk * MC;
+                let mblk = MC.min(m - i0);
                 let mut rows = vec![0.0; mblk * n];
-                gemm_mc_block::<MR, NR>(&apack, &bpack, i0, mblk, k, n, kc, &mut rows);
+                gemm_mc_block(&apack, &bpack, i0, mblk, k, n, &mut rows);
                 rows
             });
             for (blk, rows) in results.into_iter().enumerate() {
-                let i0 = blk * mc;
+                let i0 = blk * MC;
                 out.data[i0 * n..i0 * n + rows.len()].copy_from_slice(&rows);
             }
             return out;
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = par_min_flops;
-    for i0 in (0..m).step_by(mc) {
-        let mblk = mc.min(m - i0);
-        gemm_mc_block::<MR, NR>(
+    for i0 in (0..m).step_by(MC) {
+        let mblk = MC.min(m - i0);
+        gemm_mc_block(
             &apack,
             &bpack,
             i0,
             mblk,
             k,
             n,
-            kc,
             &mut out.data[i0 * n..(i0 + mblk) * n],
         );
     }
@@ -387,13 +280,10 @@ fn gemm_packed<const MR: usize, const NR: usize>(
 }
 
 /// `true` when a product of this shape is worth routing through the
-/// packed kernel: no dimension thinner than the default register tile
-/// and at least `pack_min_flops` multiply-adds.
-pub(crate) fn worth_packing(m: usize, k: usize, n: usize, pack_min_flops: u64) -> bool {
-    m >= GemmBlocking::DEFAULT.mr
-        && n >= GemmBlocking::DEFAULT.nr
-        && k >= GemmBlocking::DEFAULT.mr
-        && m.saturating_mul(k).saturating_mul(n) as u64 >= pack_min_flops
+/// packed kernel: no dimension thinner than the register tile and at
+/// least [`PACK_MIN_FLOPS`] multiply-adds.
+fn worth_packing(m: usize, k: usize, n: usize) -> bool {
+    m >= MR && n >= NR && k >= MR && m.saturating_mul(k).saturating_mul(n) as u64 >= PACK_MIN_FLOPS
 }
 
 impl DenseMatrix {
@@ -497,14 +387,11 @@ impl DenseMatrix {
 
     /// Matrix multiply `self × rhs`.
     ///
-    /// Equivalent to [`DenseMatrix::matmul_with`] under the process
-    /// default [`crate::tune::KernelConfig::global`]: products worth
-    /// packing go through the packed, register-blocked microkernel
-    /// ([`DenseMatrix::matmul_packed`]) — with the blocking the global
-    /// tuning catalog picked for the shape class, if any — and small or
-    /// degenerate shapes (or a [`set_gemm_mode`] pin) fall back to the
-    /// cache-blocked reference kernel
-    /// ([`DenseMatrix::matmul_reference`]).
+    /// Products worth packing (no dimension thinner than the 6×8
+    /// register tile, at least ~33³ multiply-adds) go through the packed, register-blocked microkernel
+    /// ([`DenseMatrix::matmul_packed`]); small or degenerate shapes (or
+    /// a [`set_gemm_mode`] pin) fall back to the cache-blocked
+    /// reference kernel ([`DenseMatrix::matmul_reference`]).
     ///
     /// ```
     /// use matopt_kernels::DenseMatrix;
@@ -516,7 +403,11 @@ impl DenseMatrix {
     /// # Panics
     /// Panics when the inner dimensions disagree.
     pub fn matmul(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        self.matmul_with(rhs, &crate::tune::KernelConfig::global())
+        if gemm_mode() == GemmMode::Packed && worth_packing(self.rows, self.cols, rhs.cols) {
+            self.matmul_packed(rhs)
+        } else {
+            self.matmul_reference(rhs)
+        }
     }
 
     /// The historical cache-blocked i-k-j GEMM: no packing, no fused
@@ -564,71 +455,24 @@ impl DenseMatrix {
         out
     }
 
-    /// Packed GEMM under the default blocking
-    /// ([`GemmBlocking::DEFAULT`]): copies B into `NR`-wide column
-    /// panels and A into k-major `MR`-row panels, then drives a
-    /// register-blocked `MR×NR` fused-multiply-add microkernel over
-    /// cache-blocked (`MC×KC`) sweeps. With the `parallel` feature
-    /// enabled, row blocks fan out over the shared work-stealing pool
-    /// for large products; results are bit-identical to the serial
-    /// packed path because every output element accumulates its `k`
-    /// terms in the same ascending order regardless of blocking or
-    /// thread count.
+    /// Packed GEMM: copies B into `NR`-wide column panels and A into
+    /// k-major `MR`-row panels, then drives a register-blocked 6×8
+    /// fused-multiply-add microkernel over cache-blocked (`MC×KC` =
+    /// 96×256) sweeps. With the `parallel` feature enabled, row blocks
+    /// fan out over the shared work-stealing pool for large products;
+    /// results are bit-identical to the serial packed path because
+    /// every output element accumulates its `k` terms in the same
+    /// ascending order regardless of thread count.
     ///
     /// # Panics
     /// Panics when the inner dimensions disagree.
     pub fn matmul_packed(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        self.matmul_packed_with(rhs, GemmBlocking::DEFAULT)
-    }
-
-    /// Packed GEMM under an explicit blocking variant. All variants are
-    /// bit-identical to [`DenseMatrix::matmul_packed`] (the ascending-k
-    /// accumulation invariant — see [`GemmBlocking`]); they differ only
-    /// in throughput, which is exactly what the autotuner measures.
-    ///
-    /// Unknown register tiles fall back to the default 6×8 tile;
-    /// `mc` is rounded down to a non-zero multiple of `mr` and `kc`
-    /// clamped to at least 1, so any `GemmBlocking` value is safe.
-    ///
-    /// # Panics
-    /// Panics when the inner dimensions disagree.
-    pub fn matmul_packed_with(&self, rhs: &DenseMatrix, blocking: GemmBlocking) -> DenseMatrix {
-        self.matmul_packed_impl(rhs, blocking, DEFAULT_PAR_MIN_FLOPS)
-    }
-
-    /// [`DenseMatrix::matmul_packed_with`] with an explicit
-    /// parallel-fan-out threshold (from the tuning catalog's
-    /// thresholds when called via [`DenseMatrix::matmul_with`]).
-    pub(crate) fn matmul_packed_impl(
-        &self,
-        rhs: &DenseMatrix,
-        blocking: GemmBlocking,
-        par_min_flops: u64,
-    ) -> DenseMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul dimension mismatch: {}x{} × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let kc = blocking.kc.max(1);
-        match (blocking.mr, blocking.nr) {
-            (4, 8) => {
-                gemm_packed::<4, 8>(self, rhs, kc, (blocking.mc / 4).max(1) * 4, par_min_flops)
-            }
-            (8, 6) => {
-                gemm_packed::<8, 6>(self, rhs, kc, (blocking.mc / 8).max(1) * 8, par_min_flops)
-            }
-            (6, 8) => {
-                gemm_packed::<6, 8>(self, rhs, kc, (blocking.mc / 6).max(1) * 6, par_min_flops)
-            }
-            _ => gemm_packed::<6, 8>(
-                self,
-                rhs,
-                GemmBlocking::DEFAULT.kc,
-                GemmBlocking::DEFAULT.mc,
-                par_min_flops,
-            ),
-        }
+        gemm_packed(self, rhs)
     }
 
     /// Transposed copy.

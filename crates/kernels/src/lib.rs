@@ -29,13 +29,11 @@ mod dense;
 mod random;
 mod solve;
 mod sparse;
-pub mod tune;
 
-pub use dense::{gemm_mode, set_gemm_mode, DenseMatrix, GemmBlocking, GemmMode};
+pub use dense::{gemm_mode, set_gemm_mode, DenseMatrix, GemmMode};
 pub use random::{random_dense_normal, random_sparse_csr, seeded_rng};
 pub use solve::{lu_factor, lu_solve, LuError, LuFactors};
-pub use sparse::{CooMatrix, CsrMatrix, CsrVariant};
-pub use tune::{KernelChoice, KernelConfig, ShapeClass, Thresholds, TuneOptions, TuningCatalog};
+pub use sparse::{CooMatrix, CsrMatrix};
 
 /// Tolerance-based float comparison used throughout the test-suites.
 ///

@@ -7,31 +7,6 @@
 
 use crate::DenseMatrix;
 
-/// Which CSR×dense traversal a sparse multiply uses.
-///
-/// Both variants accumulate every output element's terms in ascending
-/// stored-entry order with the same multiply-add, so they are
-/// **bit-identical**; they differ only in memory-access pattern, and
-/// the autotuner ([`crate::tune`]) picks per shape class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CsrVariant {
-    /// Row-major sweep (the shipped kernel,
-    /// [`CsrMatrix::matmul_dense`]): each output row is finished before
-    /// the next starts, streaming the full `rhs` width per stored
-    /// entry. Best when `rhs` is narrow enough that its rows stay
-    /// cache-resident.
-    RowBlocked,
-    /// Column-blocked sweep ([`CsrMatrix::matmul_dense_colblocked`]):
-    /// the `rhs` width is tiled into strips and the whole CSR pattern
-    /// is replayed per strip, keeping the active output and `rhs`
-    /// segments L1/L2-resident when `rhs` is wide.
-    ColBlocked,
-}
-
-/// Column-strip width (in `f64` entries, 4 KB strips) used by
-/// [`CsrMatrix::matmul_dense_colblocked`].
-const CSR_COL_BLOCK: usize = 512;
-
 /// A compressed-sparse-row matrix over `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -172,7 +147,9 @@ impl CsrMatrix {
     /// This is the kernel behind the engine's sparse matmul
     /// implementations: with a one-hot-style sparse input batch the FLOP
     /// count is proportional to `nnz × rhs.cols()` rather than
-    /// `rows × cols × rhs.cols()`.
+    /// `rows × cols × rhs.cols()`. The sweep is row-major: each output
+    /// row is finished before the next starts, and every output element
+    /// accumulates its terms in ascending stored-entry order.
     ///
     /// # Panics
     /// Panics on an inner-dimension mismatch.
@@ -202,61 +179,6 @@ impl CsrMatrix {
             }
         }
         out
-    }
-
-    /// Sparse × dense multiply with the `rhs` width tiled into
-    /// [`CSR_COL_BLOCK`]-wide strips: the CSR pattern is replayed once
-    /// per strip, so the active output-row segment and the touched
-    /// `rhs` row segments stay cache-resident however wide `rhs` is.
-    ///
-    /// Bit-identical to [`CsrMatrix::matmul_dense`]: within a strip
-    /// every output element still accumulates its terms in ascending
-    /// stored-entry order with the same multiply-add, and strips do not
-    /// overlap.
-    ///
-    /// # Panics
-    /// Panics on an inner-dimension mismatch.
-    pub fn matmul_dense_colblocked(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(
-            self.cols,
-            rhs.rows(),
-            "spmm dimension mismatch: {}x{} × {}x{}",
-            self.rows,
-            self.cols,
-            rhs.rows(),
-            rhs.cols()
-        );
-        let n = rhs.cols();
-        let mut out = DenseMatrix::zeros(self.rows, n);
-        for jb in (0..n).step_by(CSR_COL_BLOCK) {
-            let jw = CSR_COL_BLOCK.min(n - jb);
-            for r in 0..self.rows {
-                let lo = self.indptr[r];
-                let hi = self.indptr[r + 1];
-                let orow = &mut out.data_mut()[r * n + jb..r * n + jb + jw];
-                for idx in lo..hi {
-                    let k = self.indices[idx];
-                    let v = self.values[idx];
-                    let bseg = &rhs.row(k)[jb..jb + jw];
-                    for (o, b) in orow.iter_mut().zip(bseg.iter()) {
-                        *o += v * *b;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Sparse × dense multiply with an explicit traversal variant; see
-    /// [`CsrVariant`]. Both variants produce bit-identical results.
-    ///
-    /// # Panics
-    /// Panics on an inner-dimension mismatch.
-    pub fn matmul_dense_variant(&self, rhs: &DenseMatrix, variant: CsrVariant) -> DenseMatrix {
-        match variant {
-            CsrVariant::RowBlocked => self.matmul_dense(rhs),
-            CsrVariant::ColBlocked => self.matmul_dense_colblocked(rhs),
-        }
     }
 
     /// Transpose (returns the CSR of the transposed matrix; internally a
@@ -513,23 +435,6 @@ mod tests {
         let s = CsrMatrix::from_dense(&d);
         let rhs = DenseMatrix::from_fn(4, 3, |r, c| (r + 2 * c) as f64 - 1.5);
         assert!(s.matmul_dense(&rhs).approx_eq(&d.matmul(&rhs), 1e-12));
-    }
-
-    #[test]
-    fn csr_colblocked_bit_identical_to_rowblocked() {
-        // Wide rhs (wider than one column strip) with a ragged tail so
-        // the strip loop exercises both full and partial strips. The
-        // two traversals must agree bit-for-bit, not just approximately.
-        let mut rng = crate::seeded_rng(7);
-        let s = crate::random_sparse_csr(37, 53, 0.13, &mut rng);
-        let rhs = crate::random_dense_normal(53, 2 * CSR_COL_BLOCK + 19, &mut rng);
-        let row = s.matmul_dense(&rhs);
-        let col = s.matmul_dense_colblocked(&rhs);
-        assert_eq!(row.data(), col.data());
-        assert_eq!(
-            s.matmul_dense_variant(&rhs, CsrVariant::ColBlocked).data(),
-            row.data()
-        );
     }
 
     #[test]

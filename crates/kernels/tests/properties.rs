@@ -1,17 +1,8 @@
 //! Property-based tests over the kernel invariants that the rest of the
 //! workspace relies on.
 
-use matopt_kernels::{CooMatrix, CsrMatrix, CsrVariant, DenseMatrix, GemmBlocking};
+use matopt_kernels::{CooMatrix, CsrMatrix, DenseMatrix};
 use proptest::prelude::*;
-
-/// Bit-level equality: every element's IEEE-754 representation must
-/// match. Stricter than `approx_eq(_, 0.0)`, which conflates ±0.0.
-fn bit_identical(a: &DenseMatrix, b: &DenseMatrix) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && (0..a.rows())
-            .all(|i| (0..a.cols()).all(|j| a.get(i, j).to_bits() == b.get(i, j).to_bits()))
-}
 
 /// Strategy producing a dense matrix with the given shape bounds.
 fn dense(max_dim: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -174,50 +165,6 @@ proptest! {
         let id = DenseMatrix::identity(n);
         prop_assert!(a.matmul(&inv).approx_eq(&id, 1e-8));
         prop_assert!(inv.matmul(&a).approx_eq(&id, 1e-8));
-    }
-
-    #[test]
-    fn every_dense_blocking_variant_is_bit_identical(
-        (m, k, n) in (1usize..96, 1usize..96, 1usize..96),
-        seed in 0u64..1000,
-    ) {
-        // The ascending-k accumulation invariant: every blocking
-        // candidate visits the k terms of each output element in the
-        // same order with the same fused multiply-add, so the tuner can
-        // swap blockings per shape class without changing a single bit
-        // of any result.
-        let mut rng = matopt_kernels::seeded_rng(seed);
-        let a = matopt_kernels::random_dense_normal(m, k, &mut rng);
-        let b = matopt_kernels::random_dense_normal(k, n, &mut rng);
-        let reference = a.matmul_packed_with(&b, GemmBlocking::DEFAULT);
-        for (id, blocking) in GemmBlocking::CANDIDATES.iter().enumerate() {
-            let out = a.matmul_packed_with(&b, *blocking);
-            prop_assert!(
-                bit_identical(&out, &reference),
-                "candidate #{id} ({}) diverged from the default blocking",
-                blocking.label()
-            );
-        }
-    }
-
-    #[test]
-    fn both_csr_variants_are_bit_identical(
-        (a, b) in matmul_pair(64),
-    ) {
-        // Column blocking reorders which output columns a row's
-        // non-zeros touch first, but each (row, col) element still
-        // accumulates its k terms in ascending CSR order — both
-        // traversals must agree with the default to the last bit.
-        let sparse_a = a.map(|v| if v > 0.0 { v } else { 0.0 });
-        let csr = CsrMatrix::from_dense(&sparse_a);
-        let reference = csr.matmul_dense(&b);
-        for variant in [CsrVariant::RowBlocked, CsrVariant::ColBlocked] {
-            let out = csr.matmul_dense_variant(&b, variant);
-            prop_assert!(
-                bit_identical(&out, &reference),
-                "{variant:?} diverged from the default CSR traversal"
-            );
-        }
     }
 
     #[test]

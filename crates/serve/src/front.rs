@@ -562,12 +562,10 @@ impl FrontDoor {
                 let options = ExecOptions {
                     retain_values: false,
                     mem_budget: tenant_mem,
-                    scratch_dir: None,
                     hedge: self.hedge_config(),
-                    straggler_delays_ms: None,
                     shared_governor: self.shared.clone(),
-                    kernel_config: Some(self.service.kernel_config()),
                     remote: self.remote.lock().expect("front remote").clone(),
+                    ..ExecOptions::default()
                 };
                 execute_plan_with(
                     req.graph,

@@ -20,7 +20,8 @@
 
 use crate::{Fingerprint, PlanService};
 use matopt_core::{
-    fnv1a_64, Annotation, ImplId, PhysFormat, Transform, VertexChoice, ALL_TRANSFORM_KINDS,
+    fnv1a_64, fnv1a_bytes, Annotation, ImplId, PhysFormat, Transform, VertexChoice,
+    ALL_TRANSFORM_KINDS,
 };
 use matopt_opt::Optimized;
 use std::io;
@@ -116,17 +117,6 @@ fn encode_file(entries: &[(Fingerprint, Arc<Optimized>)]) -> Vec<u8> {
         words.extend_from_slice(&body);
     }
     words_to_bytes(&words)
-}
-
-/// FNV-1a over raw bytes (the stream checksum — same fold the engine's
-/// spill files use).
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------

@@ -19,12 +19,11 @@
 
 use crate::{fingerprint, Fingerprint, PlanCache, ServeConfig};
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, PlanContext};
-use matopt_cost::{CostModel, DriftMonitor, TunedCostModel};
+use matopt_cost::{CostModel, DriftMonitor};
 use matopt_engine::{
     execute_adaptive_with_hook, execute_plan_with, AdaptiveConfig, AdaptiveError, AdaptiveOutcome,
     DistRelation, ExecError, ExecOptions, ExecOutcome,
 };
-use matopt_kernels::{KernelConfig, TuningCatalog};
 use matopt_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Obs, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext, OptError, Optimized};
 use std::collections::HashMap;
@@ -218,9 +217,6 @@ pub struct PlanService {
     obs: Obs,
     metrics: Option<ServeMetrics>,
     drift: DriftMonitor,
-    /// Kernel dispatch handle for every execution this service runs;
-    /// swapped atomically by [`PlanService::apply_tuning`].
-    kcfg: RwLock<Arc<KernelConfig>>,
     requests: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -261,7 +257,6 @@ impl PlanService {
             cache: PlanCache::new(config.cache),
             inflight: Mutex::new(HashMap::new()),
             drift: DriftMonitor::new(config.drift),
-            kcfg: RwLock::new(Arc::new(KernelConfig::untuned())),
             config,
             obs,
             metrics,
@@ -323,37 +318,6 @@ impl PlanService {
         self.obs.record(Subsystem::Serve, "invalidate", || {
             vec![
                 ("reason", "recalibrate".into()),
-                ("epoch", (epoch as i64).into()),
-            ]
-        });
-    }
-
-    /// The kernel-dispatch handle executions run under (threaded into
-    /// `ExecOptions.kernel_config`, never the process-global mode).
-    pub fn kernel_config(&self) -> Arc<KernelConfig> {
-        Arc::clone(&self.kcfg.read().expect("kernel config lock"))
-    }
-
-    /// Applies a kernel tuning catalog: executions dispatch against its
-    /// per-shape-class winners, the cost model becomes the
-    /// measured-throughput [`TunedCostModel`] built from its curves,
-    /// drift baselines re-arm (they were learned against the old
-    /// model), and the plan-cache epoch bumps **exactly once** — every
-    /// plan costed under the old curves is stale, the same invalidation
-    /// path [`PlanService::recalibrate`] and drift events use.
-    pub fn apply_tuning(&self, catalog: Arc<TuningCatalog>) {
-        let classes = catalog.len();
-        let version = catalog.version();
-        *self.model.write().expect("model lock") = Box::new(TunedCostModel::from_catalog(&catalog));
-        *self.kcfg.write().expect("kernel config lock") =
-            Arc::new(KernelConfig::with_catalog(catalog));
-        self.drift.reset();
-        let epoch = self.cache.bump_epoch();
-        self.obs.record(Subsystem::Serve, "invalidate", || {
-            vec![
-                ("reason", "tuning".into()),
-                ("classes", (classes as i64).into()),
-                ("catalog_version", (version as i64).into()),
                 ("epoch", (epoch as i64).into()),
             ]
         });
@@ -620,10 +584,7 @@ impl PlanService {
             inputs,
             &self.registry,
             &self.obs,
-            ExecOptions {
-                kernel_config: Some(self.kernel_config()),
-                ..ExecOptions::default()
-            },
+            ExecOptions::default(),
         )?;
         if planned.fingerprint != Fingerprint(0) {
             self.observe_runtime(
