@@ -61,10 +61,14 @@ pub fn fnv1a_64(words: &[u64]) -> u64 {
     h
 }
 
-/// 64-bit FNV-1a over raw bytes: the stream checksum of every
-/// persisted or wire format in the workspace (spill files, the plan
-/// cache, training checkpoints, wire frames). Over the little-endian
-/// bytes of a word stream it equals [`fnv1a_64`] of the words.
+/// 64-bit FNV-1a over raw bytes: the stream checksum of every format
+/// that is *persisted or an identity* — plan-cache records, training
+/// checkpoints, fingerprints. Those records are kilobytes, their files
+/// outlive a build, and FNV-1a cannot be made faster without changing
+/// its value; bulk payloads that live only as long as the process
+/// (spill files, wire frames) use [`BulkChecksum`] instead. Over the
+/// little-endian bytes of a word stream it equals [`fnv1a_64`] of the
+/// words.
 #[must_use]
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h = FNV64_OFFSET;
@@ -73,6 +77,156 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV64_PRIME);
     }
     h
+}
+
+/// Independent lanes of [`BulkChecksum`]: word `i` of the stream goes
+/// to lane `i % LANES`, so the multiplies of consecutive words overlap
+/// instead of waiting on each other. Sixteen scalar lanes keep a
+/// 64-bit multiplier busy every cycle; thirty-two are four AVX-512
+/// vectors in flight, which is what hides that unit's longer multiply.
+const LANES: usize = 32;
+
+/// One lane step: a bijection of the state for a fixed word and of the
+/// word for a fixed state (xor, odd multiply and xor-shift are each
+/// invertible). The `x >> 32` fold is what carries high input bits into
+/// low state bits; without it a top-bit flip stays a top-bit-only
+/// difference for ever and a second one in the same lane cancels it.
+#[inline(always)]
+const fn mix(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(FNV64_PRIME);
+    x ^ (x >> 32)
+}
+
+/// Distinct starting states, so equal words in different lanes do not
+/// leave equal lane states behind.
+const LANE_SEEDS: [u64; LANES] = {
+    let mut seeds = [0; LANES];
+    let mut i = 0;
+    while i < LANES {
+        seeds[i] = mix(FNV64_OFFSET, i as u64);
+        i += 1;
+    }
+    seeds
+};
+
+/// Word-parallel checksum for **bulk, process-lifetime payloads**:
+/// spill files, wire frames and the fault layer's value checksum.
+/// On-disk formats and identities keep FNV-1a ([`fnv1a_bytes`],
+/// [`fnv1a_64`], [`fnv1a_128`]) — do not unify the two: FNV-1a's value
+/// is pinned by files that outlive a build and it costs a multiply per
+/// *byte*, which on a megabyte buffer is more than writing it to disk;
+/// this one's value is free to change between builds and it costs a
+/// multiply per *word*, with [`LANES`] of them in flight.
+///
+/// Not a cryptographic hash. What it guarantees, because every step is
+/// a bijection (see `mix`) and the lanes, tail and length are folded
+/// with the same step: **any change confined to one 8-byte word changes
+/// the result** — with certainty, not with probability 1 − 2⁻⁶⁴ — so a
+/// flipped byte anywhere in a buffer is always detected.
+///
+/// The streaming form eats words (or `f64` bit patterns) so a value can
+/// be summed without first being turned into bytes; [`bulk_checksum`]
+/// is the one-shot form over bytes and agrees with it on the
+/// little-endian bytes of the same words.
+#[derive(Debug, Clone)]
+pub struct BulkChecksum {
+    lanes: [u64; LANES],
+    /// Words eaten so far; `words % LANES` is the next word's lane.
+    words: u64,
+}
+
+impl Default for BulkChecksum {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BulkChecksum {
+    /// An empty checksum.
+    #[must_use]
+    pub fn new() -> Self {
+        BulkChecksum {
+            lanes: LANE_SEEDS,
+            words: 0,
+        }
+    }
+
+    /// Eats one word.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        let lane = &mut self.lanes[self.words as usize % LANES];
+        *lane = mix(*lane, w);
+        self.words += 1;
+    }
+
+    /// Eats a slice of words.
+    pub fn u64s(&mut self, words: &[u64]) {
+        self.slice(words, |w| w);
+    }
+
+    /// Eats the bit patterns of a slice of `f64`s.
+    pub fn f64s(&mut self, values: &[f64]) {
+        self.slice(values, f64::to_bits);
+    }
+
+    /// Eats words held as little-endian byte arrays (an encoded stream).
+    pub fn le_words(&mut self, words: &[[u8; 8]]) {
+        self.slice(words, u64::from_le_bytes);
+    }
+
+    /// The lane-parallel walk over a typed slice: single steps up to
+    /// the next lane-0 boundary, every lane at once over the middle,
+    /// single steps for the last few.
+    #[inline(always)]
+    fn slice<T: Copy>(&mut self, items: &[T], word: impl Fn(T) -> u64) {
+        let head = ((LANES - self.words as usize % LANES) % LANES).min(items.len());
+        let (head, rest) = items.split_at(head);
+        for &w in head {
+            self.word(word(w));
+        }
+        let mut blocks = rest.chunks_exact(LANES);
+        let mut lanes = self.lanes;
+        for block in &mut blocks {
+            for (lane, &w) in lanes.iter_mut().zip(block) {
+                *lane = mix(*lane, word(w));
+            }
+        }
+        self.lanes = lanes;
+        self.words += (rest.len() - blocks.remainder().len()) as u64;
+        for &w in blocks.remainder() {
+            self.word(word(w));
+        }
+    }
+
+    /// Folds the lanes and the length into the result.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.finish_with_tail(&[])
+    }
+
+    /// [`finish`](Self::finish) for a stream that ends in fewer than
+    /// eight loose bytes: they are zero-padded to a word, and the byte
+    /// length tells padding from payload.
+    fn finish_with_tail(self, tail: &[u8]) -> u64 {
+        debug_assert!(tail.len() < 8);
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        let mut h = FNV64_OFFSET;
+        for lane in self.lanes {
+            h = mix(h, lane);
+        }
+        h = mix(h, u64::from_le_bytes(last));
+        mix(h, self.words * 8 + tail.len() as u64)
+    }
+}
+
+/// [`BulkChecksum`] of a byte buffer in one call.
+#[must_use]
+pub fn bulk_checksum(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut sum = BulkChecksum::new();
+    sum.le_words(words);
+    sum.finish_with_tail(tail)
 }
 
 /// 128-bit FNV-1a over a word stream (each word fed little-endian).
@@ -343,15 +497,128 @@ mod tests {
 
     #[test]
     fn fnv1a_bytes_matches_the_published_vectors() {
-        // FNV-1a-64 test vectors from the reference suite: every spill
-        // file, plan-cache record, checkpoint and wire frame checksums
-        // with this fold, so these pin the on-disk and on-wire bytes.
+        // FNV-1a-64 test vectors from the reference suite: every
+        // plan-cache record and checkpoint checksums with this fold, so
+        // these pin the on-disk bytes.
         assert_eq!(fnv1a_bytes(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_bytes(b"foobar"), 0x8594_4171_f739_67e8);
         let words = [0x0123_4567_89ab_cdefu64, 42];
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         assert_eq!(fnv1a_bytes(&bytes), fnv1a_64(&words));
+    }
+
+    /// A message with no structure a checksum could lean on.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn le_words(bytes: &[u8]) -> Vec<u64> {
+        bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_checksum_detects_every_single_bit_flip() {
+        // One full block of lanes, then 100 bytes of loose words and tail.
+        let msg = noise(8 * LANES + 100);
+        let want = bulk_checksum(&msg);
+        for bit in 0..8 * msg.len() {
+            let mut flipped = msg.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(bulk_checksum(&flipped), want, "bit {bit} went unnoticed");
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_one_lane_do_not_cancel() {
+        // Word-wise FNV without the fold: a flipped bit 63 survives the
+        // odd multiply as a bit-63-only difference, so the same flip in
+        // the lane's next word cancels it.
+        let plain = |words: &[u64]| {
+            words
+                .iter()
+                .fold(FNV64_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV64_PRIME))
+        };
+        let words = le_words(&noise(8 * 3 * LANES));
+        for lane in 0..LANES {
+            let mut twice = words.clone();
+            twice[lane] ^= 1 << 63;
+            twice[lane + LANES] ^= 1 << 63;
+            let in_lane =
+                |ws: &[u64]| -> Vec<u64> { ws.iter().skip(lane).step_by(LANES).copied().collect() };
+            assert_eq!(plain(&in_lane(&twice)), plain(&in_lane(&words)));
+            let (mut a, mut b) = (BulkChecksum::new(), BulkChecksum::new());
+            a.u64s(&words);
+            b.u64s(&twice);
+            assert_ne!(a.finish(), b.finish(), "lane {lane}");
+        }
+    }
+
+    #[test]
+    fn appending_zero_bytes_changes_the_bulk_checksum() {
+        for len in 0..40 {
+            let msg = noise(len);
+            let mut sums = vec![bulk_checksum(&msg)];
+            let mut padded = msg;
+            for _ in 0..2 * 8 * LANES {
+                padded.push(0);
+                sums.push(bulk_checksum(&padded));
+            }
+            let distinct = count_distinct(&sums);
+            assert_eq!(distinct, sums.len(), "len {len}: zero padding collided");
+        }
+    }
+
+    #[test]
+    fn one_shot_and_streaming_forms_agree_at_every_length() {
+        // Two blocks of lanes and a word: every lane and tail boundary.
+        let max = 2 * 8 * LANES + 8;
+        let msg = noise(max);
+        for len in 0..=max {
+            let bytes = &msg[..len];
+            let words = le_words(bytes);
+            // The plain form: one word at a time, loose bytes at the end.
+            let mut plain = BulkChecksum::new();
+            for w in &words {
+                plain.word(*w);
+            }
+            let want = plain.finish_with_tail(&bytes[words.len() * 8..]);
+            assert_eq!(bulk_checksum(bytes), want, "one-shot, length {len}");
+            if len % 8 != 0 {
+                continue;
+            }
+            // Every way of cutting the same words into slices, through
+            // every typed entry point.
+            let floats: Vec<f64> = words.iter().map(|w| f64::from_bits(*w)).collect();
+            let arrays: Vec<[u8; 8]> = words.iter().map(|w| w.to_le_bytes()).collect();
+            for cut in 0..=words.len() {
+                let (mut a, mut b, mut c) = (
+                    BulkChecksum::new(),
+                    BulkChecksum::new(),
+                    BulkChecksum::new(),
+                );
+                a.u64s(&words[..cut]);
+                a.u64s(&words[cut..]);
+                b.f64s(&floats[..cut]);
+                b.f64s(&floats[cut..]);
+                c.le_words(&arrays[..cut]);
+                c.le_words(&arrays[cut..]);
+                for (form, got) in [("u64s", a), ("f64s", b), ("le_words", c)] {
+                    assert_eq!(got.finish(), want, "{form}, length {len}, cut {cut}");
+                }
+            }
+        }
     }
 
     /// `relu(A×B) + relu(A×B)`-shaped diamond, built source-first.

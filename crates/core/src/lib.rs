@@ -44,8 +44,8 @@ mod wire;
 pub use annotate::{plan_features, validate, PlanContext, PlanError, PlanFeatures};
 pub use backoff::{mix_jitter, BackoffPolicy};
 pub use canon::{
-    canonical_form, canonical_form_with, fnv1a_128, fnv1a_64, fnv1a_bytes, format_from_words,
-    format_words, op_from_words, op_to_words, CanonicalForm,
+    bulk_checksum, canonical_form, canonical_form_with, fnv1a_128, fnv1a_64, fnv1a_bytes,
+    format_from_words, format_words, op_from_words, op_to_words, BulkChecksum, CanonicalForm,
 };
 pub use cluster::{Cluster, RecoveryPolicy};
 pub use dot::{annotated_to_dot, graph_to_dot, training_to_dot, DiffRole};

@@ -2,9 +2,12 @@
 //! transport.
 //!
 //! Same idiom as the engine's spill files and the serve plan cache
-//! (`plans.mcache`): a magic word, a body length, an FNV-1a stream
-//! checksum over the body bytes, then the body as little-endian u64
-//! words. The difference is that this layer frames a *stream* (a
+//! (`plans.mcache`): a magic word, a body length, a stream checksum
+//! over the body, then the body as little-endian u64 words. Frames are
+//! bulk, process-lifetime payloads (whole relations cross here, and
+//! coordinator and daemon are one build), so the checksum is
+//! [`BulkChecksum`], not the FNV-1a of the persisted formats. The
+//! difference from a file is that this layer frames a *stream* (a
 //! socket between the coordinator and a worker process), so the reader
 //! must distinguish three terminal conditions:
 //!
@@ -22,11 +25,13 @@
 //! (killed mid-frame), and treats both as worker death — it must never
 //! see a fabricated value.
 
-use crate::fnv1a_bytes;
+use crate::{bulk_checksum, BulkChecksum};
 use std::io::{self, Read, Write};
 
-/// Magic word opening every frame (`b"MWIR0001"` little-endian).
-pub const WIRE_MAGIC: u64 = u64::from_le_bytes(*b"MWIR0001");
+/// Magic word opening every frame (`b"MWIR0002"` little-endian).
+/// `MWIR0001` frames carried an FNV-1a body checksum; a stale daemon
+/// fails on the magic, not the sum.
+pub const WIRE_MAGIC: u64 = u64::from_le_bytes(*b"MWIR0002");
 
 /// Largest body accepted, in words (64 MiB of payload). A torn or
 /// hostile length word fails fast instead of provoking a huge
@@ -66,25 +71,17 @@ impl From<io::Error> for WireError {
     }
 }
 
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes
-}
-
 /// Encodes one frame — header plus body — as bytes, ready to write to
 /// any transport.
 #[must_use]
 pub fn frame_bytes(tag: u64, body: &[u64]) -> Vec<u8> {
-    let body_bytes = words_to_bytes(body);
-    let mut out = Vec::with_capacity(HEADER_BYTES + body_bytes.len());
-    out.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(&body_bytes).to_le_bytes());
-    out.extend_from_slice(&body_bytes);
+    let mut sum = BulkChecksum::new();
+    sum.u64s(body);
+    let mut out = Vec::with_capacity(HEADER_BYTES + body.len() * 8);
+    for word in [WIRE_MAGIC, tag, body.len() as u64, sum.finish()] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend(body.iter().flat_map(|w| w.to_le_bytes()));
     out
 }
 
@@ -179,7 +176,7 @@ impl<R: Read> FrameReader<R> {
                 "stream truncated mid-frame: body of {len} words missing"
             )));
         }
-        let got_sum = fnv1a_bytes(&body_bytes);
+        let got_sum = bulk_checksum(&body_bytes);
         if got_sum != want_sum {
             return Err(WireError::Corrupt(format!(
                 "body checksum mismatch: stored {want_sum:#018x}, computed {got_sum:#018x}"

@@ -11,6 +11,7 @@
 //! fully reproduces a chaos run.
 
 use crate::value::{Block, Chunk, DistRelation};
+use matopt_core::BulkChecksum;
 use matopt_kernels::CooMatrix;
 
 /// SplitMix64: a tiny, high-quality, dependency-free PRNG. Fixed
@@ -367,43 +368,39 @@ pub fn parse_fault_spec(spec: &str, seed: u64, n_steps: usize) -> Result<FaultIn
     Ok(FaultInjector::from_schedule(seed, events))
 }
 
-/// FNV-1a over every chunk's coordinates and value bits — the checksum
-/// the corruption detector compares before and after "transport".
-pub(crate) fn relation_checksum(rel: &DistRelation) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
+/// Folds one chunk — coordinates, block shape, and the stored entries
+/// in storage order (explicit CSR zeros and COO duplicates included) —
+/// into `sum`. The spill layer calls this chunk by chunk inside its own
+/// encode and decode walks; [`relation_checksum`] is the whole-relation
+/// form.
+pub(crate) fn chunk_checksum(sum: &mut BulkChecksum, chunk: &Chunk) {
+    let (rows, cols) = (chunk.block.rows() as u64, chunk.block.cols() as u64);
+    sum.u64s(&[chunk.row, chunk.col, rows, cols]);
+    match &chunk.block {
+        Block::Dense(d) => sum.f64s(d.data()),
+        Block::Csr(s) => {
+            for (r, c, v) in s.iter() {
+                sum.u64s(&[r as u64, c as u64, v.to_bits()]);
+            }
         }
-    };
-    for c in &rel.chunks {
-        eat(c.row);
-        eat(c.col);
-        match &c.block {
-            Block::Dense(d) => {
-                for v in d.data() {
-                    eat(v.to_bits());
-                }
-            }
-            Block::Csr(s) => {
-                // Structure-insensitive but value-complete: densify.
-                for v in s.to_dense().data() {
-                    eat(v.to_bits());
-                }
-            }
-            Block::Coo(c) => {
-                for (r, cc, v) in c.entries() {
-                    eat(*r as u64);
-                    eat(*cc as u64);
-                    eat(v.to_bits());
-                }
+        Block::Coo(c) => {
+            for &(r, cc, v) in c.entries() {
+                sum.u64s(&[r as u64, cc as u64, v.to_bits()]);
             }
         }
     }
-    h
+}
+
+/// The value checksum the corruption detector compares before and
+/// after "transport", and the spill layer before and after disk:
+/// [`BulkChecksum`] over every chunk (see [`chunk_checksum`]). Values
+/// live in locals and `SpillTicket`s only, never on disk.
+pub(crate) fn relation_checksum(rel: &DistRelation) -> u64 {
+    let mut sum = BulkChecksum::new();
+    for chunk in &rel.chunks {
+        chunk_checksum(&mut sum, chunk);
+    }
+    sum.finish()
 }
 
 /// Flips one value in the selected chunk (index modulo the chunk

@@ -49,10 +49,18 @@
 //! * spilled buffers are reloaded (checksums verified; corruption is
 //!   [`ExecError::SpillCorrupted`], never silent) when a consumer is
 //!   admitted, and any retained buffers still on scratch are rehydrated
-//!   after the last vertex completes — so callers see exactly the
-//!   values an ungoverned run returns. Peak-resident accounting covers
-//!   the governed pipeline phase; end-of-run rehydration happens after
-//!   it, as the values are handed back to the caller.
+//!   after the last vertex completes, fanned out over the pool — so
+//!   callers see exactly the values an ungoverned run returns.
+//!   Peak-resident accounting covers the governed pipeline phase;
+//!   end-of-run rehydration happens after it, as the values are handed
+//!   back to the caller.
+//!
+//! Spills and consumer-admission reloads run under the governor lock:
+//! the pump's next decision needs the bytes they move, so taking them
+//! off the lock would need a second kind of reservation ("bytes being
+//! released") and with it a second admission path. At memory speed a
+//! spill is a fraction of a millisecond per megabyte; the lock is held
+//! for that long.
 //!
 //! # Hedged straggler re-execution
 //!
@@ -614,42 +622,26 @@ pub(crate) fn run_pipelined(
         waited = waited.and(drained);
     }
 
-    if let Some((_, e)) = state.error.lock().unwrap().take() {
-        return Err(e);
-    }
-    if let Err(detail) = waited {
-        return Err(ExecError::Internal(format!(
-            "scheduler job panicked: {detail}"
-        )));
-    }
+    settle(&state, waited)?;
 
     // Rehydrate retained buffers that ended the run on scratch, so the
-    // caller sees exactly what an ungoverned run returns.
+    // caller sees exactly what an ungoverned run returns. The tickets
+    // are independent, so the reads, decodes and checksums fan out over
+    // the pool (the caller helps while it waits, so a single-threaded
+    // pool runs them inline); a failure resolves to the lowest vertex
+    // id, as everywhere else.
     if let Some(gov) = &state.gov {
-        let mut inner = gov.inner.lock().unwrap();
-        for u in 0..n {
-            if let Some(ticket) = inner.tickets[u].take() {
-                let back = gov.spill.reload(&ticket);
-                gov.spill.remove(&ticket);
-                match back {
-                    Ok(rel) => {
-                        *state.slots[u].lock().unwrap() = Some(Arc::new(rel));
-                        inner.reloads += 1;
-                        inner.reloaded_bytes += ticket.bytes;
-                        state.obs.record(Subsystem::Sched, "reload", || {
-                            vec![
-                                ("vertex", u.into()),
-                                ("bytes", (ticket.bytes as i64).into()),
-                                ("rehydrate", true.into()),
-                            ]
-                        });
-                    }
-                    Err(e) => {
-                        return Err(spill_failure(graph, NodeId(u as u32), e));
-                    }
-                }
-            }
+        let tickets: Vec<(usize, SpillTicket)> = {
+            let mut inner = gov.inner.lock().unwrap();
+            (0..n)
+                .filter_map(|u| inner.tickets[u].take().map(|t| (u, t)))
+                .collect()
+        };
+        for (u, ticket) in tickets {
+            let st = Arc::clone(&state);
+            group.spawn(move || rehydrate(&st, u, &ticket));
         }
+        settle(&state, group.wait())?;
     }
 
     let max_concurrency = state.max_running.load(Ordering::Acquire).max(1);
@@ -762,6 +754,15 @@ fn collect_governor_stats(state: &RunState, n: usize) -> GovernorStats {
     g
 }
 
+/// The verdict of a finished wave of jobs: the recorded failure (lowest
+/// vertex id) if any job failed, else a job panic, else success.
+fn settle(state: &RunState, waited: Result<(), String>) -> Result<(), ExecError> {
+    if let Some((_, e)) = state.error.lock().unwrap().take() {
+        return Err(e);
+    }
+    waited.map_err(|detail| ExecError::Internal(format!("scheduler job panicked: {detail}")))
+}
+
 /// Records a failure against the lowest failing vertex id
 /// (deterministic across completion orders) and flips the `failed`
 /// flag so in-flight jobs and the pump stop early.
@@ -782,6 +783,34 @@ fn spill_failure(graph: &ComputeGraph, v: NodeId, e: SpillError) -> ExecError {
             detail,
         },
         SpillError::Io(io) => ExecError::Internal(format!("spill I/O failed for vertex {v}: {io}")),
+    }
+}
+
+/// Reloads one retained buffer that ended the run on scratch back into
+/// its slot (checksums verified) and drops its scratch file.
+fn rehydrate(state: &RunState, u: usize, ticket: &SpillTicket) {
+    let gov = state.gov.as_ref().expect("tickets imply a governor");
+    let back = gov.spill.reload(ticket);
+    gov.spill.remove(ticket);
+    match back {
+        Ok(rel) => {
+            *state.slots[u].lock().unwrap() = Some(Arc::new(rel));
+            let mut inner = gov.inner.lock().unwrap();
+            inner.reloads += 1;
+            inner.reloaded_bytes += ticket.bytes;
+            drop(inner);
+            state.obs.record(Subsystem::Sched, "reload", || {
+                vec![
+                    ("vertex", u.into()),
+                    ("bytes", (ticket.bytes as i64).into()),
+                    ("rehydrate", true.into()),
+                ]
+            });
+        }
+        Err(e) => {
+            let v = NodeId(u as u32);
+            record_failure(state, v, spill_failure(&state.graph, v, e));
+        }
     }
 }
 

@@ -12,29 +12,52 @@
 //!    layout. The in-module property test pins this for arbitrary
 //!    dense and sparse values.
 //! 2. **Corruption is detected, never returned.** Two checksums guard a
-//!    reload: FNV-1a over the raw byte stream (any flipped bit on disk
-//!    trips it) and the fault layer's
-//!    [`relation_checksum`](crate::faults) over the decoded value (the
-//!    same detector the corrupt-chunk recovery path uses) — so a spill
-//!    file that rots surfaces as [`SpillError::Corrupt`], which the
-//!    scheduler converts into the structured
-//!    `ExecError::SpillCorrupted` instead of silently feeding bad bits
-//!    downstream.
+//!    reload, in this order: the *stream* checksum over the file's raw
+//!    bytes, verified before a byte is decoded (any flipped bit on disk
+//!    trips it), and the fault layer's
+//!    [`relation_checksum`](crate::faults) over the decoded value,
+//!    verified after (the same detector the corrupt-chunk recovery path
+//!    uses) — so a spill file that rots surfaces as
+//!    [`SpillError::Corrupt`], which the scheduler converts into the
+//!    structured `ExecError::SpillCorrupted` instead of silently
+//!    feeding bad bits downstream. Both are
+//!    [`BulkChecksum`](matopt_core::BulkChecksum), not FNV-1a: their
+//!    values live in a [`SpillTicket`] for the length of one run and
+//!    never reach disk, so nothing pins them to a byte-serial fold that
+//!    costs more per buffer than the disk does. The *byte layout*
+//!    (`MOSP0001`, all-u64-LE) is pinned — training checkpoints embed
+//!    [`encode_relation`] bytes.
 //! 3. **No panics.** The kernel constructors assert on malformed
 //!    structure, so the decoder validates shape, index ranges, and CSR
 //!    row monotonicity *before* rebuilding, returning
 //!    [`SpillError::Corrupt`] for anything off.
+//! 4. **One pass per direction.** A spill sizes its output once, then
+//!    encodes, stream-sums and value-sums chunk by chunk while the
+//!    chunk is in cache, and hands the kernel one `write`; a reload
+//!    reads the file into a buffer sized from its length, sums it, and
+//!    value-sums each chunk as the decoder produces it.
+//! 5. **Nothing is flushed.** A spill file has no reader once its
+//!    process is gone (per-run directory, removed on drop), and a
+//!    reload in the same process reads through the page cache whether
+//!    or not the bytes reached the device, so an `fsync` per buffer
+//!    makes nothing recoverable — it only puts the device's latency on
+//!    the admission path. What protects a reload is constraint 2.
 //!
 //! Files live in a per-run subdirectory of the scratch root
 //! (`$MATOPT_SCRATCH` or the system temp dir), named by process id plus
 //! a process-global counter so concurrent runs never collide; the
-//! directory is removed when the [`SpillManager`] drops.
+//! directory is created by the run's first spill (a governed run that
+//! fits its budget touches no disk) and removed when the
+//! [`SpillManager`] drops. `spill` and `reload` take `&self` and share
+//! nothing but the file-name counter, so tickets are independent: the
+//! scheduler reloads the buffers a run ends with on scratch in
+//! parallel on the pool.
 
-use crate::faults::relation_checksum;
+use crate::faults::chunk_checksum;
 use crate::value::{Block, Chunk, DistRelation};
-use matopt_core::{fnv1a_bytes, MatrixType, PhysFormat};
+use matopt_core::{bulk_checksum, BulkChecksum, MatrixType, PhysFormat};
 use matopt_kernels::{CooMatrix, CsrMatrix, DenseMatrix};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -85,10 +108,10 @@ pub struct SpillTicket {
     /// Resident bytes the relation occupied (§7 accounting) — the
     /// amount freed by the spill and re-charged by the reload.
     pub bytes: u64,
-    /// FNV-1a over the serialized byte stream.
-    pub stream_fnv: u64,
-    /// [`relation_checksum`] of the decoded value.
-    pub value_fnv: u64,
+    /// [`BulkChecksum`] of the serialized byte stream.
+    pub stream_sum: u64,
+    /// [`relation_checksum`](crate::faults) of the value.
+    pub value_sum: u64,
 }
 
 /// Writes cold buffers to scratch files and reloads them on demand,
@@ -104,23 +127,22 @@ pub struct SpillManager {
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl SpillManager {
-    /// Creates the per-run scratch subdirectory under `root` (or the
-    /// default scratch root when `None`).
+    /// Names the per-run scratch subdirectory under `root` (or the
+    /// default scratch root when `None`); the first
+    /// [`spill`](Self::spill) creates it.
     ///
     /// # Errors
-    /// [`SpillError::Io`] when the directory cannot be created.
+    /// None today — directory errors surface from the first spill.
     pub fn new(root: Option<PathBuf>) -> Result<Self, SpillError> {
         let root = root.unwrap_or_else(matopt_core::default_scratch_dir);
         let run = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = root.join(format!("run-{}-{}", std::process::id(), run));
-        std::fs::create_dir_all(&dir)?;
         Ok(SpillManager {
-            dir,
+            dir: root.join(format!("run-{}-{}", std::process::id(), run)),
             seq: AtomicU64::new(0),
         })
     }
 
-    /// The per-run scratch directory.
+    /// The per-run scratch directory (absent until the first spill).
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -132,23 +154,35 @@ impl SpillManager {
     /// # Errors
     /// [`SpillError::Io`] when the file cannot be written.
     pub fn spill(&self, rel: &DistRelation) -> Result<SpillTicket, SpillError> {
-        let bytes = encode(rel);
-        let stream_fnv = fnv1a_bytes(&bytes);
-        let value_fnv = relation_checksum(rel);
+        let mut out = begin(rel);
+        let (mut stream, mut value) = (BulkChecksum::new(), BulkChecksum::new());
+        let mut summed = 0;
+        for chunk in &rel.chunks {
+            encode_chunk(&mut out, chunk);
+            stream.le_words(&out[summed..]);
+            summed = out.len();
+            chunk_checksum(&mut value, chunk);
+        }
+        stream.le_words(&out[summed..]);
         let path = self.dir.join(format!(
             "v{}.spill",
             self.seq.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(&bytes)?;
-        f.sync_data().ok(); // best-effort durability; checksums catch rot
+        let mut f = match std::fs::File::create(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(&self.dir)?;
+                std::fs::File::create(&path)?
+            }
+            created => created?,
+        };
+        f.write_all(out.as_flattened())?;
         Ok(SpillTicket {
             path,
             mtype: rel.mtype,
             format: rel.format,
             bytes: rel.total_bytes() as u64,
-            stream_fnv,
-            value_fnv,
+            stream_sum: stream.finish(),
+            value_sum: value.finish(),
         })
     }
 
@@ -160,26 +194,24 @@ impl SpillManager {
     /// [`SpillError::Corrupt`] when either checksum mismatches or the
     /// payload fails structural validation.
     pub fn reload(&self, ticket: &SpillTicket) -> Result<DistRelation, SpillError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(&ticket.path)?.read_to_end(&mut bytes)?;
-        let got = fnv1a_bytes(&bytes);
-        if got != ticket.stream_fnv {
-            return Err(SpillError::Corrupt(format!(
-                "stream checksum mismatch for {} (expected {:#018x}, found {:#018x})",
-                ticket.path.display(),
-                ticket.stream_fnv,
-                got
-            )));
+        let mismatch = |what: &str, want: u64, got: u64| {
+            SpillError::Corrupt(format!(
+                "{what} checksum mismatch for {} (expected {want:#018x}, found {got:#018x})",
+                ticket.path.display()
+            ))
+        };
+        let bytes = std::fs::read(&ticket.path)?;
+        let stream = bulk_checksum(&bytes);
+        if stream != ticket.stream_sum {
+            return Err(mismatch("stream", ticket.stream_sum, stream));
         }
-        let rel = decode(&bytes, ticket.mtype, ticket.format)?;
-        let value = relation_checksum(&rel);
-        if value != ticket.value_fnv {
-            return Err(SpillError::Corrupt(format!(
-                "value checksum mismatch for {} (expected {:#018x}, found {:#018x})",
-                ticket.path.display(),
-                ticket.value_fnv,
-                value
-            )));
+        let mut value = BulkChecksum::new();
+        let rel = decode_each(&bytes, ticket.mtype, ticket.format, |chunk| {
+            chunk_checksum(&mut value, chunk);
+        })?;
+        let value = value.finish();
+        if value != ticket.value_sum {
+            return Err(mismatch("value", ticket.value_sum, value));
         }
         Ok(rel)
     }
@@ -197,55 +229,71 @@ impl Drop for SpillManager {
     }
 }
 
-fn put(out: &mut Vec<u8>, word: u64) {
-    out.extend_from_slice(&word.to_le_bytes());
+/// One little-endian stream word. The encoder builds a `Vec<Word>` so a
+/// dense block is appended as one exact-size run of words and the
+/// stream can be checksummed without re-parsing bytes; it flattens to
+/// the byte stream for free.
+type Word = [u8; 8];
+
+fn put(out: &mut Vec<Word>, word: u64) {
+    out.push(word.to_le_bytes());
 }
 
-fn encode(rel: &DistRelation) -> Vec<u8> {
-    let mut out = Vec::new();
+/// An output buffer sized for the whole of `rel`'s encoding, holding
+/// the stream header.
+fn begin(rel: &DistRelation) -> Vec<Word> {
+    let words = 2 + rel
+        .chunks
+        .iter()
+        .map(|chunk| match &chunk.block {
+            Block::Dense(d) => 5 + d.data().len(),
+            Block::Csr(s) => 6 + 3 * s.nnz(),
+            Block::Coo(c) => 6 + 3 * c.nnz(),
+        })
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(words);
     put(&mut out, MAGIC);
     put(&mut out, rel.chunks.len() as u64);
-    for chunk in &rel.chunks {
-        put(&mut out, chunk.row);
-        put(&mut out, chunk.col);
-        match &chunk.block {
-            Block::Dense(d) => {
-                put(&mut out, TAG_DENSE);
-                put(&mut out, d.rows() as u64);
-                put(&mut out, d.cols() as u64);
-                for v in d.data() {
-                    put(&mut out, v.to_bits());
-                }
+    out
+}
+
+fn encode_chunk(out: &mut Vec<Word>, chunk: &Chunk) {
+    put(out, chunk.row);
+    put(out, chunk.col);
+    match &chunk.block {
+        Block::Dense(d) => {
+            put(out, TAG_DENSE);
+            put(out, d.rows() as u64);
+            put(out, d.cols() as u64);
+            out.extend(d.data().iter().map(|v| v.to_bits().to_le_bytes()));
+        }
+        Block::Csr(s) => {
+            put(out, TAG_CSR);
+            put(out, s.rows() as u64);
+            put(out, s.cols() as u64);
+            put(out, s.nnz() as u64);
+            // Storage order: preserves explicitly-stored zeros and
+            // per-row column order exactly.
+            for (r, c, v) in s.iter() {
+                put(out, r as u64);
+                put(out, c as u64);
+                put(out, v.to_bits());
             }
-            Block::Csr(s) => {
-                put(&mut out, TAG_CSR);
-                put(&mut out, s.rows() as u64);
-                put(&mut out, s.cols() as u64);
-                put(&mut out, s.nnz() as u64);
-                // Storage order: preserves explicitly-stored zeros and
-                // per-row column order exactly.
-                for (r, c, v) in s.iter() {
-                    put(&mut out, r as u64);
-                    put(&mut out, c as u64);
-                    put(&mut out, v.to_bits());
-                }
-            }
-            Block::Coo(c) => {
-                put(&mut out, TAG_COO);
-                put(&mut out, c.rows() as u64);
-                put(&mut out, c.cols() as u64);
-                put(&mut out, c.nnz() as u64);
-                // Triple order preserved (a COO relation is a multiset;
-                // duplicates are meaningful).
-                for (r, cc, v) in c.entries() {
-                    put(&mut out, *r as u64);
-                    put(&mut out, *cc as u64);
-                    put(&mut out, v.to_bits());
-                }
+        }
+        Block::Coo(c) => {
+            put(out, TAG_COO);
+            put(out, c.rows() as u64);
+            put(out, c.cols() as u64);
+            put(out, c.nnz() as u64);
+            // Triple order preserved (a COO relation is a multiset;
+            // duplicates are meaningful).
+            for (r, cc, v) in c.entries() {
+                put(out, *r as u64);
+                put(out, *cc as u64);
+                put(out, v.to_bits());
             }
         }
     }
-    out
 }
 
 /// Cursor over the serialized stream; every read is bounds-checked so a
@@ -255,15 +303,21 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self) -> Result<u64, SpillError> {
-        let end = self.pos + 8;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
+impl<'a> Reader<'a> {
+    /// The next `words` words as raw bytes.
+    fn take_words(&mut self, words: usize) -> Result<&'a [u8], SpillError> {
+        let slice = words
+            .checked_mul(8)
+            .and_then(|len| self.pos.checked_add(len))
+            .and_then(|end| self.bytes.get(self.pos..end))
             .ok_or_else(|| SpillError::Corrupt("truncated spill stream".to_string()))?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(slice.try_into().expect("8-byte slice")))
+        self.pos += slice.len();
+        Ok(slice)
+    }
+
+    fn take(&mut self) -> Result<u64, SpillError> {
+        let word = self.take_words(1)?;
+        Ok(u64::from_le_bytes(word.try_into().expect("8-byte slice")))
     }
 
     fn take_usize(&mut self, what: &str, max: usize) -> Result<usize, SpillError> {
@@ -277,7 +331,14 @@ impl Reader<'_> {
     }
 }
 
-fn decode(bytes: &[u8], mtype: MatrixType, format: PhysFormat) -> Result<DistRelation, SpillError> {
+/// Decodes the stream, handing each chunk to `each` as it is rebuilt
+/// (a reload value-sums it there, while it is still in cache).
+fn decode_each(
+    bytes: &[u8],
+    mtype: MatrixType,
+    format: PhysFormat,
+    mut each: impl FnMut(&Chunk),
+) -> Result<DistRelation, SpillError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.take()? != MAGIC {
         return Err(SpillError::Corrupt("bad magic header".to_string()));
@@ -293,16 +354,14 @@ fn decode(bytes: &[u8], mtype: MatrixType, format: PhysFormat) -> Result<DistRel
             TAG_DENSE => {
                 let rows = r.take_usize("dense rows", 1 << 32)?;
                 let cols = r.take_usize("dense cols", 1 << 32)?;
-                let n = rows
-                    .checked_mul(cols)
-                    .filter(|n| *n <= bytes.len() / 8)
-                    .ok_or_else(|| {
-                        SpillError::Corrupt(format!("dense shape {rows}x{cols} overflows stream"))
-                    })?;
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(f64::from_bits(r.take()?));
-                }
+                let n = rows.checked_mul(cols).ok_or_else(|| {
+                    SpillError::Corrupt(format!("dense shape {rows}x{cols} overflows stream"))
+                })?;
+                let data = r
+                    .take_words(n)?
+                    .chunks_exact(8)
+                    .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8 bytes"))))
+                    .collect();
                 Block::Dense(DenseMatrix::from_vec(rows, cols, data))
             }
             TAG_CSR => {
@@ -348,7 +407,9 @@ fn decode(bytes: &[u8], mtype: MatrixType, format: PhysFormat) -> Result<DistRel
                 return Err(SpillError::Corrupt(format!("unknown block tag {other}")));
             }
         };
-        chunks.push(Chunk { row, col, block });
+        let chunk = Chunk { row, col, block };
+        each(&chunk);
+        chunks.push(chunk);
     }
     if r.pos != bytes.len() {
         return Err(SpillError::Corrupt(format!(
@@ -363,33 +424,39 @@ fn decode(bytes: &[u8], mtype: MatrixType, format: PhysFormat) -> Result<DistRel
     })
 }
 
-/// Serializes a relation in the spill wire format — magic word, chunk
-/// tags, all-u64-LE payload, dual FNV-1a checksums. This is also the
-/// payload encoding the worker fleet ships inside its socket frames,
-/// so process-boundary transport and disk spill verify corruption the
-/// same way.
+/// Serializes a relation in the spill stream format — magic word,
+/// chunk tags, all-u64-LE payload — with no checksum of its own: the
+/// caller wraps the bytes in whatever integrity check its medium needs
+/// (the stream sum of a [`SpillTicket`], the frame sum of the worker
+/// fleet's socket frames, the FNV-1a a training checkpoint persists).
 #[must_use]
 pub fn encode_relation(rel: &DistRelation) -> Vec<u8> {
-    encode(rel)
+    let mut out = begin(rel);
+    for chunk in &rel.chunks {
+        encode_chunk(&mut out, chunk);
+    }
+    out.into_flattened()
 }
 
-/// Decodes [`encode_relation`] bytes back into a relation, verifying
-/// both checksums and every structural bound.
+/// Decodes [`encode_relation`] bytes back into a relation, validating
+/// every structural bound.
 ///
 /// # Errors
-/// [`SpillError::Corrupt`] when any byte of the payload is torn,
-/// truncated, or altered — never a panic, never a fabricated value.
+/// [`SpillError::Corrupt`] when the payload is torn, truncated, or
+/// structurally invalid — never a panic.
 pub fn decode_relation(
     bytes: &[u8],
     mtype: MatrixType,
     format: PhysFormat,
 ) -> Result<DistRelation, SpillError> {
-    decode(bytes, mtype, format)
+    decode_each(bytes, mtype, format, |_| {})
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use super::{decode_relation as decode, encode_relation as encode};
+    use crate::faults::relation_checksum;
     use proptest::prelude::*;
 
     fn mk_manager() -> SpillManager {
@@ -408,30 +475,30 @@ mod tests {
         DistRelation::from_dense(&d, PhysFormat::SingleTuple).expect("dense relation")
     }
 
+    /// Dense, CSR and COO wrappings of the same noisy 7x5 values.
+    fn every_block_kind() -> [DistRelation; 3] {
+        let dense = dense_rel(7, 5, 42);
+        let rewrap = |f: &dyn Fn(&DenseMatrix) -> Block| {
+            let mut rel = dense.clone();
+            for c in &mut rel.chunks {
+                c.block = f(&c.block.to_dense());
+            }
+            rel
+        };
+        let csr = rewrap(&|d| Block::Csr(CsrMatrix::from_dense(d)));
+        let coo = rewrap(&|d| Block::Coo(CooMatrix::from_dense(d)));
+        [dense, csr, coo]
+    }
+
     #[test]
     fn round_trips_every_block_kind() {
         let mgr = mk_manager();
-        let dense = dense_rel(7, 5, 42);
-        let mut csr = dense.clone();
-        let mut coo = dense.clone();
-        for c in &mut csr.chunks {
-            *c = Chunk {
-                row: c.row,
-                col: c.col,
-                block: Block::Csr(CsrMatrix::from_dense(&c.block.to_dense())),
-            };
-        }
-        for c in &mut coo.chunks {
-            *c = Chunk {
-                row: c.row,
-                col: c.col,
-                block: Block::Coo(CooMatrix::from_dense(&c.block.to_dense())),
-            };
-        }
-        for rel in [dense, csr, coo] {
+        for rel in every_block_kind() {
             let ticket = mgr.spill(&rel).expect("spill");
+            assert_eq!(ticket.value_sum, relation_checksum(&rel));
             let back = mgr.reload(&ticket).expect("reload");
             assert_eq!(rel, back);
+            assert_eq!(relation_checksum(&back), relation_checksum(&rel));
             mgr.remove(&ticket);
         }
     }
@@ -499,6 +566,80 @@ mod tests {
         let bytes = std::fs::read(&ticket.path).expect("read");
         std::fs::write(&ticket.path, &bytes[..bytes.len() / 2]).expect("truncate");
         assert!(matches!(mgr.reload(&ticket), Err(SpillError::Corrupt(_))));
+    }
+
+    /// The stream layout is pinned (`MOSP0001`): training checkpoints
+    /// embed these bytes and persist an FNV-1a of them. The reference
+    /// here is the encoder as it was before the single-pass rewrite —
+    /// one `put` per word into a growing `Vec<u8>`.
+    #[test]
+    fn encoding_is_byte_identical_to_the_word_by_word_encoder() {
+        fn put(out: &mut Vec<u8>, word: u64) {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        fn reference(rel: &DistRelation) -> Vec<u8> {
+            let mut out = Vec::new();
+            put(&mut out, u64::from_le_bytes(*b"MOSP0001"));
+            put(&mut out, rel.chunks.len() as u64);
+            for chunk in &rel.chunks {
+                put(&mut out, chunk.row);
+                put(&mut out, chunk.col);
+                let triples: Vec<(usize, usize, f64)> = match &chunk.block {
+                    Block::Dense(d) => {
+                        put(&mut out, 0);
+                        put(&mut out, d.rows() as u64);
+                        put(&mut out, d.cols() as u64);
+                        for v in d.data() {
+                            put(&mut out, v.to_bits());
+                        }
+                        continue;
+                    }
+                    Block::Csr(s) => {
+                        put(&mut out, 1);
+                        s.iter().collect()
+                    }
+                    Block::Coo(c) => {
+                        put(&mut out, 2);
+                        c.entries().to_vec()
+                    }
+                };
+                put(&mut out, chunk.block.rows() as u64);
+                put(&mut out, chunk.block.cols() as u64);
+                put(&mut out, triples.len() as u64);
+                for (r, c, v) in triples {
+                    put(&mut out, r as u64);
+                    put(&mut out, c as u64);
+                    put(&mut out, v.to_bits());
+                }
+            }
+            out
+        }
+        let tiled = DistRelation::from_dense(
+            &dense_rel(9, 6, 3).chunks[0].block.to_dense(),
+            PhysFormat::Tile { side: 4 },
+        )
+        .expect("tiled relation");
+        let empty = DistRelation {
+            chunks: Vec::new(),
+            ..tiled.clone()
+        };
+        for rel in every_block_kind().into_iter().chain([tiled, empty]) {
+            let bytes = encode_relation(&rel);
+            assert_eq!(bytes, reference(&rel));
+            assert_eq!(bytes.capacity(), bytes.len(), "sized once, exactly");
+            assert_eq!(decode_relation(&bytes, rel.mtype, rel.format).unwrap(), rel);
+        }
+    }
+
+    #[test]
+    fn scratch_directory_appears_with_the_first_spill() {
+        let mgr = mk_manager();
+        assert!(!mgr.dir().exists(), "no spill yet, no directory");
+        let ticket = mgr.spill(&dense_rel(2, 2, 1)).expect("spill");
+        assert!(ticket.path.starts_with(mgr.dir()) && ticket.path.exists());
+        let dir = mgr.dir().to_path_buf();
+        drop(mgr);
+        assert!(!dir.exists(), "removed on drop");
     }
 
     proptest! {
