@@ -22,7 +22,7 @@
 use criterion::{black_box, criterion_group, Criterion};
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext};
 use matopt_cost::AnalyticalCostModel;
-use matopt_engine::{execute_plan_traced, DistRelation};
+use matopt_engine::{execute_plan_with, DistRelation, ExecOptions};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::{MetricValue, MetricsRegistry, Obs, RingSink, Subsystem};
@@ -80,12 +80,13 @@ fn bench_execute(c: &mut Criterion) {
     let disabled = Obs::disabled();
     g.bench_function("execute/no_registry", |b| {
         b.iter(|| {
-            execute_plan_traced(
+            execute_plan_with(
                 &fx.graph,
                 &fx.annotation,
                 &fx.inputs,
                 &fx.registry,
                 &disabled,
+                ExecOptions::default(),
             )
             .expect("executes")
         })
@@ -94,12 +95,13 @@ fn bench_execute(c: &mut Criterion) {
     let metered = metered_obs();
     g.bench_function("execute/metered", |b| {
         b.iter(|| {
-            execute_plan_traced(
+            execute_plan_with(
                 &fx.graph,
                 &fx.annotation,
                 &fx.inputs,
                 &fx.registry,
                 &metered,
+                ExecOptions::default(),
             )
             .expect("executes")
         })
@@ -159,12 +161,13 @@ fn metrics_budget_report() {
     // `observe`, and each counter/gauge in the snapshot is written once
     // per pipeline run.
     let metered = metered_obs();
-    execute_plan_traced(
+    execute_plan_with(
         &fx.graph,
         &fx.annotation,
         &fx.inputs,
         &fx.registry,
         &metered,
+        ExecOptions::default(),
     )
     .expect("executes");
     let snapshot = metered.metrics().expect("registry attached").snapshot();
@@ -181,12 +184,13 @@ fn metrics_budget_report() {
     let mut runs: Vec<f64> = (0..5)
         .map(|_| {
             let t = Instant::now();
-            execute_plan_traced(
+            execute_plan_with(
                 &fx.graph,
                 &fx.annotation,
                 &fx.inputs,
                 &fx.registry,
                 &disabled,
+                ExecOptions::default(),
             )
             .expect("executes");
             t.elapsed().as_secs_f64()

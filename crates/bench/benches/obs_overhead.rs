@@ -20,7 +20,7 @@
 use criterion::{black_box, criterion_group, Criterion};
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext};
 use matopt_cost::AnalyticalCostModel;
-use matopt_engine::{execute_plan_traced, DistRelation};
+use matopt_engine::{execute_plan_with, DistRelation, ExecOptions};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::{MemorySink, Obs, Subsystem};
@@ -74,12 +74,13 @@ fn bench_execute(c: &mut Criterion) {
     let disabled = Obs::disabled();
     g.bench_function("execute/disabled", |b| {
         b.iter(|| {
-            execute_plan_traced(
+            execute_plan_with(
                 &fx.graph,
                 &fx.annotation,
                 &fx.inputs,
                 &fx.registry,
                 &disabled,
+                ExecOptions::default(),
             )
             .expect("executes")
         })
@@ -89,12 +90,13 @@ fn bench_execute(c: &mut Criterion) {
     let enabled = Obs::new(Arc::clone(&sink));
     g.bench_function("execute/enabled_memory", |b| {
         b.iter(|| {
-            let out = execute_plan_traced(
+            let out = execute_plan_with(
                 &fx.graph,
                 &fx.annotation,
                 &fx.inputs,
                 &fx.registry,
                 &enabled,
+                ExecOptions::default(),
             )
             .expect("executes");
             sink.take(); // keep the sink from growing across iterations
@@ -146,12 +148,13 @@ fn overhead_budget_report() {
     // Instrumentation points one run hits: count the enabled events.
     let sink = Arc::new(MemorySink::new());
     let enabled = Obs::new(Arc::clone(&sink));
-    execute_plan_traced(
+    execute_plan_with(
         &fx.graph,
         &fx.annotation,
         &fx.inputs,
         &fx.registry,
         &enabled,
+        ExecOptions::default(),
     )
     .expect("executes");
     let points = sink.take().len() as f64;
@@ -160,12 +163,13 @@ fn overhead_budget_report() {
     let mut runs: Vec<f64> = (0..5)
         .map(|_| {
             let t = Instant::now();
-            execute_plan_traced(
+            execute_plan_with(
                 &fx.graph,
                 &fx.annotation,
                 &fx.inputs,
                 &fx.registry,
                 &disabled,
+                ExecOptions::default(),
             )
             .expect("executes");
             t.elapsed().as_secs_f64()

@@ -3,11 +3,10 @@
 //!
 //! The acceptance bar is that [`execute_fault_tolerant`] with a
 //! [`FaultInjector::disabled`] injector costs < 2% versus the plain
-//! [`execute_plan`] path. With injection off the wrapper adds one
-//! injector branch, two `Instant::now` calls, and one bookkeeping
-//! update per compute vertex — and crucially *no* checkpoint clones,
-//! which are only taken when a live injector makes them worth paying
-//! for.
+//! [`execute_plan`] path. With injection off the wrapper is one
+//! injector branch and one obs span around the same pooled run — and
+//! crucially *no* checkpoint clones, which are only taken when a live
+//! injector makes them worth paying for.
 //!
 //! * `execute/plain` — the laptop FFNN weight update through the
 //!   ordinary executor;
@@ -24,7 +23,9 @@
 use criterion::{criterion_group, Criterion};
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext, RecoveryPolicy};
 use matopt_cost::AnalyticalCostModel;
-use matopt_engine::{execute_fault_tolerant, execute_plan, DistRelation, FaultInjector, FtConfig};
+use matopt_engine::{
+    execute_fault_tolerant, execute_plan, DistRelation, ExecOptions, FaultInjector, FtConfig,
+};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::Obs;
@@ -87,6 +88,7 @@ fn run_ft(fx: &Fixture, policy: RecoveryPolicy) {
         &AnalyticalCostModel,
         FaultInjector::disabled(),
         &config,
+        ExecOptions::default(),
         &Obs::disabled(),
     )
     .expect("executes");

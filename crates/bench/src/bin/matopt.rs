@@ -65,6 +65,7 @@
 //!                            512M, 2G); the scheduler throttles
 //!                            admission and spills cold buffers to
 //!                            scratch files when the run would exceed it
+//!                            (does not apply with --inject)
 //!   --hedge FACTOR           launch a duplicate of any vertex running
 //!                            longer than FACTOR x its predicted time;
 //!                            first finisher wins (requires --analyze)
@@ -164,10 +165,10 @@ use matopt_core::{
 };
 use matopt_cost::{AnalyticalCostModel, CurveCostModel, ThroughputCurve};
 use matopt_engine::{
-    explain_analyze, explain_analyze_with_faults, explain_analyze_with_options, explain_plan,
-    parse_fault_spec, render_sql, simulate_plan_traced, simulate_plan_with_recovery,
-    AdaptiveConfig, DistRelation, EpochPlanSource, ExecOptions, FtConfig, HedgeConfig,
-    RemoteVertexExec, SimOutcome, TrainCheckpoint, TrainConfig, TrainSpec,
+    explain_analyze, explain_analyze_with_faults, explain_plan, parse_fault_spec, render_sql,
+    simulate_plan_traced, simulate_plan_with_recovery, AdaptiveConfig, DistRelation,
+    EpochPlanSource, ExecOptions, FtConfig, HedgeConfig, RemoteVertexExec, SimOutcome,
+    TrainCheckpoint, TrainConfig, TrainSpec,
 };
 use matopt_graphs::{ffnn_training_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -1464,8 +1465,15 @@ fn run_analyze(
     obs: &Obs,
 ) -> Result<(), String> {
     let inputs = dense_inputs(graph)?;
-    if let Some(budget) = governor.mem_budget {
-        println!("memory budget: {budget} bytes (spilling to scratch when exceeded)");
+    match governor.mem_budget {
+        Some(_) if faults.is_some() => println!(
+            "memory budget: does not apply under --inject (the run walks inline and retains \
+             every value for crash replay)"
+        ),
+        Some(budget) => {
+            println!("memory budget: {budget} bytes (spilling to scratch when exceeded)");
+        }
+        None => {}
     }
     if let Some(factor) = governor.hedge {
         println!("hedging stragglers at {factor}x the predicted per-vertex runtime");
@@ -1489,32 +1497,27 @@ fn run_analyze(
     };
     let remote: Option<Arc<dyn RemoteVertexExec>> =
         fleet.clone().map(|f| f as Arc<dyn RemoteVertexExec>);
+    let options = ExecOptions {
+        mem_budget: governor.mem_budget,
+        hedge: hedge_config,
+        remote,
+        ..ExecOptions::default()
+    };
     let analysis = match faults {
         Some((spec, seed, policy)) => {
             let injector = parse_fault_spec(spec, seed, graph.compute_count())?;
             let config = FtConfig {
                 policy,
-                mem_budget: governor.mem_budget,
-                hedge: hedge_config,
                 ..FtConfig::default()
             };
             println!("injecting faults ({spec}, seed {seed}) under the {policy} recovery policy:");
             explain_analyze_with_faults(
-                graph, annotation, &inputs, ctx, catalog, &env.model, injector, &config, obs,
+                graph, annotation, &inputs, ctx, catalog, &env.model, injector, &config, options,
+                obs,
             )
             .map_err(|e| format!("fault-tolerant execution failed: {e}"))?
         }
-        None if governor.mem_budget.is_some() || governor.hedge.is_some() || remote.is_some() => {
-            let options = ExecOptions {
-                mem_budget: governor.mem_budget,
-                hedge: hedge_config,
-                remote,
-                ..ExecOptions::default()
-            };
-            explain_analyze_with_options(graph, annotation, &inputs, ctx, &env.model, options, obs)
-                .map_err(|e| format!("execution failed: {e}"))?
-        }
-        None => explain_analyze(graph, annotation, &inputs, ctx, &env.model, obs)
+        None => explain_analyze(graph, annotation, &inputs, ctx, &env.model, options, obs)
             .map_err(|e| format!("execution failed: {e}"))?,
     };
     print!("{analysis}");
@@ -1650,8 +1653,15 @@ fn cmd_stats(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let analysis = match explain_analyze(&graph, &plan.annotation, &inputs, &ctx, &env.model, &obs)
-    {
+    let analysis = match explain_analyze(
+        &graph,
+        &plan.annotation,
+        &inputs,
+        &ctx,
+        &env.model,
+        ExecOptions::default(),
+        &obs,
+    ) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("stats: execution failed: {e}");

@@ -15,15 +15,14 @@
 //! physical format, downstream types are re-inferred from the corrected
 //! statistics, and the optimizer runs again on the suffix.
 
-use crate::impl_exec::{execute_impl, ExecError};
+use crate::exec::compute_vertices;
+use crate::impl_exec::ExecError;
+use crate::step::InlineWalk;
 use crate::value::{Block, DistRelation};
-use matopt_core::{
-    Annotation, ComputeGraph, FormatCatalog, MatrixType, NodeId, NodeKind, PlanContext,
-    TransformKind,
-};
+use matopt_core::{Annotation, ComputeGraph, FormatCatalog, NodeId, PlanContext};
 use matopt_cost::CostModel;
+use matopt_obs::Obs;
 use matopt_opt::{frontier_dp_beam, OptContext, OptError};
-use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Configuration of the adaptive executor.
@@ -129,7 +128,14 @@ pub fn execute_adaptive(
     model: &dyn CostModel,
     config: AdaptiveConfig,
 ) -> Result<AdaptiveOutcome, AdaptiveError> {
-    execute_adaptive_with_hook(graph, inputs, ctx, catalog, model, config, None)
+    let octx = OptContext::new(ctx, catalog, model);
+    let plan = frontier_dp_beam(graph, &octx, config.beam)
+        .map_err(AdaptiveError::Opt)?
+        .annotation;
+    let obs = Obs::disabled();
+    execute_adaptive_planned(
+        graph, inputs, ctx, catalog, model, config, &plan, None, &obs,
+    )
 }
 
 /// A callback invoked each time the adaptive executor halts and
@@ -140,37 +146,19 @@ pub fn execute_adaptive(
 /// for this workload.
 pub type ReplanHook<'h> = &'h (dyn Fn(NodeId) + 'h);
 
-/// [`execute_adaptive`] with a re-plan callback.
-///
-/// # Errors
-/// [`AdaptiveError`] when execution fails or a re-optimization finds no
-/// plan.
-pub fn execute_adaptive_with_hook(
-    graph: &ComputeGraph,
-    inputs: &HashMap<NodeId, DistRelation>,
-    ctx: &PlanContext<'_>,
-    catalog: &FormatCatalog,
-    model: &dyn CostModel,
-    config: AdaptiveConfig,
-    on_replan: Option<ReplanHook<'_>>,
-) -> Result<AdaptiveOutcome, AdaptiveError> {
-    let octx = OptContext::new(ctx, catalog, model);
-    let plan: Annotation = frontier_dp_beam(graph, &octx, config.beam)
-        .map_err(AdaptiveError::Opt)?
-        .annotation;
-    execute_adaptive_planned(graph, inputs, ctx, catalog, model, config, plan, on_replan)
-}
-
-/// [`execute_adaptive_with_hook`] starting from a *caller-supplied*
-/// initial annotation instead of running the optimizer first.
+/// [`execute_adaptive`] starting from a *caller-supplied* initial
+/// annotation instead of running the optimizer first, with a re-plan
+/// callback and observability.
 ///
 /// This is the entry point for plan reuse across repeated executions of
-/// the same graph (the training loop's epoch cache): the first epoch
-/// pays for a full optimization, later epochs hand the cached
-/// annotation straight to the executor. Mid-flight re-optimization on
-/// sparsity drift still works exactly as in [`execute_adaptive`] — a
-/// drifted epoch re-plans its suffix and reports it, which is the
-/// caller's signal to invalidate the cached plan.
+/// the same graph (the training loop's epoch cache, a plan service's
+/// cached entry): the first run pays for a full optimization, later
+/// ones hand the cached annotation straight to the executor. A drifted
+/// run re-plans its suffix and reports it through `on_replan`, which is
+/// the caller's signal to invalidate the cached plan.
+///
+/// The run is the inline walk ([`crate::execute_plan_serial`]'s loop)
+/// with the drift rule applied after each vertex.
 ///
 /// # Errors
 /// [`AdaptiveError`] when execution fails or a re-optimization finds no
@@ -183,169 +171,50 @@ pub fn execute_adaptive_planned(
     catalog: &FormatCatalog,
     model: &dyn CostModel,
     config: AdaptiveConfig,
-    initial_plan: Annotation,
+    initial_plan: &Annotation,
     on_replan: Option<ReplanHook<'_>>,
+    obs: &Obs,
 ) -> Result<AdaptiveOutcome, AdaptiveError> {
-    let mut plan = initial_plan;
-    // `cur_graph` mirrors the original but with corrected statistics
-    // after each re-optimization; `idmap[v]` locates the original
-    // vertex v in it.
-    let mut cur_graph = graph.clone();
-    let mut idmap: Vec<NodeId> = graph.iter().map(|(id, _)| id).collect();
-
-    let mut values: Vec<Option<DistRelation>> = vec![None; graph.len()];
-    let mut measured_density: Vec<f64> = vec![0.0; graph.len()];
-    let mut reoptimizations = 0usize;
+    let mut walk = InlineWalk::start(graph, initial_plan, inputs, ctx.registry, obs)
+        .map_err(AdaptiveError::Exec)?;
+    let mut measured = vec![0.0; graph.len()];
+    for s in graph.sources() {
+        measured[s.index()] = walk.value(s).map_or(0.0, |rel| rel.measured_sparsity());
+    }
     let mut triggered_at = Vec::new();
-    let order: Vec<NodeId> = graph.iter().map(|(id, _)| id).collect();
-    let consumers = graph.consumers();
+    let last = compute_vertices(graph).last();
 
-    for (pos, &v) in order.iter().enumerate() {
-        let node = graph.node(v);
-        match &node.kind {
-            NodeKind::Source { format } => {
-                let rel = inputs
-                    .get(&v)
-                    .ok_or_else(|| AdaptiveError::Exec(crate::exec::missing_input(graph, v)))?
-                    .reformat(*format)
-                    .map_err(|e| AdaptiveError::Exec(ExecError::Internal(e.to_string())))?;
-                measured_density[v.index()] = rel.measured_sparsity();
-                values[v.index()] = Some(rel);
+    for v in compute_vertices(graph) {
+        let out = walk.run(v).map_err(AdaptiveError::Exec)?;
+        // The step types its output as the plan in force estimated it.
+        let est = out.rel.mtype.sparsity;
+        let meas = out.rel.measured_sparsity();
+        measured[v.index()] = meas;
+        walk.store(v, out);
+
+        if Some(v) != last && relative_error(est, meas) > config.relative_error_threshold {
+            // Halt and re-plan the suffix with corrected stats.
+            triggered_at.push(v);
+            if let Some(hook) = on_replan {
+                hook(v);
             }
-            NodeKind::Compute { op } => {
-                let cur_id = idmap[v.index()];
-                let choice = plan
-                    .choice(cur_id)
-                    .ok_or_else(|| AdaptiveError::Exec(crate::exec::missing_choice(graph, v)))?
-                    .clone();
-                // Transform inputs per the plan.
-                let mut transformed = Vec::with_capacity(node.inputs.len());
-                for (input, t) in node.inputs.iter().zip(choice.input_transforms.iter()) {
-                    let src = values[input.index()].as_ref().expect("topological order");
-                    let moved = if t.kind == TransformKind::Identity {
-                        src.clone()
-                    } else {
-                        src.reformat(t.to)
-                            .map_err(|e| AdaptiveError::Exec(ExecError::Internal(e.to_string())))?
-                    };
-                    transformed.push(moved);
-                }
-                let refs: Vec<&DistRelation> = transformed.iter().collect();
-                let strategy = ctx.registry.get(choice.impl_id).strategy;
-                let cur_type = cur_graph.node(cur_id).mtype;
-                let out = execute_impl(strategy, op, &refs, cur_type, choice.output_format)
-                    .map_err(|e| {
-                        AdaptiveError::Exec(e.at_vertex(v, &crate::exec::vertex_label(graph, v)))
-                    })?;
-
-                // Measure and compare.
-                let est = cur_type.sparsity;
-                let meas = out.measured_sparsity();
-                measured_density[v.index()] = meas;
-                values[v.index()] = Some(out);
-
-                let remaining = order[pos + 1..]
-                    .iter()
-                    .any(|u| matches!(graph.node(*u).kind, NodeKind::Compute { .. }));
-                if remaining && relative_error(est, meas) > config.relative_error_threshold {
-                    // Halt and re-plan the suffix with corrected stats.
-                    triggered_at.push(v);
-                    reoptimizations += 1;
-                    if let Some(hook) = on_replan {
-                        hook(v);
-                    }
-                    let (g2, map2) = rebuild_suffix(graph, &order[..=pos], &values, &consumers);
-                    let plan2 =
-                        frontier_dp_beam(&g2, &OptContext::new(ctx, catalog, model), config.beam)
-                            .map_err(AdaptiveError::Opt)?
-                            .annotation;
-                    cur_graph = g2;
-                    idmap = map2;
-                    plan = plan2;
-                }
-            }
+            walk.replan(v.index() + 1, ctx, catalog, model, config.beam)
+                .map_err(AdaptiveError::Opt)?;
         }
     }
 
-    let mut sinks = HashMap::new();
-    for sink in graph.sinks() {
-        sinks.insert(sink, values[sink.index()].take().expect("computed"));
-    }
     Ok(AdaptiveOutcome {
-        sinks,
-        reoptimizations,
+        sinks: walk.finish().sinks,
+        reoptimizations: triggered_at.len(),
         triggered_at,
-        measured: measured_density,
+        measured,
     })
-}
-
-/// Builds the suffix graph: every already-computed vertex that still
-/// has un-executed consumers becomes a source carrying its *measured*
-/// type and current physical format; un-executed compute vertices are
-/// re-added with types re-inferred from the corrected statistics.
-///
-/// Returns the new graph plus a map from original vertex ids to ids in
-/// the new graph (identity-sized; entries for fully-consumed prefixes
-/// keep their last known id but are never consulted again).
-///
-/// Generic over how values are held so the adaptive executor (owned
-/// relations) and the fault-tolerant executor (`Arc`-shared relations)
-/// can both call it.
-pub(crate) fn rebuild_suffix<T: Borrow<DistRelation>>(
-    graph: &ComputeGraph,
-    executed: &[NodeId],
-    values: &[Option<T>],
-    consumers: &[Vec<NodeId>],
-) -> (ComputeGraph, Vec<NodeId>) {
-    let executed_set: Vec<bool> = {
-        let mut s = vec![false; graph.len()];
-        for v in executed {
-            s[v.index()] = true;
-        }
-        s
-    };
-    let mut g2 = ComputeGraph::new();
-    let mut map: Vec<NodeId> = graph.iter().map(|(id, _)| id).collect();
-    for (id, node) in graph.iter() {
-        if executed_set[id.index()] {
-            // Only needed as a source if some un-executed vertex reads it.
-            let needed = consumers[id.index()]
-                .iter()
-                .any(|c| !executed_set[c.index()]);
-            if needed {
-                let rel = values[id.index()].as_ref().expect("executed").borrow();
-                let measured = MatrixType {
-                    rows: rel.mtype.rows,
-                    cols: rel.mtype.cols,
-                    sparsity: rel.measured_sparsity().max(f64::MIN_POSITIVE),
-                };
-                map[id.index()] = g2.add_source_named(measured, rel.format, node.name.as_deref());
-            }
-        } else {
-            match &node.kind {
-                // Not-yet-visited sources keep their declared type and
-                // format.
-                NodeKind::Source { format } => {
-                    map[id.index()] =
-                        g2.add_source_named(node.mtype, *format, node.name.as_deref());
-                }
-                NodeKind::Compute { op } => {
-                    let remapped: Vec<NodeId> =
-                        node.inputs.iter().map(|i| map[i.index()]).collect();
-                    map[id.index()] = g2
-                        .add_op_named(*op, &remapped, node.name.as_deref())
-                        .expect("re-typing a valid graph succeeds");
-                }
-            }
-        }
-    }
-    (g2, map)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matopt_core::{Cluster, ImplRegistry, Op, PhysFormat};
+    use matopt_core::{Cluster, ImplRegistry, MatrixType, Op, PhysFormat};
     use matopt_cost::AnalyticalCostModel;
     use matopt_kernels::{random_dense_normal, seeded_rng};
 
@@ -475,7 +344,7 @@ mod tests {
 #[cfg(test)]
 mod threshold_tests {
     use super::*;
-    use matopt_core::{Cluster, ImplRegistry, Op, PhysFormat};
+    use matopt_core::{Cluster, ImplRegistry, MatrixType, Op, PhysFormat};
     use matopt_cost::AnalyticalCostModel;
     use matopt_kernels::{random_dense_normal, seeded_rng};
     use std::collections::HashMap;

@@ -6,29 +6,28 @@
 //! installation-time calibration measurements the learned cost model is
 //! fitted from (§7).
 //!
-//! Since the pipelined-scheduler rework, [`execute_plan`] runs vertices
-//! through [`crate::schedule`]: ready vertices are pool jobs, identity
-//! edges are `Arc` bumps, and buffers can be retired as their last
-//! consumer finishes ([`ExecOptions::retain_values`]). The original
-//! topological walk survives as [`execute_plan_serial`] — it is the
-//! reference the pipelined path is property-tested bit-identical
-//! against.
+//! There is one vertex step ([`crate::step`]) and two drivers of it.
+//! [`execute_plan`] / [`execute_plan_with`] run the pooled pipeline in
+//! [`crate::schedule`]: ready vertices are pool jobs, and a budget,
+//! hedging, a remote backend and a shared memory pool all apply.
+//! [`execute_plan_serial`] is the inline walk: id order on the calling
+//! thread, no options — the reference the pipeline is property-tested
+//! bit-identical against.
 
-use crate::impl_exec::{execute_impl_shared, ExecError};
+use crate::impl_exec::ExecError;
 use crate::schedule::run_pipelined;
+use crate::step::InlineWalk;
 use crate::value::DistRelation;
 use matopt_core::{
     Annotation, ComputeGraph, ImplRegistry, MatrixType, NodeId, NodeKind, Op, PhysFormat, Strategy,
-    TransformKind,
 };
 use matopt_obs::{Obs, Subsystem};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The result of executing an annotated plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecOutcome {
     /// The values at every sink vertex.
     pub sinks: HashMap<NodeId, DistRelation>,
@@ -56,7 +55,8 @@ pub struct ExecOutcome {
     /// budget or hedging was configured).
     pub governor: GovernorStats,
     /// Pool counter delta for this run: tasks, steals, and busy time
-    /// (zero for the serial executor, which never touches the pool).
+    /// (under the inline walk, the chunk batches its kernels fanned
+    /// out).
     pub pool: matopt_pool::PoolStats,
     /// Total wall seconds.
     pub total_seconds: f64,
@@ -139,6 +139,16 @@ pub struct GovernorStats {
 }
 
 /// Knobs for [`execute_plan_with`].
+///
+/// Every field is a policy of the pooled pipeline. The inline walk
+/// keeps one vertex in flight and retains every value (crash replay and
+/// suffix re-planning read them), so there is nothing for a budget to
+/// admit or spill, no second worker for a duplicate or a backend, and
+/// no concurrent run to lease against: a call that walks inline —
+/// [`crate::execute_fault_tolerant`] with a live injector — ignores
+/// them all, except that [`ExecOptions::hedge`] bounds the delay an
+/// injected straggler fault sleeps (the duplicate is simulated, not
+/// run).
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Keep every vertex's value alive for [`ExecOutcome::values`]
@@ -228,8 +238,8 @@ impl Default for ExecOptions {
     }
 }
 
-/// Executes an annotated graph on concrete inputs through the pipelined
-/// scheduler.
+/// Executes an annotated graph on concrete inputs through the pooled
+/// pipeline with default [`ExecOptions`] and no observability.
 ///
 /// `inputs` must contain one relation per source vertex. A source whose
 /// relation arrives in a different format than the graph declares is
@@ -244,36 +254,22 @@ pub fn execute_plan(
     inputs: &HashMap<NodeId, DistRelation>,
     registry: &ImplRegistry,
 ) -> Result<ExecOutcome, ExecError> {
-    execute_plan_traced(graph, annotation, inputs, registry, &Obs::disabled())
-}
-
-/// [`execute_plan`] with observability: wraps the run in an
-/// `execute_plan` span and emits one `impl` span per compute vertex,
-/// one `transform` span per non-identity in-edge (both under
-/// [`Subsystem::Executor`]), and one [`Subsystem::Sched`] `pipeline`
-/// summary record. With a disabled handle this is exactly
-/// [`execute_plan`] (the instrumentation is a pointer check per site).
-///
-/// # Errors
-/// Same contract as [`execute_plan`].
-pub fn execute_plan_traced(
-    graph: &ComputeGraph,
-    annotation: &Annotation,
-    inputs: &HashMap<NodeId, DistRelation>,
-    registry: &ImplRegistry,
-    obs: &Obs,
-) -> Result<ExecOutcome, ExecError> {
     execute_plan_with(
         graph,
         annotation,
         inputs,
         registry,
-        obs,
+        &Obs::disabled(),
         ExecOptions::default(),
     )
 }
 
-/// [`execute_plan_traced`] with explicit [`ExecOptions`].
+/// [`execute_plan`] with observability and explicit [`ExecOptions`]:
+/// wraps the run in an `execute_plan` span and emits one `impl` span per
+/// compute vertex, one `transform` span per non-identity in-edge (both
+/// under [`Subsystem::Executor`]), and one [`Subsystem::Sched`]
+/// `pipeline` summary record. With a disabled handle the
+/// instrumentation is a pointer check per site.
 ///
 /// # Errors
 /// Same contract as [`execute_plan`].
@@ -291,58 +287,13 @@ pub fn execute_plan_with(
             ("compute_vertices", graph.compute_count().into()),
         ]
     });
-    let start = Instant::now();
-    let mut out = run_pipelined(
-        graph,
-        annotation,
-        inputs,
-        registry,
-        obs,
-        options.retain_values,
-        &options,
-    )?;
-
-    // Take each slot so the `Arc` is (normally) unique and `unshare`
-    // moves instead of deep-copying; only values still aliased by an
-    // identity edge's consumer pay a clone.
-    let mut values = HashMap::new();
-    for (id, _) in graph.iter() {
-        if let Some(rel) = out.values[id.index()].take() {
-            values.insert(id, unshare(rel));
-        }
-    }
-    let sinks = graph
-        .sinks()
-        .into_iter()
-        .map(|s| (s, values[&s].clone()))
-        .collect();
-    Ok(ExecOutcome {
-        sinks,
-        values,
-        vertex_seconds: out.vertex_seconds,
-        transform_seconds: out.transform_seconds,
-        vertex_chunks: out.vertex_chunks,
-        vertex_resident_bytes: out.vertex_resident_bytes,
-        parallelism: out.parallelism,
-        max_concurrency: out.max_concurrency,
-        peak_resident_bytes: out.peak_resident_bytes,
-        governor: out.governor,
-        pool: out.pool,
-        total_seconds: start.elapsed().as_secs_f64(),
-    })
+    run_pipelined(graph, annotation, inputs, registry, obs, &options)
 }
 
-/// Takes the relation out of a (normally unique) `Arc`, cloning only if
-/// it is still shared.
-pub(crate) fn unshare(rel: Arc<DistRelation>) -> DistRelation {
-    Arc::try_unwrap(rel).unwrap_or_else(|shared| (*shared).clone())
-}
-
-/// The original strictly-serial topological walk, retained as the
-/// reference implementation the pipelined scheduler is property-tested
-/// bit-identical against (and as the "before" executor in benchmark
-/// comparisons). Identity edges deep-copy their input, as the pre-pool
-/// executor did.
+/// The inline walk with no policy around it: vertices in id order on
+/// the calling thread, every value retained. It is the reference the
+/// pooled pipeline is property-tested bit-identical against, the
+/// benchmark's oracle, and the front door's degraded mode.
 ///
 /// # Errors
 /// Same contract as [`execute_plan`].
@@ -352,87 +303,22 @@ pub fn execute_plan_serial(
     inputs: &HashMap<NodeId, DistRelation>,
     registry: &ImplRegistry,
 ) -> Result<ExecOutcome, ExecError> {
-    let start = Instant::now();
-    let mut values: Vec<Option<DistRelation>> = vec![None; graph.len()];
-    let mut vertex_seconds = vec![0.0; graph.len()];
-    let mut transform_seconds: Vec<Vec<f64>> = vec![Vec::new(); graph.len()];
-    let mut vertex_chunks = vec![0usize; graph.len()];
-    let mut vertex_resident_bytes = vec![0u64; graph.len()];
-
-    for (id, node) in graph.iter() {
-        match &node.kind {
-            NodeKind::Source { format } => {
-                let rel = inputs.get(&id).ok_or_else(|| missing_input(graph, id))?;
-                let rel = if rel.format == *format {
-                    rel.clone()
-                } else {
-                    rel.reformat(*format)
-                        .map_err(|e| ExecError::Internal(e.to_string()))?
-                };
-                vertex_chunks[id.index()] = rel.chunks.len();
-                vertex_resident_bytes[id.index()] = rel.total_bytes() as u64;
-                values[id.index()] = Some(rel);
-            }
-            NodeKind::Compute { op } => {
-                let choice = annotation
-                    .choice(id)
-                    .ok_or_else(|| missing_choice(graph, id))?;
-                // Apply the edge transformations.
-                let mut transformed: Vec<Arc<DistRelation>> = Vec::with_capacity(node.inputs.len());
-                for (input, t) in node.inputs.iter().zip(choice.input_transforms.iter()) {
-                    let src = values[input.index()].as_ref().expect("topological order");
-                    let t0 = Instant::now();
-                    let moved = if t.kind == TransformKind::Identity {
-                        src.clone()
-                    } else {
-                        src.reformat(t.to)
-                            .map_err(|e| ExecError::Internal(e.to_string()))?
-                    };
-                    transform_seconds[id.index()].push(t0.elapsed().as_secs_f64());
-                    transformed.push(Arc::new(moved));
-                }
-                let impl_def = registry.get(choice.impl_id);
-                let t0 = Instant::now();
-                let out = execute_impl_shared(
-                    impl_def.strategy,
-                    op,
-                    &transformed,
-                    node.mtype,
-                    choice.output_format,
-                )
-                .map_err(|e| e.at_vertex(id, &vertex_label(graph, id)))?;
-                vertex_seconds[id.index()] = t0.elapsed().as_secs_f64();
-                vertex_chunks[id.index()] = out.chunks.len();
-                vertex_resident_bytes[id.index()] = out.total_bytes() as u64;
-                values[id.index()] = Some(out);
-            }
-        }
+    let obs = Obs::disabled();
+    let mut walk = InlineWalk::start(graph, annotation, inputs, registry, &obs)?;
+    for v in compute_vertices(graph) {
+        let out = walk.run(v)?;
+        walk.store(v, out);
     }
+    Ok(walk.finish())
+}
 
-    let peak: u64 = vertex_resident_bytes.iter().sum();
-    let mut all = HashMap::new();
-    for (id, _) in graph.iter() {
-        all.insert(id, values[id.index()].take().expect("computed"));
-    }
-    let sinks = graph
-        .sinks()
-        .into_iter()
-        .map(|s| (s, all[&s].clone()))
-        .collect();
-    Ok(ExecOutcome {
-        sinks,
-        values: all,
-        vertex_seconds,
-        transform_seconds,
-        vertex_chunks,
-        vertex_resident_bytes,
-        parallelism: 1,
-        max_concurrency: 1,
-        peak_resident_bytes: peak,
-        governor: GovernorStats::default(),
-        pool: matopt_pool::PoolStats::default(),
-        total_seconds: start.elapsed().as_secs_f64(),
-    })
+/// The compute vertices of `graph` in id (hence topological) order —
+/// the inline walk's schedule.
+pub(crate) fn compute_vertices(graph: &ComputeGraph) -> impl Iterator<Item = NodeId> + '_ {
+    graph
+        .iter()
+        .filter(|(_, node)| matches!(node.kind, NodeKind::Compute { .. }))
+        .map(|(id, _)| id)
 }
 
 /// Evaluates the graph on plain dense matrices with no layout logic at

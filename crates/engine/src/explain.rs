@@ -7,10 +7,10 @@
 //! `explain`-style binaries in `matopt-bench` are thin wrappers over
 //! [`explain_plan`].
 
-use crate::exec::{execute_plan_traced, execute_plan_with, ExecOptions, ExecOutcome, HedgeMark};
+use crate::exec::{execute_plan_with, ExecOptions, ExecOutcome, HedgeMark};
 use crate::faults::FaultInjector;
 use crate::impl_exec::ExecError;
-use crate::recovery::{execute_fault_tolerant, FtConfig, InjectedFault};
+use crate::recovery::{execute_fault_tolerant, FtConfig, FtOutcome, InjectedFault};
 use crate::sim::{simulate_plan, SimOutcome};
 use crate::value::DistRelation;
 use matopt_core::{
@@ -320,8 +320,12 @@ impl std::fmt::Display for PlanAnalysis {
 }
 
 /// `EXPLAIN ANALYZE`: explains the plan under the cost model, then
-/// actually runs it with [`execute_plan_traced`] on `inputs` and joins
-/// each estimated step with the measured per-vertex seconds.
+/// actually runs it with [`execute_plan_with`] on `inputs` and joins
+/// each estimated step with the measured per-vertex seconds. Memory
+/// budgets, spill-to-disk and hedged straggler re-execution in
+/// `options` all apply, and the analysis carries the governor's
+/// counters plus per-vertex spill and hedge columns in the rendered
+/// table.
 ///
 /// The estimate side is computed against `ctx`'s cluster; for
 /// meaningful ratios pass a cluster model matching the machine the run
@@ -331,33 +335,10 @@ impl std::fmt::Display for PlanAnalysis {
 ///
 /// # Errors
 /// [`ExecError`] when the annotation is malformed (plan errors are
-/// reported through the same type) or the execution fails.
-pub fn explain_analyze(
-    graph: &ComputeGraph,
-    annotation: &Annotation,
-    inputs: &HashMap<NodeId, DistRelation>,
-    ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
-    obs: &Obs,
-) -> Result<PlanAnalysis, ExecError> {
-    let explanation = explain_plan(graph, annotation, ctx, model)
-        .map_err(|e| ExecError::Internal(format!("plan error: {e}")))?;
-    let exec = execute_plan_traced(graph, annotation, inputs, ctx.registry, obs)?;
-    Ok(join_analysis(explanation, exec, None, obs))
-}
-
-/// [`explain_analyze`] with execution options: the run goes through
-/// [`execute_plan_with`], so memory budgets, spill-to-disk, and hedged
-/// straggler re-execution all apply, and the analysis carries the
-/// governor's counters (spilled/reloaded bytes, admission waits, hedges
-/// launched/won) plus per-vertex spill and hedge columns in the
-/// rendered table.
-///
-/// # Errors
-/// Same contract as [`explain_analyze`], plus
+/// reported through the same type) or the execution fails — including
 /// [`ExecError::MemBudgetInfeasible`] when one vertex cannot fit the
 /// budget even with everything else spilled.
-pub fn explain_analyze_with_options(
+pub fn explain_analyze(
     graph: &ComputeGraph,
     annotation: &Annotation,
     inputs: &HashMap<NodeId, DistRelation>,
@@ -369,41 +350,22 @@ pub fn explain_analyze_with_options(
     let explanation = explain_plan(graph, annotation, ctx, model)
         .map_err(|e| ExecError::Internal(format!("plan error: {e}")))?;
     let exec = execute_plan_with(graph, annotation, inputs, ctx.registry, obs, options)?;
-    Ok(join_analysis(explanation, exec, None, obs))
+    let run = FtOutcome::fault_free(exec, graph.len());
+    Ok(join_analysis(explanation, run, obs))
 }
 
-/// Per-run recovery stats carried from the fault-tolerant executor into
-/// the joined analysis.
-struct RecoveryStats {
-    faults: Vec<InjectedFault>,
-    retries: u32,
-    recoveries: u32,
-    recovery_seconds: f64,
-    per_vertex: Vec<crate::recovery::VertexRecovery>,
-}
-
-/// Joins the estimate side with the measured side (and recovery stats,
-/// when the run was fault-tolerant), emitting one `residual` record per
-/// row.
-fn join_analysis(
-    explanation: PlanExplanation,
-    exec: ExecOutcome,
-    recovery: Option<RecoveryStats>,
-    obs: &Obs,
-) -> PlanAnalysis {
+/// Joins the estimate side with the measured side and the run's
+/// recovery stats, emitting one `residual` record per row.
+fn join_analysis(explanation: PlanExplanation, run: FtOutcome, obs: &Obs) -> PlanAnalysis {
+    let exec = run.exec;
     let mut steps = Vec::new();
     for est in explanation.steps {
         let v = est.vertex;
-        let actual_impl_seconds = exec.vertex_seconds[v.index()];
-        let actual_transform_seconds: f64 = exec.transform_seconds[v.index()].iter().sum();
-        let pv = recovery
-            .as_ref()
-            .map(|r| r.per_vertex[v.index()])
-            .unwrap_or_default();
+        let pv = run.per_vertex[v.index()];
         let step = AnalyzedStep {
             estimate: est,
-            actual_impl_seconds,
-            actual_transform_seconds,
+            actual_impl_seconds: exec.vertex_seconds[v.index()],
+            actual_transform_seconds: exec.transform_seconds[v.index()].iter().sum(),
             retries: pv.retries,
             recoveries: pv.recoveries,
             recovery_seconds: pv.recovery_seconds,
@@ -419,18 +381,14 @@ fn join_analysis(
         });
         steps.push(step);
     }
-    let (faults, total_retries, total_recoveries, total_recovery_seconds) = match recovery {
-        Some(r) => (r.faults, r.retries, r.recoveries, r.recovery_seconds),
-        None => (Vec::new(), 0, 0, 0.0),
-    };
     PlanAnalysis {
         outcome: explanation.outcome,
         steps,
         measured_total_seconds: exec.total_seconds,
-        faults,
-        total_retries,
-        total_recoveries,
-        total_recovery_seconds,
+        faults: run.faults,
+        total_retries: run.retries,
+        total_recoveries: run.recoveries,
+        total_recovery_seconds: run.recovery_seconds,
         exec,
     }
 }
@@ -460,35 +418,15 @@ pub fn explain_analyze_with_faults(
     model: &dyn CostModel,
     injector: FaultInjector,
     config: &FtConfig,
+    options: ExecOptions,
     obs: &Obs,
 ) -> Result<PlanAnalysis, ExecError> {
     let explanation = explain_plan(graph, annotation, ctx, model)
         .map_err(|e| ExecError::Internal(format!("plan error: {e}")))?;
-    let ft = execute_fault_tolerant(
-        graph, annotation, inputs, ctx, catalog, model, injector, config, obs,
+    let run = execute_fault_tolerant(
+        graph, annotation, inputs, ctx, catalog, model, injector, config, options, obs,
     )?;
-    let exec = ExecOutcome {
-        sinks: ft.sinks,
-        values: ft.values,
-        vertex_seconds: ft.vertex_seconds,
-        transform_seconds: ft.transform_seconds,
-        vertex_chunks: ft.vertex_chunks,
-        vertex_resident_bytes: ft.vertex_resident_bytes,
-        parallelism: ft.parallelism,
-        max_concurrency: ft.max_concurrency,
-        peak_resident_bytes: ft.peak_resident_bytes,
-        governor: ft.governor,
-        pool: ft.pool,
-        total_seconds: ft.total_seconds,
-    };
-    let stats = RecoveryStats {
-        faults: ft.faults,
-        retries: ft.retries,
-        recoveries: ft.recoveries,
-        recovery_seconds: ft.recovery_seconds,
-        per_vertex: ft.per_vertex,
-    };
-    Ok(join_analysis(explanation, exec, Some(stats), obs))
+    Ok(join_analysis(explanation, run, obs))
 }
 
 #[cfg(test)]

@@ -5,13 +5,17 @@
 //! neither is available here, so this crate provides both halves of the
 //! substitution documented in `DESIGN.md`:
 //!
-//! * a **real executor** ([`execute_plan`]) that runs annotated plans
-//!   over concrete chunked relations ([`DistRelation`]) at laptop
-//!   scale, with every implementation strategy executed at the chunk
-//!   granularity its relational plan implies (tile shuffle joins,
-//!   strip broadcasts, group-by SUM aggregations, blocked Gauss–Jordan
-//!   rounds), pipelined across DAG vertices and thread-parallel within
-//!   chunk batches via the persistent `matopt-pool` work-stealing pool;
+//! * a **real executor** that runs annotated plans over concrete
+//!   chunked relations ([`DistRelation`]) at laptop scale, with every
+//!   implementation strategy executed at the chunk granularity its
+//!   relational plan implies (tile shuffle joins, strip broadcasts,
+//!   group-by SUM aggregations, blocked Gauss–Jordan rounds) and
+//!   thread-parallel within chunk batches via the persistent
+//!   `matopt-pool` work-stealing pool. One vertex step, two drivers:
+//!   the pooled pipeline ([`execute_plan`]) runs independent vertices
+//!   concurrently; the inline walk ([`execute_plan_serial`]) runs them
+//!   in id order, and under a fault policy or a sparsity-drift rule is
+//!   [`execute_fault_tolerant`] and [`execute_adaptive`];
 //! * an **analytic simulator** ([`simulate_plan`]) that evaluates the
 //!   same plans at paper scale against the [`matopt_core::Cluster`]
 //!   model, reproducing wall-clock estimates and the runtime "Fail"
@@ -35,22 +39,22 @@ mod schedule;
 mod sim;
 mod spill;
 mod sql;
+mod step;
 mod train;
 mod value;
 
 pub use adaptive::{
-    execute_adaptive, execute_adaptive_planned, execute_adaptive_with_hook, AdaptiveConfig,
-    AdaptiveError, AdaptiveOutcome, ReplanHook,
+    execute_adaptive, execute_adaptive_planned, AdaptiveConfig, AdaptiveError, AdaptiveOutcome,
+    ReplanHook,
 };
 pub use calibrate::{collect_samples, collect_samples_traced, fit_model_traced};
 pub use exec::{
-    execute_plan, execute_plan_serial, execute_plan_traced, execute_plan_with, reference_eval,
-    reference_eval_all, ExecOptions, ExecOutcome, GovernorStats, HedgeConfig, HedgeMark,
-    RemoteVertexExec,
+    execute_plan, execute_plan_serial, execute_plan_with, reference_eval, reference_eval_all,
+    ExecOptions, ExecOutcome, GovernorStats, HedgeConfig, HedgeMark, RemoteVertexExec,
 };
 pub use explain::{
-    explain_analyze, explain_analyze_with_faults, explain_analyze_with_options, explain_plan,
-    AnalyzedStep, ExplainStep, PlanAnalysis, PlanExplanation,
+    explain_analyze, explain_analyze_with_faults, explain_plan, AnalyzedStep, ExplainStep,
+    PlanAnalysis, PlanExplanation,
 };
 pub use faults::{parse_fault_spec, FaultEvent, FaultInjector, FaultKind};
 pub use impl_exec::{execute_impl, ExecError};

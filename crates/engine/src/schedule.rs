@@ -3,18 +3,16 @@
 //! governor (memory budget + spill-to-disk backpressure) and hedged
 //! straggler re-execution.
 //!
-//! The serial executor walks vertices in topological order, so
-//! independent branches of a plan (the two weight updates of the FFNN
-//! graph, the four quadrants of the blocked inverse) serialize even
-//! though nothing orders them. This module replaces that walk with
-//! indegree-counter scheduling:
+//! This is the pooled driver of the vertex step in [`crate::step`]. The
+//! inline walk runs vertices in id order, so independent branches of a
+//! plan (the two weight updates of the FFNN graph, the four quadrants
+//! of the blocked inverse) serialize even though nothing orders them;
+//! this driver schedules by indegree counter instead:
 //!
 //! * every vertex carries a `pending` counter of unfinished inputs;
 //!   when a vertex finishes it decrements each consumer's counter and
 //!   schedules any consumer that reaches zero — vertices run as soon as
-//!   their inputs exist, not when the topological walk reaches them;
-//! * identity edges are `Arc` reference bumps instead of deep clones of
-//!   the input relation;
+//!   their inputs exist, not when an id-order walk would reach them;
 //! * a refcount per vertex counts un-executed consumer edges; when the
 //!   last consumer finishes, the vertex's buffer is retired (dropped)
 //!   unless the caller asked to retain all values — peak resident bytes
@@ -76,48 +74,25 @@
 //!
 //! Determinism: every vertex reads fully-materialized inputs, every
 //! chunk batch preserves item order, and spills round-trip bit-exactly,
-//! so the pipelined executor is bit-identical to the serial walk
+//! so the pipelined executor is bit-identical to the inline walk
 //! regardless of completion order, budget, or hedging (the
 //! `pipeline.rs` and `governor.rs` tests pin this).
 
 use crate::exec::{
-    missing_choice, missing_input, vertex_label, ExecOptions, GovernorStats, HedgeMark,
+    compute_vertices, missing_choice, vertex_label, ExecOptions, ExecOutcome, GovernorStats,
+    HedgeMark,
 };
-use crate::impl_exec::{execute_impl_shared, ExecError};
+use crate::impl_exec::ExecError;
 use crate::spill::{SpillError, SpillManager, SpillTicket};
+use crate::step::{epilogue, prologue, run_step, StepEnv, StepOutput};
 use crate::value::DistRelation;
-use matopt_core::{Annotation, ComputeGraph, ImplRegistry, NodeId, NodeKind, TransformKind};
+use matopt_core::{Annotation, ComputeGraph, ImplRegistry, NodeId, NodeKind};
 use matopt_obs::{Obs, Subsystem};
 use matopt_pool::{Pool, TaskGroup};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Everything the pipelined run measured, with values still shared.
-pub(crate) struct PipelineOutput {
-    /// Slot per vertex; `None` for retired buffers when retention is
-    /// off.
-    pub values: Vec<Option<Arc<DistRelation>>>,
-    /// Wall seconds of each compute vertex's implementation.
-    pub vertex_seconds: Vec<f64>,
-    /// Wall seconds per in-edge transform, per vertex.
-    pub transform_seconds: Vec<Vec<f64>>,
-    /// Chunks in each vertex's output relation.
-    pub vertex_chunks: Vec<usize>,
-    /// Bytes of each vertex's output relation.
-    pub vertex_resident_bytes: Vec<u64>,
-    /// Worker parallelism of the pool the run was scheduled on.
-    pub parallelism: usize,
-    /// Highest number of vertices in flight at once.
-    pub max_concurrency: usize,
-    /// Peak bytes resident across all live vertex buffers.
-    pub peak_resident_bytes: u64,
-    /// Spill/backpressure/hedging counters.
-    pub governor: GovernorStats,
-    /// Pool counter delta for this run (tasks, steals, busy time).
-    pub pool: matopt_pool::PoolStats,
-}
 
 /// Per-vertex measurements, written once by the job that ran the
 /// vertex.
@@ -352,7 +327,12 @@ fn estimate_run_bytes(graph: &ComputeGraph, annotation: &Annotation) -> (u64, u6
     for (id, node) in graph.iter() {
         let format = match &node.kind {
             NodeKind::Source { format } => *format,
-            NodeKind::Compute { .. } => annotation.choice(id).expect("checked above").output_format,
+            NodeKind::Compute { .. } => {
+                annotation
+                    .choice(id)
+                    .expect("checked by the prologue")
+                    .output_format
+            }
         };
         est[id.index()] = format.total_bytes(&node.mtype).max(0.0) as u64;
     }
@@ -432,27 +412,21 @@ struct RunState {
 
 /// Runs the annotated graph through the pipelined scheduler.
 ///
-/// With `retain_all` every vertex's value survives the run; otherwise
-/// buffers are retired as their last consumer finishes and only sink
-/// values come back. The remaining governance knobs come from
-/// `options` (budget, scratch dir, hedging, injected delays).
+/// Under [`ExecOptions::retain_values`] every vertex's value survives
+/// the run; otherwise buffers are retired as their last consumer
+/// finishes and only sink values come back.
 pub(crate) fn run_pipelined(
     graph: &ComputeGraph,
     annotation: &Annotation,
     inputs: &HashMap<NodeId, DistRelation>,
     registry: &ImplRegistry,
     obs: &Obs,
-    retain_all: bool,
     options: &ExecOptions,
-) -> Result<PipelineOutput, ExecError> {
+) -> Result<ExecOutcome, ExecError> {
+    let started = Instant::now();
     let n = graph.len();
-    // Fail on the first unannotated compute vertex in topological
-    // order, exactly like the serial walk, before any job runs.
-    for (id, node) in graph.iter() {
-        if matches!(node.kind, NodeKind::Compute { .. }) && annotation.choice(id).is_none() {
-            return Err(missing_choice(graph, id));
-        }
-    }
+    let retain_all = options.retain_values;
+    let sources = prologue(graph, annotation, inputs)?;
 
     let mut consumer_edges: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     let mut indegree = vec![0usize; n];
@@ -495,7 +469,7 @@ pub(crate) fn run_pipelined(
             let mut est_out = vec![0u64; n];
             for (id, node) in graph.iter() {
                 if matches!(node.kind, NodeKind::Compute { .. }) {
-                    let choice = annotation.choice(id).expect("checked above");
+                    let choice = annotation.choice(id).expect("checked by the prologue");
                     est_out[id.index()] =
                         choice.output_format.total_bytes(&node.mtype).max(0.0) as u64;
                 }
@@ -560,32 +534,20 @@ pub(crate) fn run_pipelined(
         remote: options.remote.clone(),
     });
 
-    // Seed the sources inline (they are the caller's inputs, possibly
-    // re-materialized into the declared format), then sweep the
-    // vertices that are ready before any compute ran.
-    for (id, node) in graph.iter() {
-        if let NodeKind::Source { format } = &node.kind {
-            let rel = inputs.get(&id).ok_or_else(|| missing_input(graph, id))?;
-            let rel = if rel.format == *format {
-                rel.clone()
-            } else {
-                rel.reformat(*format)
-                    .map_err(|e| ExecError::Internal(e.to_string()))?
-            };
-            store_output(&state, id, Arc::new(rel), 0.0, Vec::new());
-            for c in &state.consumer_edges[id.index()] {
+    // Store the seeded sources, then sweep the vertices that are ready
+    // before any compute ran.
+    for (i, rel) in sources.into_iter().enumerate() {
+        if let Some(rel) = rel {
+            let id = NodeId(i as u32);
+            store_output(&state, id, rel, 0.0, Vec::new());
+            for c in &state.consumer_edges[i] {
                 state.pending[c.index()].fetch_sub(1, Ordering::AcqRel);
             }
         }
     }
     let group = pool.group();
-    let initially_ready: Vec<NodeId> = graph
-        .iter()
-        .filter(|(id, node)| {
-            matches!(node.kind, NodeKind::Compute { .. })
-                && state.pending[id.index()].load(Ordering::Acquire) == 0
-        })
-        .map(|(id, _)| id)
+    let initially_ready: Vec<NodeId> = compute_vertices(graph)
+        .filter(|id| state.pending[id.index()].load(Ordering::Acquire) == 0)
         .collect();
     match &state.gov {
         None => {
@@ -695,34 +657,27 @@ pub(crate) fn run_pipelined(
 
     let state = Arc::try_unwrap(state)
         .map_err(|_| ExecError::Internal("scheduler state still shared after wait".to_string()))?;
-    let mut vertex_seconds = vec![0.0; n];
-    let mut transform_seconds: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut vertex_chunks = vec![0usize; n];
-    let mut vertex_resident_bytes = vec![0u64; n];
-    for (i, meta) in state.meta.into_iter().enumerate() {
-        let m = meta.into_inner().unwrap();
-        vertex_seconds[i] = m.seconds;
-        transform_seconds[i] = m.transform_seconds;
-        vertex_chunks[i] = m.chunks;
-        vertex_resident_bytes[i] = m.bytes;
-    }
-    let values = state
-        .slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap())
-        .collect();
-    Ok(PipelineOutput {
-        values,
-        vertex_seconds,
-        transform_seconds,
-        vertex_chunks,
-        vertex_resident_bytes,
+    let mut out = ExecOutcome {
         parallelism: pool.parallelism(),
         max_concurrency,
         peak_resident_bytes: peak,
         governor,
         pool: delta,
-    })
+        ..ExecOutcome::default()
+    };
+    for meta in state.meta {
+        let m = meta.into_inner().unwrap();
+        out.vertex_seconds.push(m.seconds);
+        out.transform_seconds.push(m.transform_seconds);
+        out.vertex_chunks.push(m.chunks);
+        out.vertex_resident_bytes.push(m.bytes);
+    }
+    let slots = state
+        .slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap())
+        .collect();
+    Ok(epilogue(graph, slots, out, started))
 }
 
 fn collect_governor_stats(state: &RunState, n: usize) -> GovernorStats {
@@ -1116,12 +1071,7 @@ fn hedge_deadline(h: &HedgeState, i: usize) -> Option<Duration> {
 /// their deadline. Runs until the scheduler signals shutdown.
 fn monitor_loop(state: &Arc<RunState>, group: &TaskGroup) {
     let h = state.hedge.as_ref().expect("monitor requires hedge state");
-    let computes: Vec<NodeId> = state
-        .graph
-        .iter()
-        .filter(|(_, node)| matches!(node.kind, NodeKind::Compute { .. }))
-        .map(|(id, _)| id)
-        .collect();
+    let computes: Vec<NodeId> = compute_vertices(&state.graph).collect();
     while !h.shutdown.load(Ordering::Acquire) {
         for &v in &computes {
             let i = v.index();
@@ -1209,15 +1159,15 @@ fn run_vertex_job(state: &Arc<RunState>, group: &TaskGroup, v: NodeId, hedge_att
                 vec![("vertex", v.index().into())]
             });
         }
-        if let Ok((_, isecs, _)) = &result {
+        if let Ok(out) = &result {
             let mut c = h.completed.lock().unwrap();
-            c.0 += *isecs;
+            c.0 += out.impl_seconds;
             c.1 += 1;
         }
     }
     match result {
-        Ok((rel, isecs, tsecs)) => {
-            store_output(state, v, rel, isecs, tsecs);
+        Ok(out) => {
+            store_output(state, v, out.rel, out.impl_seconds, out.transform_seconds);
             finish_vertex(state, group, v);
         }
         Err(e) => record_failure(state, v, e),
@@ -1255,108 +1205,22 @@ fn finish_vertex(state: &Arc<RunState>, group: &TaskGroup, v: NodeId) {
     }
 }
 
-/// Transforms the inputs per the plan's choice and runs the chosen
-/// implementation, mirroring the serial walk's spans and timings.
-/// Returns the output relation and timings; the caller stores them
-/// (exactly once, even when the vertex was hedged).
-#[allow(clippy::type_complexity)]
-fn compute_vertex(
-    state: &Arc<RunState>,
-    v: NodeId,
-) -> Result<(Arc<DistRelation>, f64, Vec<f64>), ExecError> {
-    let node = state.graph.node(v);
-    let NodeKind::Compute { op } = &node.kind else {
-        return Err(ExecError::Internal(format!(
-            "scheduled non-compute vertex {v}"
-        )));
-    };
+/// Runs the shared vertex step against the run's slots. The caller
+/// stores the result (exactly once, even when the vertex was hedged).
+fn compute_vertex(state: &RunState, v: NodeId) -> Result<StepOutput, ExecError> {
     let choice = state
         .annotation
         .choice(v)
         .ok_or_else(|| missing_choice(&state.graph, v))?;
-    let mut transformed: Vec<Arc<DistRelation>> = Vec::with_capacity(node.inputs.len());
-    let mut tsecs = Vec::with_capacity(node.inputs.len());
-    for (edge, (input, t)) in node
-        .inputs
-        .iter()
-        .zip(choice.input_transforms.iter())
-        .enumerate()
-    {
-        let src: Arc<DistRelation> = state.slots[input.index()]
-            .lock()
-            .unwrap()
-            .clone()
-            .ok_or_else(|| {
-                ExecError::Internal(format!("input {input} of vertex {v} not materialized"))
-            })?;
-        let _t_span = if t.kind == TransformKind::Identity {
-            // Identity edges are free `Arc` bumps; keep the trace quiet.
-            None
-        } else {
-            Some(state.obs.span_with(Subsystem::Executor, "transform", || {
-                vec![
-                    ("vertex", v.index().into()),
-                    ("edge", edge.into()),
-                    ("kind", format!("{:?}", t.kind).into()),
-                    ("to", t.to.to_string().into()),
-                ]
-            }))
-        };
-        let t0 = Instant::now();
-        let moved = if t.kind == TransformKind::Identity {
-            src
-        } else {
-            Arc::new(
-                src.reformat(t.to)
-                    .map_err(|e| ExecError::Internal(e.to_string()))?,
-            )
-        };
-        tsecs.push(t0.elapsed().as_secs_f64());
-        transformed.push(moved);
-    }
-    let impl_def = state.registry.get(choice.impl_id);
-    let _v_span = state.obs.span_with(Subsystem::Executor, "impl", || {
-        let label = node.name.clone().unwrap_or_else(|| v.to_string());
-        vec![
-            ("vertex", v.index().into()),
-            ("label", label.into()),
-            ("op", format!("{op:?}").into()),
-            ("impl", impl_def.name.into()),
-            ("out_format", choice.output_format.to_string().into()),
-        ]
-    });
-    let t0 = Instant::now();
-    let out = match &state.remote {
-        Some(remote) => remote.execute_remote(
-            v,
-            &vertex_label(&state.graph, v),
-            impl_def.strategy,
-            op,
-            &transformed,
-            &node.inputs,
-            node.mtype,
-            choice.output_format,
-        )?,
-        None => execute_impl_shared(
-            impl_def.strategy,
-            op,
-            &transformed,
-            node.mtype,
-            choice.output_format,
-        )
-        .map_err(|e| e.at_vertex(v, &vertex_label(&state.graph, v)))?,
+    let env = StepEnv {
+        graph: &state.graph,
+        registry: &state.registry,
+        obs: &state.obs,
+        remote: state.remote.as_deref(),
     };
-    let isecs = t0.elapsed().as_secs_f64();
-    if let Some(m) = state.obs.metrics() {
-        // Per-implementation kernel latency; vertex granularity, so the
-        // registry lookup is noise next to the kernel itself.
-        m.observe(
-            Subsystem::Executor,
-            &format!("kernel_us_{}", impl_def.name),
-            (isecs * 1e6) as u64,
-        );
-    }
-    Ok((Arc::new(out), isecs, tsecs))
+    run_step(&env, v, choice, state.graph.node(v).mtype, |u| {
+        state.slots[u.index()].lock().unwrap().clone()
+    })
 }
 
 fn store_output(

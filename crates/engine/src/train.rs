@@ -39,6 +39,7 @@ use matopt_core::{
     PlanContext,
 };
 use matopt_cost::CostModel;
+use matopt_obs::Obs;
 use matopt_opt::{frontier_dp_beam, OptContext};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -520,8 +521,9 @@ pub fn train_resumable(
             catalog,
             model,
             config.adaptive,
-            plan.clone(),
+            &plan,
             Some(&hook),
+            &Obs::disabled(),
         )
         .map_err(|e| TrainError::Epoch(epoch, e))?;
 

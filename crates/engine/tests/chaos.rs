@@ -126,6 +126,15 @@ fn chaos_config(policy: RecoveryPolicy) -> FtConfig {
 }
 
 fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOutcome {
+    run_chaotic_with(w, injector, config, ExecOptions::default())
+}
+
+fn run_chaotic_with(
+    w: &Workload,
+    injector: FaultInjector,
+    config: &FtConfig,
+    options: ExecOptions,
+) -> FtOutcome {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(WORKERS);
     let ctx = PlanContext::new(&registry, cluster);
@@ -138,6 +147,7 @@ fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOu
         &AnalyticalCostModel,
         injector,
         config,
+        options,
         &Obs::disabled(),
     )
     .expect("fault-tolerant run succeeds")
@@ -147,12 +157,12 @@ fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOu
 /// and stayed inside the retry budget.
 fn assert_recovered_exactly(w: &Workload, out: &FtOutcome, config: &FtConfig, seed: u64) {
     assert_eq!(
-        out.sinks.len(),
+        out.exec.sinks.len(),
         w.baseline.len(),
         "{} seed {seed}: sink set changed",
         w.name
     );
-    for (sink, rel) in &out.sinks {
+    for (sink, rel) in &out.exec.sinks {
         assert!(
             rel.to_dense() == w.baseline[sink],
             "{} seed {seed}: sink {sink} diverged from the fault-free run",
@@ -215,7 +225,7 @@ fn disabled_injector_changes_nothing() {
     for w in workloads() {
         let config = chaos_config(RecoveryPolicy::Checkpoint);
         let out = run_chaotic(w, FaultInjector::disabled(), &config);
-        for (sink, rel) in &out.sinks {
+        for (sink, rel) in &out.exec.sinks {
             assert!(rel.to_dense() == w.baseline[sink]);
         }
         assert!(out.faults.is_empty());
@@ -261,8 +271,8 @@ fn resource_exhaustion_degrades_and_replans() {
     let config = chaos_config(RecoveryPolicy::Lineage);
     let out = run_chaotic(w, injector, &config);
     assert!(out.replans >= 1, "degradation must re-plan the suffix");
-    assert_eq!(out.sinks.len(), w.baseline.len());
-    for (sink, rel) in &out.sinks {
+    assert_eq!(out.exec.sinks.len(), w.baseline.len());
+    for (sink, rel) in &out.exec.sinks {
         let got = rel.to_dense();
         let want = &w.baseline[sink];
         assert!(
@@ -300,6 +310,7 @@ fn retry_budget_exhaustion_is_a_clean_error() {
         &AnalyticalCostModel,
         injector,
         &config,
+        ExecOptions::default(),
         &Obs::disabled(),
     )
     .expect_err("nine consecutive failures must exhaust a budget of three");
@@ -445,14 +456,15 @@ fn hedging_composes_with_retries_under_faults() {
     for w in workloads() {
         let injector =
             parse_fault_spec("slow@1x8,flaky@2x2", 13, w.graph.compute_count()).expect("parses");
-        let config = FtConfig {
+        let config = chaos_config(RecoveryPolicy::Lineage);
+        let options = ExecOptions {
             hedge: Some(HedgeConfig::with_factor(4.0)),
-            ..chaos_config(RecoveryPolicy::Lineage)
+            ..Default::default()
         };
-        let out = run_chaotic(w, injector, &config);
+        let out = run_chaotic_with(w, injector, &config, options);
         assert_recovered_exactly(w, &out, &config, 13);
         assert!(
-            out.governor.hedges_launched >= 1,
+            out.exec.governor.hedges_launched >= 1,
             "{}: the 8x straggler must trip the 4x hedge deadline",
             w.name
         );
@@ -480,7 +492,7 @@ proptest! {
         let config = chaos_config(policies[policy_ix]);
         let injector = FaultInjector::random(seed, w.graph.compute_count(), n_faults, 3);
         let out = run_chaotic(w, injector, &config);
-        for (sink, rel) in &out.sinks {
+        for (sink, rel) in &out.exec.sinks {
             prop_assert!(
                 rel.to_dense() == w.baseline[sink],
                 "{} seed {seed}: sink {sink} diverged",

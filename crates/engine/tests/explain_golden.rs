@@ -5,7 +5,7 @@
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext, TransformKind};
 use matopt_cost::AnalyticalCostModel;
-use matopt_engine::{explain_analyze, explain_plan, DistRelation};
+use matopt_engine::{explain_analyze, explain_plan, DistRelation, ExecOptions};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::{EventKind, MemorySink, Obs, Subsystem};
@@ -92,7 +92,9 @@ fn explain_analyze_golden_ratios_and_residual_events() {
 
     let sink = Arc::new(MemorySink::new());
     let obs = Obs::new(Arc::clone(&sink));
-    let analysis = explain_analyze(&graph, &annotation, &inputs, &ctx, &model, &obs).expect("runs");
+    let options = ExecOptions::default();
+    let analysis =
+        explain_analyze(&graph, &annotation, &inputs, &ctx, &model, options, &obs).expect("runs");
 
     assert!(!analysis.steps.is_empty());
     assert!(analysis.measured_total_seconds > 0.0);

@@ -1,30 +1,36 @@
-//! Pipelined-scheduler equivalence harness: the pool-driven,
+//! Driver equivalence harness: the pool-driven,
 //! out-of-topological-order executor ([`execute_plan`]) must produce
-//! sink values **bit-identical** to the strictly serial topological
-//! walk ([`execute_plan_serial`]) on every plan — completion order,
+//! sink values **bit-identical** to the inline id-order walk
+//! ([`execute_plan_serial`]) on every plan — completion order,
 //! `Arc`-shared identity edges, and buffer retirement must never leak
-//! into the numbers.
+//! into the numbers — and so must every other way of driving the shared
+//! vertex step: the fault-tolerant executor (disabled injector, and a
+//! seeded live fault schedule) and the adaptive executor under a
+//! threshold that never fires.
 //!
 //! The harness optimizes and runs 64 seeded random DAGs (square dense
 //! matrices; matmuls, elementwise ops, transposes, scalings) plus the
 //! two named workloads the rest of the suite leans on, comparing every
-//! sink elementwise with exact `f64` equality. The chaos harness in
-//! `chaos.rs` covers the fault-injection side of the pipelined path:
-//! its fault-free baselines run through this same scheduler.
+//! sink elementwise by `f64::to_bits`. The chaos harness in `chaos.rs`
+//! covers fault injection in depth; `reference_eval` stays the
+//! independent ground truth (`end_to_end.rs`).
 
 use matopt_core::{
     Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId, NodeKind, Op,
-    PhysFormat, PlanContext,
+    PhysFormat, PlanContext, TransformKind,
 };
 use matopt_cost::AnalyticalCostModel;
 use matopt_engine::{
-    execute_plan, execute_plan_serial, execute_plan_with, DistRelation, ExecOptions,
+    execute_adaptive_planned, execute_fault_tolerant, execute_plan, execute_plan_serial,
+    execute_plan_with, parse_fault_spec, AdaptiveConfig, DistRelation, ExecOptions, FaultInjector,
+    FtConfig, RetryConfig,
 };
 use matopt_graphs::{ffnn_w2_update_graph, two_level_inverse_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
-use matopt_obs::Obs;
+use matopt_obs::{EventKind, MemorySink, MetricValue, MetricsRegistry, Obs, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// SplitMix64, locally: the structural draws must not depend on any
 /// library's RNG evolution.
@@ -95,38 +101,111 @@ fn dense_inputs(graph: &ComputeGraph, seed: u64) -> HashMap<NodeId, DistRelation
     rels
 }
 
+fn bits(rel: &DistRelation) -> Vec<u64> {
+    rel.to_dense().data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A drift threshold no misestimate reaches: the adaptive executor
+/// runs the plan it was handed straight through.
+fn never_replan() -> AdaptiveConfig {
+    AdaptiveConfig {
+        relative_error_threshold: f64::INFINITY,
+        beam: 400,
+    }
+}
+
 /// Asserts every sink of `graph` is elementwise bit-identical between
-/// the pipelined and the serial executor under `annotation`.
+/// the inline walk and every other driver of the same plan: the pooled
+/// pipeline, the fault-tolerant executor with a disabled injector and
+/// under the seeded fault schedule `seed` (crashes, stragglers,
+/// transient errors, corruptions — no `oom`, which re-plans), and the
+/// adaptive executor when it never re-plans.
 fn assert_pipeline_matches_serial(
     tag: &str,
     graph: &ComputeGraph,
     annotation: &matopt_core::Annotation,
     inputs: &HashMap<NodeId, DistRelation>,
     registry: &ImplRegistry,
+    catalog: &FormatCatalog,
+    seed: u64,
 ) {
     let piped = execute_plan(graph, annotation, inputs, registry)
         .unwrap_or_else(|e| panic!("{tag}: pipelined run failed: {e}"));
     let serial = execute_plan_serial(graph, annotation, inputs, registry)
         .unwrap_or_else(|e| panic!("{tag}: serial run failed: {e}"));
-    assert_eq!(
-        piped.sinks.len(),
-        serial.sinks.len(),
-        "{tag}: sink sets differ"
-    );
-    for (sink, rel) in &serial.sinks {
-        let s = rel.to_dense();
-        let p = piped.sinks[sink].to_dense();
-        assert_eq!(
-            p.data(),
-            s.data(),
-            "{tag}: sink {sink} differs between pipelined and serial executor"
-        );
-    }
     // The pipelined run retains every vertex by default, like the
     // serial walk.
     assert_eq!(piped.values.len(), serial.values.len(), "{tag}: values");
     assert!(piped.max_concurrency >= 1);
     assert!(piped.peak_resident_bytes > 0);
+
+    let ctx = PlanContext::new(registry, Cluster::simsql_like(4));
+    let model = AnalyticalCostModel;
+    let obs = Obs::disabled();
+    let ft = FtConfig {
+        retry: RetryConfig {
+            max_retries: 10,
+            base_backoff_ms: 1,
+            max_backoff_ms: 2,
+        },
+        ..FtConfig::default()
+    };
+    let mut runs = vec![("pipelined", piped.sinks)];
+    for (driver, injector) in [
+        (
+            "fault-tolerant, disabled injector",
+            FaultInjector::disabled(),
+        ),
+        (
+            "fault-tolerant, live injector",
+            FaultInjector::random(seed, graph.compute_count(), 2, 2),
+        ),
+    ] {
+        let run = execute_fault_tolerant(
+            graph,
+            annotation,
+            inputs,
+            &ctx,
+            catalog,
+            &model,
+            injector,
+            &ft,
+            ExecOptions::default(),
+            &obs,
+        )
+        .unwrap_or_else(|e| panic!("{tag}: {driver} run failed: {e}"));
+        assert_eq!(run.replans, 0, "{tag}: {driver} re-planned");
+        runs.push((driver, run.exec.sinks));
+    }
+    let adaptive = execute_adaptive_planned(
+        graph,
+        inputs,
+        &ctx,
+        catalog,
+        &model,
+        never_replan(),
+        annotation,
+        None,
+        &obs,
+    )
+    .unwrap_or_else(|e| panic!("{tag}: adaptive run failed: {e}"));
+    assert_eq!(adaptive.reoptimizations, 0, "{tag}: adaptive re-planned");
+    runs.push(("adaptive", adaptive.sinks));
+
+    for (driver, sinks) in &runs {
+        assert_eq!(
+            sinks.len(),
+            serial.sinks.len(),
+            "{tag}: {driver} sink set differs"
+        );
+        for (sink, rel) in &serial.sinks {
+            assert_eq!(
+                bits(&sinks[sink]),
+                bits(rel),
+                "{tag}: sink {sink} differs between the {driver} run and the serial walk"
+            );
+        }
+    }
 }
 
 fn optimize(
@@ -161,6 +240,8 @@ fn pipelined_executor_is_bit_identical_on_64_random_dags() {
             &annotation,
             &inputs,
             &registry,
+            &catalog,
+            seed,
         );
     }
 }
@@ -183,7 +264,15 @@ fn pipelined_executor_matches_serial_on_named_workloads() {
     for (tag, graph, catalog) in [("ffnn", ffnn, dense), ("inverse", inverse, small)] {
         let annotation = optimize(&graph, &registry, &catalog);
         let inputs = dense_inputs(&graph, 0xC0FFEE);
-        assert_pipeline_matches_serial(tag, &graph, &annotation, &inputs, &registry);
+        assert_pipeline_matches_serial(
+            tag,
+            &graph,
+            &annotation,
+            &inputs,
+            &registry,
+            &catalog,
+            0xFA17,
+        );
     }
 }
 
@@ -231,4 +320,104 @@ fn streaming_retirement_keeps_sinks_exact_and_shrinks_residency() {
             retained.peak_resident_bytes
         );
     }
+}
+
+/// Every driver runs the same instrumented step: on the FFNN update,
+/// the pooled pipeline, a live-injector run (a 1x straggler at step 0,
+/// so nothing is recomputed) and an adaptive run that never re-plans
+/// each emit one `impl` span per compute vertex and one `transform`
+/// span per non-identity in-edge, and feed the same `kernel_us_<impl>`
+/// histograms the same number of observations.
+#[test]
+fn every_driver_emits_the_same_spans_and_kernel_histograms() {
+    let registry = ImplRegistry::paper_default();
+    let graph = ffnn_w2_update_graph(FfnnConfig::laptop(16))
+        .expect("well-typed")
+        .graph;
+    let catalog = FormatCatalog::paper_default().dense_only();
+    let annotation = optimize(&graph, &registry, &catalog);
+    let inputs = dense_inputs(&graph, 0xC0FFEE);
+    let ctx = PlanContext::new(&registry, Cluster::simsql_like(4));
+    let model = AnalyticalCostModel;
+
+    let transforms = graph
+        .iter()
+        .filter_map(|(id, _)| annotation.choice(id))
+        .flat_map(|c| c.input_transforms.iter())
+        .filter(|t| t.kind != TransformKind::Identity)
+        .count();
+    assert!(transforms > 0, "the plan must reformat at least one edge");
+
+    // (impl spans, transform spans, observations per kernel histogram)
+    type Seen = (usize, usize, Vec<(String, u64)>);
+    let observe = |run: &dyn Fn(&Obs)| -> Seen {
+        let sink = Arc::new(MemorySink::new());
+        let metrics = MetricsRegistry::new();
+        run(&Obs::with_metrics(Arc::clone(&sink), Arc::clone(&metrics)));
+        let events = sink.take();
+        let spans = |name: &str| {
+            events
+                .iter()
+                .filter(|e| {
+                    e.subsystem == Subsystem::Executor
+                        && e.name == name
+                        && matches!(e.kind, EventKind::SpanBegin)
+                })
+                .count()
+        };
+        let kernels = metrics
+            .snapshot()
+            .metrics
+            .iter()
+            .filter(|m| m.subsystem == Subsystem::Executor && m.name.starts_with("kernel_us_"))
+            .map(|m| match &m.value {
+                MetricValue::Histogram(h) => (m.name.clone(), h.count()),
+                other => panic!("{} is not a histogram: {other:?}", m.name),
+            })
+            .collect();
+        (spans("impl"), spans("transform"), kernels)
+    };
+
+    let pooled = observe(&|obs| {
+        let options = ExecOptions::default();
+        execute_plan_with(&graph, &annotation, &inputs, &registry, obs, options).expect("runs");
+    });
+    let live = observe(&|obs| {
+        let injector = parse_fault_spec("slow@0x1", 1, graph.compute_count()).expect("parses");
+        execute_fault_tolerant(
+            &graph,
+            &annotation,
+            &inputs,
+            &ctx,
+            &catalog,
+            &model,
+            injector,
+            &FtConfig::default(),
+            ExecOptions::default(),
+            obs,
+        )
+        .expect("runs");
+    });
+    let adaptive = observe(&|obs| {
+        let config = never_replan();
+        execute_adaptive_planned(
+            &graph,
+            &inputs,
+            &ctx,
+            &catalog,
+            &model,
+            config,
+            &annotation,
+            None,
+            obs,
+        )
+        .expect("runs");
+    });
+
+    assert_eq!(pooled.0, graph.compute_count(), "pooled impl spans");
+    assert_eq!(pooled.1, transforms, "pooled transform spans");
+    let total: u64 = pooled.2.iter().map(|(_, n)| n).sum();
+    assert_eq!(total as usize, graph.compute_count(), "kernel observations");
+    assert_eq!(live, pooled, "live-injector run vs pooled run");
+    assert_eq!(adaptive, pooled, "adaptive run vs pooled run");
 }

@@ -39,12 +39,13 @@
 //! that disabled path at < 2% over calling the executor directly.
 
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerStats, CircuitBreaker};
+use crate::flight::{Joined, SingleFlight};
 use crate::tenant::{TenancyConfig, TenantConfig, TenantStats};
 use crate::{Fingerprint, PlanService, Planned, ServeError};
 use matopt_core::{ComputeGraph, NodeId};
 use matopt_engine::{
-    execute_plan_serial, execute_plan_with, DistRelation, ExecOptions, ExecOutcome, FaultInjector,
-    FtConfig, HedgeConfig, RemoteVertexExec, SharedGovernor, SharedGovernorStats,
+    execute_plan_serial, execute_plan_with, DistRelation, ExecError, ExecOptions, ExecOutcome,
+    FaultInjector, FtConfig, HedgeConfig, RemoteVertexExec, SharedGovernor, SharedGovernorStats,
 };
 use matopt_obs::{Histogram, Subsystem};
 use std::collections::HashMap;
@@ -229,17 +230,6 @@ struct Sched {
     tenants: HashMap<String, TenantState>,
 }
 
-/// What a batched flight publishes: the shared outcome and the plan
-/// that produced it.
-type FlightResult = Result<(Arc<ExecOutcome>, Planned), ServeError>;
-
-/// One in-flight batched execution: followers with the same
-/// (fingerprint, input key) park here and share the leader's outcome.
-struct ExecFlight {
-    result: Mutex<Option<FlightResult>>,
-    done: Condvar,
-}
-
 /// The multi-tenant front door. See the module docs.
 pub struct FrontDoor {
     service: Arc<PlanService>,
@@ -247,7 +237,10 @@ pub struct FrontDoor {
     breaker: CircuitBreaker,
     shared: Option<Arc<SharedGovernor>>,
     sched: Mutex<Sched>,
-    flights: Mutex<HashMap<(Fingerprint, u64), Arc<ExecFlight>>>,
+    /// Batched executions in flight: followers with the same
+    /// (fingerprint, input key) share the leader's outcome and the plan
+    /// that produced it.
+    flights: SingleFlight<(Fingerprint, u64), (Arc<ExecOutcome>, Planned)>,
     /// Serializes degraded (breaker-open) executions.
     serial: Mutex<()>,
     exec_requests: AtomicU64,
@@ -287,7 +280,7 @@ impl FrontDoor {
                 queue: Vec::new(),
                 tenants: HashMap::new(),
             }),
-            flights: Mutex::new(HashMap::new()),
+            flights: SingleFlight::new(),
             serial: Mutex::new(()),
             config,
             exec_requests: AtomicU64::new(0),
@@ -485,30 +478,23 @@ impl FrontDoor {
     ) -> Result<ExecResponse, ServeError> {
         let planned = self.service.plan(req.graph)?;
         let batchable = self.config.batching && planned.fingerprint != Fingerprint(0);
-        let key = (planned.fingerprint, req.input_key);
-
-        let flight = if batchable {
-            let mut flights = self.flights.lock().expect("front flights");
-            if let Some(f) = flights.get(&key) {
-                // Follower: the answer is already being computed.
-                let f = Arc::clone(f);
-                drop(flights);
-                let (outcome, planned) = self.wait_for_flight(&f, req.deadline)?;
-                return Ok(ExecResponse {
-                    outcome,
-                    planned,
-                    batched: true,
-                    degraded: false,
-                    recoveries: 0,
-                    latency: started.elapsed(),
-                });
+        let leader = if batchable {
+            let key = (planned.fingerprint, req.input_key);
+            match self.flights.join(key, |_| Ok(()))? {
+                Joined::Follower(flight) => {
+                    // The answer is already being computed.
+                    let (outcome, planned) = flight.wait(req.deadline)?;
+                    return Ok(ExecResponse {
+                        outcome,
+                        planned,
+                        batched: true,
+                        degraded: false,
+                        recoveries: 0,
+                        latency: started.elapsed(),
+                    });
+                }
+                Joined::Leader(leader) => Some(leader),
             }
-            let f = Arc::new(ExecFlight {
-                result: Mutex::new(None),
-                done: Condvar::new(),
-            });
-            flights.insert(key, Arc::clone(&f));
-            Some(f)
         } else {
             None
         };
@@ -520,20 +506,15 @@ impl FrontDoor {
             drop(slot);
             r
         });
-        let published = outcome.map(|(out, recoveries)| (out, planned.clone(), recoveries));
-        if let Some(f) = flight {
-            // Publish, wake the followers, and only then retire the
-            // flight (publish-then-remove keeps the window closed).
-            *f.result.lock().expect("flight result") = Some(
-                published
+        if let Some(leader) = leader {
+            leader.publish(
+                outcome
                     .as_ref()
-                    .map(|(out, planned, _)| (Arc::clone(out), planned.clone()))
+                    .map(|(out, _)| (Arc::clone(out), planned.clone()))
                     .map_err(Clone::clone),
             );
-            f.done.notify_all();
-            self.flights.lock().expect("front flights").remove(&key);
         }
-        published.map(|(outcome, planned, recoveries)| ExecResponse {
+        outcome.map(|(outcome, recoveries)| ExecResponse {
             outcome,
             planned,
             batched: false,
@@ -557,51 +538,39 @@ impl FrontDoor {
         } else {
             None
         };
-        let result: Result<(ExecOutcome, u32), ServeError> = match faults {
-            None => {
-                let options = ExecOptions {
-                    retain_values: false,
-                    mem_budget: tenant_mem,
-                    hedge: self.hedge_config(),
-                    shared_governor: self.shared.clone(),
-                    remote: self.remote.lock().expect("front remote").clone(),
-                    ..ExecOptions::default()
-                };
-                execute_plan_with(
-                    req.graph,
-                    &planned.plan.annotation,
-                    req.inputs,
-                    self.service.registry(),
-                    self.service.obs(),
-                    options,
-                )
-                .map(|out| (out, 0))
-                .map_err(|e| ServeError::Exec(e.to_string()))
-            }
-            Some((injector, ft)) => {
-                let mut config = ft.clone();
-                config.mem_budget = config.mem_budget.or(tenant_mem);
-                if config.hedge.is_none() {
-                    config.hedge = self.hedge_config();
-                }
-                if config.shared_governor.is_none() {
-                    config.shared_governor = self.shared.clone();
-                }
-                self.service
-                    .execute_fault_tolerant(req.graph, planned, req.inputs, injector, &config)
-                    .map(|ft_out| {
-                        let recoveries = ft_out.recoveries + ft_out.retries + ft_out.replans;
-                        // Every recovery is a storm signal: this is the
-                        // serve-side view of the Subsystem::Faults
-                        // counters.
-                        for _ in 0..recoveries {
-                            self.breaker.record_storm_event();
-                        }
-                        (ft_to_exec(ft_out), recoveries)
-                    })
-                    .map_err(|e| ServeError::Exec(e.to_string()))
-            }
+        let options = ExecOptions {
+            retain_values: false,
+            mem_budget: tenant_mem,
+            hedge: self.hedge_config(),
+            shared_governor: self.shared.clone(),
+            remote: self.remote.lock().expect("front remote").clone(),
+            ..ExecOptions::default()
         };
+        let result: Result<(ExecOutcome, u32), ExecError> = match faults {
+            None => execute_plan_with(
+                req.graph,
+                &planned.plan.annotation,
+                req.inputs,
+                self.service.registry(),
+                self.service.obs(),
+                options,
+            )
+            .map(|out| (out, 0)),
+            Some((injector, ft)) => self
+                .service
+                .execute_fault_tolerant(req.graph, planned, req.inputs, injector, ft, options)
+                .map(|run| {
+                    let recoveries = run.recoveries + run.retries + run.replans;
+                    // Every recovery is a storm signal: this is the
+                    // serve-side view of the Subsystem::Faults
+                    // counters.
+                    for _ in 0..recoveries {
+                        self.breaker.record_storm_event();
+                    }
+                    (run.exec, recoveries)
+                }),
+        };
+        let result = result.map_err(|e| ServeError::Exec(e.to_string()));
         match result {
             Ok((outcome, recoveries)) => {
                 self.hedges_launched
@@ -668,34 +637,6 @@ impl FrontDoor {
             predicted_seconds: None,
             min_deadline_ms: 2,
         })
-    }
-
-    /// Parks on a batched flight until the leader publishes or the
-    /// deadline passes.
-    fn wait_for_flight(
-        &self,
-        flight: &ExecFlight,
-        deadline: Option<Instant>,
-    ) -> Result<(Arc<ExecOutcome>, Planned), ServeError> {
-        let mut slot = flight.result.lock().expect("flight result");
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            match deadline {
-                None => slot = flight.done.wait(slot).expect("flight result"),
-                Some(at) => {
-                    let Some(remaining) = at.checked_duration_since(Instant::now()) else {
-                        return Err(ServeError::DeadlineExceeded);
-                    };
-                    let (guard, _timeout) = flight
-                        .done
-                        .wait_timeout(slot, remaining)
-                        .expect("flight result");
-                    slot = guard;
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1009,24 +950,5 @@ impl Drop for SlotGuard<'_> {
         if self.tracked {
             self.front.release_slot();
         }
-    }
-}
-
-/// Repackages a fault-tolerant outcome as a plain execution outcome
-/// (the front door's response type is uniform across paths).
-fn ft_to_exec(ft: matopt_engine::FtOutcome) -> ExecOutcome {
-    ExecOutcome {
-        sinks: ft.sinks,
-        values: ft.values,
-        vertex_seconds: ft.vertex_seconds,
-        transform_seconds: ft.transform_seconds,
-        vertex_chunks: ft.vertex_chunks,
-        vertex_resident_bytes: ft.vertex_resident_bytes,
-        parallelism: ft.parallelism,
-        max_concurrency: ft.max_concurrency,
-        peak_resident_bytes: ft.peak_resident_bytes,
-        governor: ft.governor,
-        pool: ft.pool,
-        total_seconds: ft.total_seconds,
     }
 }

@@ -23,9 +23,10 @@
 //!   re-plans poison single entries).
 //! * [`PlanService`] — the request pipeline: single-flight coalescing
 //!   (concurrent misses on one fingerprint run the optimizer exactly
-//!   once), deadline and queue-depth backpressure in the PR 4
-//!   governor's admission vocabulary, and execution fan-out onto the
-//!   existing pipelined executor.
+//!   once), deadline and queue-depth backpressure in the engine
+//!   governor's admission vocabulary, execution on the pooled pipeline,
+//!   and adaptive execution that poisons the cached entry it started
+//!   from when it has to re-plan.
 //! * [`serve_lines`] — the `matopt serve` front end: JSON-lines over
 //!   stdin/stdout ([`protocol`] documents the request grammar), plus
 //!   the same service as an in-process API.
@@ -43,6 +44,7 @@
 mod breaker;
 mod cache;
 mod fingerprint;
+mod flight;
 mod front;
 mod persist;
 pub mod protocol;

@@ -17,18 +17,19 @@
 //! [`ServeError::DeadlineExceeded`] without cancelling the leader (the
 //! plan still lands in the cache for the next asker).
 
+use crate::flight::{Joined, SingleFlight};
 use crate::{fingerprint, Fingerprint, PlanCache, ServeConfig};
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, PlanContext};
 use matopt_cost::{CostModel, DriftMonitor};
 use matopt_engine::{
-    execute_adaptive_with_hook, execute_plan_with, AdaptiveConfig, AdaptiveError, AdaptiveOutcome,
-    DistRelation, ExecError, ExecOptions, ExecOutcome,
+    execute_adaptive_planned, execute_plan_with, AdaptiveConfig, AdaptiveError, AdaptiveOutcome,
+    DistRelation, ExecError, ExecOptions, ExecOutcome, FaultInjector, FtConfig, FtOutcome,
 };
 use matopt_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Obs, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext, OptError, Optimized};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Why a request failed.
@@ -146,13 +147,6 @@ pub struct ServeStats {
     pub cache_bytes: u64,
 }
 
-/// One in-flight optimization: concurrent misses on the same
-/// fingerprint park on the condvar until the leader publishes.
-struct Flight {
-    result: Mutex<Option<Result<Arc<Optimized>, ServeError>>>,
-    done: Condvar,
-}
-
 /// Pre-resolved metric handles for the request hot path: every
 /// per-request update is a wait-free atomic op, with no registry name
 /// lookup. Built once in [`PlanService::with_obs`] when the `Obs`
@@ -212,7 +206,7 @@ pub struct PlanService {
     cluster: RwLock<Cluster>,
     model: RwLock<Box<dyn CostModel + Send + Sync>>,
     cache: PlanCache,
-    inflight: Mutex<HashMap<Fingerprint, Arc<Flight>>>,
+    inflight: SingleFlight<Fingerprint, Arc<Optimized>>,
     config: ServeConfig,
     obs: Obs,
     metrics: Option<ServeMetrics>,
@@ -255,7 +249,7 @@ impl PlanService {
             cluster: RwLock::new(cluster),
             model: RwLock::new(model),
             cache: PlanCache::new(config.cache),
-            inflight: Mutex::new(HashMap::new()),
+            inflight: SingleFlight::new(),
             drift: DriftMonitor::new(config.drift),
             config,
             obs,
@@ -464,38 +458,29 @@ impl PlanService {
 
         // Single flight: first miss on a fingerprint leads, the rest
         // park on its flight.
-        let (flight, leader) = {
-            let mut inflight = self.inflight.lock().expect("inflight lock");
-            if let Some(flight) = inflight.get(&fp) {
-                (Arc::clone(flight), false)
-            } else {
-                let depth = inflight.len();
-                if depth >= self.config.max_queue_depth {
-                    return Err(ServeError::Overloaded { depth });
-                }
-                let flight = Arc::new(Flight {
-                    result: Mutex::new(None),
-                    done: Condvar::new(),
-                });
-                inflight.insert(fp, Arc::clone(&flight));
-                self.obs
-                    .gauge(Subsystem::Serve, "queue_depth", (depth + 1) as f64);
-                if let Some(m) = &self.metrics {
-                    m.queue_depth.set((depth + 1) as f64);
-                }
-                (flight, true)
+        let joined = self.inflight.join(fp, |depth| {
+            if depth >= self.config.max_queue_depth {
+                return Err(ServeError::Overloaded { depth });
             }
+            Ok(())
+        })?;
+        let leader = match joined {
+            Joined::Follower(flight) => {
+                return flight
+                    .wait(deadline_at)
+                    .map(|plan| (plan, PlanSource::Coalesced));
+            }
+            Joined::Leader(leader) => leader,
         };
-
-        if !leader {
-            return self
-                .wait_for(&flight, deadline_at)
-                .map(|plan| (plan, PlanSource::Coalesced));
+        self.obs
+            .gauge(Subsystem::Serve, "queue_depth", leader.depth as f64);
+        if let Some(m) = &self.metrics {
+            m.queue_depth.set(leader.depth as f64);
         }
 
-        // Leader path. Capture the epoch *before* optimizing: if an
-        // invalidation lands mid-optimize, the inserted entry is born
-        // stale instead of outliving the event it should have died to.
+        // Capture the epoch *before* optimizing: if an invalidation
+        // lands mid-optimize, the inserted entry is born stale instead
+        // of outliving the event it should have died to.
         let epoch = self.cache.epoch();
         let outcome = if deadline_at.is_some_and(|at| Instant::now() >= at) {
             Err(ServeError::DeadlineExceeded)
@@ -512,46 +497,11 @@ impl PlanService {
                 }
             }
         }
-        // Publish, wake the waiters, and only then retire the flight:
-        // a requester that finds the flight gone sees the cache entry
-        // instead (publish-then-remove keeps the window closed).
-        *flight.result.lock().expect("flight lock") = Some(outcome.clone());
-        flight.done.notify_all();
-        let depth = {
-            let mut inflight = self.inflight.lock().expect("inflight lock");
-            inflight.remove(&fp);
-            inflight.len()
-        };
+        let depth = leader.publish(outcome.clone());
         if let Some(m) = &self.metrics {
             m.queue_depth.set(depth as f64);
         }
         outcome.map(|plan| (plan, PlanSource::Miss))
-    }
-
-    fn wait_for(
-        &self,
-        flight: &Flight,
-        deadline_at: Option<Instant>,
-    ) -> Result<Arc<Optimized>, ServeError> {
-        let mut slot = flight.result.lock().expect("flight lock");
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            match deadline_at {
-                None => slot = flight.done.wait(slot).expect("flight lock"),
-                Some(at) => {
-                    let Some(remaining) = at.checked_duration_since(Instant::now()) else {
-                        return Err(ServeError::DeadlineExceeded);
-                    };
-                    let (guard, _timeout) = flight
-                        .done
-                        .wait_timeout(slot, remaining)
-                        .expect("flight lock");
-                    slot = guard;
-                }
-            }
-        }
     }
 
     /// Runs the frontier DP under the current model + cluster.
@@ -631,9 +581,10 @@ impl PlanService {
         graph: &ComputeGraph,
         planned: &Planned,
         inputs: &HashMap<NodeId, DistRelation>,
-        injector: matopt_engine::FaultInjector,
-        config: &matopt_engine::FtConfig,
-    ) -> Result<matopt_engine::FtOutcome, ExecError> {
+        injector: FaultInjector,
+        config: &FtConfig,
+        options: ExecOptions,
+    ) -> Result<FtOutcome, ExecError> {
         let cluster = self.cluster();
         let model = self.model.read().expect("model lock");
         let ctx = PlanContext::new(&self.registry, cluster);
@@ -646,6 +597,7 @@ impl PlanService {
             &**model,
             injector,
             config,
+            options,
             &self.obs,
         )
     }
@@ -703,20 +655,24 @@ impl PlanService {
         Some(registry.snapshot())
     }
 
-    /// Adaptive execution with cache feedback: when measured statistics
-    /// force a suffix re-plan, the plan the service cached was planned
-    /// from statistics now proven wrong, so the entry is poisoned — the
-    /// next request re-optimizes instead of inheriting the misestimate.
+    /// Adaptive execution of the plan the service serves for `graph`,
+    /// with cache feedback: when measured statistics force a suffix
+    /// re-plan, the cached plan was planned from statistics now proven
+    /// wrong, so the entry is poisoned — the next request re-optimizes
+    /// instead of inheriting the misestimate.
     ///
     /// # Errors
-    /// [`AdaptiveError`] from the adaptive executor.
+    /// Everything [`PlanService::plan`] returns, [`ServeError::Opt`]
+    /// when a re-plan finds no plan, [`ServeError::Exec`] from the
+    /// executor.
     pub fn execute_adaptive(
         &self,
         graph: &ComputeGraph,
         inputs: &HashMap<NodeId, DistRelation>,
         config: AdaptiveConfig,
-    ) -> Result<AdaptiveOutcome, AdaptiveError> {
-        let fp = self.fingerprint(graph);
+    ) -> Result<AdaptiveOutcome, ServeError> {
+        let planned = self.plan(graph)?;
+        let fp = planned.fingerprint;
         let cluster = self.cluster();
         let model = self.model.read().expect("model lock");
         let ctx = PlanContext::new(&self.registry, cluster);
@@ -733,14 +689,20 @@ impl PlanService {
                 });
             }
         };
-        execute_adaptive_with_hook(
+        execute_adaptive_planned(
             graph,
             inputs,
             &ctx,
             &self.catalog,
             &**model,
             config,
+            &planned.plan.annotation,
             Some(&hook),
+            &self.obs,
         )
+        .map_err(|e| match e {
+            AdaptiveError::Opt(e) => ServeError::Opt(e),
+            AdaptiveError::Exec(e) => ServeError::Exec(e.to_string()),
+        })
     }
 }
