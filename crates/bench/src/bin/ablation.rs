@@ -24,6 +24,7 @@ use matopt_graphs::{
     ffnn_w2_update_graph, ffnn_w2_update_graph_autodiff, matmul_chain_graph,
     two_level_inverse_graph, FfnnConfig, SizeSet,
 };
+use matopt_obs::Obs;
 use matopt_opt::{frontier_dp_beam, OptContext};
 use std::time::Instant;
 
@@ -217,7 +218,7 @@ fn beam_ablation(env: &Env) -> FigTable {
 fn cost_model_ablation(env: &Env) -> FigTable {
     // Calibrate the learned model from real micro-benchmark runs.
     let cluster = Cluster::simsql_like(4);
-    let samples = collect_samples(&[32, 64, 96, 128], 23, &cluster);
+    let samples = collect_samples(&[32, 64, 96, 128], 23, &cluster, &Obs::disabled());
     let learned = LearnedCostModel::fit(&samples);
     let ctx = env.ctx(cluster);
     let catalog = FormatCatalog::new(vec![

@@ -422,19 +422,16 @@ fn cmd_plan(args: &[String]) -> i32 {
         i += 1;
     }
 
-    let mut cluster = match engine.as_str() {
-        "pc" | "plinycompute" => Cluster::plinycompute_like(workers),
-        _ => Cluster::simsql_like(workers),
+    let (mut cluster, catalog) = match cluster_and_catalog(&engine, &catalog_name, workers) {
+        Ok(pair) => pair,
+        Err(msg) => {
+            eprintln!("plan: {msg}");
+            return 2;
+        }
     };
     if crash_rate > 0.0 || straggler_rate > 0.0 {
         cluster = cluster.with_fault_rates(crash_rate, straggler_rate, 4.0);
     }
-    let catalog = match catalog_name.as_str() {
-        "all" => FormatCatalog::paper_default(),
-        "ssb" => FormatCatalog::single_strip_block(),
-        "sb" => FormatCatalog::single_block(),
-        _ => FormatCatalog::paper_default().dense_only(),
-    };
     let graph = match build_workload(workload, &cluster) {
         Ok(g) => g,
         Err(msg) => {
@@ -789,9 +786,14 @@ fn cmd_train(args: &[String]) -> i32 {
         return 0;
     }
 
-    let cluster = match engine.as_str() {
-        "pc" | "plinycompute" => Cluster::plinycompute_like(workers),
-        _ => Cluster::simsql_like(workers),
+    // The catalog is fixed below (laptop-scale chunkings); only the
+    // engine name is the user's to get wrong.
+    let cluster = match cluster_and_catalog(&engine, "dense", workers) {
+        Ok((cluster, _)) => cluster,
+        Err(msg) => {
+            eprintln!("train: {msg}");
+            return 2;
+        }
     };
     // The loss tape ends in scalar reductions, so planning needs the
     // extended registry (paper's 38 impls + the reduction kernels).
@@ -1093,15 +1095,12 @@ fn cmd_serve(args: &[String]) -> i32 {
         i += 1;
     }
 
-    let cluster = match engine.as_str() {
-        "pc" | "plinycompute" => Cluster::plinycompute_like(workers),
-        _ => Cluster::simsql_like(workers),
-    };
-    let catalog = match catalog_name.as_str() {
-        "all" => FormatCatalog::paper_default(),
-        "ssb" => FormatCatalog::single_strip_block(),
-        "sb" => FormatCatalog::single_block(),
-        _ => FormatCatalog::paper_default().dense_only(),
+    let (cluster, catalog) = match cluster_and_catalog(&engine, &catalog_name, workers) {
+        Ok(pair) => pair,
+        Err(msg) => {
+            eprintln!("serve: {msg}");
+            return 2;
+        }
     };
     let config = ServeConfig {
         cache_enabled,
@@ -1616,15 +1615,12 @@ fn cmd_stats(args: &[String]) -> i32 {
         i += 1;
     }
 
-    let cluster = match engine.as_str() {
-        "pc" | "plinycompute" => Cluster::plinycompute_like(workers),
-        _ => Cluster::simsql_like(workers),
-    };
-    let catalog = match catalog_name.as_str() {
-        "all" => FormatCatalog::paper_default(),
-        "ssb" => FormatCatalog::single_strip_block(),
-        "sb" => FormatCatalog::single_block(),
-        _ => FormatCatalog::paper_default().dense_only(),
+    let (cluster, catalog) = match cluster_and_catalog(&engine, &catalog_name, workers) {
+        Ok(pair) => pair,
+        Err(msg) => {
+            eprintln!("stats: {msg}");
+            return 2;
+        }
     };
     let graph = match build_workload(workload, &cluster) {
         Ok(g) => g,
@@ -1678,6 +1674,35 @@ fn cmd_stats(args: &[String]) -> i32 {
         print!("{}", snapshot.prometheus());
     }
     0
+}
+
+/// The cluster profile and format catalog the `--engine` / `--catalog`
+/// options name.
+///
+/// # Errors
+/// An unknown name, with the valid ones — never a silent default.
+fn cluster_and_catalog(
+    engine: &str,
+    catalog: &str,
+    workers: usize,
+) -> Result<(Cluster, FormatCatalog), String> {
+    let cluster = match engine {
+        "simsql" => Cluster::simsql_like(workers),
+        "pc" | "plinycompute" => Cluster::plinycompute_like(workers),
+        other => return Err(format!("unknown --engine {other:?}; expected simsql|pc")),
+    };
+    let catalog = match catalog {
+        "all" => FormatCatalog::paper_default(),
+        "dense" => FormatCatalog::paper_default().dense_only(),
+        "ssb" => FormatCatalog::single_strip_block(),
+        "sb" => FormatCatalog::single_block(),
+        other => {
+            return Err(format!(
+                "unknown --catalog {other:?}; expected all|dense|ssb|sb"
+            ))
+        }
+    };
+    Ok((cluster, catalog))
 }
 
 /// Workload specs are shared with the serving protocol so a `plan`

@@ -10,7 +10,5 @@
 
 pub mod figures;
 pub mod harness;
-pub mod json;
 
 pub use harness::{cell, format_opt, hms, AutoPlan, Env, FigTable, DEFAULT_BEAM};
-pub use json::Json;

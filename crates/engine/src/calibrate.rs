@@ -16,7 +16,7 @@ use matopt_core::{
     Annotation, Cluster, ComputeGraph, ImplRegistry, MatrixType, NodeId, Op, PhysFormat,
     PlanContext, Transform, VertexChoice,
 };
-use matopt_cost::{sample_residuals, CostKey, CostSample, LearnedCostModel};
+use matopt_cost::{CostKey, CostSample};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
 use matopt_obs::{Obs, Subsystem};
 use std::collections::HashMap;
@@ -119,16 +119,11 @@ fn curated(scale: usize) -> Vec<MicroBench> {
 /// both implementations and transformations.
 ///
 /// `scales` are base matrix edge lengths (e.g. `[128, 256, 384]`);
-/// `seed` fixes the generated payloads.
-pub fn collect_samples(scales: &[usize], seed: u64, cluster: &Cluster) -> Vec<CostSample> {
-    collect_samples_traced(scales, seed, cluster, &Obs::disabled())
-}
-
-/// [`collect_samples`] with observability: wraps the suite in a
-/// `calibrate` span and each scale in a `calibration_scale` span, and
-/// emits one `calib_sample` record per measurement, all under
-/// [`Subsystem::Calibration`].
-pub fn collect_samples_traced(
+/// `seed` fixes the generated payloads. Under [`Subsystem::Calibration`]
+/// the suite is wrapped in a `calibrate` span, each scale in a
+/// `calibration_scale` span, and every measurement emits one
+/// `calib_sample` record.
+pub fn collect_samples(
     scales: &[usize],
     seed: u64,
     cluster: &Cluster,
@@ -262,47 +257,6 @@ pub fn collect_samples_traced(
         }
     }
     samples
-}
-
-/// Fits the learned cost model from calibration samples and emits one
-/// `fit_residual` record per sample ([`Subsystem::Calibration`]):
-/// predicted vs observed seconds of the freshly fitted model on its own
-/// training data, plus a closing `fit_summary` record with the mean
-/// relative error. This is the installation-time answer to "how good is
-/// the regression?".
-///
-/// # Panics
-/// Panics when `samples` is empty (same contract as
-/// [`LearnedCostModel::fit`]).
-pub fn fit_model_traced(samples: &[CostSample], cluster: &Cluster, obs: &Obs) -> LearnedCostModel {
-    let _fit = obs.span_with(Subsystem::Calibration, "fit", || {
-        vec![("samples", samples.len().into())]
-    });
-    let model = LearnedCostModel::fit(samples);
-    if obs.enabled() {
-        let residuals = sample_residuals(&model, samples, cluster);
-        for r in &residuals {
-            obs.record(Subsystem::Calibration, "fit_residual", || {
-                vec![
-                    ("key", format!("{:?}", r.key).into()),
-                    ("predicted", r.predicted.into()),
-                    ("observed", r.observed.into()),
-                    ("rel_error", r.rel_error().into()),
-                ]
-            });
-        }
-        obs.record(Subsystem::Calibration, "fit_summary", || {
-            vec![
-                ("samples", samples.len().into()),
-                ("specialized_models", model.specialized_models().into()),
-                (
-                    "mean_rel_error",
-                    matopt_cost::mean_rel_error(&residuals).into(),
-                ),
-            ]
-        });
-    }
-    model
 }
 
 /// Inverse needs a well-conditioned input; everything else takes plain

@@ -47,7 +47,7 @@ pub use adaptive::{
     execute_adaptive, execute_adaptive_planned, AdaptiveConfig, AdaptiveError, AdaptiveOutcome,
     ReplanHook,
 };
-pub use calibrate::{collect_samples, collect_samples_traced, fit_model_traced};
+pub use calibrate::collect_samples;
 pub use exec::{
     execute_plan, execute_plan_serial, execute_plan_with, reference_eval, reference_eval_all,
     ExecOptions, ExecOutcome, GovernorStats, HedgeConfig, HedgeMark, RemoteVertexExec,

@@ -24,11 +24,11 @@
 //!
 //! With a **disabled injector** there is no policy to apply and the
 //! call *is* [`crate::execute_plan_with`]: the fault-free path pays no
-//! per-vertex fault branch (pinned under 2% by the `recovery_overhead`
-//! bench). With a **live injector** vertices run one at a time in id
-//! order on the calling thread, so fault preambles, PRNG draws and
-//! replay happen in one sequence per seed, and "materialized so far"
-//! is simply "lower id".
+//! per-vertex fault branch (pinned under 2% by the `overhead` bench).
+//! With a **live injector** vertices run one at a time in id order on
+//! the calling thread, so fault preambles, PRNG draws and replay happen
+//! in one sequence per seed, and "materialized so far" is simply
+//! "lower id".
 //!
 //! Every fault, retry, and recovery emits a record under
 //! [`Subsystem::Faults`].

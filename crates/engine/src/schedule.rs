@@ -261,28 +261,6 @@ impl SharedGovernor {
             bytes: granted,
         }
     }
-
-    /// [`SharedGovernor::acquire`] that fails immediately instead of
-    /// blocking when less than `min` of the pool is free.
-    #[must_use]
-    pub fn try_acquire(self: &Arc<Self>, want: u64, min: u64) -> Option<GovernorLease> {
-        let min = min.clamp(1, self.budget);
-        let want = want.clamp(min, self.budget);
-        let mut pool = self.pool.lock().expect("shared governor pool");
-        if self.budget - pool.leased < min {
-            return None;
-        }
-        let granted = want.min(self.budget - pool.leased);
-        pool.leased += granted;
-        pool.runs += 1;
-        pool.leases_granted += 1;
-        pool.peak_leased = pool.peak_leased.max(pool.leased);
-        pool.peak_runs = pool.peak_runs.max(pool.runs);
-        Some(GovernorLease {
-            gov: Arc::clone(self),
-            bytes: granted,
-        })
-    }
 }
 
 /// An RAII memory carve-out from a [`SharedGovernor`]: the leased bytes
@@ -298,12 +276,6 @@ impl GovernorLease {
     #[must_use]
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The pool the lease came from.
-    #[must_use]
-    pub fn governor(&self) -> &Arc<SharedGovernor> {
-        &self.gov
     }
 }
 

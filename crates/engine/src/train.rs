@@ -22,8 +22,7 @@
 //! Plan caching is a pure latency optimization: an uncached run re-runs
 //! the (deterministic) optimizer on the identical corrected graph every
 //! epoch and therefore executes the identical annotation, so cached and
-//! uncached loss trajectories are *bit-exact* (asserted in tests and
-//! `bench_pr10`).
+//! uncached loss trajectories are *bit-exact* (asserted in tests).
 //!
 //! Checkpoints serialize the live parameter relations in the spill wire
 //! format ([`crate::encode_relation`]) — the same codec the PR 9 worker

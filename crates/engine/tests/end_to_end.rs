@@ -9,6 +9,7 @@ use matopt_core::{
 use matopt_cost::{AnalyticalCostModel, LearnedCostModel};
 use matopt_engine::{execute_plan, reference_eval, DistRelation};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
+use matopt_obs::Obs;
 use matopt_opt::{frontier_dp, transform_cost, vertex_options, OptContext};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -211,7 +212,8 @@ fn calibration_fits_a_usable_learned_model() {
     // the flops coefficient negative, so allow a bounded re-measure.
     let mut last = (0.0, 0.0);
     for seed in [17, 18, 19] {
-        let samples = matopt_engine::collect_samples(&[32, 48, 64, 96], seed, &cl);
+        let samples =
+            matopt_engine::collect_samples(&[32, 48, 64, 96], seed, &cl, &Obs::disabled());
         assert!(samples.len() > 20, "got {} samples", samples.len());
         let learned = LearnedCostModel::fit(&samples);
         assert!(learned.specialized_models() >= 3);

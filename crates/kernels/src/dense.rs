@@ -85,39 +85,6 @@ fn fmadd(acc: f64, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Which GEMM implementation [`DenseMatrix::matmul`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmMode {
-    /// The packed, register-blocked microkernel (default).
-    Packed,
-    /// The pre-packing cache-blocked i-k-j kernel. Used by benchmarks
-    /// to measure the packed kernel's speedup against the historical
-    /// baseline in the same process.
-    Reference,
-}
-
-static GEMM_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Selects the process-wide GEMM implementation. Intended for
-/// benchmarks and A/B tests; production code leaves the default
-/// ([`GemmMode::Packed`]) in place. The switch is a process global:
-/// concurrent executions that flip it race each other.
-pub fn set_gemm_mode(mode: GemmMode) {
-    let v = match mode {
-        GemmMode::Packed => 0,
-        GemmMode::Reference => 1,
-    };
-    GEMM_MODE.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide GEMM implementation.
-pub fn gemm_mode() -> GemmMode {
-    match GEMM_MODE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => GemmMode::Packed,
-        _ => GemmMode::Reference,
-    }
-}
-
 /// Packs `b` (row-major `k × n`) into column panels of width `NR`:
 /// panel `p` covers columns `p*NR..p*NR+NR` and stores element
 /// `(kk, c)` at `p*k*NR + kk*NR + c`. Columns past `n` are zero, so
@@ -388,10 +355,11 @@ impl DenseMatrix {
     /// Matrix multiply `self × rhs`.
     ///
     /// Products worth packing (no dimension thinner than the 6×8
-    /// register tile, at least ~33³ multiply-adds) go through the packed, register-blocked microkernel
-    /// ([`DenseMatrix::matmul_packed`]); small or degenerate shapes (or
-    /// a [`set_gemm_mode`] pin) fall back to the cache-blocked
-    /// reference kernel ([`DenseMatrix::matmul_reference`]).
+    /// register tile, at least ~33³ multiply-adds) go through the
+    /// packed, register-blocked microkernel
+    /// ([`DenseMatrix::matmul_packed`]); small or degenerate shapes
+    /// fall back to the cache-blocked reference kernel
+    /// ([`DenseMatrix::matmul_reference`]).
     ///
     /// ```
     /// use matopt_kernels::DenseMatrix;
@@ -403,7 +371,7 @@ impl DenseMatrix {
     /// # Panics
     /// Panics when the inner dimensions disagree.
     pub fn matmul(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        if gemm_mode() == GemmMode::Packed && worth_packing(self.rows, self.cols, rhs.cols) {
+        if worth_packing(self.rows, self.cols, rhs.cols) {
             self.matmul_packed(rhs)
         } else {
             self.matmul_reference(rhs)
@@ -798,20 +766,27 @@ mod tests {
     }
 
     #[test]
-    fn matmul_dispatch_respects_gemm_mode_and_size_gate() {
-        // Tiny products route to the reference kernel regardless of
-        // mode; large ones follow the mode switch. Both kernels are
-        // correct, so the observable contract is just that results
-        // agree with the naive oracle under either mode.
-        let a = DenseMatrix::from_fn(40, 40, |r, c| ((r * 5 + c) % 7) as f64 - 3.0);
-        let b = DenseMatrix::from_fn(40, 40, |r, c| ((r * 3 + c * 11) % 5) as f64 - 2.0);
-        let slow = naive_matmul(&a, &b);
-        assert_eq!(gemm_mode(), GemmMode::Packed);
-        assert!(a.matmul(&b).approx_eq(&slow, 1e-12));
-        set_gemm_mode(GemmMode::Reference);
-        assert_eq!(gemm_mode(), GemmMode::Reference);
-        assert!(a.matmul(&b).approx_eq(&slow, 1e-12));
-        set_gemm_mode(GemmMode::Packed);
+    fn matmul_dispatch_follows_the_size_gate() {
+        // Thin or tiny products are the reference kernel, everything
+        // else the packed one — bit for bit, so the gate is observable
+        // — and either way the result agrees with the naive oracle.
+        for (m, k, n, packed) in [
+            (4, 40, 40, false),
+            (40, 40, 5, false),
+            (16, 16, 16, false),
+            (40, 40, 40, true),
+        ] {
+            assert_eq!(worth_packing(m, k, n), packed, "{m}x{k}x{n}");
+            let a = DenseMatrix::from_fn(m, k, |r, c| ((r * 5 + c) % 7) as f64 / 3.0 - 1.0);
+            let b = DenseMatrix::from_fn(k, n, |r, c| ((r * 3 + c * 11) % 5) as f64 / 7.0 - 0.3);
+            let gated = if packed {
+                a.matmul_packed(&b)
+            } else {
+                a.matmul_reference(&b)
+            };
+            assert_eq!(a.matmul(&b).data(), gated.data(), "{m}x{k}x{n}");
+            assert!(gated.approx_eq(&naive_matmul(&a, &b), 1e-12));
+        }
     }
 
     #[test]

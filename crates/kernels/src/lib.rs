@@ -30,7 +30,7 @@ mod random;
 mod solve;
 mod sparse;
 
-pub use dense::{gemm_mode, set_gemm_mode, DenseMatrix, GemmMode};
+pub use dense::DenseMatrix;
 pub use random::{random_dense_normal, random_sparse_csr, seeded_rng};
 pub use solve::{lu_factor, lu_solve, LuError, LuFactors};
 pub use sparse::{CooMatrix, CsrMatrix};

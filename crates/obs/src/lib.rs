@@ -503,13 +503,6 @@ pub struct Span {
     live: Option<LiveSpan>,
 }
 
-impl Span {
-    /// True when this guard will emit an end event.
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(live) = self.live.take() {

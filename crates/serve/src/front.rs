@@ -35,7 +35,7 @@
 //!   See the `breaker` module docs for the state machine.
 //!
 //! With [`TenancyConfig::disabled`] the quota/WFQ layers short-circuit
-//! to a handful of branch checks: the `tenancy_overhead` bench gates
+//! to a handful of branch checks: the `overhead` bench gates
 //! that disabled path at < 2% over calling the executor directly.
 
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerStats, CircuitBreaker};

@@ -378,7 +378,7 @@ impl PlanService {
             // request pays the optimizer, with no coalescing to hide
             // behind. Nothing consumes a fingerprint on this path and
             // canonicalization is not free, so none is computed: the
-            // serve_overhead bench gates this path at < 2% over calling
+            // `overhead` bench gates this path at < 2% over calling
             // the optimizer directly.
             let result = self.optimize(graph).map(|plan| (plan, PlanSource::Miss));
             (Fingerprint(0), result)

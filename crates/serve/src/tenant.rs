@@ -9,7 +9,7 @@
 //!
 //! Tenancy can be disabled wholesale ([`TenancyConfig::disabled`]):
 //! the front door then skips quota checks, fair queueing, and
-//! per-tenant accounting, and the `tenancy_overhead` bench gates that
+//! per-tenant accounting, and the `overhead` bench gates that
 //! disabled path at < 2% over calling the executor directly.
 
 use matopt_obs::HistogramSnapshot;
@@ -29,9 +29,6 @@ pub struct TenantConfig {
     /// its queue twice as fast as a tenant with weight 1 under
     /// contention. Minimum 1.
     pub weight: u32,
-    /// Latency SLO in milliseconds (reported in stats and asserted by
-    /// the soak bench; the front door itself does not enforce it).
-    pub slo_ms: Option<u64>,
 }
 
 impl Default for TenantConfig {
@@ -40,7 +37,6 @@ impl Default for TenantConfig {
             max_inflight: 64,
             mem_bytes: None,
             weight: 1,
-            slo_ms: None,
         }
     }
 }
@@ -126,29 +122,6 @@ pub struct TenantStats {
     pub inflight: usize,
     /// End-to-end latency distribution (microseconds).
     pub latency_us: HistogramSnapshot,
-}
-
-impl TenantStats {
-    /// The latency quantile `q` in microseconds (0 with no samples).
-    #[must_use]
-    pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        if self.latency_us.count() == 0 {
-            0
-        } else {
-            self.latency_us.quantile(q)
-        }
-    }
-
-    /// Whether the tenant's p99 met its SLO (`None` when no SLO or no
-    /// samples).
-    #[must_use]
-    pub fn slo_met(&self) -> Option<bool> {
-        let slo = self.config.slo_ms?;
-        if self.latency_us.count() == 0 {
-            return None;
-        }
-        Some(self.latency_quantile_us(0.99) <= slo.saturating_mul(1000))
-    }
 }
 
 #[cfg(test)]

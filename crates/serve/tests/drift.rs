@@ -78,6 +78,10 @@ fn sustained_drift_bumps_epoch_exactly_once_and_forces_a_replan() {
         replanned.plan.cost, planned.plan.cost,
         "same graph, same model: the re-plan is bit-equal in cost"
     );
+    assert_eq!(
+        replanned.plan.annotation, planned.plan.annotation,
+        "re-planning is an optimization event, never a semantic one"
+    );
 
     // The drift event is visible in the metrics registry and the event
     // stream.

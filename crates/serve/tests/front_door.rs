@@ -3,7 +3,7 @@
 
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind};
 use matopt_cost::AnalyticalCostModel;
-use matopt_engine::DistRelation;
+use matopt_engine::{DistRelation, FaultInjector, FtConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_serve::{
     BreakerConfig, BreakerState, ExecRequest, FrontDoor, FrontDoorConfig, PlanService, ServeConfig,
@@ -405,4 +405,178 @@ fn disabled_tenancy_serves_without_bookkeeping() {
         "disabled tenancy keeps no per-tenant state"
     );
     assert_eq!(front.stats().exec_ok, 1);
+}
+
+/// The server's per-tenant books against what the clients saw: every
+/// issued request lands in exactly one tally bucket on both sides, a
+/// tenant flooding past its quota is rejected in its own books only,
+/// and nothing is left in flight.
+#[test]
+fn tenant_books_reconcile_with_client_tallies_under_a_quota_flood() {
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 40;
+    const HOG: &str = "hog";
+    let tenancy = TenancyConfig::default().tenant(
+        HOG,
+        TenantConfig {
+            max_inflight: 1,
+            ..TenantConfig::default()
+        },
+    );
+    let front = FrontDoor::new(
+        service(),
+        FrontDoorConfig {
+            tenancy,
+            ..FrontDoorConfig::default()
+        },
+    );
+    let workloads: Vec<_> = (0..4u64)
+        .map(|i| workload(&format!("ffnn-small:{}", 8 + 2 * i), 0x5EED + i))
+        .collect();
+    // Per client: [ok, quota-rejected, shed].
+    let barrier = Barrier::new(CLIENTS);
+    let tallies: Vec<[u64; 3]> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (front, workloads, barrier) = (&front, &workloads, &barrier);
+                scope.spawn(move || {
+                    // Half the clients speak for the hog and race for its
+                    // one slot; the rest are one well-behaved tenant each.
+                    let tenant = if client < CLIENTS / 2 {
+                        HOG.to_string()
+                    } else {
+                        format!("tenant-{client}")
+                    };
+                    let mut tally = [0u64; 3];
+                    barrier.wait();
+                    for i in 0..PER_CLIENT {
+                        let (graph, inputs) = &workloads[(client + i) % workloads.len()];
+                        let outcome = if i % 4 == 0 {
+                            // Unbatchable (unique key); the hog's are also
+                            // impatient, so some are shed from the queue.
+                            front
+                                .execute(&ExecRequest {
+                                    tenant: &tenant,
+                                    graph,
+                                    inputs,
+                                    input_key: (client * PER_CLIENT + i) as u64,
+                                    deadline: (tenant == HOG)
+                                        .then(|| Instant::now() + Duration::from_millis(2)),
+                                })
+                                .map(|_| ())
+                        } else {
+                            front.plan(&tenant, graph).map(|_| ())
+                        };
+                        tally[match outcome {
+                            Ok(()) => 0,
+                            Err(ServeError::QuotaExceeded { .. }) => 1,
+                            Err(ServeError::DeadlineExceeded) => 2,
+                            Err(other) => panic!("{tenant}: unexpected {other:?}"),
+                        }] += 1;
+                    }
+                    tally
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let [ok, quota, shed] = [0, 1, 2].map(|i| tallies.iter().map(|t| t[i]).sum::<u64>());
+    assert_eq!(
+        ok + quota + shed,
+        (CLIENTS * PER_CLIENT) as u64,
+        "every request is answered exactly once"
+    );
+
+    let tenants = front.tenant_stats();
+    assert_eq!(tenants.len(), CLIENTS / 2 + 1);
+    for t in &tenants {
+        assert_eq!(t.inflight, 0, "{} still has work in flight", t.name);
+        assert_eq!(t.errors, 0, "{} saw execution errors", t.name);
+        assert_eq!(
+            t.requests,
+            t.ok + t.shed,
+            "{}: admitted work settles as ok or shed",
+            t.name
+        );
+        if t.name != HOG {
+            assert_eq!(t.requests, PER_CLIENT as u64, "{}", t.name);
+            assert_eq!(t.quota_rejects, 0, "{} paid for the hog", t.name);
+        }
+    }
+    let sum = |f: fn(&matopt_serve::TenantStats) -> u64| tenants.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|t| t.ok), ok);
+    assert_eq!(sum(|t| t.quota_rejects), quota);
+    assert_eq!(sum(|t| t.shed), shed);
+    assert!(quota > 0, "four clients on a quota of one must collide");
+}
+
+/// Recoveries — not just failed runs — feed the breaker: a seeded fault
+/// storm trips it exactly once, every fault-injected, degraded and
+/// probe response stays bit-exact, and fault-free probes close it.
+#[test]
+fn recovery_storm_trips_the_breaker_once_and_every_answer_stays_bit_exact() {
+    let svc = service();
+    let front = FrontDoor::new(
+        Arc::clone(&svc),
+        FrontDoorConfig {
+            breaker: BreakerConfig {
+                trip_threshold: 6,
+                cooldown: Duration::from_millis(20),
+                probe_successes: 2,
+                ..BreakerConfig::default()
+            },
+            ..FrontDoorConfig::default()
+        },
+    );
+    let (graph, inputs) = workload("ffnn-small:16", 0x5707);
+    let steps = graph
+        .iter()
+        .filter(|(_, n)| !matches!(n.kind, NodeKind::Source { .. }))
+        .count();
+    let planned = svc.plan(&graph).expect("plan");
+    let reference = svc.execute(&graph, &planned, &inputs).expect("reference");
+    let request = || ExecRequest {
+        tenant: "storm",
+        graph: &graph,
+        inputs: &inputs,
+        input_key: 1,
+        deadline: None,
+    };
+    let bit_exact = |resp: &matopt_serve::ExecResponse, what: &str| {
+        assert_eq!(reference.sinks.len(), resp.outcome.sinks.len());
+        for (sink, rel) in &reference.sinks {
+            assert_eq!(&resp.outcome.sinks[sink], rel, "{what}: sink {sink}");
+        }
+    };
+
+    let mut recoveries = 0u64;
+    for i in 0..64u64 {
+        let injector = FaultInjector::random(0xF00D + i, steps, 3, 2);
+        let resp = front
+            .execute_with_faults(&request(), injector, &FtConfig::default())
+            .expect("fault-injected execution recovers");
+        recoveries += u64::from(resp.recoveries);
+        bit_exact(&resp, "fault-injected run");
+        if front.stats().breaker.trips > 0 {
+            break;
+        }
+    }
+    assert!(recoveries > 0, "the storm injected no recoverable faults");
+    assert_eq!(front.stats().breaker.trips, 1, "the storm trips it once");
+
+    let degraded = front.execute(&request()).expect("degraded service");
+    assert!(degraded.degraded, "open breaker must degrade, not fail");
+    bit_exact(&degraded, "degraded run");
+
+    std::thread::sleep(Duration::from_millis(25));
+    for probe in 0.. {
+        if front.stats().breaker_state == BreakerState::Closed {
+            break;
+        }
+        assert!(probe < 10, "breaker failed to close after {probe} probes");
+        bit_exact(&front.execute(&request()).expect("probe"), "probe run");
+    }
+    let stats = front.stats().breaker;
+    assert_eq!(stats.trips, 1, "recovery must not re-trip");
+    assert_eq!(stats.reopens, 0, "no probe failed");
 }

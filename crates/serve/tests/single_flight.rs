@@ -4,7 +4,10 @@
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry};
 use matopt_cost::AnalyticalCostModel;
-use matopt_obs::{EventKind, MemorySink, Obs, Subsystem};
+use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
+use matopt_obs::{
+    EventKind, HistogramSnapshot, MemorySink, MetricsRegistry, Obs, RingSink, Subsystem,
+};
 use matopt_serve::{PlanService, PlanSource, ServeConfig};
 use std::sync::{Arc, Barrier};
 
@@ -147,4 +150,85 @@ fn invalidation_epochs_force_replans() {
     assert_eq!(c.source, PlanSource::Miss);
     assert_ne!(c.fingerprint, b.fingerprint);
     assert_eq!(service.stats().optimize_runs, 3);
+}
+
+/// A concurrent soak over a repeating workload mix: at least nine in
+/// ten requests are served without an optimizer run, the cache only
+/// ever serves what the optimizer would have produced, and the
+/// wait-free registry counters and latency histograms are the same
+/// events as the service's locked accounting — they agree exactly.
+#[test]
+fn concurrent_soak_serves_the_optimizers_plans_and_the_registry_reconciles() {
+    const CLIENTS: usize = 8;
+    const WORKLOADS: usize = 8;
+    const TOTAL: usize = 256;
+    let graphs: Vec<_> = (0..WORKLOADS)
+        .map(|i| {
+            ffnn_w2_update_graph(FfnnConfig::laptop(8 + 2 * i as u64))
+                .expect("well-typed")
+                .graph
+        })
+        .collect();
+    let uncached = service(
+        &Arc::new(MemorySink::new()),
+        ServeConfig {
+            cache_enabled: false,
+            ..ServeConfig::default()
+        },
+    );
+    let direct: Vec<_> = graphs
+        .iter()
+        .map(|g| uncached.plan(g).expect("optimizer plans").plan)
+        .collect();
+
+    let service = PlanService::with_obs(
+        ImplRegistry::paper_default(),
+        FormatCatalog::paper_default(),
+        Cluster::simsql_like(4),
+        Box::new(AnalyticalCostModel),
+        ServeConfig::default(),
+        Obs::with_metrics(Arc::new(RingSink::new(4096)), MetricsRegistry::new()),
+    );
+    let barrier = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (service, graphs, direct, barrier) = (&service, &graphs, &direct, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for i in (client..TOTAL).step_by(CLIENTS) {
+                    let w = i % WORKLOADS;
+                    let served = service.plan(&graphs[w]).expect("no request may error");
+                    assert_eq!(served.plan.cost.to_bits(), direct[w].cost.to_bits());
+                    assert_eq!(served.plan.annotation, direct[w].annotation);
+                }
+            });
+        }
+    });
+
+    let stats = service.stats();
+    assert_eq!(stats.requests, TOTAL as u64);
+    assert_eq!(stats.hits + stats.misses + stats.coalesced, TOTAL as u64);
+    assert_eq!(stats.optimize_runs, stats.misses, "only a miss optimizes");
+    assert!(stats.misses >= WORKLOADS as u64);
+    // Only the first request per workload has to miss (a request that
+    // checked the cache just before its leader published may lead a
+    // second run; it is rare, so the bound is the serving contract's).
+    assert!(
+        (stats.hits + stats.coalesced) as f64 >= 0.9 * TOTAL as f64,
+        "{stats:?}"
+    );
+
+    let snap = service.metrics_snapshot().expect("metrics enabled");
+    let counter = |name: &str| snap.counter(Subsystem::Serve, name).unwrap_or(0);
+    assert_eq!(counter("requests"), stats.requests);
+    assert_eq!(counter("hits"), stats.hits);
+    assert_eq!(counter("misses"), stats.misses);
+    assert_eq!(counter("coalesced"), stats.coalesced);
+    let mut timed = HistogramSnapshot::default();
+    for name in ["latency_hit_us", "latency_miss_us", "latency_coalesced_us"] {
+        if let Some(h) = snap.histogram(Subsystem::Serve, name) {
+            timed.merge(h);
+        }
+    }
+    assert_eq!(timed.count(), TOTAL as u64, "every request is timed");
 }

@@ -537,16 +537,6 @@ impl WorkerFleet {
         }
     }
 
-    /// Chaos hook: SIGKILL worker `worker` right now.
-    pub fn kill_worker(&self, worker: u32) {
-        if let Some(slot) = self.slots.get(worker as usize) {
-            let mut s = slot.lock().expect("slot");
-            if s.child.is_some() {
-                self.declare_dead(worker, &mut s);
-            }
-        }
-    }
-
     /// Chaos hook: SIGKILL worker `worker` immediately after it receives
     /// its `nth` further task dispatch (0 = the very next one) — after
     /// the task is written, so the kill lands mid-execution or, with a

@@ -9,7 +9,7 @@
 //! error the fleet treats as worker death.
 
 use matopt_core::{
-    format_from_words, format_words, op_from_words, op_to_words, Frame, MatrixType, Op, PhysFormat,
+    format_from_words, format_words, op_from_words, op_to_words, MatrixType, Op, PhysFormat,
 };
 use matopt_engine::DistRelation;
 
@@ -369,12 +369,6 @@ pub fn decode_task_err(body: &[u64]) -> Result<(u64, String), String> {
         .map_err(|_| "error message is not UTF-8".to_string())?;
     r.finish()?;
     Ok((seq, msg))
-}
-
-/// Convenience: does this frame carry the given tag?
-#[must_use]
-pub fn is_tag(frame: &Frame, tag: u64) -> bool {
-    frame.tag == tag
 }
 
 #[cfg(test)]

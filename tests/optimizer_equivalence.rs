@@ -172,3 +172,103 @@ fn planning_is_deterministic_at_paper_scale() {
         }
     }
 }
+
+/// Planning forward and backward as one graph never loses to planning
+/// them apart. "Apart" is what a system without joint planning does:
+/// the forward prefix optimized alone, then the tape optimized with
+/// every forward vertex it consumes arriving as a source fixed in the
+/// format the forward-only plan chose. The joint plan sees the gradient
+/// consumers when it picks those boundary formats, so per scale it may
+/// tie but not cost more, and over the scales it is strictly cheaper.
+#[test]
+fn joint_training_plan_never_costs_more_than_forward_plus_backward() {
+    use matopt_core::{DiffRole, NodeKind};
+    use matopt_graphs::{ffnn_training_graph, FfnnConfig};
+    use std::collections::HashMap;
+
+    const BEAM: usize = 200;
+    let reg = ImplRegistry::extended();
+    let model = AnalyticalCostModel;
+    let laptop = FormatCatalog::new(vec![
+        PhysFormat::SingleTuple,
+        PhysFormat::Tile { side: 16 },
+        PhysFormat::RowStrip { height: 16 },
+    ]);
+    let paper = FormatCatalog::paper_default().dense_only();
+    let (mut total_joint, mut total_separate) = (0.0, 0.0);
+    for (cfg, workers, cat) in [
+        (FfnnConfig::laptop(16), 4, &laptop),
+        (FfnnConfig::laptop(32), 4, &laptop),
+        (FfnnConfig::simsql_experiment(40), 10, &paper),
+    ] {
+        let ctx = PlanContext::new(&reg, Cluster::simsql_like(workers));
+        let octx = OptContext::new(&ctx, cat, &model);
+        let t = ffnn_training_graph(cfg).unwrap();
+        let joint = frontier_dp_beam(&t.graph, &octx, BEAM).unwrap().cost;
+
+        // Autodiff appends the tape after the forward pass: roles are a
+        // Forward|Shared prefix of length k, then Backward only.
+        let k = t
+            .roles
+            .iter()
+            .position(|r| *r == DiffRole::Backward)
+            .unwrap();
+        assert!(t.roles[k..].iter().all(|r| *r == DiffRole::Backward));
+
+        let mut fwd = ComputeGraph::new();
+        for (_, node) in t.graph.iter().take(k) {
+            match &node.kind {
+                NodeKind::Source { format } => {
+                    fwd.add_source_named(node.mtype, *format, node.name.as_deref());
+                }
+                NodeKind::Compute { .. } => {
+                    fwd.add_op_named(node.op().unwrap(), &node.inputs, node.name.as_deref())
+                        .unwrap();
+                }
+            }
+        }
+        let fwd_plan = frontier_dp_beam(&fwd, &octx, BEAM).unwrap();
+
+        let mut bwd = ComputeGraph::new();
+        let mut map: HashMap<NodeId, NodeId> = HashMap::new();
+        for (id, node) in t.graph.iter().skip(k) {
+            let inputs: Vec<NodeId> = node
+                .inputs
+                .iter()
+                .map(|input| {
+                    *map.entry(*input).or_insert_with(|| {
+                        assert!(input.index() < k, "only boundary vertices are unmapped");
+                        let src = t.graph.node(*input);
+                        let format = match src.kind {
+                            NodeKind::Source { format } => format,
+                            NodeKind::Compute { .. } => {
+                                fwd_plan.annotation.choices[input.index()]
+                                    .as_ref()
+                                    .unwrap()
+                                    .output_format
+                            }
+                        };
+                        bwd.add_source_named(src.mtype, format, src.name.as_deref())
+                    })
+                })
+                .collect();
+            let mapped = bwd
+                .add_op_named(node.op().unwrap(), &inputs, node.name.as_deref())
+                .unwrap();
+            map.insert(id, mapped);
+        }
+        let separate = fwd_plan.cost + frontier_dp_beam(&bwd, &octx, BEAM).unwrap().cost;
+
+        assert!(
+            joint <= separate * (1.0 + 1e-9),
+            "hidden {}: joint {joint} vs separate {separate}",
+            cfg.hidden
+        );
+        total_joint += joint;
+        total_separate += separate;
+    }
+    assert!(
+        total_joint < total_separate,
+        "joint {total_joint} vs separate {total_separate}"
+    );
+}
