@@ -160,8 +160,8 @@
 
 use matopt_bench::{AutoPlan, Env, DEFAULT_BEAM};
 use matopt_core::{
-    training_to_dot, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind,
-    PhysFormat, PlanContext, RecoveryPolicy,
+    training_to_dot, write_atomic, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId,
+    NodeKind, PhysFormat, PlanContext, RecoveryPolicy,
 };
 use matopt_cost::{AnalyticalCostModel, CurveCostModel, ThroughputCurve};
 use matopt_engine::{
@@ -176,7 +176,7 @@ use matopt_obs::{export, MemorySink, MetricsRegistry, Obs, RingSink};
 use matopt_serve::{serve_lines_concurrent_session, PlanService, ServeConfig, ServeSession};
 use matopt_worker::{
     default_worker_bin, derive_schedule, install_termination_handler, run_schedule,
-    termination_requested, FleetConfig, WorkerFleet,
+    termination_requested, FleetConfig, FleetError, WorkerFleet,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -193,33 +193,123 @@ const SERVE_RING_CAPACITY: usize = 8192;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("formats") => cmd_formats(),
-        Some("impls") => cmd_impls(),
-        Some("plan") => cmd_plan(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("tune") => cmd_tune(&args[1..]),
-        Some("fleet-chaos") => cmd_fleet_chaos(&args[1..]),
+    let (cmd, rest) = args.split_first().map_or(("", &[][..]), |(c, r)| (c, r));
+    let run = match cmd {
+        "formats" => cmd_formats(),
+        "impls" => cmd_impls(),
+        "plan" => cmd_plan(rest),
+        "train" => cmd_train(rest),
+        "serve" => cmd_serve(rest),
+        "stats" => cmd_stats(rest),
+        "tune" => cmd_tune(rest),
+        "fleet-chaos" => cmd_fleet_chaos(rest),
         _ => {
             eprintln!(
                 "usage: matopt <formats|impls|plan|train|serve|stats|tune|fleet-chaos> ...  (see --help in the source header)"
             );
-            2
+            Ok(2)
         }
     };
-    std::process::exit(code);
+    std::process::exit(run.unwrap_or_else(|Exit(code, problem)| {
+        eprintln!("{cmd}: {problem}");
+        code
+    }));
 }
 
-fn cmd_formats() -> i32 {
+/// How a subcommand fails: the exit code, and the message `main` prints
+/// to stderr after the subcommand's name.
+struct Exit(i32, String);
+
+/// Exit 2: the command line is wrong.
+fn usage(problem: impl std::fmt::Display) -> Exit {
+    Exit(2, problem.to_string())
+}
+
+/// Exit 1: the command line was fine and the run failed.
+fn failed(problem: impl std::fmt::Display) -> Exit {
+    Exit(1, problem.to_string())
+}
+
+/// One subcommand's options. Each `flag` / `value*` call takes its
+/// option (every occurrence; the last value wins) out of the argument
+/// list; `finish` then reports the first value that did not parse, or
+/// the first argument no call claimed, as a [`usage`] error.
+struct Opts<'a> {
+    args: Vec<&'a str>,
+    error: Option<String>,
+}
+
+impl<'a> Opts<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Opts {
+            args: args.iter().map(String::as_str).collect(),
+            error: None,
+        }
+    }
+
+    /// `true` when the valueless option `name` was given.
+    fn flag(&mut self, name: &str) -> bool {
+        let before = self.args.len();
+        self.args.retain(|a| *a != name);
+        self.args.len() != before
+    }
+
+    /// The value following `name`, through `parse`; a missing or
+    /// unparsable one is the error `"<name> expects <what>"`.
+    fn value_with<T>(
+        &mut self,
+        name: &str,
+        what: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Option<T> {
+        let mut last = None;
+        while let Some(i) = self.args.iter().position(|a| *a == name) {
+            self.args.remove(i);
+            last = (i < self.args.len())
+                .then(|| self.args.remove(i))
+                .and_then(&parse);
+            if last.is_none() {
+                self.error
+                    .get_or_insert_with(|| format!("{name} expects {what}"));
+            }
+        }
+        last
+    }
+
+    fn value<T: std::str::FromStr>(&mut self, name: &str, what: &str) -> Option<T> {
+        self.value_with(name, what, |s| s.parse().ok())
+    }
+
+    /// [`Opts::value`] that also rejects values failing `accept`.
+    fn value_where<T: std::str::FromStr>(
+        &mut self,
+        name: &str,
+        what: &str,
+        accept: impl Fn(&T) -> bool,
+    ) -> Option<T> {
+        self.value_with(name, what, |s| s.parse().ok().filter(&accept))
+    }
+
+    fn finish(self) -> Result<(), Exit> {
+        let unknown = || Some(format!("unknown option {}", self.args.first()?));
+        self.error
+            .or_else(unknown)
+            .map_or(Ok(()), |p| Err(usage(p)))
+    }
+}
+
+/// What `--engine` and `--catalog` accept ([`cluster_and_catalog`]).
+const ENGINES: &str = "simsql|pc";
+const CATALOGS: &str = "all|dense|ssb|sb";
+
+fn cmd_formats() -> Result<i32, Exit> {
     let catalog = FormatCatalog::paper_default();
     println!("the {}-format catalog:", catalog.len());
     for f in catalog.formats() {
         let class = if f.is_sparse() { "sparse" } else { "dense" };
         println!("  {:<16} {class}", f.to_string());
     }
-    0
+    Ok(0)
 }
 
 /// The CLI's experiment environment: the paper's 38 implementations
@@ -237,208 +327,74 @@ fn cli_env() -> Env<CurveCostModel> {
 
 /// `--tune-dir` for `plan` and `serve` alike: the cost model over the
 /// measured curve in `<dir>/kernels.tune`, announced on stderr. A
-/// missing or damaged file, or one the retired autotuner wrote, is exit
-/// code 1 with the path in the message.
-fn load_curve_model(cmd: &str, dir: &str) -> Result<CurveCostModel, i32> {
-    match ThroughputCurve::load(Path::new(dir)) {
-        Ok(curve) => {
-            eprintln!(
-                "cost model: measured curve ({} points, peak {:.1} GF/s)",
-                curve.points().len(),
-                curve.peak_gflops()
-            );
-            Ok(CurveCostModel::new(curve))
-        }
-        Err(e) => {
-            eprintln!("{cmd}: --tune-dir: {e}");
-            Err(1)
-        }
-    }
+/// missing or damaged file, or one in an earlier format, is exit code 1
+/// with the path in the message.
+fn load_curve_model(dir: &str) -> Result<CurveCostModel, Exit> {
+    let curve =
+        ThroughputCurve::load(Path::new(dir)).map_err(|e| failed(format!("--tune-dir: {e}")))?;
+    eprintln!(
+        "cost model: measured curve ({} points, peak {:.1} GF/s)",
+        curve.points().len(),
+        curve.peak_gflops()
+    );
+    Ok(CurveCostModel::new(curve))
 }
 
-fn cmd_impls() -> i32 {
+fn cmd_impls() -> Result<i32, Exit> {
     let env = cli_env();
     println!("{} atomic computation implementations:", env.registry.len());
     for i in env.registry.all() {
         println!("  {:<28} {:?} [{:?}]", i.name, i.op, i.strategy);
     }
-    0
+    Ok(0)
 }
 
-fn cmd_plan(args: &[String]) -> i32 {
-    let Some(workload) = args.first() else {
-        eprintln!("plan: missing workload");
-        return 2;
-    };
-    let mut workers = 10usize;
-    let mut engine = "simsql".to_string();
-    let mut catalog_name = "dense".to_string();
-    let mut explain = false;
-    let mut analyze = false;
-    let mut trace_out: Option<String> = None;
-    let mut sql = false;
-    let mut dot = false;
-    let mut inject: Option<String> = None;
-    let mut fault_seed = 42u64;
-    let mut recovery = RecoveryPolicy::default();
-    let mut crash_rate = 0.0f64;
-    let mut straggler_rate = 0.0f64;
-    let mut mem_budget: Option<u64> = None;
-    let mut hedge: Option<f64> = None;
-    let mut worker_procs: Option<u32> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut tune_dir: Option<String> = None;
-    let mut metrics_dump: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(10);
-            }
-            "--engine" => {
-                i += 1;
-                engine = args.get(i).cloned().unwrap_or_default();
-            }
-            "--catalog" => {
-                i += 1;
-                catalog_name = args.get(i).cloned().unwrap_or_default();
-            }
-            "--explain" => explain = true,
-            "--analyze" => analyze = true,
-            "--trace-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => trace_out = Some(p.clone()),
-                    None => {
-                        eprintln!("plan: --trace-out expects a path");
-                        return 2;
-                    }
-                }
-            }
-            "--sql" => sql = true,
-            "--dot" => dot = true,
-            "--inject" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => inject = Some(s.clone()),
-                    None => {
-                        eprintln!("plan: --inject expects a fault spec, e.g. crash@3");
-                        return 2;
-                    }
-                }
-            }
-            "--fault-seed" => {
-                i += 1;
-                fault_seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
-            "--recovery" => {
-                i += 1;
-                match args.get(i).map(|s| s.parse::<RecoveryPolicy>()) {
-                    Some(Ok(p)) => recovery = p,
-                    _ => {
-                        eprintln!("plan: --recovery expects restart|checkpoint|lineage");
-                        return 2;
-                    }
-                }
-            }
-            "--crash-rate" => {
-                i += 1;
-                crash_rate = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0.0);
-            }
-            "--straggler-rate" => {
-                i += 1;
-                straggler_rate = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0.0);
-            }
-            "--mem-budget" => {
-                i += 1;
-                match args.get(i).map(|s| matopt_core::parse_byte_size(s)) {
-                    Some(Ok(b)) => mem_budget = Some(b),
-                    Some(Err(e)) => {
-                        eprintln!("plan: --mem-budget: {e}");
-                        return 2;
-                    }
-                    None => {
-                        eprintln!("plan: --mem-budget expects a size, e.g. 512M");
-                        return 2;
-                    }
-                }
-            }
-            "--hedge" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(f) if f.is_finite() && f > 1.0 => hedge = Some(f),
-                    _ => {
-                        eprintln!("plan: --hedge expects a finite factor > 1, e.g. 3.0");
-                        return 2;
-                    }
-                }
-            }
-            "--worker-procs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) if n >= 1 => worker_procs = Some(n),
-                    _ => {
-                        eprintln!("plan: --worker-procs expects a process count >= 1");
-                        return 2;
-                    }
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cache_dir = Some(p.clone()),
-                    None => {
-                        eprintln!("plan: --cache-dir expects a directory path");
-                        return 2;
-                    }
-                }
-            }
-            "--tune-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => tune_dir = Some(p.clone()),
-                    None => {
-                        eprintln!("plan: --tune-dir expects a directory path");
-                        return 2;
-                    }
-                }
-            }
-            "--metrics-dump" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => metrics_dump = Some(p.clone()),
-                    None => {
-                        eprintln!("plan: --metrics-dump expects a path");
-                        return 2;
-                    }
-                }
-            }
-            other => {
-                eprintln!("plan: unknown option {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
+fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
+    let (workload, options) = args
+        .split_first()
+        .ok_or_else(|| usage("missing workload"))?;
+    let mut o = Opts::new(options);
+    let workers = o.value("--workers", "a worker count").unwrap_or(10usize);
+    let engine = o.value("--engine", ENGINES).unwrap_or("simsql".to_string());
+    let catalog_name = o
+        .value("--catalog", CATALOGS)
+        .unwrap_or("dense".to_string());
+    let explain = o.flag("--explain");
+    let mut analyze = o.flag("--analyze");
+    let trace_out: Option<String> = o.value("--trace-out", "a path");
+    let sql = o.flag("--sql");
+    let dot = o.flag("--dot");
+    let inject: Option<String> = o.value("--inject", "a fault spec, e.g. crash@3");
+    let fault_seed = o.value("--fault-seed", "an integer seed").unwrap_or(42u64);
+    let recovery: RecoveryPolicy = o
+        .value("--recovery", "restart|checkpoint|lineage")
+        .unwrap_or_default();
+    let crash_rate = o
+        .value("--crash-rate", "a rate, e.g. 0.5")
+        .unwrap_or(0.0f64);
+    let straggler_rate = o
+        .value("--straggler-rate", "a fraction, e.g. 0.1")
+        .unwrap_or(0.0f64);
+    let mem_budget: Option<String> = o.value("--mem-budget", "a size, e.g. 512M");
+    let hedge = o.value_where("--hedge", "a finite factor > 1, e.g. 3.0", |f: &f64| {
+        f.is_finite() && *f > 1.0
+    });
+    let worker_procs = o.value_where("--worker-procs", "a process count >= 1", |n: &u32| *n >= 1);
+    let cache_dir: Option<String> = o.value("--cache-dir", "a directory path");
+    let tune_dir: Option<String> = o.value("--tune-dir", "a directory path");
+    let metrics_dump: Option<String> = o.value("--metrics-dump", "a path");
+    o.finish()?;
+    let mem_budget = mem_budget
+        .map(|s| matopt_core::parse_byte_size(&s))
+        .transpose()
+        .map_err(|e| usage(format!("--mem-budget: {e}")))?;
 
-    let (mut cluster, catalog) = match cluster_and_catalog(&engine, &catalog_name, workers) {
-        Ok(pair) => pair,
-        Err(msg) => {
-            eprintln!("plan: {msg}");
-            return 2;
-        }
-    };
+    let (mut cluster, catalog) =
+        cluster_and_catalog(&engine, &catalog_name, workers).map_err(usage)?;
     if crash_rate > 0.0 || straggler_rate > 0.0 {
         cluster = cluster.with_fault_rates(crash_rate, straggler_rate, 4.0);
     }
-    let graph = match build_workload(workload, &cluster) {
-        Ok(g) => g,
-        Err(msg) => {
-            eprintln!("plan: {msg}");
-            return 2;
-        }
-    };
+    let graph = build_workload(workload, &cluster).map_err(usage)?;
 
     // `--inject`, `--mem-budget`, `--hedge` and `--worker-procs` only
     // have an effect on the real executor, so they imply `--analyze`.
@@ -449,16 +405,14 @@ fn cmd_plan(args: &[String]) -> i32 {
     // fault machines; running both at once would blame each other's
     // failures. The fleet soak lives under `matopt fleet-chaos`.
     if worker_procs.is_some() && inject.is_some() {
-        eprintln!("plan: --worker-procs cannot combine with --inject (try matopt fleet-chaos)");
-        return 2;
+        return Err(usage(
+            "--worker-procs cannot combine with --inject (try matopt fleet-chaos)",
+        ));
     }
 
     let mut env = cli_env();
     if let Some(dir) = &tune_dir {
-        match load_curve_model("plan", dir) {
-            Ok(model) => env.model = model,
-            Err(code) => return code,
-        }
+        env.model = load_curve_model(dir)?;
     }
 
     // One in-memory sink feeds every subsystem; `--analyze` without
@@ -474,20 +428,12 @@ fn cmd_plan(args: &[String]) -> i32 {
 
     let ctx = env.ctx(cluster);
     let plan = match &cache_dir {
-        Some(dir) => match plan_with_cache(dir, &graph, cluster, &catalog, &env, obs.clone()) {
-            Ok(p) => p,
-            Err(msg) => {
-                eprintln!("plan: {msg}");
-                return 1;
-            }
-        },
-        None => match env.auto_plan_traced(&graph, cluster, &catalog, obs.clone()) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("plan: optimization failed: {e}");
-                return 1;
-            }
-        },
+        Some(dir) => {
+            plan_with_cache(dir, &graph, cluster, &catalog, &env, obs.clone()).map_err(failed)?
+        }
+        None => env
+            .auto_plan_traced(&graph, cluster, &catalog, obs.clone())
+            .map_err(|e| failed(format!("optimization failed: {e}")))?,
     };
     let outcome = match simulate_plan_traced(&graph, &plan.annotation, &ctx, &env.model, &obs) {
         Ok(report) => report.outcome,
@@ -554,7 +500,7 @@ fn cmd_plan(args: &[String]) -> i32 {
             &obs,
         ) {
             eprintln!("analyze: {msg}");
-            return 1;
+            return Ok(1);
         }
     }
     if sql {
@@ -576,22 +522,14 @@ fn cmd_plan(args: &[String]) -> i32 {
         } else {
             export::chrome_trace_json(&events)
         };
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {} trace events to {path}", events.len()),
-            Err(e) => {
-                eprintln!("plan: cannot write {path}: {e}");
-                return 1;
-            }
-        }
+        std::fs::write(&path, body).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
+        println!("wrote {} trace events to {path}", events.len());
     }
     if let (Some(path), Some(r)) = (&metrics_dump, &registry) {
-        if let Err(msg) = write_metrics_dump(&r.snapshot(), path) {
-            eprintln!("plan: {msg}");
-            return 1;
-        }
+        write_metrics_dump(&r.snapshot(), path).map_err(failed)?;
         println!("wrote metrics snapshot to {path}");
     }
-    0
+    Ok(0)
 }
 
 /// Writes a registry snapshot to `path`: JSON when the path ends
@@ -678,123 +616,56 @@ fn plan_with_cache(
 /// (recalibrating the graph's statistics after the first epoch's
 /// measured sparsities come in, so the cache stays drift-free). Prints
 /// one greppable line per epoch and a monotonicity verdict at the end.
-fn cmd_train(args: &[String]) -> i32 {
-    let Some(workload) = args.first() else {
-        eprintln!("train: missing workload (try ffnn-small:32)");
-        return 2;
-    };
-    let mut epochs = 3usize;
-    let mut lr: Option<f64> = None;
-    let mut workers = 4usize;
-    let mut engine = "simsql".to_string();
-    let mut beam = 300usize;
-    let mut reuse_plans = true;
-    let mut checkpoint: Option<String> = None;
-    let mut dot = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--epochs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => epochs = n,
-                    _ => {
-                        eprintln!("train: --epochs expects a count >= 1");
-                        return 2;
-                    }
-                }
-            }
-            "--lr" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(l) if l.is_finite() && l > 0.0 => lr = Some(l),
-                    _ => {
-                        eprintln!("train: --lr expects a finite rate > 0, e.g. 0.01");
-                        return 2;
-                    }
-                }
-            }
-            "--workers" => {
-                i += 1;
-                workers = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(4);
-            }
-            "--engine" => {
-                i += 1;
-                engine = args.get(i).cloned().unwrap_or_default();
-            }
-            "--beam" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => beam = n,
-                    _ => {
-                        eprintln!("train: --beam expects a width >= 1");
-                        return 2;
-                    }
-                }
-            }
-            "--no-reuse" => reuse_plans = false,
-            "--checkpoint" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => checkpoint = Some(p.clone()),
-                    None => {
-                        eprintln!("train: --checkpoint expects a file path");
-                        return 2;
-                    }
-                }
-            }
-            "--dot" => dot = true,
-            other => {
-                eprintln!("train: unknown option {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
+fn cmd_train(args: &[String]) -> Result<i32, Exit> {
+    let (workload, options) = args
+        .split_first()
+        .ok_or_else(|| usage("missing workload (try ffnn-small:32)"))?;
+    let mut o = Opts::new(options);
+    let epochs = o
+        .value_where("--epochs", "a count >= 1", |n: &usize| *n >= 1)
+        .unwrap_or(3);
+    let lr = o.value_where("--lr", "a finite rate > 0, e.g. 0.01", |l: &f64| {
+        l.is_finite() && *l > 0.0
+    });
+    let workers = o.value("--workers", "a worker count").unwrap_or(4usize);
+    let engine = o.value("--engine", ENGINES).unwrap_or("simsql".to_string());
+    let beam = o
+        .value_where("--beam", "a width >= 1", |n: &usize| *n >= 1)
+        .unwrap_or(300);
+    let reuse_plans = !o.flag("--no-reuse");
+    let checkpoint: Option<String> = o.value("--checkpoint", "a file path");
+    let dot = o.flag("--dot");
+    o.finish()?;
 
     // Training runs the real executor, so only the laptop-scale graph
     // is accepted; `ffnn-small:<h>` and `ffnn-train:<h>` both name it.
     let hidden = match workload.split_once(':') {
-        Some(("ffnn-small" | "ffnn-train", h)) => match h.parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("train: {workload}: hidden size must be an integer >= 1");
-                return 2;
-            }
-        },
+        Some(("ffnn-small" | "ffnn-train", h)) => h
+            .parse::<u64>()
+            .ok()
+            .filter(|n| *n >= 1)
+            .ok_or_else(|| usage(format!("{workload}: hidden size must be an integer >= 1")))?,
         _ => {
-            eprintln!(
-                "train: unsupported workload {workload}; training runs for real and \
+            return Err(usage(format!(
+                "unsupported workload {workload}; training runs for real and \
                  accepts ffnn-small:<hidden> or ffnn-train:<hidden> only"
-            );
-            return 2;
+            )))
         }
     };
     let mut ffnn = FfnnConfig::laptop(hidden);
     if let Some(l) = lr {
         ffnn.learning_rate = l;
     }
-    let t = match ffnn_training_graph(ffnn) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("train: cannot build the training graph: {e}");
-            return 2;
-        }
-    };
+    let t = ffnn_training_graph(ffnn)
+        .map_err(|e| usage(format!("cannot build the training graph: {e}")))?;
     if dot {
         print!("{}", training_to_dot(&t.graph, &t.roles));
-        return 0;
+        return Ok(0);
     }
 
     // The catalog is fixed below (laptop-scale chunkings); only the
     // engine name is the user's to get wrong.
-    let cluster = match cluster_and_catalog(&engine, "dense", workers) {
-        Ok((cluster, _)) => cluster,
-        Err(msg) => {
-            eprintln!("train: {msg}");
-            return 2;
-        }
-    };
+    let (cluster, _) = cluster_and_catalog(&engine, "dense", workers).map_err(usage)?;
     // The loss tape ends in scalar reductions, so planning needs the
     // extended registry (paper's 38 impls + the reduction kernels).
     let registry = ImplRegistry::extended();
@@ -808,13 +679,7 @@ fn cmd_train(args: &[String]) -> i32 {
         PhysFormat::RowStrip { height: 16 },
     ]);
 
-    let inputs = match train_inputs(&t.graph, t.y) {
-        Ok(m) => m,
-        Err(msg) => {
-            eprintln!("train: {msg}");
-            return 1;
-        }
-    };
+    let inputs = train_inputs(&t.graph, t.y).map_err(failed)?;
     let spec = TrainSpec {
         graph: t.graph,
         params: t.weights.iter().chain(t.biases.iter()).copied().collect(),
@@ -838,26 +703,18 @@ fn cmd_train(args: &[String]) -> i32 {
     // `--checkpoint`: resume when the file exists; a corrupt file is an
     // error (resuming from garbage would silently fork the trajectory).
     let resume = match &checkpoint {
-        Some(path) if Path::new(path).exists() => match std::fs::read(path) {
-            Ok(bytes) => match TrainCheckpoint::decode(&bytes) {
-                Ok(ck) => {
-                    println!(
-                        "resuming from {path}: {} epochs already done, last loss {:.9e}",
-                        ck.epoch,
-                        ck.losses.last().copied().unwrap_or(f64::NAN)
-                    );
-                    Some(ck)
-                }
-                Err(e) => {
-                    eprintln!("train: --checkpoint {path}: {e}");
-                    return 1;
-                }
-            },
-            Err(e) => {
-                eprintln!("train: --checkpoint {path}: {e}");
-                return 1;
-            }
-        },
+        Some(path) if Path::new(path).exists() => {
+            let ck = std::fs::read(path)
+                .map_err(|e| e.to_string())
+                .and_then(|bytes| TrainCheckpoint::decode(&bytes).map_err(|e| e.to_string()))
+                .map_err(|e| failed(format!("--checkpoint {path}: {e}")))?;
+            println!(
+                "resuming from {path}: {} epochs already done, last loss {:.9e}",
+                ck.epoch,
+                ck.losses.last().copied().unwrap_or(f64::NAN)
+            );
+            Some(ck)
+        }
         _ => None,
     };
 
@@ -895,7 +752,7 @@ fn cmd_train(args: &[String]) -> i32 {
         }
     };
     let started = std::time::Instant::now();
-    let run = match matopt_engine::train_resumable(
+    let run = matopt_engine::train_resumable(
         &spec,
         &inputs,
         &ctx,
@@ -905,16 +762,10 @@ fn cmd_train(args: &[String]) -> i32 {
         resume.as_ref(),
         Some(&on_epoch),
         None,
-    ) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("train: {e}");
-            return 1;
-        }
-    };
+    )
+    .map_err(failed)?;
     if let Some(e) = ck_error.into_inner() {
-        eprintln!("train: {e}");
-        return 1;
+        return Err(failed(e));
     }
     println!(
         "trained {epochs} epochs in {:.2}s: {} plan hits, {} drift invalidations, \
@@ -926,13 +777,12 @@ fn cmd_train(args: &[String]) -> i32 {
     );
     if run.monotone_non_increasing() {
         println!("train: loss monotone non-increasing over {epochs} epochs");
-        0
+        Ok(0)
     } else {
-        eprintln!(
-            "train: loss INCREASED between epochs: {:?} (try a smaller --lr)",
+        Err(failed(format!(
+            "loss INCREASED between epochs: {:?} (try a smaller --lr)",
             run.losses()
-        );
-        1
+        )))
     }
 }
 
@@ -970,138 +820,43 @@ fn train_inputs(
     Ok(inputs)
 }
 
-/// Writes a checkpoint durably enough for a CLI: temp file in the same
-/// directory, then an atomic rename over the target.
+/// Replaces the checkpoint file atomically, so a kill mid-write leaves
+/// the previous epoch's checkpoint to resume from.
 fn persist_checkpoint(path: &str, ck: &TrainCheckpoint) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, ck.encode()).map_err(|e| format!("--checkpoint {tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("--checkpoint {path}: {e}"))
+    let path = Path::new(path);
+    let problem = |e: &dyn std::fmt::Display| format!("--checkpoint {}: {e}", path.display());
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let name = path
+        .file_name()
+        .and_then(|name| name.to_str())
+        .ok_or_else(|| problem(&"not a file path"))?;
+    write_atomic(dir, name, &ck.encode()).map_err(|e| problem(&e))
 }
 
-fn cmd_serve(args: &[String]) -> i32 {
-    let mut workers = 10usize;
-    let mut engine = "simsql".to_string();
-    let mut catalog_name = "dense".to_string();
-    let mut deadline_ms: Option<u64> = None;
-    let mut max_queue = 64usize;
-    let mut beam = DEFAULT_BEAM;
-    let mut cache_dir: Option<String> = None;
-    let mut tune_dir: Option<String> = None;
-    let mut cache_enabled = true;
-    let mut metrics_dump: Option<String> = None;
-    let mut serve_threads = 1usize;
-    let mut worker_procs: Option<u32> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(10);
-            }
-            "--engine" => {
-                i += 1;
-                engine = args.get(i).cloned().unwrap_or_default();
-            }
-            "--catalog" => {
-                i += 1;
-                catalog_name = args.get(i).cloned().unwrap_or_default();
-            }
-            "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(ms) => deadline_ms = Some(ms),
-                    None => {
-                        eprintln!("serve: --deadline-ms expects milliseconds");
-                        return 2;
-                    }
-                }
-            }
-            "--max-queue" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => max_queue = n,
-                    None => {
-                        eprintln!("serve: --max-queue expects a count");
-                        return 2;
-                    }
-                }
-            }
-            "--beam" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => beam = n,
-                    None => {
-                        eprintln!("serve: --beam expects a width");
-                        return 2;
-                    }
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cache_dir = Some(p.clone()),
-                    None => {
-                        eprintln!("serve: --cache-dir expects a directory path");
-                        return 2;
-                    }
-                }
-            }
-            "--tune-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => tune_dir = Some(p.clone()),
-                    None => {
-                        eprintln!("serve: --tune-dir expects a directory path");
-                        return 2;
-                    }
-                }
-            }
-            "--no-cache" => cache_enabled = false,
-            "--metrics-dump" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => metrics_dump = Some(p.clone()),
-                    None => {
-                        eprintln!("serve: --metrics-dump expects a path");
-                        return 2;
-                    }
-                }
-            }
-            "--serve-threads" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => serve_threads = n,
-                    _ => {
-                        eprintln!("serve: --serve-threads expects a count >= 1");
-                        return 2;
-                    }
-                }
-            }
-            "--worker-procs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) if n >= 1 => worker_procs = Some(n),
-                    _ => {
-                        eprintln!("serve: --worker-procs expects a process count >= 1");
-                        return 2;
-                    }
-                }
-            }
-            other => {
-                eprintln!("serve: unknown option {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
+fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
+    let mut o = Opts::new(args);
+    let workers = o.value("--workers", "a worker count").unwrap_or(10usize);
+    let engine = o.value("--engine", ENGINES).unwrap_or("simsql".to_string());
+    let catalog_name = o
+        .value("--catalog", CATALOGS)
+        .unwrap_or("dense".to_string());
+    let deadline_ms: Option<u64> = o.value("--deadline-ms", "milliseconds");
+    let max_queue = o.value("--max-queue", "a count").unwrap_or(64usize);
+    let beam = o.value("--beam", "a width").unwrap_or(DEFAULT_BEAM);
+    let cache_dir: Option<String> = o.value("--cache-dir", "a directory path");
+    let tune_dir: Option<String> = o.value("--tune-dir", "a directory path");
+    let cache_enabled = !o.flag("--no-cache");
+    let metrics_dump: Option<String> = o.value("--metrics-dump", "a path");
+    let serve_threads = o
+        .value_where("--serve-threads", "a count >= 1", |n: &usize| *n >= 1)
+        .unwrap_or(1);
+    let worker_procs = o.value_where("--worker-procs", "a process count >= 1", |n: &u32| *n >= 1);
+    o.finish()?;
 
-    let (cluster, catalog) = match cluster_and_catalog(&engine, &catalog_name, workers) {
-        Ok(pair) => pair,
-        Err(msg) => {
-            eprintln!("serve: {msg}");
-            return 2;
-        }
-    };
+    let (cluster, catalog) = cluster_and_catalog(&engine, &catalog_name, workers).map_err(usage)?;
     let config = ServeConfig {
         cache_enabled,
         deadline: deadline_ms.map(Duration::from_millis),
@@ -1124,25 +879,19 @@ fn cmd_serve(args: &[String]) -> i32 {
         obs,
     );
     if let Some(dir) = &cache_dir {
-        match service.warm_from_dir(Path::new(dir)) {
-            Ok(report) => eprintln!(
-                "serve: warmed {} cached plans from {dir} ({} corrupt skipped)",
-                report.loaded, report.corrupt
-            ),
-            Err(e) => {
-                eprintln!("serve: --cache-dir {dir}: {e}");
-                return 1;
-            }
-        }
+        let report = service
+            .warm_from_dir(Path::new(dir))
+            .map_err(|e| failed(format!("--cache-dir {dir}: {e}")))?;
+        eprintln!(
+            "serve: warmed {} cached plans from {dir} ({} corrupt skipped)",
+            report.loaded, report.corrupt
+        );
     }
     // Recalibrate after the cache warm: the swap bumps the plan-cache
     // epoch, so plans warmed under the flat rate are re-costed on
     // demand.
     if let Some(dir) = &tune_dir {
-        match load_curve_model("serve", dir) {
-            Ok(model) => service.recalibrate(Box::new(model)),
-            Err(code) => return code,
-        }
+        service.recalibrate(Box::new(load_curve_model(dir)?));
     }
 
     // `--worker-procs`: a supervised process fleet lives alongside the
@@ -1150,26 +899,12 @@ fn cmd_serve(args: &[String]) -> i32 {
     // metrics registry, so `stats` ops and `--metrics-dump` expose them.
     let fleet = match worker_procs {
         Some(n) => {
-            let fcfg = match FleetConfig::standard(n) {
-                Ok(mut c) => {
-                    c.obs = Some(Arc::clone(&registry));
-                    c
-                }
-                Err(e) => {
-                    eprintln!("serve: --worker-procs: {e}");
-                    return 1;
-                }
-            };
-            match WorkerFleet::spawn(fcfg) {
-                Ok(f) => {
-                    eprintln!("serve: supervising {n} worker processes");
-                    Some(f)
-                }
-                Err(e) => {
-                    eprintln!("serve: --worker-procs: {e}");
-                    return 1;
-                }
-            }
+            let spawn_failed = |e: FleetError| failed(format!("--worker-procs: {e}"));
+            let mut fcfg = FleetConfig::standard(n).map_err(spawn_failed)?;
+            fcfg.obs = Some(Arc::clone(&registry));
+            let fleet = WorkerFleet::spawn(fcfg).map_err(spawn_failed)?;
+            eprintln!("serve: supervising {n} worker processes");
+            Some(fleet)
         }
         None => None,
     };
@@ -1287,7 +1022,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         Err(e) => {
             eprintln!("serve: I/O error: {e}");
             epilogue();
-            return 1;
+            return Ok(1);
         }
     };
     epilogue();
@@ -1315,9 +1050,9 @@ fn cmd_serve(args: &[String]) -> i32 {
     // error responses: the operator asked the session to end and it
     // ended with every response delivered.
     if summary.clean_shutdown {
-        return 0;
+        return Ok(0);
     }
-    i32::from(summary.errors > 0)
+    Ok(i32::from(summary.errors > 0))
 }
 
 /// `matopt fleet-chaos`: the kill harness as an operator command.
@@ -1325,57 +1060,19 @@ fn cmd_serve(args: &[String]) -> i32 {
 /// mid-result-stream, heartbeat mutes), runs each against a real
 /// multi-process fleet, and checks every sink bit-exact against the
 /// serial in-process reference. Exits nonzero on any divergence.
-fn cmd_fleet_chaos(args: &[String]) -> i32 {
-    let mut schedules = 8u64;
-    let mut seed = 0x5eed_0000u64;
-    let mut workers = 4u32;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--schedules" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => schedules = n,
-                    _ => {
-                        eprintln!("fleet-chaos: --schedules expects a count >= 1");
-                        return 2;
-                    }
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| parse_seed(s)) {
-                    Some(s) => seed = s,
-                    None => {
-                        eprintln!("fleet-chaos: --seed expects an integer (0x-prefix ok)");
-                        return 2;
-                    }
-                }
-            }
-            "--workers" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) if n >= 1 => workers = n,
-                    _ => {
-                        eprintln!("fleet-chaos: --workers expects a count >= 1");
-                        return 2;
-                    }
-                }
-            }
-            other => {
-                eprintln!("fleet-chaos: unknown option {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
-    let worker_bin = match default_worker_bin() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fleet-chaos: {e}");
-            return 1;
-        }
-    };
+fn cmd_fleet_chaos(args: &[String]) -> Result<i32, Exit> {
+    let mut o = Opts::new(args);
+    let schedules = o
+        .value_where("--schedules", "a count >= 1", |n: &u64| *n >= 1)
+        .unwrap_or(8);
+    let seed = o
+        .value_with("--seed", "an integer (0x-prefix ok)", parse_seed)
+        .unwrap_or(0x5eed_0000);
+    let workers = o
+        .value_where("--workers", "a count >= 1", |n: &u32| *n >= 1)
+        .unwrap_or(4);
+    o.finish()?;
+    let worker_bin = default_worker_bin().map_err(failed)?;
     println!(
         "fleet-chaos: {schedules} schedules, {workers} workers each, base seed {seed:#x}, \
          daemon {}",
@@ -1423,12 +1120,12 @@ fn cmd_fleet_chaos(args: &[String]) -> i32 {
         }
     }
     if mismatches > 0 {
-        eprintln!("fleet-chaos: {mismatches} of {schedules} schedules diverged");
-        1
-    } else {
-        println!("fleet-chaos: all {schedules} schedules recovered bit-exact");
-        0
+        return Err(failed(format!(
+            "{mismatches} of {schedules} schedules diverged"
+        )));
     }
+    println!("fleet-chaos: all {schedules} schedules recovered bit-exact");
+    Ok(0)
 }
 
 /// Parses a seed: decimal, or hexadecimal with an `0x` prefix.
@@ -1582,74 +1279,32 @@ fn dense_inputs(
 /// stderr, and emit the registry snapshot on stdout (Prometheus text,
 /// or JSON with `--json`) — a one-shot, pipe-friendly view of exactly
 /// what a metered `matopt serve` would expose.
-fn cmd_stats(args: &[String]) -> i32 {
-    let Some(workload) = args.first() else {
-        eprintln!("stats: missing workload (try ffnn-small:16)");
-        return 2;
-    };
-    let mut workers = 10usize;
-    let mut engine = "simsql".to_string();
-    let mut catalog_name = "dense".to_string();
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(10);
-            }
-            "--engine" => {
-                i += 1;
-                engine = args.get(i).cloned().unwrap_or_default();
-            }
-            "--catalog" => {
-                i += 1;
-                catalog_name = args.get(i).cloned().unwrap_or_default();
-            }
-            "--json" => json = true,
-            other => {
-                eprintln!("stats: unknown option {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
+fn cmd_stats(args: &[String]) -> Result<i32, Exit> {
+    let (workload, options) = args
+        .split_first()
+        .ok_or_else(|| usage("missing workload (try ffnn-small:16)"))?;
+    let mut o = Opts::new(options);
+    let workers = o.value("--workers", "a worker count").unwrap_or(10usize);
+    let engine = o.value("--engine", ENGINES).unwrap_or("simsql".to_string());
+    let catalog_name = o
+        .value("--catalog", CATALOGS)
+        .unwrap_or("dense".to_string());
+    let json = o.flag("--json");
+    o.finish()?;
 
-    let (cluster, catalog) = match cluster_and_catalog(&engine, &catalog_name, workers) {
-        Ok(pair) => pair,
-        Err(msg) => {
-            eprintln!("stats: {msg}");
-            return 2;
-        }
-    };
-    let graph = match build_workload(workload, &cluster) {
-        Ok(g) => g,
-        Err(msg) => {
-            eprintln!("stats: {msg}");
-            return 2;
-        }
-    };
+    let (cluster, catalog) = cluster_and_catalog(&engine, &catalog_name, workers).map_err(usage)?;
+    let graph = build_workload(workload, &cluster).map_err(usage)?;
 
     let registry = MetricsRegistry::new();
     let ring = Arc::new(RingSink::new(4096));
     let obs = Obs::with_metrics(Arc::clone(&ring), Arc::clone(&registry));
     let env = cli_env();
     let ctx = env.ctx(cluster);
-    let plan = match env.auto_plan_traced(&graph, cluster, &catalog, obs.clone()) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("stats: optimization failed: {e}");
-            return 1;
-        }
-    };
-    let inputs = match dense_inputs(&graph) {
-        Ok(m) => m,
-        Err(msg) => {
-            eprintln!("stats: {msg}");
-            return 1;
-        }
-    };
-    let analysis = match explain_analyze(
+    let plan = env
+        .auto_plan_traced(&graph, cluster, &catalog, obs.clone())
+        .map_err(|e| failed(format!("optimization failed: {e}")))?;
+    let inputs = dense_inputs(&graph).map_err(failed)?;
+    let analysis = explain_analyze(
         &graph,
         &plan.annotation,
         &inputs,
@@ -1657,13 +1312,8 @@ fn cmd_stats(args: &[String]) -> i32 {
         &env.model,
         ExecOptions::default(),
         &obs,
-    ) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("stats: execution failed: {e}");
-            return 1;
-        }
-    };
+    )
+    .map_err(|e| failed(format!("execution failed: {e}")))?;
     // Human-readable join to stderr; machine-readable exposition on
     // stdout so `matopt stats ... | promtool check metrics` works.
     eprint!("{analysis}");
@@ -1673,7 +1323,7 @@ fn cmd_stats(args: &[String]) -> i32 {
     } else {
         print!("{}", snapshot.prometheus());
     }
-    0
+    Ok(0)
 }
 
 /// The cluster profile and format catalog the `--engine` / `--catalog`
@@ -1716,30 +1366,11 @@ fn build_workload(spec: &str, cluster: &Cluster) -> Result<ComputeGraph, String>
 /// print its points, and optionally persist it as `kernels.tune` —
 /// reloading and verifying it so a smoke run proves the round trip,
 /// not just the write.
-fn cmd_tune(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = Some(p.clone()),
-                    None => {
-                        eprintln!("tune: --out expects a directory path");
-                        return 2;
-                    }
-                }
-            }
-            other => {
-                eprintln!("tune: unknown option {other}");
-                return 2;
-            }
-        }
-        i += 1;
-    }
+fn cmd_tune(args: &[String]) -> Result<i32, Exit> {
+    let mut o = Opts::new(args);
+    let json = o.flag("--json");
+    let out: Option<String> = o.value("--out", "a directory path");
+    o.finish()?;
 
     let started = std::time::Instant::now();
     let curve = ThroughputCurve::measure();
@@ -1769,28 +1400,21 @@ fn cmd_tune(args: &[String]) -> i32 {
 
     if let Some(dir) = &out {
         let dir = Path::new(dir);
-        if let Err(e) = curve.save(dir) {
-            eprintln!("tune: cannot persist to {}: {e}", dir.display());
-            return 1;
-        }
-        match ThroughputCurve::load(dir) {
-            Ok(reloaded) => {
-                let verified = reloaded == curve;
-                eprintln!(
-                    "tune: persisted-then-reloaded {} points from {} -- {}",
-                    reloaded.points().len(),
-                    dir.display(),
-                    if verified { "verified" } else { "MISMATCH" }
-                );
-                if !verified {
-                    return 1;
-                }
-            }
-            Err(e) => {
-                eprintln!("tune: cannot reload {e}");
-                return 1;
-            }
+        curve
+            .save(dir)
+            .map_err(|e| failed(format!("cannot persist to {}: {e}", dir.display())))?;
+        let reloaded =
+            ThroughputCurve::load(dir).map_err(|e| failed(format!("cannot reload {e}")))?;
+        let verified = reloaded == curve;
+        eprintln!(
+            "tune: persisted-then-reloaded {} points from {} -- {}",
+            reloaded.points().len(),
+            dir.display(),
+            if verified { "verified" } else { "MISMATCH" }
+        );
+        if !verified {
+            return Ok(1);
         }
     }
-    0
+    Ok(0)
 }

@@ -190,6 +190,37 @@ fn unknown_engine_or_catalog_exits_2_naming_the_valid_values() {
 }
 
 #[test]
+fn an_unparsable_option_value_exits_2_naming_the_option() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["plan", "motivating", "--workers", "ten"], "--workers"),
+        (
+            &["plan", "motivating", "--crash-rate", "lots"],
+            "--crash-rate",
+        ),
+        (&["plan", "motivating", "--fault-seed", "x"], "--fault-seed"),
+        (&["plan", "motivating", "--hedge", "0.5"], "--hedge"),
+        (&["serve", "--workers"], "--workers"),
+        (&["fleet-chaos", "--seed", "0xZZ"], "--seed"),
+    ];
+    for (command, option) in cases {
+        let run = matopt(command, "");
+        assert_eq!(run.code, Some(2), "{command:?}: {}", run.stderr);
+        let expects = format!("{}: {option} expects ", command[0]);
+        assert!(run.stderr.contains(&expects), "{command:?}: {}", run.stderr);
+        assert!(run.stdout.is_empty(), "{command:?} ran anyway");
+    }
+    let run = matopt(&["plan", "motivating", "--bogus"], "");
+    assert_eq!(run.code, Some(2), "{}", run.stderr);
+    assert!(run.stderr.contains("plan: unknown option --bogus"));
+    // Repeats are allowed; the last value wins.
+    let run = matopt(
+        &["plan", "motivating", "--workers", "3", "--workers", "5"],
+        "",
+    );
+    assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
+}
+
+#[test]
 fn stats_prints_executor_and_scheduler_families() {
     let run = matopt(&["stats", "ffnn-small:8"], "");
     assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);

@@ -60,5 +60,6 @@ pub use resource::{default_scratch_dir, parse_byte_size};
 pub use transforms::{Transform, TransformCatalog, TransformKind, ALL_TRANSFORM_KINDS};
 pub use types::{MatrixType, DENSE_ENTRY_BYTES, SPARSE_ENTRY_BYTES, TRIPLE_ENTRY_BYTES};
 pub use wire::{
-    frame_bytes, write_frame, Frame, FrameReader, WireError, WIRE_MAGIC, WIRE_MAX_BODY_WORDS,
+    frame_bytes, push_bytes, push_mtype, write_atomic, write_frame, Frame, FrameReader, Framing,
+    WireError, WordReader, WIRE_MAGIC, WIRE_MAX_BODY_WORDS,
 };

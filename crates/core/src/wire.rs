@@ -1,18 +1,25 @@
-//! Checksummed all-u64-little-endian frame layer for inter-process
-//! transport.
+//! Checksummed all-u64-little-endian frames: the one record layout of
+//! every socket message *and* every checksummed file.
 //!
-//! Same idiom as the engine's spill files and the serve plan cache
-//! (`plans.mcache`): a magic word, a body length, a stream checksum
-//! over the body, then the body as little-endian u64 words. Frames are
-//! bulk, process-lifetime payloads (whole relations cross here, and
-//! coordinator and daemon are one build), so the checksum is
-//! [`BulkChecksum`], not the FNV-1a of the persisted formats. The
-//! difference from a file is that this layer frames a *stream* (a
-//! socket between the coordinator and a worker process), so the reader
-//! must distinguish three terminal conditions:
+//! A frame is `[magic, tag, len, sum, body]`: a magic word naming the
+//! kind of stream, an application tag, the body length in words, a
+//! checksum over the body bytes, then the body as little-endian u64
+//! words. A [`Framing`] names one kind — its magic and its checksum, by
+//! purpose: [`Framing::WIRE`] (`MWIR0002`, [`bulk_checksum`]) for the
+//! coordinator ↔ worker socket, whose frames are bulk, process-lifetime
+//! payloads between two halves of one build; [`Framing::persisted`]
+//! (FNV-1a, pinned by reference vectors) for files that outlive a build
+//! — the plan cache, the throughput curve, training checkpoints. Each of
+//! those formats is a sequence of frames and owns only its body grammar,
+//! which it reads through the one bounds-checked [`WordReader`] and
+//! writes to disk through the one [`write_atomic`].
+//!
+//! The reader frames a *stream* (a socket, or a file's bytes), so it
+//! distinguishes three terminal conditions:
 //!
 //! * [`WireError::Eof`] — the stream ended cleanly *between* frames
-//!   (the peer closed after a complete frame);
+//!   (the peer closed after a complete frame; a file ended after its
+//!   last record);
 //! * [`WireError::Corrupt`] — the stream ended inside a frame (a torn
 //!   frame from a killed peer), the magic was wrong, the declared
 //!   length was absurd, or the checksum did not match. A torn frame is
@@ -24,11 +31,17 @@
 //! coordinator sees either `Eof` (killed between frames) or `Corrupt`
 //! (killed mid-frame), and treats both as worker death — it must never
 //! see a fabricated value.
+//!
+//! The tag word is outside the checksum (the `MWIR0002` bytes are
+//! pinned), so a body grammar that must reject every damaged byte
+//! checks the tag of each frame it reads against the one it expects.
 
-use crate::{bulk_checksum, BulkChecksum};
+use crate::{bulk_checksum, fnv1a_bytes, format_from_words, MatrixType, PhysFormat};
 use std::io::{self, Read, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Magic word opening every frame (`b"MWIR0002"` little-endian).
+/// Magic word opening every socket frame (`b"MWIR0002"` little-endian).
 /// `MWIR0001` frames carried an FNV-1a body checksum; a stale daemon
 /// fails on the magic, not the sum.
 pub const WIRE_MAGIC: u64 = u64::from_le_bytes(*b"MWIR0002");
@@ -71,21 +84,55 @@ impl From<io::Error> for WireError {
     }
 }
 
-/// Encodes one frame — header plus body — as bytes, ready to write to
-/// any transport.
-#[must_use]
-pub fn frame_bytes(tag: u64, body: &[u64]) -> Vec<u8> {
-    let mut sum = BulkChecksum::new();
-    sum.u64s(body);
-    let mut out = Vec::with_capacity(HEADER_BYTES + body.len() * 8);
-    for word in [WIRE_MAGIC, tag, body.len() as u64, sum.finish()] {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    out.extend(body.iter().flat_map(|w| w.to_le_bytes()));
-    out
+/// One kind of frame stream: the magic word that opens each of its
+/// frames and the checksum taken over each body's bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Framing {
+    magic: u64,
+    sum: fn(&[u8]) -> u64,
 }
 
-/// Writes one frame to `w` and flushes it.
+impl Framing {
+    /// The coordinator ↔ worker socket: [`WIRE_MAGIC`] and
+    /// [`bulk_checksum`], whose value is free to change between builds.
+    pub const WIRE: Framing = Framing {
+        magic: WIRE_MAGIC,
+        sum: bulk_checksum,
+    };
+
+    /// A persisted file kind under its own 8-byte magic, summed with
+    /// [`fnv1a_bytes`] — files outlive the build that wrote them, so
+    /// their checksum is the one pinned by reference vectors.
+    #[must_use]
+    pub const fn persisted(magic: &[u8; 8]) -> Framing {
+        Framing {
+            magic: u64::from_le_bytes(*magic),
+            sum: fnv1a_bytes,
+        }
+    }
+
+    /// Encodes one frame — header plus body — as bytes.
+    #[must_use]
+    pub fn frame_bytes(&self, tag: u64, body: &[u64]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_BYTES + body.len() * 8);
+        for word in [self.magic, tag, body.len() as u64, 0] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend(body.iter().flat_map(|w| w.to_le_bytes()));
+        let sum = (self.sum)(&out[HEADER_BYTES..]);
+        out[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+}
+
+/// Encodes one socket frame ([`Framing::WIRE`]) as bytes, ready to
+/// write to any transport.
+#[must_use]
+pub fn frame_bytes(tag: u64, body: &[u64]) -> Vec<u8> {
+    Framing::WIRE.frame_bytes(tag, body)
+}
+
+/// Writes one socket frame to `w` and flushes it.
 ///
 /// # Errors
 /// Propagates the transport's I/O errors.
@@ -127,16 +174,23 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, WireErr
     Ok(true)
 }
 
-/// Reads whole frames off any byte stream, verifying each one.
+/// Reads whole frames off any byte stream — a socket, a `File`, a
+/// file's bytes as `&[u8]` — verifying each one.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
+    framing: Framing,
 }
 
 impl<R: Read> FrameReader<R> {
-    /// Wraps a byte stream.
+    /// Wraps a socket byte stream ([`Framing::WIRE`]).
     pub fn new(inner: R) -> Self {
-        FrameReader { inner }
+        FrameReader::with_framing(Framing::WIRE, inner)
+    }
+
+    /// Wraps a byte stream of `framing`'s kind.
+    pub fn with_framing(framing: Framing, inner: R) -> Self {
+        FrameReader { inner, framing }
     }
 
     /// Returns the underlying stream.
@@ -151,20 +205,32 @@ impl<R: Read> FrameReader<R> {
     /// [`WireError::Corrupt`] / [`WireError::Io`] as documented on the
     /// module.
     pub fn read_frame(&mut self) -> Result<Frame, WireError> {
+        self.read_record()?.map_err(WireError::Corrupt)
+    }
+
+    /// [`FrameReader::read_frame`] for a file of independent records:
+    /// a frame whose body fails its checksum — the one kind of damage
+    /// that leaves the next frame's boundary known — comes back as the
+    /// inner `Err`, with the stream positioned on the frame after it,
+    /// so the caller can count it and read on.
+    ///
+    /// # Errors
+    /// As [`FrameReader::read_frame`], minus the checksum mismatch;
+    /// after any outer `Err` the boundary is lost and reading must stop.
+    pub fn read_record(&mut self) -> Result<Result<Frame, String>, WireError> {
         let mut header = [0u8; HEADER_BYTES];
         if !read_exact_or_eof(&mut self.inner, &mut header)? {
             return Err(WireError::Eof);
         }
-        let word = |i: usize| u64::from_le_bytes(header[i * 8..(i + 1) * 8].try_into().unwrap());
-        let magic = word(0);
-        if magic != WIRE_MAGIC {
+        let word =
+            |i: usize| u64::from_le_bytes(header[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
+        let (magic, tag, len, want_sum) = (word(0), word(1), word(2), word(3));
+        let want_magic = self.framing.magic;
+        if magic != want_magic {
             return Err(WireError::Corrupt(format!(
-                "bad magic {magic:#018x} (expected {WIRE_MAGIC:#018x})"
+                "bad magic {magic:#018x} (expected {want_magic:#018x})"
             )));
         }
-        let tag = word(1);
-        let len = word(2);
-        let want_sum = word(3);
         if len > WIRE_MAX_BODY_WORDS {
             return Err(WireError::Corrupt(format!(
                 "frame body of {len} words exceeds the {WIRE_MAX_BODY_WORDS}-word cap"
@@ -176,18 +242,178 @@ impl<R: Read> FrameReader<R> {
                 "stream truncated mid-frame: body of {len} words missing"
             )));
         }
-        let got_sum = bulk_checksum(&body_bytes);
-        if got_sum != want_sum {
-            return Err(WireError::Corrupt(format!(
+        let got_sum = (self.framing.sum)(&body_bytes);
+        Ok(if got_sum == want_sum {
+            Ok(Frame {
+                tag,
+                body: le_words(&body_bytes),
+            })
+        } else {
+            Err(format!(
                 "body checksum mismatch: stored {want_sum:#018x}, computed {got_sum:#018x}"
-            )));
-        }
-        let body = body_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(Frame { tag, body })
+            ))
+        })
     }
+}
+
+/// The whole words of a little-endian byte stream.
+fn le_words(bytes: &[u8]) -> Vec<u64> {
+    let (words, _) = bytes.as_chunks::<8>();
+    words.iter().map(|w| u64::from_le_bytes(*w)).collect()
+}
+
+/// Bounds-checked reader over a frame body, mirroring the spill
+/// reader's contract: every overrun is a structured error.
+#[derive(Debug)]
+pub struct WordReader<'a> {
+    words: &'a [u64],
+    pos: usize,
+}
+
+impl<'a> WordReader<'a> {
+    /// Wraps a body.
+    #[must_use]
+    pub fn new(words: &'a [u64]) -> Self {
+        WordReader { words, pos: 0 }
+    }
+
+    /// Takes the next word, or errors naming `what` was missing.
+    #[inline]
+    pub fn take(&mut self, what: &str) -> Result<u64, String> {
+        let w = self
+            .words
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| format!("body truncated reading {what}"))?;
+        self.pos += 1;
+        Ok(w)
+    }
+
+    /// Takes `n` words as a slice.
+    pub fn take_slice(&mut self, n: usize, what: &str) -> Result<&'a [u64], String> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.words.len())
+            .ok_or_else(|| format!("body truncated reading {what}"))?;
+        let s = &self.words[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// Takes a `count ≤ max` word, guarding allocations against torn
+    /// length fields.
+    pub fn take_count(&mut self, what: &str, max: usize) -> Result<usize, String> {
+        let v = self.take(what)?;
+        let v = usize::try_from(v).map_err(|_| format!("{what} {v} out of range"))?;
+        if v > max {
+            return Err(format!("{what} {v} exceeds bound {max}"));
+        }
+        Ok(v)
+    }
+
+    /// Takes a byte string written by [`push_bytes`].
+    pub fn take_bytes(&mut self, what: &str) -> Result<Vec<u8>, String> {
+        let len = self.take_count(what, usize::MAX / 16)?;
+        let words = self.take_slice(len.div_ceil(8), what)?;
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.truncate(len);
+        Ok(bytes)
+    }
+
+    /// Takes a matrix type written by [`push_mtype`].
+    pub fn take_mtype(&mut self, what: &str) -> Result<MatrixType, String> {
+        let rows = self.take(what)?;
+        let cols = self.take(what)?;
+        let sparsity = f64::from_bits(self.take(what)?);
+        if !(0.0..=1.0).contains(&sparsity) {
+            return Err(format!("{what}: sparsity {sparsity} outside [0, 1]"));
+        }
+        Ok(MatrixType {
+            rows,
+            cols,
+            sparsity,
+        })
+    }
+
+    /// Takes the two [`crate::format_words`] of a physical format.
+    pub fn take_format(&mut self, what: &str) -> Result<PhysFormat, String> {
+        let w0 = self.take(what)?;
+        let w1 = self.take(what)?;
+        format_from_words([w0, w1])
+            .ok_or_else(|| format!("{what}: unknown format words [{w0}, {w1}]"))
+    }
+
+    /// Asserts the body was fully consumed.
+    pub fn finish(&self) -> Result<(), String> {
+        if self.pos == self.words.len() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} trailing words after message body",
+                self.words.len() - self.pos
+            ))
+        }
+    }
+}
+
+/// Appends a byte string to a word body as its length, then its bytes
+/// as zero-padded little-endian words.
+pub fn push_bytes(words: &mut Vec<u64>, bytes: &[u8]) {
+    words.push(bytes.len() as u64);
+    let (whole, tail) = bytes.as_chunks::<8>();
+    words.extend(whole.iter().map(|w| u64::from_le_bytes(*w)));
+    if !tail.is_empty() {
+        let mut buf = [0u8; 8];
+        buf[..tail.len()].copy_from_slice(tail);
+        words.push(u64::from_le_bytes(buf));
+    }
+}
+
+/// Appends a matrix type to a word body: rows, cols, sparsity bits.
+pub fn push_mtype(words: &mut Vec<u64>, m: MatrixType) {
+    words.extend_from_slice(&[m.rows, m.cols, m.sparsity.to_bits()]);
+}
+
+/// Replaces `<dir>/<file_name>` with `bytes` atomically: the bytes go
+/// to a temp file named by pid and a process-global sequence number
+/// (so no two writers — not even two threads of one process — share a
+/// temp path), which is then renamed over the target. A writer that
+/// dies mid-write leaves the previous file intact plus a
+/// `<file_name>.tmp.*` file the next writer sweeps; a failed write
+/// removes its own. Nothing is fsynced: what a power loss leaves is
+/// for the format's checksums to reject.
+///
+/// The sweep assumes no rival is mid-write, which writers that share a
+/// directory arrange with a lock (the plan cache's). Without one the
+/// race stays benign: one complete file wins, and a writer whose temp
+/// file a rival swept reports `NotFound`.
+///
+/// # Errors
+/// Propagates filesystem errors; `dir` must exist.
+pub fn write_atomic(dir: &Path, file_name: &str, bytes: &[u8]) -> io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp_prefix = format!("{file_name}.tmp.");
+    for entry in std::fs::read_dir(dir)?.flatten() {
+        if entry
+            .file_name()
+            .to_str()
+            .is_some_and(|name| name.starts_with(&tmp_prefix))
+        {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+    let tmp = dir.join(format!(
+        "{tmp_prefix}{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written =
+        std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, dir.join(file_name)));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 #[cfg(test)]
@@ -273,6 +499,57 @@ mod tests {
         }
     }
 
+    /// The one exhaustive corruption loop of the one framing, under
+    /// each descriptor: every single-byte flip and every proper prefix
+    /// of a frame is an error — except a flip in the tag word, which
+    /// the sum does not cover and which surfaces as a different tag
+    /// over the untouched body, for the body grammar to refuse.
+    #[test]
+    fn every_flip_and_prefix_of_a_frame_is_rejected_under_each_framing() {
+        let frame = &sample_frames()[2];
+        for framing in [Framing::WIRE, Framing::persisted(b"MTST0001")] {
+            let clean = framing.frame_bytes(frame.tag, &frame.body);
+            let read = |bytes: &[u8]| FrameReader::with_framing(framing, bytes).read_frame();
+            assert_eq!(&read(&clean).unwrap(), frame);
+            for cut in 0..clean.len() {
+                assert!(read(&clean[..cut]).is_err(), "prefix {cut} decoded");
+            }
+            for i in 0..clean.len() {
+                for mask in [0x01u8, 0x40, 0xff] {
+                    let mut dirty = clean.clone();
+                    dirty[i] ^= mask;
+                    match read(&dirty) {
+                        Err(WireError::Corrupt(_)) => {}
+                        Ok(got) if (8..16).contains(&i) => {
+                            assert_ne!(got.tag, frame.tag);
+                            assert_eq!(got.body, frame.body);
+                        }
+                        other => panic!("flip {mask:#04x} at byte {i}: {other:?}"),
+                    }
+                }
+            }
+        }
+        // A frame of one kind is not a frame of another.
+        let wire = frame_bytes(frame.tag, &frame.body);
+        assert!(
+            FrameReader::with_framing(Framing::persisted(b"MTST0001"), &wire[..])
+                .read_frame()
+                .is_err()
+        );
+    }
+
+    /// `MWIR0002` bytes are pinned: header words, then the body, with
+    /// the sum the parent build's `BulkChecksum::u64s` produced.
+    #[test]
+    fn wire_frame_bytes_are_golden() {
+        let body = [0xDEAD_BEEF, 42, u64::MAX, 0];
+        let bytes = frame_bytes(1, &body);
+        let words = le_words(&bytes);
+        assert_eq!(words[..4], [WIRE_MAGIC, 1, 4, 0xd990_3bee_9a81_6b61]);
+        assert_eq!(words[4..], body);
+        assert_eq!(bytes.len(), words.len() * 8);
+    }
+
     #[test]
     fn flipped_body_bit_is_a_checksum_error() {
         let frames = sample_frames();
@@ -286,6 +563,20 @@ mod tests {
             Err(WireError::Corrupt(m)) => assert!(m.contains("checksum"), "{m}"),
             other => panic!("expected checksum corruption, got {other:?}"),
         }
+    }
+
+    /// A file of independent records survives one bad body: the damaged
+    /// frame is the inner error and the frames after it still read.
+    #[test]
+    fn a_record_reader_skips_a_failed_sum_and_keeps_the_boundary() {
+        let frames = sample_frames();
+        let mut bytes = stream_of(&frames);
+        bytes[HEADER_BYTES + 3] ^= 0x40; // inside frame 1's body
+        let mut r = FrameReader::new(&bytes[..]);
+        assert!(r.read_record().unwrap().unwrap_err().contains("checksum"));
+        assert_eq!(r.read_record().unwrap().unwrap(), frames[1]);
+        assert_eq!(r.read_record().unwrap().unwrap(), frames[2]);
+        assert!(matches!(r.read_record(), Err(WireError::Eof)));
     }
 
     #[test]
@@ -305,5 +596,43 @@ mod tests {
         bytes[0] ^= 0xFF;
         let mut r = FrameReader::new(&bytes[..]);
         assert!(matches!(r.read_frame(), Err(WireError::Corrupt(_))));
+    }
+
+    #[test]
+    fn byte_strings_round_trip_at_every_padding() {
+        for len in 0..20usize {
+            let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37) | 1).collect();
+            let mut words = vec![7];
+            push_bytes(&mut words, &bytes);
+            assert_eq!(words.len(), 2 + len.div_ceil(8));
+            let mut r = WordReader::new(&words);
+            assert_eq!(r.take("lead").unwrap(), 7);
+            assert_eq!(r.take_bytes("bytes").unwrap(), bytes);
+            r.finish().unwrap();
+            assert!(WordReader::new(&words[1..words.len() - 1])
+                .take_bytes("bytes")
+                .is_err());
+        }
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_sweeps_debris() {
+        let dir = std::env::temp_dir().join(format!("matopt-wire-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(write_atomic(&dir, "f.bin", b"x").is_err(), "dir must exist");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("f.bin.tmp.1.crashed"), b"torn").unwrap();
+        std::fs::write(dir.join("g.bin.tmp.1.0"), b"someone else's").unwrap();
+        write_atomic(&dir, "f.bin", b"one").unwrap();
+        write_atomic(&dir, "f.bin", b"two").unwrap();
+        assert_eq!(std::fs::read(dir.join("f.bin")).unwrap(), b"two");
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["f.bin", "g.bin.tmp.1.0"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,7 +10,7 @@
 //! [`ThroughputCurve`] interpolates the samples monotonically in
 //! log-flops space, and [`CurveCostModel`] scales the cluster's flop
 //! rate by the curve's relative throughput at each operator's flop
-//! volume. The curve persists as one checksummed record in
+//! volume. The curve persists as one checksummed frame in
 //! `kernels.tune` ([`ThroughputCurve::save`] /
 //! [`ThroughputCurve::load`]); nothing reads it unless a caller hands
 //! a [`CurveCostModel`] to the optimizer.
@@ -21,7 +21,9 @@
 //! products only.
 
 use crate::{AnalyticalCostModel, CostModel};
-use matopt_core::{fnv1a_64, Cluster, CostFeatures, OpKind, TransformKind};
+use matopt_core::{
+    write_atomic, Cluster, CostFeatures, FrameReader, Framing, OpKind, TransformKind, WireError,
+};
 use std::io;
 use std::path::Path;
 use std::time::Instant;
@@ -29,13 +31,14 @@ use std::time::Instant;
 /// File name of the persisted curve (lives next to `plans.mcache`).
 pub const CURVE_FILE: &str = "kernels.tune";
 
-/// `b"MTUN0002"` as a little-endian word: magic header of
-/// [`CURVE_FILE`].
-const MAGIC: u64 = u64::from_le_bytes(*b"MTUN0002");
+/// Magic of [`CURVE_FILE`]'s one frame. Earlier `MTUN` files (the
+/// retired autotuner catalog `MTUN0001`, the unframed curve record
+/// `MTUN0002`) are recognised only to say what to do about them.
+const MAGIC: &[u8; 8] = b"MTUN0003";
+const FRAMING: Framing = Framing::persisted(MAGIC);
 
-/// Magic of the retired autotuner catalog that used the same file
-/// name; recognised only to say what to do about it.
-const LEGACY_MAGIC: u64 = u64::from_le_bytes(*b"MTUN0001");
+/// Tag of the one frame a curve file holds.
+const TAG_CURVE: u64 = 1;
 
 /// Most points a persisted curve may carry; a count past this is
 /// corruption, not a big curve.
@@ -132,58 +135,46 @@ impl ThroughputCurve {
         ThroughputCurve::from_samples(&samples)
     }
 
-    /// The curve as the one record of [`CURVE_FILE`], all `u64`
-    /// little-endian: `[MTUN0002, n, (flops_bits, gflops_bits)×n,
-    /// fnv1a_64(everything before)]`.
+    /// The curve as the one frame of [`CURVE_FILE`]: its body is the
+    /// `(flops_bits, gflops_bits)` pairs, flops-ascending.
     fn encode(&self) -> Vec<u8> {
-        let mut words = vec![MAGIC, self.points.len() as u64];
-        for (f, g) in &self.points {
-            words.push(f.to_bits());
-            words.push(g.to_bits());
-        }
-        words.push(fnv1a_64(&words));
-        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+        let body: Vec<u64> = self
+            .points
+            .iter()
+            .flat_map(|(f, g)| [f.to_bits(), g.to_bits()])
+            .collect();
+        FRAMING.frame_bytes(TAG_CURVE, &body)
     }
 
-    /// Decodes [`ThroughputCurve::encode`]'s bytes, all or nothing: the
-    /// length must be exactly what the point count implies, the
-    /// checksum must match, and every sample must be finite, positive
-    /// and strictly flops-ascending — so a damaged file is rejected,
-    /// never partially believed.
+    /// Decodes [`ThroughputCurve::encode`]'s bytes, all or nothing: one
+    /// frame that verifies, then end of file, and every sample finite,
+    /// positive and strictly flops-ascending — so a damaged file is
+    /// rejected, never partially believed.
     fn decode(bytes: &[u8]) -> Result<ThroughputCurve, String> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err("length is not a whole number of words".to_string());
-        }
-        let words: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        match words.first() {
-            Some(&MAGIC) => {}
-            Some(&LEGACY_MAGIC) => {
-                return Err("an MTUN0001 autotuner catalog, which is no longer read; \
-                     re-run `matopt tune --out <dir>` to write a measured curve"
-                    .to_string())
+        if let Some(found) = bytes.first_chunk::<8>() {
+            if found.starts_with(b"MTUN") && found != MAGIC {
+                return Err(format!(
+                    "an earlier kernels.tune format ({}), which is no longer read; \
+                     re-run `matopt tune --out <dir>` to write a measured curve",
+                    String::from_utf8_lossy(found)
+                ));
             }
-            _ => return Err("not a kernels.tune file (bad magic)".to_string()),
         }
-        let n = match words.get(1).map(|n| usize::try_from(*n)) {
-            Some(Ok(n)) if n <= MAX_POINTS => n,
-            _ => return Err(format!("point count missing or over {MAX_POINTS}")),
-        };
-        if words.len() != 2 * n + 3 {
-            return Err(format!(
-                "truncated or padded: {n} points need {} words",
-                2 * n + 3
-            ));
+        let mut frames = FrameReader::with_framing(FRAMING, bytes);
+        let frame = frames.read_frame().map_err(|e| e.to_string())?;
+        if !matches!(frames.read_frame(), Err(WireError::Eof)) {
+            return Err("bytes after the curve frame".to_string());
         }
-        let (body, checksum) = words.split_at(2 * n + 2);
-        if fnv1a_64(body) != checksum[0] {
-            return Err("checksum mismatch".to_string());
+        if frame.tag != TAG_CURVE {
+            return Err(format!("unknown frame tag {}", frame.tag));
         }
-        let points: Vec<(f64, f64)> = body[2..]
-            .chunks_exact(2)
-            .map(|w| (f64::from_bits(w[0]), f64::from_bits(w[1])))
+        let (pairs, odd) = frame.body.as_chunks::<2>();
+        if !odd.is_empty() || pairs.len() > MAX_POINTS {
+            return Err(format!("not a list of at most {MAX_POINTS} points"));
+        }
+        let points: Vec<(f64, f64)> = pairs
+            .iter()
+            .map(|[f, g]| (f64::from_bits(*f), f64::from_bits(*g)))
             .collect();
         if !(points.iter().all(is_sample) && points.windows(2).all(|w| w[0].0 < w[1].0)) {
             return Err("non-finite, non-positive or unordered sample".to_string());
@@ -191,9 +182,9 @@ impl ThroughputCurve {
         Ok(ThroughputCurve { points })
     }
 
-    /// Writes the curve to `<dir>/kernels.tune` atomically (temp file +
-    /// rename, creating `dir` if needed): a crash mid-write leaves the
-    /// previous file intact.
+    /// Writes the curve to `<dir>/kernels.tune` atomically
+    /// ([`write_atomic`], creating `dir` if needed): a crash mid-write
+    /// leaves the previous file intact.
     ///
     /// # Errors
     /// Refuses curves over 64 points; propagates filesystem errors.
@@ -205,21 +196,15 @@ impl ThroughputCurve {
             ));
         }
         std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{CURVE_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.encode())?;
-        let renamed = std::fs::rename(&tmp, dir.join(CURVE_FILE));
-        if renamed.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        renamed
+        write_atomic(dir, CURVE_FILE, &self.encode())
     }
 
     /// Reads `<dir>/kernels.tune` back. The points equal the saved
     /// curve's bit for bit.
     ///
     /// # Errors
-    /// A missing, unreadable, damaged or `MTUN0001` file is an error
-    /// whose message names the path; nothing is partially decoded.
+    /// A missing, unreadable, damaged or earlier-format file is an
+    /// error whose message names the path; nothing is partially decoded.
     pub fn load(dir: &Path) -> io::Result<ThroughputCurve> {
         let path = dir.join(CURVE_FILE);
         let bytes = std::fs::read(&path)
@@ -544,19 +529,22 @@ mod tests {
         assert_eq!(missing.kind(), io::ErrorKind::NotFound);
         assert!(missing.to_string().contains(CURVE_FILE), "{missing}");
 
-        // A parent-commit catalog: MTUN0001 magic, then anything.
+        // Every earlier MTUN file: the autotuner catalog, and the
+        // parent build's unframed curve record — magic, then anything.
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let mut legacy = b"MTUN0001".to_vec();
-        legacy.extend_from_slice(&[0u8; 64]);
-        std::fs::write(dir.join(CURVE_FILE), legacy).expect("write");
-        let err = ThroughputCurve::load(&dir).expect_err("legacy file");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("matopt tune") && msg.contains("MTUN0001"),
-            "{msg}"
-        );
-        assert!(msg.contains(&dir.display().to_string()), "{msg}");
+        for magic in [b"MTUN0001", b"MTUN0002"] {
+            let mut legacy = magic.to_vec();
+            legacy.extend_from_slice(&[0u8; 64]);
+            std::fs::write(dir.join(CURVE_FILE), legacy).expect("write");
+            let err = ThroughputCurve::load(&dir).expect_err("legacy file");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("matopt tune") && msg.contains(std::str::from_utf8(magic).unwrap()),
+                "{msg}"
+            );
+            assert!(msg.contains(&dir.display().to_string()), "{msg}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

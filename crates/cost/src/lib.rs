@@ -29,14 +29,12 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod accuracy;
 mod curves;
 mod drift;
 mod faulty;
 mod model;
 mod regression;
 
-pub use accuracy::{mean_rel_error, sample_residuals, Residual};
 pub use curves::{CurveCostModel, ThroughputCurve, CURVE_FILE};
 pub use drift::{DriftConfig, DriftEvent, DriftMonitor};
 pub use faulty::{expected_vertex_time, FaultAwareCostModel};

@@ -66,7 +66,10 @@ pub use sim::{
     format_hms, simulate_plan, simulate_plan_traced, simulate_plan_with_recovery, FailReason,
     RecoverySimReport, SimOutcome, SimReport, SimStep,
 };
-pub use spill::{decode_relation, encode_relation, SpillError, SpillManager, SpillTicket};
+pub use spill::{
+    decode_relation, encode_relation, push_relation, take_relation, SpillError, SpillManager,
+    SpillTicket,
+};
 pub use sql::render_sql;
 pub use train::{
     train, train_resumable, EpochHook, EpochPlanSource, EpochStats, TrainCheckpoint, TrainConfig,

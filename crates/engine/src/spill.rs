@@ -26,7 +26,7 @@
 //!    never reach disk, so nothing pins them to a byte-serial fold that
 //!    costs more per buffer than the disk does. The *byte layout*
 //!    (`MOSP0001`, all-u64-LE) is pinned — training checkpoints embed
-//!    [`encode_relation`] bytes.
+//!    [`encode_relation`] bytes, inside a [`push_relation`] record.
 //! 3. **No panics.** The kernel constructors assert on malformed
 //!    structure, so the decoder validates shape, index ranges, and CSR
 //!    row monotonicity *before* rebuilding, returning
@@ -55,7 +55,10 @@
 
 use crate::faults::chunk_checksum;
 use crate::value::{Block, Chunk, DistRelation};
-use matopt_core::{bulk_checksum, BulkChecksum, MatrixType, PhysFormat};
+use matopt_core::{
+    bulk_checksum, format_words, push_bytes, push_mtype, BulkChecksum, MatrixType, PhysFormat,
+    WordReader,
+};
 use matopt_kernels::{CooMatrix, CsrMatrix, DenseMatrix};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -427,8 +430,8 @@ fn decode_each(
 /// Serializes a relation in the spill stream format — magic word,
 /// chunk tags, all-u64-LE payload — with no checksum of its own: the
 /// caller wraps the bytes in whatever integrity check its medium needs
-/// (the stream sum of a [`SpillTicket`], the frame sum of the worker
-/// fleet's socket frames, the FNV-1a a training checkpoint persists).
+/// (the stream sum of a [`SpillTicket`], the sum of the frame a
+/// [`push_relation`] record travels or is persisted in).
 #[must_use]
 pub fn encode_relation(rel: &DistRelation) -> Vec<u8> {
     let mut out = begin(rel);
@@ -450,6 +453,28 @@ pub fn decode_relation(
     format: PhysFormat,
 ) -> Result<DistRelation, SpillError> {
     decode_each(bytes, mtype, format, |_| {})
+}
+
+/// Appends a typed relation to a word body — the one *relation
+/// record*: its [`MatrixType`], its [`PhysFormat`] as
+/// [`matopt_core::format_words`], then the [`encode_relation`] bytes as
+/// a length-prefixed byte string. A worker task, a worker result and a
+/// checkpointed parameter all carry a relation this way.
+pub fn push_relation(words: &mut Vec<u64>, rel: &DistRelation) {
+    push_mtype(words, rel.mtype);
+    words.extend_from_slice(&format_words(rel.format));
+    push_bytes(words, &encode_relation(rel));
+}
+
+/// Takes a relation record written by [`push_relation`].
+///
+/// # Errors
+/// A message naming `what` and the malformed field.
+pub fn take_relation(r: &mut WordReader<'_>, what: &str) -> Result<DistRelation, String> {
+    let mtype = r.take_mtype(what)?;
+    let format = r.take_format(what)?;
+    let bytes = r.take_bytes(what)?;
+    decode_relation(&bytes, mtype, format).map_err(|e| format!("{what}: {e}"))
 }
 
 #[cfg(test)]
@@ -569,7 +594,7 @@ mod tests {
     }
 
     /// The stream layout is pinned (`MOSP0001`): training checkpoints
-    /// embed these bytes and persist an FNV-1a of them. The reference
+    /// embed these bytes under a persisted frame's FNV-1a. The reference
     /// here is the encoder as it was before the single-pass rewrite —
     /// one `put` per word into a growing `Vec<u8>`.
     #[test]

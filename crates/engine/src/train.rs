@@ -24,18 +24,20 @@
 //! epoch and therefore executes the identical annotation, so cached and
 //! uncached loss trajectories are *bit-exact* (asserted in tests).
 //!
-//! Checkpoints serialize the live parameter relations in the spill wire
-//! format ([`crate::encode_relation`]) — the same codec the PR 9 worker
-//! fleet ships across process boundaries — plus the calibrated
-//! statistics, under per-relation FNV-1a checksums; a training run can
-//! be parked, the process killed, and the run resumed bit-exactly.
+//! Checkpoints are a sequence of persisted frames
+//! ([`matopt_core::Framing`]): a header frame (epochs done, losses,
+//! calibrated statistics, parameter count) and one frame per live
+//! parameter holding its relation record ([`crate::push_relation`] — the
+//! same record the worker fleet ships across process boundaries), every
+//! word under a frame checksum; a training run can be parked, the
+//! process killed, and the run resumed bit-exactly.
 
 use crate::adaptive::{execute_adaptive_planned, AdaptiveConfig, AdaptiveError, ReplanHook};
-use crate::spill::{decode_relation, encode_relation};
+use crate::spill::{push_relation, take_relation};
 use crate::value::DistRelation;
 use matopt_core::{
-    fnv1a_bytes, Annotation, ComputeGraph, FormatCatalog, MatrixType, NodeId, NodeKind, PhysFormat,
-    PlanContext,
+    Annotation, ComputeGraph, FormatCatalog, FrameReader, Framing, NodeId, NodeKind, PlanContext,
+    WireError, WordReader,
 };
 use matopt_cost::CostModel;
 use matopt_obs::Obs;
@@ -237,45 +239,36 @@ pub struct TrainCheckpoint {
     pub sparsities: Vec<f64>,
 }
 
-const CKPT_MAGIC: u64 = 0x4d41_544f_5054_434b; // "MATOPTCK"
+/// Checkpoint frames. `MATOPTCK` files (one unframed header whose only
+/// checksums covered the relation payloads) fail on the magic.
+const CKPT_FRAMING: Framing = Framing::persisted(b"MCKP0001");
+
+/// The first frame: epoch, losses, statistics, parameter count.
+const TAG_CKPT_HEADER: u64 = 1;
+/// One per parameter after it: vertex id, relation record.
+const TAG_CKPT_PARAM: u64 = 2;
 
 impl TrainCheckpoint {
-    /// Serializes the checkpoint: a u64-LE header (magic, epoch,
-    /// counts, calibrated statistics, per-relation
-    /// type/format/length/checksum) followed by each relation in the
-    /// spill wire format — the exact bytes the worker fleet ships over
-    /// its sockets. Every payload's FNV-1a checksum rides in the
-    /// header, so a single torn byte fails [`TrainCheckpoint::decode`]
-    /// instead of silently corrupting a parameter.
+    /// Serializes the checkpoint as persisted frames: a header frame
+    /// `[epoch, n_losses, losses…, n_sparsities, sparsities…, n_params]`
+    /// and one `[vertex id, relation record]` frame per parameter — the
+    /// record being the exact words the worker fleet ships over its
+    /// sockets. Every word sits under a frame's FNV-1a, so a single
+    /// torn byte anywhere fails [`TrainCheckpoint::decode`] instead of
+    /// silently corrupting the trajectory or a parameter. A parameter
+    /// must fit one frame ([`matopt_core::WIRE_MAX_BODY_WORDS`], 64 MiB).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut words: Vec<u64> = vec![
-            CKPT_MAGIC,
-            self.epoch as u64,
-            self.losses.len() as u64,
-            self.params.len() as u64,
-            self.sparsities.len() as u64,
-        ];
-        words.extend(self.losses.iter().map(|l| l.to_bits()));
-        words.extend(self.sparsities.iter().map(|s| s.to_bits()));
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(self.params.len());
+        let mut header = vec![self.epoch as u64, self.losses.len() as u64];
+        header.extend(self.losses.iter().map(|l| l.to_bits()));
+        header.push(self.sparsities.len() as u64);
+        header.extend(self.sparsities.iter().map(|s| s.to_bits()));
+        header.push(self.params.len() as u64);
+        let mut out = CKPT_FRAMING.frame_bytes(TAG_CKPT_HEADER, &header);
         for (id, rel) in &self.params {
-            let bytes = encode_relation(rel);
-            words.push(id.index() as u64);
-            words.push(rel.mtype.rows);
-            words.push(rel.mtype.cols);
-            words.push(rel.mtype.sparsity.to_bits());
-            words.push(format_tag(rel.format));
-            words.push(bytes.len() as u64);
-            words.push(fnv1a_bytes(&bytes));
-            payloads.push(bytes);
-        }
-        let mut out: Vec<u8> = Vec::new();
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        for p in payloads {
-            out.extend_from_slice(&p);
+            let mut body = vec![id.index() as u64];
+            push_relation(&mut body, rel);
+            out.extend_from_slice(&CKPT_FRAMING.frame_bytes(TAG_CKPT_PARAM, &body));
         }
         out
     }
@@ -283,96 +276,57 @@ impl TrainCheckpoint {
     /// Decodes [`TrainCheckpoint::encode`] bytes.
     ///
     /// # Errors
-    /// [`TrainError::Checkpoint`] on truncation, a bad magic word, or a
-    /// corrupt relation payload (the spill codec's checksums).
+    /// [`TrainError::Checkpoint`] on a bad magic word, a frame that is
+    /// torn or fails its checksum, a malformed body, a missing
+    /// parameter frame, or bytes after the last one.
     pub fn decode(bytes: &[u8]) -> Result<Self, TrainError> {
-        let bad = |m: &str| TrainError::Checkpoint(m.to_string());
-        let mut pos = 0usize;
-        let word = |pos: &mut usize| -> Result<u64, TrainError> {
-            let end = *pos + 8;
-            let chunk = bytes
-                .get(*pos..end)
-                .ok_or_else(|| bad("truncated header"))?;
-            *pos = end;
-            Ok(u64::from_le_bytes(chunk.try_into().expect("8 bytes")))
-        };
-        if word(&mut pos)? != CKPT_MAGIC {
-            return Err(bad("bad magic word"));
-        }
-        let epoch = word(&mut pos)? as usize;
-        let n_losses = word(&mut pos)? as usize;
-        let n_params = word(&mut pos)? as usize;
-        let n_sparsities = word(&mut pos)? as usize;
-        if n_losses > bytes.len() || n_params > bytes.len() || n_sparsities > bytes.len() {
-            return Err(bad("implausible counts"));
-        }
-        let mut losses = Vec::with_capacity(n_losses);
-        for _ in 0..n_losses {
-            losses.push(f64::from_bits(word(&mut pos)?));
-        }
-        let mut sparsities = Vec::with_capacity(n_sparsities);
-        for _ in 0..n_sparsities {
-            sparsities.push(f64::from_bits(word(&mut pos)?));
-        }
-        let mut heads = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            let id = NodeId(u32::try_from(word(&mut pos)?).map_err(|_| bad("vertex id overflow"))?);
-            let mtype = MatrixType {
-                rows: word(&mut pos)?,
-                cols: word(&mut pos)?,
-                sparsity: f64::from_bits(word(&mut pos)?),
-            };
-            let format = format_untag(word(&mut pos)?).ok_or_else(|| bad("unknown format tag"))?;
-            let len = word(&mut pos)? as usize;
-            let checksum = word(&mut pos)?;
-            heads.push((id, mtype, format, len, checksum));
-        }
-        let mut params = Vec::with_capacity(n_params);
-        for (id, mtype, format, len, checksum) in heads {
-            let end = pos
-                .checked_add(len)
-                .filter(|e| *e <= bytes.len())
-                .ok_or_else(|| bad("truncated relation payload"))?;
-            if fnv1a_bytes(&bytes[pos..end]) != checksum {
-                return Err(bad("relation payload failed its checksum"));
-            }
-            let rel = decode_relation(&bytes[pos..end], mtype, format)
-                .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
-            pos = end;
-            params.push((id, rel));
-        }
-        Ok(TrainCheckpoint {
+        decode_checkpoint(bytes).map_err(TrainError::Checkpoint)
+    }
+}
+
+/// The next frame's body, which must carry `tag`.
+fn expect_frame(frames: &mut FrameReader<&[u8]>, tag: u64, what: &str) -> Result<Vec<u64>, String> {
+    match frames.read_frame() {
+        Ok(frame) if frame.tag == tag => Ok(frame.body),
+        Ok(frame) => Err(format!("{what}: unexpected frame tag {}", frame.tag)),
+        Err(e) => Err(format!("{what}: {e}")),
+    }
+}
+
+fn decode_checkpoint(bytes: &[u8]) -> Result<TrainCheckpoint, String> {
+    let mut frames = FrameReader::with_framing(CKPT_FRAMING, bytes);
+    let header = expect_frame(&mut frames, TAG_CKPT_HEADER, "header")?;
+    let mut r = WordReader::new(&header);
+    let epoch = r.take_count("epoch", usize::MAX)?;
+    let mut floats = |what: &str| -> Result<Vec<f64>, String> {
+        let n = r.take_count(what, header.len())?;
+        let bits = r.take_slice(n, what)?;
+        Ok(bits.iter().map(|w| f64::from_bits(*w)).collect())
+    };
+    let losses = floats("losses")?;
+    let sparsities = floats("calibrated statistics")?;
+    // A parameter frame is at least its 32-byte header.
+    let n_params = r.take_count("parameter count", bytes.len() / 32)?;
+    r.finish()?;
+    let mut params = Vec::with_capacity(n_params);
+    for i in 0..n_params {
+        let what = format!("parameter {i}");
+        let body = expect_frame(&mut frames, TAG_CKPT_PARAM, &what)?;
+        let mut r = WordReader::new(&body);
+        let id =
+            u32::try_from(r.take(&what)?).map_err(|_| format!("{what}: vertex id out of range"))?;
+        let rel = take_relation(&mut r, &what)?;
+        r.finish()?;
+        params.push((NodeId(id), rel));
+    }
+    match frames.read_frame() {
+        Err(WireError::Eof) => Ok(TrainCheckpoint {
             epoch,
             losses,
             params,
             sparsities,
-        })
-    }
-}
-
-fn format_tag(f: PhysFormat) -> u64 {
-    match f {
-        PhysFormat::SingleTuple => 0,
-        PhysFormat::Tile { side } => (1 << 32) | side,
-        PhysFormat::RowStrip { height } => (2 << 32) | height,
-        PhysFormat::ColStrip { width } => (3 << 32) | width,
-        PhysFormat::CsrTile { side } => (4 << 32) | side,
-        PhysFormat::CsrSingle => 5 << 32,
-        PhysFormat::Coo => 6 << 32,
-    }
-}
-
-fn format_untag(w: u64) -> Option<PhysFormat> {
-    let param = w & 0xffff_ffff;
-    match w >> 32 {
-        0 => Some(PhysFormat::SingleTuple),
-        1 => Some(PhysFormat::Tile { side: param }),
-        2 => Some(PhysFormat::RowStrip { height: param }),
-        3 => Some(PhysFormat::ColStrip { width: param }),
-        4 => Some(PhysFormat::CsrTile { side: param }),
-        5 => Some(PhysFormat::CsrSingle),
-        6 => Some(PhysFormat::Coo),
-        _ => None,
+        }),
+        _ => Err("bytes after the last parameter frame".to_string()),
     }
 }
 

@@ -203,30 +203,67 @@ fn checkpoints_survive_the_wire_and_resume_bit_exactly() {
 fn corrupt_checkpoints_are_rejected_not_trusted() {
     let (spec, inputs) = spec_and_inputs(8);
     let out = run(&spec, &inputs, &config(1, true));
+    let mut params: Vec<(NodeId, DistRelation)> = spec
+        .params
+        .iter()
+        .map(|p| (*p, out.final_params[p].clone()))
+        .collect();
+    // One sparse parameter beside the dense ones.
+    let sparse = DistRelation::from_dense(&one_hot(9, 5), PhysFormat::CsrSingle).expect("csr");
+    params.push((NodeId(u32::MAX), sparse));
     let ck = TrainCheckpoint {
         epoch: 1,
         losses: out.losses(),
-        params: spec
-            .params
-            .iter()
-            .map(|p| (*p, out.final_params[p].clone()))
-            .collect(),
+        params,
         sparsities: vec![0.5; spec.graph.len()],
     };
     let bytes = ck.encode();
-    assert!(TrainCheckpoint::decode(&bytes).is_ok());
-    assert!(TrainCheckpoint::decode(&bytes[..bytes.len() - 3]).is_err());
-    assert!(TrainCheckpoint::decode(&bytes[..11]).is_err());
-    let mut torn = bytes.clone();
-    let mid = bytes.len() / 2;
-    torn[mid] ^= 0x40;
-    assert!(
-        TrainCheckpoint::decode(&torn).is_err(),
-        "a torn relation payload must fail the spill checksums"
-    );
-    let mut wrong_magic = bytes;
-    wrong_magic[0] ^= 1;
-    assert!(TrainCheckpoint::decode(&wrong_magic).is_err());
+    let back = TrainCheckpoint::decode(&bytes).expect("round trips");
+    assert_eq!((back.epoch, &back.losses), (ck.epoch, &ck.losses));
+    assert_eq!(back.sparsities, ck.sparsities);
+    assert_eq!(back.params, ck.params);
+
+    // Every proper prefix, every single-byte flip, and any suffix: the
+    // header (epoch, losses, statistics, counts, vertex ids) is under a
+    // checksum exactly like the relation payloads.
+    for cut in 0..bytes.len() {
+        assert!(
+            TrainCheckpoint::decode(&bytes[..cut]).is_err(),
+            "prefix of {cut} bytes decoded"
+        );
+    }
+    let mut dirty = bytes.clone();
+    for i in 0..bytes.len() {
+        for mask in [0x01u8, 0x40] {
+            dirty[i] ^= mask;
+            assert!(
+                TrainCheckpoint::decode(&dirty).is_err(),
+                "flip {mask:#04x} at byte {i} of {} decoded",
+                bytes.len()
+            );
+            dirty[i] ^= mask;
+        }
+    }
+    for garbage in [&[0u8][..], &[0u8; 8], &bytes[..40]] {
+        let mut padded = bytes.clone();
+        padded.extend_from_slice(garbage);
+        assert!(
+            TrainCheckpoint::decode(&padded).is_err(),
+            "{} trailing bytes accepted",
+            garbage.len()
+        );
+    }
+
+    // A parent-build checkpoint: the retired MATOPTCK magic, then its
+    // header words. Refused on the magic, never partially decoded.
+    let mut old = b"KCTPOTAM".to_vec();
+    for word in [1u64, 1, 0, 0, 0.25f64.to_bits()] {
+        old.extend_from_slice(&word.to_le_bytes());
+    }
+    match TrainCheckpoint::decode(&old) {
+        Err(TrainError::Checkpoint(m)) => assert!(m.contains("bad magic"), "{m}"),
+        other => panic!("old-format checkpoint: {other:?}"),
+    }
 }
 
 #[test]

@@ -2,36 +2,38 @@
 //! survives process restarts by spilling the cache snapshot to
 //! `<dir>/plans.mcache` and warming from it on the next start.
 //!
-//! The format follows the engine's spill files: a little-endian `u64`
-//! word stream with a magic header, and *two* checksums per entry —
-//! a **stream** FNV-1a over the entry's raw bytes (catches disk rot and
-//! truncation) and a **value** FNV-1a that the loader verifies by
-//! re-encoding the decoded entry (catches encoder/decoder asymmetry).
-//! Every read is bounds-checked; a corrupt entry is *skipped and
-//! counted*, never decoded into a wrong plan — a damaged cache file
-//! degrades to cache misses, not to serving garbage.
+//! The file is a sequence of [`matopt_core::Framing`] frames under the
+//! `MPLN0002` magic, one per entry; this module owns only an entry's
+//! body grammar. The frame's FNV-1a catches disk rot and truncation;
+//! on top of it the loader re-encodes each decoded entry and demands
+//! the frame body back word for word (catches encoder/decoder
+//! asymmetry). A corrupt entry is *skipped and counted*, never decoded
+//! into a wrong plan — a damaged cache file degrades to cache misses,
+//! not to serving garbage.
 //!
 //! Saves and loads on one directory serialize on a lock file
-//! ([`LOCK_FILE`], stolen when its holder crashes), and every writer
-//! uses a unique temp name, so concurrent `persist_to_dir` /
-//! `warm_from_dir` calls — including from threads of a single process,
-//! which used to share one pid-derived temp path — can never interleave
-//! partial writes.
+//! ([`LOCK_FILE`], stolen when its holder crashes), and every write
+//! goes through [`matopt_core::write_atomic`], so concurrent
+//! `persist_to_dir` / `warm_from_dir` calls — including from threads of
+//! a single process — can never interleave partial writes.
 
 use crate::{Fingerprint, PlanService};
 use matopt_core::{
-    fnv1a_64, fnv1a_bytes, Annotation, ImplId, PhysFormat, Transform, VertexChoice,
-    ALL_TRANSFORM_KINDS,
+    format_words, write_atomic, Annotation, FrameReader, Framing, ImplId, Transform, VertexChoice,
+    WireError, WordReader, ALL_TRANSFORM_KINDS,
 };
 use matopt_opt::Optimized;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// `b"MPLN0001"` as a little-endian word.
-const MAGIC: u64 = u64::from_le_bytes(*b"MPLN0001");
+/// `plans.mcache` frames. `MPLN0001` files laid their entries out under
+/// a count word with two stored sums each; one warms empty, `corrupt = 1`.
+const FRAMING: Framing = Framing::persisted(b"MPLN0002");
+
+/// Tag of the one frame kind a cache file holds.
+const TAG_ENTRY: u64 = 1;
 
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "plans.mcache";
@@ -57,12 +59,8 @@ pub struct LoadReport {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// Entry body grammar
 // ---------------------------------------------------------------------
-
-fn encode_format(words: &mut Vec<u64>, f: PhysFormat) {
-    words.extend_from_slice(&matopt_core::format_words(f));
-}
 
 /// The body of one entry, as words.
 fn encode_entry(fp: Fingerprint, plan: &Optimized) -> Vec<u64> {
@@ -81,7 +79,7 @@ fn encode_entry(fp: Fingerprint, plan: &Optimized) -> Vec<u64> {
             Some(c) => {
                 w.push(1);
                 w.push(c.impl_id.0 as u64);
-                encode_format(&mut w, c.output_format);
+                w.extend_from_slice(&format_words(c.output_format));
                 w.push(c.input_transforms.len() as u64);
                 for t in &c.input_transforms {
                     let kind = ALL_TRANSFORM_KINDS
@@ -89,7 +87,7 @@ fn encode_entry(fp: Fingerprint, plan: &Optimized) -> Vec<u64> {
                         .position(|k| *k == t.kind)
                         .expect("every TransformKind is in ALL_TRANSFORM_KINDS");
                     w.push(kind as u64);
-                    encode_format(&mut w, t.to);
+                    w.extend_from_slice(&format_words(t.to));
                 }
             }
         }
@@ -97,67 +95,13 @@ fn encode_entry(fp: Fingerprint, plan: &Optimized) -> Vec<u64> {
     w
 }
 
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes
-}
-
 /// Serializes `entries` to the cache-file byte format.
 fn encode_file(entries: &[(Fingerprint, Arc<Optimized>)]) -> Vec<u8> {
-    let mut words = vec![MAGIC, entries.len() as u64];
+    let mut bytes = Vec::new();
     for (fp, plan) in entries {
-        let body = encode_entry(*fp, plan);
-        let body_bytes = words_to_bytes(&body);
-        words.push(body.len() as u64);
-        words.push(fnv1a_bytes(&body_bytes));
-        words.push(fnv1a_64(&body));
-        words.extend_from_slice(&body);
+        bytes.extend_from_slice(&FRAMING.frame_bytes(TAG_ENTRY, &encode_entry(*fp, plan)));
     }
-    words_to_bytes(&words)
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-/// Bounds-checked word reader: every `take` can fail, nothing panics on
-/// hostile input.
-struct Reader<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self) -> Option<u64> {
-        let w = *self.words.get(self.pos)?;
-        self.pos += 1;
-        Some(w)
-    }
-
-    /// A length/count field, rejected above `max`.
-    fn take_len(&mut self, max: usize) -> Option<usize> {
-        let w = self.take()?;
-        let n = usize::try_from(w).ok()?;
-        (n <= max).then_some(n)
-    }
-}
-
-fn decode_format(r: &mut Reader<'_>) -> Option<PhysFormat> {
-    let tag = r.take()?;
-    let arg = r.take()?;
-    Some(match tag {
-        0 => PhysFormat::SingleTuple,
-        1 => PhysFormat::RowStrip { height: arg },
-        2 => PhysFormat::ColStrip { width: arg },
-        3 => PhysFormat::Tile { side: arg },
-        4 => PhysFormat::Coo,
-        5 => PhysFormat::CsrSingle,
-        6 => PhysFormat::CsrTile { side: arg },
-        _ => return None,
-    })
+    bytes
 }
 
 /// Graphs and fan-ins far beyond anything the workspace builds; a
@@ -165,34 +109,37 @@ fn decode_format(r: &mut Reader<'_>) -> Option<PhysFormat> {
 const MAX_CHOICES: usize = 1 << 20;
 const MAX_TRANSFORMS: usize = 1 << 10;
 
-fn decode_entry(body: &[u64]) -> Option<(Fingerprint, Optimized)> {
-    let mut r = Reader {
-        words: body,
-        pos: 0,
-    };
-    let fp = Fingerprint(((r.take()? as u128) << 64) | r.take()? as u128);
-    let cost = f64::from_bits(r.take()?);
-    let opt_seconds = f64::from_bits(r.take()?);
-    let beam_truncated = usize::try_from(r.take()?).ok()?;
-    let timed_out = match r.take()? {
+fn decode_entry(body: &[u64]) -> Result<(Fingerprint, Optimized), String> {
+    let mut r = WordReader::new(body);
+    let fp = Fingerprint(
+        (u128::from(r.take("fingerprint")?) << 64) | u128::from(r.take("fingerprint")?),
+    );
+    let cost = f64::from_bits(r.take("cost")?);
+    let opt_seconds = f64::from_bits(r.take("optimizer seconds")?);
+    let beam_truncated = r.take_count("beam-truncated count", usize::MAX)?;
+    let timed_out = match r.take("timed-out flag")? {
         0 => false,
         1 => true,
-        _ => return None,
+        other => return Err(format!("timed-out flag {other}")),
     };
-    let n_choices = r.take_len(MAX_CHOICES)?;
+    let n_choices = r.take_count("choice count", MAX_CHOICES)?;
     let mut choices = Vec::with_capacity(n_choices);
     for _ in 0..n_choices {
-        match r.take()? {
+        match r.take("choice presence")? {
             0 => choices.push(None),
             1 => {
-                let impl_id = ImplId(u16::try_from(r.take()?).ok()?);
-                let output_format = decode_format(&mut r)?;
-                let n_transforms = r.take_len(MAX_TRANSFORMS)?;
+                let impl_id =
+                    ImplId(u16::try_from(r.take("impl id")?).map_err(|_| "impl id out of range")?);
+                let output_format = r.take_format("output format")?;
+                let n_transforms = r.take_count("transform count", MAX_TRANSFORMS)?;
                 let mut input_transforms = Vec::with_capacity(n_transforms);
                 for _ in 0..n_transforms {
-                    let kind = *ALL_TRANSFORM_KINDS.get(usize::try_from(r.take()?).ok()?)?;
-                    let to = decode_format(&mut r)?;
-                    input_transforms.push(Transform { kind, to });
+                    let kind = r.take_count("transform kind", ALL_TRANSFORM_KINDS.len() - 1)?;
+                    let to = r.take_format("transform target")?;
+                    input_transforms.push(Transform {
+                        kind: ALL_TRANSFORM_KINDS[kind],
+                        to,
+                    });
                 }
                 choices.push(Some(VertexChoice {
                     impl_id,
@@ -200,13 +147,11 @@ fn decode_entry(body: &[u64]) -> Option<(Fingerprint, Optimized)> {
                     output_format,
                 }));
             }
-            _ => return None,
+            other => return Err(format!("choice presence {other}")),
         }
     }
-    if r.pos != body.len() {
-        return None; // trailing garbage inside the entry
-    }
-    Some((
+    r.finish()?;
+    Ok((
         fp,
         Optimized {
             annotation: Annotation { choices },
@@ -218,58 +163,34 @@ fn decode_entry(body: &[u64]) -> Option<(Fingerprint, Optimized)> {
     ))
 }
 
-/// Decodes a cache file, skipping (and counting) corrupt entries.
+/// Decodes a cache file, skipping (and counting) corrupt entries: a
+/// frame whose sum or body fails is one lost entry; a lost frame
+/// boundary (torn header, foreign magic, truncation) ends the file.
 fn decode_file(bytes: &[u8]) -> (Vec<(Fingerprint, Optimized)>, usize) {
-    if !bytes.len().is_multiple_of(8) {
-        return (Vec::new(), 1);
-    }
-    let words: Vec<u64> = bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    let mut r = Reader {
-        words: &words,
-        pos: 0,
-    };
-    if r.take() != Some(MAGIC) {
-        return (Vec::new(), 1);
-    }
-    let Some(count) = r.take_len(MAX_CHOICES) else {
-        return (Vec::new(), 1);
-    };
+    let mut frames = FrameReader::with_framing(FRAMING, bytes);
     let mut out = Vec::new();
     let mut corrupt = 0usize;
-    for _ in 0..count {
-        let Some(body_len) = r.take_len(words.len().saturating_sub(r.pos)) else {
-            // Header truncated: nothing after this point is framed.
-            corrupt += 1;
-            break;
+    loop {
+        let frame = match frames.read_record() {
+            Ok(Ok(frame)) => frame,
+            Ok(Err(_)) => {
+                corrupt += 1;
+                continue;
+            }
+            Err(WireError::Eof) => break,
+            Err(_) => {
+                corrupt += 1;
+                break;
+            }
         };
-        let (Some(stream_fnv), Some(value_fnv)) = (r.take(), r.take()) else {
-            corrupt += 1;
-            break;
-        };
-        let Some(body) = words.get(r.pos..r.pos + body_len) else {
-            corrupt += 1;
-            break;
-        };
-        r.pos += body_len;
-        // Checksum 1: the stream, over the raw bytes as stored.
-        if fnv1a_bytes(&words_to_bytes(body)) != stream_fnv {
-            corrupt += 1;
-            continue;
+        // The value check: decode, re-encode, and demand the round trip
+        // reproduce the stored body.
+        match decode_entry(&frame.body) {
+            Ok((fp, plan)) if frame.tag == TAG_ENTRY && encode_entry(fp, &plan) == frame.body => {
+                out.push((fp, plan));
+            }
+            _ => corrupt += 1,
         }
-        // Checksum 2: the value — decode, re-encode, and demand the
-        // round trip reproduce the recorded word hash.
-        let Some((fp, plan)) = decode_entry(body) else {
-            corrupt += 1;
-            continue;
-        };
-        if fnv1a_64(&encode_entry(fp, &plan)) != value_fnv {
-            corrupt += 1;
-            continue;
-        }
-        out.push((fp, plan));
     }
     (out, corrupt)
 }
@@ -349,56 +270,26 @@ impl Drop for DirLock {
     }
 }
 
-/// Removes temp files abandoned by crashed writers. Safe while holding
-/// the directory lock: any live writer would be holding it instead.
-fn sweep_tmp_debris(dir: &Path) {
-    let tmp_prefix = format!("{CACHE_FILE}.tmp.");
-    let Ok(listing) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in listing.flatten() {
-        if entry
-            .file_name()
-            .to_str()
-            .is_some_and(|name| name.starts_with(&tmp_prefix))
-        {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-}
-
-/// Writes `entries` to `<dir>/plans.mcache` atomically (temp file +
-/// rename), creating `dir` if needed. Writers serialize on the
-/// directory's lock file, and each write uses a unique temp name
-/// (pid + sequence number), so concurrent persists — even from threads
-/// of one process — cannot interleave temp files; one complete
-/// snapshot wins. A crash mid-write leaves the previous cache file
-/// intact plus debris the next locked writer sweeps.
+/// Writes `entries` to `<dir>/plans.mcache` atomically
+/// ([`write_atomic`]), creating `dir` if needed. Writers serialize on
+/// the directory's lock file, so concurrent persists — even from
+/// threads of one process — cannot interleave; one complete snapshot
+/// wins. A crash mid-write leaves the previous cache file intact plus
+/// debris the next locked writer sweeps (safe under the lock: any live
+/// writer would be holding it instead).
 ///
 /// # Errors
 /// Propagates filesystem errors; [`io::ErrorKind::TimedOut`] when the
 /// directory lock cannot be acquired.
 pub fn save_cache(dir: &Path, entries: &[(Fingerprint, Arc<Optimized>)]) -> io::Result<()> {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     std::fs::create_dir_all(dir)?;
     let _lock = DirLock::acquire(dir)?;
-    sweep_tmp_debris(dir);
-    let tmp = dir.join(format!(
-        "{CACHE_FILE}.tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::write(&tmp, encode_file(entries))?;
-    let renamed = std::fs::rename(&tmp, dir.join(CACHE_FILE));
-    if renamed.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    renamed
+    write_atomic(dir, CACHE_FILE, &encode_file(entries))
 }
 
 /// Reads `<dir>/plans.mcache` under the directory lock. A missing file
 /// is an empty cache; a damaged file yields whatever entries survive
-/// both checksums.
+/// the frame checksum and the value check.
 ///
 /// # Errors
 /// Propagates filesystem errors other than "not found".
@@ -470,7 +361,8 @@ impl PlanService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matopt_core::TransformKind;
+    use matopt_core::{PhysFormat, TransformKind};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn sample() -> (Fingerprint, Arc<Optimized>) {
         let choices = vec![
@@ -557,6 +449,20 @@ mod tests {
             assert!(entries.is_empty());
             assert!(corrupt >= 1 || end < 16, "truncated at {end} not flagged");
         }
+    }
+
+    /// A parent-build cache file — `[MPLN0001, count, (len, stream
+    /// sum, value sum, body)…]` — warms empty and is counted once.
+    #[test]
+    fn a_retired_magic_file_warms_empty_and_counts_one_corrupt() {
+        let (fp, plan) = sample();
+        let body = encode_entry(fp, &plan);
+        let mut words = vec![u64::from_le_bytes(*b"MPLN0001"), 1, body.len() as u64, 0, 0];
+        words.extend_from_slice(&body);
+        let old: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let (entries, corrupt) = decode_file(&old);
+        assert!(entries.is_empty());
+        assert_eq!(corrupt, 1);
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

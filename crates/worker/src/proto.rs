@@ -1,17 +1,19 @@
 //! Coordinator ↔ worker message protocol.
 //!
-//! Every message is one checksummed [`matopt_core::Frame`] (the
-//! all-u64-LE wire idiom shared with spill files and the plan cache).
-//! Relation payloads reuse the engine's spill codec byte-for-byte
-//! ([`matopt_engine::encode_relation`]), so a relation torn in flight
-//! is rejected by exactly the machinery that rejects a torn spill
-//! file. Decoding never panics: every malformed body is a `String`
-//! error the fleet treats as worker death.
+//! Every message is one checksummed [`matopt_core::Frame`], its body
+//! read through the one [`WordReader`]. Relations travel as the
+//! engine's relation record ([`matopt_engine::push_relation`], the
+//! spill codec's bytes inside), so a relation torn in flight is
+//! rejected by exactly the machinery that rejects a torn spill file or
+//! checkpoint. Decoding never panics: every malformed body is a
+//! `String` error the fleet treats as worker death.
 
 use matopt_core::{
-    format_from_words, format_words, op_from_words, op_to_words, MatrixType, Op, PhysFormat,
+    format_words, op_from_words, op_to_words, push_bytes, push_mtype, MatrixType, Op, PhysFormat,
 };
-use matopt_engine::DistRelation;
+use matopt_engine::{push_relation, take_relation, DistRelation};
+
+pub use matopt_core::WordReader;
 
 /// Worker → coordinator, once per connection: who is connecting.
 pub const TAG_HELLO: u64 = 1;
@@ -130,131 +132,6 @@ pub struct TaskSpec {
     pub inputs: Vec<TaskInput>,
 }
 
-/// Bounds-checked reader over a frame body, mirroring the spill
-/// reader's contract: every overrun is a structured error.
-#[derive(Debug)]
-pub struct WordReader<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> WordReader<'a> {
-    /// Wraps a body.
-    #[must_use]
-    pub fn new(words: &'a [u64]) -> Self {
-        WordReader { words, pos: 0 }
-    }
-
-    /// Takes the next word, or errors naming `what` was missing.
-    pub fn take(&mut self, what: &str) -> Result<u64, String> {
-        let w = self
-            .words
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| format!("body truncated reading {what}"))?;
-        self.pos += 1;
-        Ok(w)
-    }
-
-    /// Takes `n` words as a slice.
-    pub fn take_slice(&mut self, n: usize, what: &str) -> Result<&'a [u64], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.words.len())
-            .ok_or_else(|| format!("body truncated reading {what}"))?;
-        let s = &self.words[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Takes a `count ≤ max` word, guarding allocations against torn
-    /// length fields.
-    pub fn take_count(&mut self, what: &str, max: usize) -> Result<usize, String> {
-        let v = self.take(what)?;
-        let v = usize::try_from(v).map_err(|_| format!("{what} {v} out of range"))?;
-        if v > max {
-            return Err(format!("{what} {v} exceeds bound {max}"));
-        }
-        Ok(v)
-    }
-
-    /// Asserts the body was fully consumed.
-    pub fn finish(&self) -> Result<(), String> {
-        if self.pos == self.words.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing words after message body",
-                self.words.len() - self.pos
-            ))
-        }
-    }
-}
-
-/// Appends a byte string as `len` + zero-padded LE words.
-fn push_bytes(words: &mut Vec<u64>, bytes: &[u8]) {
-    words.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(buf));
-    }
-}
-
-/// Reads a byte string written by [`push_bytes`].
-fn take_bytes(r: &mut WordReader<'_>, what: &str) -> Result<Vec<u8>, String> {
-    let len = r.take_count(what, usize::MAX / 16)?;
-    let nwords = len.div_ceil(8);
-    let words = r.take_slice(nwords, what)?;
-    let mut bytes = Vec::with_capacity(len);
-    for (i, w) in words.iter().enumerate() {
-        let buf = w.to_le_bytes();
-        let take = (len - i * 8).min(8);
-        bytes.extend_from_slice(&buf[..take]);
-    }
-    Ok(bytes)
-}
-
-fn push_mtype(words: &mut Vec<u64>, m: MatrixType) {
-    words.push(m.rows);
-    words.push(m.cols);
-    words.push(m.sparsity.to_bits());
-}
-
-fn take_mtype(r: &mut WordReader<'_>, what: &str) -> Result<MatrixType, String> {
-    let rows = r.take(what)?;
-    let cols = r.take(what)?;
-    let sparsity = f64::from_bits(r.take(what)?);
-    if !(0.0..=1.0).contains(&sparsity) {
-        return Err(format!("{what}: sparsity {sparsity} outside [0, 1]"));
-    }
-    Ok(MatrixType {
-        rows,
-        cols,
-        sparsity,
-    })
-}
-
-fn take_format(r: &mut WordReader<'_>, what: &str) -> Result<PhysFormat, String> {
-    let w0 = r.take(what)?;
-    let w1 = r.take(what)?;
-    format_from_words([w0, w1]).ok_or_else(|| format!("{what}: unknown format words [{w0}, {w1}]"))
-}
-
-fn push_relation(words: &mut Vec<u64>, rel: &DistRelation) {
-    push_mtype(words, rel.mtype);
-    words.extend_from_slice(&format_words(rel.format));
-    push_bytes(words, &matopt_engine::encode_relation(rel));
-}
-
-fn take_relation(r: &mut WordReader<'_>, what: &str) -> Result<DistRelation, String> {
-    let mtype = take_mtype(r, what)?;
-    let format = take_format(r, what)?;
-    let bytes = take_bytes(r, what)?;
-    matopt_engine::decode_relation(&bytes, mtype, format).map_err(|e| format!("{what}: {e}"))
-}
-
 /// Encodes a task body.
 #[must_use]
 pub fn encode_task(t: &TaskSpec) -> Vec<u64> {
@@ -295,10 +172,10 @@ pub fn decode_task(body: &[u64]) -> Result<TaskSpec, String> {
     let op1 = r.take("task op payload")?;
     let op =
         op_from_words([op0, op1]).ok_or_else(|| format!("task op words [{op0}, {op1}] unknown"))?;
-    let out_type = take_mtype(&mut r, "task output type")?;
-    let out_format = take_format(&mut r, "task output format")?;
+    let out_type = r.take_mtype("task output type")?;
+    let out_format = r.take_format("task output format")?;
     let stall_ms = r.take("task stall")?;
-    let label = String::from_utf8(take_bytes(&mut r, "task label")?)
+    let label = String::from_utf8(r.take_bytes("task label")?)
         .map_err(|_| "task label is not UTF-8".to_string())?;
     let n_inputs = r.take_count("task input count", 64)?;
     let mut inputs = Vec::with_capacity(n_inputs);
@@ -365,7 +242,7 @@ pub fn encode_task_err(seq: u64, msg: &str) -> Vec<u64> {
 pub fn decode_task_err(body: &[u64]) -> Result<(u64, String), String> {
     let mut r = WordReader::new(body);
     let seq = r.take("error seq")?;
-    let msg = String::from_utf8(take_bytes(&mut r, "error message")?)
+    let msg = String::from_utf8(r.take_bytes("error message")?)
         .map_err(|_| "error message is not UTF-8".to_string())?;
     r.finish()?;
     Ok((seq, msg))
@@ -374,6 +251,7 @@ pub fn decode_task_err(body: &[u64]) -> Result<(u64, String), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matopt_core::fnv1a_64;
     use matopt_kernels::DenseMatrix;
 
     fn sample_rel(seed: u64) -> DistRelation {
@@ -422,6 +300,20 @@ mod tests {
     fn task_round_trips() {
         let t = sample_task();
         assert_eq!(decode_task(&encode_task(&t)).unwrap(), t);
+    }
+
+    /// Message bodies are pinned word for word: these are the hashes of
+    /// the bodies the fleet shipped before the relation record moved
+    /// into the engine.
+    #[test]
+    fn task_and_result_bodies_are_golden() {
+        let task = encode_task(&sample_task());
+        assert_eq!((task.len(), fnv1a_64(&task)), (60, 0x6945_ced4_595d_6452));
+        let result = encode_result(99, &sample_rel(2));
+        assert_eq!(
+            (result.len(), fnv1a_64(&result)),
+            (43, 0x23b6_983c_6d18_4908)
+        );
     }
 
     #[test]
