@@ -41,7 +41,7 @@ use crate::types::MatrixType;
 use crate::PhysFormat;
 
 /// 64-bit FNV-1a offset basis.
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 128-bit FNV-1a offset basis.
@@ -51,7 +51,12 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// 64-bit FNV-1a over a word stream (each word fed little-endian).
 pub fn fnv1a_64(words: &[u64]) -> u64 {
-    let mut h = FNV64_OFFSET;
+    fnv1a_extend(FNV64_OFFSET, words)
+}
+
+/// Continues a 64-bit FNV-1a state `h` over more words, so a stream can
+/// be summed piece by piece; from [`FNV64_OFFSET`] it is [`fnv1a_64`].
+pub(crate) fn fnv1a_extend(mut h: u64, words: &[u64]) -> u64 {
     for w in words {
         for b in w.to_le_bytes() {
             h ^= b as u64;

@@ -5,7 +5,7 @@
 //! kind of stream, an application tag, the body length in words, a
 //! checksum over the body bytes, then the body as little-endian u64
 //! words. A [`Framing`] names one kind — its magic and its checksum, by
-//! purpose: [`Framing::WIRE`] (`MWIR0002`, [`bulk_checksum`]) for the
+//! purpose: [`Framing::WIRE`] (`MWIR0002`, [`BulkChecksum`]) for the
 //! coordinator ↔ worker socket, whose frames are bulk, process-lifetime
 //! payloads between two halves of one build; [`Framing::persisted`]
 //! (FNV-1a, pinned by reference vectors) for files that outlive a build
@@ -13,6 +13,13 @@
 //! those formats is a sequence of frames and owns only its body grammar,
 //! which it reads through the one bounds-checked [`WordReader`] and
 //! writes to disk through the one [`write_atomic`].
+//!
+//! Bodies are words in memory and bytes only on the stream, and they
+//! cross between the two through one small fixed buffer per call: the
+//! writer sums the body's words, then streams header and body through
+//! the buffer; the reader fills the buffer from the stream and turns it
+//! straight into body words, summing each piece while it is in cache. A
+//! megabyte body is never held as a second, byte-shaped copy.
 //!
 //! The reader frames a *stream* (a socket, or a file's bytes), so it
 //! distinguishes three terminal conditions:
@@ -36,7 +43,8 @@
 //! pinned), so a body grammar that must reject every damaged byte
 //! checks the tag of each frame it reads against the one it expects.
 
-use crate::{bulk_checksum, fnv1a_bytes, format_from_words, MatrixType, PhysFormat};
+use crate::canon::{fnv1a_extend, FNV64_OFFSET};
+use crate::{format_from_words, BulkChecksum, MatrixType, PhysFormat};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +61,10 @@ pub const WIRE_MAX_BODY_WORDS: u64 = 8 * 1024 * 1024;
 
 /// Header size in bytes: magic, tag, length, checksum.
 const HEADER_BYTES: usize = 32;
+
+/// Words per pass of the streamed writer and reader: 16 KiB, a cache-
+/// resident piece of any body.
+const STREAM_WORDS: usize = 2048;
 
 /// What went wrong reading a frame stream.
 #[derive(Debug)]
@@ -89,38 +101,105 @@ impl From<io::Error> for WireError {
 #[derive(Debug, Clone, Copy)]
 pub struct Framing {
     magic: u64,
-    sum: fn(&[u8]) -> u64,
+    sum: SumKind,
+}
+
+/// Which checksum a [`Framing`] takes over its bodies.
+#[derive(Debug, Clone, Copy)]
+enum SumKind {
+    /// [`BulkChecksum`]: word-parallel, value free to change.
+    Bulk,
+    /// [`crate::fnv1a_bytes`]: pinned by reference vectors.
+    Fnv1a,
+}
+
+/// A body checksum in progress, fed one piece of words at a time. Over
+/// the little-endian bytes of the same words it equals the one-shot
+/// [`crate::bulk_checksum`] / [`crate::fnv1a_bytes`]. One lives on the
+/// stack per frame, so the size gap between variants costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum BodySum {
+    Bulk(BulkChecksum),
+    Fnv1a(u64),
+}
+
+impl BodySum {
+    fn words(&mut self, words: &[u64]) {
+        match self {
+            BodySum::Bulk(sum) => sum.u64s(words),
+            BodySum::Fnv1a(h) => *h = fnv1a_extend(*h, words),
+        }
+    }
+
+    fn finish(self) -> u64 {
+        match self {
+            BodySum::Bulk(sum) => sum.finish(),
+            BodySum::Fnv1a(h) => h,
+        }
+    }
+}
+
+/// Writes `words` little-endian into the front of `buf`.
+fn put_le(buf: &mut [[u8; 8]], words: &[u64]) {
+    for (slot, w) in buf.iter_mut().zip(words) {
+        *slot = w.to_le_bytes();
+    }
 }
 
 impl Framing {
     /// The coordinator ↔ worker socket: [`WIRE_MAGIC`] and
-    /// [`bulk_checksum`], whose value is free to change between builds.
+    /// [`BulkChecksum`], whose value is free to change between builds.
     pub const WIRE: Framing = Framing {
         magic: WIRE_MAGIC,
-        sum: bulk_checksum,
+        sum: SumKind::Bulk,
     };
 
     /// A persisted file kind under its own 8-byte magic, summed with
-    /// [`fnv1a_bytes`] — files outlive the build that wrote them, so
-    /// their checksum is the one pinned by reference vectors.
+    /// [`crate::fnv1a_bytes`] — files outlive the build that wrote them,
+    /// so their checksum is the one pinned by reference vectors.
     #[must_use]
     pub const fn persisted(magic: &[u8; 8]) -> Framing {
         Framing {
             magic: u64::from_le_bytes(*magic),
-            sum: fnv1a_bytes,
+            sum: SumKind::Fnv1a,
         }
+    }
+
+    fn body_sum(&self) -> BodySum {
+        match self.sum {
+            SumKind::Bulk => BodySum::Bulk(BulkChecksum::new()),
+            SumKind::Fnv1a => BodySum::Fnv1a(FNV64_OFFSET),
+        }
+    }
+
+    /// Writes one frame to `w` without flushing: one pass sums the body
+    /// words, a second streams header and body through a fixed
+    /// [`STREAM_WORDS`] buffer.
+    ///
+    /// # Errors
+    /// Propagates the transport's I/O errors.
+    pub fn write<W: Write>(&self, w: &mut W, tag: u64, body: &[u64]) -> io::Result<()> {
+        let mut sum = self.body_sum();
+        sum.words(body);
+        let header = [self.magic, tag, body.len() as u64, sum.finish()];
+        let mut buf = [[0u8; 8]; STREAM_WORDS];
+        let (first, rest) = body.split_at(body.len().min(STREAM_WORDS - header.len()));
+        put_le(&mut buf, &header);
+        put_le(&mut buf[header.len()..], first);
+        w.write_all(buf[..header.len() + first.len()].as_flattened())?;
+        for words in rest.chunks(STREAM_WORDS) {
+            put_le(&mut buf, words);
+            w.write_all(buf[..words.len()].as_flattened())?;
+        }
+        Ok(())
     }
 
     /// Encodes one frame — header plus body — as bytes.
     #[must_use]
     pub fn frame_bytes(&self, tag: u64, body: &[u64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_BYTES + body.len() * 8);
-        for word in [self.magic, tag, body.len() as u64, 0] {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        out.extend(body.iter().flat_map(|w| w.to_le_bytes()));
-        let sum = (self.sum)(&out[HEADER_BYTES..]);
-        out[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        self.write(&mut out, tag, body)
+            .expect("writing to a Vec cannot fail");
         out
     }
 }
@@ -137,7 +216,7 @@ pub fn frame_bytes(tag: u64, body: &[u64]) -> Vec<u8> {
 /// # Errors
 /// Propagates the transport's I/O errors.
 pub fn write_frame<W: Write>(w: &mut W, tag: u64, body: &[u64]) -> io::Result<()> {
-    w.write_all(&frame_bytes(tag, body))?;
+    Framing::WIRE.write(w, tag, body)?;
     w.flush()
 }
 
@@ -236,18 +315,26 @@ impl<R: Read> FrameReader<R> {
                 "frame body of {len} words exceeds the {WIRE_MAX_BODY_WORDS}-word cap"
             )));
         }
-        let mut body_bytes = vec![0u8; (len as usize) * 8];
-        if !read_exact_or_eof(&mut self.inner, &mut body_bytes)? && len > 0 {
-            return Err(WireError::Corrupt(format!(
-                "stream truncated mid-frame: body of {len} words missing"
-            )));
+        // The cap keeps `len` far inside `usize`.
+        let len = len as usize;
+        let mut body = Vec::with_capacity(len);
+        let mut sum = self.framing.body_sum();
+        let mut buf = [[0u8; 8]; STREAM_WORDS];
+        while body.len() < len {
+            let piece = &mut buf[..(len - body.len()).min(STREAM_WORDS)];
+            if !read_exact_or_eof(&mut self.inner, piece.as_flattened_mut())? {
+                return Err(WireError::Corrupt(format!(
+                    "stream truncated mid-frame: {} of {len} body words missing",
+                    len - body.len()
+                )));
+            }
+            let start = body.len();
+            body.extend(piece.iter().map(|w| u64::from_le_bytes(*w)));
+            sum.words(&body[start..]);
         }
-        let got_sum = (self.framing.sum)(&body_bytes);
+        let got_sum = sum.finish();
         Ok(if got_sum == want_sum {
-            Ok(Frame {
-                tag,
-                body: le_words(&body_bytes),
-            })
+            Ok(Frame { tag, body })
         } else {
             Err(format!(
                 "body checksum mismatch: stored {want_sum:#018x}, computed {got_sum:#018x}"
@@ -257,6 +344,7 @@ impl<R: Read> FrameReader<R> {
 }
 
 /// The whole words of a little-endian byte stream.
+#[cfg(test)]
 fn le_words(bytes: &[u8]) -> Vec<u64> {
     let (words, _) = bytes.as_chunks::<8>();
     words.iter().map(|w| u64::from_le_bytes(*w)).collect()
@@ -548,6 +636,88 @@ mod tests {
         assert_eq!(words[..4], [WIRE_MAGIC, 1, 4, 0xd990_3bee_9a81_6b61]);
         assert_eq!(words[4..], body);
         assert_eq!(bytes.len(), words.len() * 8);
+    }
+
+    /// The frame as one byte vector summed over its bytes — the encoder
+    /// before bodies were streamed.
+    fn whole_frame(magic: u64, sum: fn(&[u8]) -> u64, tag: u64, body: &[u64]) -> Vec<u8> {
+        let body_bytes: Vec<u8> = body.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let header = [magic, tag, body.len() as u64, sum(&body_bytes)];
+        let mut out: Vec<u8> = header.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.extend_from_slice(&body_bytes);
+        out
+    }
+
+    fn noisy_words(n: usize) -> Vec<u64> {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                s
+            })
+            .collect()
+    }
+
+    /// Streaming through the fixed buffer changes no byte: at every body
+    /// length around a buffer edge (the first pass also carries the
+    /// header, so edges sit at both `STREAM_WORDS` and `STREAM_WORDS - 4`)
+    /// and for a 2 MiB body — a 512² relation — under each framing.
+    #[test]
+    fn streamed_frames_equal_the_whole_frame_encoding() {
+        let edge = STREAM_WORDS;
+        let lens = [0, 1, edge - 5, edge - 4, edge - 3, edge - 1, edge, edge + 1];
+        let big = noisy_words(512 * 512);
+        for framing in [Framing::WIRE, Framing::persisted(b"MTST0001")] {
+            let sum: fn(&[u8]) -> u64 = match framing.sum {
+                SumKind::Bulk => crate::bulk_checksum,
+                SumKind::Fnv1a => crate::fnv1a_bytes,
+            };
+            for body in lens.iter().map(|&n| &big[..n]).chain([&big[..]]) {
+                let want = whole_frame(framing.magic, sum, 3, body);
+                let mut got = Vec::new();
+                framing.write(&mut got, 3, body).unwrap();
+                assert!(got == want, "{} words", body.len());
+                assert_eq!(framing.frame_bytes(3, body), want);
+                let back = FrameReader::with_framing(framing, &want[..]).read_frame();
+                assert_eq!(back.unwrap().body, body);
+            }
+        }
+        let mut flushed = Vec::new();
+        write_frame(&mut flushed, 5, &big[..edge + 1]).unwrap();
+        assert_eq!(flushed, frame_bytes(5, &big[..edge + 1]));
+    }
+
+    /// A frame whose body spans three reader buffers: a cut at every
+    /// buffer boundary (and one word either side) is `Corrupt`, and so
+    /// is every byte flip outside the tag word.
+    #[test]
+    fn a_frame_across_several_buffers_rejects_every_cut_and_flip() {
+        let body = noisy_words(2 * STREAM_WORDS + 3);
+        let clean = frame_bytes(8, &body);
+        let read = |bytes: &[u8]| FrameReader::new(bytes).read_frame();
+        assert_eq!(read(&clean).unwrap().body, body);
+        for k in 0..=3 {
+            let edge = HEADER_BYTES + k * STREAM_WORDS * 8;
+            for cut in [edge.saturating_sub(8), edge, edge + 8] {
+                if (1..clean.len()).contains(&cut) {
+                    assert!(
+                        matches!(read(&clean[..cut]), Err(WireError::Corrupt(_))),
+                        "cut at byte {cut}"
+                    );
+                }
+            }
+        }
+        let mut dirty = clean.clone();
+        for i in (0..clean.len()).filter(|i| !(8..16).contains(i)) {
+            dirty[i] ^= 0x01;
+            assert!(
+                matches!(read(&dirty), Err(WireError::Corrupt(_))),
+                "flip at byte {i}"
+            );
+            dirty[i] = clean[i];
+        }
     }
 
     #[test]

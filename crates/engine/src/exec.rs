@@ -200,13 +200,16 @@ pub struct ExecOptions {
 /// [`ExecError`] such as [`ExecError::WorkerLost`] — never hang.
 pub trait RemoteVertexExec: Send + Sync + std::fmt::Debug {
     /// Executes one vertex's chosen implementation remotely and returns
-    /// the output relation.
+    /// the output relation, which the run stores as is.
     ///
     /// `inputs` are already transformed into the formats the chosen
-    /// implementation expects; `input_vertices` names the producing
-    /// vertex of each input (same order), so backends can substitute
-    /// values they already hold — the fleet's worker-side cache
-    /// affinity — instead of re-shipping bytes.
+    /// implementation expects. An identity edge passes its producer's
+    /// `Arc` through unchanged and a transformed edge is a new one, so
+    /// `Arc` identity names a *value*: a backend may substitute a value
+    /// it already holds — the fleet's worker-side cache — exactly when
+    /// an input is `Arc::ptr_eq` to one it shipped or returned, and
+    /// must not key on `input_vertices` (the producing vertex of each
+    /// input, same order), which one value per consumer format shares.
     ///
     /// # Errors
     /// [`ExecError`] when the value cannot be produced.
@@ -221,7 +224,7 @@ pub trait RemoteVertexExec: Send + Sync + std::fmt::Debug {
         input_vertices: &[NodeId],
         out_type: MatrixType,
         out_format: PhysFormat,
-    ) -> Result<DistRelation, ExecError>;
+    ) -> Result<Arc<DistRelation>, ExecError>;
 }
 
 impl Default for ExecOptions {

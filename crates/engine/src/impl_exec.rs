@@ -210,31 +210,14 @@ where
 /// Executes one implementation strategy over concrete distributed
 /// relations, producing the output relation in `out_format`.
 ///
-/// Compatibility wrapper over [`execute_impl_shared`]: the executors
-/// share inputs by `Arc` (so a chunk batch can run on the pool without
-/// copying its inputs), and this entry point clones each borrowed
-/// relation once to enter that world.
+/// Inputs are `Arc`-shared: identity edges are reference bumps, chunk
+/// batches borrow their inputs through the `Arc` from pool jobs, and a
+/// worker process hands over the relations it decoded without a copy.
 ///
 /// # Errors
-/// [`ExecError::Internal`] on annotation/data inconsistencies.
+/// [`ExecError::Internal`] on annotation/data inconsistencies;
+/// [`ExecError::KernelPanic`] when a pooled chunk kernel panics.
 pub fn execute_impl(
-    strategy: Strategy,
-    op: &Op,
-    inputs: &[&DistRelation],
-    out_type: MatrixType,
-    out_format: PhysFormat,
-) -> Result<DistRelation, ExecError> {
-    let shared: Vec<Arc<DistRelation>> = inputs.iter().map(|r| Arc::new((*r).clone())).collect();
-    execute_impl_shared(strategy, op, &shared, out_type, out_format)
-}
-
-/// [`execute_impl`] over `Arc`-shared inputs — the hot path used by the
-/// pipelined scheduler, where identity edges are reference bumps and
-/// chunk batches borrow their inputs through the `Arc` from pool jobs.
-///
-/// # Errors
-/// Same contract as [`execute_impl`].
-pub(crate) fn execute_impl_shared(
     strategy: Strategy,
     op: &Op,
     inputs: &[Arc<DistRelation>],

@@ -67,8 +67,8 @@ pub use sim::{
     RecoverySimReport, SimOutcome, SimReport, SimStep,
 };
 pub use spill::{
-    decode_relation, encode_relation, push_relation, take_relation, SpillError, SpillManager,
-    SpillTicket,
+    decode_relation, encode_relation, push_relation, relation_record_words, take_relation,
+    SpillError, SpillManager, SpillTicket,
 };
 pub use sql::render_sql;
 pub use train::{

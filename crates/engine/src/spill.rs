@@ -56,8 +56,7 @@
 use crate::faults::chunk_checksum;
 use crate::value::{Block, Chunk, DistRelation};
 use matopt_core::{
-    bulk_checksum, format_words, push_bytes, push_mtype, BulkChecksum, MatrixType, PhysFormat,
-    WordReader,
+    bulk_checksum, format_words, push_mtype, BulkChecksum, MatrixType, PhysFormat, WordReader,
 };
 use matopt_kernels::{CooMatrix, CsrMatrix, DenseMatrix};
 use std::io::Write;
@@ -157,7 +156,8 @@ impl SpillManager {
     /// # Errors
     /// [`SpillError::Io`] when the file cannot be written.
     pub fn spill(&self, rel: &DistRelation) -> Result<SpillTicket, SpillError> {
-        let mut out = begin(rel);
+        let mut out: Vec<[u8; 8]> = Vec::with_capacity(encoded_words(rel));
+        head(&mut out, rel);
         let (mut stream, mut value) = (BulkChecksum::new(), BulkChecksum::new());
         let mut summed = 0;
         for chunk in &rel.chunks {
@@ -209,7 +209,7 @@ impl SpillManager {
             return Err(mismatch("stream", ticket.stream_sum, stream));
         }
         let mut value = BulkChecksum::new();
-        let rel = decode_each(&bytes, ticket.mtype, ticket.format, |chunk| {
+        let rel = decode_each(byte_words(&bytes)?, ticket.mtype, ticket.format, |chunk| {
             chunk_checksum(&mut value, chunk);
         })?;
         let value = value.finish();
@@ -232,20 +232,45 @@ impl Drop for SpillManager {
     }
 }
 
-/// One little-endian stream word. The encoder builds a `Vec<Word>` so a
-/// dense block is appended as one exact-size run of words and the
-/// stream can be checksummed without re-parsing bytes; it flattens to
-/// the byte stream for free.
-type Word = [u8; 8];
-
-fn put(out: &mut Vec<Word>, word: u64) {
-    out.push(word.to_le_bytes());
+/// One stream word as the codec writes and reads it: a `u64` inside a
+/// word body (a [`push_relation`] record), or its little-endian bytes
+/// in a byte stream (a spill file, [`encode_relation`]), where a
+/// `Vec<[u8; 8]>` flattens to the bytes for free. One encoder and one
+/// decoder serve both, so neither medium pays a conversion pass.
+trait LeWord: Copy {
+    fn of(word: u64) -> Self;
+    fn get(self) -> u64;
 }
 
-/// An output buffer sized for the whole of `rel`'s encoding, holding
-/// the stream header.
-fn begin(rel: &DistRelation) -> Vec<Word> {
-    let words = 2 + rel
+impl LeWord for u64 {
+    #[inline(always)]
+    fn of(word: u64) -> Self {
+        word
+    }
+    #[inline(always)]
+    fn get(self) -> u64 {
+        self
+    }
+}
+
+impl LeWord for [u8; 8] {
+    #[inline(always)]
+    fn of(word: u64) -> Self {
+        word.to_le_bytes()
+    }
+    #[inline(always)]
+    fn get(self) -> u64 {
+        u64::from_le_bytes(self)
+    }
+}
+
+fn put<W: LeWord>(out: &mut Vec<W>, word: u64) {
+    out.push(W::of(word));
+}
+
+/// Words in the whole of `rel`'s encoding, so every output is sized once.
+fn encoded_words(rel: &DistRelation) -> usize {
+    2 + rel
         .chunks
         .iter()
         .map(|chunk| match &chunk.block {
@@ -253,14 +278,24 @@ fn begin(rel: &DistRelation) -> Vec<Word> {
             Block::Csr(s) => 6 + 3 * s.nnz(),
             Block::Coo(c) => 6 + 3 * c.nnz(),
         })
-        .sum::<usize>();
-    let mut out = Vec::with_capacity(words);
-    put(&mut out, MAGIC);
-    put(&mut out, rel.chunks.len() as u64);
-    out
+        .sum::<usize>()
 }
 
-fn encode_chunk(out: &mut Vec<Word>, chunk: &Chunk) {
+/// The stream header: magic, chunk count.
+fn head<W: LeWord>(out: &mut Vec<W>, rel: &DistRelation) {
+    put(out, MAGIC);
+    put(out, rel.chunks.len() as u64);
+}
+
+/// The whole stream: header, then every chunk.
+fn encode_into<W: LeWord>(out: &mut Vec<W>, rel: &DistRelation) {
+    head(out, rel);
+    for chunk in &rel.chunks {
+        encode_chunk(out, chunk);
+    }
+}
+
+fn encode_chunk<W: LeWord>(out: &mut Vec<W>, chunk: &Chunk) {
     put(out, chunk.row);
     put(out, chunk.col);
     match &chunk.block {
@@ -268,7 +303,7 @@ fn encode_chunk(out: &mut Vec<Word>, chunk: &Chunk) {
             put(out, TAG_DENSE);
             put(out, d.rows() as u64);
             put(out, d.cols() as u64);
-            out.extend(d.data().iter().map(|v| v.to_bits().to_le_bytes()));
+            out.extend(d.data().iter().map(|v| W::of(v.to_bits())));
         }
         Block::Csr(s) => {
             put(out, TAG_CSR);
@@ -301,26 +336,25 @@ fn encode_chunk(out: &mut Vec<Word>, chunk: &Chunk) {
 
 /// Cursor over the serialized stream; every read is bounds-checked so a
 /// truncated or mangled file errors instead of panicking.
-struct Reader<'a> {
-    bytes: &'a [u8],
+struct Reader<'a, W> {
+    words: &'a [W],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    /// The next `words` words as raw bytes.
-    fn take_words(&mut self, words: usize) -> Result<&'a [u8], SpillError> {
-        let slice = words
-            .checked_mul(8)
-            .and_then(|len| self.pos.checked_add(len))
-            .and_then(|end| self.bytes.get(self.pos..end))
+impl<'a, W: LeWord> Reader<'a, W> {
+    /// The next `n` words.
+    fn take_words(&mut self, n: usize) -> Result<&'a [W], SpillError> {
+        let slice = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.words.get(self.pos..end))
             .ok_or_else(|| SpillError::Corrupt("truncated spill stream".to_string()))?;
-        self.pos += slice.len();
+        self.pos += n;
         Ok(slice)
     }
 
     fn take(&mut self) -> Result<u64, SpillError> {
-        let word = self.take_words(1)?;
-        Ok(u64::from_le_bytes(word.try_into().expect("8-byte slice")))
+        Ok(self.take_words(1)?[0].get())
     }
 
     fn take_usize(&mut self, what: &str, max: usize) -> Result<usize, SpillError> {
@@ -336,19 +370,21 @@ impl<'a> Reader<'a> {
 
 /// Decodes the stream, handing each chunk to `each` as it is rebuilt
 /// (a reload value-sums it there, while it is still in cache).
-fn decode_each(
-    bytes: &[u8],
+fn decode_each<W: LeWord>(
+    words: &[W],
     mtype: MatrixType,
     format: PhysFormat,
     mut each: impl FnMut(&Chunk),
 ) -> Result<DistRelation, SpillError> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader { words, pos: 0 };
     if r.take()? != MAGIC {
         return Err(SpillError::Corrupt("bad magic header".to_string()));
     }
-    // A chunk is ≥ 3 words, so the stream length bounds the count — a
-    // mangled header can't make us reserve absurd capacity.
-    let nchunks = r.take_usize("chunk count", bytes.len() / 24 + 1)?;
+    // A chunk (and a sparse entry) is ≥ 3 words, so the stream length
+    // bounds the counts — a mangled header can't make us reserve absurd
+    // capacity.
+    let bound = words.len() / 3 + 1;
+    let nchunks = r.take_usize("chunk count", bound)?;
     let mut chunks = Vec::with_capacity(nchunks);
     for _ in 0..nchunks {
         let row = r.take()?;
@@ -362,15 +398,15 @@ fn decode_each(
                 })?;
                 let data = r
                     .take_words(n)?
-                    .chunks_exact(8)
-                    .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8 bytes"))))
+                    .iter()
+                    .map(|w| f64::from_bits(w.get()))
                     .collect();
                 Block::Dense(DenseMatrix::from_vec(rows, cols, data))
             }
             TAG_CSR => {
                 let rows = r.take_usize("csr rows", 1 << 32)?;
                 let cols = r.take_usize("csr cols", 1 << 32)?;
-                let nnz = r.take_usize("csr nnz", bytes.len() / 24 + 1)?;
+                let nnz = r.take_usize("csr nnz", bound)?;
                 let mut indptr = vec![0usize; rows + 1];
                 let mut indices = Vec::with_capacity(nnz);
                 let mut values = Vec::with_capacity(nnz);
@@ -397,7 +433,7 @@ fn decode_each(
             TAG_COO => {
                 let rows = r.take_usize("coo rows", 1 << 32)?;
                 let cols = r.take_usize("coo cols", 1 << 32)?;
-                let nnz = r.take_usize("coo nnz", bytes.len() / 24 + 1)?;
+                let nnz = r.take_usize("coo nnz", bound)?;
                 let mut entries = Vec::with_capacity(nnz);
                 for _ in 0..nnz {
                     let er = r.take_usize("coo row index", rows.saturating_sub(1))?;
@@ -414,10 +450,10 @@ fn decode_each(
         each(&chunk);
         chunks.push(chunk);
     }
-    if r.pos != bytes.len() {
+    if r.pos != words.len() {
         return Err(SpillError::Corrupt(format!(
             "{} trailing bytes after payload",
-            bytes.len() - r.pos
+            (words.len() - r.pos) * 8
         )));
     }
     Ok(DistRelation {
@@ -427,6 +463,19 @@ fn decode_each(
     })
 }
 
+/// A byte stream as its words; a stream that is not whole words is
+/// corrupt (every encoding is).
+fn byte_words(bytes: &[u8]) -> Result<&[[u8; 8]], SpillError> {
+    match bytes.as_chunks::<8>() {
+        (words, []) => Ok(words),
+        (_, tail) => Err(SpillError::Corrupt(format!(
+            "stream of {} bytes ends in a partial word of {}",
+            bytes.len(),
+            tail.len()
+        ))),
+    }
+}
+
 /// Serializes a relation in the spill stream format — magic word,
 /// chunk tags, all-u64-LE payload — with no checksum of its own: the
 /// caller wraps the bytes in whatever integrity check its medium needs
@@ -434,10 +483,8 @@ fn decode_each(
 /// [`push_relation`] record travels or is persisted in).
 #[must_use]
 pub fn encode_relation(rel: &DistRelation) -> Vec<u8> {
-    let mut out = begin(rel);
-    for chunk in &rel.chunks {
-        encode_chunk(&mut out, chunk);
-    }
+    let mut out: Vec<[u8; 8]> = Vec::with_capacity(encoded_words(rel));
+    encode_into(&mut out, rel);
     out.into_flattened()
 }
 
@@ -452,29 +499,53 @@ pub fn decode_relation(
     mtype: MatrixType,
     format: PhysFormat,
 ) -> Result<DistRelation, SpillError> {
-    decode_each(bytes, mtype, format, |_| {})
+    decode_each(byte_words(bytes)?, mtype, format, |_| {})
+}
+
+/// Words of a relation record before its stream: type (3), format (2),
+/// stream length in bytes (1).
+const RECORD_HEAD_WORDS: usize = 6;
+
+/// Words [`push_relation`] appends for `rel`, so a body carrying
+/// several relations can be sized once.
+#[must_use]
+pub fn relation_record_words(rel: &DistRelation) -> usize {
+    RECORD_HEAD_WORDS + encoded_words(rel)
 }
 
 /// Appends a typed relation to a word body — the one *relation
 /// record*: its [`MatrixType`], its [`PhysFormat`] as
-/// [`matopt_core::format_words`], then the [`encode_relation`] bytes as
-/// a length-prefixed byte string. A worker task, a worker result and a
-/// checkpointed parameter all carry a relation this way.
+/// [`matopt_core::format_words`], then the [`encode_relation`] stream as
+/// a length-prefixed byte string
+/// ([`push_bytes`](matopt_core::push_bytes)'s layout). A worker task, a
+/// worker result and a checkpointed parameter all carry a relation this
+/// way. The stream is whole words, so it is encoded straight into the
+/// body, never held as bytes.
 pub fn push_relation(words: &mut Vec<u64>, rel: &DistRelation) {
+    let stream = encoded_words(rel);
+    words.reserve(RECORD_HEAD_WORDS + stream);
     push_mtype(words, rel.mtype);
     words.extend_from_slice(&format_words(rel.format));
-    push_bytes(words, &encode_relation(rel));
+    words.push(8 * stream as u64);
+    encode_into(words, rel);
 }
 
-/// Takes a relation record written by [`push_relation`].
+/// Takes a relation record written by [`push_relation`], decoding the
+/// stream straight from the body's words.
 ///
 /// # Errors
 /// A message naming `what` and the malformed field.
 pub fn take_relation(r: &mut WordReader<'_>, what: &str) -> Result<DistRelation, String> {
     let mtype = r.take_mtype(what)?;
     let format = r.take_format(what)?;
-    let bytes = r.take_bytes(what)?;
-    decode_relation(&bytes, mtype, format).map_err(|e| format!("{what}: {e}"))
+    let len = r.take_count(what, usize::MAX / 16)?;
+    if len % 8 != 0 {
+        return Err(format!(
+            "{what}: relation stream of {len} bytes is not whole words"
+        ));
+    }
+    let words = r.take_slice(len / 8, what)?;
+    decode_each(words, mtype, format, |_| {}).map_err(|e| format!("{what}: {e}"))
 }
 
 #[cfg(test)]
@@ -653,6 +724,34 @@ mod tests {
             assert_eq!(bytes, reference(&rel));
             assert_eq!(bytes.capacity(), bytes.len(), "sized once, exactly");
             assert_eq!(decode_relation(&bytes, rel.mtype, rel.format).unwrap(), rel);
+        }
+    }
+
+    /// The relation record is encoded straight into the body's words,
+    /// yet stays the layout it always was: type, format, then the
+    /// stream as a `push_bytes` byte string — and it reads back.
+    #[test]
+    fn relation_records_keep_the_byte_string_layout() {
+        let tiled = DistRelation::from_dense(
+            &dense_rel(9, 6, 5).chunks[0].block.to_dense(),
+            PhysFormat::Tile { side: 4 },
+        )
+        .expect("tiled relation");
+        for rel in every_block_kind().into_iter().chain([tiled]) {
+            let mut want = vec![7];
+            push_mtype(&mut want, rel.mtype);
+            want.extend_from_slice(&format_words(rel.format));
+            matopt_core::push_bytes(&mut want, &encode_relation(&rel));
+            let mut got = vec![7];
+            push_relation(&mut got, &rel);
+            assert_eq!(got, want);
+            assert_eq!(got.len(), 1 + relation_record_words(&rel));
+            let mut r = WordReader::new(&got[1..]);
+            assert_eq!(take_relation(&mut r, "rel").unwrap(), rel);
+            r.finish().unwrap();
+            for cut in 1..got.len() {
+                assert!(take_relation(&mut WordReader::new(&got[1..cut]), "rel").is_err());
+            }
         }
     }
 

@@ -26,7 +26,7 @@
 use crate::exec::{
     compute_vertices, missing_choice, missing_input, vertex_label, ExecOutcome, RemoteVertexExec,
 };
-use crate::impl_exec::{execute_impl_shared, ExecError};
+use crate::impl_exec::{execute_impl, ExecError};
 use crate::value::DistRelation;
 use matopt_core::{
     Annotation, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId, NodeKind,
@@ -155,7 +155,7 @@ pub(crate) fn run_step(
         ]
     });
     let t0 = Instant::now();
-    let out = match env.remote {
+    let rel = match env.remote {
         Some(remote) => remote.execute_remote(
             v,
             &vertex_label(env.graph, v),
@@ -166,14 +166,16 @@ pub(crate) fn run_step(
             out_type,
             choice.output_format,
         )?,
-        None => execute_impl_shared(
-            impl_def.strategy,
-            op,
-            &transformed,
-            out_type,
-            choice.output_format,
-        )
-        .map_err(|e| e.at_vertex(v, &vertex_label(env.graph, v)))?,
+        None => Arc::new(
+            execute_impl(
+                impl_def.strategy,
+                op,
+                &transformed,
+                out_type,
+                choice.output_format,
+            )
+            .map_err(|e| e.at_vertex(v, &vertex_label(env.graph, v)))?,
+        ),
     };
     let impl_seconds = t0.elapsed().as_secs_f64();
     if let Some(m) = env.obs.metrics() {
@@ -186,7 +188,7 @@ pub(crate) fn run_step(
         );
     }
     Ok(StepOutput {
-        rel: Arc::new(out),
+        rel,
         impl_seconds,
         transform_seconds,
     })

@@ -8,6 +8,7 @@
 use matopt_core::{ImplRegistry, MatrixType, Op, PhysFormat, Strategy};
 use matopt_engine::{execute_impl, DistRelation};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
+use std::sync::Arc;
 
 fn dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     random_dense_normal(rows, cols, &mut seeded_rng(seed))
@@ -38,14 +39,13 @@ fn check(
     out_format: PhysFormat,
     expect: &DenseMatrix,
 ) {
-    let rels: Vec<DistRelation> = data.iter().map(|(d, f)| rel(d, *f)).collect();
-    let refs: Vec<&DistRelation> = rels.iter().collect();
+    let rels: Vec<Arc<DistRelation>> = data.iter().map(|(d, f)| Arc::new(rel(d, *f))).collect();
     let out_type = MatrixType {
         rows: expect.rows() as u64,
         cols: expect.cols() as u64,
         sparsity: expect.measured_sparsity(),
     };
-    let out = execute_impl(strategy, &op, &refs, out_type, out_format).expect("executes");
+    let out = execute_impl(strategy, &op, &rels, out_type, out_format).expect("executes");
     assert_eq!(out.format, out_format, "output format mismatch");
     assert!(
         out.to_dense().approx_eq(expect, 1e-9),

@@ -2,9 +2,10 @@
 //!
 //! Each schedule is derived deterministically from a seed: a workload
 //! (FFNN weight update or two-level blocked inverse), a set of kill
-//! events (worker, dispatch offset, and whether the kill must land
-//! *mid-result-stream* so the coordinator sees a torn, checksummed
-//! frame), and an optional heartbeat mute (a simulated hang). The run
+//! events (a fleet dispatch offset — the worker that receives that
+//! dispatch dies — and whether the kill must land *mid-result-stream*
+//! so the coordinator sees a torn, checksummed frame), and an optional
+//! heartbeat mute (a simulated hang). The run
 //! executes the optimized plan through a real [`WorkerFleet`] while
 //! the kills fire, then compares every sink bit-for-bit against the
 //! serial in-process reference of the same plan.
@@ -25,13 +26,14 @@ use matopt_opt::{frontier_dp_beam, OptContext};
 
 use crate::fleet::{FleetConfig, WorkerFleet};
 
-/// One deterministic kill event within a schedule.
+/// One deterministic kill event within a schedule. The victim is
+/// whichever worker receives the dispatch: the dispatcher keeps a chain
+/// of vertices on the worker that holds their inputs, so a kill armed
+/// on a fixed worker may never fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillEvent {
-    /// Fleet index of the victim.
-    pub worker: u32,
-    /// How many further dispatches the victim receives before SIGKILL
-    /// (0 = killed during its very next task).
+    /// How many further fleet dispatches go out before the one whose
+    /// receiver is SIGKILLed (0 = the very next one).
     pub after_dispatches: u64,
     /// When true, the victim's task stalls mid-result-frame so the
     /// SIGKILL lands while a half-written frame sits on the wire — the
@@ -95,7 +97,6 @@ pub fn derive_schedule(seed: u64, workers: u32) -> ChaosSchedule {
     let mut kills = Vec::with_capacity(n_kills);
     for i in 0..n_kills {
         kills.push(KillEvent {
-            worker: (splitmix(&mut s) % u64::from(workers.max(1))) as u32,
             after_dispatches: splitmix(&mut s) % 4,
             // Guarantee mid-stream coverage across the suite: every
             // schedule whose seed ≡ 0 (mod 3) tears its first kill.
@@ -222,7 +223,7 @@ pub fn run_schedule(schedule: &ChaosSchedule, cfg: FleetConfig) -> Result<ChaosR
                 }
             }
         }
-        fleet.kill_worker_at_dispatch(kill.worker, kill.after_dispatches);
+        fleet.kill_at_dispatch(kill.after_dispatches);
     }
     if let Some(w) = schedule.mute_worker {
         fleet.mute_heartbeats(w);

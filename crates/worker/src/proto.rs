@@ -11,7 +11,7 @@
 use matopt_core::{
     format_words, op_from_words, op_to_words, push_bytes, push_mtype, MatrixType, Op, PhysFormat,
 };
-use matopt_engine::{push_relation, take_relation, DistRelation};
+use matopt_engine::{push_relation, relation_record_words, take_relation, DistRelation};
 
 pub use matopt_core::WordReader;
 
@@ -21,7 +21,8 @@ pub const TAG_HELLO: u64 = 1;
 pub const TAG_TASK: u64 = 2;
 /// Worker → coordinator: a task's output relation.
 pub const TAG_RESULT: u64 = 3;
-/// Worker → coordinator: a task failed (kernel error); body names it.
+/// Worker → coordinator: the task ran and failed (a kernel error or
+/// panic); body as [`encode_task_err`], naming it. The worker lives on.
 pub const TAG_TASK_ERR: u64 = 4;
 /// Worker → coordinator on the heartbeat channel: still alive.
 pub const TAG_BEAT: u64 = 5;
@@ -29,6 +30,12 @@ pub const TAG_BEAT: u64 = 5;
 pub const TAG_SHUTDOWN: u64 = 6;
 /// Coordinator → worker: chaos hook (mute heartbeats = simulated hang).
 pub const TAG_CHAOS: u64 = 7;
+/// Coordinator → worker: drop these cached values; the body is their
+/// ids, one word each.
+pub const TAG_EVICT: u64 = 8;
+/// Worker → coordinator: a [`TaskInput::Cached`] id is not in the cache,
+/// so the task did not run; body as [`encode_task_err`].
+pub const TAG_TASK_MISS: u64 = 9;
 
 /// Hello `channel` value for the task connection.
 pub const CHANNEL_TASK: u64 = 0;
@@ -85,22 +92,31 @@ pub fn decode_hello(body: &[u64]) -> Result<Hello, String> {
     })
 }
 
+/// An inline input's id when no later task can be handed the same
+/// value (a transformed edge's copy): the worker runs on it without
+/// caching it. Value ids start above it.
+pub const UNCACHED: u64 = 0;
+
 /// One input of a dispatched task.
+///
+/// `vertex` is the *value id* the coordinator gave this relation — fleet
+/// unique, never reused — not a graph vertex: one producer's output
+/// reaches its consumers as several values (one per physical format),
+/// and runs sharing a fleet share no values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskInput {
     /// The relation travels with the task.
     Inline {
-        /// The producing vertex (the worker caches the value under it).
+        /// The value id (the worker caches the relation under it).
         vertex: u64,
         /// The relation, in the format the implementation expects.
         rel: DistRelation,
     },
-    /// The worker already holds the value in its vertex cache — the
-    /// coordinator's affinity optimization. A worker that lost its
-    /// cache (it is a fresh restart) reports a task error and the
-    /// coordinator re-ships inline.
+    /// The worker already holds the value in its cache — the
+    /// coordinator's affinity optimization. A worker that does not
+    /// answers [`TAG_TASK_MISS`] and the coordinator re-ships inline.
     Cached {
-        /// The producing vertex.
+        /// The value id.
         vertex: u64,
     },
 }
@@ -110,7 +126,8 @@ pub enum TaskInput {
 pub struct TaskSpec {
     /// Coordinator-assigned sequence number; echoed in the response.
     pub seq: u64,
-    /// The vertex being computed (also the cache key for the output).
+    /// The value id the worker caches the output under (see
+    /// [`TaskInput`]).
     pub vertex: u64,
     /// The vertex's graph label, for error messages.
     pub label: String,
@@ -135,24 +152,76 @@ pub struct TaskSpec {
 /// Encodes a task body.
 #[must_use]
 pub fn encode_task(t: &TaskSpec) -> Vec<u64> {
-    let mut w = vec![t.seq, t.vertex, u64::from(t.impl_id)];
+    let inputs: Vec<InputRef<'_>> = t
+        .inputs
+        .iter()
+        .map(|input| match input {
+            TaskInput::Inline { vertex, rel } => InputRef::Inline {
+                vertex: *vertex,
+                rel,
+            },
+            TaskInput::Cached { vertex } => InputRef::Cached { vertex: *vertex },
+        })
+        .collect();
+    let head = TaskHead {
+        seq: t.seq,
+        vertex: t.vertex,
+        label: &t.label,
+        impl_id: t.impl_id,
+        op: t.op,
+        out_type: t.out_type,
+        out_format: t.out_format,
+        stall_ms: t.stall_ms,
+    };
+    encode_task_from(&head, &inputs)
+}
+
+/// A [`TaskSpec`] without its inputs, borrowed: what the fleet encodes
+/// a dispatch from.
+pub(crate) struct TaskHead<'a> {
+    pub seq: u64,
+    pub vertex: u64,
+    pub label: &'a str,
+    pub impl_id: u16,
+    pub op: Op,
+    pub out_type: MatrixType,
+    pub out_format: PhysFormat,
+    pub stall_ms: u64,
+}
+
+/// A [`TaskInput`] whose relation is borrowed from the run that owns it.
+#[derive(Clone, Copy)]
+pub(crate) enum InputRef<'a> {
+    Inline { vertex: u64, rel: &'a DistRelation },
+    Cached { vertex: u64 },
+}
+
+/// The one task encoder: a body sized once, each inline relation
+/// encoded straight from the caller's value into it.
+pub(crate) fn encode_task_from(t: &TaskHead<'_>, inputs: &[InputRef<'_>]) -> Vec<u64> {
+    let head_words = 11 + 1 + t.label.len().div_ceil(8) + 1;
+    let input_words: usize = inputs
+        .iter()
+        .map(|input| match input {
+            InputRef::Inline { rel, .. } => 2 + relation_record_words(rel),
+            InputRef::Cached { .. } => 2,
+        })
+        .sum();
+    let mut w = Vec::with_capacity(head_words + input_words);
+    w.extend_from_slice(&[t.seq, t.vertex, u64::from(t.impl_id)]);
     w.extend_from_slice(&op_to_words(t.op));
     push_mtype(&mut w, t.out_type);
     w.extend_from_slice(&format_words(t.out_format));
     w.push(t.stall_ms);
     push_bytes(&mut w, t.label.as_bytes());
-    w.push(t.inputs.len() as u64);
-    for input in &t.inputs {
-        match input {
-            TaskInput::Inline { vertex, rel } => {
-                w.push(0);
-                w.push(*vertex);
+    w.push(inputs.len() as u64);
+    for input in inputs {
+        match *input {
+            InputRef::Inline { vertex, rel } => {
+                w.extend_from_slice(&[0, vertex]);
                 push_relation(&mut w, rel);
             }
-            TaskInput::Cached { vertex } => {
-                w.push(1);
-                w.push(*vertex);
-            }
+            InputRef::Cached { vertex } => w.extend_from_slice(&[1, vertex]),
         }
     }
     w
@@ -210,7 +279,8 @@ pub fn decode_task(body: &[u64]) -> Result<TaskSpec, String> {
 /// relation.
 #[must_use]
 pub fn encode_result(seq: u64, rel: &DistRelation) -> Vec<u64> {
-    let mut w = vec![seq];
+    let mut w = Vec::with_capacity(1 + relation_record_words(rel));
+    w.push(seq);
     push_relation(&mut w, rel);
     w
 }
@@ -314,6 +384,16 @@ mod tests {
             (result.len(), fnv1a_64(&result)),
             (43, 0x23b6_983c_6d18_4908)
         );
+    }
+
+    /// Every body is allocated once, at its final size: a relation is
+    /// encoded straight into it, never grown into it.
+    #[test]
+    fn bodies_are_sized_once() {
+        let task = encode_task(&sample_task());
+        assert_eq!(task.capacity(), task.len());
+        let result = encode_result(99, &sample_rel(2));
+        assert_eq!(result.capacity(), result.len());
     }
 
     #[test]

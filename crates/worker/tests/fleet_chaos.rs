@@ -96,7 +96,7 @@ fn budget_exhaustion_is_structured_worker_lost() {
     let fleet = WorkerFleet::spawn(cfg).expect("fleet spawns");
     // Kill the lone worker on every dispatch it ever receives.
     for _ in 0..8 {
-        fleet.kill_worker_at_dispatch(0, 0);
+        fleet.kill_at_dispatch(0);
         let d = DenseMatrix::from_fn(4, 4, |i, j| (i + j) as f64);
         let rel = Arc::new(DistRelation::from_dense(&d, PhysFormat::SingleTuple).unwrap());
         let result = fleet.execute_remote(

@@ -85,18 +85,18 @@ fn front_door_over_fleet_survives_kill_and_reports_death() {
     let fleet = WorkerFleet::spawn(cfg).expect("fleet spawns");
     front.attach_remote(fleet.clone());
 
-    // SIGKILL worker 0 during its second dispatch. Every compute vertex
-    // stalls mid-result-frame, so whichever one that dispatch carries,
-    // the kill lands while its reply is half written; unstalled, an
-    // `ffnn-small:16` vertex replies in microseconds, the kill races the
-    // result and the death goes unnoticed unless a later dispatch
-    // happens to reach worker 0.
+    // SIGKILL the worker that receives the second dispatch. Every compute
+    // vertex stalls mid-result-frame, so whichever one that dispatch
+    // carries, the kill lands while its reply is half written;
+    // unstalled, an `ffnn-small:16` vertex replies in microseconds, the
+    // kill races the result and the death goes unnoticed unless a later
+    // dispatch happens to reach the victim.
     for (id, node) in graph.iter() {
         if !matches!(node.kind, NodeKind::Source { .. }) {
             fleet.stall_vertex(id.0, 40);
         }
     }
-    fleet.kill_worker_at_dispatch(0, 1);
+    fleet.kill_at_dispatch(1);
 
     let resp = front
         .execute(&ExecRequest {
