@@ -45,7 +45,7 @@ pub struct GreedyConfig {
 pub fn greedy_plan(
     graph: &ComputeGraph,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
     cfg: &GreedyConfig,
 ) -> Result<Annotation, OptError> {
     let plan_cluster = if cfg.respect_memory {

@@ -38,7 +38,7 @@ pub use pytorch::{simulate_pytorch_ffnn, PyTorchProfile};
 mod tests {
     use super::*;
     use matopt_core::{validate, Cluster, FormatCatalog, ImplRegistry, PlanContext};
-    use matopt_cost::{plan_cost, AnalyticalCostModel};
+    use matopt_cost::{plan_cost, CostModel};
     use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
     use matopt_opt::{frontier_dp, OptContext};
 
@@ -47,7 +47,7 @@ mod tests {
         let reg = ImplRegistry::paper_default();
         let cl = Cluster::simsql_like(10);
         let ctx = PlanContext::new(&reg, cl);
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let cat = FormatCatalog::paper_default().dense_only();
         let octx = OptContext::new(&ctx, &cat, &model);
         let g = ffnn_w2_update_graph(FfnnConfig::simsql_experiment(10_000))
@@ -88,7 +88,7 @@ mod tests {
         let reg = ImplRegistry::paper_default();
         let cl = Cluster::simsql_like(10);
         let ctx = PlanContext::new(&reg, cl);
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let g = ffnn_w2_update_graph(FfnnConfig::simsql_experiment(10_000))
             .unwrap()
             .graph;
@@ -120,7 +120,7 @@ mod tests {
         let reg = ImplRegistry::paper_default();
         let cl = Cluster::plinycompute_like(5);
         let ctx = PlanContext::new(&reg, cl);
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let g = ffnn_w2_update_graph(FfnnConfig::amazoncat(1000, 4000, false))
             .unwrap()
             .graph;

@@ -20,7 +20,7 @@ use matopt_opt::OptError;
 pub fn all_tile_plan(
     graph: &ComputeGraph,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
 ) -> Result<Annotation, OptError> {
     greedy_plan(
         graph,
@@ -53,7 +53,7 @@ pub fn all_tile_plan(
 pub fn hand_written_plan(
     graph: &ComputeGraph,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
 ) -> Result<Annotation, OptError> {
     greedy_plan(
         graph,
@@ -110,7 +110,7 @@ pub struct ExpertPlan {
 pub fn expert_plan(
     graph: &ComputeGraph,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
     level: Expertise,
 ) -> Result<ExpertPlan, OptError> {
     let cfg = |respect_memory: bool| match level {
@@ -180,7 +180,7 @@ pub fn expert_plan(
 pub fn systemds_plan(
     graph: &ComputeGraph,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
 ) -> Result<Annotation, OptError> {
     greedy_plan(
         graph,

@@ -23,7 +23,7 @@ use matopt_core::{
     Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, PlanContext,
     RecoveryPolicy,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{
     execute_fault_tolerant, execute_plan, execute_plan_with, DistRelation, ExecOptions,
     FaultInjector, FtConfig,
@@ -59,7 +59,8 @@ impl Fixture {
         let catalog = FormatCatalog::paper_default().dense_only();
         let annotation = {
             let ctx = PlanContext::new(&registry, Cluster::simsql_like(10));
-            let octx = OptContext::new(&ctx, &catalog, &AnalyticalCostModel);
+            let model = CostModel::analytical();
+            let octx = OptContext::new(&ctx, &catalog, &model);
             frontier_dp_beam(&graph, &octx, BEAM)
                 .expect("optimizes")
                 .annotation
@@ -110,7 +111,7 @@ impl Fixture {
             ImplRegistry::paper_default(),
             self.catalog.clone(),
             cluster,
-            Box::new(AnalyticalCostModel),
+            CostModel::analytical(),
             config,
         )
     }
@@ -186,7 +187,7 @@ fn recovery(fx: &Fixture) {
                 &fx.inputs,
                 &ctx,
                 &fx.catalog,
-                &AnalyticalCostModel,
+                &CostModel::analytical(),
                 FaultInjector::disabled(),
                 &config,
                 ExecOptions::default(),
@@ -220,12 +221,13 @@ fn serve(fx: &Fixture) {
             ..ServeConfig::default()
         },
     );
+    let model = CostModel::analytical();
     ratio_budget(
         "serve",
         "direct",
         || {
             let ctx = PlanContext::new(&fx.registry, Cluster::simsql_like(10));
-            let octx = OptContext::new(&ctx, &fx.catalog, &AnalyticalCostModel);
+            let octx = OptContext::new(&ctx, &fx.catalog, &model);
             frontier_dp_beam(&fx.graph, &octx, BEAM).expect("optimizes");
         },
         "serve(cache-disabled)",

@@ -17,7 +17,7 @@
 use matopt_baselines::GreedyConfig;
 use matopt_bench::{Env, FigTable};
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, PlanContext};
-use matopt_cost::{plan_cost, CostModel, LearnedCostModel};
+use matopt_cost::{plan_cost, CostModel};
 use matopt_engine::collect_samples;
 use matopt_graphs::{
     ffnn_full_pass_graph_autodiff, ffnn_train_step_graph_autodiff, ffnn_training_graph,
@@ -219,7 +219,7 @@ fn cost_model_ablation(env: &Env) -> FigTable {
     // Calibrate the learned model from real micro-benchmark runs.
     let cluster = Cluster::simsql_like(4);
     let samples = collect_samples(&[32, 64, 96, 128], 23, &cluster, &Obs::disabled());
-    let learned = LearnedCostModel::fit(&samples);
+    let learned = CostModel::fit(&samples);
     let ctx = env.ctx(cluster);
     let catalog = FormatCatalog::new(vec![
         matopt_core::PhysFormat::SingleTuple,
@@ -241,7 +241,7 @@ fn cost_model_ablation(env: &Env) -> FigTable {
         w_format: matopt_core::PhysFormat::Tile { side: 8 },
     };
     let g = ffnn_w2_update_graph(cfg).unwrap().graph;
-    let with = |model: &dyn CostModel| -> (f64, matopt_core::Annotation) {
+    let with = |model: &CostModel| -> (f64, matopt_core::Annotation) {
         let octx = OptContext::new(&ctx, &catalog, model);
         let p = frontier_dp_beam(&g, &octx, 2000).expect("plans");
         (p.cost, p.annotation)

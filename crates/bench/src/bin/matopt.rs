@@ -163,7 +163,7 @@ use matopt_core::{
     training_to_dot, write_atomic, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId,
     NodeKind, PhysFormat, PlanContext, RecoveryPolicy,
 };
-use matopt_cost::{AnalyticalCostModel, CurveCostModel, ThroughputCurve};
+use matopt_cost::{CostModel, ThroughputCurve};
 use matopt_engine::{
     explain_analyze, explain_analyze_with_faults, explain_plan, parse_fault_spec, render_sql,
     simulate_plan_traced, simulate_plan_with_recovery, AdaptiveConfig, DistRelation,
@@ -318,10 +318,10 @@ fn cmd_formats() -> Result<i32, Exit> {
 /// reduction vertices plan exactly as under the paper registry. The
 /// cost model's curve is empty — term for term the analytical model —
 /// until `--tune-dir` swaps a measured one in.
-fn cli_env() -> Env<CurveCostModel> {
+fn cli_env() -> Env {
     Env {
         registry: ImplRegistry::extended(),
-        model: CurveCostModel::default(),
+        model: CostModel::analytical(),
     }
 }
 
@@ -329,7 +329,7 @@ fn cli_env() -> Env<CurveCostModel> {
 /// measured curve in `<dir>/kernels.tune`, announced on stderr. A
 /// missing or damaged file, or one in an earlier format, is exit code 1
 /// with the path in the message.
-fn load_curve_model(dir: &str) -> Result<CurveCostModel, Exit> {
+fn load_curve_model(dir: &str) -> Result<CostModel, Exit> {
     let curve =
         ThroughputCurve::load(Path::new(dir)).map_err(|e| failed(format!("--tune-dir: {e}")))?;
     eprintln!(
@@ -337,7 +337,7 @@ fn load_curve_model(dir: &str) -> Result<CurveCostModel, Exit> {
         curve.points().len(),
         curve.peak_gflops()
     );
-    Ok(CurveCostModel::new(curve))
+    Ok(CostModel::with_curve(curve))
 }
 
 fn cmd_impls() -> Result<i32, Exit> {
@@ -555,14 +555,14 @@ fn plan_with_cache(
     graph: &ComputeGraph,
     cluster: Cluster,
     catalog: &FormatCatalog,
-    env: &Env<CurveCostModel>,
+    env: &Env,
     obs: Obs,
 ) -> Result<AutoPlan, String> {
     let service = PlanService::with_obs(
         env.registry.clone(),
         catalog.clone(),
         cluster,
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         ServeConfig {
             beam: DEFAULT_BEAM,
             ..ServeConfig::default()
@@ -581,8 +581,8 @@ fn plan_with_cache(
             report.corrupt
         );
     }
-    if !env.model.curve().is_empty() {
-        service.recalibrate(Box::new(env.model.clone()));
+    if env.model.curve().is_some_and(|c| !c.is_empty()) {
+        service.recalibrate(env.model.clone());
     }
     let mut planned = service
         .plan(graph)
@@ -757,7 +757,7 @@ fn cmd_train(args: &[String]) -> Result<i32, Exit> {
         &inputs,
         &ctx,
         &catalog,
-        &AnalyticalCostModel,
+        &CostModel::analytical(),
         &config,
         resume.as_ref(),
         Some(&on_epoch),
@@ -874,7 +874,7 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
         ImplRegistry::extended(),
         catalog,
         cluster,
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         config,
         obs,
     );
@@ -891,7 +891,7 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
     // epoch, so plans warmed under the flat rate are re-costed on
     // demand.
     if let Some(dir) = &tune_dir {
-        service.recalibrate(Box::new(load_curve_model(dir)?));
+        service.recalibrate(load_curve_model(dir)?);
     }
 
     // `--worker-procs`: a supervised process fleet lives alongside the
@@ -1153,7 +1153,7 @@ struct Governor {
 fn run_analyze(
     graph: &ComputeGraph,
     annotation: &matopt_core::Annotation,
-    env: &Env<CurveCostModel>,
+    env: &Env,
     ctx: &matopt_core::PlanContext<'_>,
     catalog: &FormatCatalog,
     faults: Option<(&str, u64, RecoveryPolicy)>,

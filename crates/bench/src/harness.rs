@@ -3,7 +3,7 @@
 //! direct comparison).
 
 use matopt_core::{Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, PlanContext};
-use matopt_cost::{AnalyticalCostModel, CostModel};
+use matopt_cost::CostModel;
 use matopt_engine::{format_hms, simulate_plan, SimOutcome};
 use matopt_obs::Obs;
 use matopt_opt::{frontier_dp_beam, OptContext, OptError};
@@ -16,11 +16,11 @@ pub const DEFAULT_BEAM: usize = 4000;
 
 /// The experiment environment: implementation registry + cost model
 /// (the analytical one unless a caller plugs in another).
-pub struct Env<M = AnalyticalCostModel> {
+pub struct Env {
     /// The 38-implementation registry.
     pub registry: ImplRegistry,
     /// The cost model plans are searched and simulated under.
-    pub model: M,
+    pub model: CostModel,
 }
 
 impl Default for Env {
@@ -61,12 +61,10 @@ impl Env {
     pub fn new() -> Self {
         Env {
             registry: ImplRegistry::paper_default(),
-            model: AnalyticalCostModel,
+            model: CostModel::analytical(),
         }
     }
-}
 
-impl<M: CostModel> Env<M> {
     /// A plan context for the given cluster.
     pub fn ctx(&self, cluster: Cluster) -> PlanContext<'_> {
         PlanContext::new(&self.registry, cluster)

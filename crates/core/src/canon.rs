@@ -121,7 +121,7 @@ const LANE_SEEDS: [u64; LANES] = {
 /// is pinned by files that outlive a build and it costs a multiply per
 /// *byte*, which on a megabyte buffer is more than writing it to disk;
 /// this one's value is free to change between builds and it costs a
-/// multiply per *word*, with [`LANES`] of them in flight.
+/// multiply per *word*, with `LANES` of them in flight.
 ///
 /// Not a cryptographic hash. What it guarantees, because every step is
 /// a bijection (see `mix`) and the lanes, tail and length are folded

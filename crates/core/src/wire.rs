@@ -174,7 +174,7 @@ impl Framing {
 
     /// Writes one frame to `w` without flushing: one pass sums the body
     /// words, a second streams header and body through a fixed
-    /// [`STREAM_WORDS`] buffer.
+    /// `STREAM_WORDS` buffer.
     ///
     /// # Errors
     /// Propagates the transport's I/O errors.

@@ -8,22 +8,19 @@
 //! cache effects bend the middle). [`ThroughputCurve::measure`] times
 //! `DenseMatrix::matmul_packed` on a fixed table of shapes,
 //! [`ThroughputCurve`] interpolates the samples monotonically in
-//! log-flops space, and [`CurveCostModel`] scales the cluster's flop
-//! rate by the curve's relative throughput at each operator's flop
-//! volume. The curve persists as one checksummed frame in
-//! `kernels.tune` ([`ThroughputCurve::save`] /
+//! log-flops space, and [`crate::CostModel::with_curve`] scales the
+//! cluster's flop rate by the curve's relative throughput at each
+//! operator's flop volume. The curve persists as one checksummed frame
+//! in `kernels.tune` ([`ThroughputCurve::save`] /
 //! [`ThroughputCurve::load`]); nothing reads it unless a caller hands
-//! a [`CurveCostModel`] to the optimizer.
+//! such a model to the optimizer.
 //!
 //! Known coarseness: `OpKind::MatMul` covers both dense and sparse
-//! products, and [`crate::CostFeatures`] carries no shape fields — so
-//! the curve is indexed by flop volume alone and probed on dense
+//! products, and [`matopt_core::CostFeatures`] carries no shape fields
+//! — so the curve is indexed by flop volume alone and probed on dense
 //! products only.
 
-use crate::{AnalyticalCostModel, CostModel};
-use matopt_core::{
-    write_atomic, Cluster, CostFeatures, FrameReader, Framing, OpKind, TransformKind, WireError,
-};
+use matopt_core::{write_atomic, FrameReader, Framing, WireError};
 use std::io;
 use std::path::Path;
 use std::time::Instant;
@@ -75,10 +72,10 @@ pub struct ThroughputCurve {
 }
 
 impl ThroughputCurve {
-    /// An empty curve: [`CurveCostModel`] degenerates to the
-    /// analytical model.
-    pub fn empty() -> ThroughputCurve {
-        ThroughputCurve::default()
+    /// An empty curve: a model over it is the closed form,
+    /// [`crate::CostModel::analytical`].
+    pub const fn empty() -> ThroughputCurve {
+        ThroughputCurve { points: Vec::new() }
     }
 
     /// Builds the curve from explicit `(flops, gflops)` samples,
@@ -267,62 +264,11 @@ impl ThroughputCurve {
     }
 }
 
-/// The measured-throughput cost model: the analytical model with its
-/// CPU term's flop rate scaled by the curve's relative throughput at
-/// the operator's flop volume.
-///
-/// `cpu_flops` is the per-worker critical-path flop count — the same
-/// granularity the probe times — so `relative(cpu_flops)` looks up
-/// where on the throughput cliff this operator's chunks actually sit.
-/// Only `OpKind::MatMul` is scaled (the only operator the probe
-/// measures); every other operator and all transforms fall through to
-/// [`AnalyticalCostModel`] unchanged, and so does everything when the
-/// curve is empty.
-#[derive(Debug, Clone, Default)]
-pub struct CurveCostModel {
-    curve: ThroughputCurve,
-    inner: AnalyticalCostModel,
-}
-
-impl CurveCostModel {
-    /// Wraps an explicit curve.
-    pub fn new(curve: ThroughputCurve) -> CurveCostModel {
-        CurveCostModel {
-            curve,
-            inner: AnalyticalCostModel,
-        }
-    }
-
-    /// The curve this model consults.
-    pub fn curve(&self) -> &ThroughputCurve {
-        &self.curve
-    }
-}
-
-impl CostModel for CurveCostModel {
-    fn impl_time(&self, op: OpKind, features: &CostFeatures, cluster: &Cluster) -> f64 {
-        if op != OpKind::MatMul || self.curve.is_empty() || features.cpu_flops <= 0.0 {
-            return self.inner.impl_time(op, features, cluster);
-        }
-        let rel = self.curve.relative(features.cpu_flops);
-        let mut scaled = *cluster;
-        scaled.flops_per_sec = cluster.flops_per_sec * rel;
-        self.inner.impl_time(op, features, &scaled)
-    }
-
-    fn transform_time(
-        &self,
-        kind: TransformKind,
-        features: &CostFeatures,
-        cluster: &Cluster,
-    ) -> f64 {
-        self.inner.transform_time(kind, features, cluster)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostModel;
+    use matopt_core::{Cluster, CostFeatures, OpKind, TransformKind};
 
     fn feat(flops: f64) -> CostFeatures {
         CostFeatures {
@@ -367,8 +313,8 @@ mod tests {
 
     #[test]
     fn empty_curve_model_matches_analytical() {
-        let curved = CurveCostModel::default();
-        let plain = AnalyticalCostModel;
+        let curved = CostModel::with_curve(ThroughputCurve::empty());
+        let plain = CostModel::analytical();
         let cl = Cluster::unit_test(4);
         let f = feat(1e9);
         for op in matopt_core::ALL_OP_KINDS {
@@ -383,29 +329,32 @@ mod tests {
     #[test]
     fn low_throughput_region_costs_more() {
         // Small products run at half the peak rate → twice the time.
-        let curved = CurveCostModel::new(ThroughputCurve::from_samples(&[(1e6, 5.0), (1e9, 10.0)]));
+        let curve = ThroughputCurve::from_samples(&[(1e6, 5.0), (1e9, 10.0)]);
+        let curved = CostModel::with_curve(curve);
         let cl = Cluster::unit_test(1);
         let small = curved.impl_time(OpKind::MatMul, &feat(1e5), &cl);
-        let plain = AnalyticalCostModel.impl_time(OpKind::MatMul, &feat(1e5), &cl);
+        let plain = CostModel::analytical().impl_time(OpKind::MatMul, &feat(1e5), &cl);
         assert!((small / plain - 2.0).abs() < 1e-9, "{small} vs {plain}");
         // At the peak there is no penalty.
         let big = curved.impl_time(OpKind::MatMul, &feat(1e12), &cl);
-        let plain_big = AnalyticalCostModel.impl_time(OpKind::MatMul, &feat(1e12), &cl);
+        let plain_big = CostModel::analytical().impl_time(OpKind::MatMul, &feat(1e12), &cl);
         assert_eq!(big, plain_big);
     }
 
     #[test]
     fn non_matmul_ops_and_transforms_are_untouched() {
-        let curved = CurveCostModel::new(ThroughputCurve::from_samples(&[(1e6, 1.0), (1e9, 9.0)]));
+        let curved =
+            CostModel::with_curve(ThroughputCurve::from_samples(&[(1e6, 1.0), (1e9, 9.0)]));
+        let plain = CostModel::analytical();
         let cl = Cluster::unit_test(2);
         let f = feat(1e5);
         assert_eq!(
             curved.impl_time(OpKind::Add, &f, &cl),
-            AnalyticalCostModel.impl_time(OpKind::Add, &f, &cl)
+            plain.impl_time(OpKind::Add, &f, &cl)
         );
         assert_eq!(
             curved.transform_time(TransformKind::Identity, &f, &cl),
-            AnalyticalCostModel.transform_time(TransformKind::Identity, &f, &cl)
+            plain.transform_time(TransformKind::Identity, &f, &cl)
         );
     }
 

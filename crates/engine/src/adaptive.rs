@@ -125,7 +125,7 @@ pub fn execute_adaptive(
     inputs: &HashMap<NodeId, DistRelation>,
     ctx: &PlanContext<'_>,
     catalog: &FormatCatalog,
-    model: &dyn CostModel,
+    model: &CostModel,
     config: AdaptiveConfig,
 ) -> Result<AdaptiveOutcome, AdaptiveError> {
     let octx = OptContext::new(ctx, catalog, model);
@@ -169,7 +169,7 @@ pub fn execute_adaptive_planned(
     inputs: &HashMap<NodeId, DistRelation>,
     ctx: &PlanContext<'_>,
     catalog: &FormatCatalog,
-    model: &dyn CostModel,
+    model: &CostModel,
     config: AdaptiveConfig,
     initial_plan: &Annotation,
     on_replan: Option<ReplanHook<'_>>,
@@ -215,7 +215,7 @@ pub fn execute_adaptive_planned(
 mod tests {
     use super::*;
     use matopt_core::{Cluster, ImplRegistry, MatrixType, Op, PhysFormat};
-    use matopt_cost::AnalyticalCostModel;
+    use matopt_cost::CostModel;
     use matopt_kernels::{random_dense_normal, seeded_rng};
 
     fn catalog() -> FormatCatalog {
@@ -236,7 +236,7 @@ mod tests {
     fn correlated_sparsity_triggers_reoptimization() {
         let reg = ImplRegistry::paper_default();
         let ctx = PlanContext::new(&reg, Cluster::simsql_like(4));
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
 
         let mut g = ComputeGraph::new();
         let d = 0.05;
@@ -297,7 +297,7 @@ mod tests {
     fn accurate_estimates_run_straight_through() {
         let reg = ImplRegistry::paper_default();
         let ctx = PlanContext::new(&reg, Cluster::simsql_like(4));
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let mut g = ComputeGraph::new();
         let a = g.add_source(MatrixType::dense(24, 24), PhysFormat::Tile { side: 8 });
         let b = g.add_source(MatrixType::dense(24, 24), PhysFormat::Tile { side: 8 });
@@ -345,7 +345,7 @@ mod tests {
 mod threshold_tests {
     use super::*;
     use matopt_core::{Cluster, ImplRegistry, MatrixType, Op, PhysFormat};
-    use matopt_cost::AnalyticalCostModel;
+    use matopt_cost::CostModel;
     use matopt_kernels::{random_dense_normal, seeded_rng};
     use std::collections::HashMap;
 
@@ -356,7 +356,7 @@ mod threshold_tests {
     fn threshold_controls_replan_frequency_not_results() {
         let reg = ImplRegistry::paper_default();
         let ctx = PlanContext::new(&reg, Cluster::simsql_like(4));
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let catalog = FormatCatalog::new(vec![
             PhysFormat::SingleTuple,
             PhysFormat::Tile { side: 8 },

@@ -7,7 +7,7 @@
 //! [`collect_samples`] executes a curated set of single-operation
 //! micro-benchmarks on the real executor across several sizes and
 //! layouts, pairing each measured wall time with its analytic feature
-//! vector. [`matopt_cost::LearnedCostModel::fit`] turns the samples
+//! vector. [`matopt_cost::CostModel::fit`] turns the samples
 //! into the learned cost model.
 
 use crate::exec::execute_plan;

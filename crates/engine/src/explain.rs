@@ -109,7 +109,7 @@ pub fn explain_plan(
     graph: &ComputeGraph,
     annotation: &Annotation,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
 ) -> Result<PlanExplanation, PlanError> {
     let report = simulate_plan(graph, annotation, ctx, model)?;
     let mut steps = Vec::new();
@@ -343,7 +343,7 @@ pub fn explain_analyze(
     annotation: &Annotation,
     inputs: &HashMap<NodeId, DistRelation>,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
     options: ExecOptions,
     obs: &Obs,
 ) -> Result<PlanAnalysis, ExecError> {
@@ -415,7 +415,7 @@ pub fn explain_analyze_with_faults(
     inputs: &HashMap<NodeId, DistRelation>,
     ctx: &PlanContext<'_>,
     catalog: &FormatCatalog,
-    model: &dyn CostModel,
+    model: &CostModel,
     injector: FaultInjector,
     config: &FtConfig,
     options: ExecOptions,
@@ -435,7 +435,7 @@ mod tests {
     use matopt_core::{
         Cluster, ComputeGraph, ImplRegistry, MatrixType, Op, PhysFormat, VertexChoice,
     };
-    use matopt_cost::AnalyticalCostModel;
+    use matopt_cost::CostModel;
 
     #[test]
     fn explanation_lists_steps_and_hotspots() {
@@ -466,7 +466,7 @@ mod tests {
             },
         );
         let ctx = PlanContext::new(&reg, Cluster::simsql_like(4));
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let ex = explain_plan(&g, &ann, &ctx, &model).unwrap();
         assert_eq!(ex.steps.len(), 2);
         assert_eq!(ex.steps[0].label, "prod");

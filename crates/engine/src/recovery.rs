@@ -208,7 +208,7 @@ pub fn execute_fault_tolerant(
     inputs: &HashMap<NodeId, DistRelation>,
     ctx: &PlanContext<'_>,
     catalog: &FormatCatalog,
-    model: &dyn CostModel,
+    model: &CostModel,
     mut injector: FaultInjector,
     config: &FtConfig,
     options: ExecOptions,

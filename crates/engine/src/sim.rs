@@ -114,7 +114,7 @@ pub struct SimReport {
 ///
 /// ```
 /// use matopt_core::*;
-/// use matopt_cost::AnalyticalCostModel;
+/// use matopt_cost::CostModel;
 /// use matopt_engine::simulate_plan;
 /// use matopt_opt::{frontier_dp, OptContext};
 ///
@@ -126,7 +126,7 @@ pub struct SimReport {
 /// let registry = ImplRegistry::paper_default();
 /// let catalog = FormatCatalog::paper_default().dense_only();
 /// let ctx = PlanContext::new(&registry, Cluster::simsql_like(10));
-/// let model = AnalyticalCostModel;
+/// let model = CostModel::analytical();
 /// let plan = frontier_dp(&g, &OptContext::new(&ctx, &catalog, &model)).unwrap();
 /// let report = simulate_plan(&g, &plan.annotation, &ctx, &model).unwrap();
 /// assert!(report.outcome.seconds().unwrap() > 0.0);
@@ -140,7 +140,7 @@ pub fn simulate_plan(
     graph: &ComputeGraph,
     annotation: &Annotation,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
 ) -> Result<SimReport, PlanError> {
     simulate_plan_traced(graph, annotation, ctx, model, &Obs::disabled())
 }
@@ -158,7 +158,7 @@ pub fn simulate_plan_traced(
     graph: &ComputeGraph,
     annotation: &Annotation,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
     obs: &Obs,
 ) -> Result<SimReport, PlanError> {
     let _run = obs.span_with(Subsystem::Simulator, "simulate_plan", || {
@@ -321,8 +321,9 @@ pub struct RecoverySimReport {
 ///
 /// With zero fault rates every policy returns exactly the fault-free
 /// estimate, so enabling the machinery changes nothing until rates are
-/// configured — the optimizer can therefore always rank plans with
-/// [`matopt_cost::FaultAwareCostModel`] and validate the winner here.
+/// configured. This prices a plan that is already chosen: planning
+/// itself is fault-free, and nothing re-ranks plans by this
+/// expectation.
 ///
 /// # Errors
 /// Same contract as [`simulate_plan`].
@@ -330,7 +331,7 @@ pub fn simulate_plan_with_recovery(
     graph: &ComputeGraph,
     annotation: &Annotation,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
     policy: RecoveryPolicy,
 ) -> Result<RecoverySimReport, PlanError> {
     let base = simulate_plan(graph, annotation, ctx, model)?;

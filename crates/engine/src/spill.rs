@@ -112,7 +112,7 @@ pub struct SpillTicket {
     pub bytes: u64,
     /// [`BulkChecksum`] of the serialized byte stream.
     pub stream_sum: u64,
-    /// [`relation_checksum`](crate::faults) of the value.
+    /// The fault layer's `relation_checksum` of the value.
     pub value_sum: u64,
 }
 

@@ -362,7 +362,7 @@ impl<'a> InlineWalk<'a> {
         from: usize,
         ctx: &PlanContext<'_>,
         catalog: &FormatCatalog,
-        model: &dyn CostModel,
+        model: &CostModel,
         beam: usize,
     ) -> Result<(), OptError> {
         let (graph, idmap) = rebuild_suffix(self.env.graph, from, &self.slots);

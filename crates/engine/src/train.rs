@@ -345,7 +345,7 @@ pub fn train(
     inputs: &HashMap<NodeId, DistRelation>,
     ctx: &PlanContext<'_>,
     catalog: &FormatCatalog,
-    model: &dyn CostModel,
+    model: &CostModel,
     config: &TrainConfig,
 ) -> Result<TrainRun, TrainError> {
     train_resumable(spec, inputs, ctx, catalog, model, config, None, None, None)
@@ -369,7 +369,7 @@ pub fn train_resumable(
     inputs: &HashMap<NodeId, DistRelation>,
     ctx: &PlanContext<'_>,
     catalog: &FormatCatalog,
-    model: &dyn CostModel,
+    model: &CostModel,
     config: &TrainConfig,
     resume: Option<&TrainCheckpoint>,
     on_epoch: Option<EpochHook<'_>>,

@@ -14,7 +14,7 @@ use matopt_core::{
     Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, PhysFormat,
     PlanContext, RecoveryPolicy,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{
     execute_fault_tolerant, execute_plan, execute_plan_with, parse_fault_spec, DistRelation,
     ExecOptions, FaultInjector, FtConfig, FtOutcome, HedgeConfig, RetryConfig,
@@ -65,7 +65,7 @@ fn build_workload(name: &'static str, graph: ComputeGraph, catalog: FormatCatalo
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(WORKERS);
     let ctx = PlanContext::new(&registry, cluster);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &catalog, &model);
     let opt = frontier_dp_beam(&graph, &octx, 2000).expect("optimizable");
     let inputs = make_inputs(&graph, 0xC0FFEE);
@@ -144,7 +144,7 @@ fn run_chaotic_with(
         &w.inputs,
         &ctx,
         &w.catalog,
-        &AnalyticalCostModel,
+        &CostModel::analytical(),
         injector,
         config,
         options,
@@ -307,7 +307,7 @@ fn retry_budget_exhaustion_is_a_clean_error() {
         &w.inputs,
         &ctx,
         &w.catalog,
-        &AnalyticalCostModel,
+        &CostModel::analytical(),
         injector,
         &config,
         ExecOptions::default(),

@@ -6,7 +6,7 @@ use matopt_core::{
     validate, Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId,
     NodeKind, Op, PhysFormat, PlanContext, VertexChoice,
 };
-use matopt_cost::{AnalyticalCostModel, LearnedCostModel};
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan, reference_eval, DistRelation};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
 use matopt_obs::Obs;
@@ -102,7 +102,7 @@ fn optimized_plan_executes_to_reference_values() {
     let (reg, cl) = fixtures();
     let ctx = PlanContext::new(&reg, cl);
     let cat = small_catalog();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &cat, &model);
     let g = mixed_graph();
     let opt = frontier_dp(&g, &octx).expect("optimizable");
@@ -115,7 +115,7 @@ fn inverse_graph_executes_to_reference_values() {
     let (reg, cl) = fixtures();
     let ctx = PlanContext::new(&reg, cl);
     let cat = small_catalog();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &cat, &model);
     let mut g = ComputeGraph::new();
     let a = g.add_source(MatrixType::dense(16, 16), PhysFormat::Tile { side: 4 });
@@ -130,7 +130,7 @@ fn shared_intermediate_graph_executes_correctly() {
     let (reg, cl) = fixtures();
     let ctx = PlanContext::new(&reg, cl);
     let cat = small_catalog();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &cat, &model);
     let mut g = ComputeGraph::new();
     let a = g.add_source(MatrixType::dense(10, 10), PhysFormat::SingleTuple);
@@ -150,7 +150,7 @@ fn sparse_input_plans_execute_correctly() {
     let (reg, cl) = fixtures();
     let ctx = PlanContext::new(&reg, cl);
     let cat = small_catalog();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &cat, &model);
     let mut g = ComputeGraph::new();
     let x = g.add_source(
@@ -189,7 +189,6 @@ fn sparse_input_plans_execute_correctly() {
 
 #[test]
 fn calibration_fits_a_usable_learned_model() {
-    use matopt_cost::CostModel;
     let cl = Cluster::simsql_like(4);
     let small = matopt_core::CostFeatures {
         cpu_flops: 1e6,
@@ -215,7 +214,7 @@ fn calibration_fits_a_usable_learned_model() {
         let samples =
             matopt_engine::collect_samples(&[32, 48, 64, 96], seed, &cl, &Obs::disabled());
         assert!(samples.len() > 20, "got {} samples", samples.len());
-        let learned = LearnedCostModel::fit(&samples);
+        let learned = CostModel::fit(&samples);
         assert!(learned.specialized_models() >= 3);
         // The learned model must order a big multiply above a small one.
         let ts = learned.impl_time(matopt_core::OpKind::MatMul, &small, &cl);
@@ -292,7 +291,7 @@ proptest! {
         let (reg, cl) = fixtures();
         let ctx = PlanContext::new(&reg, cl);
         let cat = small_catalog();
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let octx = OptContext::new(&ctx, &cat, &model);
         let g = mixed_graph();
         let mut rng = seeded_rng(seed);
@@ -312,7 +311,7 @@ proptest! {
         let (reg, cl) = fixtures();
         let ctx = PlanContext::new(&reg, cl);
         let cat = small_catalog();
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let octx = OptContext::new(&ctx, &cat, &model);
         let g = mixed_graph();
         let best = frontier_dp(&g, &octx).unwrap();

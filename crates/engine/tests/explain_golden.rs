@@ -4,7 +4,7 @@
 //! present and well-formed.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext, TransformKind};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{explain_analyze, explain_plan, DistRelation, ExecOptions};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
@@ -23,7 +23,7 @@ fn laptop_plan() -> (
     let cluster = Cluster::simsql_like(10);
     let ctx = PlanContext::new(&registry, cluster);
     let catalog = FormatCatalog::paper_default().dense_only();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &catalog, &model);
     let opt = frontier_dp_beam(&ffnn.graph, &octx, 4000).expect("optimizes");
     assert_eq!(opt.beam_truncated, 0, "laptop graph must stay exact");
@@ -35,7 +35,7 @@ fn laptop_plan() -> (
 fn explain_plan_golden_labels_and_transforms() {
     let (graph, annotation, registry) = laptop_plan();
     let ctx = PlanContext::new(&registry, Cluster::simsql_like(10));
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let ex = explain_plan(&graph, &annotation, &ctx, &model).expect("explains");
 
     // One step per compute vertex, in topological order.
@@ -75,7 +75,7 @@ fn explain_plan_golden_labels_and_transforms() {
 fn explain_analyze_golden_ratios_and_residual_events() {
     let (graph, annotation, registry) = laptop_plan();
     let ctx = PlanContext::new(&registry, Cluster::simsql_like(10));
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     let mut rng = seeded_rng(7);
     let mut inputs = HashMap::new();

@@ -23,7 +23,7 @@
 //!    with different numbers and never with a panic.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan_with, DistRelation, ExecError, ExecOptions, HedgeConfig};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
@@ -50,7 +50,7 @@ fn ffnn_workload(hidden: u64) -> Workload {
         .graph;
     let catalog = FormatCatalog::paper_default().dense_only();
     let ctx = PlanContext::new(&registry, Cluster::simsql_like(4));
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let annotation = frontier_dp_beam(&graph, &OptContext::new(&ctx, &catalog, &model), 400)
         .expect("optimizable")
         .annotation;

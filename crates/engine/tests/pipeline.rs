@@ -19,7 +19,7 @@ use matopt_core::{
     Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId, NodeKind, Op,
     PhysFormat, PlanContext, TransformKind,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{
     execute_adaptive_planned, execute_fault_tolerant, execute_plan, execute_plan_serial,
     execute_plan_with, parse_fault_spec, AdaptiveConfig, DistRelation, ExecOptions, FaultInjector,
@@ -140,7 +140,7 @@ fn assert_pipeline_matches_serial(
     assert!(piped.peak_resident_bytes > 0);
 
     let ctx = PlanContext::new(registry, Cluster::simsql_like(4));
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let obs = Obs::disabled();
     let ft = FtConfig {
         retry: RetryConfig {
@@ -214,7 +214,7 @@ fn optimize(
     catalog: &FormatCatalog,
 ) -> matopt_core::Annotation {
     let ctx = PlanContext::new(registry, Cluster::simsql_like(4));
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     frontier_dp_beam(graph, &OptContext::new(&ctx, catalog, &model), 400)
         .expect("optimizable")
         .annotation
@@ -338,7 +338,7 @@ fn every_driver_emits_the_same_spans_and_kernel_histograms() {
     let annotation = optimize(&graph, &registry, &catalog);
     let inputs = dense_inputs(&graph, 0xC0FFEE);
     let ctx = PlanContext::new(&registry, Cluster::simsql_like(4));
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     let transforms = graph
         .iter()

@@ -7,7 +7,7 @@ use matopt_core::{
     Annotation, Cluster, ComputeGraph, ImplRegistry, MatrixType, NodeId, Op, PhysFormat,
     PlanContext, Transform, VertexChoice,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{simulate_plan, FailReason, SimOutcome};
 
 /// Annotates `id` with the named implementation, identity transforms at
@@ -44,7 +44,7 @@ fn choose(
 fn over_broadcast_plan_fails_out_of_memory() {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(10);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     let mut g = ComputeGraph::new();
     let single = PhysFormat::SingleTuple;
@@ -87,7 +87,7 @@ fn over_broadcast_plan_fails_out_of_memory() {
 fn spill_heavy_all_tile_plan_fails_out_of_disk_at_first_offender() {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(10);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     let tile = PhysFormat::Tile { side: 1_000 };
     let mut g = ComputeGraph::new();
@@ -132,7 +132,7 @@ fn spill_heavy_all_tile_plan_fails_out_of_disk_at_first_offender() {
 fn scratch_reclaiming_cluster_survives_the_spill_heavy_plan() {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::plinycompute_like(10);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     let tile = PhysFormat::Tile { side: 1_000 };
     let mut g = ComputeGraph::new();
@@ -177,7 +177,7 @@ fn zero_fault_rates_leave_the_simulation_unchanged() {
     let cluster = Cluster::simsql_like(10);
     let ctx = PlanContext::new(&registry, cluster);
     let catalog = matopt_core::FormatCatalog::paper_default().dense_only();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let graph = ffnn_w2_update_graph(FfnnConfig::laptop(32))
         .expect("well-typed")
         .graph;
@@ -217,7 +217,7 @@ fn fault_rates_add_policy_ordered_overhead() {
     let cluster = Cluster::simsql_like(10).with_fault_rates(0.5, 0.05, 4.0);
     let ctx = PlanContext::new(&registry, cluster);
     let catalog = matopt_core::FormatCatalog::paper_default().dense_only();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let graph = ffnn_w2_update_graph(FfnnConfig::laptop(32))
         .expect("well-typed")
         .graph;

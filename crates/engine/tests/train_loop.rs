@@ -5,7 +5,7 @@
 use matopt_core::{
     Cluster, FormatCatalog, ImplRegistry, NodeId, NodeKind, PhysFormat, PlanContext,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{
     train, train_resumable, AdaptiveConfig, DistRelation, EpochPlanSource, TrainCheckpoint,
     TrainConfig, TrainError, TrainSpec,
@@ -87,7 +87,15 @@ fn run(
 ) -> matopt_engine::TrainRun {
     let reg = ImplRegistry::extended();
     let ctx = PlanContext::new(&reg, Cluster::simsql_like(4));
-    train(spec, inputs, &ctx, &catalog(), &AnalyticalCostModel, cfg).expect("training runs")
+    train(
+        spec,
+        inputs,
+        &ctx,
+        &catalog(),
+        &CostModel::analytical(),
+        cfg,
+    )
+    .expect("training runs")
 }
 
 #[test]
@@ -157,7 +165,7 @@ fn checkpoints_survive_the_wire_and_resume_bit_exactly() {
         &inputs,
         &ctx,
         &cat,
-        &AnalyticalCostModel,
+        &CostModel::analytical(),
         &config(4, true),
         None,
         Some(&|stats, ck| {
@@ -180,7 +188,7 @@ fn checkpoints_survive_the_wire_and_resume_bit_exactly() {
         &inputs,
         &ctx,
         &cat,
-        &AnalyticalCostModel,
+        &CostModel::analytical(),
         &config(4, true),
         Some(&ck),
         None,

@@ -191,11 +191,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control character in string at byte {pos}"))
             }
             Some(_) => {
-                // Advance one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote, backslash or
+                // control byte. All three are ASCII, so the run starts
+                // and ends on char boundaries of the valid UTF-8 input.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }

@@ -104,7 +104,7 @@ pub fn vertex_options(
     v: NodeId,
     catalog: &FormatCatalog,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
     extra_in_formats: &[Vec<PhysFormat>],
 ) -> Vec<VertexOption> {
     let node = graph.node(v);
@@ -171,7 +171,7 @@ pub fn transform_cost(
     from: PhysFormat,
     to: PhysFormat,
     ctx: &PlanContext<'_>,
-    model: &dyn CostModel,
+    model: &CostModel,
 ) -> Option<(Transform, f64)> {
     let t = ctx.transforms.find(m, from, to)?;
     let features = ctx.transforms.features(m, from, t, &ctx.cluster);
@@ -198,7 +198,7 @@ pub struct OptContext<'a> {
     /// Formats to search over.
     pub catalog: &'a FormatCatalog,
     /// Model turning features into seconds.
-    pub model: &'a dyn CostModel,
+    pub model: &'a CostModel,
     /// Event pipeline; disabled by default ([`OptContext::new`]), so
     /// instrumentation costs one pointer check per call site.
     pub obs: Obs,
@@ -209,7 +209,7 @@ impl<'a> OptContext<'a> {
     pub fn new(
         plan: &'a PlanContext<'a>,
         catalog: &'a FormatCatalog,
-        model: &'a dyn CostModel,
+        model: &'a CostModel,
     ) -> Self {
         OptContext {
             plan,
@@ -223,7 +223,7 @@ impl<'a> OptContext<'a> {
     pub fn with_obs(
         plan: &'a PlanContext<'a>,
         catalog: &'a FormatCatalog,
-        model: &'a dyn CostModel,
+        model: &'a CostModel,
         obs: Obs,
     ) -> Self {
         OptContext {

@@ -8,7 +8,7 @@ mod tests {
     use matopt_core::{
         Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, Op, PhysFormat, PlanContext,
     };
-    use matopt_cost::AnalyticalCostModel;
+    use matopt_cost::CostModel;
 
     fn setup() -> (ImplRegistry, Cluster) {
         (ImplRegistry::paper_default(), Cluster::simsql_like(10))
@@ -18,7 +18,7 @@ mod tests {
     fn options_cover_every_acceptable_impl_for_a_matmul() {
         let (reg, cl) = setup();
         let ctx = PlanContext::new(&reg, cl);
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let cat = FormatCatalog::paper_default().dense_only();
         let mut g = ComputeGraph::new();
         let a = g.add_source(MatrixType::dense(20_000, 20_000), PhysFormat::SingleTuple);
@@ -44,7 +44,7 @@ mod tests {
     fn extra_in_formats_extend_the_domain() {
         let (reg, cl) = setup();
         let ctx = PlanContext::new(&reg, cl);
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         // An empty catalog: options exist only through the extra
         // producer-offered format.
         let cat = FormatCatalog::new(vec![]);
@@ -74,7 +74,7 @@ mod tests {
     fn producible_formats_dedupe() {
         let (reg, cl) = setup();
         let ctx = PlanContext::new(&reg, cl);
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let cat = FormatCatalog::paper_default().dense_only();
         let mut g = ComputeGraph::new();
         let a = g.add_source(
@@ -94,7 +94,7 @@ mod tests {
     fn transform_cost_is_zero_for_identity_and_positive_otherwise() {
         let (reg, cl) = setup();
         let ctx = PlanContext::new(&reg, cl);
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let m = MatrixType::dense(10_000, 10_000);
         let tile = PhysFormat::Tile { side: 1000 };
         let (t, c) = transform_cost(&m, tile, tile, &ctx, &model).unwrap();
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn memory_limits_shrink_the_option_set() {
         let (reg, _) = setup();
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let cat = FormatCatalog::paper_default().dense_only();
         let mut g = ComputeGraph::new();
         let a = g.add_source(

@@ -384,7 +384,7 @@ struct Moved {
 ///
 /// ```
 /// use matopt_core::*;
-/// use matopt_cost::AnalyticalCostModel;
+/// use matopt_cost::CostModel;
 /// use matopt_opt::{frontier_dp, OptContext};
 ///
 /// let mut g = ComputeGraph::new();
@@ -395,7 +395,7 @@ struct Moved {
 /// let registry = ImplRegistry::paper_default();
 /// let catalog = FormatCatalog::paper_default();
 /// let ctx = PlanContext::new(&registry, Cluster::simsql_like(5));
-/// let model = AnalyticalCostModel;
+/// let model = CostModel::analytical();
 /// let plan = frontier_dp(&g, &OptContext::new(&ctx, &catalog, &model)).unwrap();
 /// assert!(plan.annotation.choice(ab).is_some());
 /// assert!(validate(&g, &plan.annotation, &ctx).is_ok());

@@ -43,13 +43,13 @@ mod tests {
         validate, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, Op, PhysFormat,
         PlanContext,
     };
-    use matopt_cost::{plan_cost, AnalyticalCostModel};
+    use matopt_cost::{plan_cost, CostModel};
 
-    fn ctx_bits() -> (ImplRegistry, FormatCatalog, AnalyticalCostModel) {
+    fn ctx_bits() -> (ImplRegistry, FormatCatalog, CostModel) {
         (
             ImplRegistry::paper_default(),
             FormatCatalog::paper_default(),
-            AnalyticalCostModel,
+            CostModel::analytical(),
         )
     }
 

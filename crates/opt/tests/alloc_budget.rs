@@ -7,7 +7,7 @@
 //! sibling test running on another thread would pollute them.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, PlanContext};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_graphs::{ffnn_full_pass_graph_autodiff, FfnnConfig};
 use matopt_opt::{frontier_dp_beam, OptContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,7 +54,7 @@ fn one_paper_scale_plan_stays_inside_its_allocation_budget() {
     let registry = ImplRegistry::extended();
     let ctx = PlanContext::new(&registry, Cluster::simsql_like(10));
     let catalog = FormatCatalog::paper_default().dense_only();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &catalog, &model);
     let graph = ffnn_full_pass_graph_autodiff(FfnnConfig::simsql_experiment(80_000))
         .unwrap()

@@ -486,14 +486,14 @@ mod tests {
     use super::*;
     use crate::ServeConfig;
     use matopt_core::{Cluster, FormatCatalog, ImplRegistry};
-    use matopt_cost::AnalyticalCostModel;
+    use matopt_cost::CostModel;
 
     fn service() -> PlanService {
         PlanService::new(
             ImplRegistry::paper_default(),
             FormatCatalog::paper_default().dense_only(),
             Cluster::simsql_like(4),
-            Box::new(AnalyticalCostModel),
+            CostModel::analytical(),
             ServeConfig::default(),
         )
     }
@@ -508,7 +508,7 @@ mod tests {
             ImplRegistry::paper_default(),
             FormatCatalog::paper_default().dense_only(),
             Cluster::simsql_like(4),
-            Box::new(AnalyticalCostModel),
+            CostModel::analytical(),
             ServeConfig::default(),
             obs,
         )

@@ -204,7 +204,7 @@ pub struct PlanService {
     registry: ImplRegistry,
     catalog: FormatCatalog,
     cluster: RwLock<Cluster>,
-    model: RwLock<Box<dyn CostModel + Send + Sync>>,
+    model: RwLock<CostModel>,
     cache: PlanCache,
     inflight: SingleFlight<Fingerprint, Arc<Optimized>>,
     config: ServeConfig,
@@ -227,7 +227,7 @@ impl PlanService {
         registry: ImplRegistry,
         catalog: FormatCatalog,
         cluster: Cluster,
-        model: Box<dyn CostModel + Send + Sync>,
+        model: impl Into<CostModel>,
         config: ServeConfig,
     ) -> Self {
         Self::with_obs(registry, catalog, cluster, model, config, Obs::disabled())
@@ -238,7 +238,7 @@ impl PlanService {
         registry: ImplRegistry,
         catalog: FormatCatalog,
         cluster: Cluster,
-        model: Box<dyn CostModel + Send + Sync>,
+        model: impl Into<CostModel>,
         config: ServeConfig,
         obs: Obs,
     ) -> Self {
@@ -247,7 +247,7 @@ impl PlanService {
             registry,
             catalog,
             cluster: RwLock::new(cluster),
-            model: RwLock::new(model),
+            model: RwLock::new(model.into()),
             cache: PlanCache::new(config.cache),
             inflight: SingleFlight::new(),
             drift: DriftMonitor::new(config.drift),
@@ -305,8 +305,8 @@ impl PlanService {
     /// new cache epoch: every plan costed under the old model is stale.
     /// Drift baselines are re-armed: they were learned against the old
     /// model's predictions.
-    pub fn recalibrate(&self, model: Box<dyn CostModel + Send + Sync>) {
-        *self.model.write().expect("model lock") = model;
+    pub fn recalibrate(&self, model: impl Into<CostModel>) {
+        *self.model.write().expect("model lock") = model.into();
         self.drift.reset();
         let epoch = self.cache.bump_epoch();
         self.obs.record(Subsystem::Serve, "invalidate", || {
@@ -509,7 +509,7 @@ impl PlanService {
         let cluster = self.cluster();
         let model = self.model.read().expect("model lock");
         let ctx = PlanContext::new(&self.registry, cluster);
-        let octx = OptContext::with_obs(&ctx, &self.catalog, &**model, self.obs.clone());
+        let octx = OptContext::with_obs(&ctx, &self.catalog, &model, self.obs.clone());
         let opt = frontier_dp_beam(graph, &octx, self.config.beam).map_err(ServeError::Opt)?;
         self.optimize_runs.fetch_add(1, Ordering::Relaxed);
         self.optimize_micros
@@ -594,7 +594,7 @@ impl PlanService {
             inputs,
             &ctx,
             &self.catalog,
-            &**model,
+            &model,
             injector,
             config,
             options,
@@ -694,7 +694,7 @@ impl PlanService {
             inputs,
             &ctx,
             &self.catalog,
-            &**model,
+            &model,
             config,
             &planned.plan.annotation,
             Some(&hook),

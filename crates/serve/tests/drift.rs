@@ -5,7 +5,7 @@
 //! to re-plan poisons the one cached entry it started from.
 
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, Op, PhysFormat};
-use matopt_cost::{AnalyticalCostModel, DriftConfig};
+use matopt_cost::{CostModel, DriftConfig};
 use matopt_engine::{reference_eval, AdaptiveConfig, DistRelation};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
@@ -33,7 +33,7 @@ fn metered_service() -> PlanService {
         ImplRegistry::paper_default(),
         FormatCatalog::paper_default().dense_only(),
         Cluster::simsql_like(4),
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         config,
         obs,
     )
@@ -92,7 +92,7 @@ fn sustained_drift_bumps_epoch_exactly_once_and_forces_a_replan() {
 
     // Recalibration re-arms: a fresh baseline forms at the new ratio
     // and a further shift can fire again.
-    service.recalibrate(Box::new(AnalyticalCostModel));
+    service.recalibrate(CostModel::analytical());
     for _ in 0..3 {
         assert!(!service.observe_runtime(fp, predicted, predicted * 6.0));
     }
@@ -201,7 +201,7 @@ fn adaptive_replan_poisons_the_cached_entry_it_started_from() {
             PhysFormat::CsrSingle,
         ]),
         Cluster::simsql_like(4),
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         ServeConfig::default(),
     );
 

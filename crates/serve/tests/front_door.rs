@@ -2,7 +2,7 @@
 //! breaker, exercised end to end against real executions.
 
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{DistRelation, FaultInjector, FtConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_serve::{
@@ -18,7 +18,7 @@ fn service() -> Arc<PlanService> {
         ImplRegistry::paper_default(),
         FormatCatalog::paper_default().dense_only(),
         Cluster::simsql_like(4),
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         ServeConfig::default(),
     ))
 }

@@ -3,7 +3,7 @@
 //! never to a wrong plan.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_serve::{PlanService, PlanSource, ServeConfig, CACHE_FILE};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,7 +13,7 @@ fn service() -> PlanService {
         ImplRegistry::paper_default(),
         FormatCatalog::paper_default().dense_only(),
         Cluster::simsql_like(4),
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         ServeConfig::default(),
     )
 }

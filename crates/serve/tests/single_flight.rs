@@ -3,7 +3,7 @@
 //! `Arc<Optimized>`.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_obs::{
     EventKind, HistogramSnapshot, MemorySink, MetricsRegistry, Obs, RingSink, Subsystem,
@@ -16,7 +16,7 @@ fn service(sink: &Arc<MemorySink>, config: ServeConfig) -> PlanService {
         ImplRegistry::paper_default(),
         FormatCatalog::paper_default(),
         Cluster::simsql_like(4),
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         config,
         Obs::new(Arc::clone(sink)),
     )
@@ -140,7 +140,7 @@ fn invalidation_epochs_force_replans() {
 
     // A calibration update starts a new epoch; same cluster, same
     // fingerprint, but the cached plan may no longer be optimal.
-    service.recalibrate(Box::new(AnalyticalCostModel));
+    service.recalibrate(CostModel::analytical());
     let b = service.plan(&graph).expect("plan");
     assert_eq!(b.source, PlanSource::Miss, "stale epoch must re-plan");
 
@@ -185,7 +185,7 @@ fn concurrent_soak_serves_the_optimizers_plans_and_the_registry_reconciles() {
         ImplRegistry::paper_default(),
         FormatCatalog::paper_default(),
         Cluster::simsql_like(4),
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         ServeConfig::default(),
         Obs::with_metrics(Arc::new(RingSink::new(4096)), MetricsRegistry::new()),
     );

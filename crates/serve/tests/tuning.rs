@@ -1,10 +1,10 @@
 //! The measured throughput curve at the service boundary: there is no
 //! dedicated entry point — a curve reaches a running service as a
-//! [`CurveCostModel`] through [`PlanService::recalibrate`], the same
+//! [`CostModel::with_curve`] model through [`PlanService::recalibrate`], the same
 //! single-epoch-bump invalidation path every other model swap uses.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, PlanContext};
-use matopt_cost::{plan_cost, AnalyticalCostModel, CurveCostModel, ThroughputCurve};
+use matopt_cost::{plan_cost, CostModel, ThroughputCurve};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_serve::{PlanService, PlanSource, ServeConfig};
 
@@ -14,8 +14,8 @@ use matopt_serve::{PlanService, PlanSource, ServeConfig};
 /// into many small per-worker pieces get costed honestly instead of
 /// optimistically. Synthetic on purpose: the test is about the plan
 /// changing deterministically, not about this machine's rates.
-fn contrast_model() -> CurveCostModel {
-    CurveCostModel::new(ThroughputCurve::from_samples(&[(1e10, 0.05), (2e11, 32.0)]))
+fn contrast_model() -> CostModel {
+    CostModel::with_curve(ThroughputCurve::from_samples(&[(1e10, 0.05), (2e11, 32.0)]))
 }
 
 #[test]
@@ -26,7 +26,7 @@ fn recalibrating_under_a_curve_bumps_the_epoch_once_and_changes_the_plan() {
         registry.clone(),
         FormatCatalog::paper_default().dense_only(),
         cluster,
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         ServeConfig::default(),
     );
     // Plan-only: the paper-scale graph holds tens of gigabytes of sources.
@@ -39,7 +39,7 @@ fn recalibrating_under_a_curve_bumps_the_epoch_once_and_changes_the_plan() {
     assert_eq!(service.plan(&graph).expect("plan").source, PlanSource::Hit);
 
     let epoch0 = service.cache().epoch();
-    service.recalibrate(Box::new(contrast_model()));
+    service.recalibrate(contrast_model());
     assert_eq!(
         service.cache().epoch(),
         epoch0 + 1,

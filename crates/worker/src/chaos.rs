@@ -17,7 +17,7 @@ use matopt_core::{
     Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, PhysFormat,
     PlanContext,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan_serial, execute_plan_with, DistRelation, ExecOptions};
 use matopt_graphs::{ffnn_w2_update_graph, two_level_inverse_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -153,7 +153,7 @@ fn build_workload(name: &'static str, graph: ComputeGraph, catalog: &FormatCatal
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(4);
     let ctx = PlanContext::new(&registry, cluster);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, catalog, &model);
     let opt = frontier_dp_beam(&graph, &octx, 2000).expect("optimizable");
     let inputs = make_inputs(&graph, 0xC0FFEE);

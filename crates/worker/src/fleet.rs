@@ -919,7 +919,7 @@ impl WorkerFleet {
 
     /// Shuts the fleet down: stops the monitor, asks every worker to
     /// exit, then reaps each one as its task stream closes — killing any
-    /// that has not exited within [`SHUTDOWN_GRACE`].
+    /// that has not exited within `SHUTDOWN_GRACE`.
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         if let Some(monitor) = self.monitor.lock().expect("monitor").take() {

@@ -12,7 +12,7 @@ use matopt_core::{
     Annotation, BackoffPolicy, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType,
     NodeId, NodeKind, Op, PhysFormat, PlanContext, Strategy, TransformKind,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{
     execute_plan_serial, execute_plan_with, DistRelation, ExecError, ExecOptions, RemoteVertexExec,
 };
@@ -46,7 +46,8 @@ fn fleet(workers: u32) -> Arc<WorkerFleet> {
 fn plan(graph: &ComputeGraph, catalog: &FormatCatalog) -> Annotation {
     let registry = ImplRegistry::paper_default();
     let ctx = PlanContext::new(&registry, Cluster::simsql_like(4));
-    let octx = OptContext::new(&ctx, catalog, &AnalyticalCostModel);
+    let model = CostModel::analytical();
+    let octx = OptContext::new(&ctx, catalog, &model);
     frontier_dp_beam(graph, &octx, 2000)
         .expect("optimizable")
         .annotation

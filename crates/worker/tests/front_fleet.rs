@@ -10,7 +10,7 @@ use std::time::Duration;
 use matopt_core::{
     BackoffPolicy, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::DistRelation;
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_serve::{ExecRequest, FrontDoor, FrontDoorConfig, PlanService, ServeConfig};
@@ -21,7 +21,7 @@ fn service() -> Arc<PlanService> {
         ImplRegistry::paper_default(),
         FormatCatalog::paper_default().dense_only(),
         Cluster::simsql_like(4),
-        Box::new(AnalyticalCostModel),
+        CostModel::analytical(),
         ServeConfig::default(),
     ))
 }

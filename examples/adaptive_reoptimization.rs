@@ -15,7 +15,7 @@
 use matopt_core::{
     Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, Op, PhysFormat, PlanContext,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_adaptive, AdaptiveConfig, DistRelation};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use std::collections::HashMap;
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 fn main() {
     let registry = ImplRegistry::paper_default();
     let ctx = PlanContext::new(&registry, Cluster::simsql_like(4));
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let catalog = FormatCatalog::new(vec![
         PhysFormat::SingleTuple,
         PhysFormat::Tile { side: 8 },

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p matopt-bench --example block_inverse`
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PhysFormat, PlanContext};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan, DistRelation};
 use matopt_graphs::two_level_inverse_graph;
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -68,7 +68,7 @@ fn main() {
         PhysFormat::RowStrip { height: 4 },
         PhysFormat::ColStrip { width: 4 },
     ]);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &catalog, &model);
     let plan = frontier_dp_beam(g, &octx, 2000).expect("optimizable");
     println!("optimized (estimated cost {:.3}s)", plan.cost);

@@ -11,7 +11,7 @@
 
 use matopt_baselines::{all_tile_plan, hand_written_plan};
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PhysFormat, PlanContext};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan, reference_eval, simulate_plan, DistRelation};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 fn main() {
     let registry = ImplRegistry::paper_default();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     // --- Laptop-scale training step, executed for real -----------------
     let cfg = FfnnConfig {

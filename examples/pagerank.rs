@@ -9,7 +9,7 @@ use matopt_core::{
     Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeKind, Op, PhysFormat,
     PlanContext,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan, simulate_plan, DistRelation};
 use matopt_graphs::pagerank_graph;
 use matopt_kernels::{random_sparse_csr, seeded_rng, DenseMatrix};
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 fn main() {
     let registry = ImplRegistry::paper_default();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     // --- Paper scale: a million-page web graph, simulated ---------------
     let p = pagerank_graph(1_000_000, 1e-5, 0.85, 5).expect("builds");

@@ -16,7 +16,7 @@ use matopt_core::{
     Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeKind, Op, PhysFormat,
     PlanContext,
 };
-use matopt_cost::{plan_cost, AnalyticalCostModel};
+use matopt_cost::{plan_cost, CostModel};
 use matopt_engine::{execute_plan, reference_eval, DistRelation};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_opt::{frontier_dp, OptContext};
@@ -51,7 +51,7 @@ fn main() {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(5);
     let ctx = PlanContext::new(&registry, cluster);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     // A laptop-scale catalog (the paper-default catalog works the same
     // way at cluster scale).
     let catalog = FormatCatalog::new(vec![

@@ -8,7 +8,7 @@ use matopt_core::{
     Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeKind, Op, PhysFormat,
     PlanContext,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan, simulate_plan, DistRelation};
 use matopt_graphs::{ffnn_train_step_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, random_sparse_csr, seeded_rng};
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 fn main() {
     let registry = ImplRegistry::paper_default();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
 
     // --- Laptop scale: X·W over a 2%-dense batch -------------------------
     let mut g = ComputeGraph::new();

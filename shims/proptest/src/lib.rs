@@ -218,7 +218,7 @@ pub mod collection {
     use rand::RngCore;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open
+    /// Length specification for [`vec()`]: a fixed size or a half-open
     /// range of sizes.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
@@ -242,7 +242,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         len: SizeRange,

@@ -6,7 +6,7 @@
 use matopt_baselines::all_tile_plan;
 use matopt_bench::Env;
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, MatrixType, Op, PhysFormat, PlanContext};
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{simulate_plan, FailReason, SimOutcome};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_opt::{frontier_dp_beam, OptContext, OptError};
@@ -42,7 +42,7 @@ fn shrinking_disk_kills_shuffle_plans() {
 #[test]
 fn shrinking_ram_disables_broadcasts() {
     let registry = matopt_core::ImplRegistry::paper_default();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let mut g = ComputeGraph::new();
     let a = g.add_source(
         MatrixType::dense(100_000, 10_000),

@@ -8,7 +8,7 @@ use matopt_core::{
     validate, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId, Op,
     PhysFormat, PlanContext,
 };
-use matopt_cost::{plan_cost, AnalyticalCostModel};
+use matopt_cost::{plan_cost, CostModel};
 use matopt_opt::{brute_force, frontier_dp, frontier_dp_beam, tree_dp, OptContext};
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ proptest! {
         let reg = ImplRegistry::paper_default();
         let ctx = PlanContext::new(&reg, Cluster::simsql_like(5));
         let cat = catalog();
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let octx = OptContext::new(&ctx, &cat, &model);
         let g = random_dag(ops, true);
         let f = frontier_dp(&g, &octx).expect("frontier plan");
@@ -84,7 +84,7 @@ proptest! {
         let reg = ImplRegistry::paper_default();
         let ctx = PlanContext::new(&reg, Cluster::simsql_like(5));
         let cat = catalog();
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let octx = OptContext::new(&ctx, &cat, &model);
         let g = random_dag(ops, false);
         prop_assume!(g.is_tree_shaped());
@@ -101,7 +101,7 @@ proptest! {
         let reg = ImplRegistry::paper_default();
         let ctx = PlanContext::new(&reg, Cluster::simsql_like(5));
         let cat = catalog();
-        let model = AnalyticalCostModel;
+        let model = CostModel::analytical();
         let octx = OptContext::new(&ctx, &cat, &model);
         let g = random_dag(ops, true);
         let exact = frontier_dp(&g, &octx).expect("exact");
@@ -122,7 +122,7 @@ fn beam_widening_is_monotone_on_ffnn() {
     let reg = ImplRegistry::paper_default();
     let ctx = PlanContext::new(&reg, Cluster::simsql_like(10));
     let cat = FormatCatalog::paper_default().dense_only();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &cat, &model);
     let g = ffnn_w2_update_graph(FfnnConfig::simsql_experiment(10_000))
         .unwrap()
@@ -150,7 +150,7 @@ fn planning_is_deterministic_at_paper_scale() {
     let reg = ImplRegistry::extended();
     let ctx = PlanContext::new(&reg, Cluster::simsql_like(10));
     let cat = FormatCatalog::paper_default().dense_only();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let octx = OptContext::new(&ctx, &cat, &model);
     let graphs = [
         ffnn_full_pass_graph_autodiff(FfnnConfig::simsql_experiment(80_000))
@@ -188,7 +188,7 @@ fn joint_training_plan_never_costs_more_than_forward_plus_backward() {
 
     const BEAM: usize = 200;
     let reg = ImplRegistry::extended();
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let laptop = FormatCatalog::new(vec![
         PhysFormat::SingleTuple,
         PhysFormat::Tile { side: 16 },

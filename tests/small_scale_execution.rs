@@ -8,7 +8,7 @@ use matopt_core::{
     Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId, NodeKind, PhysFormat,
     PlanContext,
 };
-use matopt_cost::AnalyticalCostModel;
+use matopt_cost::CostModel;
 use matopt_engine::{execute_plan, reference_eval, DistRelation};
 use matopt_graphs::{ffnn_full_pass_graph, ExprBuilder, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -29,7 +29,7 @@ fn run_and_verify(g: &ComputeGraph, seed: u64) {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(4);
     let ctx = PlanContext::new(&registry, cluster);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let catalog = small_catalog();
     let octx = OptContext::new(&ctx, &catalog, &model);
     let plan = frontier_dp_beam(g, &octx, 2000).expect("optimizable");
@@ -241,7 +241,7 @@ fn pagerank_iterations_run_correctly_and_stay_sparse() {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(10);
     let ctx = PlanContext::new(&registry, cluster);
-    let model = AnalyticalCostModel;
+    let model = CostModel::analytical();
     let catalog = FormatCatalog::paper_default();
     let octx = OptContext::new(&ctx, &catalog, &model);
     let plan = frontier_dp_beam(&p.graph, &octx, 2000).expect("plannable");
