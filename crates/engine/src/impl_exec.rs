@@ -8,7 +8,7 @@
 use crate::parallel::try_par_map;
 use crate::value::{Block, Chunk, DistRelation};
 use matopt_core::{MatrixType, NodeId, Op, OpKind, PhysFormat, Strategy};
-use matopt_kernels::{CooMatrix, DenseMatrix};
+use matopt_kernels::{CooMatrix, DenseMatrix, PackedOperand};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -261,14 +261,14 @@ fn run_strategy(
             single_result(out_type, a.matmul_dense(&b))
         }
         S::MmBcastSingleColstrip => {
-            let a = single_dense(&inputs[0])?;
+            let a = single_packed(&inputs[0], PackedOperand::lhs)?;
             let b = Arc::clone(&inputs[1]);
             let chunks = par_map(b.chunks.len(), move |i| {
                 let c = &b.chunks[i];
                 Chunk {
                     row: 0,
                     col: c.col,
-                    block: Block::Dense(a.matmul(c.block.as_dense())),
+                    block: Block::Dense(a.matmul(&PackedOperand::rhs(c.block.as_dense()))),
                 }
             })?;
             Ok(DistRelation {
@@ -278,14 +278,14 @@ fn run_strategy(
             })
         }
         S::MmRowstripBcastSingle => {
-            let b = single_dense(&inputs[1])?;
+            let b = single_packed(&inputs[1], PackedOperand::rhs)?;
             let a = Arc::clone(&inputs[0]);
             let chunks = par_map(a.chunks.len(), move |i| {
                 let c = &a.chunks[i];
                 Chunk {
                     row: c.row,
                     col: 0,
-                    block: Block::Dense(c.block.as_dense().matmul(&b)),
+                    block: Block::Dense(PackedOperand::lhs(c.block.as_dense()).matmul(&b)),
                 }
             })?;
             Ok(DistRelation {
@@ -299,33 +299,25 @@ fn run_strategy(
                 PhysFormat::RowStrip { height } => height,
                 _ => return Err(internal("cross join expects row strips")),
             };
-            let a = Arc::clone(&inputs[0]);
-            let b = Arc::clone(&inputs[1]);
-            let a_at: HashMap<u64, usize> = a
-                .chunks
-                .iter()
-                .enumerate()
-                .map(|(x, c)| (c.row, x))
-                .collect();
-            let b_at: HashMap<u64, usize> = b
-                .chunks
-                .iter()
-                .enumerate()
-                .map(|(x, c)| (c.col, x))
-                .collect();
-            let pairs: Vec<(u64, u64)> = a
+            // Every strip meets every strip of the other side: pack
+            // each once, then multiply the pairs.
+            let (a, b) = (&inputs[0], &inputs[1]);
+            let (ap, bp) = (
+                pack_all(a, PackedOperand::lhs)?,
+                pack_all(b, PackedOperand::rhs)?,
+            );
+            let keys: Vec<(u64, u64)> = a
                 .chunks
                 .iter()
                 .flat_map(|ac| b.chunks.iter().map(move |bc| (ac.row, bc.col)))
                 .collect();
-            let chunks = par_map(pairs.len(), move |p| {
-                let (i, j) = pairs[p];
-                let ac = &a.chunks[a_at[&i]];
-                let bc = &b.chunks[b_at[&j]];
+            let nb = b.chunks.len();
+            let chunks = par_map(keys.len(), move |p| {
+                let (row, col) = keys[p];
                 Chunk {
-                    row: i,
-                    col: j,
-                    block: Block::Dense(ac.block.as_dense().matmul(bc.block.as_dense())),
+                    row,
+                    col,
+                    block: Block::Dense(ap[p / nb].matmul(&bp[p % nb])),
                 }
             })?;
             Ok(DistRelation {
@@ -345,7 +337,7 @@ fn run_strategy(
                 let b = inputs[1]
                     .chunk_at(a.col, 0)
                     .ok_or_else(|| internal("strip pair missing"))?;
-                acc = acc.add(&a.block.as_dense().matmul(b.block.as_dense()));
+                acc.add_assign(&a.block.as_dense().matmul(b.block.as_dense()));
             }
             single_result(out_type, acc)
         }
@@ -837,14 +829,62 @@ fn block_gauss_jordan_inverse(
     Ok(())
 }
 
-fn single_dense(rel: &DistRelation) -> Result<DenseMatrix, ExecError> {
-    if rel.chunks.len() != 1 {
-        return Err(internal(format!(
+fn single_block(rel: &DistRelation) -> Result<&Block, ExecError> {
+    match rel.chunks.as_slice() {
+        [only] => Ok(&only.block),
+        chunks => Err(internal(format!(
             "expected single-tuple relation, found {} chunks",
-            rel.chunks.len()
-        )));
+            chunks.len()
+        ))),
     }
-    Ok(rel.chunks[0].block.to_dense())
+}
+
+fn single_dense(rel: &DistRelation) -> Result<DenseMatrix, ExecError> {
+    single_block(rel).map(Block::to_dense)
+}
+
+/// The one block of a single-tuple relation, packed for `pack`'s side
+/// of a product (densified first if it is sparse).
+fn single_packed(
+    rel: &DistRelation,
+    pack: fn(&DenseMatrix) -> PackedOperand,
+) -> Result<PackedOperand, ExecError> {
+    Ok(match single_block(rel)? {
+        Block::Dense(d) => pack(d),
+        sparse => pack(&sparse.to_dense()),
+    })
+}
+
+/// Every (dense) chunk of `rel` packed for `pack`'s side of a product,
+/// in chunk order, so a chunk that meets several chunks of the other
+/// side is packed once per vertex rather than once per product.
+fn pack_all(
+    rel: &Arc<DistRelation>,
+    pack: fn(&DenseMatrix) -> PackedOperand,
+) -> Result<Arc<Vec<PackedOperand>>, ExecError> {
+    let r = Arc::clone(rel);
+    par_map(rel.chunks.len(), move |i| {
+        pack(r.chunks[i].block.as_dense())
+    })
+    .map(Arc::new)
+}
+
+/// `Σ a × b` over `pairs`, each product computed from 0.0 and added in
+/// the order given with a rounding `+=` onto the first — the bits of a
+/// per-pair `matmul` + `add_assign` fold, without an output matrix per
+/// product. `None` for no pairs.
+fn sum_of_products<'p>(
+    mut pairs: impl Iterator<Item = (&'p PackedOperand, &'p PackedOperand)>,
+) -> Option<DenseMatrix> {
+    let (a, b) = pairs.next()?;
+    let mut acc = a.matmul(b);
+    let mut scratch = None;
+    for (a, b) in pairs {
+        let s = scratch.get_or_insert_with(|| DenseMatrix::zeros(acc.rows(), acc.cols()));
+        a.matmul_into(b, s);
+        acc.add_assign(s);
+    }
+    Some(acc)
 }
 
 fn coo_of(rel: &DistRelation) -> Result<CooMatrix, ExecError> {
@@ -903,25 +943,36 @@ fn tile_matmul(
     let cells: Vec<(u64, u64)> = (0..rows_b)
         .flat_map(|i| (0..cols_b).map(move |j| (i, j)))
         .collect();
+    // A dense tile meets a whole row (or column) of the other side's
+    // tiles: pack every tile once for the vertex, not once per product.
+    // A sparse left side multiplies its tiles as they are.
+    let packed = if a.chunks.iter().all(|c| matches!(c.block, Block::Dense(_))) {
+        Some((
+            pack_all(&a, PackedOperand::lhs)?,
+            pack_all(&b, PackedOperand::rhs)?,
+        ))
+    } else {
+        None
+    };
     let chunks: Vec<Chunk> = par_map(cells.len(), move |cell| {
         let (i, j) = cells[cell];
-        let mut acc: Option<DenseMatrix> = None;
-        for k in 0..k_b {
-            let (Some(&ax), Some(&bx)) = (a_at.get(&(i, k)), b_at.get(&(k, j))) else {
-                continue;
-            };
-            let ac = &a.chunks[ax];
-            let bc = &b.chunks[bx];
-            let partial = match &ac.block {
-                Block::Dense(d) => d.matmul(bc.block.as_dense()),
-                Block::Csr(s) => s.matmul_dense(bc.block.as_dense()),
-                Block::Coo(c) => c.to_dense().matmul(bc.block.as_dense()),
-            };
-            match &mut acc {
-                None => acc = Some(partial),
-                Some(prev) => prev.add_assign(&partial),
-            }
-        }
+        let pairs = (0..k_b).filter_map(|k| Some((*a_at.get(&(i, k))?, *b_at.get(&(k, j))?)));
+        let acc = match &packed {
+            Some((ap, bp)) => sum_of_products(pairs.map(|(ax, bx)| (&ap[ax], &bp[bx]))),
+            None => pairs
+                .map(|(ax, bx)| {
+                    let bd = b.chunks[bx].block.as_dense();
+                    match &a.chunks[ax].block {
+                        Block::Dense(d) => d.matmul(bd),
+                        Block::Csr(s) => s.matmul_dense(bd),
+                        Block::Coo(c) => c.to_dense().matmul(bd),
+                    }
+                })
+                .reduce(|mut acc, partial| {
+                    acc.add_assign(&partial);
+                    acc
+                }),
+        };
         Chunk {
             row: i,
             col: j,

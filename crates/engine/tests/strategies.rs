@@ -6,7 +6,7 @@
 //! Gauss–Jordan inverse).
 
 use matopt_core::{ImplRegistry, MatrixType, Op, PhysFormat, Strategy};
-use matopt_engine::{execute_impl, DistRelation};
+use matopt_engine::{execute_impl, Block, DistRelation};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
 use std::sync::Arc;
 
@@ -660,4 +660,156 @@ fn source_inputs_are_reformatted_to_declared_storage() {
     );
     let out = execute_plan(&g, &ann, &inputs, &reg).unwrap();
     assert!(out.sinks[&r].to_dense().approx_eq(&d.relu(), 1e-12));
+}
+
+/// Runs a matmul strategy and returns its output relation.
+fn run_matmul(
+    strategy: Strategy,
+    a: &DistRelation,
+    b: &DistRelation,
+    out_format: PhysFormat,
+) -> DistRelation {
+    let out_type = MatrixType::dense(a.mtype.rows, b.mtype.cols);
+    let inputs = [Arc::new(a.clone()), Arc::new(b.clone())];
+    execute_impl(strategy, &Op::MatMul, &inputs, out_type, out_format).expect("executes")
+}
+
+/// Asserts every output chunk carries exactly the bits `expect(row, col)`
+/// gives for its grid key.
+fn assert_chunk_bits(what: &str, out: &DistRelation, expect: impl Fn(u64, u64) -> DenseMatrix) {
+    assert!(!out.chunks.is_empty(), "{what}: no chunks");
+    for c in &out.chunks {
+        let want = expect(c.row, c.col);
+        let got = c.block.as_dense();
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}: chunk ({}, {}) shape",
+            c.row,
+            c.col
+        );
+        let bits = |d: &DenseMatrix| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(got) == bits(&want),
+            "{what}: chunk ({}, {}) differs in its bits",
+            c.row,
+            c.col
+        );
+    }
+}
+
+/// Test-local oracle of a tile join: output tile `(i, j)` is the first
+/// product `A_ik × B_kj` (ascending k) plus each later one in turn with
+/// `add_assign`, every product a fresh `matmul` (or CSR `matmul_dense`).
+fn per_pair_tile(a: &DistRelation, b: &DistRelation, i: u64, j: u64) -> DenseMatrix {
+    let kb = a.chunks.iter().map(|c| c.col).max().unwrap() + 1;
+    let mut acc: Option<DenseMatrix> = None;
+    for k in 0..kb {
+        let (Some(ac), Some(bc)) = (a.chunk_at(i, k), b.chunk_at(k, j)) else {
+            continue;
+        };
+        let bd = bc.block.as_dense();
+        let partial = match &ac.block {
+            Block::Dense(d) => d.matmul(bd),
+            Block::Csr(s) => s.matmul_dense(bd),
+            Block::Coo(_) => unreachable!("tile joins take dense or CSR tiles"),
+        };
+        match &mut acc {
+            None => acc = Some(partial),
+            Some(prev) => prev.add_assign(&partial),
+        }
+    }
+    acc.expect("contraction non-empty")
+}
+
+/// The tile joins pack each tile once per vertex; their output must
+/// still be bit-for-bit the per-pair fold — on 128-tiles (every product
+/// packed) and on 100-tiles, whose 12-wide edge products fall under the
+/// packing gate and take the reference kernel's arithmetic.
+#[test]
+fn tile_joins_are_bit_identical_to_the_per_pair_fold() {
+    let (a, b) = (dense(512, 512, 60), dense(512, 512, 61));
+    // Shuffle and broadcast run the same join; one side each.
+    for (side, strategy) in [(128, Strategy::MmTileShuffle), (100, Strategy::MmTileBcast)] {
+        let f = PhysFormat::Tile { side };
+        let (ra, rb) = (rel(&a, f), rel(&b, f));
+        let out = run_matmul(strategy, &ra, &rb, f);
+        assert_chunk_bits(&format!("{strategy:?} Tile{{{side}}}"), &out, |i, j| {
+            per_pair_tile(&ra, &rb, i, j)
+        });
+    }
+    let (s, d) = (sparse(300, 200, 62), dense(200, 260, 63));
+    let (rs, rd) = (
+        rel(&s, PhysFormat::CsrTile { side: 64 }),
+        rel(&d, PhysFormat::Tile { side: 64 }),
+    );
+    let out = run_matmul(
+        Strategy::MmCsrTileTile,
+        &rs,
+        &rd,
+        PhysFormat::Tile { side: 64 },
+    );
+    assert_chunk_bits("CsrTile × Tile", &out, |i, j| {
+        per_pair_tile(&rs, &rd, i, j)
+    });
+}
+
+/// The strip cross join and both broadcast joins pack each strip (and
+/// the broadcast matrix) once; every output chunk must still be the
+/// plain `matmul` of its pair. 256² against 128-wide strips is 16.8
+/// Mflop per broadcast product, so those also fan out over the pool.
+#[test]
+fn strip_and_broadcast_joins_are_bit_identical_to_per_pair_matmul() {
+    let (a, b) = (dense(256, 256, 64), dense(256, 256, 65));
+    let rows = rel(&a, PhysFormat::RowStrip { height: 128 });
+    let cols = rel(&b, PhysFormat::ColStrip { width: 100 });
+    let strip_a = |i: u64| rows.chunk_at(i, 0).unwrap().block.as_dense().clone();
+    let strip_b = |j: u64| cols.chunk_at(0, j).unwrap().block.as_dense().clone();
+
+    let out = run_matmul(
+        Strategy::MmRowstripColstripCross,
+        &rows,
+        &cols,
+        PhysFormat::Tile { side: 128 },
+    );
+    assert_chunk_bits("cross", &out, |i, j| strip_a(i).matmul(&strip_b(j)));
+
+    let single_a = rel(&a, PhysFormat::SingleTuple);
+    let out = run_matmul(
+        Strategy::MmBcastSingleColstrip,
+        &single_a,
+        &cols,
+        PhysFormat::ColStrip { width: 100 },
+    );
+    assert_chunk_bits("single × colstrips", &out, |_, j| a.matmul(&strip_b(j)));
+
+    let single_b = rel(&b, PhysFormat::SingleTuple);
+    let out = run_matmul(
+        Strategy::MmRowstripBcastSingle,
+        &rows,
+        &single_b,
+        PhysFormat::RowStrip { height: 128 },
+    );
+    assert_chunk_bits("rowstrips × single", &out, |i, _| strip_a(i).matmul(&b));
+}
+
+/// The outer-product join sums full-size products in place; the bits
+/// are those of a fold with a fresh `add` per strip pair.
+#[test]
+fn outer_product_join_sums_in_strip_order() {
+    let (a, b) = (dense(96, 300, 66), dense(300, 80, 67));
+    let ra = rel(&a, PhysFormat::ColStrip { width: 64 });
+    let rb = rel(&b, PhysFormat::RowStrip { height: 64 });
+    let out = run_matmul(
+        Strategy::MmColstripRowstripOuter,
+        &ra,
+        &rb,
+        PhysFormat::SingleTuple,
+    );
+    assert_chunk_bits("outer", &out, |_, _| {
+        ra.chunks.iter().fold(DenseMatrix::zeros(96, 80), |acc, c| {
+            let bs = rb.chunk_at(c.col, 0).unwrap().block.as_dense();
+            acc.add(&c.block.as_dense().matmul(bs))
+        })
+    });
 }

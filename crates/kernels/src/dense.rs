@@ -1,6 +1,7 @@
 //! Row-major dense matrices and the compute kernels over them.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense, row-major, `f64` matrix.
 ///
@@ -38,16 +39,26 @@ impl fmt::Debug for DenseMatrix {
 /// reference multiply.
 const GEMM_BLOCK: usize = 64;
 
-/// Register microkernel tile: `MR × NR` accumulators live in registers
-/// across the k loop. 6×8 doubles is twelve 4-wide vectors — it fills
-/// the sixteen AVX2 vector registers with room left for the A broadcast
-/// and the B row.
+/// Register microkernel tile: `MR × NR` accumulators stay in vector
+/// registers across the k loop. With AVX-512 in the target the tile is
+/// 6×16: AVX-512VL gives 32 vector registers, enough for 24 four-wide
+/// accumulators, the four-vector B row and the A broadcast. Without it
+/// the tile is 6×8, whose twelve accumulators leave room in AVX2's
+/// sixteen registers; a 6×16 tile there would spill every k step. The
+/// tile decides only which elements one kernel call computes, never the
+/// order an element's terms are summed in, so both widths give the same
+/// bits.
 const MR: usize = 6;
-const NR: usize = 8;
+const NR: usize = if cfg!(target_feature = "avx512f") {
+    16
+} else {
+    8
+};
 
 /// k-dimension block depth: panels are consumed in `KC`-deep slices so
 /// one A slice (`MR·KC` doubles, 12 KB) plus one B slice (`NR·KC`
-/// doubles, 16 KB) stay L1-resident while the microkernel streams them.
+/// doubles, 16 KB at `NR` = 8, 32 KB at 16) stay L1-resident while the
+/// microkernel streams them.
 const KC: usize = 256;
 
 /// Row-block height (a multiple of `MR`): the packed `MC×KC` A block
@@ -57,12 +68,6 @@ const KC: usize = 256;
 /// long before the FMA units — at 1024³ that is ~1.4 GB of B traffic
 /// versus ~100 MB blocked.
 const MC: usize = 96;
-
-/// Below this many multiply-adds (`m·k·n`; 36 864, about a 33³
-/// product), or when any dimension is thinner than the register tile,
-/// the packing overhead outweighs the microkernel and
-/// [`DenseMatrix::matmul`] uses the blocked reference kernel instead.
-const PACK_MIN_FLOPS: u64 = (MR * NR * MR * NR) as u64 * 16;
 
 /// With the `parallel` feature, products at least this large
 /// (`2·m·k·n` flops, ≈ a 200³ GEMM) fan out over `MC`-row blocks on the
@@ -127,24 +132,46 @@ fn pack_a_panels(a: &[f64], m: usize, k: usize) -> Vec<f64> {
 
 /// Register-blocked `MR×NR` microkernel: multiplies a `kc`-deep slice
 /// of one packed A row panel with the matching slice of one packed B
-/// column panel, accumulating all `MR*NR` partial sums in registers
-/// across the `kc` loop. With FMA in the target feature set each
-/// update is a single fused multiply-add.
+/// column panel into `acc`, which holds the partial sums of earlier
+/// slices (zeros for the first).
 ///
-/// `inline(never)` is deliberate: compiled standalone, LLVM's SLP
-/// vectorizer turns the accumulator updates into packed broadcast-FMA
+/// With `FUSED` each update is one fused multiply-add — the packed
+/// kernel. Without it each update is a rounded multiply then a rounded
+/// add, skipped where the A element is zero: exactly the arithmetic of
+/// [`DenseMatrix::matmul_reference`], for products of packed operands
+/// too small for the packed kernel.
+///
+/// The k loop runs on a local copy of `acc`, written back once. Updated
+/// through the `&mut` instead, every accumulator stays in memory and is
+/// stored on each k step, one store per multiply-add, which bounds the
+/// loop by stores rather than by the FMA units. `inline(never)` is
+/// deliberate: compiled standalone, the copy lives in registers and
+/// LLVM's SLP vectorizer turns the updates into broadcast-FMA
 /// instructions; inlined into the panel loop it degrades to scalar
 /// FMAs. The call overhead is amortized over the `kc` loop.
 #[inline(never)]
-fn microkernel(acc: &mut [[f64; NR]; MR], apack: &[f64], bpanel: &[f64], kc: usize) {
+fn microkernel<const FUSED: bool>(
+    acc: &mut [[f64; NR]; MR],
+    apack: &[f64],
+    bpanel: &[f64],
+    kc: usize,
+) {
+    let mut c = *acc;
     for (a, b) in apack.chunks_exact(MR).zip(bpanel.chunks_exact(NR)).take(kc) {
         for r in 0..MR {
             let ar = a[r];
-            for c in 0..NR {
-                acc[r][c] = fmadd(acc[r][c], ar, b[c]);
+            if FUSED {
+                for j in 0..NR {
+                    c[r][j] = fmadd(c[r][j], ar, b[j]);
+                }
+            } else if ar != 0.0 {
+                for j in 0..NR {
+                    c[r][j] += ar * b[j];
+                }
             }
         }
     }
+    *acc = c;
 }
 
 /// Computes output rows `i0..i0+mblk` (an `MC` block, `i0` a multiple
@@ -155,10 +182,10 @@ fn microkernel(acc: &mut [[f64; NR]; MR], apack: &[f64], bpanel: &[f64], kc: usi
 ///
 /// Partial sums for `pc > 0` round-trip through `out_rows`, which is
 /// exact for `f64`; every output element still accumulates its `k`
-/// terms in plain ascending order with the same fused multiply-add,
-/// so the result is bit-identical however the blocks are swept and
-/// however many threads sweep them.
-fn gemm_mc_block(
+/// terms in plain ascending order with the same update, so the result
+/// is bit-identical however the blocks are swept, however wide the
+/// register tile and however many threads sweep them.
+fn gemm_mc_block<const FUSED: bool>(
     apack: &[f64],
     bpack: &[f64],
     i0: usize,
@@ -184,7 +211,7 @@ fn gemm_mc_block(
                         acc[r][..w].copy_from_slice(row);
                     }
                 }
-                microkernel(&mut acc, aslice, bslice, kcur);
+                microkernel::<FUSED>(&mut acc, aslice, bslice, kcur);
                 for r in 0..h {
                     out_rows[(ir + r) * n + j0..(ir + r) * n + j0 + w]
                         .copy_from_slice(&acc[r][..w]);
@@ -194,17 +221,20 @@ fn gemm_mc_block(
     }
 }
 
-/// Packed-GEMM driver: packs both operands, then sweeps `MC`-row
-/// blocks (fanning out over the shared pool for large products when
-/// the `parallel` feature is on).
-fn gemm_packed(lhs: &DenseMatrix, rhs: &DenseMatrix) -> DenseMatrix {
-    let (m, k, n) = (lhs.rows, lhs.cols, rhs.cols);
-    let mut out = DenseMatrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return out;
+/// Sweeps `MC`-row blocks of an `m × k` by `k × n` product of packed
+/// panels into `out` (row-major `m × n`; every element is overwritten),
+/// fanning out over the shared pool for large products when the
+/// `parallel` feature is on.
+fn gemm_panels<const FUSED: bool>(
+    apack: &Arc<Vec<f64>>,
+    bpack: &Arc<Vec<f64>>,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f64],
+) {
+    if k == 0 {
+        out.fill(0.0);
+        return;
     }
-    let bpack = pack_b_panels(&rhs.data, k, n);
-    let apack = pack_a_panels(&lhs.data, m, k);
     #[cfg(feature = "parallel")]
     {
         let flops = 2u64
@@ -213,44 +243,148 @@ fn gemm_packed(lhs: &DenseMatrix, rhs: &DenseMatrix) -> DenseMatrix {
             .saturating_mul(n as u64);
         let pool = matopt_pool::Pool::global();
         if pool.parallelism() > 1 && flops >= PAR_MIN_FLOPS {
-            use std::sync::Arc;
-            let blocks = m.div_ceil(MC);
-            let apack = Arc::new(apack);
-            let bpack = Arc::new(bpack);
-            let results = pool.map(blocks, move |blk| {
+            let apack = Arc::clone(apack);
+            let bpack = Arc::clone(bpack);
+            let results = pool.map(m.div_ceil(MC), move |blk| {
                 let i0 = blk * MC;
                 let mblk = MC.min(m - i0);
                 let mut rows = vec![0.0; mblk * n];
-                gemm_mc_block(&apack, &bpack, i0, mblk, k, n, &mut rows);
+                gemm_mc_block::<FUSED>(&apack, &bpack, i0, mblk, k, n, &mut rows);
                 rows
             });
             for (blk, rows) in results.into_iter().enumerate() {
                 let i0 = blk * MC;
-                out.data[i0 * n..i0 * n + rows.len()].copy_from_slice(&rows);
+                out[i0 * n..i0 * n + rows.len()].copy_from_slice(&rows);
             }
-            return out;
+            return;
         }
     }
     for i0 in (0..m).step_by(MC) {
         let mblk = MC.min(m - i0);
-        gemm_mc_block(
-            &apack,
-            &bpack,
+        gemm_mc_block::<FUSED>(
+            apack,
+            bpack,
             i0,
             mblk,
             k,
             n,
-            &mut out.data[i0 * n..(i0 + mblk) * n],
+            &mut out[i0 * n..(i0 + mblk) * n],
         );
     }
-    out
 }
 
 /// `true` when a product of this shape is worth routing through the
-/// packed kernel: no dimension thinner than the register tile and at
-/// least [`PACK_MIN_FLOPS`] multiply-adds.
+/// packed kernel: m ≥ 6, n ≥ 8, k ≥ 6 and at least 36 864 multiply-adds
+/// (about a 33³ product); below that the packing overhead outweighs the
+/// microkernel and [`DenseMatrix::matmul`] uses the blocked reference
+/// kernel. The bounds are the 6×8 tile's and stay literal whatever the
+/// tile is: the predicate picks each product's arithmetic (fused or
+/// not), so moving it would move output bits.
 fn worth_packing(m: usize, k: usize, n: usize) -> bool {
-    m >= MR && n >= NR && k >= MR && m.saturating_mul(k).saturating_mul(n) as u64 >= PACK_MIN_FLOPS
+    m >= 6 && n >= 8 && k >= 6 && m.saturating_mul(k).saturating_mul(n) >= 36_864
+}
+
+/// Which side of a product a [`PackedOperand`] was packed for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Side {
+    Lhs,
+    Rhs,
+}
+
+/// One GEMM operand copied into the panel layout the packed kernel
+/// streams, so a matrix that takes part in several products — a tile
+/// in a tile join, a broadcast matrix against every strip — is packed
+/// once instead of once per product.
+///
+/// An operand is packed for one side of a product
+/// ([`PackedOperand::lhs`] or [`PackedOperand::rhs`]). Its products are
+/// bit-identical to [`DenseMatrix::matmul`] on the unpacked matrices:
+/// shapes worth packing run the fused packed kernel, the rest the
+/// reference kernel's rounded multiply-then-add, both over the panels.
+///
+/// ```
+/// use matopt_kernels::{DenseMatrix, PackedOperand};
+/// let a = DenseMatrix::from_fn(40, 30, |r, c| (r + c) as f64);
+/// let b = DenseMatrix::from_fn(30, 50, |r, c| (r * c) as f64);
+/// let pa = PackedOperand::lhs(&a);
+/// assert_eq!(pa.matmul(&PackedOperand::rhs(&b)), a.matmul(&b));
+/// ```
+pub struct PackedOperand {
+    rows: usize,
+    cols: usize,
+    side: Side,
+    panels: Arc<Vec<f64>>,
+}
+
+impl PackedOperand {
+    /// Packs `a` as the left operand of products `a × b`.
+    pub fn lhs(a: &DenseMatrix) -> Self {
+        PackedOperand {
+            rows: a.rows,
+            cols: a.cols,
+            side: Side::Lhs,
+            panels: Arc::new(pack_a_panels(&a.data, a.rows, a.cols)),
+        }
+    }
+
+    /// Packs `b` as the right operand of products `a × b`.
+    pub fn rhs(b: &DenseMatrix) -> Self {
+        PackedOperand {
+            rows: b.rows,
+            cols: b.cols,
+            side: Side::Rhs,
+            panels: Arc::new(pack_b_panels(&b.data, b.rows, b.cols)),
+        }
+    }
+
+    /// The product `self × rhs`, bit-identical to
+    /// [`DenseMatrix::matmul`] on the unpacked matrices.
+    ///
+    /// # Panics
+    /// Panics when `self` is not a left operand, `rhs` not a right one,
+    /// or the inner dimensions disagree.
+    pub fn matmul(&self, rhs: &PackedOperand) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`PackedOperand::matmul`] into `out`, whose contents are
+    /// overwritten — a caller summing many products keeps one scratch
+    /// matrix instead of allocating one per product.
+    ///
+    /// # Panics
+    /// As [`PackedOperand::matmul`], and when `out` is not
+    /// `self.rows() × rhs.cols()`.
+    pub fn matmul_into(&self, rhs: &PackedOperand, out: &mut DenseMatrix) {
+        let shape = self.check_product(rhs, out);
+        if worth_packing(shape.0, shape.1, shape.2) {
+            gemm_panels::<true>(&self.panels, &rhs.panels, shape, &mut out.data);
+        } else {
+            gemm_panels::<false>(&self.panels, &rhs.panels, shape, &mut out.data);
+        }
+    }
+
+    /// Asserts `self × rhs → out` is well formed; returns `(m, k, n)`.
+    fn check_product(&self, rhs: &PackedOperand, out: &DenseMatrix) -> (usize, usize, usize) {
+        assert!(
+            self.side == Side::Lhs && rhs.side == Side::Rhs,
+            "packed operands multiply as lhs × rhs, got {:?} × {:?}",
+            self.side,
+            rhs.side
+        );
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul dimension mismatch: {}x{} × {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, rhs.cols),
+            "product output shape mismatch"
+        );
+        (self.rows, self.cols, rhs.cols)
+    }
 }
 
 impl DenseMatrix {
@@ -354,8 +488,8 @@ impl DenseMatrix {
 
     /// Matrix multiply `self × rhs`.
     ///
-    /// Products worth packing (no dimension thinner than the 6×8
-    /// register tile, at least ~33³ multiply-adds) go through the
+    /// Products worth packing (m ≥ 6, n ≥ 8, k ≥ 6 and at least ~33³
+    /// multiply-adds) go through the
     /// packed, register-blocked microkernel
     /// ([`DenseMatrix::matmul_packed`]); small or degenerate shapes
     /// fall back to the cache-blocked reference kernel
@@ -424,23 +558,23 @@ impl DenseMatrix {
     }
 
     /// Packed GEMM: copies B into `NR`-wide column panels and A into
-    /// k-major `MR`-row panels, then drives a register-blocked 6×8
-    /// fused-multiply-add microkernel over cache-blocked (`MC×KC` =
-    /// 96×256) sweeps. With the `parallel` feature enabled, row blocks
-    /// fan out over the shared work-stealing pool for large products;
-    /// results are bit-identical to the serial packed path because
-    /// every output element accumulates its `k` terms in the same
-    /// ascending order regardless of thread count.
+    /// k-major `MR`-row panels, then drives the register-blocked
+    /// fused-multiply-add microkernel (6×16 with AVX-512, 6×8 without)
+    /// over cache-blocked (`MC×KC` = 96×256) sweeps, whatever the
+    /// shape. With the `parallel` feature enabled, row blocks fan out
+    /// over the shared work-stealing pool for large products; results
+    /// are bit-identical to the serial packed path because every output
+    /// element accumulates its `k` terms in the same ascending order
+    /// regardless of thread count.
     ///
     /// # Panics
     /// Panics when the inner dimensions disagree.
     pub fn matmul_packed(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul dimension mismatch: {}x{} × {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        gemm_packed(self, rhs)
+        let (a, b) = (PackedOperand::lhs(self), PackedOperand::rhs(rhs));
+        let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
+        let shape = a.check_product(&b, &out);
+        gemm_panels::<true>(&a.panels, &b.panels, shape, &mut out.data);
+        out
     }
 
     /// Transposed copy.
@@ -775,6 +909,16 @@ mod tests {
             (40, 40, 5, false),
             (16, 16, 16, false),
             (40, 40, 40, true),
+            // n in 8..16: narrower than a 6×16 tile, still packed when
+            // the gate says so — the gate does not follow the tile.
+            (40, 200, 8, true),
+            (40, 40, 12, false),
+            (96, 40, 12, true),
+            (6, 512, 15, true),
+            (5, 512, 15, false),
+            (40, 100, 7, false),
+            (100, 6, 64, true),
+            (100, 5, 100, false),
         ] {
             assert_eq!(worth_packing(m, k, n), packed, "{m}x{k}x{n}");
             let a = DenseMatrix::from_fn(m, k, |r, c| ((r * 5 + c) % 7) as f64 / 3.0 - 1.0);

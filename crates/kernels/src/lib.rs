@@ -9,6 +9,9 @@
 //!
 //! * [`DenseMatrix`] — row-major dense matrices with blocked GEMM,
 //!   elementwise maps, reductions, row-wise softmax, and LU-based inverse.
+//! * [`PackedOperand`] — a GEMM operand packed once for the many
+//!   products a chunk takes part in, with the bits of
+//!   [`DenseMatrix::matmul`].
 //! * [`CsrMatrix`] / [`CooMatrix`] — compressed-sparse-row and coordinate
 //!   formats with sparse–dense multiply, conversions, and sparse
 //!   elementwise operations.
@@ -30,7 +33,7 @@ mod random;
 mod solve;
 mod sparse;
 
-pub use dense::DenseMatrix;
+pub use dense::{DenseMatrix, PackedOperand};
 pub use random::{random_dense_normal, random_sparse_csr, seeded_rng};
 pub use solve::{lu_factor, lu_solve, LuError, LuFactors};
 pub use sparse::{CooMatrix, CsrMatrix};
