@@ -198,8 +198,8 @@ fn recovery(fx: &Fixture) {
     );
 }
 
-/// `execute_plan_with` with no budget and no hedge against the plain
-/// executor: one `Option` branch per admission.
+/// `execute_plan_with` with no budget against the plain executor: the
+/// one budget check that picks the driver.
 fn governor(fx: &Fixture) {
     ratio_budget(
         "governor",

@@ -62,13 +62,13 @@
 //!                            an expected-runtime-under-recovery report
 //!   --straggler-rate R       fraction of vertices hit by stragglers
 //!   --mem-budget SIZE        resident-byte budget for --analyze (e.g.
-//!                            512M, 2G); the scheduler throttles
-//!                            admission and spills cold buffers to
-//!                            scratch files when the run would exceed it
+//!                            512M, 2G); the run walks one vertex at a
+//!                            time and spills cold buffers to scratch
+//!                            files when the next would exceed it
 //!                            (does not apply with --inject)
-//!   --hedge FACTOR           launch a duplicate of any vertex running
-//!                            longer than FACTOR x its predicted time;
-//!                            first finisher wins (requires --analyze)
+//!   --hedge FACTOR           cut an injected slow@ straggler's delay to
+//!                            FACTOR x the unit step time, as if a
+//!                            duplicate had won (requires --inject)
 //!   --worker-procs N         execute --analyze vertices on N supervised
 //!                            worker *processes* (forked matopt-workerd
 //!                            daemons): heartbeat liveness, bounded
@@ -400,6 +400,13 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
     // have an effect on the real executor, so they imply `--analyze`.
     if inject.is_some() || mem_budget.is_some() || hedge.is_some() || worker_procs.is_some() {
         analyze = true;
+    }
+    // `--hedge` bounds injected `slow@` faults; without an injector
+    // there is no straggler for it to hedge.
+    if hedge.is_some() && inject.is_none() {
+        return Err(usage(
+            "--hedge expects --inject: it bounds the delay of injected slow@ faults",
+        ));
     }
     // The simulated injector and the real process fleet are different
     // fault machines; running both at once would blame each other's
@@ -1172,7 +1179,7 @@ fn run_analyze(
         None => {}
     }
     if let Some(factor) = governor.hedge {
-        println!("hedging stragglers at {factor}x the predicted per-vertex runtime");
+        println!("hedging injected stragglers at {factor}x the unit step time");
     }
     let hedge_config = governor.hedge.map(HedgeConfig::with_factor);
     // `--worker-procs`: fork a supervised fleet and hand every vertex's

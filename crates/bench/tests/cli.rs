@@ -191,7 +191,7 @@ fn unknown_engine_or_catalog_exits_2_naming_the_valid_values() {
 
 #[test]
 fn an_unparsable_option_value_exits_2_naming_the_option() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["plan", "motivating", "--workers", "ten"], "--workers"),
         (
             &["plan", "motivating", "--crash-rate", "lots"],
@@ -199,6 +199,9 @@ fn an_unparsable_option_value_exits_2_naming_the_option() {
         ),
         (&["plan", "motivating", "--fault-seed", "x"], "--fault-seed"),
         (&["plan", "motivating", "--hedge", "0.5"], "--hedge"),
+        // A valid factor with nothing to hedge: --hedge bounds injected
+        // slow@ faults only.
+        (&["plan", "motivating", "--hedge", "3"], "--hedge"),
         (&["serve", "--workers"], "--workers"),
         (&["fleet-chaos", "--seed", "0xZZ"], "--seed"),
     ];

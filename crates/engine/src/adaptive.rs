@@ -82,6 +82,12 @@ impl std::fmt::Display for AdaptiveError {
 
 impl std::error::Error for AdaptiveError {}
 
+impl From<ExecError> for AdaptiveError {
+    fn from(e: ExecError) -> Self {
+        AdaptiveError::Exec(e)
+    }
+}
+
 impl DistRelation {
     /// The observed fraction of non-zero entries across all chunks.
     pub fn measured_sparsity(&self) -> f64 {
@@ -158,7 +164,8 @@ pub type ReplanHook<'h> = &'h (dyn Fn(NodeId) + 'h);
 /// the caller's signal to invalidate the cached plan.
 ///
 /// The run is the inline walk ([`crate::execute_plan_serial`]'s loop)
-/// with the drift rule applied after each vertex.
+/// with the drift rule applied after each vertex; a drift re-plans the
+/// suffix before the next vertex runs.
 ///
 /// # Errors
 /// [`AdaptiveError`] when execution fails or a re-optimization finds no
@@ -175,36 +182,40 @@ pub fn execute_adaptive_planned(
     on_replan: Option<ReplanHook<'_>>,
     obs: &Obs,
 ) -> Result<AdaptiveOutcome, AdaptiveError> {
-    let mut walk = InlineWalk::start(graph, initial_plan, inputs, ctx.registry, obs)
-        .map_err(AdaptiveError::Exec)?;
+    let mut walk = InlineWalk::start(graph, initial_plan, inputs, ctx.registry, obs)?;
     let mut measured = vec![0.0; graph.len()];
     for s in graph.sources() {
         measured[s.index()] = walk.value(s).map_or(0.0, |rel| rel.measured_sparsity());
     }
     let mut triggered_at = Vec::new();
     let last = compute_vertices(graph).last();
+    // Where the next vertex's re-plan starts, once a drift is seen.
+    let mut replan_from = None;
 
-    for v in compute_vertices(graph) {
-        let out = walk.run(v).map_err(AdaptiveError::Exec)?;
+    walk.drive(|walk, _, v| {
+        if let Some(from) = replan_from.take() {
+            walk.replan(from, ctx, catalog, model, config.beam)
+                .map_err(AdaptiveError::Opt)?;
+        }
+        let out = walk.run(v)?;
         // The step types its output as the plan in force estimated it.
         let est = out.rel.mtype.sparsity;
         let meas = out.rel.measured_sparsity();
         measured[v.index()] = meas;
-        walk.store(v, out);
-
         if Some(v) != last && relative_error(est, meas) > config.relative_error_threshold {
-            // Halt and re-plan the suffix with corrected stats.
+            // Halt and re-plan the suffix with corrected stats once `v`
+            // is stored.
             triggered_at.push(v);
             if let Some(hook) = on_replan {
                 hook(v);
             }
-            walk.replan(v.index() + 1, ctx, catalog, model, config.beam)
-                .map_err(AdaptiveError::Opt)?;
+            replan_from = Some(v.index() + 1);
         }
-    }
+        Ok::<_, AdaptiveError>(out)
+    })?;
 
     Ok(AdaptiveOutcome {
-        sinks: walk.finish().sinks,
+        sinks: walk.finish()?.sinks,
         reoptimizations: triggered_at.len(),
         triggered_at,
         measured,

@@ -7,16 +7,17 @@
 //! fitted from (§7).
 //!
 //! There is one vertex step ([`crate::step`]) and two drivers of it.
-//! [`execute_plan`] / [`execute_plan_with`] run the pooled pipeline in
-//! [`crate::schedule`]: ready vertices are pool jobs, and a budget,
-//! hedging, a remote backend and a shared memory pool all apply.
-//! [`execute_plan_serial`] is the inline walk: id order on the calling
-//! thread, no options — the reference the pipeline is property-tested
-//! bit-identical against.
+//! [`execute_plan`] / [`execute_plan_with`] run an unbudgeted plan on
+//! the pooled pipeline in [`crate::schedule`]: ready vertices are pool
+//! jobs. A run with a memory budget — [`ExecOptions::mem_budget`] or a
+//! [`crate::SharedGovernor`] lease — walks inline instead, one vertex
+//! in flight, with the memory governor of [`crate::step`] around each
+//! step. [`execute_plan_serial`] is the inline walk with no options —
+//! the reference both are property-tested bit-identical against.
 
 use crate::impl_exec::ExecError;
 use crate::schedule::run_pipelined;
-use crate::step::InlineWalk;
+use crate::step::run_inline;
 use crate::value::DistRelation;
 use matopt_core::{
     Annotation, ComputeGraph, ImplRegistry, MatrixType, NodeId, NodeKind, Op, PhysFormat, Strategy,
@@ -51,8 +52,8 @@ pub struct ExecOutcome {
     pub max_concurrency: usize,
     /// Peak bytes resident across all live vertex buffers.
     pub peak_resident_bytes: u64,
-    /// What the resource governor did during the run (all zero when no
-    /// budget or hedging was configured).
+    /// What the memory governor did during the run (all zero when the
+    /// run had no budget).
     pub governor: GovernorStats,
     /// Pool counter delta for this run: tasks, steals, and busy time
     /// (under the inline walk, the chunk batches its kernels fanned
@@ -62,54 +63,29 @@ pub struct ExecOutcome {
     pub total_seconds: f64,
 }
 
-/// Hedged straggler re-execution: when a running vertex exceeds
-/// `factor ×` its predicted runtime, a duplicate task is spawned on the
-/// pool; first completion wins, the loser's result is discarded.
-/// Kernels are bit-deterministic, so either copy produces identical
-/// bits and the race cannot change results.
+/// Hedging of injected stragglers: under a live fault injector
+/// ([`crate::execute_fault_tolerant`]), a `slow@` fault's delay is cut
+/// to a duplicate's deadline of `factor ×` the 0.5 ms unit step time
+/// when that beats waiting the straggler out. The duplicate is
+/// simulated, not run.
 #[derive(Debug, Clone)]
 pub struct HedgeConfig {
-    /// Deadline multiplier over the predicted per-vertex runtime (the
-    /// paper-style quantile multiplier; e.g. `4.0` hedges tasks running
-    /// 4× over prediction).
+    /// Deadline multiplier over the unit step time (e.g. `4.0` hedges
+    /// a straggler slowed more than 4×).
     pub factor: f64,
-    /// Predicted seconds per vertex (indexed by vertex id), typically
-    /// from the cost model's per-step estimates. When absent the
-    /// scheduler falls back to the running mean of completed vertices.
-    pub predicted_seconds: Option<Arc<Vec<f64>>>,
-    /// Floor on the armed deadline, so microsecond-scale predictions
-    /// don't hedge every task (milliseconds; min 1).
-    pub min_deadline_ms: u64,
 }
 
 impl HedgeConfig {
-    /// A hedging config with the given factor and no per-vertex
-    /// predictions (adaptive mean fallback).
+    /// A hedging config with the given factor.
     #[must_use]
     pub fn with_factor(factor: f64) -> Self {
-        HedgeConfig {
-            factor,
-            predicted_seconds: None,
-            min_deadline_ms: 1,
-        }
+        HedgeConfig { factor }
     }
 }
 
-/// Whether a vertex was hedged during a run, and who won.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HedgeMark {
-    /// Never hedged.
-    #[default]
-    None,
-    /// A duplicate was launched but the primary still won.
-    Launched,
-    /// A duplicate was launched and finished first.
-    Won,
-}
-
-/// Counters from the resource governor: spill/reload traffic, admission
-/// backpressure, and hedging activity. All zero (and the per-vertex
-/// vectors empty) when the governor is disabled.
+/// Counters from the memory governor and the fault path's hedge. All
+/// zero (and `vertex_spills` empty) when the run had no budget and no
+/// injected straggler was hedged.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GovernorStats {
     /// Buffers written to scratch under memory pressure.
@@ -120,12 +96,14 @@ pub struct GovernorStats {
     pub reloads: u64,
     /// Bytes re-charged by those reloads.
     pub reloaded_bytes: u64,
-    /// Times the scheduler had ready vertices but admitted none because
-    /// nothing fit the budget (it waited for completions instead).
+    /// Always 0: a budgeted run walks with one vertex in flight, so
+    /// nothing ever waits for admission. Kept until the benchmark stops
+    /// reading it.
     pub admission_waits: u64,
-    /// Duplicate tasks launched by the straggler hedge.
+    /// Injected stragglers hedged under a live fault injector.
     pub hedges_launched: u64,
-    /// Hedged duplicates that finished before their primary.
+    /// Hedged stragglers whose duplicate won (every one launched: the
+    /// duplicate is simulated at its deadline).
     pub hedges_won: u64,
     /// Bytes this run leased from its [`crate::SharedGovernor`] pool
     /// (0 when the run was not pool-governed).
@@ -134,21 +112,17 @@ pub struct GovernorStats {
     pub lease_wait_us: u64,
     /// Spill count per vertex (empty when the budget is off).
     pub vertex_spills: Vec<u32>,
-    /// Hedge outcome per vertex (empty when hedging is off).
-    pub vertex_hedges: Vec<HedgeMark>,
 }
 
 /// Knobs for [`execute_plan_with`].
 ///
-/// Every field is a policy of the pooled pipeline. The inline walk
-/// keeps one vertex in flight and retains every value (crash replay and
-/// suffix re-planning read them), so there is nothing for a budget to
-/// admit or spill, no second worker for a duplicate or a backend, and
-/// no concurrent run to lease against: a call that walks inline —
-/// [`crate::execute_fault_tolerant`] with a live injector — ignores
-/// them all, except that [`ExecOptions::hedge`] bounds the delay an
-/// injected straggler fault sleeps (the duplicate is simulated, not
-/// run).
+/// No option picks the driver: a run with a budget (`mem_budget` or
+/// `shared_governor`) walks inline under the memory governor, any other
+/// run goes through the pooled pipeline, and `retain_values`,
+/// `scratch_dir` and `remote` apply to both. A fault-injected run
+/// ([`crate::execute_fault_tolerant`] with a live injector) walks
+/// inline and retains every value for crash replay; it reads only
+/// [`ExecOptions::hedge`].
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Keep every vertex's value alive for [`ExecOutcome::values`]
@@ -157,30 +131,26 @@ pub struct ExecOptions {
     /// frontier and only sink values come back.
     pub retain_values: bool,
     /// Resident-byte budget for the run (`None` = unbounded). With a
-    /// budget the scheduler stops admitting ready vertices whose
-    /// input+output footprint would overflow it and spills cold
-    /// retained buffers to scratch; see the `schedule` module docs.
+    /// budget the run walks inline and spills cold buffers to scratch
+    /// before any vertex whose output would overflow it; see the `step`
+    /// module docs.
     pub mem_budget: Option<u64>,
     /// Where spill files go. `None` uses
     /// [`matopt_core::default_scratch_dir`].
     pub scratch_dir: Option<PathBuf>,
-    /// Hedged straggler re-execution (`None` = off).
+    /// The deadline for injected `slow@` stragglers (`None` = they
+    /// sleep their full delay). Read only under a live fault injector.
     pub hedge: Option<HedgeConfig>,
-    /// Test/chaos hook: per-vertex artificial delay (milliseconds)
-    /// applied to the *primary* attempt only — how straggler schedules
-    /// are injected into the pipelined scheduler. Hedged duplicates
-    /// skip the delay, which is exactly what makes hedging win.
-    pub straggler_delays_ms: Option<Arc<Vec<u64>>>,
-    /// Shared admission/memory pool (`None` = this run governs itself).
-    /// When set, the run leases a memory carve-out from the pool before
-    /// admitting any vertex and enforces it with the per-run governor;
+    /// Shared memory pool (`None` = this run governs itself). When set,
+    /// the run leases a memory carve-out from the pool before its first
+    /// vertex and walks inline with the carve-out as its budget;
     /// concurrent executions holding the same `Arc` split one budget.
     /// Composes with [`ExecOptions::mem_budget`]: the effective per-run
     /// budget is the smaller of the lease and the explicit budget.
     pub shared_governor: Option<Arc<crate::SharedGovernor>>,
     /// Remote vertex-execution backend (`None` = run every kernel
-    /// in-process). When set, the pipelined scheduler still owns the
-    /// DAG — dependency tracking, transforms, buffer retirement — but
+    /// in-process). When set, the driver still owns the DAG —
+    /// dependency tracking, transforms, buffer retirement, spills — but
     /// each vertex's chosen implementation is handed to the backend,
     /// which is free to ship it across a process boundary. The worker
     /// fleet (`matopt-worker`) is the canonical implementation:
@@ -234,7 +204,6 @@ impl Default for ExecOptions {
             mem_budget: None,
             scratch_dir: None,
             hedge: None,
-            straggler_delays_ms: None,
             shared_governor: None,
             remote: None,
         }
@@ -270,9 +239,9 @@ pub fn execute_plan(
 /// [`execute_plan`] with observability and explicit [`ExecOptions`]:
 /// wraps the run in an `execute_plan` span and emits one `impl` span per
 /// compute vertex, one `transform` span per non-identity in-edge (both
-/// under [`Subsystem::Executor`]), and one [`Subsystem::Sched`]
-/// `pipeline` summary record. With a disabled handle the
-/// instrumentation is a pointer check per site.
+/// under [`Subsystem::Executor`]), and one [`Subsystem::Sched`] summary
+/// record named after the driver (`pipeline` or `inline_walk`). With a
+/// disabled handle the instrumentation is a pointer check per site.
 ///
 /// # Errors
 /// Same contract as [`execute_plan`].
@@ -290,13 +259,17 @@ pub fn execute_plan_with(
             ("compute_vertices", graph.compute_count().into()),
         ]
     });
-    run_pipelined(graph, annotation, inputs, registry, obs, &options)
+    if options.mem_budget.is_some() || options.shared_governor.is_some() {
+        run_inline(graph, annotation, inputs, registry, obs, &options)
+    } else {
+        run_pipelined(graph, annotation, inputs, registry, obs, &options)
+    }
 }
 
-/// The inline walk with no policy around it: vertices in id order on
-/// the calling thread, every value retained. It is the reference the
-/// pooled pipeline is property-tested bit-identical against, the
-/// benchmark's oracle, and the front door's degraded mode.
+/// The inline walk with no policy around it: vertices in id order, one
+/// in flight, every value retained. It is the reference the pooled
+/// pipeline and the budgeted walk are property-tested bit-identical
+/// against, the benchmark's oracle, and the front door's degraded mode.
 ///
 /// # Errors
 /// Same contract as [`execute_plan`].
@@ -306,13 +279,55 @@ pub fn execute_plan_serial(
     inputs: &HashMap<NodeId, DistRelation>,
     registry: &ImplRegistry,
 ) -> Result<ExecOutcome, ExecError> {
-    let obs = Obs::disabled();
-    let mut walk = InlineWalk::start(graph, annotation, inputs, registry, &obs)?;
-    for v in compute_vertices(graph) {
-        let out = walk.run(v)?;
-        walk.store(v, out);
+    run_inline(
+        graph,
+        annotation,
+        inputs,
+        registry,
+        &Obs::disabled(),
+        &ExecOptions::default(),
+    )
+}
+
+/// A driver's one [`Subsystem::Sched`] summary record and its counters
+/// and high-water gauge.
+pub(crate) fn record_run(
+    obs: &Obs,
+    driver: &'static str,
+    out: &ExecOutcome,
+    budget: Option<u64>,
+    retain_all: bool,
+) {
+    let (gov, pool) = (&out.governor, &out.pool);
+    let peak = out.peak_resident_bytes;
+    obs.record(Subsystem::Sched, driver, || {
+        vec![
+            ("vertices", out.vertex_seconds.len().into()),
+            ("parallelism", out.parallelism.into()),
+            ("max_concurrency", out.max_concurrency.into()),
+            ("peak_resident_bytes", (peak as i64).into()),
+            ("retain_all", retain_all.into()),
+            ("pool_tasks", (pool.tasks as i64).into()),
+            ("pool_steals", (pool.steals as i64).into()),
+            ("pool_batches", (pool.batches as i64).into()),
+            ("mem_budget", (budget.unwrap_or(0) as i64).into()),
+            ("spills", (gov.spills as i64).into()),
+            ("spilled_bytes", (gov.spilled_bytes as i64).into()),
+            ("reloads", (gov.reloads as i64).into()),
+        ]
+    });
+    if let Some(m) = obs.metrics() {
+        m.add(Subsystem::Sched, "pool_tasks", pool.tasks);
+        m.add(Subsystem::Sched, "pool_steals", pool.steals);
+        m.add(Subsystem::Sched, "spills", gov.spills);
+        m.add(Subsystem::Sched, "spilled_bytes", gov.spilled_bytes);
+        // High-water gauge: the largest peak any run has reached since
+        // the registry was created.
+        let g = m.gauge(Subsystem::Sched, "peak_resident_bytes");
+        if g.value() < peak as f64 {
+            g.set(peak as f64);
+        }
     }
-    Ok(walk.finish())
 }
 
 /// The compute vertices of `graph` in id (hence topological) order —

@@ -7,7 +7,7 @@
 //! `explain`-style binaries in `matopt-bench` are thin wrappers over
 //! [`explain_plan`].
 
-use crate::exec::{execute_plan_with, ExecOptions, ExecOutcome, HedgeMark};
+use crate::exec::{execute_plan_with, ExecOptions, ExecOutcome};
 use crate::faults::FaultInjector;
 use crate::impl_exec::ExecError;
 use crate::recovery::{execute_fault_tolerant, FtConfig, FtOutcome, InjectedFault};
@@ -217,19 +217,15 @@ impl std::fmt::Display for PlanAnalysis {
             self.exec.peak_resident_bytes,
         )?;
         let gov = &self.exec.governor;
-        if gov.spills > 0 || gov.reloads > 0 || gov.admission_waits > 0 || gov.hedges_launched > 0 {
+        if gov.spills > 0 || gov.reloads > 0 {
             writeln!(
                 f,
-                "  governor: spilled {} buffers ({} B), reloaded {} ({} B), \
-                 admission-waits {}, hedges launched {}, won {}",
-                gov.spills,
-                gov.spilled_bytes,
-                gov.reloads,
-                gov.reloaded_bytes,
-                gov.admission_waits,
-                gov.hedges_launched,
-                gov.hedges_won,
+                "  governor: spilled {} buffers ({} B), reloaded {} ({} B)",
+                gov.spills, gov.spilled_bytes, gov.reloads, gov.reloaded_bytes,
             )?;
+        }
+        if gov.hedges_launched > 0 {
+            writeln!(f, "  hedged {} injected stragglers", gov.hedges_launched)?;
         }
         let pool = &self.exec.pool;
         if pool.tasks > 0 {
@@ -251,7 +247,7 @@ impl std::fmt::Display for PlanAnalysis {
         }
         writeln!(
             f,
-            "  {:>5} {:<22} {:<28} {:>12} {:>12} {:>10} {:>7} {:>12} {:>8} {:>6} {:>10} {:>7} {:>6}",
+            "  {:>5} {:<22} {:<28} {:>12} {:>12} {:>10} {:>7} {:>12} {:>8} {:>6} {:>10} {:>7}",
             "vertex",
             "label",
             "impl",
@@ -264,18 +260,12 @@ impl std::fmt::Display for PlanAnalysis {
             "recov",
             "rec (s)",
             "spills",
-            "hedge"
         )?;
         for s in &self.steps {
             let v = s.estimate.vertex.index();
-            let hedge = match gov.vertex_hedges.get(v).copied().unwrap_or_default() {
-                HedgeMark::None => "-",
-                HedgeMark::Launched => "dup",
-                HedgeMark::Won => "won",
-            };
             writeln!(
                 f,
-                "  {:>5} {:<22} {:<28} {:>12.4} {:>12.4} {:>10.2} {:>7} {:>12} {:>8} {:>6} {:>10.4} {:>7} {:>6}",
+                "  {:>5} {:<22} {:<28} {:>12.4} {:>12.4} {:>10.2} {:>7} {:>12} {:>8} {:>6} {:>10.4} {:>7}",
                 s.estimate.vertex.to_string(),
                 s.estimate.label,
                 s.estimate.impl_name,
@@ -288,7 +278,6 @@ impl std::fmt::Display for PlanAnalysis {
                 s.recoveries,
                 s.recovery_seconds,
                 gov.vertex_spills.get(v).copied().unwrap_or(0),
-                hedge,
             )?;
             for t in &s.estimate.transforms {
                 if t.kind != TransformKind::Identity {
@@ -321,11 +310,10 @@ impl std::fmt::Display for PlanAnalysis {
 
 /// `EXPLAIN ANALYZE`: explains the plan under the cost model, then
 /// actually runs it with [`execute_plan_with`] on `inputs` and joins
-/// each estimated step with the measured per-vertex seconds. Memory
-/// budgets, spill-to-disk and hedged straggler re-execution in
-/// `options` all apply, and the analysis carries the governor's
-/// counters plus per-vertex spill and hedge columns in the rendered
-/// table.
+/// each estimated step with the measured per-vertex seconds. A memory
+/// budget in `options` applies (the run walks inline and spills), and
+/// the analysis carries the governor's counters plus a per-vertex
+/// spill column in the rendered table.
 ///
 /// The estimate side is computed against `ctx`'s cluster; for
 /// meaningful ratios pass a cluster model matching the machine the run

@@ -54,11 +54,11 @@ pub enum ExecError {
         /// Attempts made (including the first).
         attempts: u32,
     },
-    /// Under a memory budget, even the cheapest ready vertex cannot fit
-    /// after spilling everything spillable: its inputs plus its output
-    /// exceed the budget outright.
+    /// Under a memory budget, a vertex cannot fit after spilling
+    /// everything spillable: its inputs plus its output exceed the
+    /// budget outright.
     MemBudgetInfeasible {
-        /// The minimal-footprint vertex that still did not fit.
+        /// The vertex that did not fit.
         vertex: NodeId,
         /// The vertex's label in the compute graph.
         label: String,

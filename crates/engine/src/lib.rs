@@ -12,10 +12,12 @@
 //!   group-by SUM aggregations, blocked Gauss–Jordan rounds) and
 //!   thread-parallel within chunk batches via the persistent
 //!   `matopt-pool` work-stealing pool. One vertex step, two drivers:
-//!   the pooled pipeline ([`execute_plan`]) runs independent vertices
-//!   concurrently; the inline walk ([`execute_plan_serial`]) runs them
-//!   in id order, and under a fault policy or a sparsity-drift rule is
-//!   [`execute_fault_tolerant`] and [`execute_adaptive`];
+//!   the pooled pipeline ([`execute_plan`]) runs an unbudgeted plan's
+//!   independent vertices concurrently; the inline walk
+//!   ([`execute_plan_serial`]) runs them in id order, and is also every
+//!   run with a memory budget (spilling to scratch) and, under a fault
+//!   policy or a sparsity-drift rule, [`execute_fault_tolerant`] and
+//!   [`execute_adaptive`];
 //! * an **analytic simulator** ([`simulate_plan`]) that evaluates the
 //!   same plans at paper scale against the [`matopt_core::Cluster`]
 //!   model, reproducing wall-clock estimates and the runtime "Fail"
@@ -50,7 +52,7 @@ pub use adaptive::{
 pub use calibrate::collect_samples;
 pub use exec::{
     execute_plan, execute_plan_serial, execute_plan_with, reference_eval, reference_eval_all,
-    ExecOptions, ExecOutcome, GovernorStats, HedgeConfig, HedgeMark, RemoteVertexExec,
+    ExecOptions, ExecOutcome, GovernorStats, HedgeConfig, RemoteVertexExec,
 };
 pub use explain::{
     explain_analyze, explain_analyze_with_faults, explain_plan, AnalyzedStep, ExplainStep,
@@ -61,7 +63,6 @@ pub use impl_exec::{execute_impl, ExecError};
 pub use recovery::{
     execute_fault_tolerant, FtConfig, FtOutcome, InjectedFault, RetryConfig, VertexRecovery,
 };
-pub use schedule::{GovernorLease, SharedGovernor, SharedGovernorStats};
 pub use sim::{
     format_hms, simulate_plan, simulate_plan_traced, simulate_plan_with_recovery, FailReason,
     RecoverySimReport, SimOutcome, SimReport, SimStep,
@@ -71,6 +72,7 @@ pub use spill::{
     SpillError, SpillManager, SpillTicket,
 };
 pub use sql::render_sql;
+pub use step::{GovernorLease, SharedGovernor, SharedGovernorStats};
 pub use train::{
     train, train_resumable, EpochHook, EpochPlanSource, EpochStats, TrainCheckpoint, TrainConfig,
     TrainError, TrainRun, TrainSpec,

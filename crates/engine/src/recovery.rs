@@ -33,7 +33,7 @@
 //! Every fault, retry, and recovery emits a record under
 //! [`Subsystem::Faults`].
 
-use crate::exec::{compute_vertices, execute_plan_with, vertex_label, ExecOptions, ExecOutcome};
+use crate::exec::{execute_plan_with, vertex_label, ExecOptions, ExecOutcome};
 use crate::faults::{corrupt_chunk, relation_checksum, FaultInjector, FaultKind};
 use crate::impl_exec::ExecError;
 use crate::step::InlineWalk;
@@ -83,7 +83,7 @@ impl Default for RetryConfig {
 }
 
 /// The fault policy of [`execute_fault_tolerant`]. How the run itself
-/// is governed (budget, hedging, shared pool) is the [`ExecOptions`]
+/// is governed (budget, shared pool, remote, hedge) is the [`ExecOptions`]
 /// passed beside it.
 #[derive(Debug, Clone)]
 pub struct FtConfig {
@@ -236,7 +236,7 @@ pub fn execute_fault_tolerant(
 
     // Fault schedules address vertices by compute-step index in id
     // order, which is the order the walk runs them in.
-    for (step, v) in compute_vertices(graph).enumerate() {
+    walk.drive(|walk, step, v| {
         let mut pending_transient = 0u32;
         let mut corrupt_hints: Vec<usize> = Vec::new();
         for kind in injector.take(step) {
@@ -287,7 +287,7 @@ pub fn execute_fault_tolerant(
                 // to an actual SIGKILL instead.
                 FaultKind::WorkerCrash | FaultKind::ProcessKill { .. } => {
                     let dt = recover_crash(
-                        &mut walk,
+                        walk,
                         v,
                         config.policy,
                         &mut injector,
@@ -380,10 +380,10 @@ pub fn execute_fault_tolerant(
             checkpoints.insert(v.index(), Arc::clone(&out.rel));
             ft.checkpoint_seconds += t0.elapsed().as_secs_f64();
         }
-        walk.store(v, out);
-    }
+        Ok(out)
+    })?;
 
-    ft.exec = walk.finish();
+    ft.exec = walk.finish()?;
     ft.exec.governor.hedges_launched = hedges;
     ft.exec.governor.hedges_won = hedges;
     obs.counter(Subsystem::Faults, "faults_fired", ft.faults.len() as f64);

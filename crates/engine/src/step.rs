@@ -8,25 +8,54 @@
 //! staged so each phase consumes the previous one's outputs:
 //!
 //! * **prologue** ([`prologue`]) — the annotation is complete and every
-//!   source is seeded into its slot in the declared format (the pooled
-//!   driver then takes its memory lease);
+//!   source is seeded into its slot in the declared format;
 //! * **execution** — a driver calls [`run_step`] per vertex: the pooled
 //!   pipeline in [`crate::schedule`], or the [`InlineWalk`] below;
 //! * **epilogue** ([`epilogue`]) — slots and per-vertex measurements
 //!   become an [`ExecOutcome`].
 //!
-//! [`InlineWalk`] is the second driver: vertices in id order on the
-//! calling thread, one in flight. It is
-//! [`crate::execute_plan_serial`] as is, and — with a fault policy or a
-//! sparsity-drift rule wrapped around the same loop — the live-injector
-//! half of [`crate::execute_fault_tolerant`] and
+//! [`InlineWalk`] is the second driver: vertices in id order, one in
+//! flight (its kernels still fan out over the pool). Its one loop,
+//! [`InlineWalk::drive`], is [`crate::execute_plan_serial`] as is, every
+//! run with a memory budget ([`run_inline`]), and — with a fault policy
+//! or a sparsity-drift rule as the step — the live-injector half of
+//! [`crate::execute_fault_tolerant`] and
 //! [`crate::execute_adaptive_planned`], which both re-plan through
 //! [`InlineWalk::replan`].
+//!
+//! # Memory governor
+//!
+//! A budgeted walk (an [`ExecOptions::mem_budget`], a
+//! [`SharedGovernor`] lease, or both — the smaller wins) governs memory
+//! around each step. Before vertex `v` runs:
+//!
+//! * cold buffers are spilled to scratch until `resident + est_out(v) +
+//!   reloads(v)` fits the budget, where `est_out(v)` is the output size
+//!   the annotation's format implies (exact for dense formats) and
+//!   `reloads(v)` the bytes of `v`'s spilled inputs. The victim has the
+//!   fewest remaining consumers, then the most bytes, then the lowest
+//!   id, and is never an input of `v` (see [`crate::spill`] for the
+//!   checksummed file format);
+//! * if it still does not fit, everything but `v`'s inputs is on
+//!   scratch, so `v`'s inputs plus its output exceed the budget on
+//!   their own: the run fails with [`ExecError::MemBudgetInfeasible`]
+//!   (an output larger than its estimate is charged after the fact,
+//!   and can lift the peak past the budget);
+//! * `v`'s spilled inputs are reloaded with both checksums verified —
+//!   damage is [`ExecError::SpillCorrupted`], never a wrong number.
+//!
+//! After `v` runs, inputs whose last consumer it was are retired unless
+//! retained. Retained buffers still on scratch at the end are
+//! rehydrated, fanned out over the pool, so callers see exactly the
+//! values an unbudgeted run returns; peak accounting stops before that.
+//! Every spill and reload is a [`Subsystem::Sched`] record.
 
 use crate::exec::{
-    compute_vertices, missing_choice, missing_input, vertex_label, ExecOutcome, RemoteVertexExec,
+    compute_vertices, missing_choice, missing_input, record_run, vertex_label, ExecOptions,
+    ExecOutcome, RemoteVertexExec,
 };
 use crate::impl_exec::{execute_impl, ExecError};
+use crate::spill::{SpillError, SpillManager, SpillTicket};
 use crate::value::DistRelation;
 use matopt_core::{
     Annotation, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId, NodeKind,
@@ -37,7 +66,7 @@ use matopt_obs::{Obs, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext, OptError};
 use matopt_pool::{Pool, PoolStats};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// A vertex's value while a run is in progress; `None` before it is
@@ -227,19 +256,17 @@ struct Suffix {
     plan: Annotation,
 }
 
-/// The inline driver: vertices in id order on the calling thread, one
-/// in flight, every value retained until [`InlineWalk::finish`].
+/// The inline driver: vertices in id order, one in flight.
 ///
 /// Determinism needs no argument beyond the loop itself: id order is a
 /// topological order, so each step reads fully materialized inputs, and
-/// nothing else runs between two steps.
+/// nothing else runs between two steps. Spills round-trip bit-exactly,
+/// so a budget cannot change a number either.
 ///
-/// The caller owns the loop — `for` each compute vertex in id order,
-/// [`run`](InlineWalk::run) then [`store`](InlineWalk::store) — so a
-/// fault policy can run a vertex several times, lose and restore
-/// earlier values, or [`replan`](InlineWalk::replan) between steps.
+/// [`drive`](InlineWalk::drive) is the loop; its step closure may run a
+/// vertex several times, lose and restore earlier values, or
+/// [`replan`](InlineWalk::replan) before it returns the output to store.
 pub(crate) struct InlineWalk<'a> {
-    /// Always in-process: the walk never sets `remote`.
     env: StepEnv<'a>,
     annotation: &'a Annotation,
     /// `None` until the first re-plan; then `annotation` is history.
@@ -247,15 +274,35 @@ pub(crate) struct InlineWalk<'a> {
     /// First vertex id planned by the plan in force (0 until a re-plan).
     epoch_start: usize,
     slots: Vec<Slot>,
+    /// Vertices whose values are never retired: everything by default,
+    /// the sinks only when the caller streams.
+    retained: Vec<bool>,
+    /// Consumer edges per vertex not yet run (one per edge, so a vertex
+    /// read twice by one consumer counts twice).
+    uses: Vec<usize>,
+    /// Bytes of every value in `slots`.
+    resident: u64,
+    /// Present when the run has a memory budget.
+    gov: Option<WalkGovernor>,
     /// The outcome so far: per-vertex measurements, no values yet.
     out: ExecOutcome,
     pool_before: PoolStats,
     started: Instant,
 }
 
+/// A budgeted walk's budget and scratch files (its counters live in
+/// the outcome's [`GovernorStats`](crate::GovernorStats)).
+struct WalkGovernor {
+    budget: u64,
+    /// Shared with the rehydrate fan-out.
+    spill: Arc<SpillManager>,
+    /// Receipt per spilled vertex, `None` while resident or retired.
+    tickets: Vec<Option<SpillTicket>>,
+}
+
 impl<'a> InlineWalk<'a> {
     /// Runs the prologue and returns a walk positioned before the first
-    /// compute vertex.
+    /// compute vertex: in-process, unbudgeted, every value retained.
     pub fn start(
         graph: &'a ComputeGraph,
         annotation: &'a Annotation,
@@ -283,6 +330,14 @@ impl<'a> InlineWalk<'a> {
                 out.vertex_resident_bytes[i] = rel.total_bytes() as u64;
             }
         }
+        let resident = out.vertex_resident_bytes.iter().sum();
+        out.peak_resident_bytes = resident;
+        let mut uses = vec![0; n];
+        for (_, node) in graph.iter() {
+            for u in &node.inputs {
+                uses[u.index()] += 1;
+            }
+        }
         Ok(InlineWalk {
             env: StepEnv {
                 graph,
@@ -294,6 +349,10 @@ impl<'a> InlineWalk<'a> {
             suffix: None,
             epoch_start: 0,
             slots,
+            retained: vec![true; n],
+            uses,
+            resident,
+            gov: None,
             out,
             pool_before,
             started,
@@ -317,6 +376,35 @@ impl<'a> InlineWalk<'a> {
         }
     }
 
+    /// The one inline loop: for each compute vertex in id order, make
+    /// room under the budget, call `step` (`walk.run(v)` at its
+    /// simplest) with the vertex's step index, store what it returns,
+    /// and retire the inputs it was the last consumer of.
+    pub fn drive<E: From<ExecError>>(
+        &mut self,
+        mut step: impl FnMut(&mut Self, usize, NodeId) -> Result<StepOutput, E>,
+    ) -> Result<(), E> {
+        let graph = self.env.graph;
+        for (i, v) in compute_vertices(graph).enumerate() {
+            self.make_room(v)?;
+            let out = step(self, i, v)?;
+            self.store(v, out);
+            for u in &graph.node(v).inputs {
+                let u = u.index();
+                self.uses[u] -= 1;
+                if self.uses[u] == 0 && !self.retained[u] {
+                    self.set_value(NodeId(u as u32), None);
+                    if let Some(gov) = &mut self.gov {
+                        if let Some(t) = gov.tickets[u].take() {
+                            gov.spill.remove(&t);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Executes `v` against the current values without storing the
     /// result (the caller may discard an attempt).
     pub fn run(&self, v: NodeId) -> Result<StepOutput, ExecError> {
@@ -329,19 +417,124 @@ impl<'a> InlineWalk<'a> {
     }
 
     /// Stores `v`'s output and measurements.
-    pub fn store(&mut self, v: NodeId, out: StepOutput) {
+    fn store(&mut self, v: NodeId, out: StepOutput) {
         let i = v.index();
         self.out.vertex_seconds[i] = out.impl_seconds;
         self.out.transform_seconds[i] = out.transform_seconds;
         self.out.vertex_chunks[i] = out.rel.chunks.len();
         self.out.vertex_resident_bytes[i] = out.rel.total_bytes() as u64;
-        self.slots[i] = Some(out.rel);
+        self.set_value(v, Some(out.rel));
     }
 
     /// Replaces (or, with `None`, loses) the value held for `v` without
-    /// touching its measurements — crash recovery's two moves.
+    /// touching its measurements — crash recovery's two moves, and
+    /// every residency change of the governor.
     pub fn set_value(&mut self, v: NodeId, rel: Slot) {
-        self.slots[v.index()] = rel;
+        let bytes = |s: &Slot| s.as_ref().map_or(0, |r| r.total_bytes() as u64);
+        let slot = &mut self.slots[v.index()];
+        self.resident = self.resident - bytes(slot) + bytes(&rel);
+        *slot = rel;
+        self.out.peak_resident_bytes = self.out.peak_resident_bytes.max(self.resident);
+    }
+
+    /// The governor's turn before `v` runs: spill until `v`'s output
+    /// and reloads fit, fail if `v` cannot fit at all, reload its
+    /// spilled inputs.
+    fn make_room(&mut self, v: NodeId) -> Result<(), ExecError> {
+        let Some(gov) = &self.gov else {
+            return Ok(());
+        };
+        let (choice, out_type) = self
+            .planned(v)
+            .ok_or_else(|| missing_choice(self.env.graph, v))?;
+        let est_out = choice.output_format.total_bytes(&out_type) as u64;
+        let graph = self.env.graph;
+        let mut inputs: Vec<usize> = graph.node(v).inputs.iter().map(|u| u.index()).collect();
+        inputs.sort_unstable();
+        inputs.dedup();
+        let reloads: u64 = inputs
+            .iter()
+            .filter_map(|&u| gov.tickets[u].as_ref())
+            .map(|t| t.bytes)
+            .sum();
+        let (budget, need) = (gov.budget, est_out + reloads);
+        while self.resident + need > budget {
+            let Some(victim) = self.victim(&inputs) else {
+                break;
+            };
+            self.spill(victim)?;
+        }
+        // Out of victims means only `v`'s inputs are resident: what
+        // is left is `v`'s own footprint, inputs plus output.
+        if self.resident + need > budget {
+            return Err(ExecError::MemBudgetInfeasible {
+                vertex: v,
+                label: vertex_label(graph, v),
+                need: self.resident + need,
+                budget,
+            });
+        }
+        for u in inputs {
+            self.reload(u)?;
+        }
+        Ok(())
+    }
+
+    /// The coldest resident buffer outside `keep`: fewest remaining
+    /// consumers, then most bytes, then lowest id.
+    fn victim(&self, keep: &[usize]) -> Option<usize> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(u, _)| !keep.contains(u))
+            .filter_map(|(u, s)| Some((u, s.as_ref()?.total_bytes() as u64)))
+            .filter(|&(_, bytes)| bytes > 0)
+            .min_by_key(|&(u, bytes)| (self.uses[u], std::cmp::Reverse(bytes), u))
+            .map(|(u, _)| u)
+    }
+
+    /// Writes `u`'s buffer to scratch and drops it from memory.
+    fn spill(&mut self, u: usize) -> Result<(), ExecError> {
+        let id = NodeId(u as u32);
+        let rel = self.slots[u].clone().expect("victims are resident");
+        let gov = self.gov.as_mut().expect("spills imply a governor");
+        let ticket = gov
+            .spill
+            .spill(&rel)
+            .map_err(|e| spill_failure(self.env.graph, id, e))?;
+        let bytes = ticket.bytes;
+        gov.tickets[u] = Some(ticket);
+        let stats = &mut self.out.governor;
+        stats.spills += 1;
+        stats.spilled_bytes += bytes;
+        stats.vertex_spills[u] += 1;
+        self.set_value(id, None);
+        self.env.obs.record(Subsystem::Sched, "spill", || {
+            vec![("vertex", u.into()), ("bytes", (bytes as i64).into())]
+        });
+        Ok(())
+    }
+
+    /// Reads `u` back from scratch if it is there, checksums verified.
+    fn reload(&mut self, u: usize) -> Result<(), ExecError> {
+        let id = NodeId(u as u32);
+        let gov = self.gov.as_mut().expect("reloads imply a governor");
+        let Some(ticket) = gov.tickets[u].take() else {
+            return Ok(());
+        };
+        let back = gov.spill.reload(&ticket);
+        gov.spill.remove(&ticket);
+        let rel = back.map_err(|e| spill_failure(self.env.graph, id, e))?;
+        self.out.governor.reloads += 1;
+        self.out.governor.reloaded_bytes += ticket.bytes;
+        self.set_value(id, Some(Arc::new(rel)));
+        self.env.obs.record(Subsystem::Sched, "reload", || {
+            vec![
+                ("vertex", u.into()),
+                ("bytes", (ticket.bytes as i64).into()),
+            ]
+        });
+        Ok(())
     }
 
     /// Compute vertices below `v` that the plan in force has executed:
@@ -373,11 +566,300 @@ impl<'a> InlineWalk<'a> {
         Ok(())
     }
 
-    /// Epilogue. Everything was retained, so the peak is the total.
-    pub fn finish(mut self) -> ExecOutcome {
-        self.out.peak_resident_bytes = self.out.vertex_resident_bytes.iter().sum();
-        self.out.pool = Pool::global().stats().since(&self.pool_before);
-        epilogue(self.env.graph, self.slots, self.out, self.started)
+    /// Epilogue: rehydrates retained values still on scratch (fanned
+    /// out over the pool; a failure resolves to the lowest vertex id)
+    /// and builds the outcome.
+    pub fn finish(mut self) -> Result<ExecOutcome, ExecError> {
+        let pool = Pool::global();
+        if let Some(gov) = self.gov.take() {
+            let tickets: Arc<Vec<(usize, SpillTicket)>> = Arc::new(
+                (gov.tickets.into_iter().enumerate())
+                    .filter_map(|(u, t)| Some((u, t?)))
+                    .collect(),
+            );
+            let (spill, todo) = (Arc::clone(&gov.spill), Arc::clone(&tickets));
+            let back = pool
+                .try_map(tickets.len(), move |i| {
+                    let back = spill.reload(&todo[i].1);
+                    spill.remove(&todo[i].1);
+                    back
+                })
+                .map_err(|detail| ExecError::Internal(format!("rehydrate panicked: {detail}")))?;
+            for ((u, ticket), rel) in tickets.iter().zip(back) {
+                let id = NodeId(*u as u32);
+                let rel = rel.map_err(|e| spill_failure(self.env.graph, id, e))?;
+                // After the peak: the values are being handed back.
+                self.slots[*u] = Some(Arc::new(rel));
+                self.out.governor.reloads += 1;
+                self.out.governor.reloaded_bytes += ticket.bytes;
+                self.env.obs.record(Subsystem::Sched, "reload", || {
+                    vec![
+                        ("vertex", (*u).into()),
+                        ("bytes", (ticket.bytes as i64).into()),
+                        ("rehydrate", true.into()),
+                    ]
+                });
+            }
+        }
+        self.out.pool = pool.stats().since(&self.pool_before);
+        Ok(epilogue(self.env.graph, self.slots, self.out, self.started))
+    }
+}
+
+/// Runs a plan on the inline walk under `options`: in-process or through
+/// [`ExecOptions::remote`], every value retained or only the sinks, and
+/// governed when the run has a budget. [`crate::execute_plan_serial`]
+/// is this with default options.
+pub(crate) fn run_inline(
+    graph: &ComputeGraph,
+    annotation: &Annotation,
+    inputs: &HashMap<NodeId, DistRelation>,
+    registry: &ImplRegistry,
+    obs: &Obs,
+    options: &ExecOptions,
+) -> Result<ExecOutcome, ExecError> {
+    let mut walk = InlineWalk::start(graph, annotation, inputs, registry, obs)?;
+    walk.env.remote = options.remote.as_deref();
+    if !options.retain_values {
+        walk.retained = vec![false; graph.len()];
+        for s in graph.sinks() {
+            walk.retained[s.index()] = true;
+        }
+    }
+    // Lease a carve-out from the shared pool (if any) before the first
+    // vertex: concurrent runs split one budget instead of each assuming
+    // it owns the machine. The lease is held to the end of the run and
+    // returned (waking blocked acquirers) on every exit path.
+    let lease_wait = Instant::now();
+    let lease = options.shared_governor.as_ref().map(|sg| {
+        let (want, min_need) = estimate_run_bytes(graph, annotation);
+        sg.acquire(want, min_need)
+    });
+    let lease_wait_us = lease
+        .as_ref()
+        .map_or(0, |_| lease_wait.elapsed().as_micros() as u64);
+    // The smaller of the explicit budget and the lease, when either exists.
+    let budget = (options.mem_budget.into_iter())
+        .chain(lease.as_ref().map(GovernorLease::bytes))
+        .min();
+    if let Some(budget) = budget {
+        walk.gov = Some(WalkGovernor {
+            budget,
+            spill: Arc::new(
+                SpillManager::new(options.scratch_dir.clone())
+                    .map_err(|e| ExecError::Internal(format!("spill scratch setup failed: {e}")))?,
+            ),
+            tickets: vec![None; graph.len()],
+        });
+        walk.out.governor.vertex_spills = vec![0; graph.len()];
+    }
+    walk.drive(|walk, _, v| walk.run(v))?;
+    let mut out = walk.finish()?;
+    if let Some(l) = &lease {
+        out.governor.lease_bytes = l.bytes();
+        out.governor.lease_wait_us = lease_wait_us;
+    }
+    record_run(obs, "inline_walk", &out, budget, options.retain_values);
+    Ok(out)
+}
+
+/// Live accounting of a [`SharedGovernor`] pool.
+#[derive(Debug, Default)]
+struct SharedPool {
+    /// Bytes currently leased to running executions.
+    leased: u64,
+    /// Executions currently holding a lease.
+    runs: usize,
+    /// Leases granted over the governor's lifetime.
+    leases_granted: u64,
+    /// Acquisitions that had to wait for another run to release bytes.
+    admission_waits: u64,
+    /// High-water mark of `leased`.
+    peak_leased: u64,
+    /// High-water mark of `runs`.
+    peak_runs: usize,
+}
+
+/// Counter snapshot from [`SharedGovernor::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SharedGovernorStats {
+    /// The pool's total byte budget.
+    pub budget: u64,
+    /// Bytes currently leased out.
+    pub leased: u64,
+    /// Executions currently holding a lease.
+    pub runs: usize,
+    /// Leases granted since construction.
+    pub leases_granted: u64,
+    /// Acquisitions that blocked waiting for pool headroom.
+    pub admission_waits: u64,
+    /// High-water mark of leased bytes.
+    pub peak_leased: u64,
+    /// High-water mark of concurrent leaseholders.
+    pub peak_runs: usize,
+}
+
+/// A process-wide admission/memory pool shared by concurrent
+/// executions: the shareable form of the per-run resource governor.
+///
+/// A run with [`ExecOptions::shared_governor`] set leases a memory
+/// carve-out from this pool before its first vertex, then walks inline
+/// with the carve-out as its budget (see the module docs). The lease
+/// is released when the run finishes, waking
+/// executions blocked on [`SharedGovernor::acquire`] — so concurrent
+/// executions draw from *one* budget instead of each assuming it owns
+/// the machine.
+///
+/// A run whose minimal standalone footprint exceeds the pool is granted
+/// the whole pool rather than rejected: the per-run spill path and the
+/// structured [`ExecError::MemBudgetInfeasible`] error already handle
+/// too-big-for-budget graphs deterministically.
+#[derive(Debug)]
+pub struct SharedGovernor {
+    budget: u64,
+    pool: Mutex<SharedPool>,
+    freed: Condvar,
+}
+
+impl SharedGovernor {
+    /// A pool with `budget` total bytes (minimum 1).
+    #[must_use]
+    pub fn new(budget: u64) -> Arc<Self> {
+        Arc::new(SharedGovernor {
+            budget: budget.max(1),
+            pool: Mutex::new(SharedPool::default()),
+            freed: Condvar::new(),
+        })
+    }
+
+    /// The pool's total byte budget.
+    #[must_use]
+    pub fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// Bytes currently leased to running executions.
+    #[must_use]
+    pub fn leased(&self) -> u64 {
+        self.pool.lock().expect("shared governor pool").leased
+    }
+
+    /// Counter snapshot.
+    #[must_use]
+    pub fn stats(&self) -> SharedGovernorStats {
+        let p = self.pool.lock().expect("shared governor pool");
+        SharedGovernorStats {
+            budget: self.budget,
+            leased: p.leased,
+            runs: p.runs,
+            leases_granted: p.leases_granted,
+            admission_waits: p.admission_waits,
+            peak_leased: p.peak_leased,
+            peak_runs: p.peak_runs,
+        }
+    }
+
+    /// Leases between `min` and `want` bytes from the pool, blocking
+    /// until at least `min` (clamped to the budget) is free. Grants as
+    /// much of `want` as currently fits so a lone run still gets full
+    /// headroom, while concurrent runs split the pool.
+    #[must_use]
+    pub fn acquire(self: &Arc<Self>, want: u64, min: u64) -> GovernorLease {
+        let min = min.clamp(1, self.budget);
+        let want = want.clamp(min, self.budget);
+        let mut pool = self.pool.lock().expect("shared governor pool");
+        let mut waited = false;
+        while self.budget - pool.leased < min {
+            waited = true;
+            pool = self.freed.wait(pool).expect("shared governor pool");
+        }
+        if waited {
+            pool.admission_waits += 1;
+        }
+        let granted = want.min(self.budget - pool.leased);
+        pool.leased += granted;
+        pool.runs += 1;
+        pool.leases_granted += 1;
+        pool.peak_leased = pool.peak_leased.max(pool.leased);
+        pool.peak_runs = pool.peak_runs.max(pool.runs);
+        GovernorLease {
+            gov: Arc::clone(self),
+            bytes: granted,
+        }
+    }
+}
+
+/// An RAII memory carve-out from a [`SharedGovernor`]: the leased bytes
+/// return to the pool (waking blocked acquirers) on drop.
+#[derive(Debug)]
+pub struct GovernorLease {
+    gov: Arc<SharedGovernor>,
+    bytes: u64,
+}
+
+impl GovernorLease {
+    /// Bytes this lease carved out of the pool.
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl Drop for GovernorLease {
+    fn drop(&mut self) {
+        let mut pool = self.gov.pool.lock().expect("shared governor pool");
+        pool.leased = pool.leased.saturating_sub(self.bytes);
+        pool.runs = pool.runs.saturating_sub(1);
+        drop(pool);
+        self.gov.freed.notify_all();
+    }
+}
+
+/// Estimated bytes of every vertex's output (declared source formats,
+/// the annotation's chosen output format for computes) and the largest
+/// standalone footprint (a vertex's inputs plus its output) — what a
+/// run asks the shared pool for and the least it can work with.
+pub(crate) fn estimate_run_bytes(graph: &ComputeGraph, annotation: &Annotation) -> (u64, u64) {
+    let n = graph.len();
+    let mut est = vec![0u64; n];
+    for (id, node) in graph.iter() {
+        let format = match &node.kind {
+            NodeKind::Source { format } => *format,
+            NodeKind::Compute { .. } => {
+                annotation
+                    .choice(id)
+                    .expect("checked by the prologue")
+                    .output_format
+            }
+        };
+        est[id.index()] = format.total_bytes(&node.mtype).max(0.0) as u64;
+    }
+    let total: u64 = est.iter().fold(0u64, |a, &b| a.saturating_add(b));
+    let mut min_need = 0u64;
+    for (id, node) in graph.iter() {
+        if !matches!(node.kind, NodeKind::Compute { .. }) {
+            continue;
+        }
+        let mut need = est[id.index()];
+        let mut inputs: Vec<usize> = node.inputs.iter().map(|i| i.index()).collect();
+        inputs.sort_unstable();
+        inputs.dedup();
+        for u in inputs {
+            need = need.saturating_add(est[u]);
+        }
+        min_need = min_need.max(need);
+    }
+    (total, min_need.max(1))
+}
+
+fn spill_failure(graph: &ComputeGraph, v: NodeId, e: SpillError) -> ExecError {
+    match e {
+        SpillError::Corrupt(detail) => ExecError::SpillCorrupted {
+            vertex: v,
+            label: vertex_label(graph, v),
+            detail,
+        },
+        SpillError::Io(io) => ExecError::Internal(format!("spill I/O failed for vertex {v}: {io}")),
     }
 }
 

@@ -1,6 +1,5 @@
-//! Resource-governor integration harness: memory budgets with
-//! spill-to-disk backpressure and hedged straggler re-execution must
-//! never change the numbers.
+//! Memory-governor integration harness: a budgeted run walks inline,
+//! spilling cold buffers to scratch, and must never change the numbers.
 //!
 //! Four properties are pinned here:
 //!
@@ -8,15 +7,12 @@
 //!    when unbounded completes bit-identically under budgets of
 //!    `0.75·R` and `0.5·R`, and the tight budget provably engages the
 //!    spill path (`spills > 0`, `reloads > 0`).
-//! 2. **Deadlock guard** — a budget too small for even a single
-//!    minimal vertex fails fast with a structured
+//! 2. **Infeasible budget** — a budget too small for a vertex's inputs
+//!    plus its output fails fast with a structured
 //!    [`ExecError::MemBudgetInfeasible`] naming the vertex, its need
 //!    and the budget, instead of hanging or panicking.
-//! 3. **Hedging** — with a seeded straggler schedule (one vertex
-//!    delayed far past its prediction), a hedged run launches a
-//!    duplicate, the duplicate wins, wall-clock beats the un-hedged
-//!    run, and the sinks stay bit-identical (kernels are
-//!    bit-deterministic, so first-completion-wins is safe).
+//! 3. **Streaming retirement** — a budget composes with
+//!    `retain_values: false`.
 //! 4. **Rotten scratch** — a spill file damaged between its write and
 //!    its reload ends the run with a structured
 //!    [`ExecError::SpillCorrupted`] naming the damaged vertex, never
@@ -24,17 +20,15 @@
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext};
 use matopt_cost::CostModel;
-use matopt_engine::{execute_plan_with, DistRelation, ExecError, ExecOptions, HedgeConfig};
+use matopt_engine::{execute_plan_with, DistRelation, ExecError, ExecOptions};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::{AttrValue, Event, Obs, Sink, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext};
-use matopt_pool::Pool;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 struct Workload {
     graph: matopt_core::ComputeGraph,
@@ -171,77 +165,6 @@ fn infeasible_budget_surfaces_vertex_need_and_budget() {
     }
 }
 
-#[test]
-fn hedged_run_beats_unhedged_straggler_and_stays_bit_exact() {
-    if Pool::global().parallelism() < 2 {
-        // A duplicate can never overtake the primary on one thread.
-        return;
-    }
-    let w = ffnn_workload(16);
-    let clean = run(&w, ExecOptions::default());
-
-    // Delay one mid-graph compute vertex by 400ms (primary attempt
-    // only — the injection hook models a straggling worker).
-    let straggler = w
-        .graph
-        .iter()
-        .find(|(_, n)| matches!(n.kind, NodeKind::Compute { .. }))
-        .map(|(id, _)| id)
-        .expect("graph has compute vertices");
-    let mut delays = vec![0u64; w.graph.len()];
-    delays[straggler.index()] = 400;
-    let delays = Arc::new(delays);
-
-    let t0 = Instant::now();
-    let unhedged = run(
-        &w,
-        ExecOptions {
-            straggler_delays_ms: Some(Arc::clone(&delays)),
-            ..Default::default()
-        },
-    );
-    let unhedged_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(unhedged.governor.hedges_launched, 0);
-
-    let hedge = HedgeConfig {
-        factor: 5.0,
-        predicted_seconds: Some(Arc::new(vec![0.005; w.graph.len()])),
-        min_deadline_ms: 1,
-    };
-    let t1 = Instant::now();
-    let hedged = run(
-        &w,
-        ExecOptions {
-            straggler_delays_ms: Some(Arc::clone(&delays)),
-            hedge: Some(hedge),
-            ..Default::default()
-        },
-    );
-    let hedged_secs = t1.elapsed().as_secs_f64();
-
-    assert!(
-        hedged.governor.hedges_launched >= 1,
-        "straggler never triggered a hedge"
-    );
-    assert!(
-        hedged.governor.hedges_won >= 1,
-        "hedged duplicate never won against a 400ms straggler"
-    );
-    assert!(
-        hedged_secs < 0.75 * unhedged_secs,
-        "hedging did not beat the straggler: hedged {hedged_secs:.3}s vs unhedged {unhedged_secs:.3}s"
-    );
-    for (sink, rel) in &clean.sinks {
-        for (tag, out) in [("unhedged", &unhedged), ("hedged", &hedged)] {
-            assert_eq!(
-                out.sinks[sink].to_dense().data(),
-                rel.to_dense().data(),
-                "{tag}: sink {sink} differs from the clean run"
-            );
-        }
-    }
-}
-
 /// Budgets compose with streaming retirement: with `retain_values:
 /// false` *and* a budget, sinks still match and the governor only
 /// spills what retirement hasn't already freed.
@@ -303,11 +226,10 @@ fn spill_files(scratch: &Path) -> Vec<(u64, PathBuf)> {
 }
 
 /// An event sink that damages one spill file of the run it watches.
-/// The governor reports each spill from inside `do_spill`, under its
-/// lock, right after the file is written — so the sink runs at exactly
-/// the point the test is about (file on scratch, reload still to come)
-/// without a sleep or a poll, and the newest file is the reported
-/// vertex's.
+/// The governor reports each spill right after the file is written, on
+/// the walking thread — so the sink runs at exactly the point the test
+/// is about (file on scratch, reload still to come) without a sleep or
+/// a poll, and the newest file is the reported vertex's.
 struct Saboteur {
     scratch: PathBuf,
     /// Which spill of the run to damage (0-based).
@@ -351,12 +273,6 @@ fn rotten_spill_file_is_a_structured_error_never_wrong_numbers() {
     let w = ffnn_workload(24);
     let reference = run(&w, ExecOptions::default());
     let budget = reference.peak_resident_bytes / 2;
-    let computes: Vec<usize> = w
-        .graph
-        .iter()
-        .filter(|(_, n)| matches!(n.kind, NodeKind::Compute { .. }))
-        .map(|(id, _)| id.index())
-        .collect();
     let scratch_root = std::env::temp_dir().join(format!("matopt-rot-{}", std::process::id()));
 
     let (mut detected, mut clean) = (0, 0);
@@ -371,14 +287,8 @@ fn rotten_spill_file_is_a_structured_error_never_wrong_numbers() {
             seen: AtomicUsize::new(0),
             damaged: Arc::clone(&damaged),
         });
-        // A run spills six to eight buffers, so targets 6 and 7 can
-        // miss: those runs must simply be right. Every fourth seed
-        // holds one consumer back, so buffers go cold on scratch while
-        // it waits and come back through its admission.
-        let mut delays = vec![0u64; w.graph.len()];
-        if seed % 4 == 1 {
-            delays[computes[(split_mix(seed) >> 32) as usize % computes.len()]] = 10;
-        }
+        // A run that spills fewer than eight buffers leaves the high
+        // targets unhit: those runs must simply be right.
         let result = execute_plan_with(
             &w.graph,
             &w.annotation,
@@ -388,7 +298,6 @@ fn rotten_spill_file_is_a_structured_error_never_wrong_numbers() {
             ExecOptions {
                 mem_budget: Some(budget),
                 scratch_dir: Some(scratch),
-                straggler_delays_ms: Some(Arc::new(delays)),
                 ..Default::default()
             },
         );

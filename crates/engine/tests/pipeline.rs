@@ -4,9 +4,10 @@
 //! ([`execute_plan_serial`]) on every plan — completion order,
 //! `Arc`-shared identity edges, and buffer retirement must never leak
 //! into the numbers — and so must every other way of driving the shared
-//! vertex step: the fault-tolerant executor (disabled injector, and a
-//! seeded live fault schedule) and the adaptive executor under a
-//! threshold that never fires.
+//! vertex step: the budgeted walk (half the unbudgeted peak, retaining
+//! every value or only the sinks), the fault-tolerant executor
+//! (disabled injector, and a seeded live fault schedule) and the
+//! adaptive executor under a threshold that never fires.
 //!
 //! The harness optimizes and runs 64 seeded random DAGs (square dense
 //! matrices; matmuls, elementwise ops, transposes, scalings) plus the
@@ -116,10 +117,13 @@ fn never_replan() -> AdaptiveConfig {
 
 /// Asserts every sink of `graph` is elementwise bit-identical between
 /// the inline walk and every other driver of the same plan: the pooled
-/// pipeline, the fault-tolerant executor with a disabled injector and
+/// pipeline, the walk under half the pipeline's peak as its budget
+/// (retaining everything, and streaming), the fault-tolerant executor
+/// with a disabled injector and
 /// under the seeded fault schedule `seed` (crashes, stragglers,
 /// transient errors, corruptions — no `oom`, which re-plans), and the
-/// adaptive executor when it never re-plans.
+/// adaptive executor when it never re-plans. Returns the budgeted
+/// runs' spill count.
 fn assert_pipeline_matches_serial(
     tag: &str,
     graph: &ComputeGraph,
@@ -128,7 +132,7 @@ fn assert_pipeline_matches_serial(
     registry: &ImplRegistry,
     catalog: &FormatCatalog,
     seed: u64,
-) {
+) -> u64 {
     let piped = execute_plan(graph, annotation, inputs, registry)
         .unwrap_or_else(|e| panic!("{tag}: pipelined run failed: {e}"));
     let serial = execute_plan_serial(graph, annotation, inputs, registry)
@@ -150,7 +154,27 @@ fn assert_pipeline_matches_serial(
         },
         ..FtConfig::default()
     };
+    let budget = piped.peak_resident_bytes / 2;
     let mut runs = vec![("pipelined", piped.sinks)];
+    let mut spills = 0;
+    for (driver, retain_values) in [
+        ("budgeted, retaining", true),
+        ("budgeted, streaming", false),
+    ] {
+        let options = ExecOptions {
+            retain_values,
+            mem_budget: Some(budget),
+            ..ExecOptions::default()
+        };
+        let run = execute_plan_with(graph, annotation, inputs, registry, &obs, options)
+            .unwrap_or_else(|e| panic!("{tag}: {driver} run failed: {e}"));
+        assert!(
+            run.peak_resident_bytes <= budget,
+            "{tag}: {driver} over budget"
+        );
+        spills += run.governor.spills;
+        runs.push((driver, run.sinks));
+    }
     for (driver, injector) in [
         (
             "fault-tolerant, disabled injector",
@@ -206,6 +230,7 @@ fn assert_pipeline_matches_serial(
             );
         }
     }
+    spills
 }
 
 fn optimize(
@@ -230,11 +255,12 @@ fn pipelined_executor_is_bit_identical_on_64_random_dags() {
         PhysFormat::RowStrip { height: 4 },
         PhysFormat::ColStrip { width: 4 },
     ]);
+    let mut spills = 0;
     for seed in 0..64u64 {
         let graph = random_square_dag(seed, 12);
         let annotation = optimize(&graph, &registry, &catalog);
         let inputs = dense_inputs(&graph, 0xDA6 ^ seed);
-        assert_pipeline_matches_serial(
+        spills += assert_pipeline_matches_serial(
             &format!("dag#{seed}"),
             &graph,
             &annotation,
@@ -244,6 +270,7 @@ fn pipelined_executor_is_bit_identical_on_64_random_dags() {
             seed,
         );
     }
+    assert!(spills > 0, "no budgeted run spilled");
 }
 
 #[test]
@@ -264,7 +291,7 @@ fn pipelined_executor_matches_serial_on_named_workloads() {
     for (tag, graph, catalog) in [("ffnn", ffnn, dense), ("inverse", inverse, small)] {
         let annotation = optimize(&graph, &registry, &catalog);
         let inputs = dense_inputs(&graph, 0xC0FFEE);
-        assert_pipeline_matches_serial(
+        let spills = assert_pipeline_matches_serial(
             tag,
             &graph,
             &annotation,
@@ -273,6 +300,7 @@ fn pipelined_executor_matches_serial_on_named_workloads() {
             &catalog,
             0xFA17,
         );
+        assert!(spills > 0, "{tag}: no budgeted run spilled");
     }
 }
 
@@ -323,9 +351,9 @@ fn streaming_retirement_keeps_sinks_exact_and_shrinks_residency() {
 }
 
 /// Every driver runs the same instrumented step: on the FFNN update,
-/// the pooled pipeline, a live-injector run (a 1x straggler at step 0,
-/// so nothing is recomputed) and an adaptive run that never re-plans
-/// each emit one `impl` span per compute vertex and one `transform`
+/// the pooled pipeline, a budgeted walk at half the pipeline's peak, a
+/// live-injector run (a 1x straggler at step 0, so nothing is
+/// recomputed) and an adaptive run that never re-plans each emit one `impl` span per compute vertex and one `transform`
 /// span per non-identity in-edge, and feed the same `kernel_us_<impl>`
 /// histograms the same number of observations.
 #[test]
@@ -382,6 +410,18 @@ fn every_driver_emits_the_same_spans_and_kernel_histograms() {
         let options = ExecOptions::default();
         execute_plan_with(&graph, &annotation, &inputs, &registry, obs, options).expect("runs");
     });
+    let peak = execute_plan(&graph, &annotation, &inputs, &registry)
+        .expect("runs")
+        .peak_resident_bytes;
+    let budgeted = observe(&|obs| {
+        let options = ExecOptions {
+            mem_budget: Some(peak / 2),
+            ..ExecOptions::default()
+        };
+        let out =
+            execute_plan_with(&graph, &annotation, &inputs, &registry, obs, options).expect("runs");
+        assert!(out.governor.spills > 0, "half the peak must spill");
+    });
     let live = observe(&|obs| {
         let injector = parse_fault_spec("slow@0x1", 1, graph.compute_count()).expect("parses");
         execute_fault_tolerant(
@@ -418,6 +458,7 @@ fn every_driver_emits_the_same_spans_and_kernel_histograms() {
     assert_eq!(pooled.1, transforms, "pooled transform spans");
     let total: u64 = pooled.2.iter().map(|(_, n)| n).sum();
     assert_eq!(total as usize, graph.compute_count(), "kernel observations");
+    assert_eq!(budgeted, pooled, "budgeted walk vs pooled run");
     assert_eq!(live, pooled, "live-injector run vs pooled run");
     assert_eq!(adaptive, pooled, "adaptive run vs pooled run");
 }

@@ -10,8 +10,8 @@
 //!    while N threads hammer it, and every lease is returned (leased
 //!    drains to zero).
 //! 3. **Serialization under pressure** — a pool sized for one run at a
-//!    time forces concurrent runs to wait (`admission_waits > 0`)
-//!    rather than overlap carve-outs.
+//!    time never has two runs holding leases at once, however the
+//!    concurrent runs overlap in time.
 //! 4. **Too-big graphs degrade, not die** — a run whose footprint
 //!    exceeds the pool is granted the whole pool and finishes via the
 //!    per-run spill path.
@@ -144,23 +144,31 @@ fn concurrent_runs_share_one_pool_without_oversubscription() {
 fn tight_pool_serializes_concurrent_runs() {
     let w = ffnn_workload(16, 0xFA11);
     let free = run(&w, ExecOptions::default());
-    // Exactly one full-retention run fits: the second run must wait
-    // for the first lease to come back.
-    let pool = SharedGovernor::new(free.peak_resident_bytes.max(1));
+    // Exactly one full-retention run fits: each run asks for all of it,
+    // so a second run cannot hold a lease until the first returns its.
+    let budget = free.peak_resident_bytes.max(1);
+    let pool = SharedGovernor::new(budget);
     let threads = 4;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..threads {
             let pool = Arc::clone(&pool);
-            let w = &w;
+            let (w, free) = (&w, &free);
             handles.push(scope.spawn(move || {
-                run(
+                let out = run(
                     w,
                     ExecOptions {
                         shared_governor: Some(Arc::clone(&pool)),
                         ..Default::default()
                     },
-                )
+                );
+                assert_eq!(
+                    out.governor.lease_bytes, budget,
+                    "a run got less than the pool"
+                );
+                for (sink, rel) in &free.sinks {
+                    assert_eq!(&out.sinks[sink], rel, "sink {sink} diverged");
+                }
             }));
         }
         for h in handles {
@@ -168,10 +176,12 @@ fn tight_pool_serializes_concurrent_runs() {
         }
     });
     let stats = pool.stats();
-    assert!(
-        stats.admission_waits > 0,
-        "a pool sized for one run must make later runs wait: {stats:?}"
+    assert_eq!(
+        stats.peak_runs, 1,
+        "two runs held leases at once: {stats:?}"
     );
+    assert!(stats.peak_leased <= budget, "{stats:?}");
+    assert_eq!(stats.leases_granted, threads as u64, "{stats:?}");
     assert_eq!(stats.leased, 0);
 }
 

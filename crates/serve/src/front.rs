@@ -23,11 +23,11 @@
 //!   `Arc<ExecOutcome>`. Kernels are bit-deterministic, so a batched
 //!   answer is bit-identical to an unbatched one — the soak bench
 //!   asserts exactly that.
-//! * **Shared-pool governance + cross-tenant hedging** — executions
-//!   draw memory carve-outs from one [`SharedGovernor`] pool, and with
-//!   [`FrontDoorConfig::hedge_factor`] set stragglers are hedged on
-//!   the shared worker pool regardless of which tenant is running —
-//!   spare capacity from idle tenants cuts the tail of busy ones.
+//! * **Shared-pool governance** — executions draw memory carve-outs
+//!   from one [`SharedGovernor`] pool (a governed run walks inline and
+//!   spills within its carve-out), and with
+//!   [`FrontDoorConfig::hedge_factor`] set, injected `slow@` stragglers
+//!   of fault-injected executions are hedged at that deadline.
 //! * **Circuit breaker** — drift latches, fault recoveries, and
 //!   execution failures feed a [`CircuitBreaker`]; a storm trips it
 //!   and the front door degrades to serial, unhedged, cache-bypassing
@@ -69,9 +69,10 @@ pub struct FrontDoorConfig {
     /// Byte budget of the shared execution memory pool (`None` = no
     /// pool; each run governs itself).
     pub shared_pool_bytes: Option<u64>,
-    /// Straggler-hedging deadline factor for executions (`None` = no
-    /// hedging). Hedged duplicates run on the shared worker pool
-    /// regardless of tenant.
+    /// Hedging deadline factor for the injected `slow@` stragglers of
+    /// fault-injected executions ([`FrontDoor::execute_with_faults`];
+    /// `None` = they sleep their full delay). A run without an injector
+    /// has nothing to hedge.
     pub hedge_factor: Option<f64>,
     /// Coalesce same-fingerprint, same-input-key executions into one
     /// run.
@@ -152,9 +153,9 @@ pub struct FrontStats {
     pub shed: u64,
     /// Times an execution had to queue behind the concurrency cap.
     pub queued_waits: u64,
-    /// Hedged duplicates launched across all runs.
+    /// Injected stragglers hedged across all fault-injected runs.
     pub hedges_launched: u64,
-    /// Hedged duplicates that won their race.
+    /// Hedged stragglers whose simulated duplicate won.
     pub hedges_won: u64,
     /// Worker-process deaths reported by an attached fleet (each one
     /// also counts into the breaker's storm window).
@@ -399,8 +400,8 @@ impl FrontDoor {
     }
 
     /// Executes `req.graph` on `req.inputs` through the full front
-    /// door: quota → breaker → batching → fair queueing → pooled,
-    /// hedged execution.
+    /// door: quota → breaker → batching → fair queueing → execution
+    /// (pooled, or walked inline under the run's memory budget).
     ///
     /// # Errors
     /// [`ServeError::QuotaExceeded`], [`ServeError::Overloaded`],
@@ -468,8 +469,8 @@ impl FrontDoor {
         result
     }
 
-    /// The fast path: cached plan, batching, fair queueing, pooled and
-    /// hedged execution.
+    /// The fast path: cached plan, batching, fair queueing, governed
+    /// execution.
     fn execute_normal(
         &self,
         req: &ExecRequest<'_>,
@@ -541,7 +542,7 @@ impl FrontDoor {
         let options = ExecOptions {
             retain_values: false,
             mem_budget: tenant_mem,
-            hedge: self.hedge_config(),
+            hedge: self.config.hedge_factor.map(HedgeConfig::with_factor),
             shared_governor: self.shared.clone(),
             remote: self.remote.lock().expect("front remote").clone(),
             ..ExecOptions::default()
@@ -628,14 +629,6 @@ impl FrontDoor {
             degraded: true,
             recoveries: 0,
             latency: started.elapsed(),
-        })
-    }
-
-    fn hedge_config(&self) -> Option<HedgeConfig> {
-        self.config.hedge_factor.map(|factor| HedgeConfig {
-            factor,
-            predicted_seconds: None,
-            min_deadline_ms: 2,
         })
     }
 

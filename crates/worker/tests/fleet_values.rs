@@ -14,7 +14,8 @@ use matopt_core::{
 };
 use matopt_cost::CostModel;
 use matopt_engine::{
-    execute_plan_serial, execute_plan_with, DistRelation, ExecError, ExecOptions, RemoteVertexExec,
+    execute_plan, execute_plan_serial, execute_plan_with, DistRelation, ExecError, ExecOptions,
+    ExecOutcome, RemoteVertexExec,
 };
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -80,6 +81,29 @@ fn serial_sinks(
         .collect()
 }
 
+/// Runs the plan on `fleet` under `mem_budget`.
+fn remote_run(
+    fleet: &Arc<WorkerFleet>,
+    graph: &ComputeGraph,
+    annotation: &Annotation,
+    inputs: &HashMap<NodeId, DistRelation>,
+    mem_budget: Option<u64>,
+) -> ExecOutcome {
+    execute_plan_with(
+        graph,
+        annotation,
+        inputs,
+        &ImplRegistry::paper_default(),
+        &Obs::disabled(),
+        ExecOptions {
+            mem_budget,
+            remote: Some(Arc::clone(fleet) as Arc<dyn RemoteVertexExec>),
+            ..ExecOptions::default()
+        },
+    )
+    .expect("remote run")
+}
+
 /// Runs the plan on `fleet`; `true` iff every sink equals `want` bit
 /// for bit.
 fn remote_matches(
@@ -89,18 +113,11 @@ fn remote_matches(
     inputs: &HashMap<NodeId, DistRelation>,
     want: &HashMap<NodeId, DenseMatrix>,
 ) -> bool {
-    let out = execute_plan_with(
-        graph,
-        annotation,
-        inputs,
-        &ImplRegistry::paper_default(),
-        &Obs::disabled(),
-        ExecOptions {
-            remote: Some(Arc::clone(fleet) as Arc<dyn RemoteVertexExec>),
-            ..ExecOptions::default()
-        },
-    )
-    .expect("remote run");
+    same_bits(&remote_run(fleet, graph, annotation, inputs, None), want)
+}
+
+/// `true` iff every sink of `out` equals `want` bit for bit.
+fn same_bits(out: &ExecOutcome, want: &HashMap<NodeId, DenseMatrix>) -> bool {
     out.sinks.len() == want.len()
         && out.sinks.iter().all(|(id, rel)| {
             want.get(id).is_some_and(|w| {
@@ -263,6 +280,25 @@ fn two_runs_sharing_a_fleet_at_once_are_both_bit_exact() {
         }
     });
     fleet.shutdown();
+}
+
+/// A budgeted run walks inline and spills; through a fleet, a spilled
+/// and reloaded value is a new `Arc`, so the workers are shipped it
+/// again rather than served a stale copy.
+#[test]
+fn a_budgeted_run_spills_and_stays_bit_exact_through_a_fleet() {
+    let (graph, annotation) = ffnn_w2_128();
+    let inputs = inputs(&graph, 41);
+    let want = serial_sinks(&graph, &annotation, &inputs);
+    let registry = ImplRegistry::paper_default();
+    let peak = execute_plan(&graph, &annotation, &inputs, &registry)
+        .expect("unbudgeted run")
+        .peak_resident_bytes;
+    let fleet = fleet(2);
+    let out = remote_run(&fleet, &graph, &annotation, &inputs, Some(peak / 2));
+    fleet.shutdown();
+    assert!(out.governor.spills > 0, "half the peak never spilled");
+    assert!(same_bits(&out, &want), "budgeted remote run diverged");
 }
 
 /// Values every run has dropped leave the workers with the next frame,
