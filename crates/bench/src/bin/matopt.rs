@@ -122,11 +122,6 @@
 //!                            <path>/kernels.tune: recalibrates the
 //!                            service on start (bumps the plan-cache
 //!                            epoch once)
-//!   --worker-procs N         supervise N matopt-workerd processes for
-//!                            the session: fleet liveness gauges land in
-//!                            the metrics registry (stats ops and
-//!                            --metrics-dump), and the fleet is drained
-//!                            with the session
 //!
 //! fleet-chaos options:
 //!   --schedules N            seeded kill schedules to run (default 8)
@@ -173,10 +168,10 @@ use matopt_engine::{
 use matopt_graphs::{ffnn_training_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
 use matopt_obs::{export, MemorySink, MetricsRegistry, Obs, RingSink};
-use matopt_serve::{serve_lines_concurrent_session, PlanService, ServeConfig, ServeSession};
+use matopt_serve::{serve_lines, PlanService, ServeConfig, ServeSession};
 use matopt_worker::{
     default_worker_bin, derive_schedule, install_termination_handler, run_schedule,
-    termination_requested, FleetConfig, FleetError, WorkerFleet,
+    termination_requested, FleetConfig, WorkerFleet,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -860,7 +855,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
     let serve_threads = o
         .value_where("--serve-threads", "a count >= 1", |n: &usize| *n >= 1)
         .unwrap_or(1);
-    let worker_procs = o.value_where("--worker-procs", "a process count >= 1", |n: &u32| *n >= 1);
     o.finish()?;
 
     let (cluster, catalog) = cluster_and_catalog(&engine, &catalog_name, workers).map_err(usage)?;
@@ -875,8 +869,7 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
     // events are dropped, never the request path) and the aggregate
     // metrics registry is always on — it is what answers `stats` ops.
     let ring = Arc::new(RingSink::new(SERVE_RING_CAPACITY));
-    let registry = MetricsRegistry::new();
-    let obs = Obs::with_metrics(Arc::clone(&ring), Arc::clone(&registry));
+    let obs = Obs::with_metrics(Arc::clone(&ring), MetricsRegistry::new());
     let service = PlanService::with_obs(
         ImplRegistry::extended(),
         catalog,
@@ -901,24 +894,9 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
         service.recalibrate(load_curve_model(dir)?);
     }
 
-    // `--worker-procs`: a supervised process fleet lives alongside the
-    // session. Its liveness gauges and death counters share the serve
-    // metrics registry, so `stats` ops and `--metrics-dump` expose them.
-    let fleet = match worker_procs {
-        Some(n) => {
-            let spawn_failed = |e: FleetError| failed(format!("--worker-procs: {e}"));
-            let mut fcfg = FleetConfig::standard(n).map_err(spawn_failed)?;
-            fcfg.obs = Some(Arc::clone(&registry));
-            let fleet = WorkerFleet::spawn(fcfg).map_err(spawn_failed)?;
-            eprintln!("serve: supervising {n} worker processes");
-            Some(fleet)
-        }
-        None => None,
-    };
-
     // SIGTERM/SIGINT drain: admission stops, everything already read
     // off stdin is still answered, then the shared epilogue (cache
-    // persist, final metrics dump, fleet shutdown) runs exactly once
+    // persist, final metrics dump) runs exactly once
     // and the process exits 0 — even while the reader thread is still
     // parked in a blocking stdin read.
     install_termination_handler();
@@ -941,20 +919,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
                     Err(msg) => eprintln!("serve: {msg}"),
                 }
             }
-        }
-        if let Some(fleet) = &fleet {
-            let fs = fleet.stats();
-            eprintln!(
-                "serve: fleet ran {} remote tasks; {} spawns, {} deaths ({} by heartbeat \
-                 silence), {} restarts, {} redispatches",
-                fs.tasks_ok,
-                fs.spawns,
-                fs.deaths,
-                fs.heartbeat_deaths,
-                fs.restarts,
-                fs.redispatches
-            );
-            fleet.shutdown();
         }
         if ring.dropped() > 0 {
             eprintln!(
@@ -1012,15 +976,9 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
         });
         let stdin = std::io::stdin();
         // `Stdout` (not `StdoutLock`) so the writer half can live on
-        // the multi-threaded serve loop's writer thread.
+        // the serve loop's writer thread.
         let mut stdout = std::io::stdout();
-        let result = serve_lines_concurrent_session(
-            &service,
-            stdin.lock(),
-            &mut stdout,
-            serve_threads,
-            &session,
-        );
+        let result = serve_lines(&service, stdin.lock(), &mut stdout, serve_threads, &session);
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         result
     });

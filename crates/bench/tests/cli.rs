@@ -215,6 +215,10 @@ fn an_unparsable_option_value_exits_2_naming_the_option() {
     let run = matopt(&["plan", "motivating", "--bogus"], "");
     assert_eq!(run.code, Some(2), "{}", run.stderr);
     assert!(run.stderr.contains("plan: unknown option --bogus"));
+    // `serve` only plans, so it has no worker fleet to supervise.
+    let run = matopt(&["serve", "--worker-procs", "2"], "");
+    assert_eq!(run.code, Some(2), "{}", run.stderr);
+    assert!(run.stderr.contains("serve: unknown option --worker-procs"));
     // Repeats are allowed; the last value wins.
     let run = matopt(
         &["plan", "motivating", "--workers", "3", "--workers", "5"],

@@ -5,7 +5,6 @@
 //! aggregations), so that the test-suite can verify that *every*
 //! type-correct annotation of a graph computes identical numbers.
 
-use crate::parallel::try_par_map;
 use crate::value::{Block, Chunk, DistRelation};
 use matopt_core::{MatrixType, NodeId, Op, OpKind, PhysFormat, Strategy};
 use matopt_kernels::{CooMatrix, DenseMatrix, PackedOperand};
@@ -191,20 +190,24 @@ fn internal(msg: impl Into<String>) -> ExecError {
     ExecError::Internal(msg.into())
 }
 
-/// Ordered parallel index map that converts a caught worker panic into
-/// a recoverable [`ExecError::KernelPanic`] (vertex attached upstream).
-/// Jobs run on the shared work-stealing pool and are `'static`, so
-/// closures capture `Arc` handles to the relations they read.
+/// Ordered parallel index map on the shared work-stealing pool that
+/// converts a caught worker panic into a recoverable
+/// [`ExecError::KernelPanic`] (vertex attached upstream), so the
+/// fault-tolerant executor can treat a bad chunk as a recoverable fault.
+/// Jobs are `'static`, so closures capture `Arc` handles to the
+/// relations they read.
 fn par_map<R, F>(n: usize, f: F) -> Result<Vec<R>, ExecError>
 where
     R: Send + 'static,
     F: Fn(usize) -> R + Send + Sync + 'static,
 {
-    try_par_map(n, f).map_err(|detail| ExecError::KernelPanic {
-        vertex: None,
-        label: None,
-        detail,
-    })
+    matopt_pool::Pool::global()
+        .try_map(n, f)
+        .map_err(|detail| ExecError::KernelPanic {
+            vertex: None,
+            label: None,
+            detail,
+        })
 }
 
 /// Executes one implementation strategy over concrete distributed

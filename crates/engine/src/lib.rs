@@ -35,7 +35,6 @@ mod exec;
 mod explain;
 mod faults;
 mod impl_exec;
-mod parallel;
 mod recovery;
 mod schedule;
 mod sim;

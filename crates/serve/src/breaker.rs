@@ -24,7 +24,7 @@
 //!   when `trip_threshold` of them fall inside `window`, the breaker
 //!   trips to Open (`trips` increments — the bench asserts this
 //!   happens *exactly once* under a seeded storm).
-//! * **Open** — the front door degrades: serial, unhedged,
+//! * **Open** — the front door degrades: serial,
 //!   cache-bypassing execution (see `front.rs`). Degraded requests
 //!   still get correct answers; nothing is dropped. After `cooldown`
 //!   the next request becomes a probe.
@@ -95,9 +95,9 @@ impl BreakerState {
 /// What the front door should do with the request that just arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerDecision {
-    /// Full fast path: cached plans, batching, hedging, shared pool.
+    /// Full fast path: cached plans, batching, shared pool.
     Normal,
-    /// Serial, unhedged, cache-bypassing execution.
+    /// Serial, cache-bypassing execution.
     Degraded,
     /// Normal path, but report the outcome via
     /// [`CircuitBreaker::probe_result`].

@@ -25,12 +25,10 @@
 //!   asserts exactly that.
 //! * **Shared-pool governance** — executions draw memory carve-outs
 //!   from one [`SharedGovernor`] pool (a governed run walks inline and
-//!   spills within its carve-out), and with
-//!   [`FrontDoorConfig::hedge_factor`] set, injected `slow@` stragglers
-//!   of fault-injected executions are hedged at that deadline.
+//!   spills within its carve-out).
 //! * **Circuit breaker** — drift latches, fault recoveries, and
 //!   execution failures feed a [`CircuitBreaker`]; a storm trips it
-//!   and the front door degrades to serial, unhedged, cache-bypassing
+//!   and the front door degrades to serial, cache-bypassing
 //!   execution (slow but trustworthy) until probes close it again.
 //!   See the `breaker` module docs for the state machine.
 //!
@@ -42,10 +40,11 @@ use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerStats,
 use crate::flight::{Joined, SingleFlight};
 use crate::tenant::{TenancyConfig, TenantConfig, TenantStats};
 use crate::{Fingerprint, PlanService, Planned, ServeError};
-use matopt_core::{ComputeGraph, NodeId};
+use matopt_core::{ComputeGraph, NodeId, PlanContext};
 use matopt_engine::{
-    execute_plan_serial, execute_plan_with, DistRelation, ExecError, ExecOptions, ExecOutcome,
-    FaultInjector, FtConfig, HedgeConfig, RemoteVertexExec, SharedGovernor, SharedGovernorStats,
+    execute_fault_tolerant, execute_plan_serial, execute_plan_with, DistRelation, ExecError,
+    ExecOptions, ExecOutcome, FaultInjector, FtConfig, RemoteVertexExec, SharedGovernor,
+    SharedGovernorStats,
 };
 use matopt_obs::{Histogram, Subsystem};
 use std::collections::HashMap;
@@ -69,11 +68,6 @@ pub struct FrontDoorConfig {
     /// Byte budget of the shared execution memory pool (`None` = no
     /// pool; each run governs itself).
     pub shared_pool_bytes: Option<u64>,
-    /// Hedging deadline factor for the injected `slow@` stragglers of
-    /// fault-injected executions ([`FrontDoor::execute_with_faults`];
-    /// `None` = they sleep their full delay). A run without an injector
-    /// has nothing to hedge.
-    pub hedge_factor: Option<f64>,
     /// Coalesce same-fingerprint, same-input-key executions into one
     /// run.
     pub batching: bool,
@@ -87,7 +81,6 @@ impl Default for FrontDoorConfig {
             exec_concurrency: matopt_pool::Pool::global().parallelism().max(2),
             max_queued: 256,
             shared_pool_bytes: None,
-            hedge_factor: None,
             batching: true,
         }
     }
@@ -123,7 +116,7 @@ pub struct ExecResponse {
     /// `true` when this request was answered by another request's run.
     pub batched: bool,
     /// `true` when the breaker routed this request through the
-    /// degraded (serial, unhedged, cache-bypassing) path.
+    /// degraded (serial, cache-bypassing) path.
     pub degraded: bool,
     /// Fault recoveries performed during the run (fault-injected runs
     /// only).
@@ -153,10 +146,6 @@ pub struct FrontStats {
     pub shed: u64,
     /// Times an execution had to queue behind the concurrency cap.
     pub queued_waits: u64,
-    /// Injected stragglers hedged across all fault-injected runs.
-    pub hedges_launched: u64,
-    /// Hedged stragglers whose simulated duplicate won.
-    pub hedges_won: u64,
     /// Worker-process deaths reported by an attached fleet (each one
     /// also counts into the breaker's storm window).
     pub worker_deaths: u64,
@@ -253,8 +242,6 @@ pub struct FrontDoor {
     overloaded: AtomicU64,
     shed: AtomicU64,
     queued_waits: AtomicU64,
-    hedges_launched: AtomicU64,
-    hedges_won: AtomicU64,
     /// Remote vertex-execution backend for admitted runs (`None` =
     /// in-process kernels). Attached after construction because the
     /// fleet usually wants a death observer pointing back at this very
@@ -293,8 +280,6 @@ impl FrontDoor {
             overloaded: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             queued_waits: AtomicU64::new(0),
-            hedges_launched: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
             remote: Mutex::new(None),
             worker_deaths: AtomicU64::new(0),
         }
@@ -525,8 +510,10 @@ impl FrontDoor {
         })
     }
 
-    /// Runs the plan (holding a concurrency slot), feeds drift and
-    /// fault signals to the breaker, and aggregates hedge counters.
+    /// Runs the plan (holding a concurrency slot) and feeds drift and
+    /// fault signals to the breaker. A fault-injected run goes through
+    /// the fault-tolerant executor, which re-plans recoveries under the
+    /// service's current cluster and cost model.
     fn run_leader(
         &self,
         req: &ExecRequest<'_>,
@@ -542,7 +529,6 @@ impl FrontDoor {
         let options = ExecOptions {
             retain_values: false,
             mem_budget: tenant_mem,
-            hedge: self.config.hedge_factor.map(HedgeConfig::with_factor),
             shared_governor: self.shared.clone(),
             remote: self.remote.lock().expect("front remote").clone(),
             ..ExecOptions::default()
@@ -557,27 +543,32 @@ impl FrontDoor {
                 options,
             )
             .map(|out| (out, 0)),
-            Some((injector, ft)) => self
-                .service
-                .execute_fault_tolerant(req.graph, planned, req.inputs, injector, ft, options)
-                .map(|run| {
-                    let recoveries = run.recoveries + run.retries + run.replans;
-                    // Every recovery is a storm signal: this is the
-                    // serve-side view of the Subsystem::Faults
-                    // counters.
-                    for _ in 0..recoveries {
-                        self.breaker.record_storm_event();
-                    }
-                    (run.exec, recoveries)
-                }),
+            Some((injector, ft)) => execute_fault_tolerant(
+                req.graph,
+                &planned.plan.annotation,
+                req.inputs,
+                &PlanContext::new(self.service.registry(), self.service.cluster()),
+                self.service.catalog(),
+                &self.service.model(),
+                injector,
+                ft,
+                options,
+                self.service.obs(),
+            )
+            .map(|run| {
+                let recoveries = run.recoveries + run.retries + run.replans;
+                // Every recovery is a storm signal: this is the
+                // serve-side view of the Subsystem::Faults
+                // counters.
+                for _ in 0..recoveries {
+                    self.breaker.record_storm_event();
+                }
+                (run.exec, recoveries)
+            }),
         };
         let result = result.map_err(|e| ServeError::Exec(e.to_string()));
         match result {
             Ok((outcome, recoveries)) => {
-                self.hedges_launched
-                    .fetch_add(outcome.governor.hedges_launched, Ordering::Relaxed);
-                self.hedges_won
-                    .fetch_add(outcome.governor.hedges_won, Ordering::Relaxed);
                 if planned.fingerprint != Fingerprint(0) {
                     let drifted = self.service.observe_runtime(
                         planned.fingerprint,
@@ -605,7 +596,7 @@ impl FrontDoor {
         }
     }
 
-    /// The degraded path: serial, unhedged, cache-bypassing. Slow but
+    /// The degraded path: serial and cache-bypassing. Slow but
     /// immune to the stale plans and scheduling machinery a storm has
     /// just implicated — the breaker's "fail gracefully, not at all".
     fn execute_degraded(
@@ -891,8 +882,6 @@ impl FrontDoor {
             overloaded: self.overloaded.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             queued_waits: self.queued_waits.load(Ordering::Relaxed),
-            hedges_launched: self.hedges_launched.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
             worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
             breaker: self.breaker.stats(),
             breaker_state: self.breaker.state(),

@@ -24,19 +24,22 @@
 //! * [`PlanService`] — the request pipeline: single-flight coalescing
 //!   (concurrent misses on one fingerprint run the optimizer exactly
 //!   once), deadline and queue-depth backpressure in the engine
-//!   governor's admission vocabulary, execution on the pooled pipeline,
-//!   and adaptive execution that poisons the cached entry it started
-//!   from when it has to re-plan.
-//! * [`serve_lines`] — the `matopt serve` front end: JSON-lines over
-//!   stdin/stdout ([`protocol`] documents the request grammar), plus
-//!   the same service as an in-process API.
+//!   governor's admission vocabulary, and adaptive execution that
+//!   poisons the cached entry it started from when it has to re-plan.
+//!   The service plans; [`FrontDoor`] executes (quotas, batching, the
+//!   circuit breaker, fault-injected runs).
+//! * [`serve_lines`] — the `matopt serve` front end, one loop for every
+//!   thread count: JSON-lines over stdin/stdout ([`protocol`] documents
+//!   the request grammar); [`respond`] answers one line in-process.
 //! * [`save_cache`]/[`load_cache`] — `matopt plan --cache-dir`
 //!   persistence with dual FNV-1a checksums; a corrupt entry is a
 //!   cache miss, never a wrong plan.
 //!
 //! Everything is observable under [`matopt_obs::Subsystem::Serve`]:
-//! hit/miss/coalesced counters, queue-depth gauges, per-request latency
-//! records, eviction and poison events.
+//! request, error, invalidation and poison records in the event
+//! stream, and one set of counters, gauges and latency histograms in
+//! the metrics registry (request/hit/miss/coalesced/reject counts,
+//! queue depth, evictions) that [`PlanService::stats`] reads back.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,10 +60,7 @@ pub use cache::{plan_bytes, CacheConfig, CacheCounters, PlanCache};
 pub use fingerprint::{fingerprint, sparsity_bucket, Fingerprint};
 pub use front::{ExecRequest, ExecResponse, FrontDoor, FrontDoorConfig, FrontStats};
 pub use persist::{load_cache, save_cache, LoadReport, CACHE_FILE, LOCK_FILE};
-pub use server::{
-    respond, serve_lines, serve_lines_concurrent, serve_lines_concurrent_session,
-    serve_lines_session, stats_line, ServeSession, ServeSummary,
-};
+pub use server::{respond, serve_lines, stats_line, ServeSession, ServeSummary};
 pub use service::{PlanService, PlanSource, Planned, ServeError, ServeStats};
 pub use tenant::{TenancyConfig, TenantConfig, TenantStats};
 

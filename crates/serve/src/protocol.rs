@@ -21,6 +21,12 @@
 //! panic. The JSON value and parser are `matopt_obs::json`'s,
 //! re-exported here.
 //!
+//! Each line is parsed once. A plan request needs an `"id"`: a string
+//! is echoed as is, a number (JSON-RPC style) as its rendered string,
+//! on every response kind — a failed plan, a control ack, a refusal.
+//! [`parse_request`] is that one parse plus the same document-to-graph
+//! step the serve loop uses.
+//!
 //! A third shape is the *control* request, selected by a top-level
 //! `"op"` key (`"id"` optional, echoed back):
 //!
@@ -82,34 +88,52 @@ fn bad(msg: impl Into<String>) -> ServeError {
 /// # Errors
 /// [`ServeError::BadRequest`] describing the problem.
 pub fn parse_request(line: &str, cluster: &Cluster) -> Result<PlanRequest, ServeError> {
-    let doc = Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-    // String ids pass through; numeric ids (JSON-RPC style) are
-    // rendered and echoed back as strings.
-    let id = doc
-        .get("id")
-        .and_then(|v| {
-            v.as_str().map(str::to_string).or_else(|| {
-                v.as_f64().map(|n| {
-                    if n.fract() == 0.0 && n.abs() < 9e15 {
-                        format!("{}", n as i64)
-                    } else {
-                        format!("{n}")
-                    }
-                })
-            })
+    let doc = parse_line(line)?;
+    let id = request_id(&doc).ok_or_else(missing_id)?;
+    let graph = request_graph(&doc, cluster)?;
+    Ok(PlanRequest { id, graph })
+}
+
+/// Parses one request line into its JSON document: the one parse a
+/// request line gets.
+pub(crate) fn parse_line(line: &str) -> Result<Json, ServeError> {
+    Json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))
+}
+
+/// The request's `"id"`, rendered for echoing: string ids pass through;
+/// numeric ids (JSON-RPC style) are rendered as strings. `None` when the
+/// id is absent or of another type.
+pub(crate) fn request_id(doc: &Json) -> Option<String> {
+    let id = doc.get("id")?;
+    id.as_str().map(str::to_string).or_else(|| {
+        id.as_f64().map(|n| {
+            if n.fract() == 0.0 && n.abs() < 9e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            }
         })
-        .ok_or_else(|| bad("missing string or number field \"id\""))?;
-    let graph = match (doc.get("workload"), doc.get("graph")) {
+    })
+}
+
+/// The error a plan request without a usable id answers with.
+pub(crate) fn missing_id() -> ServeError {
+    bad("missing string or number field \"id\"")
+}
+
+/// The graph a plan request asks for: a named `"workload"` or an
+/// explicit `"graph"`, exactly one of them.
+pub(crate) fn request_graph(doc: &Json, cluster: &Cluster) -> Result<ComputeGraph, ServeError> {
+    match (doc.get("workload"), doc.get("graph")) {
         (Some(w), None) => {
             let spec = w
                 .as_str()
                 .ok_or_else(|| bad("\"workload\" must be a string"))?;
-            workload_graph(spec, cluster).map_err(bad)?
+            workload_graph(spec, cluster).map_err(bad)
         }
-        (None, Some(g)) => graph_from_json(g)?,
-        _ => return Err(bad("provide exactly one of \"workload\" or \"graph\"")),
-    };
-    Ok(PlanRequest { id, graph })
+        (None, Some(g)) => graph_from_json(g),
+        _ => Err(bad("provide exactly one of \"workload\" or \"graph\"")),
+    }
 }
 
 /// Builds a graph from the explicit `"graph"` request form via the

@@ -14,13 +14,17 @@
 //! type-incorrect graph, or an overloaded service answers the client
 //! and keeps serving. The output is flushed after every response so
 //! piped clients see answers immediately.
+//!
+//! Each line is parsed once. Its `"id"` — a string, or a number echoed
+//! as its rendered string — comes back on every response kind, and is
+//! `null` when absent.
 
-use crate::protocol::{json_escape, parse_request, Json};
-use crate::PlanService;
+use crate::protocol::{json_escape, missing_id, parse_line, request_graph, request_id, Json};
+use crate::{PlanService, ServeError};
 use matopt_obs::{HistogramSnapshot, Subsystem};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// What a [`serve_lines`] session handled.
@@ -47,7 +51,7 @@ pub struct ServeSummary {
 pub struct ServeSession {
     requests_read: AtomicU64,
     responses_written: AtomicU64,
-    stop: std::sync::atomic::AtomicBool,
+    stop: AtomicBool,
 }
 
 impl ServeSession {
@@ -90,129 +94,23 @@ impl ServeSession {
     }
 }
 
-/// Control lines that steer the serve loop itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Control {
-    /// Stop reading, answer everything already read, exit cleanly.
-    Shutdown,
-    /// Keep reading until EOF but refuse every later request with a
-    /// `draining` error response; in-flight work still completes.
-    Drain,
+/// One request line on its way to a worker: its position in the
+/// stream, whether a drain came before it, and its parsed document.
+struct Work {
+    seq: u64,
+    draining: bool,
+    doc: Result<Json, ServeError>,
 }
 
-/// Recognizes `{"op": "shutdown"}` / `{"op": "drain"}` control lines.
-fn control_op(line: &str) -> Option<Control> {
-    let doc = Json::parse(line).ok()?;
-    match doc.get("op").and_then(Json::as_str)? {
-        "shutdown" => Some(Control::Shutdown),
-        "drain" => Some(Control::Drain),
-        _ => None,
-    }
-}
-
-/// The acknowledgement response for a control line.
-fn control_ack(line: &str, op: Control) -> String {
-    let id = Json::parse(line)
-        .ok()
-        .and_then(|d| d.get("id").and_then(Json::as_str).map(str::to_string));
-    let op = match op {
-        Control::Shutdown => "shutdown",
-        Control::Drain => "drain",
-    };
-    match id {
-        Some(id) => format!(
-            "{{\"id\": \"{}\", \"status\": \"ok\", \"op\": \"{op}\"}}",
-            json_escape(&id)
-        ),
-        None => format!("{{\"id\": null, \"status\": \"ok\", \"op\": \"{op}\"}}"),
-    }
-}
-
-/// Serves requests from `input`, writing one response line each to
-/// `output`, until EOF or an orderly `{"op": "shutdown"}`. Single
-/// worker: responses are computed and written in arrival order. See
-/// [`serve_lines_concurrent`] for the multi-worker loop.
+/// Serves requests from `input` on `threads` worker threads (at least
+/// one), writing one response line each to `output` **in arrival
+/// order**. The calling thread reads and parses each line once, the
+/// workers answer, and a writer thread restores input order (a reorder
+/// buffer holds any response that finishes before an earlier
+/// request's) and flushes after every line. `session` exposes live
+/// read/answer counters and a stop flag a signal watcher can flip.
 ///
-/// # Errors
-/// Propagates I/O errors from the transport (request-level failures are
-/// error *responses*, not `Err`).
-pub fn serve_lines<R: BufRead, W: Write>(
-    service: &PlanService,
-    input: R,
-    output: &mut W,
-) -> io::Result<ServeSummary> {
-    serve_lines_session(service, input, output, &ServeSession::new())
-}
-
-/// [`serve_lines`] with an external [`ServeSession`] handle: live
-/// read/answer counters plus a stop flag a signal watcher can flip to
-/// drain the loop between lines.
-///
-/// # Errors
-/// Propagates I/O errors from the transport.
-pub fn serve_lines_session<R: BufRead, W: Write>(
-    service: &PlanService,
-    input: R,
-    output: &mut W,
-    session: &ServeSession,
-) -> io::Result<ServeSummary> {
-    let mut summary = ServeSummary::default();
-    let mut draining = false;
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        summary.requests += 1;
-        session.requests_read.fetch_add(1, Ordering::AcqRel);
-        let control = control_op(&line);
-        let response = match control {
-            Some(op) => control_ack(&line, op),
-            None if draining => draining_error(&line),
-            None => respond(service, &line),
-        };
-        if response.contains("\"status\": \"ok\"") {
-            summary.ok += 1;
-        } else {
-            summary.errors += 1;
-        }
-        output.write_all(response.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
-        session.responses_written.fetch_add(1, Ordering::AcqRel);
-        match control {
-            Some(Control::Shutdown) => {
-                summary.clean_shutdown = true;
-                return Ok(summary);
-            }
-            Some(Control::Drain) => {
-                summary.clean_shutdown = true;
-                draining = true;
-            }
-            None => {}
-        }
-        if session.stop_requested() {
-            summary.clean_shutdown = true;
-            return Ok(summary);
-        }
-    }
-    Ok(summary)
-}
-
-/// The error response for a request that arrived after a drain.
-fn draining_error(line: &str) -> String {
-    let id = Json::parse(line)
-        .ok()
-        .and_then(|d| d.get("id").and_then(Json::as_str).map(str::to_string));
-    error_line(id.as_deref(), &crate::ServeError::Draining.to_string())
-}
-
-/// Serves requests from `input` on `threads` worker threads, writing
-/// responses to `output` **in arrival order** (a reorder buffer holds
-/// any response that finishes before an earlier request's).
-///
-/// Lifecycle guarantees, which the single-threaded loop gets for free
-/// and this one is tested for:
+/// The lifecycle contract, the same for every thread count:
 ///
 /// * **EOF drains** — when `input` ends, every request already read is
 ///   still answered before the call returns; queued work is never
@@ -224,74 +122,53 @@ fn draining_error(line: &str) -> String {
 ///   every request after it with a `draining` error response (position
 ///   decides, not timing: a request the reader saw first is never
 ///   rejected because a worker happened to run it late).
+/// * **[`ServeSession::request_stop`]** is checked between read lines;
+///   everything already read is still answered, and the summary
+///   reports a clean shutdown.
 ///
 /// # Errors
-/// Propagates I/O errors from the transport.
-pub fn serve_lines_concurrent<R: BufRead, W: Write + Send>(
-    service: &PlanService,
-    input: R,
-    output: &mut W,
-    threads: usize,
-) -> io::Result<ServeSummary> {
-    serve_lines_concurrent_session(service, input, output, threads, &ServeSession::new())
-}
-
-/// [`serve_lines_concurrent`] with an external [`ServeSession`] handle
-/// (live counters + stop flag); the stop flag is checked between read
-/// lines, and everything already read is still answered — the same
-/// position-decides contract as an in-band `{"op": "drain"}`.
-///
-/// # Errors
-/// Propagates I/O errors from the transport.
-pub fn serve_lines_concurrent_session<R: BufRead, W: Write + Send>(
+/// Propagates I/O errors from the transport (request-level failures are
+/// error *responses*, not `Err`).
+pub fn serve_lines<R: BufRead, W: Write + Send>(
     service: &PlanService,
     input: R,
     output: &mut W,
     threads: usize,
     session: &ServeSession,
 ) -> io::Result<ServeSummary> {
-    if threads <= 1 {
-        return serve_lines_session(service, input, output, session);
-    }
-    let mut summary = ServeSummary::default();
-    // Everything with seq > drain_seq is refused with a draining error.
-    let drain_seq = AtomicU64::new(u64::MAX);
-    let (work_tx, work_rx) = mpsc::sync_channel::<(u64, String)>(threads * 2);
+    let threads = threads.max(1);
+    let (work_tx, work_rx) = mpsc::sync_channel::<Work>(threads * 2);
+    // Owned by the workers alone: if the writer fails they all exit,
+    // the queue closes, and the reader stops instead of blocking.
     let work_rx = Arc::new(Mutex::new(work_rx));
-    let (done_tx, done_rx) = mpsc::channel::<(u64, String)>();
+    let (done_tx, done_rx) = mpsc::channel::<(u64, bool, String)>();
 
-    let (io_result, clean) = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            let work_rx = Arc::clone(&work_rx);
-            let done_tx = done_tx.clone();
-            let drain_seq = &drain_seq;
+            let (work_rx, done_tx) = (Arc::clone(&work_rx), done_tx.clone());
             scope.spawn(move || loop {
+                // The guard drops with this statement: workers take
+                // turns receiving, not answering.
                 let next = work_rx.lock().expect("work queue").recv();
-                let Ok((seq, line)) = next else {
+                let Ok(work) = next else {
                     return;
                 };
-                let response = match control_op(&line) {
-                    Some(op) => control_ack(&line, op),
-                    None if seq > drain_seq.load(Ordering::Acquire) => draining_error(&line),
-                    None => respond(service, &line),
-                };
-                if done_tx.send((seq, response)).is_err() {
+                let (ok, response) = answer(service, work.doc.as_ref(), work.draining);
+                if done_tx.send((work.seq, ok, response)).is_err() {
                     return;
                 }
             });
         }
-        drop(done_tx);
+        drop((work_rx, done_tx));
 
-        // Writer: reorder responses back into arrival order.
         let writer = scope.spawn(move || -> io::Result<(u64, u64)> {
-            let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-            let mut next_seq = 0u64;
-            let (mut ok, mut errors) = (0u64, 0u64);
-            while let Ok((seq, response)) = done_rx.recv() {
-                pending.insert(seq, response);
-                while let Some(response) = pending.remove(&next_seq) {
+            let mut pending = BTreeMap::new();
+            let (mut next_seq, mut ok, mut errors) = (0u64, 0u64, 0u64);
+            while let Ok((seq, is_ok, response)) = done_rx.recv() {
+                pending.insert(seq, (is_ok, response));
+                while let Some((is_ok, response)) = pending.remove(&next_seq) {
                     next_seq += 1;
-                    if response.contains("\"status\": \"ok\"") {
+                    if is_ok {
                         ok += 1;
                     } else {
                         errors += 1;
@@ -305,109 +182,120 @@ pub fn serve_lines_concurrent_session<R: BufRead, W: Write + Send>(
             Ok((ok, errors))
         });
 
-        // Reader: this thread. Assign sequence numbers, recognize
-        // control lines, stop at EOF or shutdown. Dropping `work_tx`
-        // is the drain signal: workers finish what was read, then the
-        // writer flushes the reorder buffer.
-        let mut clean = false;
-        let mut read_error = None;
-        let mut seq = 0u64;
-        for line in input.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => {
-                    read_error = Some(e);
-                    break;
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            summary.requests += 1;
-            session.requests_read.fetch_add(1, Ordering::AcqRel);
-            let control = control_op(&line);
-            if work_tx.send((seq, line)).is_err() {
-                break;
-            }
-            match control {
-                Some(Control::Shutdown) => {
-                    clean = true;
-                    break;
-                }
-                Some(Control::Drain) => {
-                    clean = true;
-                    drain_seq.store(seq, Ordering::Release);
-                }
-                None => {}
-            }
-            seq += 1;
-            if session.stop_requested() {
-                clean = true;
-                break;
-            }
-        }
-        drop(work_tx);
+        // Dropping `work_tx` is the drain signal: workers finish what
+        // was read, then the writer flushes the reorder buffer.
+        let read = read_requests(input, work_tx, session);
         let written = writer.join().expect("writer thread");
-        let io_result = match read_error {
-            Some(e) => Err(e),
-            None => written,
-        };
-        (io_result, clean)
-    });
+        let (requests, clean_shutdown) = read?;
+        let (ok, errors) = written?;
+        Ok(ServeSummary {
+            requests,
+            ok,
+            errors,
+            clean_shutdown,
+        })
+    })
+}
 
-    let (ok, errors) = io_result?;
-    summary.ok = ok;
-    summary.errors = errors;
-    summary.clean_shutdown = clean;
-    Ok(summary)
+/// The reader half of [`serve_lines`]: parses each non-empty line once
+/// and queues it, until EOF, a shutdown line, or a stop request.
+/// Returns the lines read and whether the session stopped in an orderly
+/// way (shutdown, drain, or stop request).
+fn read_requests<R: BufRead>(
+    input: R,
+    work: mpsc::SyncSender<Work>,
+    session: &ServeSession,
+) -> io::Result<(u64, bool)> {
+    let (mut seq, mut draining) = (0u64, false);
+    for line in input.lines() {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let doc = parse_line(&line);
+        let op = doc.as_ref().ok().and_then(|d| d.get("op")?.as_str());
+        let (shutdown, drain) = (op == Some("shutdown"), op == Some("drain"));
+        session.requests_read.fetch_add(1, Ordering::AcqRel);
+        if work.send(Work { seq, draining, doc }).is_err() {
+            break;
+        }
+        seq += 1;
+        draining |= drain;
+        if shutdown || session.stop_requested() {
+            return Ok((seq, true));
+        }
+    }
+    Ok((seq, draining))
 }
 
 /// The response line (no trailing newline) for one request line.
 ///
-/// Plan requests go through [`crate::protocol::parse_request`]; a
-/// top-level `{"op": "stats"}` line instead answers with the service's
-/// live statistics (see [`stats_line`]).
+/// Plan requests take the same document-to-graph step as
+/// [`crate::protocol::parse_request`]; a top-level `{"op": "stats"}`
+/// line instead answers with the service's live statistics (see
+/// [`stats_line`]).
 pub fn respond(service: &PlanService, line: &str) -> String {
-    if let Ok(doc) = Json::parse(line) {
-        if let Some(op) = doc.get("op").and_then(Json::as_str) {
-            let id = doc.get("id").and_then(Json::as_str).map(str::to_string);
-            return match op {
-                "stats" => stats_line(service, id.as_deref()),
-                // Acknowledged here so a direct `respond` caller gets
-                // the same line the serve loop writes; the loop itself
-                // intercepts these to actually stop/drain.
-                "shutdown" => control_ack(line, Control::Shutdown),
-                "drain" => control_ack(line, Control::Drain),
-                other => error_line(id.as_deref(), &format!("unknown op {other:?}")),
-            };
-        }
+    answer(service, parse_line(line).as_ref(), false).1
+}
+
+/// The response to one parsed request line, and whether it is an ok.
+/// Shutdown and drain lines are acknowledged here (the loop itself
+/// stops or drains on them); once `draining`, every other line is
+/// refused. The id is rendered once and echoed on every response kind.
+fn answer(
+    service: &PlanService,
+    doc: Result<&Json, &ServeError>,
+    draining: bool,
+) -> (bool, String) {
+    let doc = match doc {
+        Ok(doc) => doc,
+        Err(_) if draining => return error_line(None, ServeError::Draining),
+        Err(err) => return error_line(None, err),
+    };
+    let id = request_id(doc);
+    let id = id.as_deref();
+    match doc.get("op").and_then(Json::as_str) {
+        Some(op @ ("shutdown" | "drain")) => (
+            true,
+            format!(
+                "{{\"id\": {}, \"status\": \"ok\", \"op\": \"{op}\"}}",
+                id_json(id)
+            ),
+        ),
+        _ if draining => error_line(id, ServeError::Draining),
+        Some("stats") => (true, stats_line(service, id)),
+        Some(other) => error_line(id, format!("unknown op {other:?}")),
+        None => match id {
+            Some(id) => plan_line(service, doc, id),
+            None => error_line(None, missing_id()),
+        },
     }
-    let cluster = service.cluster();
-    match parse_request(line, &cluster) {
-        Ok(req) => match service.plan(&req.graph) {
-            Ok(planned) => format!(
-                "{{\"id\": \"{}\", \"status\": \"ok\", \"fingerprint\": \"{}\", \
+}
+
+/// Plans the graph a request document asks for.
+fn plan_line(service: &PlanService, doc: &Json, id: &str) -> (bool, String) {
+    let graph = match request_graph(doc, &service.cluster()) {
+        Ok(graph) => graph,
+        Err(err) => return error_line(Some(id), err),
+    };
+    match service.plan(&graph) {
+        Ok(planned) => (
+            true,
+            format!(
+                "{{\"id\": {}, \"status\": \"ok\", \"fingerprint\": \"{}\", \
                  \"source\": \"{}\", \"cost\": {}, \"opt_seconds\": {}, \
                  \"exactness\": \"{}\", \"vertices\": {}, \"latency_us\": {}}}",
-                json_escape(&req.id),
+                id_json(Some(id)),
                 planned.fingerprint.hex(),
                 planned.source.as_str(),
                 planned.plan.cost,
                 planned.plan.opt_seconds,
                 planned.plan.exactness(),
-                req.graph.len(),
+                graph.len(),
                 planned.latency.as_micros(),
             ),
-            Err(err) => error_line(Some(&req.id), &err.to_string()),
-        },
-        Err(err) => {
-            // Best-effort id echo so the client can correlate the
-            // failure even though the request didn't parse as a whole.
-            let id = Json::parse(line)
-                .ok()
-                .and_then(|d| d.get("id").and_then(Json::as_str).map(str::to_string));
-            error_line(id.as_deref(), &err.to_string())
-        }
+        ),
+        Err(err) => error_line(Some(id), err),
     }
 }
 
@@ -440,18 +328,15 @@ pub fn stats_line(service: &PlanService, id: Option<&str>) -> String {
         }
         None => ("null".into(), "null".into(), "null".into(), 0),
     };
-    let id = match id {
-        Some(id) => format!("\"{}\"", json_escape(id)),
-        None => "null".to_string(),
-    };
     format!(
-        "{{\"id\": {id}, \"status\": \"ok\", \"op\": \"stats\", \
+        "{{\"id\": {}, \"status\": \"ok\", \"op\": \"stats\", \
          \"requests\": {}, \"hits\": {}, \"misses\": {}, \"coalesced\": {}, \
          \"admission_rejects\": {}, \"deadline_expired\": {}, \
          \"optimize_runs\": {}, \"optimize_seconds\": {}, \
          \"cache_entries\": {}, \"cache_bytes\": {}, \"cache_epoch\": {}, \
          \"cache_evictions\": {}, \"drift_events\": {drift_events}, \
          \"p50_us\": {p50}, \"p95_us\": {p95}, \"p99_us\": {p99}}}",
+        id_json(id),
         stats.requests,
         stats.hits,
         stats.misses,
@@ -467,18 +352,23 @@ pub fn stats_line(service: &PlanService, id: Option<&str>) -> String {
     )
 }
 
-fn error_line(id: Option<&str>, message: &str) -> String {
-    match id {
-        Some(id) => format!(
-            "{{\"id\": \"{}\", \"status\": \"error\", \"error\": \"{}\"}}",
-            json_escape(id),
-            json_escape(message)
+/// The JSON rendering of an echoed request id.
+fn id_json(id: Option<&str>) -> String {
+    id.map_or_else(
+        || "null".to_string(),
+        |id| format!("\"{}\"", json_escape(id)),
+    )
+}
+
+fn error_line(id: Option<&str>, message: impl std::fmt::Display) -> (bool, String) {
+    (
+        false,
+        format!(
+            "{{\"id\": {}, \"status\": \"error\", \"error\": \"{}\"}}",
+            id_json(id),
+            json_escape(&message.to_string())
         ),
-        None => format!(
-            "{{\"id\": null, \"status\": \"error\", \"error\": \"{}\"}}",
-            json_escape(message)
-        ),
-    }
+    )
 }
 
 #[cfg(test)]
@@ -496,6 +386,20 @@ mod tests {
             CostModel::analytical(),
             ServeConfig::default(),
         )
+    }
+
+    /// Runs `input` through [`serve_lines`] on `threads` workers.
+    fn serve(service: &PlanService, input: &str, threads: usize) -> (ServeSummary, Vec<u8>) {
+        let mut out = Vec::new();
+        let summary = serve_lines(
+            service,
+            input.as_bytes(),
+            &mut out,
+            threads,
+            &ServeSession::new(),
+        )
+        .expect("io");
+        (summary, out)
     }
 
     fn metered_service() -> PlanService {
@@ -526,8 +430,7 @@ mod tests {
             r#"{"id": "c", "workload": "nope"}"#,
             "\n",
         );
-        let mut out = Vec::new();
-        let summary = serve_lines(&service, input.as_bytes(), &mut out).expect("io");
+        let (summary, out) = serve(&service, input, 1);
         assert_eq!(
             summary,
             ServeSummary {
@@ -569,8 +472,7 @@ mod tests {
             r#"{"id": "s", "op": "stats"}"#,
             "\n",
         );
-        let mut out = Vec::new();
-        let summary = serve_lines(&service, input.as_bytes(), &mut out).expect("io");
+        let (summary, out) = serve(&service, input, 1);
         assert_eq!(summary.ok, 3);
         let text = std::str::from_utf8(&out).expect("utf8");
         let stats = Json::parse(text.lines().nth(2).expect("stats line")).expect("valid JSON");
@@ -611,8 +513,7 @@ mod tests {
             r#"{"id": "never", "workload": "motivating"}"#,
             "\n",
         );
-        let mut out = Vec::new();
-        let summary = serve_lines(&service, input.as_bytes(), &mut out).expect("io");
+        let (summary, out) = serve(&service, input, 1);
         assert!(summary.clean_shutdown, "shutdown must be clean");
         assert_eq!((summary.requests, summary.ok, summary.errors), (2, 2, 0));
         let lines: Vec<&str> = std::str::from_utf8(&out).expect("utf8").lines().collect();
@@ -631,8 +532,7 @@ mod tests {
             r#"{"id": "late", "workload": "motivating"}"#,
             "\n",
         );
-        let mut out = Vec::new();
-        let summary = serve_lines(&service, input.as_bytes(), &mut out).expect("io");
+        let (summary, out) = serve(&service, input, 1);
         assert!(summary.clean_shutdown);
         assert_eq!(summary.requests, 3, "post-drain lines still get responses");
         let lines: Vec<&str> = std::str::from_utf8(&out).expect("utf8").lines().collect();
@@ -659,8 +559,7 @@ mod tests {
                 "{{\"id\": \"r{i}\", \"workload\": \"{workload}\"}}\n"
             ));
         }
-        let mut out = Vec::new();
-        let summary = serve_lines_concurrent(&service, input.as_bytes(), &mut out, 4).expect("io");
+        let (summary, out) = serve(&service, &input, 4);
         assert_eq!(summary.requests, 40);
         assert_eq!(summary.ok, 40, "EOF must drain every queued request");
         assert!(!summary.clean_shutdown, "plain EOF is not a clean shutdown");
@@ -689,8 +588,7 @@ mod tests {
                 "{{\"id\": \"post{i}\", \"workload\": \"motivating\"}}\n"
             ));
         }
-        let mut out = Vec::new();
-        let summary = serve_lines_concurrent(&service, input.as_bytes(), &mut out, 4).expect("io");
+        let (summary, out) = serve(&service, &input, 4);
         assert!(summary.clean_shutdown);
         assert_eq!(summary.requests, 17);
         assert_eq!(summary.ok, 9, "8 pre-drain requests + the drain ack");
@@ -716,8 +614,7 @@ mod tests {
         }
         input.push_str("{\"id\": \"s\", \"op\": \"shutdown\"}\n");
         input.push_str("{\"id\": \"never\", \"workload\": \"motivating\"}\n");
-        let mut out = Vec::new();
-        let summary = serve_lines_concurrent(&service, input.as_bytes(), &mut out, 3).expect("io");
+        let (summary, out) = serve(&service, &input, 3);
         assert!(summary.clean_shutdown);
         assert_eq!(summary.ok, 7, "6 answers + the shutdown ack");
         let lines: Vec<&str> = std::str::from_utf8(&out).expect("utf8").lines().collect();
@@ -732,5 +629,146 @@ mod tests {
         assert!(line.contains("\"status\": \"error\""), "{line}");
         assert!(line.contains("unknown op"), "{line}");
         assert!(line.contains("\"id\": \"x\""), "{line}");
+    }
+
+    #[test]
+    fn numeric_ids_are_echoed_on_every_response_kind() {
+        let service = service();
+        for (line, status) in [
+            (r#"{"id": 7, "workload": "motivating"}"#, "ok"),
+            (r#"{"id": 7, "workload": "nope"}"#, "error"),
+            (r#"{"id": 7, "op": "stats"}"#, "ok"),
+            (r#"{"id": 7, "op": "bogus"}"#, "error"),
+            (r#"{"id": 7, "op": "drain"}"#, "ok"),
+            (r#"{"id": 7, "op": "shutdown"}"#, "ok"),
+        ] {
+            let response = respond(&service, line);
+            let doc = Json::parse(&response).expect("valid JSON");
+            assert_eq!(doc.get("id").and_then(Json::as_str), Some("7"), "{line}");
+            assert_eq!(doc.get("status").and_then(Json::as_str), Some(status));
+        }
+        // A line refused after a drain.
+        let (_, out) = serve(
+            &service,
+            "{\"op\": \"drain\"}\n{\"id\": 7, \"workload\": \"motivating\"}\n",
+            1,
+        );
+        let refused = std::str::from_utf8(&out)
+            .expect("utf8")
+            .lines()
+            .nth(1)
+            .expect("refusal");
+        assert_eq!(
+            refused,
+            r#"{"id": "7", "status": "error", "error": "draining: not admitting new work"}"#
+        );
+    }
+
+    /// Replaces the values of the timing fields, which differ from run
+    /// to run, with `#`.
+    fn mask_timings(line: &str) -> String {
+        let mut out = line.to_string();
+        for key in ["\"latency_us\": ", "\"opt_seconds\": "] {
+            if let Some(at) = out.find(key) {
+                let start = at + key.len();
+                let len = out[start..]
+                    .find(|c: char| !(c.is_ascii_digit() || ".eE+-".contains(c)))
+                    .unwrap_or(out.len() - start);
+                out.replace_range(start..start + len, "#");
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_loop_does_not_depend_on_the_thread_count() {
+        let service = service();
+        let plans = [
+            r#"{"id": "h1", "workload": "motivating"}"#,
+            r#"{"id": 2, "workload": "ffnn-small:16"}"#,
+            r#"{"id": "g", "graph": {"sources": [{"name": "W", "rows": 8, "cols": 8}], "ops": [{"op": "mm", "in": [0, 0]}, {"op": "relu", "in": [1]}]}}"#,
+        ];
+        for line in plans {
+            assert!(
+                respond(&service, line).contains("\"status\": \"ok\""),
+                "{line}"
+            );
+        }
+        let before_drain = [
+            plans[0],
+            plans[1],
+            plans[2],
+            "garbage",
+            r#"{"id": "u", "op": "flush"}"#,
+            r#"{"id": 5, "workload": "nope"}"#,
+            r#"{"id": "h2", "workload": "motivating"}"#,
+            r#"{"id": 3.5, "workload": "motivating"}"#,
+            r#"{"id": "d", "op": "drain"}"#,
+        ];
+        let after_drain = [
+            (r#"{"id": "late", "workload": "motivating"}"#, r#""late""#),
+            ("not json either", "null"),
+            (r#"{"id": 9, "op": "stats"}"#, r#""9""#),
+        ];
+        let mut expected: Vec<String> = before_drain
+            .iter()
+            .map(|line| mask_timings(&respond(&service, line)))
+            .collect();
+        expected.extend(after_drain.iter().map(|(_, id)| {
+            format!(
+                "{{\"id\": {id}, \"status\": \"error\", \"error\": \"draining: not admitting new work\"}}"
+            )
+        }));
+        let script: String = before_drain
+            .iter()
+            .copied()
+            .chain(after_drain.iter().map(|(line, _)| *line))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        for threads in [1, 2, 4] {
+            let (summary, out) = serve(&service, &script, threads);
+            let lines: Vec<String> = std::str::from_utf8(&out)
+                .expect("utf8")
+                .lines()
+                .map(mask_timings)
+                .collect();
+            assert_eq!(lines, expected, "threads = {threads}");
+            assert_eq!(
+                summary,
+                ServeSummary {
+                    requests: 12,
+                    ok: 6,
+                    errors: 6,
+                    clean_shutdown: true
+                },
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stop_request_answers_what_was_read_and_stops_reading() {
+        let service = service();
+        let input = concat!(
+            r#"{"id": "a", "workload": "motivating"}"#,
+            "\n",
+            r#"{"id": "b", "workload": "motivating"}"#,
+            "\n",
+        );
+        for threads in [1, 3] {
+            let session = ServeSession::new();
+            session.request_stop();
+            let mut out = Vec::new();
+            let summary =
+                serve_lines(&service, input.as_bytes(), &mut out, threads, &session).expect("io");
+            assert_eq!(
+                (summary.requests, summary.ok),
+                (1, 1),
+                "threads = {threads}"
+            );
+            assert!(summary.clean_shutdown);
+            assert_eq!(session.in_flight(), 0);
+            assert_eq!(std::str::from_utf8(&out).expect("utf8").lines().count(), 1);
+        }
     }
 }

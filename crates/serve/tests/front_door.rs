@@ -3,7 +3,7 @@
 
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind};
 use matopt_cost::CostModel;
-use matopt_engine::{DistRelation, FaultInjector, FtConfig};
+use matopt_engine::{execute_plan_serial, DistRelation, FaultInjector, FtConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_serve::{
     BreakerConfig, BreakerState, ExecRequest, FrontDoor, FrontDoorConfig, PlanService, ServeConfig,
@@ -55,9 +55,10 @@ fn batched_executions_share_one_run_and_stay_bit_exact() {
     // fast the batched workload itself executes.
     let (heavy, heavy_inputs) = workload("ffnn-small:256", 0x41AD);
 
-    // Unbatched reference: plan + execute directly on the service.
+    // Unbatched reference: the served plan on the serial walk.
     let planned = svc.plan(&graph).expect("plan");
-    let reference = svc.execute(&graph, &planned, &inputs).expect("reference");
+    let reference = execute_plan_serial(&graph, &planned.plan.annotation, &inputs, svc.registry())
+        .expect("reference");
 
     let barrier = Barrier::new(CLIENTS);
     let responses: Vec<_> = std::thread::scope(|scope| {
@@ -534,7 +535,8 @@ fn recovery_storm_trips_the_breaker_once_and_every_answer_stays_bit_exact() {
         .filter(|(_, n)| !matches!(n.kind, NodeKind::Source { .. }))
         .count();
     let planned = svc.plan(&graph).expect("plan");
-    let reference = svc.execute(&graph, &planned, &inputs).expect("reference");
+    let reference = execute_plan_serial(&graph, &planned.plan.annotation, &inputs, svc.registry())
+        .expect("reference");
     let request = || ExecRequest {
         tenant: "storm",
         graph: &graph,
