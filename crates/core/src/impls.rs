@@ -150,7 +150,24 @@ impl OpImplDef {
         let out_type = op
             .output_type(&inputs.iter().map(|(m, _)| *m).collect::<Vec<_>>())
             .ok()?;
-        let eval = analyze(self.strategy, op, inputs, &out_type, cluster)?;
+        self.evaluate_typed(op, inputs, &out_type, cluster)
+    }
+
+    /// [`OpImplDef::evaluate`] for a caller that already knows the
+    /// output type, `op.output_type` of the input types: an optimizer
+    /// trying every format combination of one vertex computes it once
+    /// instead of once per combination and implementation.
+    pub fn evaluate_typed(
+        &self,
+        op: &Op,
+        inputs: &[(MatrixType, PhysFormat)],
+        out_type: &MatrixType,
+        cluster: &Cluster,
+    ) -> Option<ImplEval> {
+        if op.kind() != self.op || inputs.len() != self.op.arity() {
+            return None;
+        }
+        let eval = analyze(self.strategy, op, inputs, out_type, cluster)?;
         if eval.mem_per_worker > cluster.worker_ram_bytes {
             return None;
         }
@@ -215,16 +232,18 @@ fn analyze(
     // so dense strategies are charged the full dense FLOP count even
     // when the data happens to be sparse. This is what makes choosing a
     // sparse layout pay off in the optimizer (§7, Figure 12).
-    let sparse_flops = op.flops(&inputs.iter().map(|(m, _)| *m).collect::<Vec<_>>());
-    let dense_types: Vec<MatrixType> = inputs
-        .iter()
-        .map(|(m, _)| MatrixType::dense(m.rows, m.cols))
-        .collect();
-    let flops_total = if inputs.iter().any(|(_, f)| f.is_sparse()) {
-        sparse_flops
-    } else {
-        op.flops(&dense_types)
-    };
+    // The callers checked `inputs.len() == op.arity()`, which is at
+    // most two, so the FLOP count's input types fit on the stack.
+    let sparse = inputs.iter().any(|(_, f)| f.is_sparse());
+    let mut types = [am; 2];
+    for (t, (m, _)) in types.iter_mut().zip(inputs) {
+        *t = if sparse {
+            *m
+        } else {
+            MatrixType::dense(m.rows, m.cols)
+        };
+    }
+    let flops_total = op.flops(&types[..inputs.len()]);
     let out_dense_bytes = out_type.dense_bytes();
 
     match strategy {

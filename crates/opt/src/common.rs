@@ -20,6 +20,14 @@ pub enum OptError {
     /// The optimizer exceeded its time budget (used to reproduce the
     /// "Fail" rows of Figure 13 for the brute-force algorithm).
     Timeout,
+    /// The graph needs more of something than the frontier DP's compact
+    /// indices can address: more than `limit` `what`.
+    TooLarge {
+        /// What ran out (e.g. "distinct physical formats").
+        what: &'static str,
+        /// How many of them the DP can index.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for OptError {
@@ -28,6 +36,9 @@ impl std::fmt::Display for OptError {
             OptError::NotTreeShaped => write!(f, "graph is not tree-shaped"),
             OptError::NoFeasiblePlan(v) => write!(f, "no feasible plan for vertex {v}"),
             OptError::Timeout => write!(f, "optimization time budget exceeded"),
+            OptError::TooLarge { what, limit } => {
+                write!(f, "graph exceeds the frontier DP's limit of {limit} {what}")
+            }
         }
     }
 }
@@ -127,24 +138,28 @@ pub fn vertex_options(
     }
 
     let mut options = Vec::new();
-    let mut combo = vec![0usize; domains.len()];
     if domains.iter().any(|d| d.is_empty()) {
         return options;
     }
+    // The output type depends on the input types only.
+    let Ok(out_type) = op.output_type(&in_types) else {
+        return options;
+    };
+    // The current combination, advanced in place; an option copies its
+    // formats out only when some implementation accepts them.
+    let mut combo = vec![0usize; domains.len()];
+    let mut inputs: Vec<(MatrixType, PhysFormat)> = in_types
+        .iter()
+        .zip(&domains)
+        .map(|(mt, d)| (*mt, d[0]))
+        .collect();
     'outer: loop {
-        let pin: Vec<PhysFormat> = combo
-            .iter()
-            .zip(domains.iter())
-            .map(|(i, d)| d[*i])
-            .collect();
-        let inputs: Vec<(MatrixType, PhysFormat)> =
-            in_types.iter().copied().zip(pin.iter().copied()).collect();
         for impl_def in ctx.registry.impls_for(op.kind()) {
-            if let Some(eval) = impl_def.evaluate(op, &inputs, &ctx.cluster) {
+            if let Some(eval) = impl_def.evaluate_typed(op, &inputs, &out_type, &ctx.cluster) {
                 let impl_cost = model.impl_time(op.kind(), &eval.features, &ctx.cluster);
                 options.push(VertexOption {
                     impl_id: impl_def.id,
-                    pin: pin.clone(),
+                    pin: inputs.iter().map(|(_, f)| *f).collect(),
                     out_format: eval.out_format,
                     impl_cost,
                 });
@@ -154,9 +169,11 @@ pub fn vertex_options(
         for d in 0..domains.len() {
             combo[d] += 1;
             if combo[d] < domains[d].len() {
+                inputs[d].1 = domains[d][combo[d]];
                 continue 'outer;
             }
             combo[d] = 0;
+            inputs[d].1 = domains[d][0];
         }
         break;
     }
