@@ -307,4 +307,30 @@ mod tests {
         let b = brute_force(&g, &octx, None).unwrap();
         assert!((f.cost - b.cost).abs() < 1e-9 * f.cost.max(1.0));
     }
+
+    #[test]
+    fn frontier_dp_refuses_more_formats_than_it_can_index() {
+        // Format ids are 16 bits wide: 70,000 sources in distinct tile
+        // formats are past the limit, and the DP says so instead of
+        // panicking.
+        let (reg, cat, model) = ctx_bits();
+        let plan_ctx = PlanContext::new(&reg, Cluster::simsql_like(5));
+        let octx = OptContext::new(&plan_ctx, &cat, &model);
+        let mut g = ComputeGraph::new();
+        for side in 1..=70_000 {
+            g.add_source(MatrixType::dense(100, 100), PhysFormat::Tile { side });
+        }
+        let err = frontier_dp_beam(&g, &octx, 4000).unwrap_err();
+        assert_eq!(
+            err,
+            OptError::TooLarge {
+                what: "distinct physical formats",
+                limit: 65_536,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "graph exceeds the frontier DP's limit of 65536 distinct physical formats"
+        );
+    }
 }
