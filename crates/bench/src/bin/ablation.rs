@@ -186,13 +186,23 @@ fn beam_ablation(env: &Env) -> FigTable {
     let mut rows = Vec::new();
     for (name, g) in &families {
         for beam in [250usize, 1000, 4000, 16_000, 64_000] {
-            let t0 = Instant::now();
-            let plan = frontier_dp_beam(g, &octx, beam).expect("plans");
+            // One run's time is noise (up to 50 % run to run on a shared
+            // 2-vCPU box); the median of five is the column. The plan is
+            // deterministic, so any run's cost and drop count will do.
+            let mut secs = Vec::with_capacity(5);
+            let mut plan = None;
+            for _ in 0..5 {
+                let t0 = Instant::now();
+                plan = Some(frontier_dp_beam(g, &octx, beam).expect("plans"));
+                secs.push(t0.elapsed().as_secs_f64());
+            }
+            secs.sort_by(f64::total_cmp);
+            let plan = plan.expect("five runs");
             rows.push(vec![
                 name.to_string(),
                 beam.to_string(),
                 format!("{:.3}s", plan.cost),
-                format!("{:.3}s", t0.elapsed().as_secs_f64()),
+                format!("{:.3}s", secs[2]),
                 plan.beam_truncated.to_string(),
             ]);
         }
@@ -204,7 +214,7 @@ fn beam_ablation(env: &Env) -> FigTable {
             "graph".into(),
             "beam".into(),
             "plan cost".into(),
-            "planning time".into(),
+            "planning time (median of 5)".into(),
             "joint states dropped".into(),
         ],
         rows,

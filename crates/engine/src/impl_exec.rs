@@ -1,14 +1,16 @@
 //! Chunk-level execution of every atomic computation implementation
 //! strategy. This is the runtime half of the set `I`: each
-//! [`Strategy`] is executed honestly at the granularity its relational
-//! plan implies (per-tile joins, strip broadcasts, group-by
-//! aggregations), so that the test-suite can verify that *every*
-//! type-correct annotation of a graph computes identical numbers.
+//! [`Strategy`] runs as its [`RelPlan`] (per-tile joins, strip
+//! broadcasts, group-by aggregations) over real chunks, so that the
+//! test-suite can verify that *every* type-correct annotation of a
+//! graph computes identical numbers.
 
+use crate::relplan::{project_key, RelOp, RelPlan};
 use crate::value::{Block, Chunk, DistRelation};
-use matopt_core::{MatrixType, NodeId, Op, OpKind, PhysFormat, Strategy};
+use matopt_core::{MatrixType, NodeId, Op, PhysFormat, Strategy};
 use matopt_kernels::{CooMatrix, DenseMatrix, PackedOperand};
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Errors during real execution.
@@ -211,7 +213,11 @@ where
 }
 
 /// Executes one implementation strategy over concrete distributed
-/// relations, producing the output relation in `out_format`.
+/// relations: runs the strategy's relational plan (`relplan.rs`) and
+/// emits its chunks in `out_format`, which must be the format the type
+/// specification (`OpImplDef::evaluate`) gives for these inputs, as an
+/// annotation's output format is. There is no second copy of the
+/// output-format rules here and no repackaging afterwards.
 ///
 /// Inputs are `Arc`-shared: identity edges are reference bumps, chunk
 /// batches borrow their inputs through the `Arc` from pool jobs, and a
@@ -227,565 +233,337 @@ pub fn execute_impl(
     out_type: MatrixType,
     out_format: PhysFormat,
 ) -> Result<DistRelation, ExecError> {
-    let natural = run_strategy(strategy, op, inputs, out_type)?;
-    let mut out = if natural.format == out_format {
-        natural
-    } else {
-        natural
-            .reformat(out_format)
-            .map_err(|e| internal(format!("repackaging output: {e}")))?
+    if inputs.len() != op.arity() {
+        return Err(internal(format!(
+            "{op:?} takes {} inputs, got {}",
+            op.arity(),
+            inputs.len()
+        )));
+    }
+    let formats: Vec<PhysFormat> = inputs.iter().map(|r| r.format).collect();
+    let plan = RelPlan::new(strategy, *op, &formats, out_format);
+    let mut out = DistRelation {
+        mtype: out_type,
+        format: out_format,
+        chunks: Vec::new(),
     };
-    out.mtype = out_type;
+    out.chunks = run(&plan, inputs, &out)?;
     Ok(out)
 }
 
-fn run_strategy(
-    strategy: Strategy,
-    op: &Op,
+/// Runs `plan` over `inputs`; `out` is the empty output relation, whose
+/// chunk grid a contraction join keys its output by.
+fn run(
+    plan: &RelPlan,
     inputs: &[Arc<DistRelation>],
-    out_type: MatrixType,
-) -> Result<DistRelation, ExecError> {
-    use Strategy as S;
-    match strategy {
-        S::MmSingleLocal => {
-            let a = single_dense(&inputs[0])?;
-            let b = single_dense(&inputs[1])?;
-            single_result(out_type, a.matmul(&b))
-        }
-        S::MmCsrSingleSingle => {
-            let a = inputs[0]
-                .chunks
-                .first()
-                .ok_or_else(|| internal("empty csr single"))?
-                .block
-                .as_csr()
-                .clone();
-            let b = single_dense(&inputs[1])?;
-            single_result(out_type, a.matmul_dense(&b))
-        }
-        S::MmBcastSingleColstrip => {
-            let a = single_packed(&inputs[0], PackedOperand::lhs)?;
-            let b = Arc::clone(&inputs[1]);
-            let chunks = par_map(b.chunks.len(), move |i| {
-                let c = &b.chunks[i];
-                Chunk {
-                    row: 0,
-                    col: c.col,
-                    block: Block::Dense(a.matmul(&PackedOperand::rhs(c.block.as_dense()))),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[1].format,
-                chunks,
-            })
-        }
-        S::MmRowstripBcastSingle => {
-            let b = single_packed(&inputs[1], PackedOperand::rhs)?;
-            let a = Arc::clone(&inputs[0]);
+    out: &DistRelation,
+) -> Result<Vec<Chunk>, ExecError> {
+    let (op, a) = (plan.op, Arc::clone(&inputs[0]));
+    match plan.step {
+        RelOp::Map => {
+            let swap = plan.swaps_keys();
             let chunks = par_map(a.chunks.len(), move |i| {
                 let c = &a.chunks[i];
-                Chunk {
-                    row: c.row,
-                    col: 0,
-                    block: Block::Dense(PackedOperand::lhs(c.block.as_dense()).matmul(&b)),
-                }
+                let (row, col) = if swap { (c.col, c.row) } else { (c.row, c.col) };
+                let block = kernel(op, &c.block)?;
+                Ok(Chunk { row, col, block })
             })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[0].format,
-                chunks,
+            chunks.into_iter().collect()
+        }
+        RelOp::CoPartition => co_partition(op, a, Arc::clone(&inputs[1])),
+        RelOp::Broadcast { side } => {
+            broadcast(op, &inputs[side], Arc::clone(&inputs[1 - side]), side)
+        }
+        RelOp::Cross => cross(&a, &inputs[1]),
+        RelOp::JoinSum { .. } => join_sum(a, Arc::clone(&inputs[1]), out),
+        RelOp::GroupSum => group_sum(op, a, out.format),
+        RelOp::RowBands => row_bands(op, a),
+        RelOp::PivotRounds => pivot_rounds(&a),
+    }
+}
+
+/// Co-partitioned join: each chunk of `a` with `b`'s chunk at the same
+/// key, in `a`'s chunk order. A COO `a` is a bag of triples: they are
+/// shuffled onto `b`'s chunk grid and added into a copy of every chunk
+/// of `b`, in `b`'s order.
+fn co_partition(
+    op: Op,
+    a: Arc<DistRelation>,
+    b: Arc<DistRelation>,
+) -> Result<Vec<Chunk>, ExecError> {
+    let b_at = key_index(&b);
+    if let Some(coo) = coo_block(&a) {
+        if op != Op::Add {
+            return Err(internal(format!("no {op:?} kernel for COO triples")));
+        }
+        let buckets = bucket_triples(coo, b.chunk_strides());
+        if buckets.keys().any(|k| !b_at.contains_key(k)) {
+            return Err(internal("dense side missing a grid chunk"));
+        }
+        return par_map(b.chunks.len(), move |i| {
+            let c = &b.chunks[i];
+            let mut d = c.block.as_dense().clone();
+            for &(r, cc, v) in buckets.get(&(c.row, c.col)).into_iter().flatten() {
+                d.set(r, cc, d.get(r, cc) + v);
+            }
+            dense_chunk(c.row, c.col, d)
+        });
+    }
+    let chunks = par_map(a.chunks.len(), move |i| {
+        let ac = &a.chunks[i];
+        let bc = b_at
+            .get(&(ac.row, ac.col))
+            .map(|&x| &b.chunks[x])
+            .ok_or_else(|| internal("co-partitioned join: no chunk at the same key"))?;
+        let block = match (op, &ac.block, &bc.block) {
+            (Op::MatMul, x, y) => Block::Dense(product(x, y)?),
+            (Op::Hadamard, Block::Csr(x), Block::Dense(y)) => Block::Csr(x.hadamard_dense(y)),
+            (_, Block::Dense(x), Block::Dense(y)) => Block::Dense(x.zip_with(y, binary_fn(op)?)),
+            _ => return Err(internal(format!("no {op:?} kernel for these blocks"))),
+        };
+        Ok(Chunk {
+            row: ac.row,
+            col: ac.col,
+            block,
+        })
+    })?;
+    chunks.into_iter().collect()
+}
+
+/// Broadcast join: the one-tuple `one` meets every chunk of `many`, in
+/// `many`'s chunk order. A product packs the broadcast matrix once per
+/// vertex; a bias add slices the row vector under each chunk's columns.
+fn broadcast(
+    op: Op,
+    one: &DistRelation,
+    many: Arc<DistRelation>,
+    side: usize,
+) -> Result<Vec<Chunk>, ExecError> {
+    let one = single_block(one)?;
+    let dense_one = || match one {
+        Block::Dense(d) => std::borrow::Cow::Borrowed(d),
+        sparse => std::borrow::Cow::Owned(sparse.to_dense()),
+    };
+    match op {
+        Op::MatMul => {
+            let pack = if side == 0 {
+                PackedOperand::lhs
+            } else {
+                PackedOperand::rhs
+            };
+            let packed = pack(&dense_one());
+            par_map(many.chunks.len(), move |i| {
+                let c = &many.chunks[i];
+                let d = c.block.as_dense();
+                let block = if side == 0 {
+                    packed.matmul(&PackedOperand::rhs(d))
+                } else {
+                    PackedOperand::lhs(d).matmul(&packed)
+                };
+                dense_chunk(c.row, c.col, block)
             })
         }
-        S::MmRowstripColstripCross => {
-            let side = match inputs[0].format {
-                PhysFormat::RowStrip { height } => height,
-                _ => return Err(internal("cross join expects row strips")),
-            };
-            // Every strip meets every strip of the other side: pack
-            // each once, then multiply the pairs.
-            let (a, b) = (&inputs[0], &inputs[1]);
-            let (ap, bp) = (
-                pack_all(a, PackedOperand::lhs)?,
-                pack_all(b, PackedOperand::rhs)?,
+        Op::BroadcastAddRow => {
+            let bias = dense_one().into_owned();
+            let (_, cw) = many.chunk_strides();
+            par_map(many.chunks.len(), move |i| {
+                let c = &many.chunks[i];
+                let d = c.block.as_dense();
+                let seg = bias.block(0, c.col as usize * cw, 1, d.cols());
+                dense_chunk(c.row, c.col, d.add_row_broadcast(&seg))
+            })
+        }
+        other => Err(internal(format!("no broadcast kernel for {other:?}"))),
+    }
+}
+
+/// Cross join: every strip of `a` times every strip of `b`, each packed
+/// once, output chunk `(a.row, b.col)` in `a`-major order.
+fn cross(a: &Arc<DistRelation>, b: &Arc<DistRelation>) -> Result<Vec<Chunk>, ExecError> {
+    let (ap, bp) = (
+        pack_all(a, PackedOperand::lhs)?,
+        pack_all(b, PackedOperand::rhs)?,
+    );
+    let keys: Vec<(u64, u64)> = a
+        .chunks
+        .iter()
+        .flat_map(|ac| b.chunks.iter().map(move |bc| (ac.row, bc.col)))
+        .collect();
+    let nb = b.chunks.len();
+    par_map(keys.len(), move |p| {
+        let (row, col) = keys[p];
+        dense_chunk(row, col, ap[p / nb].matmul(&bp[p % nb]))
+    })
+}
+
+/// Join on the contraction index plus a group-by `SUM`: chunk `(i, j)`
+/// of `out`'s grid, row-major, is `Σ_k a(i, k) × b(k, j)`, the first
+/// product plus each later one in ascending `k`. Dense tiles are packed
+/// once per vertex and CSR tiles multiply as they are. COO triples are
+/// shuffled to their (row block, contraction block); each adds its
+/// scaled row of `b`'s chunk into a zeroed output chunk.
+fn join_sum(
+    a: Arc<DistRelation>,
+    b: Arc<DistRelation>,
+    out: &DistRelation,
+) -> Result<Vec<Chunk>, ExecError> {
+    let (rs, cs) = out.chunk_strides();
+    let ks = b.chunk_strides().0;
+    let (rows, cols) = (out.mtype.rows as usize, out.mtype.cols as usize);
+    let cells: Vec<(u64, u64)> = (0..rows.div_ceil(rs) as u64)
+        .flat_map(|i| (0..cols.div_ceil(cs) as u64).map(move |j| (i, j)))
+        .collect();
+    let kb = (a.mtype.cols as usize).div_ceil(ks) as u64;
+    let b_at = key_index(&b);
+    if let Some(coo) = coo_block(&a) {
+        let buckets = bucket_triples(coo, (rs, ks));
+        return par_map(cells.len(), move |x| {
+            let (i, j) = cells[x];
+            let (h, w) = (
+                rs.min(rows - i as usize * rs),
+                cs.min(cols - j as usize * cs),
             );
-            let keys: Vec<(u64, u64)> = a
-                .chunks
-                .iter()
-                .flat_map(|ac| b.chunks.iter().map(move |bc| (ac.row, bc.col)))
-                .collect();
-            let nb = b.chunks.len();
-            let chunks = par_map(keys.len(), move |p| {
-                let (row, col) = keys[p];
-                Chunk {
-                    row,
-                    col,
-                    block: Block::Dense(ap[p / nb].matmul(&bp[p % nb])),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: PhysFormat::Tile { side },
-                chunks,
-            })
-        }
-        S::MmTileShuffle | S::MmTileBcast | S::MmCsrTileTile => {
-            tile_matmul(&inputs[0], &inputs[1], out_type)
-        }
-        S::MmColstripRowstripOuter => {
-            // Co-partitioned join on the strip index; every pair is a
-            // full-size outer product that the SUM aggregates.
-            let mut acc = DenseMatrix::zeros(out_type.rows as usize, out_type.cols as usize);
-            for a in &inputs[0].chunks {
-                let b = inputs[1]
-                    .chunk_at(a.col, 0)
-                    .ok_or_else(|| internal("strip pair missing"))?;
-                acc.add_assign(&a.block.as_dense().matmul(b.block.as_dense()));
-            }
-            single_result(out_type, acc)
-        }
-        S::MmCooDenseShuffle => {
-            let coo = coo_of(&inputs[0])?;
-            let side = match inputs[1].format {
-                PhysFormat::Tile { side } => side as usize,
-                _ => return Err(internal("coo matmul expects dense tiles")),
-            };
-            // Bucket the triples by the contraction block they join.
-            let mut buckets: HashMap<u64, Vec<(usize, usize, f64)>> = HashMap::new();
-            for (r, c, v) in coo.entries() {
-                buckets
-                    .entry((*c / side) as u64)
-                    .or_default()
-                    .push((*r, *c, *v));
-            }
-            let out_rows = out_type.rows as usize;
-            let out_cols = out_type.cols as usize;
-            let mut out = DenseMatrix::zeros(out_rows, out_cols);
-            for b in &inputs[1].chunks {
-                let Some(triples) = buckets.get(&b.row) else {
+            let mut acc = DenseMatrix::zeros(h, w);
+            for k in 0..kb {
+                let (Some(triples), Some(&bx)) = (buckets.get(&(i, k)), b_at.get(&(k, j))) else {
                     continue;
                 };
-                let bb = b.block.as_dense();
-                let col_off = b.col as usize * side;
-                let k_off = b.row as usize * side;
-                for (r, c, v) in triples {
-                    let brow = bb.row(c - k_off);
-                    for (jj, bv) in brow.iter().enumerate() {
-                        let cur = out.get(*r, col_off + jj);
-                        out.set(*r, col_off + jj, cur + v * bv);
+                let bd = b.chunks[bx].block.as_dense();
+                for &(r, c, v) in triples {
+                    for (jj, bv) in bd.row(c).iter().enumerate() {
+                        acc.set(r, jj, acc.get(r, jj) + v * bv);
                     }
                 }
             }
-            let rel = DistRelation::from_dense(&out, PhysFormat::Tile { side: side as u64 })
-                .map_err(|e| internal(e.to_string()))?;
-            Ok(DistRelation {
-                mtype: out_type,
-                ..rel
-            })
-        }
-        S::EwCopart | S::EwSingleLocal => {
-            let f = binary_fn(op.kind())?;
-            let a = Arc::clone(&inputs[0]);
-            let b = Arc::clone(&inputs[1]);
-            let rhs: HashMap<(u64, u64), usize> = b
-                .chunks
-                .iter()
-                .enumerate()
-                .map(|(x, c)| ((c.row, c.col), x))
-                .collect();
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                let bc = &b.chunks[rhs[&(ac.row, ac.col)]];
-                Chunk {
-                    row: ac.row,
-                    col: ac.col,
-                    block: Block::Dense(ac.block.as_dense().zip_with(bc.block.as_dense(), f)),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[0].format,
-                chunks,
-            })
-        }
-        S::AddCooDenseCopart => {
-            let coo = coo_of(&inputs[0])?;
-            let (ch, cw) = inputs[1].chunk_strides();
-            let mut chunks: Vec<Chunk> = inputs[1].chunks.clone();
-            let index: HashMap<(u64, u64), usize> = chunks
-                .iter()
-                .enumerate()
-                .map(|(i, c)| ((c.row, c.col), i))
-                .collect();
-            for (r, c, v) in coo.entries() {
-                let key = ((*r / ch) as u64, (*c / cw) as u64);
-                let i = *index
-                    .get(&key)
-                    .ok_or_else(|| internal("dense side missing a grid chunk"))?;
-                let Block::Dense(d) = &mut chunks[i].block else {
-                    return Err(internal("dense side expected"));
-                };
-                let (lr, lc) = (r % ch, c % cw);
-                let cur = d.get(lr, lc);
-                d.set(lr, lc, cur + v);
+            dense_chunk(i, j, acc)
+        });
+    }
+    let a_at = key_index(&a);
+    // A dense tile meets a whole row (or column) of the other side's
+    // tiles: pack every tile once for the vertex, not once per product.
+    let packed = if a.chunks.iter().all(|c| matches!(c.block, Block::Dense(_))) {
+        Some((
+            pack_all(&a, PackedOperand::lhs)?,
+            pack_all(&b, PackedOperand::rhs)?,
+        ))
+    } else {
+        None
+    };
+    let chunks = par_map(cells.len(), move |x| {
+        let (i, j) = cells[x];
+        let mut pairs = (0..kb).filter_map(|k| Some((*a_at.get(&(i, k))?, *b_at.get(&(k, j))?)));
+        let acc = match &packed {
+            Some((ap, bp)) => sum_of_products(pairs.map(|(ax, bx)| (&ap[ax], &bp[bx]))),
+            None => pairs.try_fold(None, |acc: Option<DenseMatrix>, (ax, bx)| {
+                let p = product(&a.chunks[ax].block, &b.chunks[bx].block)?;
+                Ok::<_, ExecError>(Some(match acc {
+                    None => p,
+                    Some(mut s) => {
+                        s.add_assign(&p);
+                        s
+                    }
+                }))
+            })?,
+        };
+        let acc = acc.ok_or_else(|| internal("contraction join: no chunk pair"))?;
+        Ok(dense_chunk(i, j, acc))
+    })?;
+    chunks.into_iter().collect()
+}
+
+/// Group-by `SUM`: every chunk's partial (the kernel, in parallel),
+/// added per key of the output format in ascending input-key order; the
+/// groups come out in key order. A Frobenius norm takes its square root
+/// once, on the total.
+fn group_sum(op: Op, a: Arc<DistRelation>, out: PhysFormat) -> Result<Vec<Chunk>, ExecError> {
+    let r = Arc::clone(&a);
+    let partials = par_map(a.chunks.len(), move |i| kernel(op, &r.chunks[i].block))?;
+    let mut keyed: Vec<_> = a
+        .chunks
+        .iter()
+        .map(|c| (c.row, c.col))
+        .zip(partials)
+        .collect();
+    keyed.sort_by_key(|(at, _)| *at);
+    let mut groups: BTreeMap<(u64, u64), DenseMatrix> = BTreeMap::new();
+    for (at, partial) in keyed {
+        let p = into_dense(partial?)?;
+        match groups.entry(project_key(out, at)) {
+            Entry::Vacant(e) => {
+                e.insert(p);
             }
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[1].format,
-                chunks,
-            })
-        }
-        S::HadamardCsrDenseCopart => {
-            let a = Arc::clone(&inputs[0]);
-            let b = Arc::clone(&inputs[1]);
-            let rhs: HashMap<(u64, u64), usize> = b
-                .chunks
-                .iter()
-                .enumerate()
-                .map(|(x, c)| ((c.row, c.col), x))
-                .collect();
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                let bc = &b.chunks[rhs[&(ac.row, ac.col)]];
-                Chunk {
-                    row: ac.row,
-                    col: ac.col,
-                    block: Block::Csr(ac.block.as_csr().hadamard_dense(bc.block.as_dense())),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[0].format,
-                chunks,
-            })
-        }
-        S::BiasBcast => {
-            let bias = single_dense(&inputs[1])?;
-            let (_, cw) = inputs[0].chunk_strides();
-            let a = Arc::clone(&inputs[0]);
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                let d = ac.block.as_dense();
-                let seg = bias.block(0, ac.col as usize * cw, 1, d.cols());
-                Chunk {
-                    row: ac.row,
-                    col: ac.col,
-                    block: Block::Dense(d.add_row_broadcast(&seg)),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[0].format,
-                chunks,
-            })
-        }
-        S::UnaryMap => {
-            let f = unary_fn(op)?;
-            let a = Arc::clone(&inputs[0]);
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                let block = match &ac.block {
-                    Block::Dense(d) => Block::Dense(d.map(&*f)),
-                    Block::Csr(s) => Block::Csr(s.map_stored(&*f)),
-                    Block::Coo(c) => Block::Coo(CooMatrix::from_triples(
-                        c.rows(),
-                        c.cols(),
-                        c.entries()
-                            .iter()
-                            .map(|(r, cc, v)| (*r, *cc, f(*v)))
-                            .collect(),
-                    )),
-                };
-                Chunk {
-                    row: ac.row,
-                    col: ac.col,
-                    block,
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[0].format,
-                chunks,
-            })
-        }
-        S::SoftmaxRowAligned => {
-            let a = Arc::clone(&inputs[0]);
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                Chunk {
-                    row: ac.row,
-                    col: ac.col,
-                    block: Block::Dense(ac.block.as_dense().softmax_rows()),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: inputs[0].format,
-                chunks,
-            })
-        }
-        S::SoftmaxTileTwoRound => {
-            // Round 1: per-band assembly of the row statistics; round 2:
-            // normalize each tile. Semantically: softmax over each tile
-            // row-band.
-            let side = match inputs[0].format {
-                PhysFormat::Tile { side } => side as usize,
-                _ => return Err(internal("tiled softmax expects tiles")),
-            };
-            let mut bands: HashMap<u64, Vec<&Chunk>> = HashMap::new();
-            for c in &inputs[0].chunks {
-                bands.entry(c.row).or_default().push(c);
-            }
-            let mut chunks = Vec::new();
-            for (i, mut band) in bands {
-                band.sort_by_key(|c| c.col);
-                let rows = band[0].block.rows();
-                let total_cols: usize = band.iter().map(|c| c.block.cols()).sum();
-                let mut strip = DenseMatrix::zeros(rows, total_cols);
-                let mut off = 0;
-                for c in &band {
-                    strip.set_block(0, off, c.block.as_dense());
-                    off += c.block.cols();
-                }
-                let sm = strip.softmax_rows();
-                let mut off = 0;
-                for c in &band {
-                    chunks.push(Chunk {
-                        row: i,
-                        col: c.col,
-                        block: Block::Dense(sm.block(0, off, rows, c.block.cols())),
-                    });
-                    off += c.block.cols();
-                }
-            }
-            Ok(DistRelation {
-                mtype: out_type,
-                format: PhysFormat::Tile { side: side as u64 },
-                chunks,
-            })
-        }
-        S::TransposeChunkwise => {
-            let out_fmt = match inputs[0].format {
-                PhysFormat::SingleTuple => PhysFormat::SingleTuple,
-                PhysFormat::Tile { side } => PhysFormat::Tile { side },
-                PhysFormat::RowStrip { height } => PhysFormat::ColStrip { width: height },
-                PhysFormat::ColStrip { width } => PhysFormat::RowStrip { height: width },
-                _ => return Err(internal("chunkwise transpose expects dense")),
-            };
-            let a = Arc::clone(&inputs[0]);
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                Chunk {
-                    row: ac.col,
-                    col: ac.row,
-                    block: Block::Dense(ac.block.as_dense().transpose()),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: out_fmt,
-                chunks,
-            })
-        }
-        S::TransposeCoo => {
-            let coo = coo_of(&inputs[0])?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: PhysFormat::Coo,
-                chunks: vec![Chunk {
-                    row: 0,
-                    col: 0,
-                    block: Block::Coo(coo.transpose()),
-                }],
-            })
-        }
-        S::TransposeCsrSingle => {
-            let out_fmt = match inputs[0].format {
-                PhysFormat::CsrSingle => PhysFormat::CsrSingle,
-                PhysFormat::CsrTile { side } => PhysFormat::CsrTile { side },
-                _ => return Err(internal("csr transpose expects a CSR layout")),
-            };
-            let a = Arc::clone(&inputs[0]);
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                Chunk {
-                    row: ac.col,
-                    col: ac.row,
-                    block: Block::Csr(ac.block.as_csr().transpose()),
-                }
-            })?;
-            Ok(DistRelation {
-                mtype: out_type,
-                format: out_fmt,
-                chunks,
-            })
-        }
-        S::ReduceRowAligned => {
-            let a = Arc::clone(&inputs[0]);
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                Chunk {
-                    row: ac.row,
-                    col: 0,
-                    block: Block::Dense(ac.block.as_dense().row_sums()),
-                }
-            })?;
-            let format = match inputs[0].format {
-                PhysFormat::SingleTuple => PhysFormat::SingleTuple,
-                PhysFormat::RowStrip { height } => PhysFormat::RowStrip { height },
-                _ => return Err(internal("row-aligned reduce expects row layout")),
-            };
-            Ok(DistRelation {
-                mtype: out_type,
-                format,
-                chunks,
-            })
-        }
-        S::ReduceColAligned => {
-            let a = Arc::clone(&inputs[0]);
-            let chunks: Vec<Chunk> = par_map(a.chunks.len(), move |i| {
-                let ac = &a.chunks[i];
-                Chunk {
-                    row: 0,
-                    col: ac.col,
-                    block: Block::Dense(ac.block.as_dense().col_sums()),
-                }
-            })?;
-            let format = match inputs[0].format {
-                PhysFormat::SingleTuple => PhysFormat::SingleTuple,
-                PhysFormat::ColStrip { width } => PhysFormat::ColStrip { width },
-                _ => return Err(internal("col-aligned reduce expects column layout")),
-            };
-            Ok(DistRelation {
-                mtype: out_type,
-                format,
-                chunks,
-            })
-        }
-        S::ReduceTileShuffle => {
-            let side = match inputs[0].format {
-                PhysFormat::Tile { side } => side,
-                _ => return Err(internal("tile reduce expects tiles")),
-            };
-            let row_wise = op.kind() == OpKind::RowSums;
-            // Per-tile partials, then a group-by SUM on the kept index.
-            let mut groups: HashMap<u64, DenseMatrix> = HashMap::new();
-            for c in &inputs[0].chunks {
-                let d = c.block.as_dense();
-                let (key, partial) = if row_wise {
-                    (c.row, d.row_sums())
-                } else {
-                    (c.col, d.col_sums())
-                };
-                groups
-                    .entry(key)
-                    .and_modify(|acc| *acc = acc.add(&partial))
-                    .or_insert(partial);
-            }
-            let chunks: Vec<Chunk> = groups
-                .into_iter()
-                .map(|(k, block)| Chunk {
-                    row: if row_wise { k } else { 0 },
-                    col: if row_wise { 0 } else { k },
-                    block: Block::Dense(block),
-                })
-                .collect();
-            let format = if row_wise {
-                PhysFormat::RowStrip { height: side }
-            } else {
-                PhysFormat::ColStrip { width: side }
-            };
-            Ok(DistRelation {
-                mtype: out_type,
-                format,
-                chunks,
-            })
-        }
-        S::ReduceCoo => {
-            let coo = coo_of(&inputs[0])?;
-            let block = if op.kind() == OpKind::RowSums {
-                coo.row_sums()
-            } else {
-                coo.col_sums()
-            };
-            single_result(out_type, block)
-        }
-        S::InvSingleLocal => {
-            let a = single_dense(&inputs[0])?;
-            let inv = a
-                .inverse()
-                .map_err(|e| internal(format!("singular input: {e}")))?;
-            single_result(out_type, inv)
-        }
-        S::InvTileGaussJordan => {
-            let side = match inputs[0].format {
-                PhysFormat::Tile { side } => side,
-                _ => return Err(internal("tile inverse expects tiles")),
-            };
-            let mut tiles: HashMap<(u64, u64), DenseMatrix> = inputs[0]
-                .chunks
-                .iter()
-                .map(|c| ((c.row, c.col), c.block.as_dense().clone()))
-                .collect();
-            let nb = (out_type.rows as f64 / side as f64).ceil() as u64;
-            block_gauss_jordan_inverse(&mut tiles, nb).map_err(internal)?;
-            let chunks = tiles
-                .into_iter()
-                .map(|((i, j), d)| Chunk {
-                    row: i,
-                    col: j,
-                    block: Block::Dense(d),
-                })
-                .collect();
-            Ok(DistRelation {
-                mtype: out_type,
-                format: PhysFormat::Tile { side },
-                chunks,
-            })
-        }
-        S::ReduceScalarLocal | S::ReduceScalarTree => {
-            // Per-chunk partial scalars (sum, or sum of squares for the
-            // Frobenius norm), then a global sum in canonical
-            // (row, col) chunk order — upstream operators are free to
-            // emit chunks in any arrangement, and the reduction must
-            // produce the same bits regardless.
-            let frob = op.kind() == OpKind::FrobeniusNorm;
-            if !frob && op.kind() != OpKind::SumAll {
-                return Err(internal(format!(
-                    "{:?} is not a scalar reduction",
-                    op.kind()
-                )));
-            }
-            let rel = Arc::clone(&inputs[0]);
-            let a = Arc::clone(&rel);
-            let partials = par_map(a.chunks.len(), move |i| {
-                let fold = |acc: f64, v: f64| if frob { acc + v * v } else { acc + v };
-                match &a.chunks[i].block {
-                    Block::Dense(d) => d.data().iter().fold(0.0, |acc, v| fold(acc, *v)),
-                    Block::Csr(s) => s.iter().fold(0.0, |acc, (_, _, v)| fold(acc, v)),
-                    Block::Coo(c) => c.entries().iter().fold(0.0, |acc, (_, _, v)| fold(acc, *v)),
-                }
-            })?;
-            let mut keyed: Vec<((u64, u64), f64)> = rel
-                .chunks
-                .iter()
-                .map(|c| (c.row, c.col))
-                .zip(partials)
-                .collect();
-            keyed.sort_unstable_by_key(|(at, _)| *at);
-            let total: f64 = keyed.iter().map(|(_, p)| p).sum();
-            let mut scalar = DenseMatrix::zeros(1, 1);
-            scalar.set(0, 0, if frob { total.sqrt() } else { total });
-            single_result(out_type, scalar)
+            Entry::Occupied(mut e) => e.get_mut().add_assign(&p),
         }
     }
+    let finish = op == Op::FrobeniusNorm;
+    Ok(groups
+        .into_iter()
+        .map(|((row, col), d)| dense_chunk(row, col, if finish { d.map(f64::sqrt) } else { d }))
+        .collect())
+}
+
+/// Row bands: each `tileRow`'s tiles, in ascending column order, are
+/// assembled into one strip, the kernel runs across it, and the result
+/// is split back into the same tiles, bands in ascending order.
+fn row_bands(op: Op, a: Arc<DistRelation>) -> Result<Vec<Chunk>, ExecError> {
+    let mut bands: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (x, c) in a.chunks.iter().enumerate() {
+        bands.entry(c.row).or_default().push(x);
+    }
+    let mut bands: Vec<Vec<usize>> = bands.into_values().collect();
+    for band in &mut bands {
+        band.sort_by_key(|&x| a.chunks[x].col);
+    }
+    let done = par_map(bands.len(), move |bi| {
+        let band: Vec<&Chunk> = bands[bi].iter().map(|&x| &a.chunks[x]).collect();
+        let rows = band[0].block.rows();
+        let mut strip = DenseMatrix::zeros(rows, band.iter().map(|c| c.block.cols()).sum());
+        let mut off = 0;
+        for c in &band {
+            strip.set_block(0, off, c.block.as_dense());
+            off += c.block.cols();
+        }
+        let strip = into_dense(kernel(op, &Block::Dense(strip))?)?;
+        let mut off = 0;
+        let tiles = band.iter().map(|c| {
+            off += c.block.cols();
+            dense_chunk(
+                c.row,
+                c.col,
+                strip.block(0, off - c.block.cols(), rows, c.block.cols()),
+            )
+        });
+        Ok::<_, ExecError>(tiles.collect::<Vec<_>>())
+    })?;
+    let mut chunks = Vec::new();
+    for band in done {
+        chunks.extend(band?);
+    }
+    Ok(chunks)
+}
+
+/// The blocked Gauss–Jordan inverse of a tiled matrix, tiles out in
+/// row-major key order.
+fn pivot_rounds(a: &DistRelation) -> Result<Vec<Chunk>, ExecError> {
+    let side = a.chunk_strides().0;
+    let mut tiles: BTreeMap<(u64, u64), DenseMatrix> = a
+        .chunks
+        .iter()
+        .map(|c| ((c.row, c.col), c.block.as_dense().clone()))
+        .collect();
+    let nb = (a.mtype.rows as usize).div_ceil(side) as u64;
+    block_gauss_jordan_inverse(&mut tiles, nb).map_err(internal)?;
+    Ok(tiles
+        .into_iter()
+        .map(|((row, col), d)| dense_chunk(row, col, d))
+        .collect())
 }
 
 /// In-place blocked Gauss–Jordan inversion over a tile map: one pivot
 /// round per diagonal block, exactly the relational round structure the
 /// cost model charges for.
 fn block_gauss_jordan_inverse(
-    tiles: &mut HashMap<(u64, u64), DenseMatrix>,
+    tiles: &mut BTreeMap<(u64, u64), DenseMatrix>,
     nb: u64,
 ) -> Result<(), String> {
     for k in 0..nb {
@@ -842,20 +620,52 @@ fn single_block(rel: &DistRelation) -> Result<&Block, ExecError> {
     }
 }
 
-fn single_dense(rel: &DistRelation) -> Result<DenseMatrix, ExecError> {
-    single_block(rel).map(Block::to_dense)
+/// The triples of a COO relation, which is one tuple.
+fn coo_block(rel: &DistRelation) -> Option<&CooMatrix> {
+    match rel.chunks.as_slice() {
+        [Chunk {
+            block: Block::Coo(c),
+            ..
+        }] => Some(c),
+        _ => None,
+    }
 }
 
-/// The one block of a single-tuple relation, packed for `pack`'s side
-/// of a product (densified first if it is sparse).
-fn single_packed(
-    rel: &DistRelation,
-    pack: fn(&DenseMatrix) -> PackedOperand,
-) -> Result<PackedOperand, ExecError> {
-    Ok(match single_block(rel)? {
-        Block::Dense(d) => pack(d),
-        sparse => pack(&sparse.to_dense()),
-    })
+/// COO triples keyed by the `(h, w)` chunk grid they fall in, with
+/// chunk-local indices, in entry order.
+type Buckets = HashMap<(u64, u64), Vec<(usize, usize, f64)>>;
+
+fn bucket_triples(coo: &CooMatrix, (h, w): (usize, usize)) -> Buckets {
+    let mut buckets = Buckets::new();
+    for &(r, c, v) in coo.entries() {
+        let key = ((r / h) as u64, (c / w) as u64);
+        buckets.entry(key).or_default().push((r % h, c % w, v));
+    }
+    buckets
+}
+
+fn dense_chunk(row: u64, col: u64, d: DenseMatrix) -> Chunk {
+    Chunk {
+        row,
+        col,
+        block: Block::Dense(d),
+    }
+}
+
+/// Where each chunk key of `rel` sits in its chunk list.
+fn key_index(rel: &DistRelation) -> HashMap<(u64, u64), usize> {
+    rel.chunks
+        .iter()
+        .enumerate()
+        .map(|(x, c)| ((c.row, c.col), x))
+        .collect()
+}
+
+fn into_dense(block: Block) -> Result<DenseMatrix, ExecError> {
+    match block {
+        Block::Dense(d) => Ok(d),
+        _ => Err(internal("expected a dense block")),
+    }
 }
 
 /// Every (dense) chunk of `rel` packed for `pack`'s side of a product,
@@ -890,125 +700,79 @@ fn sum_of_products<'p>(
     Some(acc)
 }
 
-fn coo_of(rel: &DistRelation) -> Result<CooMatrix, ExecError> {
-    match rel.chunks.first().map(|c| &c.block) {
-        Some(Block::Coo(c)) => Ok(c.clone()),
-        _ => Err(internal("expected COO relation")),
+/// `a × b` for a dense or CSR block `a` and a dense block `b`.
+fn product(a: &Block, b: &Block) -> Result<DenseMatrix, ExecError> {
+    match (a, b) {
+        (Block::Dense(x), Block::Dense(y)) => Ok(x.matmul(y)),
+        (Block::Csr(x), Block::Dense(y)) => Ok(x.matmul_dense(y)),
+        _ => Err(internal(
+            "a product takes a dense or CSR block times a dense one",
+        )),
     }
 }
 
-fn single_result(out_type: MatrixType, d: DenseMatrix) -> Result<DistRelation, ExecError> {
-    Ok(DistRelation {
-        mtype: out_type,
-        format: PhysFormat::SingleTuple,
-        chunks: vec![Chunk {
-            row: 0,
-            col: 0,
-            block: Block::Dense(d),
-        }],
+/// The op's kernel on one block. For the scalar reductions it is the
+/// block's partial, a sum or a sum of squares, that [`group_sum`] adds
+/// up.
+fn kernel(op: Op, block: &Block) -> Result<Block, ExecError> {
+    Ok(match (op, block) {
+        (Op::Transpose, Block::Dense(d)) => Block::Dense(d.transpose()),
+        (Op::Transpose, Block::Csr(s)) => Block::Csr(s.transpose()),
+        (Op::Transpose, Block::Coo(c)) => Block::Coo(c.transpose()),
+        (Op::Softmax, Block::Dense(d)) => Block::Dense(d.softmax_rows()),
+        (Op::RowSums, Block::Dense(d)) => Block::Dense(d.row_sums()),
+        (Op::RowSums, Block::Coo(c)) => Block::Dense(c.row_sums()),
+        (Op::ColSums, Block::Dense(d)) => Block::Dense(d.col_sums()),
+        (Op::ColSums, Block::Coo(c)) => Block::Dense(c.col_sums()),
+        (Op::Inverse, Block::Dense(d)) => Block::Dense(
+            d.inverse()
+                .map_err(|e| internal(format!("singular input: {e}")))?,
+        ),
+        (Op::SumAll | Op::FrobeniusNorm, b) => {
+            let square = op == Op::FrobeniusNorm;
+            let fold = |acc: f64, v: f64| if square { acc + v * v } else { acc + v };
+            let partial = match b {
+                Block::Dense(d) => d.data().iter().fold(0.0, |acc, v| fold(acc, *v)),
+                Block::Csr(s) => s.iter().fold(0.0, |acc, (_, _, v)| fold(acc, v)),
+                Block::Coo(c) => c.entries().iter().fold(0.0, |acc, (_, _, v)| fold(acc, *v)),
+            };
+            Block::Dense(DenseMatrix::from_vec(1, 1, vec![partial]))
+        }
+        (_, b) => {
+            let f = elementwise(op)?;
+            match b {
+                Block::Dense(d) => Block::Dense(d.map(&*f)),
+                Block::Csr(s) => Block::Csr(s.map_stored(&*f)),
+                Block::Coo(c) => Block::Coo(CooMatrix::from_triples(
+                    c.rows(),
+                    c.cols(),
+                    c.entries()
+                        .iter()
+                        .map(|&(r, cc, v)| (r, cc, f(v)))
+                        .collect(),
+                )),
+            }
+        }
     })
 }
 
-/// Dense tile-based matmul (shuffle/broadcast share the same result):
-/// join on the contraction index + group-by SUM per output tile.
-fn tile_matmul(
-    a: &Arc<DistRelation>,
-    b: &Arc<DistRelation>,
-    out_type: MatrixType,
-) -> Result<DistRelation, ExecError> {
-    let side = match (a.format, b.format) {
-        (PhysFormat::Tile { side }, PhysFormat::Tile { side: s2 })
-        | (PhysFormat::CsrTile { side }, PhysFormat::Tile { side: s2 })
-            if side == s2 =>
-        {
-            side
-        }
-        _ => return Err(internal("tile matmul expects equal tile sides")),
-    };
-    let a = Arc::clone(a);
-    let b = Arc::clone(b);
-    let b_at: HashMap<(u64, u64), usize> = b
-        .chunks
-        .iter()
-        .enumerate()
-        .map(|(x, c)| ((c.row, c.col), x))
-        .collect();
-    let a_at: HashMap<(u64, u64), usize> = a
-        .chunks
-        .iter()
-        .enumerate()
-        .map(|(x, c)| ((c.row, c.col), x))
-        .collect();
-    // Output tile grid.
-    let rows_b = (out_type.rows as f64 / side as f64).ceil() as u64;
-    let cols_b = (out_type.cols as f64 / side as f64).ceil() as u64;
-    let k_b = (a.mtype.cols as f64 / side as f64).ceil() as u64;
-    let cells: Vec<(u64, u64)> = (0..rows_b)
-        .flat_map(|i| (0..cols_b).map(move |j| (i, j)))
-        .collect();
-    // A dense tile meets a whole row (or column) of the other side's
-    // tiles: pack every tile once for the vertex, not once per product.
-    // A sparse left side multiplies its tiles as they are.
-    let packed = if a.chunks.iter().all(|c| matches!(c.block, Block::Dense(_))) {
-        Some((
-            pack_all(&a, PackedOperand::lhs)?,
-            pack_all(&b, PackedOperand::rhs)?,
-        ))
-    } else {
-        None
-    };
-    let chunks: Vec<Chunk> = par_map(cells.len(), move |cell| {
-        let (i, j) = cells[cell];
-        let pairs = (0..k_b).filter_map(|k| Some((*a_at.get(&(i, k))?, *b_at.get(&(k, j))?)));
-        let acc = match &packed {
-            Some((ap, bp)) => sum_of_products(pairs.map(|(ax, bx)| (&ap[ax], &bp[bx]))),
-            None => pairs
-                .map(|(ax, bx)| {
-                    let bd = b.chunks[bx].block.as_dense();
-                    match &a.chunks[ax].block {
-                        Block::Dense(d) => d.matmul(bd),
-                        Block::Csr(s) => s.matmul_dense(bd),
-                        Block::Coo(c) => c.to_dense().matmul(bd),
-                    }
-                })
-                .reduce(|mut acc, partial| {
-                    acc.add_assign(&partial);
-                    acc
-                }),
-        };
-        Chunk {
-            row: i,
-            col: j,
-            block: Block::Dense(acc.expect("contraction dimension non-empty")),
-        }
-    })?;
-    Ok(DistRelation {
-        mtype: out_type,
-        format: PhysFormat::Tile { side },
-        chunks,
-    })
-}
-
-fn binary_fn(kind: OpKind) -> Result<fn(f64, f64) -> f64, ExecError> {
-    Ok(match kind {
-        OpKind::Add => |a, b| a + b,
-        OpKind::Sub => |a, b| a - b,
-        OpKind::Hadamard => |a, b| a * b,
+fn binary_fn(op: Op) -> Result<fn(f64, f64) -> f64, ExecError> {
+    Ok(match op {
+        Op::Add => |a, b| a + b,
+        Op::Sub => |a, b| a - b,
+        Op::Hadamard => |a, b| a * b,
         other => return Err(internal(format!("{other:?} is not elementwise-binary"))),
     })
 }
 
-fn unary_fn(op: &Op) -> Result<Arc<dyn Fn(f64) -> f64 + Sync + Send>, ExecError> {
+fn elementwise(op: Op) -> Result<Box<dyn Fn(f64) -> f64>, ExecError> {
     Ok(match op {
-        Op::Relu => Arc::new(|v: f64| if v > 0.0 { v } else { 0.0 }),
-        Op::ReluGrad => Arc::new(|v: f64| if v > 0.0 { 1.0 } else { 0.0 }),
-        Op::Sigmoid => Arc::new(|v: f64| 1.0 / (1.0 + (-v).exp())),
-        Op::Exp => Arc::new(f64::exp),
-        Op::Neg => Arc::new(|v: f64| -v),
-        Op::ScalarMul(alpha) => {
-            let a = *alpha;
-            Arc::new(move |v: f64| v * a)
-        }
+        Op::Relu => Box::new(|v: f64| if v > 0.0 { v } else { 0.0 }),
+        Op::ReluGrad => Box::new(|v: f64| if v > 0.0 { 1.0 } else { 0.0 }),
+        Op::Sigmoid => Box::new(|v: f64| 1.0 / (1.0 + (-v).exp())),
+        Op::Exp => Box::new(f64::exp),
+        Op::Neg => Box::new(|v: f64| -v),
+        Op::ScalarMul(alpha) => Box::new(move |v: f64| v * alpha),
         other => return Err(internal(format!("{other:?} is not a unary map"))),
     })
 }

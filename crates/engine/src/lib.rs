@@ -36,6 +36,7 @@ mod explain;
 mod faults;
 mod impl_exec;
 mod recovery;
+mod relplan;
 mod schedule;
 mod sim;
 mod spill;
@@ -59,9 +60,7 @@ pub use explain::{
 };
 pub use faults::{parse_fault_spec, FaultEvent, FaultInjector, FaultKind};
 pub use impl_exec::{execute_impl, ExecError};
-pub use recovery::{
-    execute_fault_tolerant, FtConfig, FtOutcome, InjectedFault, RetryConfig, VertexRecovery,
-};
+pub use recovery::{execute_fault_tolerant, FtConfig, FtOutcome, InjectedFault, VertexRecovery};
 pub use sim::{
     format_hms, simulate_plan, simulate_plan_traced, simulate_plan_with_recovery, FailReason,
     RecoverySimReport, SimOutcome, SimReport, SimStep,

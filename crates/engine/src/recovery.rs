@@ -6,7 +6,7 @@
 //! ([`crate::step`]), driven by a [`FaultInjector`]:
 //!
 //! * **transient kernel errors** retry the vertex after exponential
-//!   backoff with seeded jitter, up to [`RetryConfig::max_retries`];
+//!   backoff with seeded jitter, up to `FtConfig::retry.max_attempts`;
 //! * **corrupted chunks** are caught by a checksum over the vertex's
 //!   output (only computed while a corruption fault is pending) and
 //!   recomputed;
@@ -38,49 +38,14 @@ use crate::faults::{corrupt_chunk, relation_checksum, FaultInjector, FaultKind};
 use crate::impl_exec::ExecError;
 use crate::step::InlineWalk;
 use crate::value::DistRelation;
-use matopt_core::{Annotation, ComputeGraph, FormatCatalog, NodeId, PlanContext, RecoveryPolicy};
+use matopt_core::{
+    Annotation, BackoffPolicy, ComputeGraph, FormatCatalog, NodeId, PlanContext, RecoveryPolicy,
+};
 use matopt_cost::CostModel;
 use matopt_obs::{Obs, Subsystem};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Bounded exponential backoff for transient faults.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryConfig {
-    /// Retries allowed per vertex before
-    /// [`ExecError::RetryBudgetExhausted`].
-    pub max_retries: u32,
-    /// First backoff delay, in milliseconds; doubles per retry.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling, in milliseconds (jitter of up to one base delay
-    /// is added on top, drawn from the injector's seeded PRNG).
-    pub max_backoff_ms: u64,
-}
-
-impl RetryConfig {
-    /// The equivalent shared backoff policy: same base, cap, and
-    /// budget, with the delay arithmetic (and its bounded-total-wait
-    /// property test) hoisted into `matopt-core`.
-    #[must_use]
-    pub fn policy(&self) -> matopt_core::BackoffPolicy {
-        matopt_core::BackoffPolicy {
-            base_ms: self.base_backoff_ms,
-            cap_ms: self.max_backoff_ms,
-            max_attempts: self.max_retries,
-        }
-    }
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_retries: 4,
-            base_backoff_ms: 1,
-            max_backoff_ms: 8,
-        }
-    }
-}
 
 /// The fault policy of [`execute_fault_tolerant`]. How the run itself
 /// is governed (budget, shared pool, remote, hedge) is the [`ExecOptions`]
@@ -89,8 +54,11 @@ impl Default for RetryConfig {
 pub struct FtConfig {
     /// How crashes are recovered.
     pub policy: RecoveryPolicy,
-    /// Backoff/retry limits for transient faults.
-    pub retry: RetryConfig,
+    /// Backoff and retry budget for transient faults: `max_attempts`
+    /// retries per vertex before [`ExecError::RetryBudgetExhausted`],
+    /// delays doubling from `base_ms` up to `cap_ms`, plus jitter of up
+    /// to one base delay from the injector's seeded PRNG.
+    pub retry: BackoffPolicy,
     /// Resource-style failures at one vertex before the cluster is
     /// degraded and the suffix re-planned.
     pub degrade_after: u32,
@@ -102,7 +70,11 @@ impl Default for FtConfig {
     fn default() -> Self {
         FtConfig {
             policy: RecoveryPolicy::default(),
-            retry: RetryConfig::default(),
+            retry: BackoffPolicy {
+                base_ms: 1,
+                cap_ms: 8,
+                max_attempts: 4,
+            },
             degrade_after: 2,
             beam: 2000,
         }
@@ -200,7 +172,7 @@ impl FtOutcome {
 /// # Errors
 /// [`ExecError`] on malformed plans, and
 /// [`ExecError::RetryBudgetExhausted`] when one vertex's faults outrun
-/// [`RetryConfig::max_retries`].
+/// `config.retry.max_attempts`.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_fault_tolerant(
     graph: &ComputeGraph,
@@ -336,7 +308,7 @@ pub fn execute_fault_tolerant(
         // burn the per-vertex retry budget.
         let mut attempt = 0u32;
         let out = loop {
-            if attempt > config.retry.max_retries {
+            if config.retry.exhausted(attempt) {
                 return Err(ExecError::RetryBudgetExhausted {
                     vertex: v,
                     label: vertex_label(graph, v),
@@ -386,9 +358,6 @@ pub fn execute_fault_tolerant(
     ft.exec = walk.finish()?;
     ft.exec.governor.hedges_launched = hedges;
     ft.exec.governor.hedges_won = hedges;
-    obs.counter(Subsystem::Faults, "faults_fired", ft.faults.len() as f64);
-    obs.counter(Subsystem::Faults, "retries", f64::from(ft.retries));
-    obs.counter(Subsystem::Faults, "recoveries", f64::from(ft.recoveries));
     if let Some(m) = obs.metrics() {
         m.add(Subsystem::Faults, "faults_injected", ft.faults.len() as u64);
         m.add(Subsystem::Faults, "retries", u64::from(ft.retries));
@@ -403,18 +372,17 @@ pub fn execute_fault_tolerant(
 /// `attempt` (1-based) with jitter from the injector's PRNG, emits the
 /// retry record, and returns the seconds slept.
 fn backoff(
-    retry: &RetryConfig,
+    retry: &BackoffPolicy,
     attempt: u32,
     injector: &mut FaultInjector,
     vertex: NodeId,
     cause: &str,
     obs: &Obs,
 ) -> f64 {
-    // Delay arithmetic lives in `matopt_core::BackoffPolicy` (shared
-    // with the cache DirLock and the worker-fleet restart supervisor);
-    // the jitter word comes from the injector's seeded PRNG so chaos
-    // runs stay reproducible.
-    let ms = retry.policy().delay_ms(attempt, injector.rng().next_u64());
+    // The policy is shared with the cache DirLock and the worker-fleet
+    // restart supervisor; the jitter word comes from the injector's
+    // seeded PRNG so chaos runs stay reproducible.
+    let ms = retry.delay_ms(attempt, injector.rng().next_u64());
     let delay = Duration::from_millis(ms);
     obs.record(Subsystem::Faults, "retry", || {
         vec![

@@ -9,14 +9,15 @@
 //! type-correct annotation, so every optimized plan can be inspected as
 //! the SQL a relational ML engine would execute.
 
+use crate::relplan::{key_cols, RelOp, RelPlan};
 use matopt_core::{
     Annotation, ComputeGraph, MatrixType, NodeId, NodeKind, Op, OpKind, PhysFormat, PlanContext,
-    PlanError, Strategy, TransformKind,
+    PlanError, TransformKind,
 };
 
 /// Renders the whole annotated plan as a SQL script: one `CREATE TABLE`
-/// per source, one or more `CREATE VIEW`s per transformation and
-/// compute vertex.
+/// per source, one `CREATE VIEW` per transformation (two for a gather)
+/// and one per compute vertex, its relational plan (`relplan.rs`).
 ///
 /// # Errors
 /// Returns a [`PlanError`] when the annotation is incomplete or not
@@ -69,14 +70,15 @@ pub fn render_sql(
                         input_rels.push(moved);
                     }
                 }
-                let strategy = ctx.registry.get(choice.impl_id).strategy;
-                out.push_str(&compute_view(
-                    &rel_name(graph, id),
-                    op,
-                    strategy,
-                    &input_rels,
+                let formats: Vec<PhysFormat> =
+                    choice.input_transforms.iter().map(|t| t.to).collect();
+                let plan = RelPlan::new(
+                    ctx.registry.get(choice.impl_id).strategy,
+                    *op,
+                    &formats,
                     choice.output_format,
-                ));
+                );
+                out.push_str(&compute_view(&rel_name(graph, id), &plan, &input_rels));
                 out.push('\n');
             }
         }
@@ -104,17 +106,6 @@ fn mat_attr(m: &MatrixType, format: PhysFormat) -> String {
     }
 }
 
-/// Key columns of a relation in the given layout.
-fn key_cols(format: PhysFormat) -> &'static [&'static str] {
-    match format {
-        PhysFormat::SingleTuple | PhysFormat::CsrSingle => &[],
-        PhysFormat::RowStrip { .. } => &["tileRow"],
-        PhysFormat::ColStrip { .. } => &["tileCol"],
-        PhysFormat::Tile { .. } | PhysFormat::CsrTile { .. } => &["tileRow", "tileCol"],
-        PhysFormat::Coo => &["rowIndex", "colIndex"],
-    }
-}
-
 fn schema(m: &MatrixType, format: PhysFormat) -> String {
     let mut cols: Vec<String> = key_cols(format)
         .iter()
@@ -126,22 +117,6 @@ fn schema(m: &MatrixType, format: PhysFormat) -> String {
 
 fn create_table(name: &str, m: &MatrixType, format: PhysFormat) -> String {
     format!("CREATE TABLE {name} ({});\n", schema(m, format))
-}
-
-fn select_keys(alias: &str, format: PhysFormat) -> String {
-    key_cols(format)
-        .iter()
-        .map(|k| format!("{alias}.{k}"))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn with_keys(keys: &str, rest: &str) -> String {
-    if keys.is_empty() {
-        rest.to_string()
-    } else {
-        format!("{keys}, {rest}")
-    }
 }
 
 /// A view realizing one physical matrix transformation.
@@ -283,162 +258,152 @@ fn op_fn(op: &Op) -> String {
     }
 }
 
-/// A view realizing one atomic computation implementation.
-fn compute_view(
-    name: &str,
-    op: &Op,
-    strategy: Strategy,
-    inputs: &[String],
-    out: PhysFormat,
-) -> String {
-    use Strategy as S;
-    let f = op_fn(op);
-    let lhs = inputs.first().cloned().unwrap_or_default();
-    let rhs = inputs.get(1).cloned().unwrap_or_default();
-    match strategy {
-        S::MmTileShuffle | S::MmCsrTileTile => format!(
-            "-- tile x tile multiply: shuffle join + SUM aggregation\n\
-             CREATE VIEW {name} (tileRow, tileCol, mat) AS\n  \
-             SELECT x.tileRow, m.tileCol, SUM({f}(x.mat, m.mat))\n  \
-             FROM {lhs} AS x, {rhs} AS m\n  WHERE x.tileCol = m.tileRow\n  \
-             GROUP BY x.tileRow, m.tileCol;\n"
+/// The view realizing one compute vertex: its [`RelPlan`] in the SQL
+/// dialect, one `CREATE VIEW` whatever the operator.
+fn compute_view(name: &str, plan: &RelPlan, inputs: &[String]) -> String {
+    let f = op_fn(&plan.op);
+    let lhs = inputs.first().map_or("", String::as_str);
+    let rhs = inputs.get(1).map_or("", String::as_str);
+    let (fx, fm) = (plan.inputs[0], plan.inputs.get(1).copied());
+    // A COO operand is its value column, every other one its matrix.
+    let val = |alias: &str, fmt: PhysFormat| match fmt {
+        PhysFormat::Coo => format!("{alias}.value"),
+        _ => format!("{alias}.mat"),
+    };
+    let out_col = if plan.out == PhysFormat::Coo {
+        "value"
+    } else {
+        "mat"
+    };
+    let (x, m) = (val("x", fx), fm.map_or_else(String::new, |f| val("m", f)));
+    // The expression each output key column is read from.
+    let keys: Vec<String> = key_cols(plan.out)
+        .iter()
+        .map(|k| match plan.step {
+            RelOp::Map if plan.swaps_keys() => format!("x.{}", swapped(k)),
+            RelOp::JoinSum { .. } if fx == PhysFormat::Coo && *k == "tileRow" => {
+                format!("x.rowIndex / tile_rows({rhs})")
+            }
+            RelOp::JoinSum { .. } if *k == "tileCol" => "m.tileCol".to_string(),
+            RelOp::CoPartition | RelOp::Broadcast { .. } | RelOp::Cross
+                if !key_cols(fx).contains(k) =>
+            {
+                format!("m.{k}")
+            }
+            _ => format!("x.{k}"),
+        })
+        .collect();
+    let select = |value: String| {
+        let mut cols: Vec<String> = keys
+            .iter()
+            .zip(key_cols(plan.out))
+            .map(|(e, k)| {
+                if e.ends_with(&format!(".{k}")) {
+                    e.clone()
+                } else {
+                    format!("{e} AS {k}")
+                }
+            })
+            .collect();
+        cols.push(format!("{value} AS {out_col}"));
+        cols.join(", ")
+    };
+    let group_by = match plan.group_by() {
+        Some(k) if !k.is_empty() => format!("\n  GROUP BY {}", keys.join(", ")),
+        _ => String::new(),
+    };
+    let (comment, body) = match plan.step {
+        RelOp::Map => (
+            "chunk-local map",
+            format!("SELECT {} FROM {lhs} AS x", select(format!("{f}({x})"))),
         ),
-        S::MmTileBcast => format!(
-            "-- tile x tile multiply: the smaller side is BROADCAST to every site\n\
-             CREATE VIEW {name} (tileRow, tileCol, mat) AS\n  \
-             SELECT x.tileRow, m.tileCol, SUM({f}(x.mat, m.mat))\n  \
-             FROM {lhs} AS x, {rhs} AS m\n  WHERE x.tileCol = m.tileRow\n  \
-             GROUP BY x.tileRow, m.tileCol;\n"
-        ),
-        S::MmRowstripColstripCross => format!(
-            "-- row-strips x col-strips: cross join, no aggregation needed\n\
-             CREATE VIEW {name} (tileRow, tileCol, mat) AS\n  \
-             SELECT x.tileRow, m.tileCol, {f}(x.mat, m.mat)\n  \
-             FROM {lhs} AS x, {rhs} AS m;\n"
-        ),
-        S::MmBcastSingleColstrip => format!(
-            "-- single x col-strips: BROADCAST JOIN of the single-tuple side\n\
-             CREATE VIEW {name} (tileCol, mat) AS\n  \
-             SELECT m.tileCol, {f}(x.mat, m.mat)\n  FROM {lhs} AS x, {rhs} AS m;\n"
-        ),
-        S::MmRowstripBcastSingle => format!(
-            "-- row-strips x single: BROADCAST JOIN of the single-tuple side\n\
-             CREATE VIEW {name} (tileRow, mat) AS\n  \
-             SELECT x.tileRow, {f}(x.mat, m.mat)\n  FROM {lhs} AS x, {rhs} AS m;\n"
-        ),
-        S::MmColstripRowstripOuter => format!(
-            "-- col-strips x row-strips: co-partitioned outer products + global SUM\n\
-             CREATE VIEW {name} (mat) AS\n  \
-             SELECT SUM({f}(x.mat, m.mat))\n  FROM {lhs} AS x, {rhs} AS m\n  \
-             WHERE x.tileCol = m.tileRow;\n"
-        ),
-        S::MmSingleLocal | S::MmCsrSingleSingle => format!(
-            "-- single x single: local multiply on one site\n\
-             CREATE VIEW {name} (mat) AS\n  \
-             SELECT {f}(x.mat, m.mat) FROM {lhs} AS x, {rhs} AS m;\n"
-        ),
-        S::MmCooDenseShuffle => format!(
-            "-- (rowIndex, colIndex, value) triples x dense tiles: relational multiply\n\
-             CREATE VIEW {name} (tileRow, tileCol, mat) AS\n  \
-             SELECT x.rowIndex / tile_rows({rhs}), m.tileCol, SUM(scale_row(m.mat, x.colIndex, x.value, x.rowIndex))\n  \
-             FROM {lhs} AS x, {rhs} AS m\n  WHERE x.colIndex / tile_rows({rhs}) = m.tileRow\n  \
-             GROUP BY x.rowIndex / tile_rows({rhs}), m.tileCol;\n"
-        ),
-        S::EwCopart | S::HadamardCsrDenseCopart => {
-            let keys = select_keys("x", out);
-            let on = key_cols(out)
-                .iter()
-                .map(|k| format!("x.{k} = y.{k}"))
-                .collect::<Vec<_>>()
-                .join(" AND ");
-            format!(
-                "-- elementwise, co-partitioned join on the chunk key\n\
-                 CREATE VIEW {name} AS\n  \
-                 SELECT {sel}\n  FROM {lhs} AS x, {rhs} AS y\n  WHERE {on};\n",
-                sel = with_keys(&keys, &format!("{f}(x.mat, y.mat) AS mat")),
+        RelOp::CoPartition => {
+            let on: Vec<String> = key_cols(fx).iter().map(|k| format!("x.{k} = m.{k}")).collect();
+            let (comment, from) = if fm.is_some_and(|fm| key_cols(fm) != key_cols(fx)) {
+                (
+                    "triples shuffled onto the other side's chunks: co-partitioned join",
+                    format!("{lhs} AS x RIGHT JOIN {rhs} AS m ON in_chunk(m, x.rowIndex, x.colIndex)"),
+                )
+            } else if on.is_empty() {
+                ("one tuple each: a local join on one site", format!("{lhs} AS x, {rhs} AS m"))
+            } else {
+                (
+                    "co-partitioned join on the chunk key",
+                    format!("{lhs} AS x, {rhs} AS m\n  WHERE {}", on.join(" AND ")),
+                )
+            };
+            (
+                comment,
+                format!("SELECT {}\n  FROM {from}", select(format!("{f}({x}, {m})"))),
             )
         }
-        S::EwSingleLocal => format!(
-            "CREATE VIEW {name} (mat) AS SELECT {f}(x.mat, y.mat) FROM {lhs} AS x, {rhs} AS y;\n"
-        ),
-        S::AddCooDenseCopart => format!(
-            "-- scatter triples into the dense side\n\
-             CREATE VIEW {name} AS\n  \
-             SELECT y.tileRow, y.tileCol, scatter_add(y.mat, x.rowIndex, x.colIndex, x.value) AS mat\n  \
-             FROM {lhs} AS x RIGHT JOIN {rhs} AS y ON in_tile(y, x.rowIndex, x.colIndex);\n"
-        ),
-        S::BiasBcast => format!(
-            "-- BROADCAST the bias vector to every chunk\n\
-             CREATE VIEW {name} AS\n  \
-             SELECT {sel}\n  FROM {lhs} AS x, {rhs} AS b;\n",
-            sel = with_keys(
-                &select_keys("x", out),
-                &format!("{f}(x.mat, slice_cols(b.mat, x)) AS mat")
+        RelOp::Broadcast { .. } | RelOp::Cross => (
+            if plan.step == RelOp::Cross {
+                "cross join, no aggregation needed"
+            } else {
+                "BROADCAST JOIN of the one-tuple side to every chunk of the other"
+            },
+            format!(
+                "SELECT {}\n  FROM {lhs} AS x, {rhs} AS m",
+                select(format!("{f}({x}, {m})"))
             ),
         ),
-        S::UnaryMap | S::SoftmaxRowAligned | S::TransposeCoo | S::TransposeCsrSingle => {
-            let sel = with_keys(&select_keys("x", out), &format!("{f}(x.mat) AS mat"));
-            format!("CREATE VIEW {name} AS SELECT {sel} FROM {lhs} AS x;\n")
-        }
-        S::SoftmaxTileTwoRound => format!(
-            "-- softmax over tiles: two reduction rounds (row max, row sum)\n\
-             CREATE VIEW {name}_stats (tileRow, maxes, sums) AS\n  \
-             SELECT x.tileRow, ROWMAX(x.mat), ROWSUMEXP(x.mat) FROM {lhs} AS x GROUP BY x.tileRow;\n\
-             CREATE VIEW {name} (tileRow, tileCol, mat) AS\n  \
-             SELECT x.tileRow, x.tileCol, softmax_with(x.mat, s.maxes, s.sums)\n  \
-             FROM {lhs} AS x, {name}_stats AS s WHERE x.tileRow = s.tileRow;\n"
-        ),
-        S::TransposeChunkwise => format!(
-            "-- transpose each chunk and swap its coordinates\n\
-             CREATE VIEW {name} AS SELECT {sel} FROM {lhs} AS x;\n",
-            sel = match out {
-                PhysFormat::Tile { .. } =>
-                    format!("x.tileCol AS tileRow, x.tileRow AS tileCol, {f}(x.mat) AS mat"),
-                PhysFormat::RowStrip { .. } => format!("x.tileCol AS tileRow, {f}(x.mat) AS mat"),
-                PhysFormat::ColStrip { .. } => format!("x.tileRow AS tileCol, {f}(x.mat) AS mat"),
-                _ => format!("{f}(x.mat) AS mat"),
-            },
-        ),
-        S::ReduceRowAligned | S::ReduceColAligned | S::ReduceCoo => {
-            let sel = with_keys(&select_keys("x", out), &format!("{f}(x.mat) AS mat"));
-            format!("CREATE VIEW {name} AS SELECT {sel} FROM {lhs} AS x;\n")
-        }
-        S::ReduceTileShuffle => {
-            let key = if op.kind() == OpKind::RowSums {
-                "tileRow"
+        RelOp::JoinSum { broadcast } => {
+            let k = if fx == PhysFormat::Coo {
+                format!("x.colIndex / tile_rows({rhs})")
             } else {
-                "tileCol"
+                "x.tileCol".to_string()
             };
-            format!(
-                "-- per-tile partials + group-by SUM on {key}\n\
-                 CREATE VIEW {name} ({key}, mat) AS\n  \
-                 SELECT x.{key}, SUM({f}(x.mat)) FROM {lhs} AS x GROUP BY x.{key};\n"
+            (
+                if broadcast {
+                    "the smaller side is BROADCAST to every site; join on the contraction index + SUM aggregation"
+                } else {
+                    "shuffle join on the contraction index + SUM aggregation"
+                },
+                format!(
+                    "SELECT {}\n  FROM {lhs} AS x, {rhs} AS m\n  WHERE {k} = m.tileRow{group_by}",
+                    select(format!("SUM({f}({x}, {m}))"))
+                ),
             )
         }
-        S::InvSingleLocal => format!(
-            "CREATE VIEW {name} (mat) AS SELECT {f}(x.mat) FROM {lhs} AS x;\n"
-        ),
-        S::InvTileGaussJordan => format!(
-            "-- distributed blocked Gauss-Jordan: one relational round per pivot panel\n\
-             CREATE VIEW {name} (tileRow, tileCol, mat) AS\n  \
-             SELECT x.tileRow, x.tileCol, gauss_jordan_round(x.mat, pivot_panel(x.tileRow))\n  \
-             FROM {lhs} AS x;  -- repeated for each pivot block\n"
-        ),
-        S::ReduceScalarLocal => {
-            format!("CREATE VIEW {name} (mat) AS SELECT {f}(x.mat) FROM {lhs} AS x;\n")
-        }
-        S::ReduceScalarTree => {
-            let agg = if op.kind() == OpKind::FrobeniusNorm {
-                "SQRT(SUM(sum_squares(x.mat)))".to_string()
+        RelOp::GroupSum => {
+            let sum = if plan.op == Op::FrobeniusNorm {
+                format!("SQRT(SUM(sum_squares({x})))")
             } else {
-                format!("SUM({f}(x.mat))")
+                format!("SUM({f}({x}))")
             };
-            format!(
-                "-- per-chunk partial scalars + global SUM into one tuple\n\
-                 CREATE VIEW {name} (mat) AS\n  \
-                 SELECT {agg} FROM {lhs} AS x;\n"
+            (
+                "per-chunk partials + SUM aggregation",
+                format!("SELECT {} FROM {lhs} AS x{group_by}", select(sum)),
             )
         }
+        RelOp::RowBands => (
+            "row statistics (row max, row sum) grouped by tileRow, joined back to every tile",
+            format!(
+                "SELECT {}\n  FROM {lhs} AS x, (SELECT y.tileRow, ROWMAX(y.mat) AS maxes, \
+                 ROWSUMEXP(y.mat) AS sums\n    FROM {lhs} AS y GROUP BY y.tileRow) AS s\n  \
+                 WHERE x.tileRow = s.tileRow",
+                select(format!("{f}_with({x}, s.maxes, s.sums)"))
+            ),
+        ),
+        RelOp::PivotRounds => (
+            "distributed blocked Gauss-Jordan: one relational round per pivot panel, repeated for each pivot block",
+            format!(
+                "SELECT {} FROM {lhs} AS x",
+                select(format!("gauss_jordan_round({x}, pivot_panel(x.tileRow))"))
+            ),
+        ),
+    };
+    format!("-- {comment}\nCREATE VIEW {name} AS\n  {body};\n")
+}
+
+/// The key column a transpose reads output key `k` from.
+fn swapped(k: &str) -> &str {
+    match k {
+        "tileRow" => "tileCol",
+        "tileCol" => "tileRow",
+        "rowIndex" => "colIndex",
+        _ => "rowIndex",
     }
 }
 
@@ -544,6 +509,100 @@ mod tests {
         assert!(sql.contains("SUM(matrix_multiply(x.mat, m.mat))"));
         assert!(sql.contains("WHERE x.tileCol = m.tileRow"));
         assert!(sql.contains("GROUP BY x.tileRow, m.tileCol"));
+    }
+
+    /// Every (impl, input formats) pair the registry accepts, over the
+    /// search of `strategies.rs::no_dead_implementations`, renders its
+    /// one-vertex plan as one `CREATE VIEW`, with `GROUP BY` exactly
+    /// where the plan aggregates on a key.
+    #[test]
+    fn every_accepted_impl_renders_one_view_grouped_where_it_aggregates() {
+        let reg = ImplRegistry::paper_default();
+        let cl = Cluster::simsql_like(10);
+        let ctx = PlanContext::new(&reg, cl);
+        let (dense_m, sparse_m) = (
+            MatrixType::dense(20_000, 20_000),
+            MatrixType::sparse(20_000, 20_000, 1e-3),
+        );
+        let formats = [
+            PhysFormat::SingleTuple,
+            PhysFormat::Tile { side: 1000 },
+            PhysFormat::RowStrip { height: 1000 },
+            PhysFormat::ColStrip { width: 1000 },
+            PhysFormat::Coo,
+            PhysFormat::CsrSingle,
+            PhysFormat::CsrTile { side: 1000 },
+        ];
+        let typed: Vec<(MatrixType, PhysFormat)> = [dense_m, sparse_m]
+            .into_iter()
+            .flat_map(|m| formats.map(|f| (m, f)))
+            .collect();
+        let (mut rendered, mut grouped) = (0, 0);
+        for impl_def in reg.all() {
+            let op = match impl_def.op {
+                OpKind::ScalarMul => Op::ScalarMul(2.0),
+                kind => [
+                    Op::MatMul,
+                    Op::Add,
+                    Op::Sub,
+                    Op::Hadamard,
+                    Op::Transpose,
+                    Op::Relu,
+                    Op::ReluGrad,
+                    Op::Softmax,
+                    Op::Sigmoid,
+                    Op::Exp,
+                    Op::Neg,
+                    Op::RowSums,
+                    Op::ColSums,
+                    Op::Inverse,
+                    Op::BroadcastAddRow,
+                ]
+                .into_iter()
+                .find(|op| op.kind() == kind)
+                .expect("an op of every kind"),
+            };
+            let seconds: Vec<(MatrixType, PhysFormat)> = match op {
+                Op::BroadcastAddRow => formats.map(|f| (MatrixType::dense(1, 20_000), f)).to_vec(),
+                _ => typed.clone(),
+            };
+            let combos: Vec<Vec<(MatrixType, PhysFormat)>> = match op.arity() {
+                1 => typed.iter().map(|t| vec![*t]).collect(),
+                _ => typed
+                    .iter()
+                    .flat_map(|a| seconds.iter().map(move |b| vec![*a, *b]))
+                    .collect(),
+            };
+            for inputs in combos {
+                let Some(out) = impl_def.accepts(&op, &inputs, &cl) else {
+                    continue;
+                };
+                let mut g = ComputeGraph::new();
+                let srcs: Vec<NodeId> = inputs.iter().map(|(m, f)| g.add_source(*m, *f)).collect();
+                let v = g.add_op_named(op, &srcs, Some("out")).unwrap();
+                let mut ann = Annotation::empty(&g);
+                let ins: Vec<PhysFormat> = inputs.iter().map(|(_, f)| *f).collect();
+                ann.set(
+                    v,
+                    VertexChoice {
+                        impl_id: impl_def.id,
+                        input_transforms: ins.iter().map(|f| Transform::identity(*f)).collect(),
+                        output_format: out,
+                    },
+                );
+                let sql = render_sql(&g, &ann, &ctx).unwrap();
+                let what = format!("{} on {inputs:?}:\n{sql}", impl_def.name);
+                assert_eq!(sql.matches("CREATE VIEW").count(), 1, "{what}");
+                let plan = RelPlan::new(impl_def.strategy, op, &ins, out);
+                let keyed = plan.group_by().is_some_and(|k| !k.is_empty());
+                assert_eq!(sql.contains("GROUP BY"), keyed, "{what}");
+                rendered += 1;
+                grouped += usize::from(keyed);
+            }
+        }
+        // Every impl is reachable, and the keyed aggregations are among them.
+        assert!(rendered >= reg.len(), "{rendered} plans rendered");
+        assert!(grouped > 0);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! floating-point rounding differs.
 
 use matopt_core::{
-    Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, PhysFormat,
-    PlanContext, RecoveryPolicy,
+    Annotation, BackoffPolicy, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId,
+    NodeKind, PhysFormat, PlanContext, RecoveryPolicy,
 };
 use matopt_cost::CostModel;
 use matopt_engine::{
     execute_fault_tolerant, execute_plan, execute_plan_with, parse_fault_spec, DistRelation,
-    ExecOptions, FaultInjector, FtConfig, FtOutcome, HedgeConfig, RetryConfig,
+    ExecOptions, FaultInjector, FtConfig, FtOutcome, HedgeConfig,
 };
 use matopt_graphs::{ffnn_w2_update_graph, two_level_inverse_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -116,10 +116,10 @@ fn workloads() -> &'static [Workload] {
 fn chaos_config(policy: RecoveryPolicy) -> FtConfig {
     FtConfig {
         policy,
-        retry: RetryConfig {
-            max_retries: 10,
-            base_backoff_ms: 1,
-            max_backoff_ms: 4,
+        retry: BackoffPolicy {
+            base_ms: 1,
+            cap_ms: 4,
+            max_attempts: 10,
         },
         ..FtConfig::default()
     }
@@ -171,11 +171,11 @@ fn assert_recovered_exactly(w: &Workload, out: &FtOutcome, config: &FtConfig, se
     }
     for (i, vr) in out.per_vertex.iter().enumerate() {
         assert!(
-            vr.retries <= config.retry.max_retries,
+            vr.retries <= config.retry.max_attempts,
             "{} seed {seed}: vertex {i} spent {} retries against a budget of {}",
             w.name,
             vr.retries,
-            config.retry.max_retries
+            config.retry.max_attempts
         );
     }
     assert_eq!(out.replans, 0, "{} seed {seed}: unexpected re-plan", w.name);
@@ -291,10 +291,10 @@ fn retry_budget_exhaustion_is_a_clean_error() {
     let injector = parse_fault_spec("flaky@2x9", 5, w.graph.compute_count()).expect("spec parses");
     let config = FtConfig {
         policy: RecoveryPolicy::Lineage,
-        retry: RetryConfig {
-            max_retries: 3,
-            base_backoff_ms: 1,
-            max_backoff_ms: 2,
+        retry: BackoffPolicy {
+            base_ms: 1,
+            cap_ms: 2,
+            max_attempts: 3,
         },
         ..FtConfig::default()
     };
@@ -434,7 +434,7 @@ proptest! {
             );
         }
         for vr in &out.per_vertex {
-            prop_assert!(vr.retries <= config.retry.max_retries);
+            prop_assert!(vr.retries <= config.retry.max_attempts);
         }
     }
 }

@@ -17,14 +17,14 @@
 //! independent ground truth (`end_to_end.rs`).
 
 use matopt_core::{
-    Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId, NodeKind, Op,
-    PhysFormat, PlanContext, TransformKind,
+    BackoffPolicy, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType, NodeId,
+    NodeKind, Op, PhysFormat, PlanContext, TransformKind,
 };
 use matopt_cost::CostModel;
 use matopt_engine::{
     execute_adaptive_planned, execute_fault_tolerant, execute_plan, execute_plan_serial,
     execute_plan_with, parse_fault_spec, AdaptiveConfig, DistRelation, ExecOptions, FaultInjector,
-    FtConfig, RetryConfig,
+    FtConfig,
 };
 use matopt_graphs::{ffnn_w2_update_graph, two_level_inverse_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
@@ -147,10 +147,10 @@ fn assert_pipeline_matches_serial(
     let model = CostModel::analytical();
     let obs = Obs::disabled();
     let ft = FtConfig {
-        retry: RetryConfig {
-            max_retries: 10,
-            base_backoff_ms: 1,
-            max_backoff_ms: 2,
+        retry: BackoffPolicy {
+            base_ms: 1,
+            cap_ms: 2,
+            max_attempts: 10,
         },
         ..FtConfig::default()
     };

@@ -31,7 +31,9 @@ fn mt(d: &DenseMatrix) -> MatrixType {
 }
 
 /// Runs `strategy` on the given inputs/formats and checks the assembled
-/// result against `expect`.
+/// result against `expect`. The executor is handed the output format the
+/// optimizer's type specification gives (`evaluate` on the extended
+/// registry), which must be `out_format`: optimizer and executor agree.
 fn check(
     strategy: Strategy,
     op: Op,
@@ -40,12 +42,26 @@ fn check(
     expect: &DenseMatrix,
 ) {
     let rels: Vec<Arc<DistRelation>> = data.iter().map(|(d, f)| Arc::new(rel(d, *f))).collect();
+    let reg = ImplRegistry::extended();
+    let impl_def = reg
+        .all()
+        .iter()
+        .find(|d| d.strategy == strategy && d.op == op.kind())
+        .expect("registered");
+    let typed: Vec<(MatrixType, PhysFormat)> = rels.iter().map(|r| (r.mtype, r.format)).collect();
+    let eval = impl_def
+        .evaluate(&op, &typed, &matopt_core::Cluster::simsql_like(10))
+        .unwrap_or_else(|| panic!("{strategy:?} rejects {typed:?}"));
+    assert_eq!(
+        eval.out_format, out_format,
+        "{strategy:?}: optimizer output format"
+    );
     let out_type = MatrixType {
         rows: expect.rows() as u64,
         cols: expect.cols() as u64,
         sparsity: expect.measured_sparsity(),
     };
-    let out = execute_impl(strategy, &op, &rels, out_type, out_format).expect("executes");
+    let out = execute_impl(strategy, &op, &rels, out_type, eval.out_format).expect("executes");
     assert_eq!(out.format, out_format, "output format mismatch");
     assert!(
         out.to_dense().approx_eq(expect, 1e-9),
