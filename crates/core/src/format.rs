@@ -61,6 +61,18 @@ impl PhysFormat {
         !self.is_dense()
     }
 
+    /// The edge of one chunk: a tile's side, a strip's height or width;
+    /// `None` for the one-tuple and COO layouts.
+    pub fn chunk_edge(&self) -> Option<u64> {
+        match *self {
+            PhysFormat::RowStrip { height: e }
+            | PhysFormat::ColStrip { width: e }
+            | PhysFormat::Tile { side: e }
+            | PhysFormat::CsrTile { side: e } => Some(e),
+            PhysFormat::SingleTuple | PhysFormat::Coo | PhysFormat::CsrSingle => None,
+        }
+    }
+
     /// Number of tuples a matrix of type `m` occupies in this layout.
     ///
     /// For chunked layouts this is the chunk-grid size (ragged edge

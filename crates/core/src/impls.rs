@@ -10,6 +10,7 @@
 use crate::features::CostFeatures;
 use crate::format::PhysFormat;
 use crate::ops::{Op, OpKind};
+use crate::relplan::RelPlan;
 use crate::types::MatrixType;
 use crate::Cluster;
 
@@ -185,21 +186,6 @@ impl OpImplDef {
     }
 }
 
-/// Replaces degenerate chunked layouts (exactly one chunk) by their
-/// single-tuple equivalents and rejects layouts that are not feasible
-/// for the output type. Mirrors how the engine actually behaves: a
-/// tiling whose grid is 1×1 *is* a single tuple.
-fn canonical_output(fmt: PhysFormat, m: &MatrixType, cluster: &Cluster) -> Option<PhysFormat> {
-    let f = if fmt.is_chunked_dense() && fmt.num_tuples(m) <= 1.0 {
-        PhysFormat::SingleTuple
-    } else if matches!(fmt, PhysFormat::CsrTile { .. }) && fmt.num_tuples(m) <= 1.0 {
-        PhysFormat::CsrSingle
-    } else {
-        fmt
-    };
-    f.feasible(m, cluster).then_some(f)
-}
-
 /// Streaming working set of a partitioned, disk-backed operator: a few
 /// chunks in flight, not whole partitions. Hadoop-style engines stream
 /// tuples through joins and aggregations, so per-worker RAM pressure is
@@ -213,8 +199,10 @@ fn working_set(inputs: &[(MatrixType, PhysFormat)], out: PhysFormat, out_type: &
     3.0 * biggest
 }
 
-/// The central strategy analysis: input-pattern matching, output-format
-/// computation, feature formulas, and memory estimates, in one place.
+/// The central strategy analysis: the strategy's relational plan
+/// ([`RelPlan::new`]) accepts the inputs and derives the output format,
+/// the output must fit `cluster`, and the feature formulas and memory
+/// estimates price the plan.
 #[allow(clippy::too_many_lines)]
 fn analyze(
     strategy: Strategy,
@@ -223,17 +211,24 @@ fn analyze(
     out_type: &MatrixType,
     cluster: &Cluster,
 ) -> Option<ImplEval> {
-    use PhysFormat as F;
+    let out = RelPlan::new(strategy, *op, inputs, out_type)?.out;
+    if !out.feasible(out_type, cluster) {
+        return None;
+    }
     let (am, af) = inputs[0];
+    // The second input; a unary op's first again, never read.
+    let (bm, bf) = inputs[inputs.len() - 1];
     let in_bytes_a = af.total_bytes(&am);
+    let b_bytes = bf.total_bytes(&bm);
     let chunks_a = af.num_tuples(&am);
+    let par_a = cluster.effective_workers(chunks_a);
     // Sparsity-aware FLOP counts belong to *sparse-format*
     // implementations only: a dense kernel (BLAS) does not skip zeros,
     // so dense strategies are charged the full dense FLOP count even
     // when the data happens to be sparse. This is what makes choosing a
     // sparse layout pay off in the optimizer (§7, Figure 12).
-    // The callers checked `inputs.len() == op.arity()`, which is at
-    // most two, so the FLOP count's input types fit on the stack.
+    // The plan checked `inputs.len() == op.arity()`, which is at most
+    // two, so the FLOP count's input types fit on the stack.
     let sparse = inputs.iter().any(|(_, f)| f.is_sparse());
     let mut types = [am; 2];
     for (t, (m, _)) in types.iter_mut().zip(inputs) {
@@ -244,124 +239,80 @@ fn analyze(
         };
     }
     let flops_total = op.flops(&types[..inputs.len()]);
+    // Sparse layouts are charged per non-zero, dense ones per FLOP.
+    let work = if af.is_sparse() {
+        am.nnz()
+    } else {
+        flops_total
+    };
     let out_dense_bytes = out_type.dense_bytes();
+    let ws = || working_set(inputs, out, out_type);
+    // A one-site strategy: no parallelism, no network beyond its inputs.
+    let local = |local_flops, net_bytes, inter_bytes, tuples| CostFeatures {
+        local_flops,
+        net_bytes,
+        inter_bytes,
+        tuples,
+        ops: 1.0,
+        ..CostFeatures::zero()
+    };
+    // A partitioned strategy.
+    let spread = |cpu_flops, net_bytes, inter_bytes, tuples, ops| CostFeatures {
+        local_flops: 0.0,
+        cpu_flops,
+        net_bytes,
+        inter_bytes,
+        tuples,
+        ops,
+    };
 
-    match strategy {
-        Strategy::MmSingleLocal => {
-            let (bm, bf) = inputs[1];
-            if af != F::SingleTuple || bf != F::SingleTuple {
-                return None;
-            }
-            let out = canonical_output(F::SingleTuple, out_type, cluster)?;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: flops_total,
-                    net_bytes: bf.total_bytes(&bm),
-                    inter_bytes: out_dense_bytes,
-                    tuples: 3.0,
-                    ops: 1.0,
-                    ..CostFeatures::zero()
-                },
-                mem_per_worker: in_bytes_a + bf.total_bytes(&bm) + out_dense_bytes,
-            })
-        }
+    let (features, mem_per_worker) = match strategy {
+        Strategy::MmSingleLocal | Strategy::MmCsrSingleSingle | Strategy::EwSingleLocal => (
+            local(flops_total, b_bytes, out_dense_bytes, 3.0),
+            in_bytes_a + b_bytes + out_dense_bytes,
+        ),
         Strategy::MmBcastSingleColstrip => {
-            let (bm, bf) = inputs[1];
-            let F::ColStrip { width } = bf else {
-                return None;
-            };
-            if af != F::SingleTuple {
-                return None;
-            }
-            let out = canonical_output(F::ColStrip { width }, out_type, cluster)?;
             let chunks_b = bf.num_tuples(&bm);
             let par = cluster.effective_workers(chunks_b);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: in_bytes_a,
-                    inter_bytes: out_dense_bytes,
-                    tuples: 1.0 + chunks_b + out.num_tuples(out_type),
-                    ops: 1.0,
-                },
-                mem_per_worker: in_bytes_a + working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    flops_total / par,
+                    in_bytes_a,
+                    out_dense_bytes,
+                    1.0 + chunks_b + out.num_tuples(out_type),
+                    1.0,
+                ),
+                in_bytes_a + ws(),
+            )
         }
-        Strategy::MmRowstripBcastSingle => {
-            let (bm, bf) = inputs[1];
-            let F::RowStrip { height } = af else {
-                return None;
-            };
-            if bf != F::SingleTuple {
-                return None;
-            }
-            let out = canonical_output(F::RowStrip { height }, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let b_bytes = bf.total_bytes(&bm);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: b_bytes,
-                    inter_bytes: out_dense_bytes,
-                    tuples: 1.0 + chunks_a + out.num_tuples(out_type),
-                    ops: 1.0,
-                },
-                mem_per_worker: b_bytes + working_set(inputs, out, out_type),
-            })
-        }
+        Strategy::MmRowstripBcastSingle => (
+            spread(
+                flops_total / par_a,
+                b_bytes,
+                out_dense_bytes,
+                1.0 + chunks_a + out.num_tuples(out_type),
+                1.0,
+            ),
+            b_bytes + ws(),
+        ),
         Strategy::MmRowstripColstripCross => {
-            let (bm, bf) = inputs[1];
-            let (F::RowStrip { height }, F::ColStrip { width }) = (af, bf) else {
-                return None;
-            };
-            // The cross join produces height × width output tiles; the
-            // catalog only has square tiles, so equal strip sizes are
-            // required.
-            if height != width {
-                return None;
-            }
-            let out = canonical_output(F::Tile { side: height }, out_type, cluster)?;
             let chunks_b = bf.num_tuples(&bm);
             let pairs = chunks_a * chunks_b;
             let par = cluster.effective_workers(pairs);
-            let b_bytes = bf.total_bytes(&bm);
             let bcast = in_bytes_a.min(b_bytes);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: bcast,
-                    inter_bytes: out_dense_bytes,
-                    tuples: chunks_a + chunks_b + pairs,
-                    ops: 1.0,
-                },
-                mem_per_worker: bcast + working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    flops_total / par,
+                    bcast,
+                    out_dense_bytes,
+                    chunks_a + chunks_b + pairs,
+                    1.0,
+                ),
+                bcast + ws(),
+            )
         }
         Strategy::MmTileShuffle | Strategy::MmCsrTileTile | Strategy::MmCooDenseShuffle => {
-            let (bm, bf) = inputs[1];
-            let side = match (strategy, af, bf) {
-                (Strategy::MmTileShuffle, F::Tile { side: sa }, F::Tile { side: sb })
-                    if sa == sb =>
-                {
-                    sa
-                }
-                (Strategy::MmCsrTileTile, F::CsrTile { side: sa }, F::Tile { side: sb })
-                    if sa == sb =>
-                {
-                    sa
-                }
-                (Strategy::MmCooDenseShuffle, F::Coo, F::Tile { side: sb }) => sb,
-                _ => return None,
-            };
-            let out = canonical_output(F::Tile { side }, out_type, cluster)?;
-            let s = side as f64;
+            let s = bf.chunk_edge()? as f64;
             let row_chunks = (am.rows as f64 / s).ceil();
             let k_chunks = (am.cols as f64 / s).ceil();
             let col_chunks = (bm.cols as f64 / s).ceil();
@@ -377,7 +328,6 @@ fn analyze(
             } else {
                 dense_partial_bytes
             };
-            let b_bytes = bf.total_bytes(&bm);
             let par = cluster.effective_workers(partial_count);
             let shuffle_total = in_bytes_a + b_bytes + partial_bytes;
             // Partial tiles spill to local scratch; a worker that cannot
@@ -386,525 +336,201 @@ fn analyze(
             if partial_bytes / cluster.workers as f64 > cluster.worker_disk_bytes {
                 return None;
             }
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: shuffle_total / cluster.workers as f64,
-                    inter_bytes: partial_bytes,
-                    tuples: chunks_a
-                        + bf.num_tuples(&bm)
-                        + partial_count
-                        + out.num_tuples(out_type),
-                    ops: 2.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    flops_total / par,
+                    shuffle_total / cluster.workers as f64,
+                    partial_bytes,
+                    chunks_a + bf.num_tuples(&bm) + partial_count + out.num_tuples(out_type),
+                    2.0,
+                ),
+                ws(),
+            )
         }
         Strategy::MmTileBcast => {
-            let (bm, bf) = inputs[1];
-            let (F::Tile { side: sa }, F::Tile { side: sb }) = (af, bf) else {
-                return None;
-            };
-            if sa != sb {
-                return None;
-            }
-            let out = canonical_output(F::Tile { side: sa }, out_type, cluster)?;
-            let b_bytes = bf.total_bytes(&bm);
             let bcast = in_bytes_a.min(b_bytes);
             let par = cluster.effective_workers(chunks_a.max(bf.num_tuples(&bm)));
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: bcast,
-                    inter_bytes: out_dense_bytes,
-                    tuples: chunks_a + bf.num_tuples(&bm) + out.num_tuples(out_type),
-                    ops: 1.0,
-                },
-                mem_per_worker: bcast + working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    flops_total / par,
+                    bcast,
+                    out_dense_bytes,
+                    chunks_a + bf.num_tuples(&bm) + out.num_tuples(out_type),
+                    1.0,
+                ),
+                bcast + ws(),
+            )
         }
         Strategy::MmColstripRowstripOuter => {
-            let (bm, bf) = inputs[1];
-            let (F::ColStrip { width }, F::RowStrip { height }) = (af, bf) else {
-                return None;
-            };
-            if width != height {
-                return None;
-            }
-            let out = canonical_output(F::SingleTuple, out_type, cluster)?;
             let k_chunks = chunks_a;
             let par = cluster.effective_workers(k_chunks);
             // Each strip pair contributes a full m×n outer-product
             // partial that the global SUM must combine.
             let partial_bytes = k_chunks * out_dense_bytes;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: partial_bytes / par + out_dense_bytes,
-                    inter_bytes: partial_bytes,
-                    tuples: chunks_a + bf.num_tuples(&bm) + k_chunks,
-                    ops: 2.0,
-                },
-                mem_per_worker: out_dense_bytes * 2.0 + working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    flops_total / par,
+                    partial_bytes / par + out_dense_bytes,
+                    partial_bytes,
+                    chunks_a + bf.num_tuples(&bm) + k_chunks,
+                    2.0,
+                ),
+                out_dense_bytes * 2.0 + ws(),
+            )
         }
-        Strategy::MmCsrSingleSingle => {
-            let (bm, bf) = inputs[1];
-            if af != F::CsrSingle || bf != F::SingleTuple {
-                return None;
-            }
-            let out = canonical_output(F::SingleTuple, out_type, cluster)?;
-            let b_bytes = bf.total_bytes(&bm);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: flops_total,
-                    net_bytes: b_bytes,
-                    inter_bytes: out_dense_bytes,
-                    tuples: 3.0,
-                    ops: 1.0,
-                    ..CostFeatures::zero()
-                },
-                mem_per_worker: in_bytes_a + b_bytes + out_dense_bytes,
-            })
-        }
-        Strategy::EwCopart => {
-            let (bm, bf) = inputs[1];
-            if af != bf || !af.is_chunked_dense() {
-                return None;
-            }
-            let out = canonical_output(af, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let b_bytes = bf.total_bytes(&bm);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: in_bytes_a.min(b_bytes) / par,
-                    inter_bytes: out_type.dense_bytes(),
-                    tuples: chunks_a * 3.0,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
-        }
-        Strategy::EwSingleLocal => {
-            let (bm, bf) = inputs[1];
-            if af != F::SingleTuple || bf != F::SingleTuple {
-                return None;
-            }
-            let out = canonical_output(F::SingleTuple, out_type, cluster)?;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: flops_total,
-                    net_bytes: bf.total_bytes(&bm),
-                    inter_bytes: out_type.dense_bytes(),
-                    tuples: 3.0,
-                    ops: 1.0,
-                    ..CostFeatures::zero()
-                },
-                mem_per_worker: in_bytes_a + bf.total_bytes(&bm) + out_type.dense_bytes(),
-            })
-        }
+        Strategy::EwCopart => (
+            spread(
+                flops_total / par_a,
+                in_bytes_a.min(b_bytes) / par_a,
+                out_dense_bytes,
+                chunks_a * 3.0,
+                1.0,
+            ),
+            ws(),
+        ),
         Strategy::AddCooDenseCopart => {
-            let (bm, bf) = inputs[1];
-            if af != F::Coo || !bf.is_chunked_dense() {
-                return None;
-            }
-            let out = canonical_output(bf, out_type, cluster)?;
             let chunks_b = bf.num_tuples(&bm);
             let par = cluster.effective_workers(chunks_b);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: am.nnz() / par,
-                    net_bytes: in_bytes_a / par,
-                    inter_bytes: out_type.dense_bytes(),
-                    tuples: am.nnz() + chunks_b * 2.0,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    am.nnz() / par,
+                    in_bytes_a / par,
+                    out_dense_bytes,
+                    am.nnz() + chunks_b * 2.0,
+                    1.0,
+                ),
+                ws(),
+            )
         }
-        Strategy::HadamardCsrDenseCopart => {
-            let (bm, bf) = inputs[1];
-            let (F::CsrTile { side: sa }, F::Tile { side: sb }) = (af, bf) else {
-                return None;
-            };
-            if sa != sb {
-                return None;
-            }
-            let out = canonical_output(F::CsrTile { side: sa }, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: am.nnz() / par,
-                    net_bytes: in_bytes_a.min(bf.total_bytes(&bm)) / par,
-                    inter_bytes: out_type.sparse_bytes(),
-                    tuples: chunks_a * 3.0,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
-        }
-        Strategy::BiasBcast => {
-            let (bm, bf) = inputs[1];
-            if bf != F::SingleTuple || !af.is_dense() {
-                return None;
-            }
-            let out = canonical_output(af, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let b_bytes = bf.total_bytes(&bm);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: b_bytes,
-                    inter_bytes: 0.0,
-                    tuples: chunks_a * 2.0,
-                    ops: 1.0,
-                },
-                mem_per_worker: b_bytes + working_set(inputs, out, out_type),
-            })
-        }
-        Strategy::UnaryMap => {
-            // Zero-preserving maps may run on sparse layouts; others
-            // require a dense layout (their output is dense anyway).
-            let zero_preserving = matches!(
-                op.kind(),
-                OpKind::Relu | OpKind::ReluGrad | OpKind::Neg | OpKind::ScalarMul
-            );
-            if af.is_sparse() && !zero_preserving {
-                return None;
-            }
-            let out = canonical_output(af, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let work = if af.is_sparse() {
-                am.nnz()
-            } else {
-                flops_total
-            };
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: work / par,
-                    net_bytes: 0.0,
-                    inter_bytes: 0.0,
-                    tuples: chunks_a,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
-        }
-        Strategy::SoftmaxRowAligned => {
-            if !matches!(af, F::SingleTuple | F::RowStrip { .. }) {
-                return None;
-            }
-            let out = canonical_output(af, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: 0.0,
-                    inter_bytes: 0.0,
-                    tuples: chunks_a,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
+        Strategy::HadamardCsrDenseCopart => (
+            spread(
+                am.nnz() / par_a,
+                in_bytes_a.min(b_bytes) / par_a,
+                out_type.sparse_bytes(),
+                chunks_a * 3.0,
+                1.0,
+            ),
+            ws(),
+        ),
+        Strategy::BiasBcast => (
+            spread(flops_total / par_a, b_bytes, 0.0, chunks_a * 2.0, 1.0),
+            b_bytes + ws(),
+        ),
+        Strategy::UnaryMap => (spread(work / par_a, 0.0, 0.0, chunks_a, 1.0), ws()),
+        Strategy::SoftmaxRowAligned | Strategy::ReduceRowAligned | Strategy::ReduceColAligned => {
+            (spread(flops_total / par_a, 0.0, 0.0, chunks_a, 1.0), ws())
         }
         Strategy::SoftmaxTileTwoRound => {
-            let F::Tile { side } = af else {
-                return None;
-            };
-            let out = canonical_output(F::Tile { side }, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let s = side as f64;
-            let col_chunks = (am.cols as f64 / s).ceil();
+            let col_chunks = (am.cols as f64 / af.chunk_edge()? as f64).ceil();
             // Row-max and row-sum vectors: one per tile column block.
             let reduce_bytes = 2.0 * am.rows as f64 * col_chunks * crate::types::DENSE_ENTRY_BYTES;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: reduce_bytes / par,
-                    inter_bytes: reduce_bytes + out_type.dense_bytes(),
-                    tuples: chunks_a * 3.0,
-                    ops: 3.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    flops_total / par_a,
+                    reduce_bytes / par_a,
+                    reduce_bytes + out_dense_bytes,
+                    chunks_a * 3.0,
+                    3.0,
+                ),
+                ws(),
+            )
         }
-        Strategy::TransposeChunkwise => {
-            let natural = match af {
-                F::SingleTuple => F::SingleTuple,
-                F::Tile { side } => F::Tile { side },
-                F::RowStrip { height } => F::ColStrip { width: height },
-                F::ColStrip { width } => F::RowStrip { height: width },
-                _ => return None,
-            };
-            let out = canonical_output(natural, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: in_bytes_a / par,
-                    inter_bytes: out_type.dense_bytes(),
-                    tuples: chunks_a * 2.0,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
+        Strategy::TransposeChunkwise => (
+            spread(
+                flops_total / par_a,
+                in_bytes_a / par_a,
+                out_dense_bytes,
+                chunks_a * 2.0,
+                1.0,
+            ),
+            ws(),
+        ),
+        Strategy::TransposeCoo => (
+            spread(am.nnz() / cluster.workers as f64, 0.0, 0.0, am.nnz(), 1.0),
+            ws(),
+        ),
+        Strategy::TransposeCsrSingle if af == PhysFormat::CsrSingle => {
+            (local(am.nnz(), 0.0, 0.0, 1.0), in_bytes_a * 2.0)
         }
-        Strategy::TransposeCoo => {
-            if af != F::Coo {
-                return None;
-            }
-            let out = canonical_output(F::Coo, out_type, cluster)?;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: am.nnz() / cluster.workers as f64,
-                    net_bytes: 0.0,
-                    inter_bytes: 0.0,
-                    tuples: am.nnz(),
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
-        }
-        Strategy::TransposeCsrSingle => {
-            let natural = match af {
-                F::CsrSingle => F::CsrSingle,
-                F::CsrTile { side } => F::CsrTile { side },
-                _ => return None,
-            };
-            let out = canonical_output(natural, out_type, cluster)?;
-            if af == F::CsrSingle {
-                Some(ImplEval {
-                    out_format: out,
-                    features: CostFeatures {
-                        local_flops: am.nnz(),
-                        net_bytes: 0.0,
-                        inter_bytes: 0.0,
-                        tuples: 1.0,
-                        ops: 1.0,
-                        ..CostFeatures::zero()
-                    },
-                    mem_per_worker: in_bytes_a * 2.0,
-                })
-            } else {
-                // Tiled: per-block transpose + key swap (a shuffle).
-                let par = cluster.effective_workers(chunks_a);
-                Some(ImplEval {
-                    out_format: out,
-                    features: CostFeatures {
-                        local_flops: 0.0,
-                        cpu_flops: am.nnz() / par,
-                        net_bytes: in_bytes_a / par,
-                        inter_bytes: out_type.sparse_bytes(),
-                        tuples: chunks_a * 2.0,
-                        ops: 1.0,
-                    },
-                    mem_per_worker: working_set(inputs, out, out_type),
-                })
-            }
-        }
-        Strategy::ReduceRowAligned => {
-            let natural = match af {
-                F::SingleTuple => F::SingleTuple,
-                F::RowStrip { height } => F::RowStrip { height },
-                _ => return None,
-            };
-            let out = canonical_output(natural, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: 0.0,
-                    inter_bytes: 0.0,
-                    tuples: chunks_a,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
-        }
-        Strategy::ReduceColAligned => {
-            let natural = match af {
-                F::SingleTuple => F::SingleTuple,
-                F::ColStrip { width } => F::ColStrip { width },
-                _ => return None,
-            };
-            let out = canonical_output(natural, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: 0.0,
-                    inter_bytes: 0.0,
-                    tuples: chunks_a,
-                    ops: 1.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
-        }
+        // Tiled: per-block transpose + key swap (a shuffle).
+        Strategy::TransposeCsrSingle => (
+            spread(
+                am.nnz() / par_a,
+                in_bytes_a / par_a,
+                out_type.sparse_bytes(),
+                chunks_a * 2.0,
+                1.0,
+            ),
+            ws(),
+        ),
         Strategy::ReduceTileShuffle => {
-            let F::Tile { side } = af else {
-                return None;
-            };
-            let natural = match op.kind() {
-                OpKind::RowSums => F::RowStrip { height: side },
-                OpKind::ColSums => F::ColStrip { width: side },
-                _ => return None,
-            };
-            let out = canonical_output(natural, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let partial_bytes = chunks_a * side as f64 * crate::types::DENSE_ENTRY_BYTES;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: partial_bytes / par,
-                    inter_bytes: partial_bytes,
-                    tuples: chunks_a * 2.0,
-                    ops: 2.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
+            let partial_bytes =
+                chunks_a * af.chunk_edge()? as f64 * crate::types::DENSE_ENTRY_BYTES;
+            (
+                spread(
+                    flops_total / par_a,
+                    partial_bytes / par_a,
+                    partial_bytes,
+                    chunks_a * 2.0,
+                    2.0,
+                ),
+                ws(),
+            )
         }
         Strategy::ReduceCoo => {
-            if af != F::Coo {
-                return None;
-            }
-            let out = canonical_output(PhysFormat::SingleTuple, out_type, cluster)?;
             let par = cluster.workers as f64;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: am.nnz() / par,
-                    net_bytes: in_bytes_a / par,
-                    inter_bytes: out_type.dense_bytes(),
-                    tuples: am.nnz(),
-                    ops: 1.0,
-                },
-                mem_per_worker: out_type.dense_bytes() + working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    am.nnz() / par,
+                    in_bytes_a / par,
+                    out_dense_bytes,
+                    am.nnz(),
+                    1.0,
+                ),
+                out_dense_bytes + ws(),
+            )
         }
-        Strategy::InvSingleLocal => {
-            if af != F::SingleTuple {
-                return None;
-            }
-            let out = canonical_output(F::SingleTuple, out_type, cluster)?;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: flops_total,
-                    net_bytes: 0.0,
-                    inter_bytes: out_type.dense_bytes(),
-                    tuples: 1.0,
-                    ops: 1.0,
-                    ..CostFeatures::zero()
-                },
-                mem_per_worker: in_bytes_a * 3.0,
-            })
-        }
+        Strategy::InvSingleLocal => (
+            local(flops_total, 0.0, out_dense_bytes, 1.0),
+            in_bytes_a * 3.0,
+        ),
         Strategy::InvTileGaussJordan => {
-            let F::Tile { side } = af else {
-                return None;
-            };
-            let out = canonical_output(F::Tile { side }, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let rounds = (am.rows as f64 / side as f64).ceil();
-            let panel_bytes = am.rows as f64 * side as f64 * crate::types::DENSE_ENTRY_BYTES;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: flops_total / par,
-                    net_bytes: rounds * panel_bytes,
-                    inter_bytes: rounds * panel_bytes,
-                    // Each round re-scans every tile.
-                    tuples: rounds * chunks_a,
-                    ops: rounds,
-                },
-                mem_per_worker: panel_bytes + working_set(inputs, out, out_type),
-            })
+            let side = af.chunk_edge()? as f64;
+            let rounds = (am.rows as f64 / side).ceil();
+            let panel_bytes = am.rows as f64 * side * crate::types::DENSE_ENTRY_BYTES;
+            (
+                // Each round re-scans every tile.
+                spread(
+                    flops_total / par_a,
+                    rounds * panel_bytes,
+                    rounds * panel_bytes,
+                    rounds * chunks_a,
+                    rounds,
+                ),
+                panel_bytes + ws(),
+            )
         }
-        Strategy::ReduceScalarLocal => {
-            if !matches!(af, F::SingleTuple | F::CsrSingle | F::Coo) {
-                return None;
-            }
-            let out = canonical_output(F::SingleTuple, out_type, cluster)?;
-            let work = if af.is_sparse() {
-                am.nnz()
-            } else {
-                flops_total
-            };
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: work,
-                    net_bytes: 0.0,
-                    inter_bytes: 0.0,
-                    tuples: 1.0,
-                    ops: 1.0,
-                    ..CostFeatures::zero()
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
-        }
+        Strategy::ReduceScalarLocal => (local(work, 0.0, 0.0, 1.0), ws()),
         Strategy::ReduceScalarTree => {
-            if !(af.is_chunked_dense() || matches!(af, F::CsrTile { .. })) {
-                return None;
-            }
-            let out = canonical_output(F::SingleTuple, out_type, cluster)?;
-            let par = cluster.effective_workers(chunks_a);
-            let work = if af.is_sparse() {
-                am.nnz()
-            } else {
-                flops_total
-            };
             // One partial scalar per chunk flows into the global SUM.
             let partial_bytes = chunks_a * crate::types::DENSE_ENTRY_BYTES;
-            Some(ImplEval {
-                out_format: out,
-                features: CostFeatures {
-                    local_flops: 0.0,
-                    cpu_flops: work / par,
-                    net_bytes: partial_bytes / par,
-                    inter_bytes: partial_bytes,
-                    tuples: chunks_a + 1.0,
-                    ops: 2.0,
-                },
-                mem_per_worker: working_set(inputs, out, out_type),
-            })
+            (
+                spread(
+                    work / par_a,
+                    partial_bytes / par_a,
+                    partial_bytes,
+                    chunks_a + 1.0,
+                    2.0,
+                ),
+                ws(),
+            )
         }
-    }
+    };
+    Some(ImplEval {
+        out_format: out,
+        features,
+        mem_per_worker,
+    })
 }
 
 /// The registry of atomic computation implementations the optimizer

@@ -36,6 +36,7 @@ mod format;
 mod graph;
 mod impls;
 mod ops;
+mod relplan;
 mod resource;
 mod transforms;
 mod types;
@@ -56,6 +57,7 @@ pub use format::{
 pub use graph::{Annotation, BitSet, ComputeGraph, Node, NodeId, NodeKind, VertexChoice};
 pub use impls::{ImplEval, ImplId, ImplRegistry, OpImplDef, Strategy};
 pub use ops::{Op, OpKind, TypeError, ALL_OP_KINDS, PAPER_OP_KINDS};
+pub use relplan::{key_cols, project_key, RelOp, RelPlan};
 pub use resource::{default_scratch_dir, parse_byte_size};
 pub use transforms::{Transform, TransformCatalog, TransformKind, ALL_TRANSFORM_KINDS};
 pub use types::{MatrixType, DENSE_ENTRY_BYTES, SPARSE_ENTRY_BYTES, TRIPLE_ENTRY_BYTES};

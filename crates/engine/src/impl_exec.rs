@@ -5,9 +5,8 @@
 //! test-suite can verify that *every* type-correct annotation of a
 //! graph computes identical numbers.
 
-use crate::relplan::{project_key, RelOp, RelPlan};
 use crate::value::{Block, Chunk, DistRelation};
-use matopt_core::{MatrixType, NodeId, Op, PhysFormat, Strategy};
+use matopt_core::{project_key, MatrixType, NodeId, Op, PhysFormat, RelOp, RelPlan, Strategy};
 use matopt_kernels::{CooMatrix, DenseMatrix, PackedOperand};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -91,6 +90,27 @@ pub enum ExecError {
         /// What the spill layer detected.
         detail: String,
     },
+    /// The annotation asks a vertex for an output format that its
+    /// implementation's type rule ([`RelPlan::new`]) does not give for
+    /// the inputs it was handed, or the rule rejects those inputs:
+    /// running it would return a relation labelled with a format it is
+    /// not in.
+    TypeRuleMismatch {
+        /// The vertex being executed, once known (attached like a
+        /// kernel panic's, via [`ExecError::at_vertex`]).
+        vertex: Option<NodeId>,
+        /// The vertex's label, attached together with the id.
+        label: Option<String>,
+        /// The implementation's strategy.
+        strategy: Strategy,
+        /// The formats of the inputs, in order.
+        inputs: Vec<PhysFormat>,
+        /// The output format the annotation asks for.
+        requested: PhysFormat,
+        /// The output format the rule gives; `None` when it rejects the
+        /// inputs.
+        derived: Option<PhysFormat>,
+    },
     /// The runtime hit an inconsistency between the annotation and the
     /// data (should be impossible for validated plans).
     Internal(String),
@@ -98,22 +118,19 @@ pub enum ExecError {
 
 impl ExecError {
     /// Attaches a vertex id and label to errors that are raised below
-    /// the per-vertex loop (currently kernel panics), leaving others
-    /// as-is.
+    /// the per-vertex loop (kernel panics and type-rule mismatches),
+    /// leaving others as-is.
     #[must_use]
-    pub fn at_vertex(self, v: NodeId, label: &str) -> Self {
-        match self {
-            ExecError::KernelPanic {
-                vertex: None,
-                label: None,
-                detail,
-            } => ExecError::KernelPanic {
-                vertex: Some(v),
-                label: Some(label.to_string()),
-                detail,
-            },
-            other => other,
+    pub fn at_vertex(mut self, v: NodeId, name: &str) -> Self {
+        if let ExecError::KernelPanic { vertex, label, .. }
+        | ExecError::TypeRuleMismatch { vertex, label, .. } = &mut self
+        {
+            if vertex.is_none() && label.is_none() {
+                *vertex = Some(v);
+                *label = Some(name.to_string());
+            }
         }
+        self
     }
 }
 
@@ -181,6 +198,27 @@ impl std::fmt::Display for ExecError {
                     "spilled buffer of vertex {vertex} ({label:?}) failed verification on reload: {detail}"
                 )
             }
+            ExecError::TypeRuleMismatch {
+                vertex,
+                label,
+                strategy,
+                inputs,
+                requested,
+                derived,
+            } => {
+                match (vertex, label) {
+                    (Some(v), Some(l)) => write!(f, "vertex {v} ({l:?}): ")?,
+                    (Some(v), None) => write!(f, "vertex {v}: ")?,
+                    _ => {}
+                }
+                let inputs: Vec<String> = inputs.iter().map(ToString::to_string).collect();
+                let derived = derived.map_or_else(|| "⊥".to_string(), |d| d.to_string());
+                write!(
+                    f,
+                    "{strategy:?} on [{}] gives {derived}, not the annotated {requested}",
+                    inputs.join(", ")
+                )
+            }
             ExecError::Internal(m) => write!(f, "executor invariant violated: {m}"),
         }
     }
@@ -213,17 +251,20 @@ where
 }
 
 /// Executes one implementation strategy over concrete distributed
-/// relations: runs the strategy's relational plan (`relplan.rs`) and
-/// emits its chunks in `out_format`, which must be the format the type
-/// specification (`OpImplDef::evaluate`) gives for these inputs, as an
-/// annotation's output format is. There is no second copy of the
-/// output-format rules here and no repackaging afterwards.
+/// relations: builds the strategy's relational plan ([`RelPlan::new`])
+/// from the inputs' types and formats, refuses an `out_format` other
+/// than the one the plan derives, and runs the plan, emitting its
+/// chunks in that format. Every executor (the walk, the pipeline, a
+/// `matopt-workerd`) executes vertices through here, so none of them
+/// can return a mislabelled relation.
 ///
 /// Inputs are `Arc`-shared: identity edges are reference bumps, chunk
 /// batches borrow their inputs through the `Arc` from pool jobs, and a
 /// worker process hands over the relations it decoded without a copy.
 ///
 /// # Errors
+/// [`ExecError::TypeRuleMismatch`] when the type rule rejects the
+/// inputs or derives another output format;
 /// [`ExecError::Internal`] on annotation/data inconsistencies;
 /// [`ExecError::KernelPanic`] when a pooled chunk kernel panics.
 pub fn execute_impl(
@@ -233,15 +274,20 @@ pub fn execute_impl(
     out_type: MatrixType,
     out_format: PhysFormat,
 ) -> Result<DistRelation, ExecError> {
-    if inputs.len() != op.arity() {
-        return Err(internal(format!(
-            "{op:?} takes {} inputs, got {}",
-            op.arity(),
-            inputs.len()
-        )));
-    }
-    let formats: Vec<PhysFormat> = inputs.iter().map(|r| r.format).collect();
-    let plan = RelPlan::new(strategy, *op, &formats, out_format);
+    let typed: Vec<(MatrixType, PhysFormat)> = inputs.iter().map(|r| (r.mtype, r.format)).collect();
+    let plan = match RelPlan::new(strategy, *op, &typed, &out_type) {
+        Some(plan) if plan.out == out_format => plan,
+        derived => {
+            return Err(ExecError::TypeRuleMismatch {
+                vertex: None,
+                label: None,
+                strategy,
+                inputs: typed.iter().map(|(_, f)| *f).collect(),
+                requested: out_format,
+                derived: derived.map(|p| p.out),
+            })
+        }
+    };
     let mut out = DistRelation {
         mtype: out_type,
         format: out_format,
@@ -850,6 +896,31 @@ mod tests {
                     detail: "stream checksum mismatch".to_string(),
                 },
                 "spilled buffer of vertex v3 (\"dW1\") failed verification on reload: stream checksum mismatch",
+            ),
+            (
+                ExecError::TypeRuleMismatch {
+                    vertex: Some(v),
+                    label: Some("C".to_string()),
+                    strategy: Strategy::MmRowstripColstripCross,
+                    inputs: vec![
+                        PhysFormat::RowStrip { height: 128 },
+                        PhysFormat::ColStrip { width: 100 },
+                    ],
+                    requested: PhysFormat::Tile { side: 128 },
+                    derived: None,
+                },
+                "vertex v3 (\"C\"): MmRowstripColstripCross on [rowstrip(128), colstrip(100)] gives ⊥, not the annotated tile(128)",
+            ),
+            (
+                ExecError::TypeRuleMismatch {
+                    vertex: None,
+                    label: None,
+                    strategy: Strategy::TransposeChunkwise,
+                    inputs: vec![PhysFormat::RowStrip { height: 4 }],
+                    requested: PhysFormat::RowStrip { height: 4 },
+                    derived: Some(PhysFormat::ColStrip { width: 4 }),
+                },
+                "TransposeChunkwise on [rowstrip(4)] gives colstrip(4), not the annotated rowstrip(4)",
             ),
             (
                 ExecError::Internal("oops".to_string()),

@@ -36,7 +36,6 @@ mod explain;
 mod faults;
 mod impl_exec;
 mod recovery;
-mod relplan;
 mod schedule;
 mod sim;
 mod spill;

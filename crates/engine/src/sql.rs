@@ -9,15 +9,14 @@
 //! type-correct annotation, so every optimized plan can be inspected as
 //! the SQL a relational ML engine would execute.
 
-use crate::relplan::{key_cols, RelOp, RelPlan};
 use matopt_core::{
-    Annotation, ComputeGraph, MatrixType, NodeId, NodeKind, Op, OpKind, PhysFormat, PlanContext,
-    PlanError, TransformKind,
+    key_cols, Annotation, ComputeGraph, MatrixType, NodeId, NodeKind, Op, OpKind, PhysFormat,
+    PlanContext, PlanError, RelOp, RelPlan, TransformKind,
 };
 
 /// Renders the whole annotated plan as a SQL script: one `CREATE TABLE`
 /// per source, one `CREATE VIEW` per transformation (two for a gather)
-/// and one per compute vertex, its relational plan (`relplan.rs`).
+/// and one per compute vertex, its relational plan ([`RelPlan`]).
 ///
 /// # Errors
 /// Returns a [`PlanError`] when the annotation is incomplete or not
@@ -70,14 +69,14 @@ pub fn render_sql(
                         input_rels.push(moved);
                     }
                 }
-                let formats: Vec<PhysFormat> =
-                    choice.input_transforms.iter().map(|t| t.to).collect();
-                let plan = RelPlan::new(
-                    ctx.registry.get(choice.impl_id).strategy,
-                    *op,
-                    &formats,
-                    choice.output_format,
-                );
+                let typed: Vec<(MatrixType, PhysFormat)> = node
+                    .inputs
+                    .iter()
+                    .zip(&choice.input_transforms)
+                    .map(|(u, t)| (graph.node(*u).mtype, t.to))
+                    .collect();
+                let strategy = ctx.registry.get(choice.impl_id).strategy;
+                let plan = RelPlan::new(strategy, *op, &typed, &node.mtype).expect("validated");
                 out.push_str(&compute_view(&rel_name(graph, id), &plan, &input_rels));
                 out.push('\n');
             }
@@ -264,7 +263,7 @@ fn compute_view(name: &str, plan: &RelPlan, inputs: &[String]) -> String {
     let f = op_fn(&plan.op);
     let lhs = inputs.first().map_or("", String::as_str);
     let rhs = inputs.get(1).map_or("", String::as_str);
-    let (fx, fm) = (plan.inputs[0], plan.inputs.get(1).copied());
+    let (fx, fm) = (plan.inputs()[0], plan.inputs().get(1).copied());
     // A COO operand is its value column, every other one its matrix.
     let val = |alias: &str, fmt: PhysFormat| match fmt {
         PhysFormat::Coo => format!("{alias}.value"),
@@ -593,7 +592,11 @@ mod tests {
                 let sql = render_sql(&g, &ann, &ctx).unwrap();
                 let what = format!("{} on {inputs:?}:\n{sql}", impl_def.name);
                 assert_eq!(sql.matches("CREATE VIEW").count(), 1, "{what}");
-                let plan = RelPlan::new(impl_def.strategy, op, &ins, out);
+                let out_type = op
+                    .output_type(&inputs.iter().map(|(m, _)| *m).collect::<Vec<_>>())
+                    .unwrap();
+                let plan = RelPlan::new(impl_def.strategy, op, &inputs, &out_type).unwrap();
+                assert_eq!(plan.out, out, "{what}");
                 let keyed = plan.group_by().is_some_and(|k| !k.is_empty());
                 assert_eq!(sql.contains("GROUP BY"), keyed, "{what}");
                 rendered += 1;

@@ -63,10 +63,31 @@ fn check(
     };
     let out = execute_impl(strategy, &op, &rels, out_type, eval.out_format).expect("executes");
     assert_eq!(out.format, out_format, "output format mismatch");
+    assert_grid(&format!("{strategy:?}"), &out);
     assert!(
         out.to_dense().approx_eq(expect, 1e-9),
         "{strategy:?} diverged from reference"
     );
+}
+
+/// The chunk keys of `rel`'s format over its type are exactly the
+/// format's grid: one chunk per grid cell, none outside it. A COO
+/// relation is one bag of triples and has no grid.
+fn assert_grid(what: &str, rel: &DistRelation) {
+    let (rows, cols) = (rel.mtype.rows, rel.mtype.cols);
+    let (h, w) = match rel.format {
+        PhysFormat::Coo => return,
+        PhysFormat::RowStrip { height } => (height, cols),
+        PhysFormat::ColStrip { width } => (rows, width),
+        PhysFormat::Tile { side } | PhysFormat::CsrTile { side } => (side, side),
+        PhysFormat::SingleTuple | PhysFormat::CsrSingle => (rows, cols),
+    };
+    let grid: Vec<(u64, u64)> = (0..rows.div_ceil(h))
+        .flat_map(|i| (0..cols.div_ceil(w)).map(move |j| (i, j)))
+        .collect();
+    let mut keys: Vec<(u64, u64)> = rel.chunks.iter().map(|c| (c.row, c.col)).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, grid, "{what}: chunk keys of {}", rel.format);
 }
 
 #[test]
@@ -506,26 +527,7 @@ fn no_dead_implementations() {
         PhysFormat::CsrTile { side: 1000 },
     ];
     for impl_def in reg.all() {
-        let op = match impl_def.op {
-            matopt_core::OpKind::MatMul => Op::MatMul,
-            matopt_core::OpKind::Add => Op::Add,
-            matopt_core::OpKind::Sub => Op::Sub,
-            matopt_core::OpKind::Hadamard => Op::Hadamard,
-            matopt_core::OpKind::ScalarMul => Op::ScalarMul(2.0),
-            matopt_core::OpKind::Transpose => Op::Transpose,
-            matopt_core::OpKind::Relu => Op::Relu,
-            matopt_core::OpKind::ReluGrad => Op::ReluGrad,
-            matopt_core::OpKind::Softmax => Op::Softmax,
-            matopt_core::OpKind::Sigmoid => Op::Sigmoid,
-            matopt_core::OpKind::Exp => Op::Exp,
-            matopt_core::OpKind::Neg => Op::Neg,
-            matopt_core::OpKind::RowSums => Op::RowSums,
-            matopt_core::OpKind::ColSums => Op::ColSums,
-            matopt_core::OpKind::Inverse => Op::Inverse,
-            matopt_core::OpKind::BroadcastAddRow => Op::BroadcastAddRow,
-            matopt_core::OpKind::SumAll => Op::SumAll,
-            matopt_core::OpKind::FrobeniusNorm => Op::FrobeniusNorm,
-        };
+        let op = op_of(impl_def.op);
         let arity = op.arity();
         let mut reachable = false;
         'search: for m1 in [dense_m, sparse_m] {
@@ -553,6 +555,171 @@ fn no_dead_implementations() {
             }
         }
         assert!(reachable, "implementation {} is unreachable", impl_def.name);
+    }
+}
+
+/// An op of every kind.
+fn op_of(kind: matopt_core::OpKind) -> Op {
+    use matopt_core::OpKind as K;
+    match kind {
+        K::MatMul => Op::MatMul,
+        K::Add => Op::Add,
+        K::Sub => Op::Sub,
+        K::Hadamard => Op::Hadamard,
+        K::ScalarMul => Op::ScalarMul(2.0),
+        K::Transpose => Op::Transpose,
+        K::Relu => Op::Relu,
+        K::ReluGrad => Op::ReluGrad,
+        K::Softmax => Op::Softmax,
+        K::Sigmoid => Op::Sigmoid,
+        K::Exp => Op::Exp,
+        K::Neg => Op::Neg,
+        K::RowSums => Op::RowSums,
+        K::ColSums => Op::ColSums,
+        K::Inverse => Op::Inverse,
+        K::BroadcastAddRow => Op::BroadcastAddRow,
+        K::SumAll => Op::SumAll,
+        K::FrobeniusNorm => Op::FrobeniusNorm,
+    }
+}
+
+/// The type rule is checked where plans run: for every implementation,
+/// every input format combination over small inputs and every requested
+/// output format, `execute_impl` succeeds exactly when `RelPlan::new`
+/// derives the requested format, and otherwise refuses with
+/// `TypeRuleMismatch` instead of returning a mislabelled relation.
+#[test]
+fn execute_impl_runs_exactly_what_the_type_rule_gives() {
+    use matopt_core::RelPlan;
+    use matopt_engine::ExecError;
+    // Diagonally dominant with zeros off the diagonal: invertible in
+    // every diagonal block, and sparse enough for the sparse layouts.
+    let m = DenseMatrix::from_fn(8, 8, |i, j| match (i, j) {
+        _ if i == j => 10.0 + i as f64,
+        _ if (i + 2 * j) % 3 == 0 => (i as f64 - j as f64) * 0.5,
+        _ => 0.0,
+    });
+    let bias = dense(1, 8, 70);
+    let formats = [
+        PhysFormat::SingleTuple,
+        PhysFormat::RowStrip { height: 4 },
+        PhysFormat::ColStrip { width: 4 },
+        PhysFormat::Tile { side: 4 },
+        PhysFormat::Coo,
+        PhysFormat::CsrSingle,
+        PhysFormat::CsrTile { side: 4 },
+    ];
+    let reg = ImplRegistry::extended();
+    let (mut ran, mut refused) = (0, 0);
+    for impl_def in reg.all() {
+        let op = op_of(impl_def.op);
+        let (first, second) = (&m, if op == Op::BroadcastAddRow { &bias } else { &m });
+        let combos: Vec<Vec<Arc<DistRelation>>> = match op.arity() {
+            1 => formats
+                .iter()
+                .map(|f| vec![Arc::new(rel(first, *f))])
+                .collect(),
+            _ => formats
+                .iter()
+                .flat_map(|fa| {
+                    formats
+                        .iter()
+                        .map(move |fb| vec![Arc::new(rel(first, *fa)), Arc::new(rel(second, *fb))])
+                })
+                .collect(),
+        };
+        for rels in combos {
+            let typed: Vec<(MatrixType, PhysFormat)> =
+                rels.iter().map(|r| (r.mtype, r.format)).collect();
+            let out_type = op
+                .output_type(&typed.iter().map(|(t, _)| *t).collect::<Vec<_>>())
+                .unwrap();
+            let derived = RelPlan::new(impl_def.strategy, op, &typed, &out_type).map(|p| p.out);
+            for requested in formats {
+                let what = format!("{} on {typed:?} -> {requested}", impl_def.name);
+                match execute_impl(impl_def.strategy, &op, &rels, out_type, requested) {
+                    Ok(out) => {
+                        assert_eq!(derived, Some(requested), "{what}: ran");
+                        assert_eq!(out.format, requested, "{what}");
+                        assert_grid(&what, &out);
+                        ran += 1;
+                    }
+                    Err(ExecError::TypeRuleMismatch {
+                        vertex: None,
+                        derived: d,
+                        requested: r,
+                        ..
+                    }) => {
+                        assert_ne!(derived, Some(requested), "{what}: refused");
+                        assert_eq!((d, r), (derived, requested), "{what}");
+                        refused += 1;
+                    }
+                    Err(e) => panic!("{what}: {e}"),
+                }
+            }
+        }
+    }
+    // Every implementation ran somewhere; most combinations are ⊥.
+    assert!(ran >= reg.len(), "{ran} ran");
+    assert!(refused > 10 * ran, "{refused} refused");
+}
+
+/// A hand-built annotation whose output format the type rule does not
+/// give is refused by the inline walk and by the pipeline, with the
+/// error naming the vertex and its implementation: RowStrip{128} ×
+/// ColStrip{100} has no square output tiles.
+#[test]
+fn every_executor_refuses_an_annotation_the_type_rule_does_not_give() {
+    use matopt_engine::{execute_plan, execute_plan_serial, ExecError};
+    use std::collections::HashMap;
+    let reg = ImplRegistry::paper_default();
+    let (rows, cols) = (
+        PhysFormat::RowStrip { height: 128 },
+        PhysFormat::ColStrip { width: 100 },
+    );
+    let mut g = matopt_core::ComputeGraph::new();
+    let a = g.add_source(MatrixType::dense(256, 256), rows);
+    let b = g.add_source(MatrixType::dense(256, 256), cols);
+    let c = g.add_op_named(Op::MatMul, &[a, b], Some("C")).unwrap();
+    let mut ann = matopt_core::Annotation::empty(&g);
+    ann.set(
+        c,
+        matopt_core::VertexChoice {
+            impl_id: reg.by_name("mm_rowstrip_colstrip_cross").unwrap().id,
+            input_transforms: vec![
+                matopt_core::Transform::identity(rows),
+                matopt_core::Transform::identity(cols),
+            ],
+            output_format: PhysFormat::Tile { side: 128 },
+        },
+    );
+    let mut inputs = HashMap::new();
+    inputs.insert(a, rel(&dense(256, 256, 71), rows));
+    inputs.insert(b, rel(&dense(256, 256, 72), cols));
+    for (executor, got) in [
+        ("walk", execute_plan_serial(&g, &ann, &inputs, &reg)),
+        ("pipeline", execute_plan(&g, &ann, &inputs, &reg)),
+    ] {
+        let err = got.err().unwrap_or_else(|| panic!("{executor} ran it"));
+        assert!(
+            matches!(
+                &err,
+                ExecError::TypeRuleMismatch {
+                    vertex: Some(v),
+                    label: Some(l),
+                    strategy: Strategy::MmRowstripColstripCross,
+                    derived: None,
+                    ..
+                } if *v == c && l == "C"
+            ),
+            "{executor}: {err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "vertex v2 (\"C\"): MmRowstripColstripCross on [rowstrip(128), colstrip(100)] \
+             gives ⊥, not the annotated tile(128)",
+            "{executor}"
+        );
     }
 }
 
@@ -774,21 +941,25 @@ fn tile_joins_are_bit_identical_to_the_per_pair_fold() {
 /// the broadcast matrix) once; every output chunk must still be the
 /// plain `matmul` of its pair. 256² against 128-wide strips is 16.8
 /// Mflop per broadcast product, so those also fan out over the pool.
+/// The cross join takes strips as wide as they are high (its output
+/// tiles are square); the broadcasts take 100-wide column strips.
 #[test]
 fn strip_and_broadcast_joins_are_bit_identical_to_per_pair_matmul() {
     let (a, b) = (dense(256, 256, 64), dense(256, 256, 65));
     let rows = rel(&a, PhysFormat::RowStrip { height: 128 });
     let cols = rel(&b, PhysFormat::ColStrip { width: 100 });
+    let square_cols = rel(&b, PhysFormat::ColStrip { width: 128 });
     let strip_a = |i: u64| rows.chunk_at(i, 0).unwrap().block.as_dense().clone();
     let strip_b = |j: u64| cols.chunk_at(0, j).unwrap().block.as_dense().clone();
+    let square_b = |j: u64| square_cols.chunk_at(0, j).unwrap().block.as_dense().clone();
 
     let out = run_matmul(
         Strategy::MmRowstripColstripCross,
         &rows,
-        &cols,
+        &square_cols,
         PhysFormat::Tile { side: 128 },
     );
-    assert_chunk_bits("cross", &out, |i, j| strip_a(i).matmul(&strip_b(j)));
+    assert_chunk_bits("cross", &out, |i, j| strip_a(i).matmul(&square_b(j)));
 
     let single_a = rel(&a, PhysFormat::SingleTuple);
     let out = run_matmul(

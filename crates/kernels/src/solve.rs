@@ -98,19 +98,26 @@ pub fn lu_factor(a: &DenseMatrix) -> Result<LuFactors, LuError> {
             perm.swap(col, pivot_row);
             swaps += 1;
         }
-        let pivot = lu.get(col, col);
-        for r in col + 1..n {
-            let factor = lu.get(r, col) / pivot;
-            lu.set(r, col, factor);
+        // Eliminate below the pivot, one row-slice AXPY per row.
+        let (done, below) = lu.data_mut().split_at_mut((col + 1) * n);
+        let pivot_row = &done[col * n..];
+        let pivot = pivot_row[col];
+        for row in below.chunks_exact_mut(n) {
+            let factor = row[col] / pivot;
+            row[col] = factor;
             if factor != 0.0 {
-                for c in col + 1..n {
-                    let v = lu.get(r, c) - factor * lu.get(col, c);
-                    lu.set(r, c, v);
-                }
+                sub_scaled(&mut row[col + 1..], factor, &pivot_row[col + 1..]);
             }
         }
     }
     Ok(LuFactors { lu, perm, swaps })
+}
+
+/// `x -= a · y`, element by element.
+fn sub_scaled(x: &mut [f64], a: f64, y: &[f64]) {
+    for (xv, yv) in x.iter_mut().zip(y) {
+        *xv -= a * yv;
+    }
 }
 
 fn swap_rows(m: &mut DenseMatrix, a: usize, b: usize) {
@@ -132,37 +139,34 @@ pub fn lu_solve(factors: &LuFactors, b: &DenseMatrix) -> DenseMatrix {
     let k = b.cols();
     // Apply the permutation to the right-hand side.
     let mut x = DenseMatrix::zeros(n, k);
-    for i in 0..n {
-        for j in 0..k {
-            x.set(i, j, b.get(factors.perm[i], j));
-        }
+    for (i, row) in x.data_mut().chunks_exact_mut(k).enumerate() {
+        row.copy_from_slice(b.row(factors.perm[i]));
     }
-    // Forward substitution with unit-lower L.
+    let xd = x.data_mut();
+    // Forward substitution with unit-lower L: row i less each earlier
+    // row r scaled by L[i][r], in ascending r.
     for i in 0..n {
-        for r in 0..i {
-            let l = factors.lu.get(i, r);
+        let (done, rest) = xd.split_at_mut(i * k);
+        for (r, &l) in factors.lu.row(i)[..i].iter().enumerate() {
             if l != 0.0 {
-                for j in 0..k {
-                    let v = x.get(i, j) - l * x.get(r, j);
-                    x.set(i, j, v);
-                }
+                sub_scaled(&mut rest[..k], l, &done[r * k..(r + 1) * k]);
             }
         }
     }
-    // Back substitution with U.
+    // Back substitution with U: row i less each later row r scaled by
+    // U[i][r], in ascending r, then divided by the pivot.
     for i in (0..n).rev() {
-        for r in i + 1..n {
-            let u = factors.lu.get(i, r);
+        let (head, later) = xd.split_at_mut((i + 1) * k);
+        let xi = &mut head[i * k..];
+        let u_row = factors.lu.row(i);
+        for (r, &u) in u_row.iter().enumerate().skip(i + 1) {
             if u != 0.0 {
-                for j in 0..k {
-                    let v = x.get(i, j) - u * x.get(r, j);
-                    x.set(i, j, v);
-                }
+                sub_scaled(xi, u, &later[(r - i - 1) * k..(r - i) * k]);
             }
         }
-        let d = factors.lu.get(i, i);
-        for j in 0..k {
-            x.set(i, j, x.get(i, j) / d);
+        let d = u_row[i];
+        for v in xi {
+            *v /= d;
         }
     }
     x

@@ -9,7 +9,9 @@
 //! an `exit(1)` — the supervisor treats the torn stream as death and
 //! handles recovery. Holding corrupted state alive would be worse. A
 //! failing kernel is not a protocol anomaly: its error or panic goes
-//! back as `TAG_TASK_ERR` and the daemon serves the next task.
+//! back as `TAG_TASK_ERR` and the daemon serves the next task. So does
+//! a task whose output format its implementation's type rule does not
+//! give for the inputs (`execute_impl` refuses it before running).
 //!
 //! Each relation costs one decode in and one encode out: inline inputs
 //! move from the decoded task into the value cache and the kernel reads

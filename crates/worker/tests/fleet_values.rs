@@ -2,7 +2,9 @@
 //! read in two physical formats, a fleet reused across input sets, and
 //! two runs sharing one fleet at once all stay bit-exact against the
 //! serial in-process walk; a long-lived fleet's caches stop growing; a
-//! kernel that fails on a worker is the vertex's error, not a death.
+//! kernel that fails on a worker, or a vertex whose annotated output
+//! format its type rule does not give, is the vertex's error, not a
+//! death.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -10,7 +12,8 @@ use std::time::{Duration, Instant};
 
 use matopt_core::{
     Annotation, BackoffPolicy, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, MatrixType,
-    NodeId, NodeKind, Op, PhysFormat, PlanContext, Strategy, TransformKind,
+    NodeId, NodeKind, Op, PhysFormat, PlanContext, Strategy, Transform, TransformKind,
+    VertexChoice,
 };
 use matopt_cost::CostModel;
 use matopt_engine::{
@@ -351,6 +354,71 @@ fn a_failing_kernel_is_the_vertex_error_not_a_worker_death() {
         other => panic!("expected the vertex's kernel error, got {other:?}"),
     }
     assert!(took < Duration::from_secs(1), "took {took:?}");
+    assert_eq!(fleet.stats().deaths, 0);
+    assert_eq!(fleet.alive(), 2);
+
+    let (graph, annotation) = chain_512();
+    let inputs = inputs(&graph, 7);
+    let want = serial_sinks(&graph, &annotation, &inputs);
+    assert!(remote_matches(&fleet, &graph, &annotation, &inputs, &want));
+    assert_eq!(fleet.stats().deaths, 0);
+    fleet.shutdown();
+}
+
+/// A hand-built annotation whose output format the type rule does not
+/// give (RowStrip{128} × ColStrip{100} has no square output tiles) is
+/// refused by the worker that is handed it: the run fails naming the
+/// vertex, no worker dies, and the fleet runs the next plan bit-exact.
+#[test]
+fn a_mislabelled_annotation_is_the_vertex_error_not_a_worker_death() {
+    let fleet = fleet(2);
+    let registry = ImplRegistry::paper_default();
+    let (rows, cols) = (
+        PhysFormat::RowStrip { height: 128 },
+        PhysFormat::ColStrip { width: 100 },
+    );
+    let mut g = ComputeGraph::new();
+    let a = g.add_source(MatrixType::dense(256, 256), rows);
+    let b = g.add_source(MatrixType::dense(256, 256), cols);
+    let c = g.add_op_named(Op::MatMul, &[a, b], Some("C")).unwrap();
+    let mut ann = Annotation::empty(&g);
+    ann.set(
+        c,
+        VertexChoice {
+            impl_id: registry.by_name("mm_rowstrip_colstrip_cross").unwrap().id,
+            input_transforms: vec![Transform::identity(rows), Transform::identity(cols)],
+            output_format: PhysFormat::Tile { side: 128 },
+        },
+    );
+    let err = execute_plan_with(
+        &g,
+        &ann,
+        &inputs(&g, 11),
+        &registry,
+        &Obs::disabled(),
+        ExecOptions {
+            remote: Some(Arc::clone(&fleet) as Arc<dyn RemoteVertexExec>),
+            ..ExecOptions::default()
+        },
+    )
+    .expect_err("a mislabelled vertex must not run");
+    match &err {
+        ExecError::KernelPanic {
+            vertex: Some(v),
+            label: Some(l),
+            detail,
+        } => {
+            assert_eq!((*v, l.as_str()), (c, "C"));
+            assert!(
+                detail.contains(
+                    "MmRowstripColstripCross on [rowstrip(128), colstrip(100)] gives ⊥, \
+                     not the annotated tile(128)"
+                ),
+                "{detail}"
+            );
+        }
+        other => panic!("expected the vertex's error, got {other:?}"),
+    }
     assert_eq!(fleet.stats().deaths, 0);
     assert_eq!(fleet.alive(), 2);
 
