@@ -254,7 +254,7 @@ fn tenancy(fx: &Fixture) {
         "direct",
         || {
             let planned = service.plan(&fx.graph).expect("plan");
-            let outcome = execute_plan_with(
+            execute_plan_with(
                 &fx.graph,
                 &planned.plan.annotation,
                 &fx.inputs,
@@ -266,11 +266,6 @@ fn tenancy(fx: &Fixture) {
                 },
             )
             .expect("executes");
-            service.observe_runtime(
-                planned.fingerprint,
-                planned.plan.cost,
-                outcome.total_seconds,
-            );
         },
         "front door(disabled)",
         || {

@@ -66,9 +66,6 @@
 //!                            time and spills cold buffers to scratch
 //!                            files when the next would exceed it
 //!                            (does not apply with --inject)
-//!   --hedge FACTOR           cut an injected slow@ straggler's delay to
-//!                            FACTOR x the unit step time, as if a
-//!                            duplicate had won (requires --inject)
 //!   --worker-procs N         execute --analyze vertices on N supervised
 //!                            worker *processes* (forked matopt-workerd
 //!                            daemons): heartbeat liveness, bounded
@@ -162,8 +159,8 @@ use matopt_cost::{CostModel, ThroughputCurve};
 use matopt_engine::{
     explain_analyze, explain_analyze_with_faults, explain_plan, parse_fault_spec, render_sql,
     simulate_plan_traced, simulate_plan_with_recovery, AdaptiveConfig, DistRelation,
-    EpochPlanSource, ExecOptions, FtConfig, HedgeConfig, RemoteVertexExec, SimOutcome,
-    TrainCheckpoint, TrainConfig, TrainSpec,
+    EpochPlanSource, ExecOptions, FtConfig, RemoteVertexExec, SimOutcome, TrainCheckpoint,
+    TrainConfig, TrainSpec,
 };
 use matopt_graphs::{ffnn_training_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -371,9 +368,6 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
         .value("--straggler-rate", "a fraction, e.g. 0.1")
         .unwrap_or(0.0f64);
     let mem_budget: Option<String> = o.value("--mem-budget", "a size, e.g. 512M");
-    let hedge = o.value_where("--hedge", "a finite factor > 1, e.g. 3.0", |f: &f64| {
-        f.is_finite() && *f > 1.0
-    });
     let worker_procs = o.value_where("--worker-procs", "a process count >= 1", |n: &u32| *n >= 1);
     let cache_dir: Option<String> = o.value("--cache-dir", "a directory path");
     let tune_dir: Option<String> = o.value("--tune-dir", "a directory path");
@@ -391,17 +385,10 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
     }
     let graph = build_workload(workload, &cluster).map_err(usage)?;
 
-    // `--inject`, `--mem-budget`, `--hedge` and `--worker-procs` only
-    // have an effect on the real executor, so they imply `--analyze`.
-    if inject.is_some() || mem_budget.is_some() || hedge.is_some() || worker_procs.is_some() {
+    // `--inject`, `--mem-budget` and `--worker-procs` only have an
+    // effect on the real executor, so they imply `--analyze`.
+    if inject.is_some() || mem_budget.is_some() || worker_procs.is_some() {
         analyze = true;
-    }
-    // `--hedge` bounds injected `slow@` faults; without an injector
-    // there is no straggler for it to hedge.
-    if hedge.is_some() && inject.is_none() {
-        return Err(usage(
-            "--hedge expects --inject: it bounds the delay of injected slow@ faults",
-        ));
     }
     // The simulated injector and the real process fleet are different
     // fault machines; running both at once would blame each other's
@@ -488,7 +475,6 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
         let faults = inject.as_deref().map(|spec| (spec, fault_seed, recovery));
         let governor = Governor {
             mem_budget,
-            hedge,
             worker_procs,
         };
         if let Err(msg) = run_analyze(
@@ -1106,7 +1092,6 @@ fn parse_seed(s: &str) -> Option<u64> {
 #[derive(Clone, Copy)]
 struct Governor {
     mem_budget: Option<u64>,
-    hedge: Option<f64>,
     worker_procs: Option<u32>,
 }
 
@@ -1136,10 +1121,6 @@ fn run_analyze(
         }
         None => {}
     }
-    if let Some(factor) = governor.hedge {
-        println!("hedging injected stragglers at {factor}x the unit step time");
-    }
-    let hedge_config = governor.hedge.map(HedgeConfig::with_factor);
     // `--worker-procs`: fork a supervised fleet and hand every vertex's
     // chosen implementation across the process boundary. The fleet
     // shares the run's metrics registry so liveness gauges land in
@@ -1160,7 +1141,6 @@ fn run_analyze(
         fleet.clone().map(|f| f as Arc<dyn RemoteVertexExec>);
     let options = ExecOptions {
         mem_budget: governor.mem_budget,
-        hedge: hedge_config,
         remote,
         ..ExecOptions::default()
     };

@@ -19,10 +19,6 @@
 //! The regressions are solved with the LU factorization from
 //! `matopt-kernels` — the library's own linear algebra.
 //!
-//! [`DriftMonitor`] closes the predict → measure → recalibrate loop:
-//! it tracks per-plan measured/predicted runtime ratios and reports
-//! when a deployed model's predictions have drifted out of band.
-//!
 //! [`ThroughputCurve`] is GFLOP/s of the packed GEMM kernel probed
 //! across flop volumes; a model over it replaces the single-rate CPU
 //! term with the shape-dependent throughput the machine was measured
@@ -32,11 +28,9 @@
 #![forbid(unsafe_code)]
 
 mod curves;
-mod drift;
 mod model;
 mod regression;
 
 pub use curves::{ThroughputCurve, CURVE_FILE};
-pub use drift::{DriftConfig, DriftEvent, DriftMonitor};
 pub use model::{plan_cost, AnalyticalCostModel, CostKey, CostModel, CostSample};
 pub use regression::{fit_ridge, LinearModel, N_FEATURES};

@@ -63,29 +63,8 @@ pub struct ExecOutcome {
     pub total_seconds: f64,
 }
 
-/// Hedging of injected stragglers: under a live fault injector
-/// ([`crate::execute_fault_tolerant`]), a `slow@` fault's delay is cut
-/// to a duplicate's deadline of `factor ×` the 0.5 ms unit step time
-/// when that beats waiting the straggler out. The duplicate is
-/// simulated, not run.
-#[derive(Debug, Clone)]
-pub struct HedgeConfig {
-    /// Deadline multiplier over the unit step time (e.g. `4.0` hedges
-    /// a straggler slowed more than 4×).
-    pub factor: f64,
-}
-
-impl HedgeConfig {
-    /// A hedging config with the given factor.
-    #[must_use]
-    pub fn with_factor(factor: f64) -> Self {
-        HedgeConfig { factor }
-    }
-}
-
-/// Counters from the memory governor and the fault path's hedge. All
-/// zero (and `vertex_spills` empty) when the run had no budget and no
-/// injected straggler was hedged.
+/// Counters from the memory governor. All zero (and `vertex_spills`
+/// empty) when the run had no budget.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GovernorStats {
     /// Buffers written to scratch under memory pressure.
@@ -100,11 +79,6 @@ pub struct GovernorStats {
     /// nothing ever waits for admission. Kept until the benchmark stops
     /// reading it.
     pub admission_waits: u64,
-    /// Injected stragglers hedged under a live fault injector.
-    pub hedges_launched: u64,
-    /// Hedged stragglers whose duplicate won (every one launched: the
-    /// duplicate is simulated at its deadline).
-    pub hedges_won: u64,
     /// Bytes this run leased from its [`crate::SharedGovernor`] pool
     /// (0 when the run was not pool-governed).
     pub lease_bytes: u64,
@@ -121,8 +95,8 @@ pub struct GovernorStats {
 /// run goes through the pooled pipeline, and `retain_values`,
 /// `scratch_dir` and `remote` apply to both. A fault-injected run
 /// ([`crate::execute_fault_tolerant`] with a live injector) walks
-/// inline and retains every value for crash replay; it reads only
-/// [`ExecOptions::hedge`].
+/// inline and retains every value for crash replay; it reads no
+/// option.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Keep every vertex's value alive for [`ExecOutcome::values`]
@@ -138,9 +112,6 @@ pub struct ExecOptions {
     /// Where spill files go. `None` uses
     /// [`matopt_core::default_scratch_dir`].
     pub scratch_dir: Option<PathBuf>,
-    /// The deadline for injected `slow@` stragglers (`None` = they
-    /// sleep their full delay). Read only under a live fault injector.
-    pub hedge: Option<HedgeConfig>,
     /// Shared memory pool (`None` = this run governs itself). When set,
     /// the run leases a memory carve-out from the pool before its first
     /// vertex and walks inline with the carve-out as its budget;
@@ -203,7 +174,6 @@ impl Default for ExecOptions {
             retain_values: true,
             mem_budget: None,
             scratch_dir: None,
-            hedge: None,
             shared_governor: None,
             remote: None,
         }

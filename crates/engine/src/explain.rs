@@ -224,9 +224,6 @@ impl std::fmt::Display for PlanAnalysis {
                 gov.spills, gov.spilled_bytes, gov.reloads, gov.reloaded_bytes,
             )?;
         }
-        if gov.hedges_launched > 0 {
-            writeln!(f, "  hedged {} injected stragglers", gov.hedges_launched)?;
-        }
         let pool = &self.exec.pool;
         if pool.tasks > 0 {
             let capacity = self.measured_total_seconds * self.exec.parallelism as f64;

@@ -274,20 +274,7 @@ pub fn execute_impl(
     out_type: MatrixType,
     out_format: PhysFormat,
 ) -> Result<DistRelation, ExecError> {
-    let typed: Vec<(MatrixType, PhysFormat)> = inputs.iter().map(|r| (r.mtype, r.format)).collect();
-    let plan = match RelPlan::new(strategy, *op, &typed, &out_type) {
-        Some(plan) if plan.out == out_format => plan,
-        derived => {
-            return Err(ExecError::TypeRuleMismatch {
-                vertex: None,
-                label: None,
-                strategy,
-                inputs: typed.iter().map(|(_, f)| *f).collect(),
-                requested: out_format,
-                derived: derived.map(|p| p.out),
-            })
-        }
-    };
+    let plan = checked_plan(strategy, op, inputs, out_type, out_format)?;
     let mut out = DistRelation {
         mtype: out_type,
         format: out_format,
@@ -295,6 +282,35 @@ pub fn execute_impl(
     };
     out.chunks = run(&plan, inputs, &out)?;
     Ok(out)
+}
+
+/// The strategy's relational plan over `inputs`, when the type rule
+/// derives exactly `out_format` from them. Checked before a vertex runs
+/// anywhere: [`execute_impl`] runs the plan in-process, and the step
+/// checks a remote vertex before it dispatches it.
+///
+/// # Errors
+/// [`ExecError::TypeRuleMismatch`] (vertex not yet attached) when the
+/// rule rejects the inputs or derives another output format.
+pub(crate) fn checked_plan(
+    strategy: Strategy,
+    op: &Op,
+    inputs: &[Arc<DistRelation>],
+    out_type: MatrixType,
+    out_format: PhysFormat,
+) -> Result<RelPlan, ExecError> {
+    let typed: Vec<(MatrixType, PhysFormat)> = inputs.iter().map(|r| (r.mtype, r.format)).collect();
+    match RelPlan::new(strategy, *op, &typed, &out_type) {
+        Some(plan) if plan.out == out_format => Ok(plan),
+        derived => Err(ExecError::TypeRuleMismatch {
+            vertex: None,
+            label: None,
+            strategy,
+            inputs: typed.iter().map(|(_, f)| *f).collect(),
+            requested: out_format,
+            derived: derived.map(|p| p.out),
+        }),
+    }
 }
 
 /// Runs `plan` over `inputs`; `out` is the empty output relation, whose

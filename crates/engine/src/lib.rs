@@ -51,7 +51,7 @@ pub use adaptive::{
 pub use calibrate::collect_samples;
 pub use exec::{
     execute_plan, execute_plan_serial, execute_plan_with, reference_eval, reference_eval_all,
-    ExecOptions, ExecOutcome, GovernorStats, HedgeConfig, RemoteVertexExec,
+    ExecOptions, ExecOutcome, GovernorStats, RemoteVertexExec,
 };
 pub use explain::{
     explain_analyze, explain_analyze_with_faults, explain_plan, AnalyzedStep, ExplainStep,

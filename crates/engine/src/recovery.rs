@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The fault policy of [`execute_fault_tolerant`]. How the run itself
-/// is governed (budget, shared pool, remote, hedge) is the [`ExecOptions`]
+/// is governed (budget, shared pool, remote) is the [`ExecOptions`]
 /// passed beside it.
 #[derive(Debug, Clone)]
 pub struct FtConfig {
@@ -113,8 +113,7 @@ pub struct FtOutcome {
     /// may pick different implementations, which changes floating-point
     /// rounding); per-vertex seconds are those of the *successful*
     /// attempt, and `total_seconds` includes all recovery work. Under a
-    /// live injector `governor` carries only the simulated hedge
-    /// counters.
+    /// live injector `governor` is all zero: the walk has no budget.
     pub exec: ExecOutcome,
     /// Total retries across the run.
     pub retries: u32,
@@ -165,8 +164,8 @@ impl FtOutcome {
 ///
 /// With a [`FaultInjector::disabled`] injector this is
 /// [`crate::execute_plan_with`] under `options`. With a live injector
-/// the run walks inline, which reads only `options.hedge` (see
-/// [`ExecOptions`]). `ctx`/`catalog`/`model` are only consulted when
+/// the run walks inline and reads no option (see [`ExecOptions`]).
+/// `ctx`/`catalog`/`model` are only consulted when
 /// degradation forces a re-plan of the remaining suffix.
 ///
 /// # Errors
@@ -201,8 +200,6 @@ pub fn execute_fault_tolerant(
     let mut walk = InlineWalk::start(graph, annotation, inputs, ctx.registry, obs)?;
     let mut cluster = ctx.cluster;
     let mut checkpoints: HashMap<usize, Arc<DistRelation>> = HashMap::new();
-    // Simulated hedges: each one is launched and wins in the same breath.
-    let mut hedges = 0u64;
     // The exec half is filled in by the walk's epilogue.
     let mut ft = FtOutcome::fault_free(ExecOutcome::default(), graph.len());
 
@@ -227,26 +224,8 @@ pub fn execute_fault_tolerant(
             match kind {
                 FaultKind::Straggler { slowdown } => {
                     // A slow worker stretches the step; model it with a
-                    // capped real delay. With hedging on, the duplicate
-                    // completes at the hedge deadline (factor × the
-                    // 0.5 ms unit step time) and the straggler is
-                    // abandoned — the delay shrinks to the deadline
-                    // when that beats waiting out the slowdown.
-                    let mut delay_ms = (slowdown.min(20.0) * 0.5).ceil() as u64;
-                    if let Some(h) = &options.hedge {
-                        let deadline_ms = ((h.factor * 0.5).ceil() as u64).max(1);
-                        if deadline_ms < delay_ms {
-                            hedges += 1;
-                            obs.record(Subsystem::Faults, "hedge_won", || {
-                                vec![
-                                    ("vertex", v.index().into()),
-                                    ("straggler_ms", (delay_ms as i64).into()),
-                                    ("hedged_ms", (deadline_ms as i64).into()),
-                                ]
-                            });
-                            delay_ms = deadline_ms;
-                        }
-                    }
+                    // capped real delay.
+                    let delay_ms = (slowdown.min(20.0) * 0.5).ceil() as u64;
                     let t0 = Instant::now();
                     std::thread::sleep(Duration::from_millis(delay_ms));
                     ft.recovering(v, t0.elapsed().as_secs_f64());
@@ -356,14 +335,11 @@ pub fn execute_fault_tolerant(
     })?;
 
     ft.exec = walk.finish()?;
-    ft.exec.governor.hedges_launched = hedges;
-    ft.exec.governor.hedges_won = hedges;
     if let Some(m) = obs.metrics() {
         m.add(Subsystem::Faults, "faults_injected", ft.faults.len() as u64);
         m.add(Subsystem::Faults, "retries", u64::from(ft.retries));
         m.add(Subsystem::Faults, "recoveries", u64::from(ft.recoveries));
         m.add(Subsystem::Faults, "replans", u64::from(ft.replans));
-        m.add(Subsystem::Faults, "hedges_won", hedges);
     }
     Ok(ft)
 }

@@ -54,7 +54,7 @@ use crate::exec::{
     compute_vertices, missing_choice, missing_input, record_run, vertex_label, ExecOptions,
     ExecOutcome, RemoteVertexExec,
 };
-use crate::impl_exec::{execute_impl, ExecError};
+use crate::impl_exec::{checked_plan, execute_impl, ExecError};
 use crate::spill::{SpillError, SpillManager, SpillTicket};
 use crate::value::DistRelation;
 use matopt_core::{
@@ -184,27 +184,27 @@ pub(crate) fn run_step(
         ]
     });
     let t0 = Instant::now();
+    let at_v = |e: ExecError| e.at_vertex(v, &vertex_label(env.graph, v));
+    let (strategy, out_format) = (impl_def.strategy, choice.output_format);
     let rel = match env.remote {
-        Some(remote) => remote.execute_remote(
-            v,
-            &vertex_label(env.graph, v),
-            impl_def.strategy,
-            op,
-            &transformed,
-            &node.inputs,
-            out_type,
-            choice.output_format,
-        )?,
-        None => Arc::new(
-            execute_impl(
-                impl_def.strategy,
+        Some(remote) => {
+            // Refuse a mislabelled vertex here, as `execute_impl` does
+            // in-process, before anything crosses the wire.
+            checked_plan(strategy, op, &transformed, out_type, out_format).map_err(at_v)?;
+            remote.execute_remote(
+                v,
+                &vertex_label(env.graph, v),
+                strategy,
                 op,
                 &transformed,
+                &node.inputs,
                 out_type,
-                choice.output_format,
-            )
-            .map_err(|e| e.at_vertex(v, &vertex_label(env.graph, v)))?,
-        ),
+                out_format,
+            )?
+        }
+        None => {
+            Arc::new(execute_impl(strategy, op, &transformed, out_type, out_format).map_err(at_v)?)
+        }
     };
     let impl_seconds = t0.elapsed().as_secs_f64();
     if let Some(m) = env.obs.metrics() {

@@ -17,7 +17,7 @@ use matopt_core::{
 use matopt_cost::CostModel;
 use matopt_engine::{
     execute_fault_tolerant, execute_plan, execute_plan_with, parse_fault_spec, DistRelation,
-    ExecOptions, FaultInjector, FtConfig, FtOutcome, HedgeConfig,
+    ExecOptions, FaultInjector, FtConfig, FtOutcome,
 };
 use matopt_graphs::{ffnn_w2_update_graph, two_level_inverse_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -126,15 +126,6 @@ fn chaos_config(policy: RecoveryPolicy) -> FtConfig {
 }
 
 fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOutcome {
-    run_chaotic_with(w, injector, config, ExecOptions::default())
-}
-
-fn run_chaotic_with(
-    w: &Workload,
-    injector: FaultInjector,
-    config: &FtConfig,
-    options: ExecOptions,
-) -> FtOutcome {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(WORKERS);
     let ctx = PlanContext::new(&registry, cluster);
@@ -147,7 +138,7 @@ fn run_chaotic_with(
         &CostModel::analytical(),
         injector,
         config,
-        options,
+        ExecOptions::default(),
         &Obs::disabled(),
     )
     .expect("fault-tolerant run succeeds")
@@ -382,26 +373,17 @@ fn memory_pressure_matrix_is_bit_exact() {
     }
 }
 
-/// Hedging composes with transient-fault retries in the fault-tolerant
-/// driver: a straggler gets hedged (bounding its delay) while a flaky
-/// vertex retries, and the sinks still match exactly.
+/// Stragglers compose with transient-fault retries in the
+/// fault-tolerant driver: a slowed vertex waits out its delay while a
+/// flaky vertex retries, and the sinks still match exactly.
 #[test]
-fn hedging_composes_with_retries_under_faults() {
+fn stragglers_compose_with_retries_under_faults() {
     for w in workloads() {
         let injector =
             parse_fault_spec("slow@1x8,flaky@2x2", 13, w.graph.compute_count()).expect("parses");
         let config = chaos_config(RecoveryPolicy::Lineage);
-        let options = ExecOptions {
-            hedge: Some(HedgeConfig::with_factor(4.0)),
-            ..Default::default()
-        };
-        let out = run_chaotic_with(w, injector, &config, options);
+        let out = run_chaotic(w, injector, &config);
         assert_recovered_exactly(w, &out, &config, 13);
-        assert!(
-            out.exec.governor.hedges_launched >= 1,
-            "{}: the 8x straggler must trip the 4x hedge deadline",
-            w.name
-        );
         assert!(out.retries >= 2, "{}: the flaky vertex must retry", w.name);
     }
 }

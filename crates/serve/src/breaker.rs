@@ -1,11 +1,11 @@
 //! Circuit breaker for the multi-tenant front door.
 //!
-//! The breaker watches *storm* signals — cost-model drift latches from
-//! the [`matopt_cost::DriftMonitor`], fault recoveries from the
+//! The breaker watches *storm* signals — fault recoveries from the
 //! fault-tolerant executor (the serve-side view of the
-//! `Subsystem::Faults` counters), and outright execution failures —
-//! and, when too many land inside a sliding window, stops trusting the
-//! optimized fast path entirely.
+//! `Subsystem::Faults` counters), outright execution failures, and
+//! worker-process deaths reported by an attached fleet — and, when too
+//! many land inside a sliding window, stops trusting the optimized
+//! fast path entirely.
 //!
 //! # State machine
 //!
@@ -111,8 +111,8 @@ pub struct BreakerStats {
     pub trips: u64,
     /// HalfOpen → Open transitions (failed probes).
     pub reopens: u64,
-    /// Storm events recorded (drift latches + fault recoveries +
-    /// execution failures).
+    /// Storm events recorded (fault recoveries + execution failures +
+    /// worker deaths).
     pub storm_events: u64,
     /// Requests served degraded.
     pub degraded: u64,
@@ -169,8 +169,8 @@ impl CircuitBreaker {
         self.config
     }
 
-    /// Records one storm event (a drift latch, a fault recovery, or an
-    /// execution failure) and returns `true` the moment this event
+    /// Records one storm event (a fault recovery, an execution failure,
+    /// or a worker death) and returns `true` the moment this event
     /// trips the breaker Closed → Open.
     pub fn record_storm_event(&self) -> bool {
         if !self.config.enabled {

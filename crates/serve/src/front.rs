@@ -26,8 +26,8 @@
 //! * **Shared-pool governance** — executions draw memory carve-outs
 //!   from one [`SharedGovernor`] pool (a governed run walks inline and
 //!   spills within its carve-out).
-//! * **Circuit breaker** — drift latches, fault recoveries, and
-//!   execution failures feed a [`CircuitBreaker`]; a storm trips it
+//! * **Circuit breaker** — fault recoveries, execution failures and
+//!   worker deaths feed a [`CircuitBreaker`]; a storm trips it
 //!   and the front door degrades to serial, cache-bypassing
 //!   execution (slow but trustworthy) until probes close it again.
 //!   See the `breaker` module docs for the state machine.
@@ -510,10 +510,10 @@ impl FrontDoor {
         })
     }
 
-    /// Runs the plan (holding a concurrency slot) and feeds drift and
-    /// fault signals to the breaker. A fault-injected run goes through
-    /// the fault-tolerant executor, which re-plans recoveries under the
-    /// service's current cluster and cost model.
+    /// Runs the plan (holding a concurrency slot) and feeds fault
+    /// recoveries and execution errors to the breaker. A fault-injected
+    /// run goes through the fault-tolerant executor, which re-plans
+    /// recoveries under the service's current cluster and cost model.
     fn run_leader(
         &self,
         req: &ExecRequest<'_>,
@@ -568,19 +568,7 @@ impl FrontDoor {
         };
         let result = result.map_err(|e| ServeError::Exec(e.to_string()));
         match result {
-            Ok((outcome, recoveries)) => {
-                if planned.fingerprint != Fingerprint(0) {
-                    let drifted = self.service.observe_runtime(
-                        planned.fingerprint,
-                        planned.plan.cost,
-                        outcome.total_seconds,
-                    );
-                    if drifted {
-                        self.breaker.record_storm_event();
-                    }
-                }
-                Ok((Arc::new(outcome), recoveries))
-            }
+            Ok((outcome, recoveries)) => Ok((Arc::new(outcome), recoveries)),
             Err(e) => {
                 self.breaker.record_storm_event();
                 self.service

@@ -84,9 +84,6 @@ pub struct ServeConfig {
     pub max_queue_depth: usize,
     /// Beam width for the frontier DP (the CLI default).
     pub beam: usize,
-    /// Cost-model drift detection tuning
-    /// ([`PlanService::observe_runtime`]).
-    pub drift: matopt_cost::DriftConfig,
 }
 
 impl Default for ServeConfig {
@@ -97,7 +94,6 @@ impl Default for ServeConfig {
             deadline: None,
             max_queue_depth: 64,
             beam: 4000,
-            drift: matopt_cost::DriftConfig::default(),
         }
     }
 }

@@ -39,7 +39,7 @@
 //! `stats` answers with the service's live statistics instead of a
 //! plan: request/hit/miss/coalesced counters, admission rejects and
 //! deadline expiries, optimizer runs and seconds, cache entries /
-//! bytes / epoch / evictions, cost-drift events, and `p50_us` /
+//! bytes / epoch / evictions, and `p50_us` /
 //! `p95_us` / `p99_us` request-latency percentiles computed from the
 //! merged hit+miss+coalesced histograms (`null` when the service has
 //! no metrics registry or nothing has been timed yet). Unknown `op`

@@ -308,7 +308,7 @@ fn plan_line(service: &PlanService, doc: &Json, id: &str) -> (bool, String) {
 pub fn stats_line(service: &PlanService, id: Option<&str>) -> String {
     let stats = service.stats();
     let snap = service.metrics_snapshot();
-    let (p50, p95, p99, drift_events) = match &snap {
+    let (p50, p95, p99) = match &snap {
         Some(s) => {
             let mut merged = HistogramSnapshot::default();
             for name in ["latency_hit_us", "latency_miss_us", "latency_coalesced_us"] {
@@ -323,10 +323,9 @@ pub fn stats_line(service: &PlanService, id: Option<&str>) -> String {
                     merged.quantile(p).to_string()
                 }
             };
-            let drift = s.counter(Subsystem::CostModel, "drift_events").unwrap_or(0);
-            (q(0.50), q(0.95), q(0.99), drift)
+            (q(0.50), q(0.95), q(0.99))
         }
-        None => ("null".into(), "null".into(), "null".into(), 0),
+        None => ("null".into(), "null".into(), "null".into()),
     };
     format!(
         "{{\"id\": {}, \"status\": \"ok\", \"op\": \"stats\", \
@@ -334,8 +333,7 @@ pub fn stats_line(service: &PlanService, id: Option<&str>) -> String {
          \"admission_rejects\": {}, \"deadline_expired\": {}, \
          \"optimize_runs\": {}, \"optimize_seconds\": {}, \
          \"cache_entries\": {}, \"cache_bytes\": {}, \"cache_epoch\": {}, \
-         \"cache_evictions\": {}, \"drift_events\": {drift_events}, \
-         \"p50_us\": {p50}, \"p95_us\": {p95}, \"p99_us\": {p99}}}",
+         \"cache_evictions\": {}, \"p50_us\": {p50}, \"p95_us\": {p95}, \"p99_us\": {p99}}}",
         id_json(id),
         stats.requests,
         stats.hits,

@@ -20,7 +20,7 @@
 use crate::flight::{Joined, SingleFlight};
 use crate::{fingerprint, Fingerprint, PlanCache, ServeConfig};
 use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, PlanContext};
-use matopt_cost::{CostModel, DriftMonitor};
+use matopt_cost::CostModel;
 use matopt_engine::{
     execute_adaptive_planned, AdaptiveConfig, AdaptiveError, AdaptiveOutcome, DistRelation,
 };
@@ -165,7 +165,6 @@ struct ServeMetrics {
     latency_hit_us: Arc<Histogram>,
     latency_miss_us: Arc<Histogram>,
     latency_coalesced_us: Arc<Histogram>,
-    drift_events: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -184,7 +183,6 @@ impl ServeMetrics {
             latency_hit_us: registry.histogram(s, "latency_hit_us"),
             latency_miss_us: registry.histogram(s, "latency_miss_us"),
             latency_coalesced_us: registry.histogram(s, "latency_coalesced_us"),
-            drift_events: registry.counter(Subsystem::CostModel, "drift_events"),
         }
     }
 
@@ -211,7 +209,6 @@ pub struct PlanService {
     config: ServeConfig,
     obs: Obs,
     metrics: ServeMetrics,
-    drift: DriftMonitor,
     optimize_runs: AtomicU64,
     optimize_micros: AtomicU64,
 }
@@ -246,7 +243,6 @@ impl PlanService {
             model: RwLock::new(model.into()),
             cache: PlanCache::new(config.cache),
             inflight: SingleFlight::new(),
-            drift: DriftMonitor::new(config.drift),
             config,
             obs,
             metrics,
@@ -293,11 +289,8 @@ impl PlanService {
 
     /// Swaps the cost model (a calibration update landed) and starts a
     /// new cache epoch: every plan costed under the old model is stale.
-    /// Drift baselines are re-armed: they were learned against the old
-    /// model's predictions.
     pub fn recalibrate(&self, model: impl Into<CostModel>) {
         *self.model.write().expect("model lock") = model.into();
-        self.drift.reset();
         let epoch = self.cache.bump_epoch();
         self.obs.record(Subsystem::Serve, "invalidate", || {
             vec![
@@ -505,36 +498,6 @@ impl PlanService {
     /// door's fault-tolerant runs re-plan recoveries with it).
     pub(crate) fn model(&self) -> std::sync::RwLockReadGuard<'_, CostModel> {
         self.model.read().expect("model lock")
-    }
-
-    /// Feeds one (predicted, measured) runtime pair into the drift
-    /// monitor for `fp`. Whoever executes a served plan feeds it (the
-    /// front door does, for every run that is not fault-injected).
-    ///
-    /// When the per-fingerprint EWMA of measured/predicted drifts out
-    /// of band for `config.drift.min_observations` consecutive
-    /// observations, the service emits a [`Subsystem::CostModel`] drift
-    /// record, bumps the cache epoch (every cached plan was costed by a
-    /// model now proven out of calibration), and returns `true` — once
-    /// per fingerprint until [`PlanService::recalibrate`] re-arms the
-    /// monitor.
-    pub fn observe_runtime(&self, fp: Fingerprint, predicted: f64, measured: f64) -> bool {
-        let Some(event) = self.drift.observe(fp.0, predicted, measured) else {
-            return false;
-        };
-        let epoch = self.cache.bump_epoch();
-        self.metrics.drift_events.inc();
-        self.obs.record(Subsystem::CostModel, "drift", || {
-            vec![
-                ("fingerprint", fp.hex().into()),
-                ("baseline", event.baseline.into()),
-                ("ewma", event.ewma.into()),
-                ("drift", event.drift.into()),
-                ("observations", (i64::from(event.observations)).into()),
-                ("epoch", (epoch as i64).into()),
-            ]
-        });
-        true
     }
 
     /// Pull-model metrics snapshot: refreshes the gauges only a reader

@@ -6,8 +6,8 @@ use matopt_cost::CostModel;
 use matopt_engine::{execute_plan_serial, DistRelation, FaultInjector, FtConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_serve::{
-    BreakerConfig, BreakerState, ExecRequest, FrontDoor, FrontDoorConfig, PlanService, ServeConfig,
-    ServeError, TenancyConfig, TenantConfig,
+    BreakerConfig, BreakerState, ExecRequest, FrontDoor, FrontDoorConfig, PlanService, PlanSource,
+    ServeConfig, ServeError, TenancyConfig, TenantConfig,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
@@ -406,6 +406,35 @@ fn disabled_tenancy_serves_without_bookkeeping() {
         "disabled tenancy keeps no per-tenant state"
     );
     assert_eq!(front.stats().exec_ok, 1);
+}
+
+/// Only a model or cluster change invalidates a plan: however a served
+/// plan's runs are timed, running it neither starts a cache epoch nor
+/// feeds the breaker, and the next request for its graph is a hit.
+#[test]
+fn executing_a_cached_plan_never_invalidates_it() {
+    let svc = service();
+    let front = FrontDoor::new(Arc::clone(&svc), FrontDoorConfig::default());
+    let (graph, inputs) = workload("ffnn-small:16", 0xCA5E);
+    assert_eq!(svc.plan(&graph).expect("plan").source, PlanSource::Miss);
+    let epoch = svc.cache().epoch();
+    for key in 0..40 {
+        let resp = front
+            .execute(&ExecRequest {
+                tenant: "steady",
+                graph: &graph,
+                inputs: &inputs,
+                input_key: key,
+                deadline: None,
+            })
+            .expect("executes");
+        assert_eq!(resp.planned.source, PlanSource::Hit, "run {key}");
+    }
+    assert_eq!(svc.cache().epoch(), epoch);
+    assert_eq!(svc.plan(&graph).expect("plan").source, PlanSource::Hit);
+    let stats = front.stats();
+    assert_eq!(stats.exec_ok, 40);
+    assert_eq!(stats.breaker.storm_events, 0);
 }
 
 /// The server's per-tenant books against what the clients saw: every

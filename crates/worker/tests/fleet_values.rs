@@ -367,8 +367,9 @@ fn a_failing_kernel_is_the_vertex_error_not_a_worker_death() {
 
 /// A hand-built annotation whose output format the type rule does not
 /// give (RowStrip{128} × ColStrip{100} has no square output tiles) is
-/// refused by the worker that is handed it: the run fails naming the
-/// vertex, no worker dies, and the fleet runs the next plan bit-exact.
+/// refused before it is dispatched, with the error an in-process run
+/// returns: nothing is shipped, no worker dies, and the fleet runs the
+/// next plan bit-exact.
 #[test]
 fn a_mislabelled_annotation_is_the_vertex_error_not_a_worker_death() {
     let fleet = fleet(2);
@@ -403,22 +404,20 @@ fn a_mislabelled_annotation_is_the_vertex_error_not_a_worker_death() {
     )
     .expect_err("a mislabelled vertex must not run");
     match &err {
-        ExecError::KernelPanic {
+        ExecError::TypeRuleMismatch {
             vertex: Some(v),
             label: Some(l),
-            detail,
+            strategy: Strategy::MmRowstripColstripCross,
+            inputs,
+            requested: PhysFormat::Tile { side: 128 },
+            derived: None,
         } => {
             assert_eq!((*v, l.as_str()), (c, "C"));
-            assert!(
-                detail.contains(
-                    "MmRowstripColstripCross on [rowstrip(128), colstrip(100)] gives ⊥, \
-                     not the annotated tile(128)"
-                ),
-                "{detail}"
-            );
+            assert_eq!(inputs, &[rows, cols]);
         }
-        other => panic!("expected the vertex's error, got {other:?}"),
+        other => panic!("expected the vertex's type-rule error, got {other:?}"),
     }
+    assert_eq!(fleet.stats().held_values, 0, "nothing was shipped");
     assert_eq!(fleet.stats().deaths, 0);
     assert_eq!(fleet.alive(), 2);
 
