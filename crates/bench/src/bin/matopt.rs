@@ -65,7 +65,6 @@
 //!                            512M, 2G); the run walks one vertex at a
 //!                            time and spills cold buffers to scratch
 //!                            files when the next would exceed it
-//!                            (does not apply with --inject)
 //!   --worker-procs N         execute --analyze vertices on N supervised
 //!                            worker *processes* (forked matopt-workerd
 //!                            daemons): heartbeat liveness, bounded
@@ -473,10 +472,6 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
     }
     if analyze {
         let faults = inject.as_deref().map(|spec| (spec, fault_seed, recovery));
-        let governor = Governor {
-            mem_budget,
-            worker_procs,
-        };
         if let Err(msg) = run_analyze(
             &graph,
             &plan.annotation,
@@ -484,7 +479,8 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
             &ctx,
             &catalog,
             faults,
-            governor,
+            mem_budget,
+            worker_procs,
             &obs,
         ) {
             eprintln!("analyze: {msg}");
@@ -1088,13 +1084,6 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-/// Resource-governor knobs forwarded from the command line.
-#[derive(Clone, Copy)]
-struct Governor {
-    mem_budget: Option<u64>,
-    worker_procs: Option<u32>,
-}
-
 /// `--analyze`: materialise random dense inputs for every source, run
 /// the plan on the real executor, and print the estimate/measurement
 /// join. Guarded so paper-scale workloads fail fast instead of
@@ -1107,25 +1096,19 @@ fn run_analyze(
     ctx: &matopt_core::PlanContext<'_>,
     catalog: &FormatCatalog,
     faults: Option<(&str, u64, RecoveryPolicy)>,
-    governor: Governor,
+    mem_budget: Option<u64>,
+    worker_procs: Option<u32>,
     obs: &Obs,
 ) -> Result<(), String> {
     let inputs = dense_inputs(graph)?;
-    match governor.mem_budget {
-        Some(_) if faults.is_some() => println!(
-            "memory budget: does not apply under --inject (the run walks inline and retains \
-             every value for crash replay)"
-        ),
-        Some(budget) => {
-            println!("memory budget: {budget} bytes (spilling to scratch when exceeded)");
-        }
-        None => {}
+    if let Some(budget) = mem_budget {
+        println!("memory budget: {budget} bytes (spilling to scratch when exceeded)");
     }
     // `--worker-procs`: fork a supervised fleet and hand every vertex's
     // chosen implementation across the process boundary. The fleet
     // shares the run's metrics registry so liveness gauges land in
     // `--metrics-dump` alongside the executor's own counters.
-    let fleet = match governor.worker_procs {
+    let fleet = match worker_procs {
         Some(n) => {
             let mut cfg = FleetConfig::standard(n).map_err(|e| format!("--worker-procs: {e}"))?;
             cfg.obs = obs.metrics().cloned();
@@ -1140,7 +1123,7 @@ fn run_analyze(
     let remote: Option<Arc<dyn RemoteVertexExec>> =
         fleet.clone().map(|f| f as Arc<dyn RemoteVertexExec>);
     let options = ExecOptions {
-        mem_budget: governor.mem_budget,
+        mem_budget,
         remote,
         ..ExecOptions::default()
     };

@@ -263,3 +263,42 @@ fn plan_prices_under_a_persisted_curve_or_names_the_missing_one() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--mem-budget` governs a fault-injected run like any other: at half
+/// the resident peak, `--inject` spills and says so.
+#[test]
+fn an_injected_run_spills_under_half_its_peak() {
+    let run = matopt(&["plan", "ffnn-small:32", "--analyze"], "");
+    assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
+    let peak: u64 = run
+        .stdout
+        .split("peak-resident-bytes: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no peak in:\n{}", run.stdout));
+    let half = (peak / 2).to_string();
+    let args = [
+        "plan",
+        "ffnn-small:32",
+        "--inject",
+        "crash@2",
+        "--mem-budget",
+        &half,
+    ];
+    let run = matopt(&args, "");
+    assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
+    let spilled: u64 = run
+        .stdout
+        .split("governor: spilled ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no governor line in:\n{}", run.stdout));
+    assert!(spilled > 0, "stdout:\n{}", run.stdout);
+    assert!(
+        run.stdout.contains("1 recoveries"),
+        "stdout:\n{}",
+        run.stdout
+    );
+}

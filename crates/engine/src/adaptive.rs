@@ -15,7 +15,7 @@
 //! physical format, downstream types are re-inferred from the corrected
 //! statistics, and the optimizer runs again on the suffix.
 
-use crate::exec::compute_vertices;
+use crate::exec::{compute_vertices, ExecOptions};
 use crate::impl_exec::ExecError;
 use crate::step::InlineWalk;
 use crate::value::{Block, DistRelation};
@@ -182,7 +182,8 @@ pub fn execute_adaptive_planned(
     on_replan: Option<ReplanHook<'_>>,
     obs: &Obs,
 ) -> Result<AdaptiveOutcome, AdaptiveError> {
-    let mut walk = InlineWalk::start(graph, initial_plan, inputs, ctx.registry, obs)?;
+    let options = ExecOptions::default();
+    let mut walk = InlineWalk::start(graph, initial_plan, inputs, ctx.registry, obs, &options)?;
     let mut measured = vec![0.0; graph.len()];
     for s in graph.sources() {
         measured[s.index()] = walk.value(s).map_or(0.0, |rel| rel.measured_sparsity());
@@ -194,8 +195,7 @@ pub fn execute_adaptive_planned(
 
     walk.drive(|walk, _, v| {
         if let Some(from) = replan_from.take() {
-            walk.replan(from, ctx, catalog, model, config.beam)
-                .map_err(AdaptiveError::Opt)?;
+            walk.replan(from, ctx, catalog, model, config.beam)?;
         }
         let out = walk.run(v)?;
         // The step types its output as the plan in force estimated it.

@@ -95,8 +95,7 @@ pub struct GovernorStats {
 /// run goes through the pooled pipeline, and `retain_values`,
 /// `scratch_dir` and `remote` apply to both. A fault-injected run
 /// ([`crate::execute_fault_tolerant`] with a live injector) walks
-/// inline and retains every value for crash replay; it reads no
-/// option.
+/// inline under every option, and retires nothing before its end.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Keep every vertex's value alive for [`ExecOutcome::values`]

@@ -11,16 +11,17 @@
 //!   output (only computed while a corruption fault is pending) and
 //!   recomputed;
 //! * **worker crashes** lose the in-flight vertex plus a seeded random
-//!   subset of this plan epoch's materialized intermediates, then
-//!   recover per the [`RecoveryPolicy`]: restart-from-scratch replays
-//!   every lost vertex, per-vertex checkpointing restores from the
-//!   checkpoint store, lineage replay recomputes only the lost vertices
-//!   from their nearest surviving ancestors;
-//! * **resource exhaustion**, after [`FtConfig::degrade_after`]
-//!   repeats, shrinks the [`Cluster`](matopt_core::Cluster) and
-//!   re-plans the remaining suffix exactly as
-//!   [`crate::execute_adaptive`] does — already-computed values become
-//!   plan inputs pinned in driver storage.
+//!   subset of this plan epoch's resident intermediates (a value
+//!   spilled to scratch survives), then recover per the
+//!   [`RecoveryPolicy`]: restart-from-scratch replays every lost
+//!   vertex, per-vertex checkpointing restores from the checkpoint
+//!   store, lineage replay recomputes only the lost vertices from their
+//!   nearest surviving ancestors;
+//! * **resource exhaustion**, after two repeats, shrinks the
+//!   [`Cluster`](matopt_core::Cluster) and re-plans the remaining
+//!   suffix exactly as [`crate::execute_adaptive`] does —
+//!   already-computed values become plan inputs pinned in driver
+//!   storage.
 //!
 //! With a **disabled injector** there is no policy to apply and the
 //! call *is* [`crate::execute_plan_with`]: the fault-free path pays no
@@ -28,11 +29,15 @@
 //! With a **live injector** vertices run one at a time in id order on
 //! the calling thread, so fault preambles, PRNG draws and replay happen
 //! in one sequence per seed, and "materialized so far" is simply
-//! "lower id".
+//! "lower id". The walk reads the same [`ExecOptions`] as any other
+//! run, and retires nothing before its end: replay may read any earlier
+//! value. The checkpoint store is an in-memory stand-in for durable
+//! storage, outside the budget.
 //!
 //! Every fault, retry, and recovery emits a record under
 //! [`Subsystem::Faults`].
 
+use crate::adaptive::AdaptiveError;
 use crate::exec::{execute_plan_with, vertex_label, ExecOptions, ExecOutcome};
 use crate::faults::{corrupt_chunk, relation_checksum, FaultInjector, FaultKind};
 use crate::impl_exec::ExecError;
@@ -47,6 +52,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Resource-style failures at one vertex before the cluster is
+/// degraded and the suffix re-planned.
+const DEGRADE_AFTER: u32 = 2;
+
+/// Beam width for degradation re-planning.
+const DEGRADE_BEAM: usize = 2000;
+
 /// The fault policy of [`execute_fault_tolerant`]. How the run itself
 /// is governed (budget, shared pool, remote) is the [`ExecOptions`]
 /// passed beside it.
@@ -59,11 +71,6 @@ pub struct FtConfig {
     /// delays doubling from `base_ms` up to `cap_ms`, plus jitter of up
     /// to one base delay from the injector's seeded PRNG.
     pub retry: BackoffPolicy,
-    /// Resource-style failures at one vertex before the cluster is
-    /// degraded and the suffix re-planned.
-    pub degrade_after: u32,
-    /// Beam width for degradation re-planning.
-    pub beam: usize,
 }
 
 impl Default for FtConfig {
@@ -75,8 +82,6 @@ impl Default for FtConfig {
                 cap_ms: 8,
                 max_attempts: 4,
             },
-            degrade_after: 2,
-            beam: 2000,
         }
     }
 }
@@ -112,8 +117,7 @@ pub struct FtOutcome {
     /// any crash/transient/corruption schedule (degradation re-plans
     /// may pick different implementations, which changes floating-point
     /// rounding); per-vertex seconds are those of the *successful*
-    /// attempt, and `total_seconds` includes all recovery work. Under a
-    /// live injector `governor` is all zero: the walk has no budget.
+    /// attempt, and `total_seconds` includes all recovery work.
     pub exec: ExecOutcome,
     /// Total retries across the run.
     pub retries: u32,
@@ -164,7 +168,7 @@ impl FtOutcome {
 ///
 /// With a [`FaultInjector::disabled`] injector this is
 /// [`crate::execute_plan_with`] under `options`. With a live injector
-/// the run walks inline and reads no option (see [`ExecOptions`]).
+/// the run walks inline under the same `options`.
 /// `ctx`/`catalog`/`model` are only consulted when
 /// degradation forces a re-plan of the remaining suffix.
 ///
@@ -197,7 +201,8 @@ pub fn execute_fault_tolerant(
         return Ok(FtOutcome::fault_free(exec, graph.len()));
     }
 
-    let mut walk = InlineWalk::start(graph, annotation, inputs, ctx.registry, obs)?;
+    let mut walk = InlineWalk::start(graph, annotation, inputs, ctx.registry, obs, &options)?;
+    walk.retire_at_finish();
     let mut cluster = ctx.cluster;
     let mut checkpoints: HashMap<usize, Arc<DistRelation>> = HashMap::new();
     // The exec half is filled in by the walk's epilogue.
@@ -251,33 +256,34 @@ pub fn execute_fault_tolerant(
                     ft.recovering(v, dt);
                 }
                 FaultKind::ResourceExhaustion { repeats } => {
-                    for done in 1..=repeats {
+                    for done in 1..=repeats.min(DEGRADE_AFTER) {
                         ft.retry(v);
                         let dt = backoff(&config.retry, done, &mut injector, v, "resources", obs);
                         ft.recovering(v, dt);
-                        if done >= config.degrade_after {
-                            // Degrade and re-plan the suffix on the
-                            // shrunken cluster; everything below `v` is
-                            // a pinned input of the new plan.
-                            let before = cluster.workers;
-                            cluster = cluster.degraded();
-                            let ctx2 = PlanContext::new(ctx.registry, cluster);
-                            walk.replan(v.index(), &ctx2, catalog, model, config.beam)
-                                .map_err(|e| {
-                                    ExecError::Internal(format!(
-                                        "re-planning after degradation failed: {e}"
-                                    ))
-                                })?;
-                            ft.replans += 1;
-                            obs.record(Subsystem::Faults, "degraded", || {
-                                vec![
-                                    ("vertex", v.index().into()),
-                                    ("workers_before", (before as i64).into()),
-                                    ("workers_after", (cluster.workers as i64).into()),
-                                ]
-                            });
-                            break;
-                        }
+                    }
+                    if repeats >= DEGRADE_AFTER {
+                        // Degrade and re-plan the suffix on the shrunken
+                        // cluster; everything below `v` is a pinned
+                        // input of the new plan.
+                        let before = cluster.workers;
+                        cluster = cluster.degraded();
+                        let ctx2 = PlanContext::new(ctx.registry, cluster);
+                        (walk.replan(v.index(), &ctx2, catalog, model, DEGRADE_BEAM)).map_err(
+                            |e| match e {
+                                AdaptiveError::Exec(e) => e,
+                                AdaptiveError::Opt(e) => ExecError::Internal(format!(
+                                    "re-planning after degradation failed: {e}"
+                                )),
+                            },
+                        )?;
+                        ft.replans += 1;
+                        obs.record(Subsystem::Faults, "degraded", || {
+                            vec![
+                                ("vertex", v.index().into()),
+                                ("workers_before", (before as i64).into()),
+                                ("workers_after", (cluster.workers as i64).into()),
+                            ]
+                        });
                     }
                 }
             }
@@ -376,10 +382,11 @@ fn backoff(
 /// Loses the crash's victim set and brings every lost vertex back per
 /// `policy`, returning the seconds spent.
 ///
-/// The victim pool is what this plan epoch has materialized: the
-/// compute vertices with lower id than the crashing vertex `v` (values
-/// from earlier epochs are pinned in driver storage; `v` itself is not
-/// stored yet, so it is implicitly lost too).
+/// The victim pool is what this plan epoch has materialized and holds
+/// in memory: the resident compute vertices with lower id than the
+/// crashing vertex `v` (values from earlier epochs are pinned in driver
+/// storage, spilled ones are on scratch; `v` itself is not stored yet,
+/// so it is implicitly lost too).
 fn recover_crash(
     walk: &mut InlineWalk<'_>,
     v: NodeId,
@@ -390,7 +397,7 @@ fn recover_crash(
     obs: &Obs,
 ) -> Result<f64, ExecError> {
     let t0 = Instant::now();
-    let mut lost = walk.epoch_computes_below(v);
+    let mut lost = walk.epoch_resident_below(v);
     if policy != RecoveryPolicy::Restart {
         // Restart-from-scratch throws the whole epoch away; otherwise
         // one worker's memory is gone: a seeded coin flip per resident
@@ -406,7 +413,7 @@ fn recover_crash(
     for u in &lost {
         if policy == RecoveryPolicy::Checkpoint {
             if let Some(ck) = checkpoints.get(&u.index()) {
-                walk.set_value(*u, Some(Arc::clone(ck)));
+                walk.restore(*u, Arc::clone(ck))?;
                 restored += 1;
                 continue;
             }

@@ -15,7 +15,9 @@
 //!   become an [`ExecOutcome`].
 //!
 //! [`InlineWalk`] is the second driver: vertices in id order, one in
-//! flight (its kernels still fan out over the pool). Its one loop,
+//! flight (its kernels still fan out over the pool).
+//! [`InlineWalk::start`] is the one way to begin a walk and the one
+//! place [`ExecOptions`] are applied. Its one loop,
 //! [`InlineWalk::drive`], is [`crate::execute_plan_serial`] as is, every
 //! run with a memory budget ([`run_inline`]), and — with a fault policy
 //! or a sparsity-drift rule as the step — the live-injector half of
@@ -27,7 +29,8 @@
 //!
 //! A budgeted walk (an [`ExecOptions::mem_budget`], a
 //! [`SharedGovernor`] lease, or both — the smaller wins) governs memory
-//! around each step. Before vertex `v` runs:
+//! around each step. Before each run of vertex `v` ([`InlineWalk::run`]:
+//! a first attempt, a retry or a crash replay):
 //!
 //! * cold buffers are spilled to scratch until `resident + est_out(v) +
 //!   reloads(v)` fits the budget, where `est_out(v)` is the output size
@@ -45,11 +48,13 @@
 //!   damage is [`ExecError::SpillCorrupted`], never a wrong number.
 //!
 //! After `v` runs, inputs whose last consumer it was are retired unless
-//! retained. Retained buffers still on scratch at the end are
+//! retained (a fault-injected walk retires only at the end, since crash
+//! replay may read any earlier value). Retained buffers still on scratch at the end are
 //! rehydrated, fanned out over the pool, so callers see exactly the
 //! values an unbudgeted run returns; peak accounting stops before that.
 //! Every spill and reload is a [`Subsystem::Sched`] record.
 
+use crate::adaptive::AdaptiveError;
 use crate::exec::{
     compute_vertices, missing_choice, missing_input, record_run, vertex_label, ExecOptions,
     ExecOutcome, RemoteVertexExec,
@@ -63,7 +68,7 @@ use matopt_core::{
 };
 use matopt_cost::CostModel;
 use matopt_obs::{Obs, Subsystem};
-use matopt_opt::{frontier_dp_beam, OptContext, OptError};
+use matopt_opt::{frontier_dp_beam, OptContext};
 use matopt_pool::{Pool, PoolStats};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -277,6 +282,8 @@ pub(crate) struct InlineWalk<'a> {
     /// Vertices whose values are never retired: everything by default,
     /// the sinks only when the caller streams.
     retained: Vec<bool>,
+    /// `false` when nothing is retired before [`finish`](Self::finish).
+    retire_early: bool,
     /// Consumer edges per vertex not yet run (one per edge, so a vertex
     /// read twice by one consumer counts twice).
     uses: Vec<usize>,
@@ -298,17 +305,23 @@ struct WalkGovernor {
     spill: Arc<SpillManager>,
     /// Receipt per spilled vertex, `None` while resident or retired.
     tickets: Vec<Option<SpillTicket>>,
+    /// The shared-pool carve-out the budget came from, if any.
+    _lease: Option<GovernorLease>,
 }
 
 impl<'a> InlineWalk<'a> {
     /// Runs the prologue and returns a walk positioned before the first
-    /// compute vertex: in-process, unbudgeted, every value retained.
+    /// compute vertex, governed by `options` — the one place they are
+    /// applied: which values are retained, [`ExecOptions::remote`], the
+    /// [`SharedGovernor`] lease (held until [`finish`](Self::finish)),
+    /// the budget and its scratch files.
     pub fn start(
         graph: &'a ComputeGraph,
         annotation: &'a Annotation,
         inputs: &HashMap<NodeId, DistRelation>,
         registry: &'a ImplRegistry,
         obs: &'a Obs,
+        options: &'a ExecOptions,
     ) -> Result<Self, ExecError> {
         let started = Instant::now();
         let pool = Pool::global();
@@ -338,25 +351,72 @@ impl<'a> InlineWalk<'a> {
                 uses[u.index()] += 1;
             }
         }
+        let mut retained = vec![options.retain_values; n];
+        for s in graph.sinks() {
+            retained[s.index()] = true;
+        }
+        // Lease a carve-out from the shared pool (if any) before the first
+        // vertex: concurrent runs split one budget instead of each assuming
+        // it owns the machine. The lease returns to the pool (waking
+        // blocked acquirers) when the walk ends, on every exit path.
+        let lease_wait = Instant::now();
+        let lease = options.shared_governor.as_ref().map(|sg| {
+            let (want, min_need) = estimate_run_bytes(graph, annotation);
+            sg.acquire(want, min_need)
+        });
+        if let Some(l) = &lease {
+            out.governor.lease_bytes = l.bytes();
+            out.governor.lease_wait_us = lease_wait.elapsed().as_micros() as u64;
+        }
+        // The smaller of the explicit budget and the lease, when either exists.
+        let budget = (options.mem_budget.into_iter())
+            .chain(lease.as_ref().map(GovernorLease::bytes))
+            .min();
+        let gov = match budget {
+            Some(budget) => {
+                out.governor.vertex_spills = vec![0; n];
+                Some(WalkGovernor {
+                    budget,
+                    spill: Arc::new(SpillManager::new(options.scratch_dir.clone()).map_err(
+                        |e| ExecError::Internal(format!("spill scratch setup failed: {e}")),
+                    )?),
+                    tickets: vec![None; n],
+                    _lease: lease,
+                })
+            }
+            None => None,
+        };
         Ok(InlineWalk {
             env: StepEnv {
                 graph,
                 registry,
                 obs,
-                remote: None,
+                remote: options.remote.as_deref(),
             },
             annotation,
             suffix: None,
             epoch_start: 0,
             slots,
-            retained: vec![true; n],
+            retained,
+            retire_early: true,
             uses,
             resident,
-            gov: None,
+            gov,
             out,
             pool_before,
             started,
         })
+    }
+
+    /// Keeps every value for crash replay until [`finish`](Self::finish),
+    /// which then drops what the options do not retain.
+    pub fn retire_at_finish(&mut self) {
+        self.retire_early = false;
+    }
+
+    /// The run's byte budget, if it has one.
+    pub fn budget(&self) -> Option<u64> {
+        self.gov.as_ref().map(|g| g.budget)
     }
 
     /// The value currently held for `v`.
@@ -376,38 +436,48 @@ impl<'a> InlineWalk<'a> {
         }
     }
 
-    /// The one inline loop: for each compute vertex in id order, make
-    /// room under the budget, call `step` (`walk.run(v)` at its
-    /// simplest) with the vertex's step index, store what it returns,
-    /// and retire the inputs it was the last consumer of.
+    /// The one inline loop: for each compute vertex in id order, call
+    /// `step` (`walk.run(v)` at its simplest) with the vertex's step
+    /// index, store what it returns, and retire the inputs it was the
+    /// last consumer of.
     pub fn drive<E: From<ExecError>>(
         &mut self,
         mut step: impl FnMut(&mut Self, usize, NodeId) -> Result<StepOutput, E>,
     ) -> Result<(), E> {
         let graph = self.env.graph;
         for (i, v) in compute_vertices(graph).enumerate() {
-            self.make_room(v)?;
             let out = step(self, i, v)?;
             self.store(v, out);
             for u in &graph.node(v).inputs {
                 let u = u.index();
                 self.uses[u] -= 1;
-                if self.uses[u] == 0 && !self.retained[u] {
-                    self.set_value(NodeId(u as u32), None);
-                    if let Some(gov) = &mut self.gov {
-                        if let Some(t) = gov.tickets[u].take() {
-                            gov.spill.remove(&t);
-                        }
-                    }
+                if self.uses[u] == 0 && self.retire_early {
+                    self.retire(u);
                 }
             }
         }
         Ok(())
     }
 
-    /// Executes `v` against the current values without storing the
-    /// result (the caller may discard an attempt).
-    pub fn run(&self, v: NodeId) -> Result<StepOutput, ExecError> {
+    /// Drops `u`'s value, resident or on scratch, unless it is retained.
+    fn retire(&mut self, u: usize) {
+        if self.retained[u] {
+            return;
+        }
+        self.set_value(NodeId(u as u32), None);
+        if let Some(gov) = &mut self.gov {
+            if let Some(t) = gov.tickets[u].take() {
+                gov.spill.remove(&t);
+            }
+        }
+    }
+
+    /// Executes `v` against the current values after the governor's
+    /// turn for it, without storing the result (the caller may discard
+    /// an attempt). Every run of a vertex — first attempt, retry, crash
+    /// replay — comes through here.
+    pub fn run(&mut self, v: NodeId) -> Result<StepOutput, ExecError> {
+        self.make_room(v)?;
         let (choice, out_type) = self
             .planned(v)
             .ok_or_else(|| missing_choice(self.env.graph, v))?;
@@ -424,6 +494,14 @@ impl<'a> InlineWalk<'a> {
         self.out.vertex_chunks[i] = out.rel.chunks.len();
         self.out.vertex_resident_bytes[i] = out.rel.total_bytes() as u64;
         self.set_value(v, Some(out.rel));
+    }
+
+    /// Puts back a value `v` had before a crash (a checkpoint) after the
+    /// governor's turn for `v`, as if it were run again.
+    pub fn restore(&mut self, v: NodeId, rel: Arc<DistRelation>) -> Result<(), ExecError> {
+        self.make_room(v)?;
+        self.set_value(v, Some(rel));
+        Ok(())
     }
 
     /// Replaces (or, with `None`, loses) the value held for `v` without
@@ -448,10 +526,7 @@ impl<'a> InlineWalk<'a> {
             .planned(v)
             .ok_or_else(|| missing_choice(self.env.graph, v))?;
         let est_out = choice.output_format.total_bytes(&out_type) as u64;
-        let graph = self.env.graph;
-        let mut inputs: Vec<usize> = graph.node(v).inputs.iter().map(|u| u.index()).collect();
-        inputs.sort_unstable();
-        inputs.dedup();
+        let inputs = distinct_inputs(self.env.graph, v);
         let reloads: u64 = inputs
             .iter()
             .filter_map(|&u| gov.tickets[u].as_ref())
@@ -469,7 +544,7 @@ impl<'a> InlineWalk<'a> {
         if self.resident + need > budget {
             return Err(ExecError::MemBudgetInfeasible {
                 vertex: v,
-                label: vertex_label(graph, v),
+                label: vertex_label(self.env.graph, v),
                 need: self.resident + need,
                 budget,
             });
@@ -537,11 +612,12 @@ impl<'a> InlineWalk<'a> {
         Ok(())
     }
 
-    /// Compute vertices below `v` that the plan in force has executed:
-    /// what one plan epoch has materialized so far.
-    pub fn epoch_computes_below(&self, v: NodeId) -> Vec<NodeId> {
+    /// Compute vertices below `v` that the plan in force has executed
+    /// and that are resident (not on scratch): what a crash can lose.
+    pub fn epoch_resident_below(&self, v: NodeId) -> Vec<NodeId> {
         compute_vertices(self.env.graph)
             .filter(|u| (self.epoch_start..v.index()).contains(&u.index()))
+            .filter(|u| self.slots[u.index()].is_some())
             .collect()
     }
 
@@ -557,20 +633,37 @@ impl<'a> InlineWalk<'a> {
         catalog: &FormatCatalog,
         model: &CostModel,
         beam: usize,
-    ) -> Result<(), OptError> {
-        let (graph, idmap) = rebuild_suffix(self.env.graph, from, &self.slots);
-        let plan =
-            frontier_dp_beam(&graph, &OptContext::new(ctx, catalog, model), beam)?.annotation;
+    ) -> Result<(), AdaptiveError> {
+        let (graph, idmap) = rebuild_suffix(self.env.graph, from, |u| self.peek(u))?;
+        let plan = frontier_dp_beam(&graph, &OptContext::new(ctx, catalog, model), beam)
+            .map_err(AdaptiveError::Opt)?
+            .annotation;
         self.suffix = Some(Suffix { graph, idmap, plan });
         self.epoch_start = from;
         Ok(())
     }
 
-    /// Epilogue: rehydrates retained values still on scratch (fanned
-    /// out over the pool; a failure resolves to the lowest vertex id)
-    /// and builds the outcome.
+    /// `u`'s value; a spilled one is read back without being charged.
+    fn peek(&self, u: NodeId) -> Result<Arc<DistRelation>, ExecError> {
+        if let Some(rel) = &self.slots[u.index()] {
+            return Ok(Arc::clone(rel));
+        }
+        let (gov, ticket) = (self.gov.as_ref())
+            .and_then(|g| Some((g, g.tickets[u.index()].as_ref()?)))
+            .expect("a value the suffix reads is resident or spilled");
+        let rel = (gov.spill.reload(ticket)).map_err(|e| spill_failure(self.env.graph, u, e))?;
+        Ok(Arc::new(rel))
+    }
+
+    /// Epilogue: drops what is not retained, rehydrates retained values
+    /// still on scratch (fanned out over the pool; a failure resolves
+    /// to the lowest vertex id), returns the lease and builds the
+    /// outcome.
     pub fn finish(mut self) -> Result<ExecOutcome, ExecError> {
         let pool = Pool::global();
+        for u in 0..self.slots.len() {
+            self.retire(u);
+        }
         if let Some(gov) = self.gov.take() {
             let tickets: Arc<Vec<(usize, SpillTicket)>> = Arc::new(
                 (gov.tickets.into_iter().enumerate())
@@ -618,69 +711,16 @@ pub(crate) fn run_inline(
     obs: &Obs,
     options: &ExecOptions,
 ) -> Result<ExecOutcome, ExecError> {
-    let mut walk = InlineWalk::start(graph, annotation, inputs, registry, obs)?;
-    walk.env.remote = options.remote.as_deref();
-    if !options.retain_values {
-        walk.retained = vec![false; graph.len()];
-        for s in graph.sinks() {
-            walk.retained[s.index()] = true;
-        }
-    }
-    // Lease a carve-out from the shared pool (if any) before the first
-    // vertex: concurrent runs split one budget instead of each assuming
-    // it owns the machine. The lease is held to the end of the run and
-    // returned (waking blocked acquirers) on every exit path.
-    let lease_wait = Instant::now();
-    let lease = options.shared_governor.as_ref().map(|sg| {
-        let (want, min_need) = estimate_run_bytes(graph, annotation);
-        sg.acquire(want, min_need)
-    });
-    let lease_wait_us = lease
-        .as_ref()
-        .map_or(0, |_| lease_wait.elapsed().as_micros() as u64);
-    // The smaller of the explicit budget and the lease, when either exists.
-    let budget = (options.mem_budget.into_iter())
-        .chain(lease.as_ref().map(GovernorLease::bytes))
-        .min();
-    if let Some(budget) = budget {
-        walk.gov = Some(WalkGovernor {
-            budget,
-            spill: Arc::new(
-                SpillManager::new(options.scratch_dir.clone())
-                    .map_err(|e| ExecError::Internal(format!("spill scratch setup failed: {e}")))?,
-            ),
-            tickets: vec![None; graph.len()],
-        });
-        walk.out.governor.vertex_spills = vec![0; graph.len()];
-    }
+    let mut walk = InlineWalk::start(graph, annotation, inputs, registry, obs, options)?;
+    let budget = walk.budget();
     walk.drive(|walk, _, v| walk.run(v))?;
-    let mut out = walk.finish()?;
-    if let Some(l) = &lease {
-        out.governor.lease_bytes = l.bytes();
-        out.governor.lease_wait_us = lease_wait_us;
-    }
+    let out = walk.finish()?;
     record_run(obs, "inline_walk", &out, budget, options.retain_values);
     Ok(out)
 }
 
-/// Live accounting of a [`SharedGovernor`] pool.
-#[derive(Debug, Default)]
-struct SharedPool {
-    /// Bytes currently leased to running executions.
-    leased: u64,
-    /// Executions currently holding a lease.
-    runs: usize,
-    /// Leases granted over the governor's lifetime.
-    leases_granted: u64,
-    /// Acquisitions that had to wait for another run to release bytes.
-    admission_waits: u64,
-    /// High-water mark of `leased`.
-    peak_leased: u64,
-    /// High-water mark of `runs`.
-    peak_runs: usize,
-}
-
-/// Counter snapshot from [`SharedGovernor::stats`].
+/// Live accounting of a [`SharedGovernor`] pool, and the counter
+/// snapshot [`SharedGovernor::stats`] returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedGovernorStats {
     /// The pool's total byte budget.
@@ -716,8 +756,7 @@ pub struct SharedGovernorStats {
 /// too-big-for-budget graphs deterministically.
 #[derive(Debug)]
 pub struct SharedGovernor {
-    budget: u64,
-    pool: Mutex<SharedPool>,
+    pool: Mutex<SharedGovernorStats>,
     freed: Condvar,
 }
 
@@ -726,16 +765,12 @@ impl SharedGovernor {
     #[must_use]
     pub fn new(budget: u64) -> Arc<Self> {
         Arc::new(SharedGovernor {
-            budget: budget.max(1),
-            pool: Mutex::new(SharedPool::default()),
+            pool: Mutex::new(SharedGovernorStats {
+                budget: budget.max(1),
+                ..SharedGovernorStats::default()
+            }),
             freed: Condvar::new(),
         })
-    }
-
-    /// The pool's total byte budget.
-    #[must_use]
-    pub fn budget(&self) -> u64 {
-        self.budget
     }
 
     /// Bytes currently leased to running executions.
@@ -747,16 +782,7 @@ impl SharedGovernor {
     /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> SharedGovernorStats {
-        let p = self.pool.lock().expect("shared governor pool");
-        SharedGovernorStats {
-            budget: self.budget,
-            leased: p.leased,
-            runs: p.runs,
-            leases_granted: p.leases_granted,
-            admission_waits: p.admission_waits,
-            peak_leased: p.peak_leased,
-            peak_runs: p.peak_runs,
-        }
+        *self.pool.lock().expect("shared governor pool")
     }
 
     /// Leases between `min` and `want` bytes from the pool, blocking
@@ -765,18 +791,17 @@ impl SharedGovernor {
     /// headroom, while concurrent runs split the pool.
     #[must_use]
     pub fn acquire(self: &Arc<Self>, want: u64, min: u64) -> GovernorLease {
-        let min = min.clamp(1, self.budget);
-        let want = want.clamp(min, self.budget);
         let mut pool = self.pool.lock().expect("shared governor pool");
-        let mut waited = false;
-        while self.budget - pool.leased < min {
+        let budget = pool.budget;
+        let (min, mut waited) = (min.clamp(1, budget), false);
+        while budget - pool.leased < min {
             waited = true;
             pool = self.freed.wait(pool).expect("shared governor pool");
         }
         if waited {
             pool.admission_waits += 1;
         }
-        let granted = want.min(self.budget - pool.leased);
+        let granted = want.clamp(min, budget).min(budget - pool.leased);
         pool.leased += granted;
         pool.runs += 1;
         pool.leases_granted += 1;
@@ -819,37 +844,34 @@ impl Drop for GovernorLease {
 /// the annotation's chosen output format for computes) and the largest
 /// standalone footprint (a vertex's inputs plus its output) — what a
 /// run asks the shared pool for and the least it can work with.
-pub(crate) fn estimate_run_bytes(graph: &ComputeGraph, annotation: &Annotation) -> (u64, u64) {
-    let n = graph.len();
-    let mut est = vec![0u64; n];
-    for (id, node) in graph.iter() {
-        let format = match &node.kind {
-            NodeKind::Source { format } => *format,
-            NodeKind::Compute { .. } => {
-                annotation
-                    .choice(id)
-                    .expect("checked by the prologue")
-                    .output_format
-            }
-        };
-        est[id.index()] = format.total_bytes(&node.mtype).max(0.0) as u64;
-    }
+fn estimate_run_bytes(graph: &ComputeGraph, annotation: &Annotation) -> (u64, u64) {
+    let est: Vec<u64> = (graph.iter())
+        .map(|(id, node)| {
+            let format = match &node.kind {
+                NodeKind::Source { format } => *format,
+                NodeKind::Compute { .. } => {
+                    let choice = annotation.choice(id);
+                    choice.expect("checked by the prologue").output_format
+                }
+            };
+            format.total_bytes(&node.mtype).max(0.0) as u64
+        })
+        .collect();
     let total: u64 = est.iter().fold(0u64, |a, &b| a.saturating_add(b));
-    let mut min_need = 0u64;
-    for (id, node) in graph.iter() {
-        if !matches!(node.kind, NodeKind::Compute { .. }) {
-            continue;
-        }
-        let mut need = est[id.index()];
-        let mut inputs: Vec<usize> = node.inputs.iter().map(|i| i.index()).collect();
-        inputs.sort_unstable();
-        inputs.dedup();
-        for u in inputs {
-            need = need.saturating_add(est[u]);
-        }
-        min_need = min_need.max(need);
-    }
+    let footprint = |v: NodeId| {
+        let inputs = distinct_inputs(graph, v).into_iter();
+        inputs.fold(est[v.index()], |need, u| need.saturating_add(est[u]))
+    };
+    let min_need = compute_vertices(graph).map(footprint).max().unwrap_or(0);
     (total, min_need.max(1))
+}
+
+/// `v`'s input vertices, each once, in id order.
+fn distinct_inputs(graph: &ComputeGraph, v: NodeId) -> Vec<usize> {
+    let mut inputs: Vec<usize> = graph.node(v).inputs.iter().map(|u| u.index()).collect();
+    inputs.sort_unstable();
+    inputs.dedup();
+    inputs
 }
 
 fn spill_failure(graph: &ComputeGraph, v: NodeId, e: SpillError) -> ExecError {
@@ -876,8 +898,8 @@ fn spill_failure(graph: &ComputeGraph, v: NodeId, e: SpillError) -> ExecError {
 fn rebuild_suffix(
     graph: &ComputeGraph,
     from: usize,
-    values: &[Slot],
-) -> (ComputeGraph, Vec<NodeId>) {
+    value: impl Fn(NodeId) -> Result<Arc<DistRelation>, ExecError>,
+) -> Result<(ComputeGraph, Vec<NodeId>), ExecError> {
     let consumers = graph.consumers();
     let mut g2 = ComputeGraph::new();
     let mut map: Vec<NodeId> = graph.iter().map(|(id, _)| id).collect();
@@ -885,7 +907,7 @@ fn rebuild_suffix(
         let name = node.name.as_deref();
         if id.index() < from {
             if consumers[id.index()].iter().any(|c| c.index() >= from) {
-                let rel = values[id.index()].as_ref().expect("executed");
+                let rel = value(id)?;
                 let measured = MatrixType {
                     sparsity: rel.measured_sparsity().max(f64::MIN_POSITIVE),
                     ..rel.mtype
@@ -903,5 +925,5 @@ fn rebuild_suffix(
             }
         };
     }
-    (g2, map)
+    Ok((g2, map))
 }

@@ -121,11 +121,19 @@ fn chaos_config(policy: RecoveryPolicy) -> FtConfig {
             cap_ms: 4,
             max_attempts: 10,
         },
-        ..FtConfig::default()
     }
 }
 
 fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOutcome {
+    run_chaotic_with(w, injector, config, ExecOptions::default())
+}
+
+fn run_chaotic_with(
+    w: &Workload,
+    injector: FaultInjector,
+    config: &FtConfig,
+    options: ExecOptions,
+) -> FtOutcome {
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(WORKERS);
     let ctx = PlanContext::new(&registry, cluster);
@@ -138,7 +146,7 @@ fn run_chaotic(w: &Workload, injector: FaultInjector, config: &FtConfig) -> FtOu
         &CostModel::analytical(),
         injector,
         config,
-        ExecOptions::default(),
+        options,
         &Obs::disabled(),
     )
     .expect("fault-tolerant run succeeds")
@@ -252,25 +260,35 @@ fn parsed_crash_specs_recover_under_every_policy() {
     }
 }
 
-/// Resource exhaustion degrades the cluster and re-plans the suffix;
-/// the re-planned run still computes the right answer (approximately —
-/// different implementations round differently).
+/// Resource exhaustion degrades the cluster and re-plans the suffix,
+/// also under 45% of the peak, where a value the suffix starts from is
+/// on scratch when the re-plan reads its measured type; the re-planned
+/// run still computes the right answer (approximately — different
+/// implementations round differently).
 #[test]
 fn resource_exhaustion_degrades_and_replans() {
     let w = &workloads()[0];
-    let injector = parse_fault_spec("oom@4x2", 3, w.graph.compute_count()).expect("spec parses");
-    let config = chaos_config(RecoveryPolicy::Lineage);
-    let out = run_chaotic(w, injector, &config);
-    assert!(out.replans >= 1, "degradation must re-plan the suffix");
-    assert_eq!(out.exec.sinks.len(), w.baseline.len());
-    for (sink, rel) in &out.exec.sinks {
-        let got = rel.to_dense();
-        let want = &w.baseline[sink];
-        assert!(
-            got.approx_eq(want, 1e-6),
-            "sink {sink} diverged after degradation; err {}",
-            got.frobenius_distance(want)
-        );
+    let peak = run_with_options(w, ExecOptions::default()).peak_resident_bytes;
+    for mem_budget in [None, Some(peak * 45 / 100)] {
+        let injector =
+            parse_fault_spec("oom@4x2", 3, w.graph.compute_count()).expect("spec parses");
+        let config = chaos_config(RecoveryPolicy::Lineage);
+        let options = ExecOptions {
+            mem_budget,
+            ..ExecOptions::default()
+        };
+        let out = run_chaotic_with(w, injector, &config, options);
+        assert!(out.replans >= 1, "degradation must re-plan the suffix");
+        assert_eq!(out.exec.sinks.len(), w.baseline.len());
+        for (sink, rel) in &out.exec.sinks {
+            let got = rel.to_dense();
+            let want = &w.baseline[sink];
+            assert!(
+                got.approx_eq(want, 1e-6),
+                "sink {sink} diverged after degradation under {mem_budget:?}; err {}",
+                got.frobenius_distance(want)
+            );
+        }
     }
 }
 
@@ -287,7 +305,6 @@ fn retry_budget_exhaustion_is_a_clean_error() {
             cap_ms: 2,
             max_attempts: 3,
         },
-        ..FtConfig::default()
     };
     let registry = ImplRegistry::paper_default();
     let cluster = Cluster::simsql_like(WORKERS);
@@ -336,37 +353,75 @@ fn assert_sinks_bit_exact(w: &Workload, out: &matopt_engine::ExecOutcome, tag: &
 }
 
 /// The memory-pressure matrix: budget ∈ {unbounded, 75%, 50% of the
-/// measured unbounded peak}, on both workloads. Every cell must
-/// reproduce the fault-free sinks bit for bit, and the 50% column must
-/// provably engage the spill path.
+/// measured unbounded peak}, on both workloads, fault-free and under
+/// seeded live fault schedules with every recovery policy. Every cell
+/// must reproduce the fault-free sinks bit for bit within its budget,
+/// and the 50% column must provably engage the spill path, faulted
+/// runs included.
 #[test]
 fn memory_pressure_matrix_is_bit_exact() {
+    let policies = [
+        RecoveryPolicy::Restart,
+        RecoveryPolicy::Checkpoint,
+        RecoveryPolicy::Lineage,
+    ];
     for w in workloads() {
         let peak = run_with_options(w, ExecOptions::default()).peak_resident_bytes;
+        let steps = w.graph.compute_count();
         for (col, budget) in [
             ("unbounded", None),
             ("75%", Some((peak as f64 * 0.75) as u64)),
             ("50%", Some((peak as f64 * 0.5) as u64)),
         ] {
-            let out = run_with_options(
-                w,
-                ExecOptions {
-                    mem_budget: budget,
-                    ..Default::default()
-                },
-            );
+            let options = ExecOptions {
+                mem_budget: budget,
+                ..Default::default()
+            };
+            let out = run_with_options(w, options.clone());
             assert_sinks_bit_exact(w, &out, &format!("{} {col}", w.name));
+            let (mut faulted_spills, mut recoveries) = (0, 0);
+            for (i, policy) in policies.into_iter().enumerate() {
+                let config = chaos_config(policy);
+                let seed = 0x5EED + i as u64;
+                let schedules = [
+                    FaultInjector::random(seed, steps, 3, 2),
+                    parse_fault_spec("crash@2,flaky@3x2,corrupt@4,crash@6", seed, steps)
+                        .expect("spec parses"),
+                ];
+                for injector in schedules {
+                    let run = run_chaotic_with(w, injector, &config, options.clone());
+                    assert_recovered_exactly(w, &run, &config, seed);
+                    if let Some(budget) = budget {
+                        assert!(
+                            run.exec.peak_resident_bytes <= budget,
+                            "{} {col} {policy}: faulted run over budget",
+                            w.name
+                        );
+                    }
+                    faulted_spills += run.exec.governor.spills;
+                    recoveries += run.recoveries;
+                }
+            }
+            assert!(recoveries > 0, "{} {col}: no crash recovered", w.name);
             match col {
                 "unbounded" => assert_eq!(
-                    out.governor.spills, 0,
+                    out.governor.spills + faulted_spills,
+                    0,
                     "{}: spilled without a budget",
                     w.name
                 ),
-                "50%" => assert!(
-                    out.governor.spills > 0,
-                    "{}: the 50% budget column never spilled",
-                    w.name
-                ),
+                "50%" => {
+                    assert!(
+                        out.governor.spills > 0,
+                        "{}: the 50% budget column never spilled",
+                        w.name
+                    );
+                    assert!(
+                        faulted_spills > 0,
+                        "{}: no faulted run in the 50% column spilled",
+                        w.name
+                    );
+                }
                 _ => {}
             }
         }

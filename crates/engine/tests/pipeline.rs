@@ -6,8 +6,9 @@
 //! into the numbers — and so must every other way of driving the shared
 //! vertex step: the budgeted walk (half the unbudgeted peak, retaining
 //! every value or only the sinks), the fault-tolerant executor
-//! (disabled injector, and a seeded live fault schedule) and the
-//! adaptive executor under a threshold that never fires.
+//! (disabled injector, and a seeded live fault schedule, unbudgeted and
+//! streaming under half the peak) and the adaptive executor under a
+//! threshold that never fires.
 //!
 //! The harness optimizes and runs 64 seeded random DAGs (square dense
 //! matrices; matmuls, elementwise ops, transposes, scalings) plus the
@@ -121,9 +122,9 @@ fn never_replan() -> AdaptiveConfig {
 /// (retaining everything, and streaming), the fault-tolerant executor
 /// with a disabled injector and
 /// under the seeded fault schedule `seed` (crashes, stragglers,
-/// transient errors, corruptions — no `oom`, which re-plans), and the
-/// adaptive executor when it never re-plans. Returns the budgeted
-/// runs' spill count.
+/// transient errors, corruptions — no `oom`, which re-plans), also
+/// streaming under that budget, and the adaptive executor when it
+/// never re-plans. Returns the budgeted runs' spill count.
 fn assert_pipeline_matches_serial(
     tag: &str,
     graph: &ComputeGraph,
@@ -175,30 +176,47 @@ fn assert_pipeline_matches_serial(
         spills += run.governor.spills;
         runs.push((driver, run.sinks));
     }
-    for (driver, injector) in [
+    let live = || FaultInjector::random(seed, graph.compute_count(), 2, 2);
+    let streaming = ExecOptions {
+        retain_values: false,
+        mem_budget: Some(budget),
+        ..ExecOptions::default()
+    };
+    for (driver, injector, options) in [
         (
             "fault-tolerant, disabled injector",
             FaultInjector::disabled(),
+            ExecOptions::default(),
         ),
         (
             "fault-tolerant, live injector",
-            FaultInjector::random(seed, graph.compute_count(), 2, 2),
+            live(),
+            ExecOptions::default(),
+        ),
+        (
+            "fault-tolerant, live injector, budgeted streaming",
+            live(),
+            streaming,
         ),
     ] {
+        let budgeted = options.mem_budget.is_some();
         let run = execute_fault_tolerant(
-            graph,
-            annotation,
-            inputs,
-            &ctx,
-            catalog,
-            &model,
-            injector,
-            &ft,
-            ExecOptions::default(),
-            &obs,
+            graph, annotation, inputs, &ctx, catalog, &model, injector, &ft, options, &obs,
         )
         .unwrap_or_else(|e| panic!("{tag}: {driver} run failed: {e}"));
         assert_eq!(run.replans, 0, "{tag}: {driver} re-planned");
+        if budgeted {
+            assert!(
+                run.exec.peak_resident_bytes <= budget,
+                "{tag}: {driver} over budget"
+            );
+            assert_eq!(
+                run.exec.values.len(),
+                run.exec.sinks.len(),
+                "{tag}: {driver} returned more than its sinks"
+            );
+            spills += run.exec.governor.spills;
+        }
         runs.push((driver, run.exec.sinks));
     }
     let adaptive = execute_adaptive_planned(

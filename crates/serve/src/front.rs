@@ -302,28 +302,10 @@ impl FrontDoor {
         self.breaker.record_storm_event();
     }
 
-    /// The wrapped plan service.
-    #[must_use]
-    pub fn service(&self) -> &Arc<PlanService> {
-        &self.service
-    }
-
-    /// The front door's configuration.
-    #[must_use]
-    pub fn config(&self) -> &FrontDoorConfig {
-        &self.config
-    }
-
     /// The circuit breaker (state inspection; the bench asserts trips).
     #[must_use]
     pub fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
-    }
-
-    /// The shared execution memory pool, when configured.
-    #[must_use]
-    pub fn shared_governor(&self) -> Option<&Arc<SharedGovernor>> {
-        self.shared.as_ref()
     }
 
     /// Stops admitting new work: every subsequent [`FrontDoor::plan`]

@@ -1,9 +1,11 @@
 //! Front-door harness: quotas, batching, shedding, and the circuit
 //! breaker, exercised end to end against real executions.
 
-use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind};
+use matopt_core::{
+    Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, RecoveryPolicy,
+};
 use matopt_cost::CostModel;
-use matopt_engine::{execute_plan_serial, DistRelation, FaultInjector, FtConfig};
+use matopt_engine::{execute_plan_serial, parse_fault_spec, DistRelation, FaultInjector, FtConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_serve::{
     BreakerConfig, BreakerState, ExecRequest, FrontDoor, FrontDoorConfig, PlanService, PlanSource,
@@ -610,4 +612,82 @@ fn recovery_storm_trips_the_breaker_once_and_every_answer_stays_bit_exact() {
     let stats = front.stats().breaker;
     assert_eq!(stats.trips, 1, "recovery must not re-trip");
     assert_eq!(stats.reopens, 0, "no probe failed");
+}
+
+/// A fault-injected run is governed like any other: under a tenant's
+/// `mem_bytes` of half the run's peak, or a shared pool of that size,
+/// a crash/flaky schedule spills, stays inside the budget, recovers
+/// under every policy and answers bit-exact sinks.
+#[test]
+fn a_fault_injected_run_keeps_the_tenant_budget_and_the_pool_lease() {
+    let svc = service();
+    let (graph, inputs) = workload("ffnn-small:16", 0xB0D6);
+    let planned = svc.plan(&graph).expect("plan");
+    let reference = execute_plan_serial(&graph, &planned.plan.annotation, &inputs, svc.registry())
+        .expect("reference");
+    // Replay may read any earlier value, so a faulted run holds every
+    // value to its end, as the retaining serial walk does.
+    let budget = reference.peak_resident_bytes / 2;
+    let tenant_budget = FrontDoorConfig {
+        tenancy: TenancyConfig::with_default(TenantConfig {
+            mem_bytes: Some(budget),
+            ..TenantConfig::default()
+        }),
+        ..FrontDoorConfig::default()
+    };
+    let pool = FrontDoorConfig {
+        shared_pool_bytes: Some(budget),
+        ..FrontDoorConfig::default()
+    };
+    let policies = [
+        RecoveryPolicy::Restart,
+        RecoveryPolicy::Checkpoint,
+        RecoveryPolicy::Lineage,
+    ];
+    let cases = (policies
+        .iter()
+        .map(|p| ("tenant budget", &tenant_budget, *p)))
+    .chain([("shared pool", &pool, RecoveryPolicy::Lineage)]);
+    for (what, config, policy) in cases {
+        let front = FrontDoor::new(Arc::clone(&svc), config.clone());
+        let injector = parse_fault_spec("crash@3,flaky@4x2,crash@6", 7, graph.compute_count())
+            .expect("spec parses");
+        let ft = FtConfig {
+            policy,
+            ..FtConfig::default()
+        };
+        let resp = front
+            .execute_with_faults(
+                &ExecRequest {
+                    tenant: "tight",
+                    graph: &graph,
+                    inputs: &inputs,
+                    input_key: 0,
+                    deadline: None,
+                },
+                injector,
+                &ft,
+            )
+            .expect("fault-injected execution recovers");
+        let tag = format!("{what}, {policy}");
+        assert!(!resp.degraded, "{tag}: took the degraded path");
+        assert!(resp.recoveries > 0, "{tag}: no fault was recovered");
+        let out = &resp.outcome;
+        assert_eq!(out.sinks.len(), reference.sinks.len(), "{tag}: sink set");
+        for (sink, rel) in &reference.sinks {
+            assert_eq!(&out.sinks[sink], rel, "{tag}: sink {sink}");
+        }
+        assert!(
+            out.peak_resident_bytes <= budget,
+            "{tag}: peak {} over the budget {budget}",
+            out.peak_resident_bytes
+        );
+        assert!(
+            out.governor.spills > 0,
+            "{tag}: half the peak never spilled"
+        );
+        if what == "shared pool" {
+            assert!(out.governor.lease_bytes > 0, "{tag}: no lease was taken");
+        }
+    }
 }

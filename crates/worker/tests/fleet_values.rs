@@ -17,8 +17,8 @@ use matopt_core::{
 };
 use matopt_cost::CostModel;
 use matopt_engine::{
-    execute_plan, execute_plan_serial, execute_plan_with, DistRelation, ExecError, ExecOptions,
-    ExecOutcome, RemoteVertexExec,
+    execute_fault_tolerant, execute_plan, execute_plan_serial, execute_plan_with, parse_fault_spec,
+    DistRelation, ExecError, ExecOptions, ExecOutcome, FtConfig, RemoteVertexExec,
 };
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -302,6 +302,46 @@ fn a_budgeted_run_spills_and_stays_bit_exact_through_a_fleet() {
     fleet.shutdown();
     assert!(out.governor.spills > 0, "half the peak never spilled");
     assert!(same_bits(&out, &want), "budgeted remote run diverged");
+}
+
+/// A fault-injected run reads the same options: its vertices, replays
+/// included, run on the fleet, under half the peak, bit-exact.
+#[test]
+fn a_fault_injected_run_executes_on_the_fleet_and_stays_bit_exact() {
+    let (graph, annotation) = ffnn_w2_128();
+    let inputs = inputs(&graph, 43);
+    let want = serial_sinks(&graph, &annotation, &inputs);
+    let registry = ImplRegistry::paper_default();
+    let peak = execute_plan(&graph, &annotation, &inputs, &registry)
+        .expect("unbudgeted run")
+        .peak_resident_bytes;
+    let injector = parse_fault_spec("crash@3,flaky@4x2,crash@5", 9, graph.compute_count())
+        .expect("spec parses");
+    let fleet = fleet(2);
+    let catalog = FormatCatalog::paper_default().dense_only();
+    let run = execute_fault_tolerant(
+        &graph,
+        &annotation,
+        &inputs,
+        &PlanContext::new(&registry, Cluster::simsql_like(4)),
+        &catalog,
+        &CostModel::analytical(),
+        injector,
+        &FtConfig::default(),
+        ExecOptions {
+            mem_budget: Some(peak / 2),
+            remote: Some(Arc::clone(&fleet) as Arc<dyn RemoteVertexExec>),
+            ..ExecOptions::default()
+        },
+        &Obs::disabled(),
+    )
+    .expect("fault-tolerant remote run");
+    let tasks = fleet.stats().tasks_ok;
+    fleet.shutdown();
+    assert!(run.recoveries > 0, "no crash was recovered");
+    assert!(tasks > 0, "no vertex ran on the fleet");
+    assert!(run.exec.governor.spills > 0, "half the peak never spilled");
+    assert!(same_bits(&run.exec, &want), "faulted remote run diverged");
 }
 
 /// Values every run has dropped leave the workers with the next frame,
