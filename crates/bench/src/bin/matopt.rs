@@ -7,8 +7,10 @@
 //! matopt train <workload> [options]      run the multi-epoch training loop on a
 //!                                        laptop-scale FFNN: autodiff-derived
 //!                                        joint forward+backward graph, plan
-//!                                        cached across epochs, per-epoch loss
-//!                                        and cache-hit reporting
+//!                                        cached across epochs (re-optimized
+//!                                        only when measured sparsity
+//!                                        recalibrates the graph), per-epoch
+//!                                        loss and cache-hit reporting
 //! matopt serve [options]                 serve plan requests over stdin/stdout
 //! matopt stats <workload> [options]      run a workload with the metrics
 //!                                        registry enabled and print the
@@ -89,9 +91,6 @@
 //!   --workers N              cluster size (default 4)
 //!   --engine simsql|pc       cluster profile (default simsql)
 //!   --beam N                 optimizer beam width (default 300)
-//!   --no-reuse               re-optimize every epoch instead of reusing
-//!                            the cached plan (numerics are bit-identical
-//!                            either way; this is a latency experiment)
 //!   --checkpoint <path>      resume from <path> when it exists, and
 //!                            rewrite it after every epoch (a corrupt
 //!                            checkpoint file is an error, not a silent
@@ -616,7 +615,6 @@ fn cmd_train(args: &[String]) -> Result<i32, Exit> {
     let beam = o
         .value_where("--beam", "a width >= 1", |n: &usize| *n >= 1)
         .unwrap_or(300);
-    let reuse_plans = !o.flag("--no-reuse");
     let checkpoint: Option<String> = o.value("--checkpoint", "a file path");
     let dot = o.flag("--dot");
     o.finish()?;
@@ -681,7 +679,6 @@ fn cmd_train(args: &[String]) -> Result<i32, Exit> {
             beam,
             ..AdaptiveConfig::default()
         },
-        reuse_plans,
     };
 
     // `--checkpoint`: resume when the file exists; a corrupt file is an
@@ -745,7 +742,6 @@ fn cmd_train(args: &[String]) -> Result<i32, Exit> {
         &config,
         resume.as_ref(),
         Some(&on_epoch),
-        None,
     )
     .map_err(failed)?;
     if let Some(e) = ck_error.into_inner() {
@@ -845,7 +841,6 @@ fn cmd_serve(args: &[String]) -> Result<i32, Exit> {
         deadline: deadline_ms.map(Duration::from_millis),
         max_queue_depth: max_queue,
         beam,
-        ..ServeConfig::default()
     };
     // The server is long-lived, so events go to a bounded ring (old
     // events are dropped, never the request path) and the aggregate

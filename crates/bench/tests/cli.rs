@@ -264,10 +264,8 @@ fn plan_prices_under_a_persisted_curve_or_names_the_missing_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--mem-budget` governs a fault-injected run like any other: at half
-/// the resident peak, `--inject` spills and says so.
-#[test]
-fn an_injected_run_spills_under_half_its_peak() {
+/// Half the resident peak `plan ffnn-small:32 --analyze` reports.
+fn half_the_analyzed_peak() -> String {
     let run = matopt(&["plan", "ffnn-small:32", "--analyze"], "");
     assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
     let peak: u64 = run
@@ -277,7 +275,24 @@ fn an_injected_run_spills_under_half_its_peak() {
         .and_then(|rest| rest.split(')').next())
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no peak in:\n{}", run.stdout));
-    let half = (peak / 2).to_string();
+    (peak / 2).to_string()
+}
+
+/// N of the `governor: spilled N buffers` line.
+fn spilled(stdout: &str) -> u64 {
+    stdout
+        .split("governor: spilled ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no governor line in:\n{stdout}"))
+}
+
+/// `--mem-budget` governs a fault-injected run like any other: at half
+/// the resident peak, `--inject` spills and says so.
+#[test]
+fn an_injected_run_spills_under_half_its_peak() {
+    let half = half_the_analyzed_peak();
     let args = [
         "plan",
         "ffnn-small:32",
@@ -288,17 +303,35 @@ fn an_injected_run_spills_under_half_its_peak() {
     ];
     let run = matopt(&args, "");
     assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
-    let spilled: u64 = run
-        .stdout
-        .split("governor: spilled ")
-        .nth(1)
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no governor line in:\n{}", run.stdout));
-    assert!(spilled > 0, "stdout:\n{}", run.stdout);
+    assert!(spilled(&run.stdout) > 0, "stdout:\n{}", run.stdout);
     assert!(
         run.stdout.contains("1 recoveries"),
         "stdout:\n{}",
         run.stdout
     );
+}
+
+/// A fault-injected walk is recorded like any other: its spills reach
+/// the metrics registry.
+#[test]
+fn an_injected_run_reports_its_spills_to_the_metrics() {
+    let half = half_the_analyzed_peak();
+    let dump = scratch("injected.prom");
+    let dump_arg = dump.to_str().expect("UTF-8 temp path");
+    let args = [
+        "plan",
+        "ffnn-small:32",
+        "--inject",
+        "crash@2",
+        "--mem-budget",
+        &half,
+        "--metrics-dump",
+        dump_arg,
+    ];
+    let run = matopt(&args, "");
+    assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
+    let prom = std::fs::read_to_string(&dump).expect("metrics dump written");
+    let _ = std::fs::remove_file(&dump);
+    let line = format!("matopt_sched_spills_total {}", spilled(&run.stdout));
+    assert!(prom.lines().any(|l| l == line), "no `{line}` in:\n{prom}");
 }

@@ -46,7 +46,6 @@ mod value;
 
 pub use adaptive::{
     execute_adaptive, execute_adaptive_planned, AdaptiveConfig, AdaptiveError, AdaptiveOutcome,
-    ReplanHook,
 };
 pub use calibrate::collect_samples;
 pub use exec::{

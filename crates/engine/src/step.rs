@@ -23,7 +23,9 @@
 //! or a sparsity-drift rule as the step — the live-injector half of
 //! [`crate::execute_fault_tolerant`] and
 //! [`crate::execute_adaptive_planned`], which both re-plan through
-//! [`InlineWalk::replan`].
+//! [`InlineWalk::replan`]. [`InlineWalk::finish`] records every walk
+//! exactly once: one `inline_walk` [`Subsystem::Sched`] record and its
+//! spill, pool and peak metrics.
 //!
 //! # Memory governor
 //!
@@ -284,6 +286,8 @@ pub(crate) struct InlineWalk<'a> {
     retained: Vec<bool>,
     /// `false` when nothing is retired before [`finish`](Self::finish).
     retire_early: bool,
+    /// [`ExecOptions::retain_values`], for the run's record.
+    retain_all: bool,
     /// Consumer edges per vertex not yet run (one per edge, so a vertex
     /// read twice by one consumer counts twice).
     uses: Vec<usize>,
@@ -399,6 +403,7 @@ impl<'a> InlineWalk<'a> {
             slots,
             retained,
             retire_early: true,
+            retain_all: options.retain_values,
             uses,
             resident,
             gov,
@@ -412,11 +417,6 @@ impl<'a> InlineWalk<'a> {
     /// which then drops what the options do not retain.
     pub fn retire_at_finish(&mut self) {
         self.retire_early = false;
-    }
-
-    /// The run's byte budget, if it has one.
-    pub fn budget(&self) -> Option<u64> {
-        self.gov.as_ref().map(|g| g.budget)
     }
 
     /// The value currently held for `v`.
@@ -657,10 +657,11 @@ impl<'a> InlineWalk<'a> {
 
     /// Epilogue: drops what is not retained, rehydrates retained values
     /// still on scratch (fanned out over the pool; a failure resolves
-    /// to the lowest vertex id), returns the lease and builds the
-    /// outcome.
+    /// to the lowest vertex id), returns the lease, builds the outcome
+    /// and records the run — once per walk, whatever its step did.
     pub fn finish(mut self) -> Result<ExecOutcome, ExecError> {
         let pool = Pool::global();
+        let budget = self.gov.as_ref().map(|g| g.budget);
         for u in 0..self.slots.len() {
             self.retire(u);
         }
@@ -695,7 +696,10 @@ impl<'a> InlineWalk<'a> {
             }
         }
         self.out.pool = pool.stats().since(&self.pool_before);
-        Ok(epilogue(self.env.graph, self.slots, self.out, self.started))
+        let (obs, retain_all) = (self.env.obs, self.retain_all);
+        let out = epilogue(self.env.graph, self.slots, self.out, self.started);
+        record_run(obs, "inline_walk", &out, budget, retain_all);
+        Ok(out)
     }
 }
 
@@ -712,11 +716,8 @@ pub(crate) fn run_inline(
     options: &ExecOptions,
 ) -> Result<ExecOutcome, ExecError> {
     let mut walk = InlineWalk::start(graph, annotation, inputs, registry, obs, options)?;
-    let budget = walk.budget();
     walk.drive(|walk, _, v| walk.run(v))?;
-    let out = walk.finish()?;
-    record_run(obs, "inline_walk", &out, budget, options.retain_values);
-    Ok(out)
+    walk.finish()
 }
 
 /// Live accounting of a [`SharedGovernor`] pool, and the counter

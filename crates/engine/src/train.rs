@@ -9,20 +9,19 @@
 //! *identical* every epoch, the optimized annotation is too, so the
 //! driver caches it: epoch 1 pays for the frontier DP, every later
 //! epoch hands the cached plan straight to
-//! [`crate::execute_adaptive_planned`]. The cache is invalidated by the
-//! same signal the paper's §7 adaptivity uses — a mid-flight
-//! re-optimization means the measured sparsity drifted off the plan's
-//! assumptions. A drifted epoch *recalibrates*: the measured density of
-//! every vertex is folded back into the graph's statistics
+//! [`crate::execute_adaptive_planned`]. The plan is re-optimized only
+//! when its input changes: a mid-flight re-optimization (the paper's
+//! §7 signal) means the measured sparsity drifted off the plan's
+//! assumptions, and the drifted epoch *recalibrates* — the measured
+//! density of every vertex is folded back into the graph's statistics
 //! ([`matopt_core::ComputeGraph::with_measured_sparsities`]) and the
 //! cache is re-warmed against the corrected graph, so the epoch after a
 //! drift still hits the cache — and, because epoch-over-epoch
 //! statistics are stable once observed, stays hit.
 //!
-//! Plan caching is a pure latency optimization: an uncached run re-runs
-//! the (deterministic) optimizer on the identical corrected graph every
-//! epoch and therefore executes the identical annotation, so cached and
-//! uncached loss trajectories are *bit-exact* (asserted in tests).
+//! Reuse is exact because the optimizer is deterministic: a cached
+//! epoch runs the annotation, to the cost bit, that a fresh frontier DP
+//! of that epoch's graph returns (asserted in tests).
 //!
 //! Checkpoints are a sequence of persisted frames
 //! ([`matopt_core::Framing`]): a header frame (epochs done, losses,
@@ -32,7 +31,7 @@
 //! word under a frame checksum; a training run can be parked, the
 //! process killed, and the run resumed bit-exactly.
 
-use crate::adaptive::{execute_adaptive_planned, AdaptiveConfig, AdaptiveError, ReplanHook};
+use crate::adaptive::{execute_adaptive_planned, AdaptiveConfig, AdaptiveError};
 use crate::spill::{push_relation, take_relation};
 use crate::value::DistRelation;
 use matopt_core::{
@@ -42,7 +41,6 @@ use matopt_core::{
 use matopt_cost::CostModel;
 use matopt_obs::Obs;
 use matopt_opt::{frontier_dp_beam, OptContext};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -120,10 +118,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Adaptive-execution settings for each epoch.
     pub adaptive: AdaptiveConfig,
-    /// Reuse the optimized annotation across epochs (invalidated on
-    /// sparsity drift). Off = re-optimize every epoch; numerics are
-    /// bit-identical either way.
-    pub reuse_plans: bool,
 }
 
 impl Default for TrainConfig {
@@ -131,7 +125,6 @@ impl Default for TrainConfig {
         TrainConfig {
             epochs: 1,
             adaptive: AdaptiveConfig::default(),
-            reuse_plans: true,
         }
     }
 }
@@ -139,8 +132,8 @@ impl Default for TrainConfig {
 /// Where an epoch's annotation came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochPlanSource {
-    /// The frontier DP ran this epoch (first epoch, caching disabled,
-    /// or the cached plan was invalidated by drift).
+    /// The frontier DP ran this epoch (the first epoch, or the first
+    /// after a resume).
     Optimized,
     /// The cached annotation from a previous epoch was reused.
     CacheHit,
@@ -155,7 +148,10 @@ pub struct EpochStats {
     pub loss: f64,
     /// Cache hit or fresh optimization.
     pub plan: EpochPlanSource,
-    /// Estimated cost (seconds) of the annotation this epoch ran.
+    /// The annotation this epoch started from (empty in the records a
+    /// resume rebuilds from its checkpoint).
+    pub annotation: Annotation,
+    /// Estimated cost (seconds) of that annotation.
     pub plan_cost: f64,
     /// Seconds spent in the optimizer this epoch (0 on a drift-free
     /// cache hit; a drifted epoch pays here for re-warming the cache).
@@ -348,7 +344,7 @@ pub fn train(
     model: &CostModel,
     config: &TrainConfig,
 ) -> Result<TrainRun, TrainError> {
-    train_resumable(spec, inputs, ctx, catalog, model, config, None, None, None)
+    train_resumable(spec, inputs, ctx, catalog, model, config, None, None)
 }
 
 /// Runs (or resumes) the multi-epoch training loop.
@@ -357,8 +353,7 @@ pub fn train(
 /// and *initial* parameters. With `resume`, the checkpoint's parameter
 /// values override the initial ones and completed epochs are skipped.
 /// `on_epoch` fires after every epoch with its stats and a resumable
-/// checkpoint; `on_replan` forwards the adaptive executor's drift
-/// signal (e.g. to poison an external plan cache).
+/// checkpoint.
 ///
 /// # Errors
 /// [`TrainError`] on an invalid spec, missing inputs, a corrupt
@@ -373,7 +368,6 @@ pub fn train_resumable(
     config: &TrainConfig,
     resume: Option<&TrainCheckpoint>,
     on_epoch: Option<EpochHook<'_>>,
-    on_replan: Option<ReplanHook<'_>>,
 ) -> Result<TrainRun, TrainError> {
     spec.validate()?;
     let mut cur: HashMap<NodeId, DistRelation> = HashMap::new();
@@ -418,6 +412,7 @@ pub fn train_resumable(
                 epoch: i,
                 loss: *loss,
                 plan: EpochPlanSource::Optimized,
+                annotation: Annotation::default(),
                 plan_cost: 0.0,
                 opt_seconds: 0.0,
                 reoptimizations: 0,
@@ -444,11 +439,11 @@ pub fn train_resumable(
     let mut cache_invalidations = 0usize;
     for epoch in start..config.epochs {
         let (plan, plan_cost, source, mut opt_seconds) = match cached.take() {
-            Some((plan, cost)) if config.reuse_plans => {
+            Some((plan, cost)) => {
                 cache_hits += 1;
                 (plan, cost, EpochPlanSource::CacheHit, 0.0)
             }
-            _ => {
+            None => {
                 let t = Instant::now();
                 let opt = optimize(&cur_graph, epoch)?;
                 (
@@ -460,13 +455,6 @@ pub fn train_resumable(
             }
         };
 
-        let drifted = Cell::new(false);
-        let hook = |v: NodeId| {
-            drifted.set(true);
-            if let Some(h) = on_replan {
-                h(v);
-            }
-        };
         let outcome = execute_adaptive_planned(
             &cur_graph,
             &cur,
@@ -475,12 +463,11 @@ pub fn train_resumable(
             model,
             config.adaptive,
             &plan,
-            Some(&hook),
             &Obs::disabled(),
         )
         .map_err(|e| TrainError::Epoch(epoch, e))?;
 
-        let recalibrated = drifted.get();
+        let recalibrated = outcome.reoptimizations > 0;
         if recalibrated {
             // The plan's statistics were wrong for this workload. Fold
             // the measured densities back into the graph and re-warm
@@ -489,14 +476,12 @@ pub fn train_resumable(
             cache_invalidations += 1;
             calibrated = outcome.measured.clone();
             cur_graph = spec.graph.with_measured_sparsities(&calibrated);
-            if config.reuse_plans {
-                let t = Instant::now();
-                let opt = optimize(&cur_graph, epoch)?;
-                opt_seconds += t.elapsed().as_secs_f64();
-                cached = Some((opt.annotation, opt.cost));
-            }
+            let t = Instant::now();
+            let opt = optimize(&cur_graph, epoch)?;
+            opt_seconds += t.elapsed().as_secs_f64();
+            cached = Some((opt.annotation, opt.cost));
         } else {
-            cached = Some((plan, plan_cost));
+            cached = Some((plan.clone(), plan_cost));
         }
 
         let loss = scalar_of(&outcome.sinks[&spec.loss]);
@@ -507,6 +492,7 @@ pub fn train_resumable(
             epoch,
             loss,
             plan: source,
+            annotation: plan,
             plan_cost,
             opt_seconds,
             reoptimizations: outcome.reoptimizations,

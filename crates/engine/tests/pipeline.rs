@@ -227,7 +227,6 @@ fn assert_pipeline_matches_serial(
         &model,
         never_replan(),
         annotation,
-        None,
         &obs,
     )
     .unwrap_or_else(|e| panic!("{tag}: adaptive run failed: {e}"));
@@ -466,7 +465,6 @@ fn every_driver_emits_the_same_spans_and_kernel_histograms() {
             &model,
             config,
             &annotation,
-            None,
             obs,
         )
         .expect("runs");

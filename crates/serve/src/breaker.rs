@@ -4,8 +4,8 @@
 //! fault-tolerant executor (the serve-side view of the
 //! `Subsystem::Faults` counters), outright execution failures, and
 //! worker-process deaths reported by an attached fleet — and, when too
-//! many land inside a sliding window, stops trusting the optimized
-//! fast path entirely.
+//! many land inside a sliding window, stops trusting the fleet and
+//! the concurrency those signals came from.
 //!
 //! # State machine
 //!
@@ -24,10 +24,11 @@
 //!   when `trip_threshold` of them fall inside `window`, the breaker
 //!   trips to Open (`trips` increments — the bench asserts this
 //!   happens *exactly once* under a seeded storm).
-//! * **Open** — the front door degrades: serial,
-//!   cache-bypassing execution (see `front.rs`). Degraded requests
-//!   still get correct answers; nothing is dropped. After `cooldown`
-//!   the next request becomes a probe.
+//! * **Open** — the front door degrades: each request runs
+//!   in-process, one at a time and unbatched, on the same cached plan,
+//!   slot and memory budget as any other (see `front.rs`). Degraded
+//!   requests still get correct answers; nothing is dropped. After
+//!   `cooldown` the next request becomes a probe.
 //! * **HalfOpen** — one probe at a time runs the normal path; other
 //!   requests stay degraded. `probe_successes` consecutive successes
 //!   close the breaker and clear the event window; one failure reopens
@@ -43,9 +44,6 @@ use std::time::{Duration, Instant};
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
-    /// `false` pins the breaker Closed: decisions are always
-    /// [`BreakerDecision::Normal`] and events are not recorded.
-    pub enabled: bool,
     /// Storm events inside [`BreakerConfig::window`] that trip Closed
     /// → Open.
     pub trip_threshold: u32,
@@ -60,7 +58,6 @@ pub struct BreakerConfig {
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
-            enabled: true,
             trip_threshold: 8,
             window: Duration::from_secs(5),
             cooldown: Duration::from_millis(500),
@@ -95,9 +92,9 @@ impl BreakerState {
 /// What the front door should do with the request that just arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerDecision {
-    /// Full fast path: cached plans, batching, shared pool.
+    /// Full fast path: batching, the attached fleet, concurrent runs.
     Normal,
-    /// Serial, cache-bypassing execution.
+    /// In-process, unbatched, one run at a time.
     Degraded,
     /// Normal path, but report the outcome via
     /// [`CircuitBreaker::probe_result`].
@@ -173,9 +170,6 @@ impl CircuitBreaker {
     /// or a worker death) and returns `true` the moment this event
     /// trips the breaker Closed → Open.
     pub fn record_storm_event(&self) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         let now = Instant::now();
         let mut b = self.inner.lock().expect("breaker lock");
         b.storm_events += 1;
@@ -204,9 +198,6 @@ impl CircuitBreaker {
     /// Degraded when Open (flipping to a probe once the cooldown
     /// elapses), one probe at a time when HalfOpen.
     pub fn decision(&self) -> BreakerDecision {
-        if !self.config.enabled {
-            return BreakerDecision::Normal;
-        }
         let mut b = self.inner.lock().expect("breaker lock");
         match b.state {
             BreakerState::Closed => BreakerDecision::Normal,
@@ -288,7 +279,6 @@ mod tests {
 
     fn quick() -> BreakerConfig {
         BreakerConfig {
-            enabled: true,
             trip_threshold: 3,
             window: Duration::from_secs(10),
             cooldown: Duration::from_millis(10),
@@ -347,19 +337,6 @@ mod tests {
             assert!(!b.record_storm_event());
             std::thread::sleep(Duration::from_millis(4));
         }
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn disabled_breaker_is_inert() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            enabled: false,
-            ..quick()
-        });
-        for _ in 0..100 {
-            assert!(!b.record_storm_event());
-        }
-        assert_eq!(b.decision(), BreakerDecision::Normal);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 }

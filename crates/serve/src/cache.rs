@@ -16,9 +16,8 @@
 //! discards it as stale. Calibration updates, cluster reconfiguration
 //! ([`matopt_core::Cluster::degraded`]), and any other event that
 //! changes what the optimizer would produce simply bump the epoch.
-//! Adaptive re-plan feedback is finer-grained: a re-planned suffix
-//! proves one specific entry's statistics wrong, so it poisons that
-//! fingerprint alone.
+//! [`PlanCache::poison`] removes one fingerprint alone: a warmed entry
+//! that fails validation against its graph.
 
 use crate::Fingerprint;
 use matopt_opt::Optimized;
@@ -26,27 +25,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Sizing and sharding of a [`PlanCache`].
-#[derive(Debug, Clone, Copy)]
-pub struct CacheConfig {
-    /// Maximum cached plans (across all shards).
-    pub max_entries: usize,
-    /// Maximum estimated bytes of cached annotations (across all
-    /// shards).
-    pub max_bytes: u64,
-    /// Number of independently locked shards.
-    pub shards: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            max_entries: 1024,
-            max_bytes: 64 << 20,
-            shards: 16,
-        }
-    }
-}
+/// Maximum cached plans (across all shards).
+const MAX_ENTRIES: usize = 1024;
+/// Maximum estimated bytes of cached annotations (across all shards).
+const MAX_BYTES: u64 = 64 << 20;
+/// Number of independently locked shards.
+const SHARDS: usize = 16;
 
 /// Monotonic counters describing cache behaviour since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +43,7 @@ pub struct CacheCounters {
     pub evicted: u64,
     /// Entries discarded because their epoch was stale.
     pub stale_evicted: u64,
-    /// Entries poisoned by adaptive re-plan feedback.
+    /// Entries removed by [`PlanCache::poison`].
     pub poisoned: u64,
 }
 
@@ -79,7 +63,8 @@ struct Shard {
 /// The sharded fingerprint → plan cache.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
-    config: CacheConfig,
+    max_entries: usize,
+    max_bytes: u64,
     epoch: AtomicU64,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -105,13 +90,19 @@ pub fn plan_bytes(plan: &Optimized) -> u64 {
     96 + choices * 56 + transforms * 24
 }
 
+impl Default for PlanCache {
+    /// An empty cache of 1024 entries and 64 MiB over 16 shards.
+    fn default() -> Self {
+        Self::sized(MAX_ENTRIES, MAX_BYTES, SHARDS)
+    }
+}
+
 impl PlanCache {
-    /// An empty cache.
-    pub fn new(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
+    fn sized(max_entries: usize, max_bytes: u64, shards: usize) -> Self {
         PlanCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            config: CacheConfig { shards, ..config },
+            max_entries,
+            max_bytes,
             epoch: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -172,8 +163,8 @@ impl PlanCache {
     pub fn insert(&self, fp: Fingerprint, plan: Arc<Optimized>, epoch: u64) -> usize {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         let bytes = plan_bytes(&plan);
-        let per_shard_entries = self.config.max_entries.div_ceil(self.shards.len()).max(1);
-        let per_shard_bytes = (self.config.max_bytes / self.shards.len() as u64).max(bytes);
+        let per_shard_entries = self.max_entries.div_ceil(self.shards.len()).max(1);
+        let per_shard_bytes = (self.max_bytes / self.shards.len() as u64).max(bytes);
         let mut shard = self.shard(fp).lock().expect("cache shard lock");
         if let Some(old) = shard.map.insert(
             fp,
@@ -215,8 +206,8 @@ impl PlanCache {
         evicted
     }
 
-    /// Removes one fingerprint (adaptive re-plan feedback proved its
-    /// statistics wrong). Returns whether an entry was present.
+    /// Removes one fingerprint (a warmed entry that failed validation).
+    /// Returns whether an entry was present.
     pub fn poison(&self, fp: Fingerprint) -> bool {
         let mut shard = self.shard(fp).lock().expect("cache shard lock");
         if let Some(entry) = shard.map.remove(&fp) {
@@ -303,7 +294,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_counters() {
-        let cache = PlanCache::new(CacheConfig::default());
+        let cache = PlanCache::default();
         assert!(cache.get(fp(1)).is_none());
         cache.insert(fp(1), plan(0.1), cache.epoch());
         assert!(cache.get(fp(1)).is_some());
@@ -313,7 +304,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_lazily() {
-        let cache = PlanCache::new(CacheConfig::default());
+        let cache = PlanCache::default();
         cache.insert(fp(7), plan(0.1), cache.epoch());
         cache.bump_epoch();
         assert!(cache.get(fp(7)).is_none(), "stale epoch must miss");
@@ -323,7 +314,7 @@ mod tests {
 
     #[test]
     fn entry_planned_before_invalidation_is_already_stale() {
-        let cache = PlanCache::new(CacheConfig::default());
+        let cache = PlanCache::default();
         let planned_under = cache.epoch();
         cache.bump_epoch(); // cluster changed while the optimizer ran
         cache.insert(fp(3), plan(0.1), planned_under);
@@ -332,7 +323,7 @@ mod tests {
 
     #[test]
     fn poison_removes_one_entry() {
-        let cache = PlanCache::new(CacheConfig::default());
+        let cache = PlanCache::default();
         cache.insert(fp(1), plan(0.1), cache.epoch());
         cache.insert(fp(2), plan(0.1), cache.epoch());
         assert!(cache.poison(fp(1)));
@@ -346,11 +337,7 @@ mod tests {
     fn eviction_prefers_cheap_and_cold_plans() {
         // Single shard, 3 entries max: the cheap, old plan loses to the
         // expensive, old plan.
-        let cache = PlanCache::new(CacheConfig {
-            max_entries: 3,
-            max_bytes: u64::MAX,
-            shards: 1,
-        });
+        let cache = PlanCache::sized(3, u64::MAX, 1);
         let e = cache.epoch();
         cache.insert(fp(1), plan(10.0), e); // expensive, oldest
         cache.insert(fp(2), plan(0.001), e); // cheap
@@ -364,11 +351,7 @@ mod tests {
 
     #[test]
     fn recency_can_outweigh_cost() {
-        let cache = PlanCache::new(CacheConfig {
-            max_entries: 2,
-            max_bytes: u64::MAX,
-            shards: 1,
-        });
+        let cache = PlanCache::sized(2, u64::MAX, 1);
         let e = cache.epoch();
         cache.insert(fp(1), plan(1.0), e);
         cache.insert(fp(2), plan(0.9), e);
@@ -388,11 +371,7 @@ mod tests {
     fn byte_cap_evicts() {
         let p = plan(1.0);
         let sz = plan_bytes(&p);
-        let cache = PlanCache::new(CacheConfig {
-            max_entries: usize::MAX,
-            max_bytes: sz * 2,
-            shards: 1,
-        });
+        let cache = PlanCache::sized(usize::MAX, sz * 2, 1);
         let e = cache.epoch();
         cache.insert(fp(1), Arc::clone(&p), e);
         cache.insert(fp(2), Arc::clone(&p), e);
@@ -403,7 +382,7 @@ mod tests {
 
     #[test]
     fn snapshot_lists_only_live_entries() {
-        let cache = PlanCache::new(CacheConfig::default());
+        let cache = PlanCache::default();
         cache.insert(fp(1), plan(0.1), cache.epoch());
         cache.bump_epoch();
         cache.insert(fp(2), plan(0.1), cache.epoch());

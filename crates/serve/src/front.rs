@@ -27,10 +27,12 @@
 //!   from one [`SharedGovernor`] pool (a governed run walks inline and
 //!   spills within its carve-out).
 //! * **Circuit breaker** — fault recoveries, execution failures and
-//!   worker deaths feed a [`CircuitBreaker`]; a storm trips it
-//!   and the front door degrades to serial, cache-bypassing
-//!   execution (slow but trustworthy) until probes close it again.
-//!   See the `breaker` module docs for the state machine.
+//!   worker deaths feed a [`CircuitBreaker`]; a storm trips it and,
+//!   until probes close it again, the front door runs each request
+//!   in-process (never on an attached fleet), one at a time and
+//!   unbatched. It is the same path otherwise: the cached plan, the
+//!   tenant's slot and budget, the shared pool. See the `breaker`
+//!   module docs for the state machine.
 //!
 //! With [`TenancyConfig::disabled`] the quota/WFQ layers short-circuit
 //! to a handful of branch checks: the `overhead` bench gates
@@ -42,9 +44,8 @@ use crate::tenant::{TenancyConfig, TenantConfig, TenantStats};
 use crate::{Fingerprint, PlanService, Planned, ServeError};
 use matopt_core::{ComputeGraph, NodeId, PlanContext};
 use matopt_engine::{
-    execute_fault_tolerant, execute_plan_serial, execute_plan_with, DistRelation, ExecError,
-    ExecOptions, ExecOutcome, FaultInjector, FtConfig, RemoteVertexExec, SharedGovernor,
-    SharedGovernorStats,
+    execute_fault_tolerant, execute_plan_with, DistRelation, ExecError, ExecOptions, ExecOutcome,
+    FaultInjector, FtConfig, RemoteVertexExec, SharedGovernor, SharedGovernorStats,
 };
 use matopt_obs::{Histogram, Subsystem};
 use std::collections::HashMap;
@@ -68,9 +69,6 @@ pub struct FrontDoorConfig {
     /// Byte budget of the shared execution memory pool (`None` = no
     /// pool; each run governs itself).
     pub shared_pool_bytes: Option<u64>,
-    /// Coalesce same-fingerprint, same-input-key executions into one
-    /// run.
-    pub batching: bool,
 }
 
 impl Default for FrontDoorConfig {
@@ -81,7 +79,6 @@ impl Default for FrontDoorConfig {
             exec_concurrency: matopt_pool::Pool::global().parallelism().max(2),
             max_queued: 256,
             shared_pool_bytes: None,
-            batching: true,
         }
     }
 }
@@ -115,8 +112,8 @@ pub struct ExecResponse {
     pub planned: Planned,
     /// `true` when this request was answered by another request's run.
     pub batched: bool,
-    /// `true` when the breaker routed this request through the
-    /// degraded (serial, cache-bypassing) path.
+    /// `true` when the breaker was open and this request ran
+    /// in-process, one run at a time.
     pub degraded: bool,
     /// Fault recoveries performed during the run (fault-injected runs
     /// only).
@@ -231,7 +228,7 @@ pub struct FrontDoor {
     /// (fingerprint, input key) share the leader's outcome and the plan
     /// that produced it.
     flights: SingleFlight<(Fingerprint, u64), (Arc<ExecOutcome>, Planned)>,
-    /// Serializes degraded (breaker-open) executions.
+    /// Serializes executions while the breaker is open.
     serial: Mutex<()>,
     exec_requests: AtomicU64,
     exec_ok: AtomicU64,
@@ -294,9 +291,8 @@ impl FrontDoor {
 
     /// Records one worker-process death. Deaths feed the breaker's
     /// storm window exactly like fault-recovery storms: a worker-death
-    /// storm (crash-looping fleet) trips the breaker into degraded
-    /// serial execution rather than letting every request ride a dying
-    /// fleet.
+    /// storm (crash-looping fleet) trips the breaker, and requests run
+    /// in-process one at a time rather than ride a dying fleet.
     pub fn record_worker_death(&self) {
         self.worker_deaths.fetch_add(1, Ordering::Relaxed);
         self.breaker.record_storm_event();
@@ -404,15 +400,12 @@ impl FrontDoor {
         let started = Instant::now();
         self.exec_requests.fetch_add(1, Ordering::Relaxed);
         let guard = self.admit_tenant(req.tenant)?;
-        let result = match self.breaker.decision() {
-            BreakerDecision::Normal => self.execute_normal(req, started, faults),
-            BreakerDecision::Probe => {
-                let r = self.execute_normal(req, started, faults);
-                self.breaker.probe_result(r.is_ok());
-                r
-            }
-            BreakerDecision::Degraded => self.execute_degraded(req, started),
-        };
+        let decision = self.breaker.decision();
+        let degraded = decision == BreakerDecision::Degraded;
+        let result = self.execute_normal(req, started, faults, degraded);
+        if decision == BreakerDecision::Probe {
+            self.breaker.probe_result(result.is_ok());
+        }
         match &result {
             Ok(resp) => {
                 self.exec_ok.fetch_add(1, Ordering::Relaxed);
@@ -436,16 +429,21 @@ impl FrontDoor {
         result
     }
 
-    /// The fast path: cached plan, batching, fair queueing, governed
-    /// execution.
+    /// The one execution path: cached plan, batching, fair queueing,
+    /// governed execution. A `degraded` request (breaker open) neither
+    /// batches nor runs on the fleet, and waits for the previous
+    /// degraded run to finish before it takes a slot.
     fn execute_normal(
         &self,
         req: &ExecRequest<'_>,
         started: Instant,
         faults: Option<(FaultInjector, &FtConfig)>,
+        degraded: bool,
     ) -> Result<ExecResponse, ServeError> {
         let planned = self.service.plan(req.graph)?;
-        let batchable = self.config.batching && planned.fingerprint != Fingerprint(0);
+        // A zero fingerprint means the cache is disabled: nothing to key
+        // a batch on.
+        let batchable = !degraded && planned.fingerprint != Fingerprint(0);
         let leader = if batchable {
             let key = (planned.fingerprint, req.input_key);
             match self.flights.join(key, |_| Ok(()))? {
@@ -469,11 +467,14 @@ impl FrontDoor {
 
         // Leader (or unbatched) path: take a concurrency slot under
         // weighted fair queueing, run, publish.
-        let outcome = self.admit_slot(req.tenant, req.deadline).and_then(|slot| {
-            let r = self.run_leader(req, &planned, faults);
-            drop(slot);
-            r
-        });
+        let outcome = {
+            let _one_at_a_time = degraded.then(|| self.serial.lock().expect("front serial"));
+            self.admit_slot(req.tenant, req.deadline).and_then(|slot| {
+                let r = self.run_leader(req, &planned, faults, degraded);
+                drop(slot);
+                r
+            })
+        };
         if let Some(leader) = leader {
             leader.publish(
                 outcome
@@ -486,7 +487,7 @@ impl FrontDoor {
             outcome,
             planned,
             batched: false,
-            degraded: false,
+            degraded,
             recoveries,
             latency: started.elapsed(),
         })
@@ -496,11 +497,13 @@ impl FrontDoor {
     /// recoveries and execution errors to the breaker. A fault-injected
     /// run goes through the fault-tolerant executor, which re-plans
     /// recoveries under the service's current cluster and cost model.
+    /// A `degraded` run stays in-process.
     fn run_leader(
         &self,
         req: &ExecRequest<'_>,
         planned: &Planned,
         faults: Option<(FaultInjector, &FtConfig)>,
+        degraded: bool,
     ) -> Result<(Arc<ExecOutcome>, u32), ServeError> {
         self.flights_led.fetch_add(1, Ordering::Relaxed);
         let tenant_mem = if self.config.tenancy.enabled {
@@ -512,7 +515,11 @@ impl FrontDoor {
             retain_values: false,
             mem_budget: tenant_mem,
             shared_governor: self.shared.clone(),
-            remote: self.remote.lock().expect("front remote").clone(),
+            remote: if degraded {
+                None
+            } else {
+                self.remote.lock().expect("front remote").clone()
+            },
             ..ExecOptions::default()
         };
         let result: Result<(ExecOutcome, u32), ExecError> = match faults {
@@ -564,33 +571,6 @@ impl FrontDoor {
                 Err(e)
             }
         }
-    }
-
-    /// The degraded path: serial and cache-bypassing. Slow but
-    /// immune to the stale plans and scheduling machinery a storm has
-    /// just implicated — the breaker's "fail gracefully, not at all".
-    fn execute_degraded(
-        &self,
-        req: &ExecRequest<'_>,
-        started: Instant,
-    ) -> Result<ExecResponse, ServeError> {
-        let planned = self.service.plan_bypass(req.graph)?;
-        let _one_at_a_time = self.serial.lock().expect("front serial");
-        let outcome = execute_plan_serial(
-            req.graph,
-            &planned.plan.annotation,
-            req.inputs,
-            self.service.registry(),
-        )
-        .map_err(|e| ServeError::Exec(e.to_string()))?;
-        Ok(ExecResponse {
-            outcome: Arc::new(outcome),
-            planned,
-            batched: false,
-            degraded: true,
-            recoveries: 0,
-            latency: started.elapsed(),
-        })
     }
 
     // ------------------------------------------------------------------

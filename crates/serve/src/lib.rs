@@ -18,16 +18,15 @@
 //! * [`PlanCache`] — a sharded concurrent map fingerprint →
 //!   `Arc<Optimized>` with cost-aware eviction (entries are weighted by
 //!   the optimizer seconds a hit saves, decayed by recency) and
-//!   epoch-based invalidation (calibration updates and cluster changes
-//!   bump an epoch instead of walking the cache; adaptive-execution
-//!   re-plans poison single entries).
+//!   epoch-based invalidation: a new cost model or a new cluster — the
+//!   only inputs that change a plan — bumps an epoch instead of walking
+//!   the cache.
 //! * [`PlanService`] — the request pipeline: single-flight coalescing
 //!   (concurrent misses on one fingerprint run the optimizer exactly
-//!   once), deadline and queue-depth backpressure in the engine
-//!   governor's admission vocabulary, and adaptive execution that
-//!   poisons the cached entry it started from when it has to re-plan.
-//!   The service plans; [`FrontDoor`] executes (quotas, batching, the
-//!   circuit breaker, fault-injected runs).
+//!   once) and deadline and queue-depth backpressure in the engine
+//!   governor's admission vocabulary. The service plans; [`FrontDoor`]
+//!   executes (quotas, batching, the circuit breaker, fault-injected
+//!   runs), every request with the cached plan on one execution path.
 //! * [`serve_lines`] — the `matopt serve` front end, one loop for every
 //!   thread count: JSON-lines over stdin/stdout ([`protocol`] documents
 //!   the request grammar); [`respond`] answers one line in-process.
@@ -36,7 +35,7 @@
 //!   cache miss, never a wrong plan.
 //!
 //! Everything is observable under [`matopt_obs::Subsystem::Serve`]:
-//! request, error, invalidation and poison records in the event
+//! request, error and invalidation records in the event
 //! stream, and one set of counters, gauges and latency histograms in
 //! the metrics registry (request/hit/miss/coalesced/reject counts,
 //! queue depth, evictions) that [`PlanService::stats`] reads back.
@@ -56,7 +55,7 @@ mod service;
 mod tenant;
 
 pub use breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerStats, CircuitBreaker};
-pub use cache::{plan_bytes, CacheConfig, CacheCounters, PlanCache};
+pub use cache::{plan_bytes, CacheCounters, PlanCache};
 pub use fingerprint::{fingerprint, sparsity_bucket, Fingerprint};
 pub use front::{ExecRequest, ExecResponse, FrontDoor, FrontDoorConfig, FrontStats};
 pub use persist::{load_cache, save_cache, LoadReport, CACHE_FILE, LOCK_FILE};
@@ -67,8 +66,6 @@ pub use tenant::{TenancyConfig, TenantConfig, TenantStats};
 /// Configuration of a [`PlanService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Plan-cache sizing.
-    pub cache: CacheConfig,
     /// `false` disables the cache *and* single-flight coalescing —
     /// every request pays the optimizer. The honest uncached baseline
     /// for benchmarks, and an escape hatch if a cache bug is ever
@@ -89,7 +86,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            cache: CacheConfig::default(),
             cache_enabled: true,
             deadline: None,
             max_queue_depth: 64,

@@ -19,14 +19,10 @@
 
 use crate::flight::{Joined, SingleFlight};
 use crate::{fingerprint, Fingerprint, PlanCache, ServeConfig};
-use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, PlanContext};
+use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, PlanContext};
 use matopt_cost::CostModel;
-use matopt_engine::{
-    execute_adaptive_planned, AdaptiveConfig, AdaptiveError, AdaptiveOutcome, DistRelation,
-};
 use matopt_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Obs, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext, OptError, Optimized};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -160,7 +156,6 @@ struct ServeMetrics {
     admission_rejects: Arc<Counter>,
     deadline_expired: Arc<Counter>,
     evictions: Arc<Counter>,
-    poisoned: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     latency_hit_us: Arc<Histogram>,
     latency_miss_us: Arc<Histogram>,
@@ -178,7 +173,6 @@ impl ServeMetrics {
             admission_rejects: registry.counter(s, "admission_rejects"),
             deadline_expired: registry.counter(s, "deadline_expired"),
             evictions: registry.counter(s, "cache_evictions"),
-            poisoned: registry.counter(s, "cache_poisoned"),
             queue_depth: registry.gauge(s, "queue_depth"),
             latency_hit_us: registry.histogram(s, "latency_hit_us"),
             latency_miss_us: registry.histogram(s, "latency_miss_us"),
@@ -241,7 +235,7 @@ impl PlanService {
             catalog,
             cluster: RwLock::new(cluster),
             model: RwLock::new(model.into()),
-            cache: PlanCache::new(config.cache),
+            cache: PlanCache::default(),
             inflight: SingleFlight::new(),
             config,
             obs,
@@ -311,14 +305,6 @@ impl PlanService {
                 ("epoch", (epoch as i64).into()),
             ]
         });
-    }
-
-    /// Halves the cluster ([`Cluster::degraded`]) and starts a new
-    /// cache epoch — the serving-side mirror of the degraded-cluster
-    /// re-planning experiment.
-    pub fn degrade(&self) {
-        let degraded = self.cluster().degraded();
-        self.set_cluster(degraded);
     }
 
     /// Counter snapshot.
@@ -473,27 +459,6 @@ impl PlanService {
         Ok(Arc::new(opt))
     }
 
-    /// Plans `graph` while bypassing the cache, single-flight, and
-    /// admission machinery entirely: a fresh optimizer run under the
-    /// *current* model and cluster, every time. This is the front
-    /// door's degraded path — when the circuit breaker has implicated
-    /// the cached fast path, answers must not depend on it. The result
-    /// carries [`Fingerprint`]`(0)` and is never inserted into the
-    /// cache.
-    ///
-    /// # Errors
-    /// [`ServeError::Opt`] when the optimizer fails.
-    pub fn plan_bypass(&self, graph: &ComputeGraph) -> Result<Planned, ServeError> {
-        let started = Instant::now();
-        let plan = self.optimize(graph)?;
-        Ok(Planned {
-            plan,
-            fingerprint: Fingerprint(0),
-            source: PlanSource::Miss,
-            latency: started.elapsed(),
-        })
-    }
-
     /// The cost model requests are currently planned under (the front
     /// door's fault-tolerant runs re-plan recoveries with it).
     pub(crate) fn model(&self) -> std::sync::RwLockReadGuard<'_, CostModel> {
@@ -518,54 +483,5 @@ impl PlanService {
         registry.set_gauge(Subsystem::Sched, "pool_workers", pool.workers() as f64);
         registry.set_gauge(Subsystem::Sched, "pool_busy_seconds", stats.busy_seconds());
         Some(registry.snapshot())
-    }
-
-    /// Adaptive execution of the plan the service serves for `graph`,
-    /// with cache feedback: when measured statistics force a suffix
-    /// re-plan, the cached plan was planned from statistics now proven
-    /// wrong, so the entry is poisoned — the next request re-optimizes
-    /// instead of inheriting the misestimate.
-    ///
-    /// # Errors
-    /// Everything [`PlanService::plan`] returns, [`ServeError::Opt`]
-    /// when a re-plan finds no plan, [`ServeError::Exec`] from the
-    /// executor.
-    pub fn execute_adaptive(
-        &self,
-        graph: &ComputeGraph,
-        inputs: &HashMap<NodeId, DistRelation>,
-        config: AdaptiveConfig,
-    ) -> Result<AdaptiveOutcome, ServeError> {
-        let planned = self.plan(graph)?;
-        let fp = planned.fingerprint;
-        let cluster = self.cluster();
-        let model = self.model.read().expect("model lock");
-        let ctx = PlanContext::new(&self.registry, cluster);
-        let hook = |vertex: NodeId| {
-            if self.cache.poison(fp) {
-                self.metrics.poisoned.inc();
-                self.obs.record(Subsystem::Serve, "poisoned", || {
-                    vec![
-                        ("fingerprint", fp.hex().into()),
-                        ("vertex", vertex.index().into()),
-                    ]
-                });
-            }
-        };
-        execute_adaptive_planned(
-            graph,
-            inputs,
-            &ctx,
-            &self.catalog,
-            &model,
-            config,
-            &planned.plan.annotation,
-            Some(&hook),
-            &self.obs,
-        )
-        .map_err(|e| match e {
-            AdaptiveError::Opt(e) => ServeError::Opt(e),
-            AdaptiveError::Exec(e) => ServeError::Exec(e.to_string()),
-        })
     }
 }

@@ -157,7 +157,6 @@ fn quota_exhaustion_rejects_structurally_and_spares_other_tenants() {
         FrontDoorConfig {
             tenancy,
             exec_concurrency: 1,
-            batching: false,
             ..FrontDoorConfig::default()
         },
     ));
@@ -227,7 +226,6 @@ fn queued_work_past_deadline_is_shed() {
         Arc::clone(&svc),
         FrontDoorConfig {
             exec_concurrency: 1,
-            batching: false,
             ..FrontDoorConfig::default()
         },
     ));
@@ -289,13 +287,11 @@ fn breaker_storm_degrades_then_probes_back_to_closed() {
         Arc::clone(&svc),
         FrontDoorConfig {
             breaker: BreakerConfig {
-                enabled: true,
                 trip_threshold: 3,
                 window: Duration::from_secs(30),
                 cooldown: Duration::from_millis(20),
                 probe_successes: 1,
             },
-            batching: false,
             ..FrontDoorConfig::default()
         },
     );
@@ -690,4 +686,89 @@ fn a_fault_injected_run_keeps_the_tenant_budget_and_the_pool_lease() {
             assert!(out.governor.lease_bytes > 0, "{tag}: no lease was taken");
         }
     }
+}
+
+/// An open breaker narrows the path, it does not fork it: while it is
+/// open, a request runs the cached plan (no optimizer run) in-process
+/// under the tenant's `mem_bytes` and the shared pool's lease, both
+/// half the retaining serial walk's peak, and answers bit-exact sinks.
+/// A streaming run fits that budget; a fault-injected run retains every
+/// value for replay, so it must spill to stay inside it.
+#[test]
+fn an_open_breaker_keeps_the_cached_plan_the_tenant_budget_and_the_pool_lease() {
+    let svc = service();
+    let (graph, inputs) = workload("ffnn-small:16", 0x0BE2);
+    let planned = svc.plan(&graph).expect("plan");
+    let reference = execute_plan_serial(&graph, &planned.plan.annotation, &inputs, svc.registry())
+        .expect("reference");
+    let budget = reference.peak_resident_bytes / 2;
+    let front = FrontDoor::new(
+        Arc::clone(&svc),
+        FrontDoorConfig {
+            tenancy: TenancyConfig::with_default(TenantConfig {
+                mem_bytes: Some(budget),
+                ..TenantConfig::default()
+            }),
+            shared_pool_bytes: Some(budget),
+            breaker: BreakerConfig {
+                trip_threshold: 3,
+                cooldown: Duration::from_secs(600),
+                ..BreakerConfig::default()
+            },
+            ..FrontDoorConfig::default()
+        },
+    );
+    // Three failing executions (no inputs) open the breaker.
+    let empty = HashMap::new();
+    for key in 0..3 {
+        front
+            .execute(&ExecRequest {
+                tenant: "tight",
+                graph: &graph,
+                inputs: &empty,
+                input_key: key,
+                deadline: None,
+            })
+            .expect_err("missing inputs must fail");
+    }
+    assert_eq!(front.breaker().state(), BreakerState::Open);
+    let optimize_runs = svc.stats().optimize_runs;
+
+    let request = ExecRequest {
+        tenant: "tight",
+        graph: &graph,
+        inputs: &inputs,
+        input_key: 10,
+        deadline: None,
+    };
+    let streaming = front.execute(&request).expect("degraded service");
+    let injector =
+        parse_fault_spec("crash@3,flaky@4x2", 7, graph.compute_count()).expect("spec parses");
+    let faulted = front
+        .execute_with_faults(&request, injector, &FtConfig::default())
+        .expect("degraded fault-injected service");
+    assert!(faulted.recoveries > 0, "no fault was recovered");
+    for (what, resp) in [("streaming", &streaming), ("fault-injected", &faulted)] {
+        assert!(resp.degraded, "{what}: open breaker must degrade");
+        assert!(!resp.batched, "{what}: batched while degraded");
+        assert_eq!(resp.planned.source, PlanSource::Hit, "{what}");
+        let out = &resp.outcome;
+        assert_eq!(out.sinks.len(), reference.sinks.len(), "{what}: sink set");
+        for (sink, rel) in &reference.sinks {
+            assert_eq!(&out.sinks[sink], rel, "{what}: sink {sink}");
+        }
+        assert!(
+            out.peak_resident_bytes <= budget,
+            "{what}: peak {} over the budget {budget}",
+            out.peak_resident_bytes
+        );
+        assert!(out.governor.lease_bytes > 0, "{what}: no lease was taken");
+    }
+    assert!(
+        faulted.outcome.governor.spills > 0,
+        "the retaining fault-injected run never spilled"
+    );
+    assert_eq!(svc.stats().optimize_runs, optimize_runs, "re-planned");
+    let stats = front.stats().breaker;
+    assert_eq!((stats.trips, stats.reopens, stats.degraded), (1, 0, 2));
 }

@@ -142,7 +142,7 @@ fn persisted_entries_respect_epochs() {
     first.persist_to_dir(&dir).expect("persist");
 
     let second = service();
-    second.degrade();
+    second.set_cluster(second.cluster().degraded());
     second.warm_from_dir(&dir).expect("warm");
     let served = second.plan(&graphs[0]).expect("plan");
     assert_eq!(

@@ -145,7 +145,7 @@ fn invalidation_epochs_force_replans() {
     assert_eq!(b.source, PlanSource::Miss, "stale epoch must re-plan");
 
     // Degrading the cluster changes the fingerprint itself.
-    service.degrade();
+    service.set_cluster(service.cluster().degraded());
     let c = service.plan(&graph).expect("plan");
     assert_eq!(c.source, PlanSource::Miss);
     assert_ne!(c.fingerprint, b.fingerprint);

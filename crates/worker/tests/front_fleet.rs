@@ -1,6 +1,7 @@
 //! Serve-layer integration: a [`FrontDoor`] backed by a real process
 //! fleet. A worker SIGKILLed mid-execute must not change the served
 //! answer, the death must reach the front door's breaker accounting,
+//! a death storm that opens the breaker keeps later runs off the fleet,
 //! and drain must wait for in-flight remote waves.
 
 use std::collections::HashMap;
@@ -13,7 +14,9 @@ use matopt_core::{
 use matopt_cost::CostModel;
 use matopt_engine::DistRelation;
 use matopt_kernels::{random_dense_normal, seeded_rng};
-use matopt_serve::{ExecRequest, FrontDoor, FrontDoorConfig, PlanService, ServeConfig};
+use matopt_serve::{
+    BreakerConfig, BreakerState, ExecRequest, FrontDoor, FrontDoorConfig, PlanService, ServeConfig,
+};
 use matopt_worker::{FleetConfig, WorkerFleet};
 
 fn service() -> Arc<PlanService> {
@@ -136,5 +139,72 @@ fn front_door_over_fleet_survives_kill_and_reports_death() {
         "drain timed out"
     );
     assert!(front.is_draining());
+    fleet.shutdown();
+}
+
+/// A worker-death storm opens the breaker, and the next request runs
+/// in-process: degraded, bit-exact, and not one task reaches the fleet.
+#[test]
+fn an_open_breaker_keeps_requests_off_the_fleet() {
+    let (graph, inputs) = workload(0xD1E5);
+    let request = |input_key| ExecRequest {
+        tenant: "acme",
+        graph: &graph,
+        inputs: &inputs,
+        input_key,
+        deadline: None,
+    };
+    let reference = FrontDoor::new(service(), FrontDoorConfig::default())
+        .execute(&request(1))
+        .expect("reference execute")
+        .outcome
+        .sinks
+        .clone();
+
+    // One death is a storm here, and the breaker stays open.
+    let front = Arc::new(FrontDoor::new(
+        service(),
+        FrontDoorConfig {
+            breaker: BreakerConfig {
+                trip_threshold: 1,
+                cooldown: Duration::from_secs(600),
+                ..BreakerConfig::default()
+            },
+            ..FrontDoorConfig::default()
+        },
+    ));
+    let mut cfg = fleet_config(2);
+    let death_front = Arc::clone(&front);
+    cfg.on_death = Some(Arc::new(move |_worker| death_front.record_worker_death()));
+    let fleet = WorkerFleet::spawn(cfg).expect("fleet spawns");
+    front.attach_remote(fleet.clone());
+    for (id, node) in graph.iter() {
+        if !matches!(node.kind, NodeKind::Source { .. }) {
+            fleet.stall_vertex(id.0, 40);
+        }
+    }
+    fleet.kill_at_dispatch(1);
+    let storm = front.execute(&request(1)).expect("fleet-backed execute");
+    assert!(!storm.degraded, "the storm run started on a closed breaker");
+    assert_eq!(front.stats().breaker_state, BreakerState::Open);
+    assert_eq!(front.stats().breaker.trips, 1);
+
+    let tasks_ok = fleet.stats().tasks_ok;
+    assert!(tasks_ok > 0, "the storm run never reached the fleet");
+    let resp = front.execute(&request(2)).expect("degraded execute");
+    assert!(resp.degraded, "open breaker must degrade");
+    assert_eq!(
+        fleet.stats().tasks_ok,
+        tasks_ok,
+        "a degraded run used the fleet"
+    );
+    assert_eq!(
+        resp.outcome.sinks.len(),
+        reference.len(),
+        "sink sets differ"
+    );
+    for (id, rel) in &reference {
+        assert_eq!(&resp.outcome.sinks[id], rel, "sink {id:?} diverged");
+    }
     fleet.shutdown();
 }
