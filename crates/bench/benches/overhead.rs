@@ -1,4 +1,4 @@
-//! The six disabled-path overhead budgets (< 2% each), one report line
+//! The four disabled-path overhead budgets (< 2% each), one report line
 //! per mechanism; CI greps the lines and fails on any `-> OVER`.
 //!
 //! ```sh
@@ -6,10 +6,10 @@
 //! ```
 //!
 //! Every mechanism that lives permanently in the request path must be
-//! free when it is switched off. All six are measured on one fixture —
+//! free when it is switched off. All four are measured on one fixture —
 //! the laptop FFNN weight update, planned once — two ways:
 //!
-//! * **ratio** (`recovery`, `governor`, `serve`, `tenancy`): best-of-40
+//! * **ratio** (`governor`, `serve`): best-of-40
 //!   wall clock of the path with the mechanism present-but-disabled
 //!   against the path without it, the two interleaved so machine drift
 //!   hits both equally. The minimum is the right estimator: scheduler
@@ -21,20 +21,14 @@
 
 use matopt_core::{
     Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, PlanContext,
-    RecoveryPolicy,
 };
 use matopt_cost::CostModel;
-use matopt_engine::{
-    execute_fault_tolerant, execute_plan, execute_plan_with, DistRelation, ExecOptions,
-    FaultInjector, FtConfig,
-};
+use matopt_engine::{execute_plan, execute_plan_with, DistRelation, ExecOptions};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::{MemorySink, MetricValue, MetricsRegistry, Obs, RingSink, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext};
-use matopt_serve::{
-    ExecRequest, FrontDoor, FrontDoorConfig, PlanService, ServeConfig, TenancyConfig,
-};
+use matopt_serve::{PlanService, ServeConfig};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -167,37 +161,6 @@ fn share_budget(label: &str, points: u64, what: [&str; 2], per_call: f64, fx: &F
     );
 }
 
-/// `execute_fault_tolerant` with a disabled injector against the plain
-/// executor: one injector branch and one span, no checkpoint clones.
-fn recovery(fx: &Fixture) {
-    let ctx = PlanContext::new(&fx.registry, Cluster::simsql_like(10));
-    let config = FtConfig {
-        policy: RecoveryPolicy::Lineage,
-        ..FtConfig::default()
-    };
-    ratio_budget(
-        "recovery",
-        "plain",
-        || fx.run_plain(),
-        "fault-tolerant(disabled)",
-        || {
-            execute_fault_tolerant(
-                &fx.graph,
-                &fx.annotation,
-                &fx.inputs,
-                &ctx,
-                &fx.catalog,
-                &CostModel::analytical(),
-                FaultInjector::disabled(),
-                &config,
-                ExecOptions::default(),
-                &Obs::disabled(),
-            )
-            .expect("executes");
-        },
-    );
-}
-
 /// `execute_plan_with` with no budget against the plain executor: the
 /// one budget check that picks the driver.
 fn governor(fx: &Fixture) {
@@ -233,51 +196,6 @@ fn serve(fx: &Fixture) {
         "serve(cache-disabled)",
         || {
             uncached.plan(&fx.graph).expect("plans");
-        },
-    );
-}
-
-/// `FrontDoor::execute` with tenancy disabled against a cache-hit plan
-/// executed straight on the engine with the front door's own options
-/// (`retain_values: false` — a server only needs the sinks).
-fn tenancy(fx: &Fixture) {
-    let service = Arc::new(fx.service(Cluster::simsql_like(4), ServeConfig::default()));
-    let front = FrontDoor::new(
-        Arc::clone(&service),
-        FrontDoorConfig {
-            tenancy: TenancyConfig::disabled(),
-            ..FrontDoorConfig::default()
-        },
-    );
-    ratio_budget(
-        "tenancy",
-        "direct",
-        || {
-            let planned = service.plan(&fx.graph).expect("plan");
-            execute_plan_with(
-                &fx.graph,
-                &planned.plan.annotation,
-                &fx.inputs,
-                service.registry(),
-                service.obs(),
-                ExecOptions {
-                    retain_values: false,
-                    ..Default::default()
-                },
-            )
-            .expect("executes");
-        },
-        "front door(disabled)",
-        || {
-            front
-                .execute(&ExecRequest {
-                    tenant: "solo",
-                    graph: &fx.graph,
-                    inputs: &fx.inputs,
-                    input_key: 1,
-                    deadline: None,
-                })
-                .expect("executes");
         },
     );
 }
@@ -338,10 +256,8 @@ fn obs(fx: &Fixture) {
 
 fn main() {
     let fx = Fixture::new();
-    recovery(&fx);
     governor(&fx);
     serve(&fx);
-    tenancy(&fx);
     metrics(&fx);
     obs(&fx);
 }

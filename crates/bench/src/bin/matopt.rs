@@ -53,10 +53,10 @@
 //!   --sql                    print the plan as SQL
 //!   --dot                    print the annotated plan as Graphviz DOT
 //!   --inject <spec>          inject faults while executing (--analyze):
-//!                            crash@S, kill@S[:W], slow@SxF, flaky@SxN,
+//!                            crash@S, slow@SxF, flaky@SxN,
 //!                            corrupt@S[:C], oom@SxN, random:N —
 //!                            comma-separated; S is the 0-based compute
-//!                            step, W a worker index
+//!                            step
 //!   --fault-seed N           seed for the fault injector (default 42)
 //!   --recovery P             recovery policy: restart|checkpoint|lineage
 //!                            (default lineage)

@@ -209,7 +209,7 @@ impl Cluster {
 ///
 /// The three policies span the classic recovery spectrum: re-running
 /// the whole plan (what the paper's "Fail" rows would force operators
-/// to do by hand), restoring per-vertex checkpoints (the materialize-
+/// to do by hand), durable per-vertex checkpoints (the materialize-
 /// everything discipline Hadoop-based engines get for free), and
 /// Spark-style lineage replay that recomputes only what was lost from
 /// the nearest surviving ancestors.
@@ -217,9 +217,8 @@ impl Cluster {
 pub enum RecoveryPolicy {
     /// Throw everything away and re-execute the plan from its sources.
     Restart,
-    /// Persist every completed vertex; after a crash, restore completed
-    /// vertices from their checkpoints and recompute only in-flight
-    /// work.
+    /// Persist every completed vertex durably, so a crash loses only
+    /// in-flight work, which is recomputed.
     Checkpoint,
     /// Keep nothing extra; after a crash, recompute the lost
     /// intermediates from the nearest surviving ancestors in
@@ -250,9 +249,9 @@ impl std::str::FromStr for RecoveryPolicy {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "restart" | "scratch" => Ok(RecoveryPolicy::Restart),
-            "checkpoint" | "ckpt" => Ok(RecoveryPolicy::Checkpoint),
-            "lineage" | "replay" => Ok(RecoveryPolicy::Lineage),
+            "restart" => Ok(RecoveryPolicy::Restart),
+            "checkpoint" => Ok(RecoveryPolicy::Checkpoint),
+            "lineage" => Ok(RecoveryPolicy::Lineage),
             other => Err(format!(
                 "unknown recovery policy {other:?} (expected restart|checkpoint|lineage)"
             )),
@@ -325,6 +324,8 @@ mod tests {
             assert_eq!(p.as_str().parse::<RecoveryPolicy>().unwrap(), p);
             assert_eq!(p.to_string(), p.as_str());
         }
-        assert!("bogus".parse::<RecoveryPolicy>().is_err());
+        for other in ["bogus", "scratch", "ckpt", "replay"] {
+            assert!(other.parse::<RecoveryPolicy>().is_err(), "{other}");
+        }
     }
 }

@@ -43,7 +43,7 @@ mod types;
 mod wire;
 
 pub use annotate::{plan_features, validate, PlanContext, PlanError, PlanFeatures};
-pub use backoff::{mix_jitter, BackoffPolicy};
+pub use backoff::{mix_jitter, BackoffPolicy, SplitMix64};
 pub use canon::{
     bulk_checksum, canonical_form, canonical_form_with, fnv1a_128, fnv1a_64, fnv1a_bytes,
     format_from_words, format_words, op_from_words, op_to_words, BulkChecksum, CanonicalForm,

@@ -94,8 +94,8 @@ pub struct GovernorStats {
 /// `shared_governor`) walks inline under the memory governor, any other
 /// run goes through the pooled pipeline, and `retain_values`,
 /// `scratch_dir` and `remote` apply to both. A fault-injected run
-/// ([`crate::execute_fault_tolerant`] with a live injector) walks
-/// inline under every option, and retires nothing before its end.
+/// ([`crate::execute_fault_tolerant`]) walks inline under every
+/// option, and retires nothing before its end.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Keep every vertex's value alive for [`ExecOutcome::values`]

@@ -7,54 +7,22 @@
 //! an explicit event list, the CLI spec grammar ([`parse_fault_spec`]),
 //! or a seeded random generator ([`FaultInjector::random`]) used by the
 //! chaos harness. All randomness — schedule generation, crash loss
-//! sets, backoff jitter — flows from one SplitMix64 state, so a seed
-//! fully reproduces a chaos run.
+//! sets, backoff jitter — flows from one [`SplitMix64`] state, so a
+//! seed fully reproduces a chaos run. An injector always fires what it
+//! holds; a run that wants no faults calls
+//! [`crate::execute_plan_with`] instead.
 
 use crate::value::{Block, Chunk, DistRelation};
-use matopt_core::BulkChecksum;
+use matopt_core::{BulkChecksum, SplitMix64};
 use matopt_kernels::CooMatrix;
-
-/// SplitMix64: a tiny, high-quality, dependency-free PRNG. Fixed
-/// algorithm (Steele et al.), so seeds reproduce across platforms.
-#[derive(Debug, Clone)]
-pub(crate) struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `0..n` (`0` when `n == 0`).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-}
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// A worker dies while this vertex runs: its in-flight output and a
-    /// seeded random subset of previously materialized intermediates
-    /// are lost and must be recovered per the active policy.
+    /// A worker dies while this vertex runs: its in-flight output is
+    /// lost, and so are the previously materialized intermediates the
+    /// active policy does not keep (all under `restart`, none under
+    /// `checkpoint`, a seeded random subset under `lineage`).
     WorkerCrash,
     /// This vertex runs `slowdown`× slower than estimated.
     Straggler {
@@ -81,17 +49,6 @@ pub enum FaultKind {
         /// How many times the vertex fails for resources.
         repeats: u32,
     },
-    /// The worker *process* hosting this vertex is killed with a real
-    /// `SIGKILL` — the genuine-crash-domain analogue of
-    /// [`FaultKind::WorkerCrash`]. The fleet chaos harness
-    /// (`matopt-worker`) maps it to an actual process kill; the
-    /// in-process executor treats it exactly like a worker crash, the
-    /// closest simulable equivalent.
-    ProcessKill {
-        /// Fleet index of the worker to kill; `None` kills whichever
-        /// worker the step's vertex was dispatched to.
-        worker: Option<u32>,
-    },
 }
 
 impl std::fmt::Display for FaultKind {
@@ -106,8 +63,6 @@ impl std::fmt::Display for FaultKind {
             FaultKind::ResourceExhaustion { repeats } => {
                 write!(f, "resource exhaustion x{repeats}")
             }
-            FaultKind::ProcessKill { worker: Some(w) } => write!(f, "process kill (worker {w})"),
-            FaultKind::ProcessKill { worker: None } => write!(f, "process kill"),
         }
     }
 }
@@ -123,32 +78,20 @@ pub struct FaultEvent {
 }
 
 /// A deterministic fault schedule plus the PRNG that recovery draws
-/// jitter and loss sets from. Disabled injectors cost one branch per
-/// vertex on the fault-free path.
+/// jitter and loss sets from.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     events: Vec<Option<FaultEvent>>,
     rng: SplitMix64,
-    enabled: bool,
 }
 
 impl FaultInjector {
-    /// An injector that never fires (the fault-free path).
-    pub fn disabled() -> Self {
-        FaultInjector {
-            events: Vec::new(),
-            rng: SplitMix64::new(0),
-            enabled: false,
-        }
-    }
-
-    /// An injector firing exactly `events`, with recovery randomness
-    /// seeded by `seed`.
+    /// An injector firing exactly `events` (none for an empty list),
+    /// with recovery randomness seeded by `seed`.
     pub fn from_schedule(seed: u64, events: Vec<FaultEvent>) -> Self {
         FaultInjector {
             events: events.into_iter().map(Some).collect(),
             rng: SplitMix64::new(seed),
-            enabled: true,
         }
     }
 
@@ -179,25 +122,7 @@ impl FaultInjector {
             };
             events.push(Some(FaultEvent { step, kind }));
         }
-        FaultInjector {
-            events,
-            rng,
-            enabled: true,
-        }
-    }
-
-    /// `true` unless built with [`FaultInjector::disabled`].
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// `true` while a corruption fault is still pending — the executor
-    /// only pays for output checksums when one is.
-    pub fn wants_checksums(&self) -> bool {
-        self.events
-            .iter()
-            .flatten()
-            .any(|e| matches!(e.kind, FaultKind::CorruptedChunk { .. }))
+        FaultInjector { events, rng }
     }
 
     /// The scheduled-but-not-yet-fired events, for display.
@@ -208,9 +133,6 @@ impl FaultInjector {
     /// Consumes and returns every fault scheduled at compute step
     /// `step`. Each event fires at most once.
     pub fn take(&mut self, step: usize) -> Vec<FaultKind> {
-        if !self.enabled {
-            return Vec::new();
-        }
         let mut fired = Vec::new();
         for slot in &mut self.events {
             if slot.as_ref().is_some_and(|e| e.step == step) {
@@ -232,9 +154,6 @@ impl FaultInjector {
 /// topological order over compute vertices, `n_steps` of them):
 ///
 /// * `crash@S` — worker crash at step `S`;
-/// * `kill@S` or `kill@S:W` — real `SIGKILL` of the worker *process*
-///   at step `S` (worker `W`, default: whichever worker holds the
-///   step); simulated as a crash by the in-process executor;
 /// * `slow@SxF` — straggler at `S`, slowdown factor `F`;
 /// * `flaky@SxN` — `N` transient kernel failures at `S`;
 /// * `corrupt@S` or `corrupt@S:C` — corrupt chunk `C` (default 0) of
@@ -268,30 +187,11 @@ pub fn parse_fault_spec(spec: &str, seed: u64, n_steps: usize) -> Result<FaultIn
             }
             Ok(step)
         };
-        let kind = match name {
-            "crash" => {
-                events.push(FaultEvent {
-                    step: parse_step(rest)?,
-                    kind: FaultKind::WorkerCrash,
-                });
-                continue;
-            }
-            "kill" => {
-                let (s, worker) = match rest.split_once(':') {
-                    Some((s, w)) => (
-                        s,
-                        Some(
-                            w.parse::<u32>()
-                                .map_err(|_| format!("bad worker index {w:?} in {term:?}"))?,
-                        ),
-                    ),
-                    None => (rest, None),
-                };
-                FaultEvent {
-                    step: parse_step(s)?,
-                    kind: FaultKind::ProcessKill { worker },
-                }
-            }
+        let event = match name {
+            "crash" => FaultEvent {
+                step: parse_step(rest)?,
+                kind: FaultKind::WorkerCrash,
+            },
             "slow" => {
                 let (s, f) = rest
                     .split_once('x')
@@ -355,11 +255,11 @@ pub fn parse_fault_spec(spec: &str, seed: u64, n_steps: usize) -> Result<FaultIn
             }
             other => {
                 return Err(format!(
-                "unknown fault kind {other:?} (expected crash|kill|slow|flaky|corrupt|oom|random)"
-            ))
+                    "unknown fault kind {other:?} (expected crash|slow|flaky|corrupt|oom|random)"
+                ))
             }
         };
-        events.push(kind);
+        events.push(event);
     }
     if randoms > 0 {
         let random = FaultInjector::random(seed, n_steps, randoms, 3);
@@ -441,18 +341,6 @@ mod tests {
     use matopt_kernels::DenseMatrix;
 
     #[test]
-    fn splitmix_is_deterministic_and_uniformish() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut c = SplitMix64::new(43);
-        let mean: f64 = (0..1000).map(|_| c.next_f64()).sum::<f64>() / 1000.0;
-        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
     fn events_fire_exactly_once() {
         let mut inj = FaultInjector::from_schedule(
             1,
@@ -487,17 +375,38 @@ mod tests {
         assert_ne!(a.pending(), c.pending());
     }
 
+    /// The schedule a seed draws, pinned to the stream of the engine's
+    /// own SplitMix64 before it moved to `matopt-core`.
     #[test]
-    fn kill_terms_parse_with_and_without_worker() {
-        let inj = parse_fault_spec("kill@2, kill@4:1", 0, 6).expect("parses");
-        let pending = inj.pending();
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].step, 2);
-        assert_eq!(pending[0].kind, FaultKind::ProcessKill { worker: None });
-        assert_eq!(pending[1].step, 4);
-        assert_eq!(pending[1].kind, FaultKind::ProcessKill { worker: Some(1) });
-        assert_eq!(format!("{}", pending[0].kind), "process kill");
-        assert_eq!(format!("{}", pending[1].kind), "process kill (worker 1)");
+    fn random_schedule_of_seed_7_is_pinned() {
+        let got: Vec<String> = FaultInjector::random(7, 10, 20, 3)
+            .pending()
+            .iter()
+            .map(|e| format!("{}:{:?}", e.step, e.kind))
+            .collect();
+        let want = [
+            "7:WorkerCrash",
+            "6:CorruptedChunk { chunk: 26 }",
+            "5:TransientKernelError { failures: 1 }",
+            "5:Straggler { slowdown: 2.621359684070071 }",
+            "6:TransientKernelError { failures: 2 }",
+            "0:WorkerCrash",
+            "7:CorruptedChunk { chunk: 53 }",
+            "0:CorruptedChunk { chunk: 13 }",
+            "3:CorruptedChunk { chunk: 48 }",
+            "5:TransientKernelError { failures: 1 }",
+            "5:Straggler { slowdown: 7.826814696026855 }",
+            "0:WorkerCrash",
+            "8:Straggler { slowdown: 5.640624789931762 }",
+            "8:Straggler { slowdown: 3.2628327253569935 }",
+            "1:Straggler { slowdown: 7.518984675596585 }",
+            "8:WorkerCrash",
+            "2:TransientKernelError { failures: 1 }",
+            "0:TransientKernelError { failures: 3 }",
+            "6:TransientKernelError { failures: 3 }",
+            "2:CorruptedChunk { chunk: 19 }",
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -517,7 +426,6 @@ mod tests {
             pending[4].kind,
             FaultKind::ResourceExhaustion { repeats: 2 }
         );
-        assert!(inj.wants_checksums());
 
         let r = parse_fault_spec("random:4", 11, 6).expect("parses");
         assert_eq!(r.pending().len(), 4);
@@ -552,12 +460,6 @@ mod tests {
             ),
             ("corrupt@3:", "bad chunk index \"\" in \"corrupt@3:\""),
             ("corrupt@3:x", "bad chunk index \"x\" in \"corrupt@3:x\""),
-            ("kill@", "bad step \"\" in \"kill@\""),
-            ("kill@x", "bad step \"x\" in \"kill@x\""),
-            ("kill@9", "step 9 out of range in \"kill@9\""),
-            ("kill@1:", "bad worker index \"\" in \"kill@1:\""),
-            ("kill@1:w", "bad worker index \"w\" in \"kill@1:w\""),
-            ("kill@1:-1", "bad worker index \"-1\" in \"kill@1:-1\""),
             ("flaky@1x-2", "bad failure count \"-2\" in \"flaky@1x-2\""),
             ("flaky@1", "bad flaky term \"flaky@1\""),
             ("oom@1x1.5", "bad repeat count \"1.5\" in \"oom@1x1.5\""),
@@ -568,6 +470,7 @@ mod tests {
             ("random:x", "bad fault count \"x\" in \"random:x\""),
             ("random:-1", "bad fault count \"-1\" in \"random:-1\""),
             ("meteor@1", "unknown fault kind \"meteor\""),
+            ("kill@1", "unknown fault kind \"kill\""),
             ("crash", "bad fault term \"crash\" (expected kind@step)"),
         ];
         for (spec, want) in table {

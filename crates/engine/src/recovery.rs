@@ -1,6 +1,6 @@
 //! Fault-tolerant plan execution: retries with bounded exponential
-//! backoff, per-vertex checkpointing, lineage replay, and degradation-
-//! aware re-planning.
+//! backoff, restart, durable per-vertex checkpoints, lineage replay, and
+//! degradation-aware re-planning.
 //!
 //! [`execute_fault_tolerant`] is a fault policy around the inline walk
 //! ([`crate::step`]), driven by a [`FaultInjector`]:
@@ -10,35 +10,31 @@
 //! * **corrupted chunks** are caught by a checksum over the vertex's
 //!   output (only computed while a corruption fault is pending) and
 //!   recomputed;
-//! * **worker crashes** lose the in-flight vertex plus a seeded random
-//!   subset of this plan epoch's resident intermediates (a value
-//!   spilled to scratch survives), then recover per the
-//!   [`RecoveryPolicy`]: restart-from-scratch replays every lost
-//!   vertex, per-vertex checkpointing restores from the checkpoint
-//!   store, lineage replay recomputes only the lost vertices from their
-//!   nearest surviving ancestors;
+//! * **worker crashes** lose the in-flight vertex and, per the
+//!   [`RecoveryPolicy`], what else was resident in this plan epoch (a
+//!   value spilled to scratch survives): restart-from-scratch loses and
+//!   replays every such vertex; under per-vertex checkpointing every
+//!   completed output is durable, so only the in-flight vertex is lost;
+//!   lineage replay loses a seeded random subset and recomputes it from
+//!   the nearest surviving ancestors;
 //! * **resource exhaustion**, after two repeats, shrinks the
 //!   [`Cluster`](matopt_core::Cluster) and re-plans the remaining
 //!   suffix exactly as [`crate::execute_adaptive`] does —
 //!   already-computed values become plan inputs pinned in driver
 //!   storage.
 //!
-//! With a **disabled injector** there is no policy to apply and the
-//! call *is* [`crate::execute_plan_with`]: the fault-free path pays no
-//! per-vertex fault branch (pinned under 2% by the `overhead` bench).
-//! With a **live injector** vertices run one at a time in id order on
-//! the calling thread, so fault preambles, PRNG draws and replay happen
-//! in one sequence per seed, and "materialized so far" is simply
-//! "lower id". The walk reads the same [`ExecOptions`] as any other
-//! run, and retires nothing before its end: replay may read any earlier
-//! value. The checkpoint store is an in-memory stand-in for durable
-//! storage, outside the budget.
+//! Vertices run one at a time in id order on the calling thread, so
+//! fault preambles, PRNG draws and replay happen in one sequence per
+//! seed, and "materialized so far" is simply "lower id". The walk reads
+//! the same [`ExecOptions`] as any other run, and retires nothing before
+//! its end: replay may read any earlier value. A run that wants no
+//! faults calls [`crate::execute_plan_with`].
 //!
 //! Every fault, retry, and recovery emits a record under
 //! [`Subsystem::Faults`].
 
 use crate::adaptive::AdaptiveError;
-use crate::exec::{execute_plan_with, vertex_label, ExecOptions, ExecOutcome};
+use crate::exec::{vertex_label, ExecOptions, ExecOutcome};
 use crate::faults::{corrupt_chunk, relation_checksum, FaultInjector, FaultKind};
 use crate::impl_exec::ExecError;
 use crate::step::InlineWalk;
@@ -49,7 +45,6 @@ use matopt_core::{
 use matopt_cost::CostModel;
 use matopt_obs::{Obs, Subsystem};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Resource-style failures at one vertex before the cluster is
@@ -129,8 +124,6 @@ pub struct FtOutcome {
     pub faults: Vec<InjectedFault>,
     /// Seconds spent recovering (backoff + straggling + replay).
     pub recovery_seconds: f64,
-    /// Seconds spent writing checkpoints.
-    pub checkpoint_seconds: f64,
     /// Per-vertex breakdown of the above.
     pub per_vertex: Vec<VertexRecovery>,
 }
@@ -145,7 +138,6 @@ impl FtOutcome {
             replans: 0,
             faults: Vec::new(),
             recovery_seconds: 0.0,
-            checkpoint_seconds: 0.0,
             per_vertex: vec![VertexRecovery::default(); vertices],
         }
     }
@@ -166,11 +158,9 @@ impl FtOutcome {
 /// Executes an annotated graph under fault injection, recovering every
 /// fault the injector fires.
 ///
-/// With a [`FaultInjector::disabled`] injector this is
-/// [`crate::execute_plan_with`] under `options`. With a live injector
-/// the run walks inline under the same `options`.
-/// `ctx`/`catalog`/`model` are only consulted when
-/// degradation forces a re-plan of the remaining suffix.
+/// The run walks inline under `options`. `ctx`/`catalog`/`model` are
+/// only consulted when degradation forces a re-plan of the remaining
+/// suffix.
 ///
 /// # Errors
 /// [`ExecError`] on malformed plans, and
@@ -196,15 +186,9 @@ pub fn execute_fault_tolerant(
             ("scheduled_faults", injector.pending().len().into()),
         ]
     });
-    if !injector.is_enabled() {
-        let exec = execute_plan_with(graph, annotation, inputs, ctx.registry, obs, options)?;
-        return Ok(FtOutcome::fault_free(exec, graph.len()));
-    }
-
     let mut walk = InlineWalk::start(graph, annotation, inputs, ctx.registry, obs, &options)?;
     walk.retire_at_finish();
     let mut cluster = ctx.cluster;
-    let mut checkpoints: HashMap<usize, Arc<DistRelation>> = HashMap::new();
     // The exec half is filled in by the walk's epilogue.
     let mut ft = FtOutcome::fault_free(ExecOutcome::default(), graph.len());
 
@@ -237,17 +221,12 @@ pub fn execute_fault_tolerant(
                 }
                 FaultKind::TransientKernelError { failures } => pending_transient += failures,
                 FaultKind::CorruptedChunk { chunk } => corrupt_hints.push(chunk),
-                // A real process kill is simulated in-process as a
-                // worker crash: same loss set, same lineage-replay
-                // recovery. The fleet harness (`matopt-worker`) maps it
-                // to an actual SIGKILL instead.
-                FaultKind::WorkerCrash | FaultKind::ProcessKill { .. } => {
+                FaultKind::WorkerCrash => {
                     let dt = recover_crash(
                         walk,
                         v,
                         config.policy,
                         &mut injector,
-                        &checkpoints,
                         &mut ft.per_vertex,
                         obs,
                     )?;
@@ -329,14 +308,6 @@ pub fn execute_fault_tolerant(
             }
             break out;
         };
-
-        // Checkpoint completed vertices *after* fault handling, so a
-        // crash at this step never sees its own output checkpointed.
-        if config.policy == RecoveryPolicy::Checkpoint {
-            let t0 = Instant::now();
-            checkpoints.insert(v.index(), Arc::clone(&out.rel));
-            ft.checkpoint_seconds += t0.elapsed().as_secs_f64();
-        }
         Ok(out)
     })?;
 
@@ -379,45 +350,43 @@ fn backoff(
     t0.elapsed().as_secs_f64()
 }
 
-/// Loses the crash's victim set and brings every lost vertex back per
-/// `policy`, returning the seconds spent.
+/// Loses the crash's victim set and replays every lost vertex,
+/// returning the seconds spent.
 ///
-/// The victim pool is what this plan epoch has materialized and holds
-/// in memory: the resident compute vertices with lower id than the
-/// crashing vertex `v` (values from earlier epochs are pinned in driver
-/// storage, spilled ones are on scratch; `v` itself is not stored yet,
-/// so it is implicitly lost too).
+/// `v` itself is not stored yet, so it is always lost; the step runs it
+/// afterwards as usual. The victim pool below `v` is what this plan
+/// epoch has materialized and holds in memory: the resident compute
+/// vertices with lower id (values from earlier epochs are pinned in
+/// driver storage, spilled ones are on scratch). A checkpointed value
+/// is durable, so under [`RecoveryPolicy::Checkpoint`] the pool is
+/// empty.
 fn recover_crash(
     walk: &mut InlineWalk<'_>,
     v: NodeId,
     policy: RecoveryPolicy,
     injector: &mut FaultInjector,
-    checkpoints: &HashMap<usize, Arc<DistRelation>>,
     per_vertex: &mut [VertexRecovery],
     obs: &Obs,
 ) -> Result<f64, ExecError> {
     let t0 = Instant::now();
-    let mut lost = walk.epoch_resident_below(v);
-    if policy != RecoveryPolicy::Restart {
-        // Restart-from-scratch throws the whole epoch away; otherwise
-        // one worker's memory is gone: a seeded coin flip per resident
+    let lost = match policy {
+        // Restart-from-scratch throws the whole epoch away.
+        RecoveryPolicy::Restart => walk.epoch_resident_below(v),
+        RecoveryPolicy::Checkpoint => Vec::new(),
+        // One worker's memory is gone: a seeded coin flip per resident
         // intermediate.
-        lost.retain(|_| injector.rng().next_f64() < 0.5);
-    }
+        RecoveryPolicy::Lineage => {
+            let mut lost = walk.epoch_resident_below(v);
+            lost.retain(|_| injector.rng().next_f64() < 0.5);
+            lost
+        }
+    };
     for u in &lost {
         walk.set_value(*u, None);
     }
-    let mut restored = 0usize;
     // Replay in id order: each lost vertex's inputs are either
     // survivors or lost-but-earlier (already brought back).
     for u in &lost {
-        if policy == RecoveryPolicy::Checkpoint {
-            if let Some(ck) = checkpoints.get(&u.index()) {
-                walk.restore(*u, Arc::clone(ck))?;
-                restored += 1;
-                continue;
-            }
-        }
         let out = walk.run(*u)?;
         walk.set_value(*u, Some(out.rel));
         per_vertex[u.index()].recoveries += 1;
@@ -427,8 +396,6 @@ fn recover_crash(
         vec![
             ("policy", policy.as_str().into()),
             ("lost", lost.len().into()),
-            ("restored_from_checkpoint", restored.into()),
-            ("recomputed", (lost.len() - restored).into()),
             ("seconds", dt.into()),
         ]
     });

@@ -370,8 +370,7 @@ pub fn simulate_plan_with_recovery(
             RecoveryPolicy::Restart => (expected + t) / survival,
             RecoveryPolicy::Checkpoint => {
                 // Checkpoints are only written under a live failure
-                // model (mirroring the executor, which skips them with
-                // a disabled injector), so zero rates cost zero.
+                // model, so zero rates cost zero.
                 let write = if cluster.has_fault_model() {
                     let out_bytes = annotation
                         .choice(s.vertex)

@@ -20,7 +20,7 @@
 //! place [`ExecOptions`] are applied. Its one loop,
 //! [`InlineWalk::drive`], is [`crate::execute_plan_serial`] as is, every
 //! run with a memory budget ([`run_inline`]), and — with a fault policy
-//! or a sparsity-drift rule as the step — the live-injector half of
+//! or a sparsity-drift rule as the step —
 //! [`crate::execute_fault_tolerant`] and
 //! [`crate::execute_adaptive_planned`], which both re-plan through
 //! [`InlineWalk::replan`]. [`InlineWalk::finish`] records every walk
@@ -271,7 +271,7 @@ struct Suffix {
 /// so a budget cannot change a number either.
 ///
 /// [`drive`](InlineWalk::drive) is the loop; its step closure may run a
-/// vertex several times, lose and restore earlier values, or
+/// vertex several times, lose and replay earlier values, or
 /// [`replan`](InlineWalk::replan) before it returns the output to store.
 pub(crate) struct InlineWalk<'a> {
     env: StepEnv<'a>,
@@ -494,14 +494,6 @@ impl<'a> InlineWalk<'a> {
         self.out.vertex_chunks[i] = out.rel.chunks.len();
         self.out.vertex_resident_bytes[i] = out.rel.total_bytes() as u64;
         self.set_value(v, Some(out.rel));
-    }
-
-    /// Puts back a value `v` had before a crash (a checkpoint) after the
-    /// governor's turn for `v`, as if it were run again.
-    pub fn restore(&mut self, v: NodeId, rel: Arc<DistRelation>) -> Result<(), ExecError> {
-        self.make_room(v)?;
-        self.set_value(v, Some(rel));
-        Ok(())
     }
 
     /// Replaces (or, with `None`, loses) the value held for `v` without

@@ -217,20 +217,58 @@ fn chaos_runs_are_deterministic_per_seed() {
     assert!(!a.faults.is_empty(), "seed 7 must fire at least one fault");
 }
 
-/// A disabled injector is a strict no-op: identical sinks, zero
-/// faults, zero retries, zero recoveries.
+/// An empty schedule is a strict no-op: identical sinks, zero faults,
+/// zero retries, zero recoveries.
 #[test]
-fn disabled_injector_changes_nothing() {
+fn empty_schedule_changes_nothing() {
     for w in workloads() {
         let config = chaos_config(RecoveryPolicy::Checkpoint);
-        let out = run_chaotic(w, FaultInjector::disabled(), &config);
-        for (sink, rel) in &out.exec.sinks {
-            assert!(rel.to_dense() == w.baseline[sink]);
-        }
+        let out = run_chaotic(w, FaultInjector::from_schedule(0, vec![]), &config);
+        assert_recovered_exactly(w, &out, &config, 0);
         assert!(out.faults.is_empty());
         assert_eq!(out.retries, 0);
         assert_eq!(out.recoveries, 0);
-        assert_eq!(out.checkpoint_seconds, 0.0, "no checkpoints without faults");
+    }
+}
+
+/// A checkpoint is durable, so a crash under `checkpoint` loses only
+/// the in-flight vertex, which runs once anyway: at 60% of the peak, a
+/// crash at any step leaves the sinks, the governor's spills and
+/// reloads, and the peak exactly as the empty schedule has them.
+#[test]
+fn a_checkpointed_crash_costs_the_governor_nothing() {
+    let w = &workloads()[1];
+    let peak = run_with_options(w, ExecOptions::default()).peak_resident_bytes;
+    let options = ExecOptions {
+        mem_budget: Some(peak * 60 / 100),
+        ..ExecOptions::default()
+    };
+    let config = chaos_config(RecoveryPolicy::Checkpoint);
+    let calm = run_chaotic_with(
+        w,
+        FaultInjector::from_schedule(1, vec![]),
+        &config,
+        options.clone(),
+    );
+    assert!(calm.exec.governor.spills > 0, "the budget must bind");
+    let steps = w.graph.compute_count();
+    for step in 0..steps {
+        let crash = parse_fault_spec(&format!("crash@{step}"), 1, steps).expect("spec parses");
+        let run = run_chaotic_with(w, crash, &config, options.clone());
+        assert_recovered_exactly(w, &run, &config, 1);
+        assert_eq!(run.recoveries, 1, "crash@{step}");
+        let (got, want) = (&run.exec.governor, &calm.exec.governor);
+        assert_eq!(
+            (got.spills, got.reloads),
+            (want.spills, want.reloads),
+            "crash@{step}: spills and reloads"
+        );
+        assert!(
+            run.exec.peak_resident_bytes <= calm.exec.peak_resident_bytes,
+            "crash@{step}: peak {} over the calm run's {}",
+            run.exec.peak_resident_bytes,
+            calm.exec.peak_resident_bytes
+        );
     }
 }
 

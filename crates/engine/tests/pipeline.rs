@@ -6,8 +6,8 @@
 //! into the numbers — and so must every other way of driving the shared
 //! vertex step: the budgeted walk (half the unbudgeted peak, retaining
 //! every value or only the sinks), the fault-tolerant executor
-//! (disabled injector, and a seeded live fault schedule, unbudgeted and
-//! streaming under half the peak) and the adaptive executor under a
+//! (a seeded fault schedule, unbudgeted and streaming under half the
+//! peak) and the adaptive executor under a
 //! threshold that never fires.
 //!
 //! The harness optimizes and runs 64 seeded random DAGs (square dense
@@ -120,7 +120,6 @@ fn never_replan() -> AdaptiveConfig {
 /// the inline walk and every other driver of the same plan: the pooled
 /// pipeline, the walk under half the pipeline's peak as its budget
 /// (retaining everything, and streaming), the fault-tolerant executor
-/// with a disabled injector and
 /// under the seeded fault schedule `seed` (crashes, stragglers,
 /// transient errors, corruptions — no `oom`, which re-plans), also
 /// streaming under that budget, and the adaptive executor when it
@@ -182,26 +181,22 @@ fn assert_pipeline_matches_serial(
         mem_budget: Some(budget),
         ..ExecOptions::default()
     };
-    for (driver, injector, options) in [
-        (
-            "fault-tolerant, disabled injector",
-            FaultInjector::disabled(),
-            ExecOptions::default(),
-        ),
-        (
-            "fault-tolerant, live injector",
-            live(),
-            ExecOptions::default(),
-        ),
-        (
-            "fault-tolerant, live injector, budgeted streaming",
-            live(),
-            streaming,
-        ),
+    for (driver, options) in [
+        ("fault-tolerant", ExecOptions::default()),
+        ("fault-tolerant, budgeted streaming", streaming),
     ] {
         let budgeted = options.mem_budget.is_some();
         let run = execute_fault_tolerant(
-            graph, annotation, inputs, &ctx, catalog, &model, injector, &ft, options, &obs,
+            graph,
+            annotation,
+            inputs,
+            &ctx,
+            catalog,
+            &model,
+            live(),
+            &ft,
+            options,
+            &obs,
         )
         .unwrap_or_else(|e| panic!("{tag}: {driver} run failed: {e}"));
         assert_eq!(run.replans, 0, "{tag}: {driver} re-planned");

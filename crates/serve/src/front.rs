@@ -34,9 +34,8 @@
 //!   tenant's slot and budget, the shared pool. See the `breaker`
 //!   module docs for the state machine.
 //!
-//! With [`TenancyConfig::disabled`] the quota/WFQ layers short-circuit
-//! to a handful of branch checks: the `overhead` bench gates
-//! that disabled path at < 2% over calling the executor directly.
+//! Every request goes through the quota and WFQ layers; a deployment
+//! that wants neither sets quotas no tenant reaches.
 
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerStats, CircuitBreaker};
 use crate::flight::{Joined, SingleFlight};
@@ -61,7 +60,7 @@ pub struct FrontDoorConfig {
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Executions allowed to run concurrently; the rest queue under
-    /// weighted fair queueing. Only enforced while tenancy is enabled.
+    /// weighted fair queueing.
     pub exec_concurrency: usize,
     /// Bound on queued executions across all tenants; overflow is
     /// rejected with [`ServeError::Overloaded`].
@@ -506,14 +505,9 @@ impl FrontDoor {
         degraded: bool,
     ) -> Result<(Arc<ExecOutcome>, u32), ServeError> {
         self.flights_led.fetch_add(1, Ordering::Relaxed);
-        let tenant_mem = if self.config.tenancy.enabled {
-            self.config.tenancy.for_tenant(req.tenant).mem_bytes
-        } else {
-            None
-        };
         let options = ExecOptions {
             retain_values: false,
-            mem_budget: tenant_mem,
+            mem_budget: self.config.tenancy.for_tenant(req.tenant).mem_bytes,
             shared_governor: self.shared.clone(),
             remote: if degraded {
                 None
@@ -580,16 +574,6 @@ impl FrontDoor {
     /// Quota check + in-flight accounting. Returns a guard token the
     /// caller must hand back through [`FrontDoor::settle_tenant`].
     fn admit_tenant<'t>(&self, tenant: &'t str) -> Result<TenantGuard<'t>, ServeError> {
-        if !self.config.tenancy.enabled {
-            let draining = self.sched.lock().expect("front sched").draining;
-            if draining {
-                return Err(ServeError::Draining);
-            }
-            return Ok(TenantGuard {
-                tenant,
-                tracked: false,
-            });
-        }
         let mut sched = self.sched.lock().expect("front sched");
         if sched.draining {
             return Err(ServeError::Draining);
@@ -608,10 +592,7 @@ impl FrontDoor {
         }
         state.inflight += 1;
         state.requests += 1;
-        Ok(TenantGuard {
-            tenant,
-            tracked: true,
-        })
+        Ok(TenantGuard { tenant })
     }
 
     /// Releases the tenant's in-flight slot and records the request's
@@ -622,9 +603,6 @@ impl FrontDoor {
         started: Instant,
         result: &Result<(), ServeError>,
     ) {
-        if !guard.tracked {
-            return;
-        }
         let mut sched = self.sched.lock().expect("front sched");
         if let Some(state) = sched.tenants.get_mut(guard.tenant) {
             state.inflight = state.inflight.saturating_sub(1);
@@ -644,9 +622,6 @@ impl FrontDoor {
     /// Notes that a request was answered by another request's run (for
     /// per-tenant batching counters).
     fn note_batched(&self, tenant: &str) {
-        if !self.config.tenancy.enabled {
-            return;
-        }
         let mut sched = self.sched.lock().expect("front sched");
         if let Some(state) = sched.tenants.get_mut(tenant) {
             state.batched += 1;
@@ -658,26 +633,17 @@ impl FrontDoor {
     // ------------------------------------------------------------------
 
     /// Takes a concurrency slot, queueing under WFQ when the cap is
-    /// reached. With tenancy disabled this is free: no cap, no queue.
+    /// reached.
     fn admit_slot(
         &self,
         tenant: &str,
         deadline: Option<Instant>,
     ) -> Result<SlotGuard<'_>, ServeError> {
-        if !self.config.tenancy.enabled {
-            return Ok(SlotGuard {
-                front: self,
-                tracked: false,
-            });
-        }
         let waiter = {
             let mut sched = self.sched.lock().expect("front sched");
             if sched.running < self.config.exec_concurrency && sched.queue.is_empty() {
                 sched.running += 1;
-                return Ok(SlotGuard {
-                    front: self,
-                    tracked: true,
-                });
+                return Ok(SlotGuard { front: self });
             }
             if sched.queue.len() >= self.config.max_queued {
                 self.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -718,10 +684,7 @@ impl FrontDoor {
         loop {
             match *state {
                 WaitState::Admitted => {
-                    return Ok(SlotGuard {
-                        front: self,
-                        tracked: true,
-                    });
+                    return Ok(SlotGuard { front: self });
                 }
                 WaitState::Shed => return Err(ServeError::DeadlineExceeded),
                 WaitState::Pending => {}
@@ -868,19 +831,15 @@ impl FrontDoor {
 /// not RAII because settling also records the outcome).
 struct TenantGuard<'t> {
     tenant: &'t str,
-    tracked: bool,
 }
 
 /// RAII concurrency slot: returning it admits the fairest waiter.
 struct SlotGuard<'f> {
     front: &'f FrontDoor,
-    tracked: bool,
 }
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        if self.tracked {
-            self.front.release_slot();
-        }
+        self.front.release_slot();
     }
 }

@@ -7,10 +7,8 @@
 //! bench harness asserts isolation against. Tenants not explicitly
 //! configured get [`TenancyConfig::default_tenant`].
 //!
-//! Tenancy can be disabled wholesale ([`TenancyConfig::disabled`]):
-//! the front door then skips quota checks, fair queueing, and
-//! per-tenant accounting, and the `overhead` bench gates that
-//! disabled path at < 2% over calling the executor directly.
+//! There is no off switch: every request is counted against its
+//! tenant. Quotas no tenant reaches leave requests unlimited.
 
 use matopt_obs::HistogramSnapshot;
 use std::collections::HashMap;
@@ -44,9 +42,6 @@ impl Default for TenantConfig {
 /// Front-door tenancy configuration.
 #[derive(Debug, Clone)]
 pub struct TenancyConfig {
-    /// `false` turns the whole tenancy layer off: no quotas, no fair
-    /// queueing, no per-tenant bookkeeping (the < 2% overhead path).
-    pub enabled: bool,
     /// Quotas for tenants not listed in [`TenancyConfig::tenants`].
     pub default_tenant: TenantConfig,
     /// Explicit per-tenant overrides.
@@ -54,22 +49,10 @@ pub struct TenancyConfig {
 }
 
 impl TenancyConfig {
-    /// Tenancy off: every request is admitted as the anonymous tenant
-    /// with no quota checks.
-    #[must_use]
-    pub fn disabled() -> Self {
-        TenancyConfig {
-            enabled: false,
-            default_tenant: TenantConfig::default(),
-            tenants: HashMap::new(),
-        }
-    }
-
-    /// Tenancy on with the given default quotas.
+    /// The given default quotas, no per-tenant overrides.
     #[must_use]
     pub fn with_default(default_tenant: TenantConfig) -> Self {
         TenancyConfig {
-            enabled: true,
             default_tenant,
             tenants: HashMap::new(),
         }
@@ -145,7 +128,5 @@ mod tests {
         assert_eq!(cfg.for_tenant("vip").max_inflight, 128);
         assert_eq!(cfg.for_tenant("vip").weight, 4);
         assert_eq!(cfg.for_tenant("anyone-else").max_inflight, 8);
-        assert!(cfg.enabled);
-        assert!(!TenancyConfig::disabled().enabled);
     }
 }

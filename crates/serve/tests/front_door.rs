@@ -378,34 +378,6 @@ fn drain_refuses_new_work_with_structured_error() {
     );
 }
 
-#[test]
-fn disabled_tenancy_serves_without_bookkeeping() {
-    let svc = service();
-    let front = FrontDoor::new(
-        Arc::clone(&svc),
-        FrontDoorConfig {
-            tenancy: TenancyConfig::disabled(),
-            ..FrontDoorConfig::default()
-        },
-    );
-    let (graph, inputs) = workload("ffnn-small:16", 0x0FF);
-    let resp = front
-        .execute(&ExecRequest {
-            tenant: "anyone",
-            graph: &graph,
-            inputs: &inputs,
-            input_key: 0,
-            deadline: None,
-        })
-        .expect("serves fine");
-    assert!(!resp.degraded);
-    assert!(
-        front.tenant_stats().is_empty(),
-        "disabled tenancy keeps no per-tenant state"
-    );
-    assert_eq!(front.stats().exec_ok, 1);
-}
-
 /// Only a model or cluster change invalidates a plan: however a served
 /// plan's runs are timed, running it neither starts a cache epoch nor
 /// feeds the breaker, and the next request for its graph is a hit.

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use matopt_core::{
     Annotation, Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, PhysFormat,
-    PlanContext,
+    PlanContext, SplitMix64,
 };
 use matopt_cost::CostModel;
 use matopt_engine::{execute_plan_serial, execute_plan_with, DistRelation, ExecOptions};
@@ -76,35 +76,27 @@ pub struct ChaosReport {
     pub bit_exact: bool,
 }
 
-/// SplitMix64 step — the harness's only randomness, fully determined
-/// by the seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Derives the deterministic schedule for `seed` over a fleet of
 /// `workers` processes. Roughly every third schedule includes a
 /// mid-result-stream kill; every eighth mutes a worker's heartbeats.
+/// A [`SplitMix64`] stream of the seed is the harness's only
+/// randomness.
 #[must_use]
 pub fn derive_schedule(seed: u64, workers: u32) -> ChaosSchedule {
-    let mut s = seed ^ 0xc4a0_5c4a_05c4_a05c;
-    let workload = (splitmix(&mut s) % 2) as u8;
-    let n_kills = 1 + (splitmix(&mut s) % 3) as usize;
+    let mut rng = SplitMix64::new(seed ^ 0xc4a0_5c4a_05c4_a05c);
+    let workload = rng.below(2) as u8;
+    let n_kills = 1 + rng.below(3) as usize;
     let mut kills = Vec::with_capacity(n_kills);
     for i in 0..n_kills {
         kills.push(KillEvent {
-            after_dispatches: splitmix(&mut s) % 4,
+            after_dispatches: rng.below(4),
             // Guarantee mid-stream coverage across the suite: every
             // schedule whose seed ≡ 0 (mod 3) tears its first kill.
-            mid_stream: (seed.is_multiple_of(3) && i == 0) || splitmix(&mut s).is_multiple_of(4),
+            mid_stream: (seed.is_multiple_of(3) && i == 0) || rng.below(4) == 0,
         });
     }
     let mute_worker = if seed % 8 == 7 {
-        Some((splitmix(&mut s) % u64::from(workers.max(1))) as u32)
+        Some(rng.below(u64::from(workers.max(1))) as u32)
     } else {
         None
     };
@@ -209,16 +201,14 @@ pub fn run_schedule(schedule: &ChaosSchedule, cfg: FleetConfig) -> Result<ChaosR
     let fleet = WorkerFleet::spawn(cfg).map_err(|e| e.to_string())?;
     // Arm the kills before dispatch begins.
     let mut mid_stream_kills = 0;
-    let mut stall_state = schedule.seed ^ 0x57a1_157a_1157_a115;
+    let mut stall = SplitMix64::new(schedule.seed ^ 0x57a1_157a_1157_a115);
     for kill in &schedule.kills {
         if kill.mid_stream {
             mid_stream_kills += 1;
             // Stall a deterministic subset of compute vertices so the
             // victim is mid-result-frame when the SIGKILL fires.
             for (id, node) in wl.graph.iter() {
-                if !matches!(node.kind, NodeKind::Source { .. })
-                    && splitmix(&mut stall_state).is_multiple_of(2)
-                {
+                if !matches!(node.kind, NodeKind::Source { .. }) && stall.below(2) == 0 {
                     fleet.stall_vertex(id.0, 40);
                 }
             }
@@ -265,4 +255,40 @@ pub fn run_schedule(schedule: &ChaosSchedule, cfg: FleetConfig) -> Result<ChaosR
         restarts: stats.restarts,
         bit_exact,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The schedules of seeds 0..8, pinned to what the harness's own
+    /// SplitMix64 step drew before it shared `matopt-core`'s.
+    #[test]
+    fn derived_schedules_are_pinned() {
+        /// (workload, [(after_dispatches, mid_stream)], mute_worker)
+        type Pinned = (u8, &'static [(u64, bool)], Option<u32>);
+        let want: [Pinned; 8] = [
+            (1, &[(3, true), (1, true)], None),
+            (1, &[(0, false), (2, false), (3, false)], None),
+            (1, &[(1, false), (2, false)], None),
+            (1, &[(3, true)], None),
+            (0, &[(3, false), (2, true)], None),
+            (1, &[(2, false), (3, false)], None),
+            (0, &[(1, true)], None),
+            (0, &[(0, false), (3, false), (1, false)], Some(2)),
+        ];
+        for (seed, (workload, kills, mute_worker)) in want.into_iter().enumerate() {
+            let s = derive_schedule(seed as u64, 4);
+            let got: Vec<(u64, bool)> = s
+                .kills
+                .iter()
+                .map(|k| (k.after_dispatches, k.mid_stream))
+                .collect();
+            assert_eq!(
+                (s.workload, got.as_slice(), s.mute_worker),
+                (workload, kills, mute_worker),
+                "seed {seed}"
+            );
+        }
+    }
 }
