@@ -157,8 +157,8 @@ use matopt_cost::{CostModel, ThroughputCurve};
 use matopt_engine::{
     explain_analyze, explain_analyze_with_faults, explain_plan, parse_fault_spec, render_sql,
     simulate_plan_traced, simulate_plan_with_recovery, AdaptiveConfig, DistRelation,
-    EpochPlanSource, ExecOptions, FtConfig, RemoteVertexExec, SimOutcome, TrainCheckpoint,
-    TrainConfig, TrainSpec,
+    EpochPlanSource, ExecOptions, FaultInjector, FtConfig, RemoteVertexExec, SimOutcome,
+    TrainCheckpoint, TrainConfig, TrainSpec,
 };
 use matopt_graphs::{ffnn_training_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -382,6 +382,13 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
         cluster = cluster.with_fault_rates(crash_rate, straggler_rate, 4.0);
     }
     let graph = build_workload(workload, &cluster).map_err(usage)?;
+    // The step range of a fault spec is the graph's, so it parses here,
+    // before the optimizer runs.
+    let injector = inject
+        .as_deref()
+        .map(|spec| parse_fault_spec(spec, fault_seed, graph.compute_count()))
+        .transpose()
+        .map_err(|e| usage(format!("--inject: {e}")))?;
 
     // `--inject`, `--mem-budget` and `--worker-procs` only have an
     // effect on the real executor, so they imply `--analyze`.
@@ -470,14 +477,13 @@ fn cmd_plan(args: &[String]) -> Result<i32, Exit> {
         }
     }
     if analyze {
-        let faults = inject.as_deref().map(|spec| (spec, fault_seed, recovery));
         if let Err(msg) = run_analyze(
             &graph,
             &plan.annotation,
             &env,
             &ctx,
             &catalog,
-            faults,
+            injector.map(|injector| (injector, recovery)),
             mem_budget,
             worker_procs,
             &obs,
@@ -1034,7 +1040,6 @@ fn cmd_fleet_chaos(args: &[String]) -> Result<i32, Exit> {
             },
             worker_bin: worker_bin.clone(),
             obs: None,
-            on_death: None,
             seed: seed.wrapping_add(s) ^ 0xc4a0_5000,
         };
         match run_schedule(&schedule, cfg) {
@@ -1090,7 +1095,7 @@ fn run_analyze(
     env: &Env,
     ctx: &matopt_core::PlanContext<'_>,
     catalog: &FormatCatalog,
-    faults: Option<(&str, u64, RecoveryPolicy)>,
+    faults: Option<(FaultInjector, RecoveryPolicy)>,
     mem_budget: Option<u64>,
     worker_procs: Option<u32>,
     obs: &Obs,
@@ -1123,13 +1128,12 @@ fn run_analyze(
         ..ExecOptions::default()
     };
     let analysis = match faults {
-        Some((spec, seed, policy)) => {
-            let injector = parse_fault_spec(spec, seed, graph.compute_count())?;
+        Some((injector, policy)) => {
             let config = FtConfig {
                 policy,
                 ..FtConfig::default()
             };
-            println!("injecting faults ({spec}, seed {seed}) under the {policy} recovery policy:");
+            println!("injecting faults under the {policy} recovery policy:");
             explain_analyze_with_faults(
                 graph, annotation, &inputs, ctx, catalog, &env.model, injector, &config, options,
                 obs,

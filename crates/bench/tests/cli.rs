@@ -335,3 +335,23 @@ fn an_injected_run_reports_its_spills_to_the_metrics() {
     let line = format!("matopt_sched_spills_total {}", spilled(&run.stdout));
     assert!(prom.lines().any(|l| l == line), "no `{line}` in:\n{prom}");
 }
+
+/// A fault spec is checked with the other options: an unknown kind or a
+/// step the plan does not have is a usage error, and nothing is planned.
+#[test]
+fn an_unparsable_fault_spec_exits_2_before_planning() {
+    for spec in ["kill@1", "meteor@1", "crash@999"] {
+        let run = matopt(&["plan", "ffnn-small:32", "--inject", spec], "");
+        assert_eq!(run.code, Some(2), "{spec}: {}", run.stderr);
+        assert!(
+            run.stderr.contains("plan: --inject: "),
+            "{spec}: {}",
+            run.stderr
+        );
+        assert!(
+            !run.stdout.contains("optimized"),
+            "{spec}: planned anyway:\n{}",
+            run.stdout
+        );
+    }
+}

@@ -17,7 +17,7 @@ use matopt_core::{
 use matopt_cost::CostModel;
 use matopt_engine::{
     execute_fault_tolerant, execute_plan, execute_plan_with, parse_fault_spec, DistRelation,
-    ExecOptions, FaultInjector, FtConfig, FtOutcome,
+    ExecOptions, FaultInjector, FtConfig, FtOutcome, SharedGovernor,
 };
 use matopt_graphs::{ffnn_w2_update_graph, two_level_inverse_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix};
@@ -391,10 +391,11 @@ fn assert_sinks_bit_exact(w: &Workload, out: &matopt_engine::ExecOutcome, tag: &
 }
 
 /// The memory-pressure matrix: budget ∈ {unbounded, 75%, 50% of the
-/// measured unbounded peak}, on both workloads, fault-free and under
-/// seeded live fault schedules with every recovery policy. Every cell
-/// must reproduce the fault-free sinks bit for bit within its budget,
-/// and the 50% column must provably engage the spill path, faulted
+/// measured unbounded peak, a shared pool of 50%}, on both workloads,
+/// fault-free and under seeded live fault schedules with every recovery
+/// policy. Every cell must reproduce the fault-free sinks bit for bit
+/// within its budget, every run in the pool column must hold a lease,
+/// and both 50% columns must provably engage the spill path, faulted
 /// runs included.
 #[test]
 fn memory_pressure_matrix_is_bit_exact() {
@@ -406,17 +407,37 @@ fn memory_pressure_matrix_is_bit_exact() {
     for w in workloads() {
         let peak = run_with_options(w, ExecOptions::default()).peak_resident_bytes;
         let steps = w.graph.compute_count();
-        for (col, budget) in [
-            ("unbounded", None),
-            ("75%", Some((peak as f64 * 0.75) as u64)),
-            ("50%", Some((peak as f64 * 0.5) as u64)),
+        for (col, budget, pool) in [
+            ("unbounded", None, None),
+            ("75%", Some((peak as f64 * 0.75) as u64), None),
+            ("50%", Some((peak as f64 * 0.5) as u64), None),
+            ("pool 50%", None, Some(SharedGovernor::new(peak / 2))),
         ] {
             let options = ExecOptions {
                 mem_budget: budget,
+                shared_governor: pool.clone(),
                 ..Default::default()
+            };
+            let limit = budget.or(pool.as_ref().map(|p| p.stats().budget));
+            let leased = |out: &matopt_engine::ExecOutcome, what: &str| {
+                if pool.is_some() {
+                    assert!(
+                        out.governor.lease_bytes > 0,
+                        "{} {col}: {what} took no lease",
+                        w.name
+                    );
+                }
             };
             let out = run_with_options(w, options.clone());
             assert_sinks_bit_exact(w, &out, &format!("{} {col}", w.name));
+            leased(&out, "the fault-free run");
+            if let Some(limit) = limit {
+                assert!(
+                    out.peak_resident_bytes <= limit,
+                    "{} {col}: fault-free run over budget",
+                    w.name
+                );
+            }
             let (mut faulted_spills, mut recoveries) = (0, 0);
             for (i, policy) in policies.into_iter().enumerate() {
                 let config = chaos_config(policy);
@@ -429,9 +450,10 @@ fn memory_pressure_matrix_is_bit_exact() {
                 for injector in schedules {
                     let run = run_chaotic_with(w, injector, &config, options.clone());
                     assert_recovered_exactly(w, &run, &config, seed);
-                    if let Some(budget) = budget {
+                    leased(&run.exec, "a faulted run");
+                    if let Some(limit) = limit {
                         assert!(
-                            run.exec.peak_resident_bytes <= budget,
+                            run.exec.peak_resident_bytes <= limit,
                             "{} {col} {policy}: faulted run over budget",
                             w.name
                         );
@@ -448,15 +470,15 @@ fn memory_pressure_matrix_is_bit_exact() {
                     "{}: spilled without a budget",
                     w.name
                 ),
-                "50%" => {
+                "50%" | "pool 50%" => {
                     assert!(
                         out.governor.spills > 0,
-                        "{}: the 50% budget column never spilled",
+                        "{}: the {col} column never spilled",
                         w.name
                     );
                     assert!(
                         faulted_spills > 0,
-                        "{}: no faulted run in the 50% column spilled",
+                        "{}: no faulted run in the {col} column spilled",
                         w.name
                     );
                 }

@@ -26,25 +26,20 @@
 //! * **Shared-pool governance** — executions draw memory carve-outs
 //!   from one [`SharedGovernor`] pool (a governed run walks inline and
 //!   spills within its carve-out).
-//! * **Circuit breaker** — fault recoveries, execution failures and
-//!   worker deaths feed a [`CircuitBreaker`]; a storm trips it and,
-//!   until probes close it again, the front door runs each request
-//!   in-process (never on an attached fleet), one at a time and
-//!   unbatched. It is the same path otherwise: the cached plan, the
-//!   tenant's slot and budget, the shared pool. See the `breaker`
-//!   module docs for the state machine.
 //!
-//! Every request goes through the quota and WFQ layers; a deployment
-//! that wants neither sets quotas no tenant reaches.
+//! Every request takes the one path: quota, cached plan, batching,
+//! WFQ slot, an in-process run under the tenant's budget and the pool's
+//! lease. A deployment that wants no quota sets one no tenant reaches.
+//! Recovery from a lost vertex or worker is the engine's job
+//! (`execute_fault_tolerant`, the fleet's redispatch), not the front
+//! door's.
 
-use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerStats, CircuitBreaker};
 use crate::flight::{Joined, SingleFlight};
 use crate::tenant::{TenancyConfig, TenantConfig, TenantStats};
 use crate::{Fingerprint, PlanService, Planned, ServeError};
-use matopt_core::{ComputeGraph, NodeId, PlanContext};
+use matopt_core::{ComputeGraph, NodeId};
 use matopt_engine::{
-    execute_fault_tolerant, execute_plan_with, DistRelation, ExecError, ExecOptions, ExecOutcome,
-    FaultInjector, FtConfig, RemoteVertexExec, SharedGovernor, SharedGovernorStats,
+    execute_plan_with, DistRelation, ExecOptions, ExecOutcome, SharedGovernor, SharedGovernorStats,
 };
 use matopt_obs::{Histogram, Subsystem};
 use std::collections::HashMap;
@@ -57,8 +52,6 @@ use std::time::{Duration, Instant};
 pub struct FrontDoorConfig {
     /// Per-tenant quotas and weights.
     pub tenancy: TenancyConfig,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// Executions allowed to run concurrently; the rest queue under
     /// weighted fair queueing.
     pub exec_concurrency: usize,
@@ -74,7 +67,6 @@ impl Default for FrontDoorConfig {
     fn default() -> Self {
         FrontDoorConfig {
             tenancy: TenancyConfig::default(),
-            breaker: BreakerConfig::default(),
             exec_concurrency: matopt_pool::Pool::global().parallelism().max(2),
             max_queued: 256,
             shared_pool_bytes: None,
@@ -111,12 +103,6 @@ pub struct ExecResponse {
     pub planned: Planned,
     /// `true` when this request was answered by another request's run.
     pub batched: bool,
-    /// `true` when the breaker was open and this request ran
-    /// in-process, one run at a time.
-    pub degraded: bool,
-    /// Fault recoveries performed during the run (fault-injected runs
-    /// only).
-    pub recoveries: u32,
     /// End-to-end front-door latency for this request.
     pub latency: Duration,
 }
@@ -142,13 +128,6 @@ pub struct FrontStats {
     pub shed: u64,
     /// Times an execution had to queue behind the concurrency cap.
     pub queued_waits: u64,
-    /// Worker-process deaths reported by an attached fleet (each one
-    /// also counts into the breaker's storm window).
-    pub worker_deaths: u64,
-    /// Breaker counters.
-    pub breaker: BreakerStats,
-    /// Breaker state at snapshot time.
-    pub breaker_state: BreakerState,
     /// Shared-pool counters (`None` when no pool is configured).
     pub pool: Option<SharedGovernorStats>,
 }
@@ -220,15 +199,12 @@ struct Sched {
 pub struct FrontDoor {
     service: Arc<PlanService>,
     config: FrontDoorConfig,
-    breaker: CircuitBreaker,
     shared: Option<Arc<SharedGovernor>>,
     sched: Mutex<Sched>,
     /// Batched executions in flight: followers with the same
     /// (fingerprint, input key) share the leader's outcome and the plan
     /// that produced it.
     flights: SingleFlight<(Fingerprint, u64), (Arc<ExecOutcome>, Planned)>,
-    /// Serializes executions while the breaker is open.
-    serial: Mutex<()>,
     exec_requests: AtomicU64,
     exec_ok: AtomicU64,
     exec_errors: AtomicU64,
@@ -238,12 +214,6 @@ pub struct FrontDoor {
     overloaded: AtomicU64,
     shed: AtomicU64,
     queued_waits: AtomicU64,
-    /// Remote vertex-execution backend for admitted runs (`None` =
-    /// in-process kernels). Attached after construction because the
-    /// fleet usually wants a death observer pointing back at this very
-    /// front door.
-    remote: Mutex<Option<Arc<dyn RemoteVertexExec>>>,
-    worker_deaths: AtomicU64,
 }
 
 impl FrontDoor {
@@ -251,10 +221,8 @@ impl FrontDoor {
     #[must_use]
     pub fn new(service: Arc<PlanService>, config: FrontDoorConfig) -> Self {
         let shared = config.shared_pool_bytes.map(SharedGovernor::new);
-        let breaker = CircuitBreaker::new(config.breaker);
         FrontDoor {
             service,
-            breaker,
             shared,
             sched: Mutex::new(Sched {
                 running: 0,
@@ -265,7 +233,6 @@ impl FrontDoor {
                 tenants: HashMap::new(),
             }),
             flights: SingleFlight::new(),
-            serial: Mutex::new(()),
             config,
             exec_requests: AtomicU64::new(0),
             exec_ok: AtomicU64::new(0),
@@ -276,31 +243,7 @@ impl FrontDoor {
             overloaded: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             queued_waits: AtomicU64::new(0),
-            remote: Mutex::new(None),
-            worker_deaths: AtomicU64::new(0),
         }
-    }
-
-    /// Routes every subsequent execution's kernels through `backend`
-    /// (the worker fleet). Planned work in flight keeps whatever
-    /// backend it started with.
-    pub fn attach_remote(&self, backend: Arc<dyn RemoteVertexExec>) {
-        *self.remote.lock().expect("front remote") = Some(backend);
-    }
-
-    /// Records one worker-process death. Deaths feed the breaker's
-    /// storm window exactly like fault-recovery storms: a worker-death
-    /// storm (crash-looping fleet) trips the breaker, and requests run
-    /// in-process one at a time rather than ride a dying fleet.
-    pub fn record_worker_death(&self) {
-        self.worker_deaths.fetch_add(1, Ordering::Relaxed);
-        self.breaker.record_storm_event();
-    }
-
-    /// The circuit breaker (state inspection; the bench asserts trips).
-    #[must_use]
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
     }
 
     /// Stops admitting new work: every subsequent [`FrontDoor::plan`]
@@ -315,30 +258,6 @@ impl FrontDoor {
     #[must_use]
     pub fn is_draining(&self) -> bool {
         self.sched.lock().expect("front sched").draining
-    }
-
-    /// [`FrontDoor::drain`], then blocks until every admitted
-    /// execution — including remote waves running on a worker fleet —
-    /// has finished, or `timeout` elapses. Returns `true` when the
-    /// door went fully idle; `false` on timeout (work still in
-    /// flight). The caller can then shut its fleet down knowing no
-    /// wave still depends on the workers.
-    pub fn drain_and_wait(&self, timeout: Duration) -> bool {
-        self.drain();
-        let deadline = Instant::now() + timeout;
-        loop {
-            let idle = {
-                let sched = self.sched.lock().expect("front sched");
-                sched.running == 0 && sched.queue.is_empty()
-            };
-            if idle {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
     }
 
     /// Serves a plan through the tenant's quota: fingerprint → cache →
@@ -362,7 +281,7 @@ impl FrontDoor {
     }
 
     /// Executes `req.graph` on `req.inputs` through the full front
-    /// door: quota → breaker → batching → fair queueing → execution
+    /// door: quota → cached plan → batching → fair queueing → execution
     /// (pooled, or walked inline under the run's memory budget).
     ///
     /// # Errors
@@ -371,40 +290,10 @@ impl FrontDoor {
     /// [`ServeError::Draining`], [`ServeError::Opt`] from planning, or
     /// [`ServeError::Exec`] from the executor.
     pub fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecResponse, ServeError> {
-        self.execute_inner(req, None)
-    }
-
-    /// [`FrontDoor::execute`] under seeded fault injection: the run
-    /// goes through the fault-tolerant executor, recoveries feed the
-    /// circuit breaker, and the response reports how many faults were
-    /// recovered. The chaos soak drives storms through this entry
-    /// point.
-    ///
-    /// # Errors
-    /// Same contract as [`FrontDoor::execute`].
-    pub fn execute_with_faults(
-        &self,
-        req: &ExecRequest<'_>,
-        injector: FaultInjector,
-        ft: &FtConfig,
-    ) -> Result<ExecResponse, ServeError> {
-        self.execute_inner(req, Some((injector, ft)))
-    }
-
-    fn execute_inner(
-        &self,
-        req: &ExecRequest<'_>,
-        faults: Option<(FaultInjector, &FtConfig)>,
-    ) -> Result<ExecResponse, ServeError> {
         let started = Instant::now();
         self.exec_requests.fetch_add(1, Ordering::Relaxed);
         let guard = self.admit_tenant(req.tenant)?;
-        let decision = self.breaker.decision();
-        let degraded = decision == BreakerDecision::Degraded;
-        let result = self.execute_normal(req, started, faults, degraded);
-        if decision == BreakerDecision::Probe {
-            self.breaker.probe_result(result.is_ok());
-        }
+        let result = self.execute_admitted(req, started);
         match &result {
             Ok(resp) => {
                 self.exec_ok.fetch_add(1, Ordering::Relaxed);
@@ -428,22 +317,17 @@ impl FrontDoor {
         result
     }
 
-    /// The one execution path: cached plan, batching, fair queueing,
-    /// governed execution. A `degraded` request (breaker open) neither
-    /// batches nor runs on the fleet, and waits for the previous
-    /// degraded run to finish before it takes a slot.
-    fn execute_normal(
+    /// The one execution path of an admitted request: cached plan,
+    /// batching, fair queueing, governed execution.
+    fn execute_admitted(
         &self,
         req: &ExecRequest<'_>,
         started: Instant,
-        faults: Option<(FaultInjector, &FtConfig)>,
-        degraded: bool,
     ) -> Result<ExecResponse, ServeError> {
         let planned = self.service.plan(req.graph)?;
         // A zero fingerprint means the cache is disabled: nothing to key
         // a batch on.
-        let batchable = !degraded && planned.fingerprint != Fingerprint(0);
-        let leader = if batchable {
+        let leader = if planned.fingerprint != Fingerprint(0) {
             let key = (planned.fingerprint, req.input_key);
             match self.flights.join(key, |_| Ok(()))? {
                 Joined::Follower(flight) => {
@@ -453,8 +337,6 @@ impl FrontDoor {
                         outcome,
                         planned,
                         batched: true,
-                        degraded: false,
-                        recoveries: 0,
                         latency: started.elapsed(),
                     });
                 }
@@ -466,94 +348,51 @@ impl FrontDoor {
 
         // Leader (or unbatched) path: take a concurrency slot under
         // weighted fair queueing, run, publish.
-        let outcome = {
-            let _one_at_a_time = degraded.then(|| self.serial.lock().expect("front serial"));
-            self.admit_slot(req.tenant, req.deadline).and_then(|slot| {
-                let r = self.run_leader(req, &planned, faults, degraded);
-                drop(slot);
-                r
-            })
-        };
+        let outcome = self
+            .admit_slot(req.tenant, req.deadline)
+            .and_then(|_slot| self.run_leader(req, &planned));
         if let Some(leader) = leader {
             leader.publish(
                 outcome
                     .as_ref()
-                    .map(|(out, _)| (Arc::clone(out), planned.clone()))
+                    .map(|out| (Arc::clone(out), planned.clone()))
                     .map_err(Clone::clone),
             );
         }
-        outcome.map(|(outcome, recoveries)| ExecResponse {
+        outcome.map(|outcome| ExecResponse {
             outcome,
             planned,
             batched: false,
-            degraded,
-            recoveries,
             latency: started.elapsed(),
         })
     }
 
-    /// Runs the plan (holding a concurrency slot) and feeds fault
-    /// recoveries and execution errors to the breaker. A fault-injected
-    /// run goes through the fault-tolerant executor, which re-plans
-    /// recoveries under the service's current cluster and cost model.
-    /// A `degraded` run stays in-process.
+    /// Runs the plan (holding a concurrency slot) under the tenant's
+    /// memory budget and the shared pool's lease.
     fn run_leader(
         &self,
         req: &ExecRequest<'_>,
         planned: &Planned,
-        faults: Option<(FaultInjector, &FtConfig)>,
-        degraded: bool,
-    ) -> Result<(Arc<ExecOutcome>, u32), ServeError> {
+    ) -> Result<Arc<ExecOutcome>, ServeError> {
         self.flights_led.fetch_add(1, Ordering::Relaxed);
         let options = ExecOptions {
             retain_values: false,
             mem_budget: self.config.tenancy.for_tenant(req.tenant).mem_bytes,
             shared_governor: self.shared.clone(),
-            remote: if degraded {
-                None
-            } else {
-                self.remote.lock().expect("front remote").clone()
-            },
             ..ExecOptions::default()
         };
-        let result: Result<(ExecOutcome, u32), ExecError> = match faults {
-            None => execute_plan_with(
-                req.graph,
-                &planned.plan.annotation,
-                req.inputs,
-                self.service.registry(),
-                self.service.obs(),
-                options,
-            )
-            .map(|out| (out, 0)),
-            Some((injector, ft)) => execute_fault_tolerant(
-                req.graph,
-                &planned.plan.annotation,
-                req.inputs,
-                &PlanContext::new(self.service.registry(), self.service.cluster()),
-                self.service.catalog(),
-                &self.service.model(),
-                injector,
-                ft,
-                options,
-                self.service.obs(),
-            )
-            .map(|run| {
-                let recoveries = run.recoveries + run.retries + run.replans;
-                // Every recovery is a storm signal: this is the
-                // serve-side view of the Subsystem::Faults
-                // counters.
-                for _ in 0..recoveries {
-                    self.breaker.record_storm_event();
-                }
-                (run.exec, recoveries)
-            }),
-        };
-        let result = result.map_err(|e| ServeError::Exec(e.to_string()));
+        let result = execute_plan_with(
+            req.graph,
+            &planned.plan.annotation,
+            req.inputs,
+            self.service.registry(),
+            self.service.obs(),
+            options,
+        )
+        .map_err(|e| ServeError::Exec(e.to_string()));
         match result {
-            Ok((outcome, recoveries)) => Ok((Arc::new(outcome), recoveries)),
+            Ok(outcome) => Ok(Arc::new(outcome)),
             Err(e) => {
-                self.breaker.record_storm_event();
                 self.service
                     .obs()
                     .record(Subsystem::Serve, "exec_error", || {
@@ -795,9 +634,6 @@ impl FrontDoor {
             overloaded: self.overloaded.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             queued_waits: self.queued_waits.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
-            breaker: self.breaker.stats(),
-            breaker_state: self.breaker.state(),
             pool: self.shared.as_ref().map(|p| p.stats()),
         }
     }

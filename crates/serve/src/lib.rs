@@ -25,8 +25,9 @@
 //!   (concurrent misses on one fingerprint run the optimizer exactly
 //!   once) and deadline and queue-depth backpressure in the engine
 //!   governor's admission vocabulary. The service plans; [`FrontDoor`]
-//!   executes (quotas, batching, the circuit breaker, fault-injected
-//!   runs), every request with the cached plan on one execution path.
+//!   executes (quotas, fair queueing, deadline shedding, batching, the
+//!   shared memory pool), every request with the cached plan on one
+//!   execution path.
 //! * [`serve_lines`] — the `matopt serve` front end, one loop for every
 //!   thread count: JSON-lines over stdin/stdout ([`protocol`] documents
 //!   the request grammar); [`respond`] answers one line in-process.
@@ -43,7 +44,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod breaker;
 mod cache;
 mod fingerprint;
 mod flight;
@@ -54,7 +54,6 @@ mod server;
 mod service;
 mod tenant;
 
-pub use breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerStats, CircuitBreaker};
 pub use cache::{plan_bytes, CacheCounters, PlanCache};
 pub use fingerprint::{fingerprint, sparsity_bucket, Fingerprint};
 pub use front::{ExecRequest, ExecResponse, FrontDoor, FrontDoorConfig, FrontStats};

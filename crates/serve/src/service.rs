@@ -459,12 +459,6 @@ impl PlanService {
         Ok(Arc::new(opt))
     }
 
-    /// The cost model requests are currently planned under (the front
-    /// door's fault-tolerant runs re-plan recoveries with it).
-    pub(crate) fn model(&self) -> std::sync::RwLockReadGuard<'_, CostModel> {
-        self.model.read().expect("model lock")
-    }
-
     /// Pull-model metrics snapshot: refreshes the gauges only a reader
     /// can compute cheaply (cache size, epoch, pool busy time), then
     /// snapshots the whole registry. `None` when the service was built

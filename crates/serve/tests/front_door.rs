@@ -1,15 +1,14 @@
-//! Front-door harness: quotas, batching, shedding, and the circuit
-//! breaker, exercised end to end against real executions.
+//! Front-door harness: quotas, batching, shedding, tenant budgets and
+//! the shared pool, exercised end to end against real executions.
 
-use matopt_core::{
-    Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind, RecoveryPolicy,
-};
+use matopt_core::{Cluster, ComputeGraph, FormatCatalog, ImplRegistry, NodeId, NodeKind};
 use matopt_cost::CostModel;
-use matopt_engine::{execute_plan_serial, parse_fault_spec, DistRelation, FaultInjector, FtConfig};
+use matopt_engine::{execute_plan_serial, execute_plan_with, DistRelation, ExecOptions};
 use matopt_kernels::{random_dense_normal, seeded_rng};
+use matopt_obs::Obs;
 use matopt_serve::{
-    BreakerConfig, BreakerState, ExecRequest, FrontDoor, FrontDoorConfig, PlanService, PlanSource,
-    ServeConfig, ServeError, TenancyConfig, TenantConfig,
+    ExecRequest, FrontDoor, FrontDoorConfig, PlanService, PlanSource, ServeConfig, ServeError,
+    TenancyConfig, TenantConfig,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
@@ -114,7 +113,6 @@ fn batched_executions_share_one_run_and_stay_bit_exact() {
         for (sink, rel) in &reference.sinks {
             assert_eq!(&resp.outcome.sinks[sink], rel, "sink {sink} diverged");
         }
-        assert!(!resp.degraded);
     }
     let stats = front.stats();
     assert_eq!(stats.exec_requests, CLIENTS as u64 + 1);
@@ -201,7 +199,7 @@ fn quota_exhaustion_rejects_structurally_and_spares_other_tenants() {
     );
 
     // A well-behaved tenant is untouched by the noisy tenant's quota.
-    let polite = front
+    front
         .execute(&ExecRequest {
             tenant: "polite",
             graph: &graph,
@@ -210,7 +208,6 @@ fn quota_exhaustion_rejects_structurally_and_spares_other_tenants() {
             deadline: None,
         })
         .expect("other tenant unaffected");
-    assert!(!polite.degraded);
 
     let tenants = front.tenant_stats();
     let noisy = tenants.iter().find(|t| t.name == "noisy").expect("noisy");
@@ -281,71 +278,6 @@ fn queued_work_past_deadline_is_shed() {
 }
 
 #[test]
-fn breaker_storm_degrades_then_probes_back_to_closed() {
-    let svc = service();
-    let front = FrontDoor::new(
-        Arc::clone(&svc),
-        FrontDoorConfig {
-            breaker: BreakerConfig {
-                trip_threshold: 3,
-                window: Duration::from_secs(30),
-                cooldown: Duration::from_millis(20),
-                probe_successes: 1,
-            },
-            ..FrontDoorConfig::default()
-        },
-    );
-    let (graph, inputs) = workload("ffnn-small:16", 0x5707);
-
-    // Three failing executions (no inputs) are the storm.
-    let empty = HashMap::new();
-    for i in 0..3 {
-        let err = front
-            .execute(&ExecRequest {
-                tenant: "storm",
-                graph: &graph,
-                inputs: &empty,
-                input_key: i,
-                deadline: None,
-            })
-            .expect_err("missing inputs must fail");
-        assert!(matches!(err, ServeError::Exec(_)), "got {err:?}");
-    }
-    assert_eq!(front.breaker().state(), BreakerState::Open);
-    assert_eq!(front.breaker().stats().trips, 1, "exactly one trip");
-
-    // While open: degraded service still answers correctly.
-    let degraded = front
-        .execute(&ExecRequest {
-            tenant: "storm",
-            graph: &graph,
-            inputs: &inputs,
-            input_key: 10,
-            deadline: None,
-        })
-        .expect("degraded path still serves");
-    assert!(degraded.degraded, "breaker open must degrade");
-
-    // After cooldown: one successful probe closes it again.
-    std::thread::sleep(Duration::from_millis(25));
-    let probe = front
-        .execute(&ExecRequest {
-            tenant: "storm",
-            graph: &graph,
-            inputs: &inputs,
-            input_key: 11,
-            deadline: None,
-        })
-        .expect("probe succeeds");
-    assert!(!probe.degraded, "probe runs the normal path");
-    assert_eq!(front.breaker().state(), BreakerState::Closed);
-    let stats = front.breaker().stats();
-    assert_eq!(stats.trips, 1, "recovery is not a second trip");
-    assert!(stats.degraded >= 1);
-    assert!(stats.probes >= 1);
-}
-
-#[test]
 fn drain_refuses_new_work_with_structured_error() {
     let svc = service();
     let front = FrontDoor::new(Arc::clone(&svc), FrontDoorConfig::default());
@@ -379,8 +311,8 @@ fn drain_refuses_new_work_with_structured_error() {
 }
 
 /// Only a model or cluster change invalidates a plan: however a served
-/// plan's runs are timed, running it neither starts a cache epoch nor
-/// feeds the breaker, and the next request for its graph is a hit.
+/// plan's runs are timed, running it never starts a cache epoch, and
+/// the next request for its graph is a hit.
 #[test]
 fn executing_a_cached_plan_never_invalidates_it() {
     let svc = service();
@@ -402,9 +334,7 @@ fn executing_a_cached_plan_never_invalidates_it() {
     }
     assert_eq!(svc.cache().epoch(), epoch);
     assert_eq!(svc.plan(&graph).expect("plan").source, PlanSource::Hit);
-    let stats = front.stats();
-    assert_eq!(stats.exec_ok, 40);
-    assert_eq!(stats.breaker.storm_events, 0);
+    assert_eq!(front.stats().exec_ok, 40);
 }
 
 /// The server's per-tenant books against what the clients saw: every
@@ -510,170 +440,32 @@ fn tenant_books_reconcile_with_client_tallies_under_a_quota_flood() {
     assert!(quota > 0, "four clients on a quota of one must collide");
 }
 
-/// Recoveries — not just failed runs — feed the breaker: a seeded fault
-/// storm trips it exactly once, every fault-injected, degraded and
-/// probe response stays bit-exact, and fault-free probes close it.
+/// A served run is governed: under a tenant's `mem_bytes` one byte
+/// below the unbounded walk's peak, and a shared pool of twice that
+/// peak, a request runs the cached plan (no optimizer run), takes a
+/// lease from the pool, spills to stay inside the tenant's budget (the
+/// tighter of the two) and answers bit-exact sinks.
 #[test]
-fn recovery_storm_trips_the_breaker_once_and_every_answer_stays_bit_exact() {
-    let svc = service();
-    let front = FrontDoor::new(
-        Arc::clone(&svc),
-        FrontDoorConfig {
-            breaker: BreakerConfig {
-                trip_threshold: 6,
-                cooldown: Duration::from_millis(20),
-                probe_successes: 2,
-                ..BreakerConfig::default()
-            },
-            ..FrontDoorConfig::default()
-        },
-    );
-    let (graph, inputs) = workload("ffnn-small:16", 0x5707);
-    let steps = graph
-        .iter()
-        .filter(|(_, n)| !matches!(n.kind, NodeKind::Source { .. }))
-        .count();
-    let planned = svc.plan(&graph).expect("plan");
-    let reference = execute_plan_serial(&graph, &planned.plan.annotation, &inputs, svc.registry())
-        .expect("reference");
-    let request = || ExecRequest {
-        tenant: "storm",
-        graph: &graph,
-        inputs: &inputs,
-        input_key: 1,
-        deadline: None,
-    };
-    let bit_exact = |resp: &matopt_serve::ExecResponse, what: &str| {
-        assert_eq!(reference.sinks.len(), resp.outcome.sinks.len());
-        for (sink, rel) in &reference.sinks {
-            assert_eq!(&resp.outcome.sinks[sink], rel, "{what}: sink {sink}");
-        }
-    };
-
-    let mut recoveries = 0u64;
-    for i in 0..64u64 {
-        let injector = FaultInjector::random(0xF00D + i, steps, 3, 2);
-        let resp = front
-            .execute_with_faults(&request(), injector, &FtConfig::default())
-            .expect("fault-injected execution recovers");
-        recoveries += u64::from(resp.recoveries);
-        bit_exact(&resp, "fault-injected run");
-        if front.stats().breaker.trips > 0 {
-            break;
-        }
-    }
-    assert!(recoveries > 0, "the storm injected no recoverable faults");
-    assert_eq!(front.stats().breaker.trips, 1, "the storm trips it once");
-
-    let degraded = front.execute(&request()).expect("degraded service");
-    assert!(degraded.degraded, "open breaker must degrade, not fail");
-    bit_exact(&degraded, "degraded run");
-
-    std::thread::sleep(Duration::from_millis(25));
-    for probe in 0.. {
-        if front.stats().breaker_state == BreakerState::Closed {
-            break;
-        }
-        assert!(probe < 10, "breaker failed to close after {probe} probes");
-        bit_exact(&front.execute(&request()).expect("probe"), "probe run");
-    }
-    let stats = front.stats().breaker;
-    assert_eq!(stats.trips, 1, "recovery must not re-trip");
-    assert_eq!(stats.reopens, 0, "no probe failed");
-}
-
-/// A fault-injected run is governed like any other: under a tenant's
-/// `mem_bytes` of half the run's peak, or a shared pool of that size,
-/// a crash/flaky schedule spills, stays inside the budget, recovers
-/// under every policy and answers bit-exact sinks.
-#[test]
-fn a_fault_injected_run_keeps_the_tenant_budget_and_the_pool_lease() {
-    let svc = service();
-    let (graph, inputs) = workload("ffnn-small:16", 0xB0D6);
-    let planned = svc.plan(&graph).expect("plan");
-    let reference = execute_plan_serial(&graph, &planned.plan.annotation, &inputs, svc.registry())
-        .expect("reference");
-    // Replay may read any earlier value, so a faulted run holds every
-    // value to its end, as the retaining serial walk does.
-    let budget = reference.peak_resident_bytes / 2;
-    let tenant_budget = FrontDoorConfig {
-        tenancy: TenancyConfig::with_default(TenantConfig {
-            mem_bytes: Some(budget),
-            ..TenantConfig::default()
-        }),
-        ..FrontDoorConfig::default()
-    };
-    let pool = FrontDoorConfig {
-        shared_pool_bytes: Some(budget),
-        ..FrontDoorConfig::default()
-    };
-    let policies = [
-        RecoveryPolicy::Restart,
-        RecoveryPolicy::Checkpoint,
-        RecoveryPolicy::Lineage,
-    ];
-    let cases = (policies
-        .iter()
-        .map(|p| ("tenant budget", &tenant_budget, *p)))
-    .chain([("shared pool", &pool, RecoveryPolicy::Lineage)]);
-    for (what, config, policy) in cases {
-        let front = FrontDoor::new(Arc::clone(&svc), config.clone());
-        let injector = parse_fault_spec("crash@3,flaky@4x2,crash@6", 7, graph.compute_count())
-            .expect("spec parses");
-        let ft = FtConfig {
-            policy,
-            ..FtConfig::default()
-        };
-        let resp = front
-            .execute_with_faults(
-                &ExecRequest {
-                    tenant: "tight",
-                    graph: &graph,
-                    inputs: &inputs,
-                    input_key: 0,
-                    deadline: None,
-                },
-                injector,
-                &ft,
-            )
-            .expect("fault-injected execution recovers");
-        let tag = format!("{what}, {policy}");
-        assert!(!resp.degraded, "{tag}: took the degraded path");
-        assert!(resp.recoveries > 0, "{tag}: no fault was recovered");
-        let out = &resp.outcome;
-        assert_eq!(out.sinks.len(), reference.sinks.len(), "{tag}: sink set");
-        for (sink, rel) in &reference.sinks {
-            assert_eq!(&out.sinks[sink], rel, "{tag}: sink {sink}");
-        }
-        assert!(
-            out.peak_resident_bytes <= budget,
-            "{tag}: peak {} over the budget {budget}",
-            out.peak_resident_bytes
-        );
-        assert!(
-            out.governor.spills > 0,
-            "{tag}: half the peak never spilled"
-        );
-        if what == "shared pool" {
-            assert!(out.governor.lease_bytes > 0, "{tag}: no lease was taken");
-        }
-    }
-}
-
-/// An open breaker narrows the path, it does not fork it: while it is
-/// open, a request runs the cached plan (no optimizer run) in-process
-/// under the tenant's `mem_bytes` and the shared pool's lease, both
-/// half the retaining serial walk's peak, and answers bit-exact sinks.
-/// A streaming run fits that budget; a fault-injected run retains every
-/// value for replay, so it must spill to stay inside it.
-#[test]
-fn an_open_breaker_keeps_the_cached_plan_the_tenant_budget_and_the_pool_lease() {
+fn a_served_run_keeps_the_cached_plan_the_tenant_budget_and_the_pool_lease() {
     let svc = service();
     let (graph, inputs) = workload("ffnn-small:16", 0x0BE2);
     let planned = svc.plan(&graph).expect("plan");
-    let reference = execute_plan_serial(&graph, &planned.plan.annotation, &inputs, svc.registry())
-        .expect("reference");
-    let budget = reference.peak_resident_bytes / 2;
+    // The inline walk a governed run takes, under a budget that never
+    // binds.
+    let reference = execute_plan_with(
+        &graph,
+        &planned.plan.annotation,
+        &inputs,
+        svc.registry(),
+        &Obs::disabled(),
+        ExecOptions {
+            retain_values: false,
+            mem_budget: Some(u64::MAX),
+            ..ExecOptions::default()
+        },
+    )
+    .expect("reference");
+    let budget = reference.peak_resident_bytes - 1;
     let front = FrontDoor::new(
         Arc::clone(&svc),
         FrontDoorConfig {
@@ -681,66 +473,32 @@ fn an_open_breaker_keeps_the_cached_plan_the_tenant_budget_and_the_pool_lease() 
                 mem_bytes: Some(budget),
                 ..TenantConfig::default()
             }),
-            shared_pool_bytes: Some(budget),
-            breaker: BreakerConfig {
-                trip_threshold: 3,
-                cooldown: Duration::from_secs(600),
-                ..BreakerConfig::default()
-            },
+            shared_pool_bytes: Some(2 * reference.peak_resident_bytes),
             ..FrontDoorConfig::default()
         },
     );
-    // Three failing executions (no inputs) open the breaker.
-    let empty = HashMap::new();
-    for key in 0..3 {
-        front
-            .execute(&ExecRequest {
-                tenant: "tight",
-                graph: &graph,
-                inputs: &empty,
-                input_key: key,
-                deadline: None,
-            })
-            .expect_err("missing inputs must fail");
-    }
-    assert_eq!(front.breaker().state(), BreakerState::Open);
     let optimize_runs = svc.stats().optimize_runs;
-
-    let request = ExecRequest {
-        tenant: "tight",
-        graph: &graph,
-        inputs: &inputs,
-        input_key: 10,
-        deadline: None,
-    };
-    let streaming = front.execute(&request).expect("degraded service");
-    let injector =
-        parse_fault_spec("crash@3,flaky@4x2", 7, graph.compute_count()).expect("spec parses");
-    let faulted = front
-        .execute_with_faults(&request, injector, &FtConfig::default())
-        .expect("degraded fault-injected service");
-    assert!(faulted.recoveries > 0, "no fault was recovered");
-    for (what, resp) in [("streaming", &streaming), ("fault-injected", &faulted)] {
-        assert!(resp.degraded, "{what}: open breaker must degrade");
-        assert!(!resp.batched, "{what}: batched while degraded");
-        assert_eq!(resp.planned.source, PlanSource::Hit, "{what}");
-        let out = &resp.outcome;
-        assert_eq!(out.sinks.len(), reference.sinks.len(), "{what}: sink set");
-        for (sink, rel) in &reference.sinks {
-            assert_eq!(&out.sinks[sink], rel, "{what}: sink {sink}");
-        }
-        assert!(
-            out.peak_resident_bytes <= budget,
-            "{what}: peak {} over the budget {budget}",
-            out.peak_resident_bytes
-        );
-        assert!(out.governor.lease_bytes > 0, "{what}: no lease was taken");
+    let resp = front
+        .execute(&ExecRequest {
+            tenant: "tight",
+            graph: &graph,
+            inputs: &inputs,
+            input_key: 10,
+            deadline: None,
+        })
+        .expect("governed service");
+    assert_eq!(resp.planned.source, PlanSource::Hit);
+    assert_eq!(svc.stats().optimize_runs, optimize_runs, "re-planned");
+    let out = &resp.outcome;
+    assert_eq!(out.sinks.len(), reference.sinks.len(), "sink set");
+    for (sink, rel) in &reference.sinks {
+        assert_eq!(&out.sinks[sink], rel, "sink {sink}");
     }
     assert!(
-        faulted.outcome.governor.spills > 0,
-        "the retaining fault-injected run never spilled"
+        out.peak_resident_bytes <= budget,
+        "peak {} over the tenant budget {budget}",
+        out.peak_resident_bytes
     );
-    assert_eq!(svc.stats().optimize_runs, optimize_runs, "re-planned");
-    let stats = front.stats().breaker;
-    assert_eq!((stats.trips, stats.reopens, stats.degraded), (1, 0, 2));
+    assert!(out.governor.spills > 0, "the tenant budget never bound");
+    assert!(out.governor.lease_bytes > 0, "no lease was taken");
 }

@@ -88,9 +88,6 @@ pub struct FleetConfig {
     pub worker_bin: std::path::PathBuf,
     /// Metrics sink (fleet liveness gauge + event counters).
     pub obs: Option<Arc<MetricsRegistry>>,
-    /// Invoked on every declared worker death (serve wires this to the
-    /// front door's breaker).
-    pub on_death: Option<Arc<dyn Fn(u32) + Send + Sync>>,
     /// Seed for restart-backoff jitter.
     pub seed: u64,
 }
@@ -125,7 +122,6 @@ impl FleetConfig {
             },
             worker_bin: default_worker_bin()?,
             obs: None,
-            on_death: None,
             seed: 0x5eed_f1ee_7000_0001,
         })
     }
@@ -704,9 +700,6 @@ impl WorkerFleet {
         self.stats.deaths.fetch_add(1, Ordering::Relaxed);
         self.record("worker_dead");
         self.publish_alive_gauge();
-        if let Some(cb) = &self.cfg.on_death {
-            cb(worker);
-        }
     }
 
     /// Restarts a dead slot under the backoff policy. Returns `false`

@@ -26,7 +26,6 @@ fn test_config(workers: u32) -> FleetConfig {
         },
         worker_bin: workerd_bin(),
         obs: None,
-        on_death: None,
         seed: 0xfee7_0000_0001,
     }
 }

@@ -38,7 +38,6 @@ fn fleet_config(workers: u32) -> FleetConfig {
         },
         worker_bin: std::path::PathBuf::from(env!("CARGO_BIN_EXE_matopt-workerd")),
         obs: None,
-        on_death: None,
         seed: 0xfa1_0e5,
     }
 }
