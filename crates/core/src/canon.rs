@@ -71,7 +71,7 @@ pub(crate) fn fnv1a_extend(mut h: u64, words: &[u64]) -> u64 {
 /// checkpoints, fingerprints. Those records are kilobytes, their files
 /// outlive a build, and FNV-1a cannot be made faster without changing
 /// its value; bulk payloads that live only as long as the process
-/// (spill files, wire frames) use [`BulkChecksum`] instead. Over the
+/// (spill extents, wire frames) use [`BulkChecksum`] instead. Over the
 /// little-endian bytes of a word stream it equals [`fnv1a_64`] of the
 /// words.
 #[must_use]
@@ -115,7 +115,7 @@ const LANE_SEEDS: [u64; LANES] = {
 };
 
 /// Word-parallel checksum for **bulk, process-lifetime payloads**:
-/// spill files, wire frames and the fault layer's value checksum.
+/// spill extents, wire frames and the fault layer's value checksum.
 /// On-disk formats and identities keep FNV-1a ([`fnv1a_bytes`],
 /// [`fnv1a_64`], [`fnv1a_128`]) — do not unify the two: FNV-1a's value
 /// is pinned by files that outlive a build and it costs a multiply per

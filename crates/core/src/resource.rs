@@ -5,8 +5,8 @@
 //! The [`Cluster`](crate::Cluster) model already *costs* scratch
 //! (`worker_disk_bytes` is the paper's 300 GB NVMe budget and the
 //! simulator fails plans that exceed it); this module is the runtime
-//! counterpart for the laptop-scale executor — where the spill files of
-//! a memory-governed run actually live.
+//! counterpart for the laptop-scale executor — where the spill store of
+//! a memory-governed run actually lives.
 
 use std::path::PathBuf;
 
@@ -51,8 +51,9 @@ pub fn parse_byte_size(s: &str) -> Result<u64, String> {
 
 /// The directory spilled buffers default to: `$MATOPT_SCRATCH` when
 /// set, otherwise `matopt-scratch` under the system temp directory.
-/// Callers create per-run subdirectories beneath it, so concurrent runs
-/// never collide.
+/// The engine keeps one unlinked store file open per scratch directory
+/// and gives concurrent runs disjoint extents of it, so nothing is ever
+/// named in the directory.
 #[must_use]
 pub fn default_scratch_dir() -> PathBuf {
     match std::env::var_os("MATOPT_SCRATCH") {

@@ -173,7 +173,15 @@ pub fn execute_adaptive_planned(
     obs: &Obs,
 ) -> Result<AdaptiveOutcome, AdaptiveError> {
     let options = ExecOptions::default();
-    let mut walk = InlineWalk::start(graph, initial_plan, inputs, ctx.registry, obs, &options)?;
+    let mut walk = InlineWalk::start(
+        graph,
+        initial_plan,
+        inputs,
+        ctx.registry,
+        obs,
+        &options,
+        true,
+    )?;
     let mut measured = vec![0.0; graph.len()];
     for s in graph.sources() {
         measured[s.index()] = walk.value(s).map_or(0.0, |rel| rel.measured_sparsity());

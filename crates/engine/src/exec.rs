@@ -84,6 +84,11 @@ pub struct GovernorStats {
     pub lease_bytes: u64,
     /// Microseconds the run waited to acquire its shared-pool lease.
     pub lease_wait_us: u64,
+    /// Wall microseconds spent writing spills to scratch.
+    pub spill_us: u64,
+    /// Wall microseconds spent reading spills back, the end-of-run
+    /// rehydrate included.
+    pub reload_us: u64,
     /// Spill count per vertex (empty when the budget is off).
     pub vertex_spills: Vec<u32>,
 }
@@ -108,8 +113,8 @@ pub struct ExecOptions {
     /// before any vertex whose output would overflow it; see the `step`
     /// module docs.
     pub mem_budget: Option<u64>,
-    /// Where spill files go. `None` uses
-    /// [`matopt_core::default_scratch_dir`].
+    /// The directory whose spill store the run spills into. `None`
+    /// uses [`matopt_core::default_scratch_dir`].
     pub scratch_dir: Option<PathBuf>,
     /// Shared memory pool (`None` = this run governs itself). When set,
     /// the run leases a memory carve-out from the pool before its first
@@ -283,6 +288,8 @@ pub(crate) fn record_run(
             ("spills", (gov.spills as i64).into()),
             ("spilled_bytes", (gov.spilled_bytes as i64).into()),
             ("reloads", (gov.reloads as i64).into()),
+            ("spill_us", (gov.spill_us as i64).into()),
+            ("reload_us", (gov.reload_us as i64).into()),
         ]
     });
     if let Some(m) = obs.metrics() {

@@ -220,8 +220,14 @@ impl std::fmt::Display for PlanAnalysis {
         if gov.spills > 0 || gov.reloads > 0 {
             writeln!(
                 f,
-                "  governor: spilled {} buffers ({} B), reloaded {} ({} B)",
-                gov.spills, gov.spilled_bytes, gov.reloads, gov.reloaded_bytes,
+                "  governor: spilled {} buffers ({} B), reloaded {} ({} B); \
+                 spill {:.3} ms, reload {:.3} ms",
+                gov.spills,
+                gov.spilled_bytes,
+                gov.reloads,
+                gov.reloaded_bytes,
+                gov.spill_us as f64 / 1e3,
+                gov.reload_us as f64 / 1e3,
             )?;
         }
         let pool = &self.exec.pool;

@@ -186,8 +186,15 @@ pub fn execute_fault_tolerant(
             ("scheduled_faults", injector.pending().len().into()),
         ]
     });
-    let mut walk = InlineWalk::start(graph, annotation, inputs, ctx.registry, obs, &options)?;
-    walk.retire_at_finish();
+    let mut walk = InlineWalk::start(
+        graph,
+        annotation,
+        inputs,
+        ctx.registry,
+        obs,
+        &options,
+        false,
+    )?;
     let mut cluster = ctx.cluster;
     // The exec half is filled in by the walk's epilogue.
     let mut ft = FtOutcome::fault_free(ExecOutcome::default(), graph.len());

@@ -40,7 +40,7 @@
 //!   `reloads(v)` the bytes of `v`'s spilled inputs. The victim has the
 //!   fewest remaining consumers, then the most bytes, then the lowest
 //!   id, and is never an input of `v` (see [`crate::spill`] for the
-//!   checksummed file format);
+//!   scratch store and its checksummed format);
 //! * if it still does not fit, everything but `v`'s inputs is on
 //!   scratch, so `v`'s inputs plus its output exceed the budget on
 //!   their own: the run fails with [`ExecError::MemBudgetInfeasible`]
@@ -54,7 +54,10 @@
 //! replay may read any earlier value). Retained buffers still on scratch at the end are
 //! rehydrated, fanned out over the pool, so callers see exactly the
 //! values an unbudgeted run returns; peak accounting stops before that.
-//! Every spill and reload is a [`Subsystem::Sched`] record.
+//! Every spill and reload is a [`Subsystem::Sched`] record (a spill's
+//! names its extent), and the wall time the walk spends in them is
+//! [`GovernorStats::spill_us`](crate::GovernorStats::spill_us) and
+//! [`reload_us`](crate::GovernorStats::reload_us).
 
 use crate::adaptive::AdaptiveError;
 use crate::exec::{
@@ -301,7 +304,7 @@ pub(crate) struct InlineWalk<'a> {
     started: Instant,
 }
 
-/// A budgeted walk's budget and scratch files (its counters live in
+/// A budgeted walk's budget and its spills (its counters live in
 /// the outcome's [`GovernorStats`](crate::GovernorStats)).
 struct WalkGovernor {
     budget: u64,
@@ -318,7 +321,9 @@ impl<'a> InlineWalk<'a> {
     /// compute vertex, governed by `options` — the one place they are
     /// applied: which values are retained, [`ExecOptions::remote`], the
     /// [`SharedGovernor`] lease (held until [`finish`](Self::finish)),
-    /// the budget and its scratch files.
+    /// the budget and its scratch store. With `retire_early` false the
+    /// walk keeps every value for crash replay until `finish`, which
+    /// then drops what the options do not retain.
     pub fn start(
         graph: &'a ComputeGraph,
         annotation: &'a Annotation,
@@ -326,6 +331,7 @@ impl<'a> InlineWalk<'a> {
         registry: &'a ImplRegistry,
         obs: &'a Obs,
         options: &'a ExecOptions,
+        retire_early: bool,
     ) -> Result<Self, ExecError> {
         let started = Instant::now();
         let pool = Pool::global();
@@ -365,7 +371,8 @@ impl<'a> InlineWalk<'a> {
         // blocked acquirers) when the walk ends, on every exit path.
         let lease_wait = Instant::now();
         let lease = options.shared_governor.as_ref().map(|sg| {
-            let (want, min_need) = estimate_run_bytes(graph, annotation);
+            let retires: Vec<bool> = retained.iter().map(|&r| retire_early && !r).collect();
+            let (want, min_need) = estimate_run_bytes(graph, annotation, &retires);
             sg.acquire(want, min_need)
         });
         if let Some(l) = &lease {
@@ -402,7 +409,7 @@ impl<'a> InlineWalk<'a> {
             epoch_start: 0,
             slots,
             retained,
-            retire_early: true,
+            retire_early,
             retain_all: options.retain_values,
             uses,
             resident,
@@ -411,12 +418,6 @@ impl<'a> InlineWalk<'a> {
             pool_before,
             started,
         })
-    }
-
-    /// Keeps every value for crash replay until [`finish`](Self::finish),
-    /// which then drops what the options do not retain.
-    pub fn retire_at_finish(&mut self) {
-        self.retire_early = false;
     }
 
     /// The value currently held for `v`.
@@ -565,19 +566,26 @@ impl<'a> InlineWalk<'a> {
         let id = NodeId(u as u32);
         let rel = self.slots[u].clone().expect("victims are resident");
         let gov = self.gov.as_mut().expect("spills imply a governor");
+        let t0 = Instant::now();
         let ticket = gov
             .spill
             .spill(&rel)
             .map_err(|e| spill_failure(self.env.graph, id, e))?;
-        let bytes = ticket.bytes;
+        let (bytes, offset, len) = (ticket.bytes, ticket.offset, ticket.len);
         gov.tickets[u] = Some(ticket);
         let stats = &mut self.out.governor;
+        stats.spill_us += t0.elapsed().as_micros() as u64;
         stats.spills += 1;
         stats.spilled_bytes += bytes;
         stats.vertex_spills[u] += 1;
         self.set_value(id, None);
         self.env.obs.record(Subsystem::Sched, "spill", || {
-            vec![("vertex", u.into()), ("bytes", (bytes as i64).into())]
+            vec![
+                ("vertex", u.into()),
+                ("bytes", (bytes as i64).into()),
+                ("offset", (offset as i64).into()),
+                ("stream_bytes", (len as i64).into()),
+            ]
         });
         Ok(())
     }
@@ -589,8 +597,10 @@ impl<'a> InlineWalk<'a> {
         let Some(ticket) = gov.tickets[u].take() else {
             return Ok(());
         };
+        let t0 = Instant::now();
         let back = gov.spill.reload(&ticket);
         gov.spill.remove(&ticket);
+        self.out.governor.reload_us += t0.elapsed().as_micros() as u64;
         let rel = back.map_err(|e| spill_failure(self.env.graph, id, e))?;
         self.out.governor.reloads += 1;
         self.out.governor.reloaded_bytes += ticket.bytes;
@@ -664,6 +674,7 @@ impl<'a> InlineWalk<'a> {
                     .collect(),
             );
             let (spill, todo) = (Arc::clone(&gov.spill), Arc::clone(&tickets));
+            let t0 = Instant::now();
             let back = pool
                 .try_map(tickets.len(), move |i| {
                     let back = spill.reload(&todo[i].1);
@@ -671,6 +682,7 @@ impl<'a> InlineWalk<'a> {
                     back
                 })
                 .map_err(|detail| ExecError::Internal(format!("rehydrate panicked: {detail}")))?;
+            self.out.governor.reload_us += t0.elapsed().as_micros() as u64;
             for ((u, ticket), rel) in tickets.iter().zip(back) {
                 let id = NodeId(*u as u32);
                 let rel = rel.map_err(|e| spill_failure(self.env.graph, id, e))?;
@@ -707,7 +719,7 @@ pub(crate) fn run_inline(
     obs: &Obs,
     options: &ExecOptions,
 ) -> Result<ExecOutcome, ExecError> {
-    let mut walk = InlineWalk::start(graph, annotation, inputs, registry, obs, options)?;
+    let mut walk = InlineWalk::start(graph, annotation, inputs, registry, obs, options, true)?;
     walk.drive(|walk, _, v| walk.run(v))?;
     walk.finish()
 }
@@ -737,7 +749,9 @@ pub struct SharedGovernorStats {
 ///
 /// A run with [`ExecOptions::shared_governor`] set leases a memory
 /// carve-out from this pool before its first vertex, then walks inline
-/// with the carve-out as its budget (see the module docs). The lease
+/// with the carve-out as its budget (see the module docs). It asks for
+/// its walk's estimated peak: every output when it retains every value,
+/// the peak under retirement when it keeps only its sinks. The lease
 /// is released when the run finishes, waking
 /// executions blocked on [`SharedGovernor::acquire`] — so concurrent
 /// executions draw from *one* budget instead of each assuming it owns
@@ -833,11 +847,17 @@ impl Drop for GovernorLease {
     }
 }
 
-/// Estimated bytes of every vertex's output (declared source formats,
-/// the annotation's chosen output format for computes) and the largest
-/// standalone footprint (a vertex's inputs plus its output) — what a
-/// run asks the shared pool for and the least it can work with.
-fn estimate_run_bytes(graph: &ComputeGraph, annotation: &Annotation) -> (u64, u64) {
+/// What a run asks the shared pool for and the least it can work with,
+/// from each vertex's estimated output bytes (declared source formats,
+/// the annotation's chosen output format for computes): the id-order
+/// walk's peak when every `retires[u]` value is dropped after its last
+/// consumer runs (every output, when none is), and the largest
+/// standalone footprint (a vertex's inputs plus its output).
+fn estimate_run_bytes(
+    graph: &ComputeGraph,
+    annotation: &Annotation,
+    retires: &[bool],
+) -> (u64, u64) {
     let est: Vec<u64> = (graph.iter())
         .map(|(id, node)| {
             let format = match &node.kind {
@@ -850,13 +870,31 @@ fn estimate_run_bytes(graph: &ComputeGraph, annotation: &Annotation) -> (u64, u6
             format.total_bytes(&node.mtype).max(0.0) as u64
         })
         .collect();
-    let total: u64 = est.iter().fold(0u64, |a, &b| a.saturating_add(b));
+    let mut uses = vec![0usize; est.len()];
+    for (_, node) in graph.iter() {
+        for u in &node.inputs {
+            uses[u.index()] += 1;
+        }
+    }
+    let mut resident: u64 = graph.sources().iter().map(|s| est[s.index()]).sum();
+    let mut peak = resident;
+    for v in compute_vertices(graph) {
+        resident = resident.saturating_add(est[v.index()]);
+        peak = peak.max(resident);
+        for u in &graph.node(v).inputs {
+            let u = u.index();
+            uses[u] -= 1;
+            if uses[u] == 0 && retires[u] {
+                resident -= est[u];
+            }
+        }
+    }
     let footprint = |v: NodeId| {
         let inputs = distinct_inputs(graph, v).into_iter();
         inputs.fold(est[v.index()], |need, u| need.saturating_add(est[u]))
     };
     let min_need = compute_vertices(graph).map(footprint).max().unwrap_or(0);
-    (total, min_need.max(1))
+    (peak, min_need.max(1))
 }
 
 /// `v`'s input vertices, each once, in id order.

@@ -13,10 +13,13 @@
 //!    and the budget, instead of hanging or panicking.
 //! 3. **Streaming retirement** — a budget composes with
 //!    `retain_values: false`.
-//! 4. **Rotten scratch** — a spill file damaged between its write and
+//! 4. **Rotten scratch** — a spill extent damaged between its write and
 //!    its reload ends the run with a structured
 //!    [`ExecError::SpillCorrupted`] naming the damaged vertex, never
 //!    with different numbers and never with a panic.
+//! 5. **Failed runs give back** — a run that fails mid-walk returns its
+//!    extents to the store, so the next run spills where a run into a
+//!    fresh store does.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext};
 use matopt_cost::CostModel;
@@ -26,6 +29,8 @@ use matopt_kernels::{random_dense_normal, seeded_rng};
 use matopt_obs::{AttrValue, Event, Obs, Sink, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext};
 use std::collections::HashMap;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -203,68 +208,95 @@ fn split_mix(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Every `*.spill` file one level below `scratch` (the run's
-/// `run-<pid>-<seq>` directory), with the sequence number in its name.
-fn spill_files(scratch: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    for run in std::fs::read_dir(scratch).into_iter().flatten().flatten() {
-        for file in std::fs::read_dir(run.path())
-            .into_iter()
-            .flatten()
-            .flatten()
-        {
-            let name = file.file_name().to_string_lossy().into_owned();
-            let seq = name
-                .strip_prefix('v')
-                .and_then(|n| n.strip_suffix(".spill"));
-            if let Some(seq) = seq.and_then(|n| n.parse().ok()) {
-                found.push((seq, file.path()));
-            }
+/// The spill store of `scratch`, reached through `/proc/self/fd`: it
+/// is unlinked as soon as it is created, so this process's descriptor
+/// is its only name.
+fn open_store(scratch: &Path) -> File {
+    for fd in std::fs::read_dir("/proc/self/fd")
+        .expect("procfs")
+        .flatten()
+    {
+        let Ok(target) = std::fs::read_link(fd.path()) else {
+            continue;
+        };
+        if target.starts_with(scratch) && target.to_string_lossy().ends_with(" (deleted)") {
+            let store = File::options().read(true).write(true).open(fd.path());
+            return store.expect("reopen the spill store");
         }
     }
-    found
+    panic!("no spill store open under {}", scratch.display());
 }
 
-/// An event sink that damages one spill file of the run it watches.
-/// The governor reports each spill right after the file is written, on
-/// the walking thread — so the sink runs at exactly the point the test
-/// is about (file on scratch, reload still to come) without a sleep or
-/// a poll, and the newest file is the reported vertex's.
+/// An integer attribute of an event.
+fn int_attr(event: &Event, name: &str) -> Option<u64> {
+    event.attrs.iter().find_map(|(k, v)| match v {
+        AttrValue::Int(i) if *k == name => Some(*i as u64),
+        _ => None,
+    })
+}
+
+fn is_spill(event: &Event) -> bool {
+    event.subsystem == Subsystem::Sched && event.name == "spill"
+}
+
+/// An event sink that damages the extent of one spill of the run it
+/// watches. The governor reports each spill right after its extent is
+/// written, on the walking thread — so the sink runs at exactly the
+/// point the test is about (extent on scratch, reload still to come)
+/// without a sleep or a poll, and the record names the extent.
 struct Saboteur {
     scratch: PathBuf,
     /// Which spill of the run to damage (0-based).
     target: usize,
     seed: u64,
     seen: AtomicUsize,
-    /// The vertex whose file was damaged.
+    /// The vertex whose extent was damaged.
     damaged: Arc<Mutex<Option<usize>>>,
 }
 
 impl Sink for Saboteur {
     fn record(&self, event: Event) {
-        if event.subsystem != Subsystem::Sched
-            || event.name != "spill"
-            || self.seen.fetch_add(1, Ordering::SeqCst) != self.target
-        {
+        if !is_spill(&event) || self.seen.fetch_add(1, Ordering::SeqCst) != self.target {
             return;
         }
-        let vertex = event.attrs.iter().find_map(|(k, v)| match v {
-            AttrValue::Int(i) if *k == "vertex" => Some(*i as usize),
-            _ => None,
-        });
-        let (_, path) = spill_files(&self.scratch)
-            .into_iter()
-            .max_by_key(|(seq, _)| *seq)
-            .expect("a reported spill has a file");
-        let mut bytes = std::fs::read(&path).expect("read spill file");
-        let at = (split_mix(self.seed) % bytes.len() as u64) as usize;
+        let offset = int_attr(&event, "offset").expect("a spill names its extent");
+        let len = int_attr(&event, "stream_bytes").expect("a spill sizes its extent");
+        let store = open_store(&self.scratch);
+        let mut bytes = vec![0; len as usize];
+        store
+            .read_exact_at(&mut bytes, offset)
+            .expect("read the extent");
+        let at = (split_mix(self.seed) % len) as usize;
         if self.seed & 1 == 0 {
-            bytes[at] ^= 1 << (self.seed / 2 % 8);
+            let flipped = bytes[at] ^ 1 << (self.seed / 2 % 8);
+            store
+                .write_all_at(&[flipped], offset + at as u64)
+                .expect("flip");
         } else {
-            bytes.truncate(at);
+            // Cut the extent short at `at`: the store ends there, and
+            // whatever it held past the extent is written back, so the
+            // cut part reads short or as a hole of zeros. A cut that
+            // would drop only zero bytes moves back to the extent's
+            // last non-zero byte, so it always changes what is read.
+            let cut = if bytes[at..].iter().any(|&b| b != 0) {
+                at
+            } else {
+                bytes
+                    .iter()
+                    .rposition(|&b| b != 0)
+                    .expect("magic is not zero")
+            } as u64;
+            let end = store.metadata().expect("store length").len();
+            let mut rest = vec![0; end.saturating_sub(offset + len) as usize];
+            store
+                .read_exact_at(&mut rest, offset + len)
+                .expect("read past the extent");
+            store.set_len(offset + cut).expect("truncate");
+            store
+                .write_all_at(&rest, offset + len)
+                .expect("restore past the extent");
         }
-        std::fs::write(&path, &bytes).expect("rewrite spill file");
-        *self.damaged.lock().unwrap() = vertex;
+        *self.damaged.lock().unwrap() = int_attr(&event, "vertex").map(|v| v as usize);
     }
 }
 
@@ -330,6 +362,84 @@ fn rotten_spill_file_is_a_structured_error_never_wrong_numbers() {
     let _ = std::fs::remove_dir_all(&scratch_root);
     assert!(
         detected >= 12,
-        "only {detected} of 24 schedules hit the damaged file ({clean} ran clean)"
+        "only {detected} of 24 schedules hit the damaged extent ({clean} ran clean)"
     );
+}
+
+/// Collects the offset of every spill of the runs it watches.
+struct Offsets(Arc<Mutex<Vec<u64>>>);
+
+impl Sink for Offsets {
+    fn record(&self, event: Event) {
+        if is_spill(&event) {
+            self.0
+                .lock()
+                .unwrap()
+                .push(int_attr(&event, "offset").unwrap());
+        }
+    }
+}
+
+/// A run that fails mid-walk — out of budget after spilling, or on a
+/// rotten extent — gives every extent back to its directory's store:
+/// the next run's spills land exactly where a run into a fresh store
+/// put them.
+#[test]
+fn a_run_that_fails_mid_walk_gives_its_extents_back() {
+    let w = ffnn_workload(24);
+    let peak = run(&w, ExecOptions::default()).peak_resident_bytes;
+    let scratch = std::env::temp_dir().join(format!("matopt-failed-run-{}", std::process::id()));
+    let governed = |budget: u64, sink: Obs| {
+        let options = ExecOptions {
+            mem_budget: Some(budget),
+            scratch_dir: Some(scratch.clone()),
+            ..Default::default()
+        };
+        execute_plan_with(
+            &w.graph,
+            &w.annotation,
+            &w.inputs,
+            &w.registry,
+            &sink,
+            options,
+        )
+    };
+    let offsets = |budget: u64| {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let out = governed(budget, Obs::new(Offsets(Arc::clone(&seen))));
+        let seen = std::mem::take(&mut *seen.lock().unwrap());
+        (out.map(|o| o.governor.spills), seen)
+    };
+    let (clean, fresh) = offsets(peak / 2);
+    assert!(clean.expect("clean run") > 0 && !fresh.is_empty());
+
+    // Out of budget after spilling: the largest budget that fails
+    // once the walk has spilled.
+    let infeasible = (1..40)
+        .rev()
+        .map(|k| offsets(peak * k / 80))
+        .find(|(out, seen)| {
+            matches!(out, Err(ExecError::MemBudgetInfeasible { .. })) && !seen.is_empty()
+        });
+    assert!(infeasible.is_some(), "no budget fails after spilling");
+    assert_eq!(offsets(peak / 2).1, fresh, "after an infeasible run");
+
+    // A rotten extent.
+    let damaged = Arc::new(Mutex::new(None));
+    let rotten = governed(
+        peak / 2,
+        Obs::new(Saboteur {
+            scratch: scratch.clone(),
+            target: 0,
+            seed: 0,
+            seen: AtomicUsize::new(0),
+            damaged: Arc::clone(&damaged),
+        }),
+    );
+    assert!(
+        matches!(rotten, Err(ExecError::SpillCorrupted { .. })),
+        "{rotten:?}"
+    );
+    assert_eq!(offsets(peak / 2).1, fresh, "after a rotten extent");
+    let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -15,16 +15,23 @@
 //! 4. **Too-big graphs degrade, not die** — a run whose footprint
 //!    exceeds the pool is granted the whole pool and finishes via the
 //!    per-run spill path.
+//! 5. **Streaming runs lease what they use** — a run that retains only
+//!    its sinks asks for its walk's peak under retirement, so two fit
+//!    a pool of twice that peak at once.
 
 use matopt_core::{Cluster, FormatCatalog, ImplRegistry, NodeKind, PlanContext};
 use matopt_cost::CostModel;
 use matopt_engine::{execute_plan_with, DistRelation, ExecOptions, SharedGovernor};
 use matopt_graphs::{ffnn_w2_update_graph, FfnnConfig};
 use matopt_kernels::{random_dense_normal, seeded_rng};
-use matopt_obs::Obs;
+use matopt_obs::{Event, Obs, Sink, Subsystem};
 use matopt_opt::{frontier_dp_beam, OptContext};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 struct Workload {
     graph: matopt_core::ComputeGraph,
@@ -62,12 +69,16 @@ fn ffnn_workload(hidden: u64, seed: u64) -> Workload {
 }
 
 fn run(w: &Workload, options: ExecOptions) -> matopt_engine::ExecOutcome {
+    run_observed(w, options, &Obs::disabled())
+}
+
+fn run_observed(w: &Workload, options: ExecOptions, obs: &Obs) -> matopt_engine::ExecOutcome {
     execute_plan_with(
         &w.graph,
         &w.annotation,
         &w.inputs,
         &w.registry,
-        &Obs::disabled(),
+        obs,
         options,
     )
     .expect("run succeeds")
@@ -225,5 +236,96 @@ fn explicit_budget_composes_with_pool_lease() {
     assert!(out.governor.spills > 0, "explicit budget must still bind");
     for (sink, rel) in &free.sinks {
         assert_eq!(&out.sinks[sink], rel, "sink {sink} diverged");
+    }
+}
+
+/// Starts a second run at the first kernel of the run it watches — so
+/// the first holds its lease throughout — and waits a bounded time for
+/// the second to finish.
+struct SecondRun {
+    work: Arc<Workload>,
+    options: ExecOptions,
+    started: AtomicBool,
+    /// Whether the second run finished while the first was waiting.
+    overlapped: Arc<AtomicBool>,
+    handle: Arc<Mutex<Option<JoinHandle<matopt_engine::ExecOutcome>>>>,
+}
+
+impl Sink for SecondRun {
+    fn record(&self, event: Event) {
+        if event.subsystem != Subsystem::Executor
+            || event.name != "impl"
+            || self.started.swap(true, Ordering::SeqCst)
+        {
+            return;
+        }
+        let (work, options) = (Arc::clone(&self.work), self.options.clone());
+        let (done, finished) = mpsc::channel();
+        *self.handle.lock().unwrap() = Some(std::thread::spawn(move || {
+            let out = run(&work, options);
+            let _ = done.send(());
+            out
+        }));
+        let overlapped = finished.recv_timeout(Duration::from_secs(10)).is_ok();
+        self.overlapped.store(overlapped, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn two_streaming_runs_share_a_pool_of_twice_their_peak() {
+    let w = Arc::new(ffnn_workload(16, 0xD0A1));
+    let streaming = ExecOptions {
+        retain_values: false,
+        ..Default::default()
+    };
+    // The id-order walk's peak, never governed: a budget nothing reaches.
+    let free = run(
+        &w,
+        ExecOptions {
+            mem_budget: Some(u64::MAX),
+            ..streaming.clone()
+        },
+    );
+    let peak = free.peak_resident_bytes;
+    assert_eq!(free.governor.spills, 0);
+    let pool = SharedGovernor::new(2 * peak);
+    let options = ExecOptions {
+        shared_governor: Some(Arc::clone(&pool)),
+        ..streaming
+    };
+    let (overlapped, handle) = (Arc::default(), Arc::default());
+    let first = run_observed(
+        &w,
+        options.clone(),
+        &Obs::new(SecondRun {
+            work: Arc::clone(&w),
+            options,
+            started: AtomicBool::new(false),
+            overlapped: Arc::clone(&overlapped),
+            handle: Arc::clone(&handle),
+        }),
+    );
+    let second = (handle.lock().unwrap().take())
+        .expect("the first run started the second")
+        .join()
+        .expect("second run");
+    let stats = pool.stats();
+    assert!(
+        overlapped.load(Ordering::SeqCst),
+        "the second run waited for the first: {stats:?}"
+    );
+    assert_eq!(
+        (stats.admission_waits, stats.peak_runs),
+        (0, 2),
+        "{stats:?}"
+    );
+    for out in [&first, &second] {
+        assert!(
+            out.governor.lease_bytes >= peak,
+            "lease {} < peak {peak}",
+            out.governor.lease_bytes
+        );
+        assert_eq!(out.governor.spills, 0);
+        assert_eq!(out.sinks, free.sinks, "bit-exact sinks");
     }
 }

@@ -4,7 +4,7 @@
 //! engine: real crash domains behind the [`RemoteVertexExec`] seam.
 //!
 //! * [`proto`] — the checksummed all-u64-LE message protocol (the same
-//!   framing idiom as spill files and the plan cache);
+//!   framing idiom as spill streams and the plan cache);
 //! * [`fleet`] — [`fleet::WorkerFleet`]: process spawning, heartbeat
 //!   liveness, bounded jittered restart, lineage redispatch;
 //! * [`chaos`] — the seeded SIGKILL harness asserting bit-exact sink

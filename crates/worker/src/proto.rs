@@ -4,7 +4,7 @@
 //! read through the one [`WordReader`]. Relations travel as the
 //! engine's relation record ([`matopt_engine::push_relation`], the
 //! spill codec's bytes inside), so a relation torn in flight is
-//! rejected by exactly the machinery that rejects a torn spill file or
+//! rejected by exactly the machinery that rejects a torn spill extent or
 //! checkpoint. Decoding never panics: every malformed body is a
 //! `String` error the fleet treats as worker death.
 
