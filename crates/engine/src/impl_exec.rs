@@ -746,18 +746,16 @@ fn pack_all(
 
 /// `Σ a × b` over `pairs`, each product computed from 0.0 and added in
 /// the order given with a rounding `+=` onto the first — the bits of a
-/// per-pair `matmul` + `add_assign` fold, without an output matrix per
-/// product. `None` for no pairs.
+/// per-pair `matmul` + `add_assign` fold. Products the kernel can fold
+/// (`PackedOperand::matmul_add_into`) land in the sum straight from its
+/// registers, with no output matrix per product. `None` for no pairs.
 fn sum_of_products<'p>(
     mut pairs: impl Iterator<Item = (&'p PackedOperand, &'p PackedOperand)>,
 ) -> Option<DenseMatrix> {
     let (a, b) = pairs.next()?;
     let mut acc = a.matmul(b);
-    let mut scratch = None;
     for (a, b) in pairs {
-        let s = scratch.get_or_insert_with(|| DenseMatrix::zeros(acc.rows(), acc.cols()));
-        a.matmul_into(b, s);
-        acc.add_assign(s);
+        a.matmul_add_into(b, &mut acc);
     }
     Some(acc)
 }

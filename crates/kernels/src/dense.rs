@@ -41,13 +41,13 @@ const GEMM_BLOCK: usize = 64;
 
 /// Register microkernel tile: `MR × NR` accumulators stay in vector
 /// registers across the k loop. With AVX-512 in the target the tile is
-/// 6×16: AVX-512VL gives 32 vector registers, enough for 24 four-wide
-/// accumulators, the four-vector B row and the A broadcast. Without it
-/// the tile is 6×8, whose twelve accumulators leave room in AVX2's
-/// sixteen registers; a 6×16 tile there would spill every k step. The
-/// tile decides only which elements one kernel call computes, never the
-/// order an element's terms are summed in, so both widths give the same
-/// bits.
+/// 6×16, held by the [`zmm`] kernel as twelve eight-wide `zmm`
+/// accumulators beside the two-vector B row and the A broadcast.
+/// Without it the tile is 6×8, whose twelve four-wide accumulators
+/// leave room in AVX2's sixteen registers; a 6×16 tile there would
+/// spill every k step. The tile decides only which elements one kernel
+/// call computes, never the order an element's terms are summed in, so
+/// both widths give the same bits.
 const MR: usize = 6;
 const NR: usize = if cfg!(target_feature = "avx512f") {
     16
@@ -141,10 +141,14 @@ fn pack_a_panels(a: &[f64], m: usize, k: usize) -> Vec<f64> {
 /// [`DenseMatrix::matmul_reference`], for products of packed operands
 /// too small for the packed kernel.
 ///
-/// The k loop runs on a local copy of `acc`, written back once. Updated
-/// through the `&mut` instead, every accumulator stays in memory and is
-/// stored on each k step, one store per multiply-add, which bounds the
-/// loop by stores rather than by the FMA units. `inline(never)` is
+/// On an AVX-512 target the fused kernel is [`zmm::fused`], written
+/// with `std::arch` intrinsics: LLVM prefers 256-bit vectors on such
+/// CPUs, so the portable loop below would leave half of each FMA unit
+/// idle. Elsewhere, and for the unfused arithmetic, the portable loop
+/// runs on a local copy of `acc`, written back once. Updated through
+/// the `&mut` instead, every accumulator stays in memory and is stored
+/// on each k step, one store per multiply-add, which bounds the loop
+/// by stores rather than by the FMA units. `inline(never)` is
 /// deliberate: compiled standalone, the copy lives in registers and
 /// LLVM's SLP vectorizer turns the updates into broadcast-FMA
 /// instructions; inlined into the panel loop it degrades to scalar
@@ -156,6 +160,10 @@ fn microkernel<const FUSED: bool>(
     bpanel: &[f64],
     kc: usize,
 ) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    if FUSED {
+        return zmm::fused(acc, apack, bpanel, kc);
+    }
     let mut c = *acc;
     for (a, b) in apack.chunks_exact(MR).zip(bpanel.chunks_exact(NR)).take(kc) {
         for r in 0..MR {
@@ -174,6 +182,71 @@ fn microkernel<const FUSED: bool>(
     *acc = c;
 }
 
+/// The fused 6×16 microkernel on 512-bit registers, the crate's only
+/// `unsafe` code: `std::arch` offers no safe load of a vector from a
+/// slice.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[allow(unsafe_code)]
+mod zmm {
+    use std::arch::x86_64::{
+        __m512d, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_storeu_pd,
+    };
+
+    use super::{MR, NR};
+
+    const _: () = assert!(MR == 6 && NR == 16, "the zmm kernel holds a 6×16 tile");
+
+    /// [`super::microkernel`]'s fused arithmetic with the tile in twelve
+    /// `zmm` accumulators, two per row. Each k step loads the B row as
+    /// two vectors, broadcasts each A element and issues
+    /// `_mm512_fmadd_pd(a, b, c)` — `a·b + c` rounded once, the
+    /// operation `f64::mul_add` performs — in ascending k, so every
+    /// element gets the bits of the portable kernel.
+    #[inline(always)]
+    pub(super) fn fused(acc: &mut [[f64; NR]; MR], apack: &[f64], bpanel: &[f64], kc: usize) {
+        assert!(
+            apack.len() / MR >= kc && bpanel.len() / NR >= kc,
+            "packed slices shorter than kc = {kc} steps"
+        );
+        let (ap, bp) = (apack.as_ptr(), bpanel.as_ptr());
+        let mut c: [[__m512d; 2]; MR] = acc.map(|row| {
+            // SAFETY: each row of `acc` is `NR` = 16 contiguous f64s, so
+            // both eight-wide unaligned loads, at 0 and 8, are in bounds.
+            unsafe {
+                [
+                    _mm512_loadu_pd(row.as_ptr()),
+                    _mm512_loadu_pd(row[8..].as_ptr()),
+                ]
+            }
+        });
+        for kk in 0..kc {
+            // SAFETY: kk < kc and the assert above gives
+            // `bpanel.len() >= kc·NR`, so the two eight-wide loads at
+            // `kk·NR` and `kk·NR + 8` read inside `bpanel`, and
+            // `apack.len() >= kc·MR` puts every `kk·MR + r`, r < MR,
+            // inside `apack`. The assert divides rather than multiplies,
+            // so no overflow can weaken it.
+            unsafe {
+                let b0 = _mm512_loadu_pd(bp.add(kk * NR));
+                let b1 = _mm512_loadu_pd(bp.add(kk * NR + 8));
+                for (r, row) in c.iter_mut().enumerate() {
+                    let a = _mm512_set1_pd(*ap.add(kk * MR + r));
+                    row[0] = _mm512_fmadd_pd(a, b0, row[0]);
+                    row[1] = _mm512_fmadd_pd(a, b1, row[1]);
+                }
+            }
+        }
+        for (row, v) in acc.iter_mut().zip(c) {
+            // SAFETY: as for the loads, both eight-wide stores land inside
+            // the row's sixteen f64s.
+            unsafe {
+                _mm512_storeu_pd(row.as_mut_ptr(), v[0]);
+                _mm512_storeu_pd(row[8..].as_mut_ptr(), v[1]);
+            }
+        }
+    }
+}
+
 /// Computes output rows `i0..i0+mblk` (an `MC` block, `i0` a multiple
 /// of `MC`) into `out_rows` (row-major, width `n`, local row 0 =
 /// global row `i0`). Loop order is `pc → jr → ir`: one `KC`-deep B
@@ -185,7 +258,13 @@ fn microkernel<const FUSED: bool>(
 /// terms in plain ascending order with the same update, so the result
 /// is bit-identical however the blocks are swept, however wide the
 /// register tile and however many threads sweep them.
-fn gemm_mc_block<const FUSED: bool>(
+///
+/// With `ADD` the product is added into `out_rows` instead: each
+/// register tile, computed from 0.0, is summed onto the elements it
+/// covers with one rounding each — the bits of the product followed by
+/// [`DenseMatrix::add_assign`]. That needs the whole product in one
+/// slice, so `ADD` requires `0 < k <= KC`.
+fn gemm_mc_block<const FUSED: bool, const ADD: bool>(
     apack: &[f64],
     bpack: &[f64],
     i0: usize,
@@ -213,8 +292,14 @@ fn gemm_mc_block<const FUSED: bool>(
                 }
                 microkernel::<FUSED>(&mut acc, aslice, bslice, kcur);
                 for r in 0..h {
-                    out_rows[(ir + r) * n + j0..(ir + r) * n + j0 + w]
-                        .copy_from_slice(&acc[r][..w]);
+                    let row = &mut out_rows[(ir + r) * n + j0..(ir + r) * n + j0 + w];
+                    if ADD {
+                        for (o, v) in row.iter_mut().zip(&acc[r]) {
+                            *o += v;
+                        }
+                    } else {
+                        row.copy_from_slice(&acc[r][..w]);
+                    }
                 }
             }
         }
@@ -222,15 +307,20 @@ fn gemm_mc_block<const FUSED: bool>(
 }
 
 /// Sweeps `MC`-row blocks of an `m × k` by `k × n` product of packed
-/// panels into `out` (row-major `m × n`; every element is overwritten),
-/// fanning out over the shared pool for large products when the
-/// `parallel` feature is on.
-fn gemm_panels<const FUSED: bool>(
+/// panels into `out` (row-major `m × n`; every element is overwritten,
+/// or with `ADD` summed onto as [`gemm_mc_block`] says), fanning out
+/// over the shared pool for large products when the `parallel` feature
+/// is on.
+fn gemm_panels<const FUSED: bool, const ADD: bool>(
     apack: &Arc<Vec<f64>>,
     bpack: &Arc<Vec<f64>>,
     (m, k, n): (usize, usize, usize),
     out: &mut [f64],
 ) {
+    debug_assert!(
+        !ADD || (1..=KC).contains(&k),
+        "an added product is one KC slice"
+    );
     if k == 0 {
         out.fill(0.0);
         return;
@@ -249,19 +339,26 @@ fn gemm_panels<const FUSED: bool>(
                 let i0 = blk * MC;
                 let mblk = MC.min(m - i0);
                 let mut rows = vec![0.0; mblk * n];
-                gemm_mc_block::<FUSED>(&apack, &bpack, i0, mblk, k, n, &mut rows);
+                gemm_mc_block::<FUSED, false>(&apack, &bpack, i0, mblk, k, n, &mut rows);
                 rows
             });
             for (blk, rows) in results.into_iter().enumerate() {
                 let i0 = blk * MC;
-                out[i0 * n..i0 * n + rows.len()].copy_from_slice(&rows);
+                let dst = &mut out[i0 * n..i0 * n + rows.len()];
+                if ADD {
+                    for (o, v) in dst.iter_mut().zip(&rows) {
+                        *o += v;
+                    }
+                } else {
+                    dst.copy_from_slice(&rows);
+                }
             }
             return;
         }
     }
     for i0 in (0..m).step_by(MC) {
         let mblk = MC.min(m - i0);
-        gemm_mc_block::<FUSED>(
+        gemm_mc_block::<FUSED, ADD>(
             apack,
             bpack,
             i0,
@@ -345,23 +442,41 @@ impl PackedOperand {
     /// or the inner dimensions disagree.
     pub fn matmul(&self, rhs: &PackedOperand) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
+        let shape = self.check_product(rhs, &out);
+        if worth_packing(shape.0, shape.1, shape.2) {
+            gemm_panels::<true, false>(&self.panels, &rhs.panels, shape, &mut out.data);
+        } else {
+            gemm_panels::<false, false>(&self.panels, &rhs.panels, shape, &mut out.data);
+        }
         out
     }
 
-    /// [`PackedOperand::matmul`] into `out`, whose contents are
-    /// overwritten — a caller summing many products keeps one scratch
-    /// matrix instead of allocating one per product.
+    /// `out += self × rhs`, with the bits of [`PackedOperand::matmul`]
+    /// followed by [`DenseMatrix::add_assign`]. A product that passes
+    /// the size gate with `k <= KC` (256) adds each register tile into
+    /// `out` as it leaves the kernel, with no product matrix and no
+    /// second pass over `out`; any other product takes exactly that
+    /// pair.
+    ///
+    /// ```
+    /// use matopt_kernels::{DenseMatrix, PackedOperand};
+    /// let a = DenseMatrix::from_fn(40, 30, |r, c| (r + c) as f64);
+    /// let b = DenseMatrix::from_fn(30, 50, |r, c| (r * c) as f64);
+    /// let (pa, pb) = (PackedOperand::lhs(&a), PackedOperand::rhs(&b));
+    /// let mut sum = pa.matmul(&pb);
+    /// pa.matmul_add_into(&pb, &mut sum);
+    /// assert_eq!(sum, a.matmul(&b).scale(2.0));
+    /// ```
     ///
     /// # Panics
     /// As [`PackedOperand::matmul`], and when `out` is not
     /// `self.rows() × rhs.cols()`.
-    pub fn matmul_into(&self, rhs: &PackedOperand, out: &mut DenseMatrix) {
+    pub fn matmul_add_into(&self, rhs: &PackedOperand, out: &mut DenseMatrix) {
         let shape = self.check_product(rhs, out);
-        if worth_packing(shape.0, shape.1, shape.2) {
-            gemm_panels::<true>(&self.panels, &rhs.panels, shape, &mut out.data);
+        if shape.1 <= KC && worth_packing(shape.0, shape.1, shape.2) {
+            gemm_panels::<true, true>(&self.panels, &rhs.panels, shape, &mut out.data);
         } else {
-            gemm_panels::<false>(&self.panels, &rhs.panels, shape, &mut out.data);
+            out.add_assign(&self.matmul(rhs));
         }
     }
 
@@ -573,7 +688,7 @@ impl DenseMatrix {
         let (a, b) = (PackedOperand::lhs(self), PackedOperand::rhs(rhs));
         let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
         let shape = a.check_product(&b, &out);
-        gemm_panels::<true>(&a.panels, &b.panels, shape, &mut out.data);
+        gemm_panels::<true, false>(&a.panels, &b.panels, shape, &mut out.data);
         out
     }
 

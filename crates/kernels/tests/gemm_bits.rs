@@ -2,7 +2,8 @@
 //! kernel uses, and whether an operand is packed per product or once
 //! for many, every product must carry the bits of the 6×8 packed kernel
 //! this file keeps a copy of (or, under the size gate, of the blocked
-//! reference kernel).
+//! reference kernel); a product added into a matrix must carry the bits
+//! of that product followed by `add_assign`.
 
 use matopt_kernels::{random_dense_normal, seeded_rng, DenseMatrix, PackedOperand};
 
@@ -140,10 +141,6 @@ fn assert_pinned(m: usize, k: usize, n: usize) {
     );
     let (pa, pb) = (PackedOperand::lhs(&a), PackedOperand::rhs(&b));
     assert_eq!(bits(&pa.matmul(&pb)), expect, "PackedOperand {m}x{k}x{n}");
-    // Into a dirty scratch: every element is overwritten.
-    let mut out = DenseMatrix::from_fn(m, n, |_, _| f64::NAN);
-    pa.matmul_into(&pb, &mut out);
-    assert_eq!(bits(&out), expect, "PackedOperand::matmul_into {m}x{k}x{n}");
 }
 
 #[test]
@@ -154,6 +151,69 @@ fn every_gemm_path_keeps_the_6x8_kernels_bits() {
                 assert_pinned(m, k, n);
             }
         }
+    }
+}
+
+/// `out += a × b` through [`PackedOperand::matmul_add_into`] must carry
+/// the bits of `matmul` followed by `add_assign`, whether the kernel
+/// folds the product in or falls back to that pair.
+fn assert_fold(m: usize, k: usize, n: usize, out: &DenseMatrix) {
+    let a = operand(m, k, (m * 1000 + k + 7) as u64);
+    let b = operand(k, n, (k * 1000 + n + 7) as u64);
+    let mut expect = out.clone();
+    expect.add_assign(&a.matmul(&b));
+    let mut folded = out.clone();
+    PackedOperand::lhs(&a).matmul_add_into(&PackedOperand::rhs(&b), &mut folded);
+    assert_eq!(bits(&folded), bits(&expect), "matmul_add_into {m}x{k}x{n}");
+}
+
+/// KC, the k depth up to which a gated product is folded in the kernel.
+const KC: usize = 256;
+
+#[test]
+fn a_folded_product_keeps_the_bits_of_matmul_then_add_assign() {
+    for (m, k, n) in [
+        // m and n off the 6×16 (and 6×8) tile edges.
+        (13, 40, 17),
+        (131, 128, 9),
+        (7, 200, 33),
+        // k = KC folds; KC + 1 falls back.
+        (40, KC, 40),
+        (40, KC + 1, 40),
+        // Just under the size gate (36 863 multiply-adds), and on it.
+        (29, 41, 31),
+        (32, 36, 32),
+        // Large enough to fan out over the pool with `parallel`.
+        (256, KC, 256),
+    ] {
+        assert_fold(m, k, n, &operand(m, n, (m * n) as u64));
+    }
+    assert!(!gated(29, 41, 31) && gated(32, 36, 32));
+}
+
+#[test]
+fn an_empty_product_adds_positive_zero() {
+    // k = 0: the product is +0.0 everywhere, so a -0.0 in `out` becomes
+    // +0.0, as `add_assign` of a zero matrix makes it.
+    let out = DenseMatrix::from_fn(8, 16, |r, c| if (r + c) % 2 == 0 { -0.0 } else { 1.5 });
+    assert_fold(8, 0, 16, &out);
+    let mut folded = out.clone();
+    PackedOperand::lhs(&DenseMatrix::zeros(8, 0))
+        .matmul_add_into(&PackedOperand::rhs(&DenseMatrix::zeros(0, 16)), &mut folded);
+    assert!(folded
+        .data()
+        .iter()
+        .all(|v| v.to_bits() == 0.0f64.to_bits() || *v == 1.5));
+}
+
+#[test]
+fn a_fold_into_signed_zeros_infinities_and_nan_keeps_their_bits() {
+    let specials = [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, 2.0];
+    let out_of = |m: usize, n: usize| {
+        DenseMatrix::from_fn(m, n, |r, c| specials[(r * n + c) % specials.len()])
+    };
+    for (m, k, n) in [(40, 64, 40), (40, KC + 1, 40), (20, 20, 20)] {
+        assert_fold(m, k, n, &out_of(m, n));
     }
 }
 
